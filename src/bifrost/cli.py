@@ -3,15 +3,15 @@
 Exit codes: 0 success, 1 usage or domain error, 2 I/O error, 3 regression
 failure. Numeric output is byte-deterministic: floats are printed with 17
 significant digits, rows in a fixed parameter-major order, LF line endings.
+Grids run serially; the environment variable BIFROST_THREADS is accepted and
+ignored, since a thread pool was measured slower than one thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -54,15 +54,6 @@ def _parse_axis(text: str, log: bool = False) -> list[float]:
             raise ValueError("log-spaced ranges need positive bounds")
         return list(np.geomspace(lo, hi, steps))
     return list(np.linspace(lo, hi, steps))
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("BIFROST_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    return max(cap, 1) if cap else 1
 
 
 def _load_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
@@ -108,12 +99,7 @@ def cmd_ratio_grid(args, parser) -> int:
         return (e, s, t, h_q, h_c, ratio)
 
     try:
-        cap = _thread_cap()
-        if cap > 1:
-            with ThreadPoolExecutor(max_workers=cap) as pool:
-                rows = list(pool.map(cell, points))
-        else:
-            rows = [cell(p) for p in points]
+        rows = [cell(p) for p in points]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -149,7 +135,7 @@ def cmd_qfi(args, parser) -> int:
         params = _point_params(args, parser)
         family = bifrequency_received_state(params, args.probe)
         result = qfi_gaussian(family)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(
@@ -178,7 +164,7 @@ def cmd_sld(args, parser) -> int:
         family = bifrequency_received_state(params, "tmsv")
         numeric = optimal_observable(family)
         closed = sld_coeffs_closed_form(params.eta1, params.n_s, params.n_th)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     deviation = max(
@@ -260,7 +246,6 @@ def cmd_circuit(args, parser) -> int:
                 "scale": solution.scale,
                 "commutator": solution.commutator,
                 "converged": solution.converged,
-                "iterations": solution.iterations,
                 "params": {
                     "varphi": p.varphi,
                     "theta": p.theta,

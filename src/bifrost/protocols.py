@@ -74,8 +74,7 @@ def bifrequency_received_state(p: BiFrequencyParams, probe: str) -> StateFamily:
     """Family of received two-mode states parametrised by the reflectivity gap."""
     if probe not in (PROBE_TMSV, PROBE_COHERENT):
         raise ValueError(f"unknown probe {probe!r}")
-    step = 1e-5 * max(1.0, abs(p.eta1))
-    return StateFamily(eval=lambda lam: _received(p, probe, lam), lambda0=p.lam, step=step)
+    return StateFamily(eval=lambda lam: _received(p, probe, lam), lambda0=p.lam)
 
 
 def bifrequency_advantage(p: BiFrequencyParams) -> tuple[float, float, float]:
@@ -131,11 +130,9 @@ def _qi_quantum_received(eta: float, n_s: float, n_th: float) -> g.GaussianState
     return g.partial_trace(g.apply(transform, full), keep=[1, 2])
 
 
-def qi_quantum_qfi_numeric(eta: float, n_s: float, n_th: float, step: float = 1e-5) -> float:
+def qi_quantum_qfi_numeric(eta: float, n_s: float, n_th: float) -> float:
     """Entangled-probe QFI from the three-mode pipeline at finite reflectivity."""
-    family = StateFamily(
-        eval=lambda e: _qi_quantum_received(e, n_s, n_th), lambda0=eta, step=step
-    )
+    family = StateFamily(eval=lambda e: _qi_quantum_received(e, n_s, n_th), lambda0=eta)
     return qfi_gaussian(family).value
 
 
@@ -144,11 +141,9 @@ def _qi_classical_received(eta: float, n_s: float, n_th: float) -> g.GaussianSta
     return g.partial_trace(g.apply(g.beam_splitter(eta**2), full), keep=[1])
 
 
-def qi_classical_qfi_numeric(eta: float, n_s: float, n_th: float, step: float = 1e-5) -> float:
+def qi_classical_qfi_numeric(eta: float, n_s: float, n_th: float) -> float:
     """Coherent-probe QFI from the two-mode pipeline (single received mode)."""
-    family = StateFamily(
-        eval=lambda e: _qi_classical_received(e, n_s, n_th), lambda0=eta, step=step
-    )
+    family = StateFamily(eval=lambda e: _qi_classical_received(e, n_s, n_th), lambda0=eta)
     return qfi_complex_form(family)
 
 

@@ -1,17 +1,34 @@
 """Quantum Fisher information of two-mode Gaussian state families.
 
-The numeric pipeline evaluates the mixed-state two-mode QFI
+The numeric pipeline evaluates the mixed-state two-mode QFI of Safranek, Lee
+and Fuentes (New J. Phys. 17, 073016, 2015),
 
-    H = [det A * Tr((A^-1 dA)^2) + sqrt(det(1 + A^2)) * Tr(((1 + A^2)^-1 dA)^2)
-         - 4 (nu_+^2 - nu_-^2) ((dnu_+)^2/(nu_+^4 - 1) - (dnu_-)^2/(nu_-^4 - 1))]
+    H = [det A * Tr((A^-1 dA)^2) + sqrt(det(1 + A^2)) * Tr(((1 + A^2)^-1 dA)^2) - f]
         / (2 (det A - 1))
       + 2 dd^T Sigma^-1 dd,
 
-where A = i Omega Sigma, nu_+- are the symplectic eigenvalues of the
-covariance matrix, and dots denote derivatives with respect to the estimated
-parameter, here taken by second-order central differences. The displacement
-term sits outside the bracket. All traces and determinants are computed in
-real arithmetic through M = Omega Sigma (A = i M, A^2 = -M^2).
+where A = i Omega Sigma, d is the displacement and dots denote derivatives
+with respect to the estimated parameter, taken by one second-order central
+difference of the family (three evaluations). Everything is computed in real
+arithmetic through M = Omega Sigma (A = i M, A^2 = -M^2) and the two
+symplectic invariants
+
+    s = nu_+^2 + nu_-^2 = -Tr(M^2) / 2,    p = nu_+^2 nu_-^2 = det Sigma,
+
+with derivatives ds = -Tr(M dM) and dp = p Tr(Sigma^-1 dSigma). Then
+sqrt(det(1 + A^2)) = 1 + s + p, and the eigenvalue correction
+
+    f = 4 (nu_+^2 - nu_-^2) (dnu_+^2 / (nu_+^4 - 1) - dnu_-^2 / (nu_-^4 - 1))
+
+is the symmetric rational function
+
+    f = [G1 ((s^2 - 4p) ds^2 + q^2) + 2 G0 ds q] / 4,    q = s ds - 2 dp,
+    G0 = s (s^2 - 3p - 1) / D,    G1 = -(s^2 - p - 1) / D,
+    D = p ((p + 1)^2 - s^2) = p (nu_+^4 - 1) (nu_-^4 - 1),
+
+which needs no derivative of nu_+- and stays regular where nu_+ = nu_-. D
+vanishes only at a pure normal mode (nu_- = 1), where the expression does not
+apply. The symplectic eigenvalues nu_+- are reported, not used.
 
 Closed forms for the bi-frequency illumination protocol (entangled and
 coherent probes, plus the high-reflectivity and noisy limits of their ratio)
@@ -30,12 +47,12 @@ from .gaussian import GaussianState, INTERLEAVED, basis_change, omega
 
 # det A must exceed 1 by this margin before the mixed-state branch is trusted
 MIXEDNESS_MARGIN = 1e-12
-# below this, a finite-difference covariance derivative counts as zero
+# below this, a finite-difference derivative of the covariance or of its
+# invariants counts as zero
 STATIC_COV_TOL = 1e-9
-# symplectic eigenvalues closer than this are treated as degenerate
-DEGENERACY_TOL = 1e-8
-# offset used when the degenerate branch needs one-sided evaluations
-ONE_SIDED_OFFSET = 1e-6
+# round-off in the discriminant s^2 - 4p is of order eps * s * |Sigma|_F^2;
+# a discriminant below -DISCRIMINANT_RTOL times that scale is not round-off
+DISCRIMINANT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -52,6 +69,13 @@ class StateFamily:
     eval: Callable[[float], GaussianState]
     lambda0: float = 0.0
     step: float = 1e-5
+
+    def derivative(self) -> tuple[GaussianState, np.ndarray, np.ndarray]:
+        """The state at lambda0 and the central differences of its covariance
+        and displacement; the family is evaluated exactly three times."""
+        lam, h = self.lambda0, self.step
+        state, plus, minus = self.eval(lam), self.eval(lam + h), self.eval(lam - h)
+        return state, (plus.cov - minus.cov) / (2.0 * h), (plus.disp - minus.disp) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -76,27 +100,29 @@ def a_matrix(state: GaussianState) -> np.ndarray:
     return 1j * omega(2, "blockwise") @ t @ state.cov @ t.T
 
 
-def _nu_from_cov(cov: np.ndarray) -> tuple[float, float]:
-    """Symplectic eigenvalues from Tr[A^2] and det A, in real arithmetic."""
+def _invariants(cov: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """M = Omega Sigma, s = nu_+^2 + nu_-^2 = -Tr(M^2) / 2 and p = det Sigma."""
     m = omega(cov.shape[0] // 2) @ cov
-    tr_a2 = -float(np.trace(m @ m))
-    det_a = float(np.linalg.det(cov))
-    disc = tr_a2 * tr_a2 - 16.0 * det_a
-    if disc < -1e-9:
+    return m, -0.5 * float(np.trace(m @ m)), float(np.linalg.det(cov))
+
+
+def _nu_from_invariants(s: float, p: float, cov: np.ndarray) -> tuple[float, float]:
+    """Symplectic eigenvalues from nu_+-^2 = (s +- sqrt(s^2 - 4p)) / 2."""
+    disc = s * s - 4.0 * p
+    if disc < -DISCRIMINANT_RTOL * s * float(np.sum(cov * cov)):
         raise NumericalInstabilityError(
             f"negative symplectic discriminant {disc:.3e} beyond tolerance"
         )
     root = np.sqrt(max(disc, 0.0))
-    nu_p = 0.5 * np.sqrt(tr_a2 + root)
-    nu_m = 0.5 * np.sqrt(max(tr_a2 - root, 0.0))
-    return float(nu_p), float(nu_m)
+    return float(np.sqrt(0.5 * (s + root))), float(np.sqrt(max(0.5 * (s - root), 0.0)))
 
 
 def symplectic_eigenvalues(state: GaussianState) -> tuple[float, float]:
     """Symplectic eigenvalues (nu_plus, nu_minus) of a two-mode state."""
     if state.n_modes != 2:
         raise ValueError(f"expected a two-mode state, got {state.n_modes} modes")
-    nu_p, nu_m = _nu_from_cov(state.cov)
+    _, s, p = _invariants(state.cov)
+    nu_p, nu_m = _nu_from_invariants(s, p, state.cov)
     if nu_m < 1.0 - 1e-9:
         raise NumericalInstabilityError(
             f"symplectic eigenvalue {nu_m:.12f} below 1; state is unphysical"
@@ -104,95 +130,58 @@ def symplectic_eigenvalues(state: GaussianState) -> tuple[float, float]:
     return nu_p, nu_m
 
 
-def _nu_derivatives(family: StateFamily, lam: float, h: float) -> tuple[float, float, float, float]:
-    """nu_+-, and their central-difference derivatives, at parameter ``lam``."""
-    nu_p0, nu_m0 = _nu_from_cov(family.eval(lam).cov)
-    nu_pp, nu_mp = _nu_from_cov(family.eval(lam + h).cov)
-    nu_pm, nu_mm = _nu_from_cov(family.eval(lam - h).cov)
-    return nu_p0, nu_m0, (nu_pp - nu_pm) / (2.0 * h), (nu_mp - nu_mm) / (2.0 * h)
-
-
-def _f_correction(nu_p, nu_m, dnu_p, dnu_m) -> float:
-    return 4.0 * (nu_p**2 - nu_m**2) * (
-        dnu_p**2 / (nu_p**4 - 1.0) - dnu_m**2 / (nu_m**4 - 1.0)
-    )
-
-
-def _eigenvalue_correction(family: StateFamily, lam: float, h: float) -> float:
-    """The -f(nu_+, nu_-) numerator with care at eigenvalue degeneracies.
-
-    At exact degeneracy the sorted branches develop a kink; when the branch
-    derivatives agree the analytic limit of the correction is zero, otherwise
-    it is recovered by averaging two slightly off-degenerate evaluations.
-    """
-    nu_p, nu_m, dnu_p, dnu_m = _nu_derivatives(family, lam, h)
+def _invariant_correction(s: float, p: float, ds: float, dp: float, nu_m: float) -> float:
+    """The correction f of the module docstring from the invariants s, p and
+    their derivatives; zero at a pure normal mode whose invariants are static."""
     if nu_m <= 1.0 + 1e-10:
-        if abs(dnu_p) < DEGENERACY_TOL and abs(dnu_m) < DEGENERACY_TOL:
+        if abs(ds) < STATIC_COV_TOL and abs(dp) < STATIC_COV_TOL:
             return 0.0
         raise PureStateError(
             f"symplectic eigenvalue {nu_m:.12f} at the unit boundary with "
             "varying covariance; the mixed-state expression does not apply"
         )
-    if nu_p - nu_m < DEGENERACY_TOL:
-        if abs(dnu_p - dnu_m) < DEGENERACY_TOL:
-            return 0.0
-        left = _eigenvalue_correction_regular(family, lam - ONE_SIDED_OFFSET, h)
-        right = _eigenvalue_correction_regular(family, lam + ONE_SIDED_OFFSET, h)
-        return 0.5 * (left + right)
-    return _f_correction(nu_p, nu_m, dnu_p, dnu_m)
+    q = s * ds - 2.0 * dp
+    d = p * ((p + 1.0) ** 2 - s * s)
+    g0 = s * (s * s - 3.0 * p - 1.0) / d
+    g1 = -(s * s - p - 1.0) / d
+    return 0.25 * (g1 * ((s * s - 4.0 * p) * ds * ds + q * q) + 2.0 * g0 * ds * q)
 
 
-def _eigenvalue_correction_regular(family: StateFamily, lam: float, h: float) -> float:
-    nu_p, nu_m, dnu_p, dnu_m = _nu_derivatives(family, lam, h)
-    return _f_correction(nu_p, nu_m, dnu_p, dnu_m)
+def qfi_from_derivative(state: GaussianState, dcov: np.ndarray, ddisp: np.ndarray) -> QfiResult:
+    """Quantum Fisher information of a two-mode state with given moment derivatives.
 
-
-def qfi_gaussian(family: StateFamily) -> QfiResult:
-    """Quantum Fisher information of a two-mode Gaussian family.
-
-    Derivatives of the covariance, displacement and symplectic eigenvalues are
-    taken by central differences around ``family.lambda0``. The state there
-    must be mixed; the only pure case accepted is a constant covariance
-    (displacement-only encoding), for which the covariance terms vanish
-    identically and the displacement term alone survives.
+    The state must be mixed; the only pure case accepted is a constant
+    covariance (displacement-only encoding), for which the covariance terms
+    vanish identically and the displacement term alone survives.
     """
-    lam0, h = family.lambda0, family.step
-    s0 = family.eval(lam0)
-    if s0.n_modes != 2:
-        raise ValueError(f"expected a two-mode family, got {s0.n_modes} modes")
-    if s0.ordering != INTERLEAVED:
+    if state.n_modes != 2:
+        raise ValueError(f"expected a two-mode family, got {state.n_modes} modes")
+    if state.ordering != INTERLEAVED:
         raise ValueError("expected an interleaved family")
-    sp = family.eval(lam0 + h)
-    sm = family.eval(lam0 - h)
-
-    cov = s0.cov
-    dcov = (sp.cov - sm.cov) / (2.0 * h)
-    ddisp = (sp.disp - sm.disp) / (2.0 * h)
-
+    cov = state.cov
     term_disp = 2.0 * float(ddisp @ np.linalg.solve(cov, ddisp))
-    nu_p, nu_m = _nu_from_cov(cov)
+    m, s, p = _invariants(cov)
+    nu_p, nu_m = _nu_from_invariants(s, p, cov)
 
-    det_a = float(np.linalg.det(cov))
-    static_cov = float(np.max(np.abs(dcov))) < STATIC_COV_TOL
-    if det_a <= 1.0 + MIXEDNESS_MARGIN:
-        if not static_cov:
+    if p <= 1.0 + MIXEDNESS_MARGIN:
+        if float(np.max(np.abs(dcov))) >= STATIC_COV_TOL:
             raise PureStateError(
-                f"det A = {det_a:.15f} at the purity boundary with varying "
+                f"det A = {p:.15f} at the purity boundary with varying "
                 "covariance; only mixed states are supported"
             )
         term_cov = 0.0
         term_eig = 0.0
     else:
-        omg = omega(2)
-        m = omg @ cov
-        dm = omg @ dcov
-        tr1 = float(np.trace(np.linalg.matrix_power(np.linalg.solve(cov, dcov), 2)))
+        dm = omega(2) @ dcov
+        inv_dcov = np.linalg.solve(cov, dcov)
+        tr1 = float(np.trace(inv_dcov @ inv_dcov))
         one_plus_a2 = np.eye(4) - m @ m
         tr2 = -float(np.trace(np.linalg.matrix_power(np.linalg.solve(one_plus_a2, dm), 2)))
-        sqrt_det = (1.0 + nu_p**2) * (1.0 + nu_m**2)
-        denom = 2.0 * (det_a - 1.0)
-        term_cov = (det_a * tr1 + sqrt_det * tr2) / denom
-        term_eig = -_eigenvalue_correction(family, lam0, h) / denom
+        ds = -float(np.trace(m @ dm))
+        dp = p * float(np.trace(inv_dcov))
+        denom = 2.0 * (p - 1.0)
+        term_cov = (p * tr1 + (1.0 + s + p) * tr2) / denom
+        term_eig = -_invariant_correction(s, p, ds, dp, nu_m) / denom
 
     return QfiResult(
         value=term_cov + term_eig + term_disp,
@@ -202,6 +191,15 @@ def qfi_gaussian(family: StateFamily) -> QfiResult:
         term_eigenvalue_correction=term_eig,
         term_displacement=term_disp,
     )
+
+
+def qfi_gaussian(family: StateFamily) -> QfiResult:
+    """Quantum Fisher information of a two-mode Gaussian family at ``family.lambda0``.
+
+    The moment derivatives are one central difference of the family (see
+    ``StateFamily.derivative``); see ``qfi_from_derivative`` for the domain.
+    """
+    return qfi_from_derivative(*family.derivative())
 
 
 def _check_eta(eta1: float):

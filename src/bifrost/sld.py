@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DegenerateStateError, NoInformationError
 from .gaussian import GaussianState, INTERLEAVED
-from .qfi import StateFamily, qfi_gaussian
+from .qfi import StateFamily, qfi_from_derivative
 
 _SINGULAR_COND = 1e12
 _STRUCTURE_TOL = 1e-7
@@ -75,15 +75,15 @@ def _k_matrix(n_modes: int) -> np.ndarray:
     return np.diag([1.0] * n_modes + [-1.0] * n_modes).astype(complex)
 
 
-def _complex_derivatives(family: StateFamily):
-    """Complex-basis Sigma, dSigma, d, dd at the family's working point."""
-    lam0, h = family.lambda0, family.step
-    c0 = to_complex(family.eval(lam0))
-    cp = to_complex(family.eval(lam0 + h))
-    cm = to_complex(family.eval(lam0 - h))
-    dcov = (cp.cov_c - cm.cov_c) / (2.0 * h)
-    ddisp = (cp.disp_c - cm.disp_c) / (2.0 * h)
-    return c0, dcov, ddisp
+def _complex_moments(state: GaussianState, dcov: np.ndarray, ddisp: np.ndarray):
+    """A state and its real moment derivatives in the complex basis.
+
+    The derivatives map by the same unitary W as the moments:
+    dSigma_c = W dSigma W^dag and dd_c = W dd.
+    """
+    c0 = to_complex(state)
+    w = complex_basis_matrix(c0.n_modes)
+    return c0, w @ dcov @ w.conj().T, w @ ddisp
 
 
 def _sld_superoperator(cov_c: np.ndarray, n_modes: int) -> np.ndarray:
@@ -92,6 +92,7 @@ def _sld_superoperator(cov_c: np.ndarray, n_modes: int) -> np.ndarray:
 
 
 def _solve_quad_form(cov_c, dcov, n_modes) -> np.ndarray:
+    """vec(G) = M^-1 vec(dSigma), returned as the Hermitian part of G."""
     m = _sld_superoperator(cov_c, n_modes)
     if np.linalg.cond(m) > _SINGULAR_COND:
         raise DegenerateStateError(
@@ -117,26 +118,27 @@ class SldForm:
     center: np.ndarray
 
 
-def sld(family: StateFamily) -> SldForm:
-    """Logarithmic derivative of a Gaussian family at its working point."""
-    c0, dcov, ddisp = _complex_derivatives(family)
+def _sld_form(c0: ComplexGaussian, dcov, ddisp) -> SldForm:
     quad = _solve_quad_form(c0.cov_c, dcov, c0.n_modes)
     linear = 2.0 * np.linalg.solve(c0.cov_c, ddisp)
     scalar = -0.5 * float(np.trace(c0.cov_c @ quad).real)
     return SldForm(quad=quad, linear=linear, scalar=scalar, center=c0.disp_c)
 
 
+def sld(family: StateFamily) -> SldForm:
+    """Logarithmic derivative of a Gaussian family at its working point."""
+    return _sld_form(*_complex_moments(*family.derivative()))
+
+
 def qfi_complex_form(family: StateFamily) -> float:
-    """QFI from the complex-basis superoperator; valid for any mode count."""
-    c0, dcov, ddisp = _complex_derivatives(family)
-    m = _sld_superoperator(c0.cov_c, c0.n_modes)
-    if np.linalg.cond(m) > _SINGULAR_COND:
-        raise DegenerateStateError(
-            "logarithmic-derivative superoperator is singular; the state has a "
-            "pure normal mode"
-        )
-    vec = dcov.flatten(order="F")
-    quad_part = 0.5 * float((vec.conj() @ np.linalg.solve(m, vec)).real)
+    """QFI from the complex-basis superoperator; valid for any mode count.
+
+    With G = M^-1 dSigma from ``_solve_quad_form``, the covariance part
+    vec(dSigma)^dag M^-1 vec(dSigma) / 2 is Tr(dSigma^dag G) / 2.
+    """
+    c0, dcov, ddisp = _complex_moments(*family.derivative())
+    quad = _solve_quad_form(c0.cov_c, dcov, c0.n_modes)
+    quad_part = 0.5 * float(np.vdot(dcov, quad).real)
     disp_part = 2.0 * float((ddisp.conj() @ np.linalg.solve(c0.cov_c, ddisp)).real)
     return quad_part + disp_part
 
@@ -180,11 +182,11 @@ def _coefficients_from_form(form: SldForm) -> SldCoefficients:
 
 def optimal_observable(family: StateFamily) -> SldCoefficients:
     """Coefficients of the Cramer-Rao-saturating observable L/H at lambda0 = 0."""
-    h = qfi_gaussian(family).value
+    state, dcov, ddisp = family.derivative()
+    h = qfi_from_derivative(state, dcov, ddisp).value
     if h <= 0.0 or not np.isfinite(h):
         raise NoInformationError(f"QFI is {h}; cannot normalise the observable")
-    form = sld(family)
-    raw = _coefficients_from_form(form)
+    raw = _coefficients_from_form(_sld_form(*_complex_moments(state, dcov, ddisp)))
     return SldCoefficients(raw.l11 / h, raw.l22 / h, raw.l12 / h, raw.l0 / h)
 
 
@@ -277,7 +279,6 @@ class JpaCircuitSolution:
     commutator: float
     residuals: dict
     converged: bool
-    iterations: int
 
 
 def _circuit_coefficients(p: np.ndarray) -> np.ndarray:
@@ -296,14 +297,16 @@ def _circuit_coefficients(p: np.ndarray) -> np.ndarray:
     )
 
 
-def jpa_circuit_solve(n_s: float, tol: float = 1e-12, max_iter: int = 200) -> JpaCircuitSolution:
+def jpa_circuit_solve(n_s: float, tol: float = 1e-12) -> JpaCircuitSolution:
     """Circuit parameters realising the pair-counting mode -i(a_2^dag - mu a_1).
 
     The target mode has commutator mu^2 - 1 = 1/(2 n_s) with itself-dagger, so
     a passive+squeezing circuit (whose outputs are canonical) can only produce
     it up to the normalisation scale sqrt(2 n_s); photon counts on the circuit
-    output relate to counts of the target mode by that fixed factor. Residuals
-    of the two defining identifications are reported in target-mode units.
+    output relate to counts of the target mode by that fixed factor. The
+    symmetric two-squeezer ansatz solves both identifications exactly; the
+    residuals, in target-mode units, report its floating-point error, and the
+    solution counts as converged when their norm is at most ``tol``.
     """
     if n_s <= 0:
         raise ValueError("signal photon number must be positive")
@@ -311,41 +314,10 @@ def jpa_circuit_solve(n_s: float, tol: float = 1e-12, max_iter: int = 200) -> Jp
     scale = np.sqrt(2.0 * n_s)
     target = np.array([1j * mu * scale, 0.0, 0.0, -1j * scale], dtype=complex)
 
-    def residual(p):
-        return _circuit_coefficients(p) - np.exp(1j * p[6]) * target
-
-    # symmetric two-squeezer ansatz; exact up to floating point
-    r_guess = np.arcsinh(np.sqrt(2.0 * n_s))
-    p = np.array([np.pi / 4, -np.pi / 4, r_guess, r_guess, 0.0, np.pi, -np.pi / 2])
-
-    def real_residual(p):
-        r = residual(p)
-        return np.concatenate([r.real, r.imag])
-
-    iterations = 0
-    r = real_residual(p)
-    norm = np.linalg.norm(r)
-    while norm > tol and iterations < max_iter:
-        jac = np.zeros((8, 7))
-        eps = 1e-7
-        for k in range(7):
-            dp = np.zeros(7)
-            dp[k] = eps
-            jac[:, k] = (real_residual(p + dp) - real_residual(p - dp)) / (2.0 * eps)
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        damping = 1.0
-        while damping > 1e-6:
-            trial = p + damping * step
-            r_trial = real_residual(trial)
-            if np.linalg.norm(r_trial) < norm:
-                p, r, norm = trial, r_trial, np.linalg.norm(r_trial)
-                break
-            damping *= 0.5
-        else:
-            break
-        iterations += 1
-
+    r = np.arcsinh(np.sqrt(2.0 * n_s))
+    p = np.array([np.pi / 4, -np.pi / 4, r, r, 0.0, np.pi, -np.pi / 2])
     coeffs = _circuit_coefficients(p)
+    norm = np.linalg.norm(coeffs - np.exp(1j * p[6]) * target)
     rotated = np.exp(-1j * p[6]) * coeffs
     residuals = {
         "signal_coefficient": float(abs(rotated[0] / scale - 1j * mu)),
@@ -362,5 +334,4 @@ def jpa_circuit_solve(n_s: float, tol: float = 1e-12, max_iter: int = 200) -> Jp
         commutator=float(mu**2 - 1.0),
         residuals=residuals,
         converged=bool(norm <= tol),
-        iterations=iterations,
     )

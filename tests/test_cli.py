@@ -156,3 +156,24 @@ def test_regression_failure_exit_code():
 
     assert _report([Check("synthetic", 1.0, 1e-3)]) == 3
     assert _report([Check("synthetic", 1e-6, 1e-3)]) == 0
+
+
+def test_qfi_where_discriminant_rounds_negative_exits_zero():
+    result = run_cli("qfi", "--eta1", "0.5", "--ns", "100", "--nth", "0.001")
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["value"] > 0.0
+
+
+@pytest.mark.parametrize("command, kernel", [("qfi", "qfi_gaussian"), ("sld", "optimal_observable")])
+def test_numerical_instability_is_an_error_line(command, kernel, monkeypatch, capsys):
+    from bifrost import cli
+    from bifrost.errors import NumericalInstabilityError
+
+    def unstable(family):
+        raise NumericalInstabilityError("synthetic instability")
+
+    monkeypatch.setattr(cli, kernel, unstable)
+    assert cli.main([command, "--eta1", "0.5", "--ns", "1", "--nth", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: synthetic instability")
+    assert "Traceback" not in err

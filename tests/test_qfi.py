@@ -1,5 +1,7 @@
 """QFI engine: symplectic eigenvalues, the numeric pipeline and closed forms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import bifrost as bf
 from bifrost.errors import PureStateError
 from bifrost.protocols import BiFrequencyParams, bifrequency_received_state
 from bifrost.qfi import StateFamily
+from bifrost.sld import sld
 
 SZ = np.diag([1.0, -1.0])
 
@@ -175,6 +178,59 @@ def test_two_sided_limit_consistency():
             bifrequency_received_state(BiFrequencyParams(0.6, -eps, 1.0, 0.8), probe)
         ).value
         assert abs(0.5 * (plus + minus) - center) / center < 1e-6
+
+
+@pytest.mark.parametrize("eta1, n_s, n_th", [(0.85, 1.8995, 43.29), (0.5, 100.0, 0.001)])
+def test_qfi_where_discriminant_rounds_negative(eta1, n_s, n_th):
+    """The symplectic discriminant rounds to about -1e-8 here; only a bound that
+    scales with the covariance tells that round-off from an unphysical state."""
+    hq = bf.qfi_gaussian(tmsv_family(eta1, n_s, n_th)).value
+    hc = bf.qfi_gaussian(coherent_family(eta1, n_s, n_th)).value
+    assert abs(hq - bf.hq_closed_form(eta1, n_s, n_th)) / bf.hq_closed_form(eta1, n_s, n_th) < 1e-6
+    assert abs(hc - bf.hc_closed_form(eta1, n_s, n_th)) / bf.hc_closed_form(eta1, n_s, n_th) < 1e-6
+
+
+def counted(family):
+    """The family with an evaluation counter: (family, list of evaluated parameters)."""
+    calls = []
+
+    def eval_counted(lam):
+        calls.append(lam)
+        return family.eval(lam)
+
+    return dataclasses.replace(family, eval=eval_counted), calls
+
+
+def test_log_uniform_sweep_matches_closed_forms():
+    """Both numeric routes agree with the closed forms over a seeded box.
+
+    eta1 ~ U[0.02, 0.98], n_s ~ logU[1e-3, 1e2], n_th ~ logU[1e-3, 316]; every
+    public kernel evaluates the family exactly three times per call.
+    """
+    rng = np.random.default_rng(20150716)
+    n = 120
+    etas = rng.uniform(0.02, 0.98, n)
+    n_ss = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), n))
+    n_ths = np.exp(rng.uniform(np.log(1e-3), np.log(316.0), n))
+    kernels = {
+        "qfi_gaussian": lambda f: bf.qfi_gaussian(f).value,
+        "qfi_complex_form": bf.qfi_complex_form,
+        "sld": sld,
+        "optimal_observable": bf.optimal_observable,
+    }
+    for eta1, n_s, n_th in zip(etas, n_ss, n_ths):
+        p = BiFrequencyParams(eta1, 0.0, n_s, n_th)
+        refs = {"tmsv": bf.hq_closed_form(eta1, n_s, n_th), "coherent": bf.hc_closed_form(eta1, n_s, n_th)}
+        for probe, ref in refs.items():
+            family, calls = counted(bifrequency_received_state(p, probe))
+            for name, kernel in kernels.items():
+                if name == "optimal_observable" and probe != "tmsv":
+                    continue  # the coherent probe's observable is not pair-correlated
+                del calls[:]
+                value = kernel(family)
+                assert len(calls) == 3, (name, probe, eta1, n_s, n_th, len(calls))
+                if name.startswith("qfi"):
+                    assert abs(value - ref) / ref < 1e-6, (name, probe, eta1, n_s, n_th, value, ref)
 
 
 # --- closed forms -----------------------------------------------------------

@@ -208,7 +208,7 @@ def test_circuit_symmetric_ansatz_structure():
 
 
 def test_circuit_continuation_over_signal():
-    for n_s in np.geomspace(0.01, 10.0, 7):
+    for n_s in np.geomspace(1e-6, 1e6, 25):
         sol = bf.jpa_circuit_solve(float(n_s))
         assert sol.converged, f"no solution at n_s={n_s}"
         assert sol.residuals["norm"] < 1e-10
