@@ -8,8 +8,6 @@ from .errors import (
     PureStateError,
 )
 from .gaussian import (
-    BLOCKWISE,
-    INTERLEAVED,
     GaussianState,
     PhysicalityReport,
     SymplecticTransform,
@@ -23,7 +21,6 @@ from .gaussian import (
     omega,
     partial_trace,
     permute_modes,
-    reorder_basis,
     tensor,
     thermal,
     tmsv,

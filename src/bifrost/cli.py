@@ -275,10 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--ns", default="1.0", help="value or min:max:steps")
     grid.add_argument("--nth", default="1.0", help="value or min:max:steps")
     grid.add_argument("--log-nth", action="store_true", help="log-spaced thermal axis")
-    grid.add_argument(
-        "--probe", default="both", choices=("tmsv", "coherent", "both"),
-        help="accepted for interface compatibility; rows always carry both probes",
-    )
     grid.add_argument("--out", default="", help="output path (default: stdout)")
     grid.add_argument("--format", default="csv", choices=("csv", "json"))
     grid.add_argument("--config", default="", help="JSON config file; flags override")

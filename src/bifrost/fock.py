@@ -38,6 +38,9 @@ AUTO_TAIL_TOL = 1e-10
 HARD_TAIL_TOL = 1e-6
 # extra levels on top of the auto choice, headroom for beam-splitter mixing
 GUARD_LEVELS = 5
+# working point and central-difference step of every Fock-family derivative
+LAMBDA0 = 0.0
+FD_STEP = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +217,7 @@ def quadrature_moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
 class ThermalLossChannel:
     """Single-mode channel: mix with a thermal bath on a beam splitter.
 
-    ``apply_pair`` pushes a two-mode state through two independent copies,
+    ``apply_channel_pair`` pushes a two-mode state through two independent copies,
     one reflectivity per mode.
     """
 
@@ -231,11 +234,6 @@ class ThermalLossChannel:
         gram = flat.T @ flat.conj()
         gram = gram.reshape(cutoff, cutoff, cutoff, cutoff).transpose(0, 2, 1, 3)
         self.superop = np.ascontiguousarray(gram.reshape(cutoff**2, cutoff**2))
-
-    def apply_one_mode(self, rho: np.ndarray) -> np.ndarray:
-        d = self.cutoff
-        out = self.superop @ rho.reshape(d * d)
-        return out.reshape(d, d)
 
 
 def apply_channel_pair(
@@ -273,20 +271,21 @@ def bifrequency_fock_family(
     return family
 
 
-def qfi_eq1(
-    family: Callable[[float], FockState],
-    lambda0: float = 0.0,
-    step: float = 1e-4,
-    drop_threshold: float = 1e-12,
-) -> float:
+def family_derivative(family: Callable[[float], FockState]) -> tuple[np.ndarray, np.ndarray]:
+    """The density matrix at LAMBDA0 and its central difference with step FD_STEP."""
+    rho = family(LAMBDA0).rho
+    drho = (family(LAMBDA0 + FD_STEP).rho - family(LAMBDA0 - FD_STEP).rho) / (2.0 * FD_STEP)
+    return rho, drho
+
+
+def qfi_eq1(family: Callable[[float], FockState], drop_threshold: float = 1e-12) -> float:
     """Basis-dependent QFI from the eigendecomposition of the received state.
 
-    The parameter derivative of the density matrix is taken by central
-    differences; eigenvalue pairs whose sum falls below ``drop_threshold``
-    contribute nothing and are skipped.
+    The parameter derivative of the density matrix is one central difference
+    (``family_derivative``); eigenvalue pairs whose sum falls below
+    ``drop_threshold`` contribute nothing and are skipped.
     """
-    rho0 = family(lambda0).rho
-    drho = (family(lambda0 + step).rho - family(lambda0 - step).rho) / (2.0 * step)
+    rho0, drho = family_derivative(family)
     evals, evecs = np.linalg.eigh(rho0)
     mat = evecs.conj().T @ drho @ evecs
     sums = evals[:, None] + evals[None, :]

@@ -7,9 +7,10 @@ Conventions, fixed once and used everywhere:
 * the displacement vector holds the quadrature expectation values and the
   covariance matrix the symmetrised centered second moments
   cov_ij = <{R_i - d_i, R_j - d_j}> (anticommutator, no factor 1/2),
-* arrays are stored in the interleaved ordering (x1, p1, x2, p2, ...);
-  the blockwise ordering (x1, ..., xn, p1, ..., pn) is only reached through
-  :func:`reorder_basis`.
+* arrays are always stored in the interleaved order (x1, p1, x2, p2, ...);
+  the blockwise order (x1, ..., xn, p1, ..., pn) of the paper's A = i Omega
+  Sigma appears only inside :func:`bifrost.qfi.a_matrix`, through
+  :func:`basis_change`.
 
 With these choices a thermal mode has covariance (1 + 2 n_th) I, a coherent
 state |alpha> has displacement sqrt(2) (Re alpha, Im alpha), and a beam
@@ -25,24 +26,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from scipy.linalg import block_diag
 
-INTERLEAVED = "interleaved"
-BLOCKWISE = "blockwise"
-
 SYMMETRY_TOL = 1e-12
 SYMPLECTIC_TOL = 1e-10
 PHYSICALITY_TOL = 1e-9
 
 
-def omega(n_modes: int, ordering: str = INTERLEAVED) -> np.ndarray:
-    """Symplectic form for ``n_modes`` modes in the given quadrature ordering."""
-    if ordering == INTERLEAVED:
-        single = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        return block_diag(*([single] * n_modes))
-    if ordering == BLOCKWISE:
-        eye = np.eye(n_modes)
-        zero = np.zeros((n_modes, n_modes))
-        return np.block([[zero, eye], [-eye, zero]])
-    raise ValueError(f"unknown ordering {ordering!r}")
+def omega(n_modes: int) -> np.ndarray:
+    """Symplectic form for ``n_modes`` modes."""
+    single = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return block_diag(*([single] * n_modes))
 
 
 def basis_change(n_modes: int) -> np.ndarray:
@@ -65,12 +57,10 @@ class GaussianState:
     Attributes:
         cov: real symmetric 2n x 2n covariance matrix (vacuum = identity).
         disp: real quadrature displacement vector of length 2n.
-        ordering: quadrature ordering of both arrays.
     """
 
     cov: np.ndarray
     disp: np.ndarray
-    ordering: str = INTERLEAVED
 
     def __post_init__(self):
         cov = np.array(self.cov, dtype=float)
@@ -79,8 +69,6 @@ class GaussianState:
             raise ValueError(f"covariance must be square with even size, got {cov.shape}")
         if disp.shape != (cov.shape[0],):
             raise ValueError(f"displacement shape {disp.shape} does not match covariance {cov.shape}")
-        if self.ordering not in (INTERLEAVED, BLOCKWISE):
-            raise ValueError(f"unknown ordering {self.ordering!r}")
         asym = np.max(np.abs(cov - cov.T))
         if asym > SYMMETRY_TOL:
             raise ValueError(f"covariance asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
@@ -97,13 +85,12 @@ class SymplecticTransform:
     """A real linear map on quadratures satisfying S Omega S^T = Omega."""
 
     matrix: np.ndarray
-    ordering: str = INTERLEAVED
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
             raise ValueError(f"symplectic matrix must be square with even size, got {m.shape}")
-        omg = omega(m.shape[0] // 2, self.ordering)
+        omg = omega(m.shape[0] // 2)
         err = np.max(np.abs(m @ omg @ m.T - omg))
         if err > SYMPLECTIC_TOL:
             raise ValueError(f"symplectic identity violated by {err:.3e}")
@@ -167,8 +154,6 @@ def tmsv(n_s: float) -> GaussianState:
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     """Tensor product of two states; a's modes come first."""
-    if a.ordering != INTERLEAVED or b.ordering != INTERLEAVED:
-        raise ValueError("tensor expects interleaved states")
     cov = block_diag(a.cov, b.cov)
     disp = np.concatenate([a.disp, b.disp])
     return GaussianState(cov, disp)
@@ -206,13 +191,11 @@ def apply(s: SymplecticTransform, state: GaussianState) -> GaussianState:
         )
     cov = s.matrix @ state.cov @ s.matrix.T
     cov = 0.5 * (cov + cov.T)
-    return GaussianState(cov, s.matrix @ state.disp, state.ordering)
+    return GaussianState(cov, s.matrix @ state.disp)
 
 
 def partial_trace(state: GaussianState, keep: Sequence[int]) -> GaussianState:
     """Restrict to the listed modes by deleting the complementary rows/columns."""
-    if state.ordering != INTERLEAVED:
-        raise ValueError("partial_trace expects an interleaved state")
     keep = list(keep)
     if not keep:
         raise ValueError("must keep at least one mode")
@@ -226,29 +209,15 @@ def partial_trace(state: GaussianState, keep: Sequence[int]) -> GaussianState:
 
 def permute_modes(state: GaussianState, order: Sequence[int]) -> GaussianState:
     """Reorder modes so that new mode k is old mode ``order[k]``."""
-    if state.ordering != INTERLEAVED:
-        raise ValueError("permute_modes expects an interleaved state")
     if sorted(order) != list(range(state.n_modes)):
         raise ValueError(f"order must be a permutation of 0..{state.n_modes - 1}")
     idx = [q for m in order for q in (2 * m, 2 * m + 1)]
     return GaussianState(state.cov[np.ix_(idx, idx)], state.disp[idx])
 
 
-def reorder_basis(state: GaussianState, frm: str, to: str) -> GaussianState:
-    """Convert between the interleaved and blockwise quadrature orderings."""
-    if state.ordering != frm:
-        raise ValueError(f"state is ordered {state.ordering!r}, not {frm!r}")
-    if frm == to:
-        return state
-    t = basis_change(state.n_modes)
-    if frm == BLOCKWISE:
-        t = t.T
-    return GaussianState(t @ state.cov @ t.T, t @ state.disp, to)
-
-
 def check_physical(state: GaussianState) -> PhysicalityReport:
     """Check the uncertainty relation cov + i Omega >= 0 (up to tolerance)."""
-    omg = omega(state.n_modes, state.ordering)
+    omg = omega(state.n_modes)
     eigs = np.linalg.eigvalsh(state.cov + 1j * omg)
     lo = float(eigs.min())
     return PhysicalityReport(lo >= -PHYSICALITY_TOL, lo)

@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalInstabilityError, PureStateError
-from .gaussian import GaussianState, INTERLEAVED, basis_change, omega
+from .gaussian import GaussianState, basis_change, omega
 
 # det A must exceed 1 by this margin before the mixed-state branch is trusted
 MIXEDNESS_MARGIN = 1e-12
@@ -91,13 +91,11 @@ class QfiResult:
 
 
 def a_matrix(state: GaussianState) -> np.ndarray:
-    """The matrix A = i Omega T Sigma T^T in the blockwise quadrature basis."""
+    """The paper's A = i Omega Sigma in the blockwise basis: T (i Omega Sigma) T^T."""
     if state.n_modes != 2:
         raise ValueError(f"expected a two-mode state, got {state.n_modes} modes")
-    if state.ordering != INTERLEAVED:
-        raise ValueError("expected an interleaved state")
     t = basis_change(2)
-    return 1j * omega(2, "blockwise") @ t @ state.cov @ t.T
+    return t @ (1j * omega(2) @ state.cov) @ t.T
 
 
 def _invariants(cov: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -147,17 +145,18 @@ def _invariant_correction(s: float, p: float, ds: float, dp: float, nu_m: float)
     return 0.25 * (g1 * ((s * s - 4.0 * p) * ds * ds + q * q) + 2.0 * g0 * ds * q)
 
 
-def qfi_from_derivative(state: GaussianState, dcov: np.ndarray, ddisp: np.ndarray) -> QfiResult:
-    """Quantum Fisher information of a two-mode state with given moment derivatives.
+def qfi_gaussian(family: StateFamily) -> QfiResult:
+    """Quantum Fisher information of a two-mode Gaussian family at ``family.lambda0``.
 
-    The state must be mixed; the only pure case accepted is a constant
-    covariance (displacement-only encoding), for which the covariance terms
-    vanish identically and the displacement term alone survives.
+    The moment derivatives are one central difference of the family (see
+    ``StateFamily.derivative``). The state must be mixed; the only pure case
+    accepted is a constant covariance (displacement-only encoding), for which
+    the covariance terms vanish identically and the displacement term alone
+    survives.
     """
+    state, dcov, ddisp = family.derivative()
     if state.n_modes != 2:
         raise ValueError(f"expected a two-mode family, got {state.n_modes} modes")
-    if state.ordering != INTERLEAVED:
-        raise ValueError("expected an interleaved family")
     cov = state.cov
     term_disp = 2.0 * float(ddisp @ np.linalg.solve(cov, ddisp))
     m, s, p = _invariants(cov)
@@ -191,15 +190,6 @@ def qfi_from_derivative(state: GaussianState, dcov: np.ndarray, ddisp: np.ndarra
         term_eigenvalue_correction=term_eig,
         term_displacement=term_disp,
     )
-
-
-def qfi_gaussian(family: StateFamily) -> QfiResult:
-    """Quantum Fisher information of a two-mode Gaussian family at ``family.lambda0``.
-
-    The moment derivatives are one central difference of the family (see
-    ``StateFamily.derivative``); see ``qfi_from_derivative`` for the domain.
-    """
-    return qfi_from_derivative(*family.derivative())
 
 
 def _check_eta(eta1: float):

@@ -7,13 +7,17 @@ solving {L, rho} = 2 drho is the quadratic form
     L = dA^dag G dA - Tr[Sigma G] / 2 + 2 dA^dag Sigma^-1 d'   (dA = A - d),
 
 where vec(G) = M^-1 vec(Sigma') with M = conj(Sigma) (x) Sigma - K (x) K and
-K = diag(I_n, -I_n). The same superoperator yields the QFI directly,
+K = diag(I_n, -I_n). The QFI is read off the same solved form,
 
-    H = vec(Sigma')^dag M^-1 vec(Sigma') / 2 + 2 d'^dag Sigma^-1 d',
+    H = vec(Sigma')^dag M^-1 vec(Sigma') / 2 + 2 d'^dag Sigma^-1 d'
+      = Re Tr(Sigma'^dag G) / 2 + Re(d'^dag linear),    linear = 2 Sigma^-1 d',
 
-which serves as an independent route to the value computed elsewhere from the
-symplectic-invariant expression. The observable saturating the Cramer-Rao
-bound at working point l0 is O = l0 + L / H.
+so one solve with M gives both L and H; it is a route independent of
+the symplectic-invariant expression in :mod:`bifrost.qfi`. The observable
+saturating the Cramer-Rao bound at working point l0 is O = l0 + L / H.
+
+Moments enter in the interleaved real order of :mod:`bifrost.gaussian`; the
+complex basis exists only inside this module.
 
 For the entangled bi-frequency probe the observable reduces to
 l11 n_1 + l22 n_2 + l12 (a_1^dag a_2^dag + a_1 a_2) + l0; the coefficients are
@@ -29,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStateError, NoInformationError
-from .gaussian import GaussianState, INTERLEAVED
-from .qfi import StateFamily, qfi_from_derivative
+from .gaussian import GaussianState
+from .qfi import StateFamily
 
 _SINGULAR_COND = 1e12
 _STRUCTURE_TOL = 1e-7
@@ -58,32 +62,12 @@ def complex_basis_matrix(n_modes: int) -> np.ndarray:
 
 def to_complex(state: GaussianState) -> ComplexGaussian:
     """Convert a real interleaved state to the complex basis: W cov W^dag, W disp."""
-    if state.ordering != INTERLEAVED:
-        raise ValueError("expected an interleaved state")
     w = complex_basis_matrix(state.n_modes)
     return ComplexGaussian(w @ state.cov @ w.conj().T, w @ state.disp, state.n_modes)
 
 
-def from_complex(cg: ComplexGaussian) -> GaussianState:
-    w = complex_basis_matrix(cg.n_modes)
-    cov = w.conj().T @ cg.cov_c @ w
-    disp = w.conj().T @ cg.disp_c
-    return GaussianState(cov.real, disp.real)
-
-
 def _k_matrix(n_modes: int) -> np.ndarray:
     return np.diag([1.0] * n_modes + [-1.0] * n_modes).astype(complex)
-
-
-def _complex_moments(state: GaussianState, dcov: np.ndarray, ddisp: np.ndarray):
-    """A state and its real moment derivatives in the complex basis.
-
-    The derivatives map by the same unitary W as the moments:
-    dSigma_c = W dSigma W^dag and dd_c = W dd.
-    """
-    c0 = to_complex(state)
-    w = complex_basis_matrix(c0.n_modes)
-    return c0, w @ dcov @ w.conj().T, w @ ddisp
 
 
 def _sld_superoperator(cov_c: np.ndarray, n_modes: int) -> np.ndarray:
@@ -94,10 +78,11 @@ def _sld_superoperator(cov_c: np.ndarray, n_modes: int) -> np.ndarray:
 def _solve_quad_form(cov_c, dcov, n_modes) -> np.ndarray:
     """vec(G) = M^-1 vec(dSigma), returned as the Hermitian part of G."""
     m = _sld_superoperator(cov_c, n_modes)
-    if np.linalg.cond(m) > _SINGULAR_COND:
+    cond = np.linalg.cond(m)
+    if cond > _SINGULAR_COND:
         raise DegenerateStateError(
-            "logarithmic-derivative superoperator is singular; the state has a "
-            "pure normal mode"
+            f"logarithmic-derivative superoperator is ill-conditioned: "
+            f"cond(M) = {cond:.3e} > {_SINGULAR_COND:.0e}"
         )
     vec = np.linalg.solve(m, dcov.flatten(order="F"))
     quad = vec.reshape((2 * n_modes, 2 * n_modes), order="F")
@@ -118,29 +103,32 @@ class SldForm:
     center: np.ndarray
 
 
-def _sld_form(c0: ComplexGaussian, dcov, ddisp) -> SldForm:
-    quad = _solve_quad_form(c0.cov_c, dcov, c0.n_modes)
-    linear = 2.0 * np.linalg.solve(c0.cov_c, ddisp)
+def _solved_form(family: StateFamily) -> tuple[SldForm, float]:
+    """The logarithmic derivative of a family and the QFI read off it,
+    H = Re Tr(dSigma^dag G) / 2 + Re(dd^dag linear) (module docstring).
+
+    The real moment derivatives map to the complex basis by the same unitary
+    W as the moments: dSigma_c = W dSigma W^dag and dd_c = W dd.
+    """
+    state, dcov, ddisp = family.derivative()
+    c0 = to_complex(state)
+    w = complex_basis_matrix(c0.n_modes)
+    dcov_c, ddisp_c = w @ dcov @ w.conj().T, w @ ddisp
+    quad = _solve_quad_form(c0.cov_c, dcov_c, c0.n_modes)
+    linear = 2.0 * np.linalg.solve(c0.cov_c, ddisp_c)
     scalar = -0.5 * float(np.trace(c0.cov_c @ quad).real)
-    return SldForm(quad=quad, linear=linear, scalar=scalar, center=c0.disp_c)
+    h = 0.5 * float(np.vdot(dcov_c, quad).real) + float((ddisp_c.conj() @ linear).real)
+    return SldForm(quad=quad, linear=linear, scalar=scalar, center=c0.disp_c), h
 
 
 def sld(family: StateFamily) -> SldForm:
     """Logarithmic derivative of a Gaussian family at its working point."""
-    return _sld_form(*_complex_moments(*family.derivative()))
+    return _solved_form(family)[0]
 
 
 def qfi_complex_form(family: StateFamily) -> float:
-    """QFI from the complex-basis superoperator; valid for any mode count.
-
-    With G = M^-1 dSigma from ``_solve_quad_form``, the covariance part
-    vec(dSigma)^dag M^-1 vec(dSigma) / 2 is Tr(dSigma^dag G) / 2.
-    """
-    c0, dcov, ddisp = _complex_moments(*family.derivative())
-    quad = _solve_quad_form(c0.cov_c, dcov, c0.n_modes)
-    quad_part = 0.5 * float(np.vdot(dcov, quad).real)
-    disp_part = 2.0 * float((ddisp.conj() @ np.linalg.solve(c0.cov_c, ddisp)).real)
-    return quad_part + disp_part
+    """QFI from the complex-basis superoperator; valid for any mode count."""
+    return _solved_form(family)[1]
 
 
 @dataclass(frozen=True)
@@ -182,11 +170,10 @@ def _coefficients_from_form(form: SldForm) -> SldCoefficients:
 
 def optimal_observable(family: StateFamily) -> SldCoefficients:
     """Coefficients of the Cramer-Rao-saturating observable L/H at lambda0 = 0."""
-    state, dcov, ddisp = family.derivative()
-    h = qfi_from_derivative(state, dcov, ddisp).value
+    form, h = _solved_form(family)
     if h <= 0.0 or not np.isfinite(h):
         raise NoInformationError(f"QFI is {h}; cannot normalise the observable")
-    raw = _coefficients_from_form(_sld_form(*_complex_moments(state, dcov, ddisp)))
+    raw = _coefficients_from_form(form)
     return SldCoefficients(raw.l11 / h, raw.l22 / h, raw.l12 / h, raw.l0 / h)
 
 

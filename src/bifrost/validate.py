@@ -56,7 +56,7 @@ def oracle_equivalence_checks(
     for probe in probes:
         for eta1, n_s, n_th in configs:
             family = fock.bifrequency_fock_family(eta1, n_s, n_th, probe, cutoff)
-            h_fock = fock.qfi_eq1(family, 0.0, 1e-4)
+            h_fock = fock.qfi_eq1(family)
             gauss = qfi_gaussian(
                 bifrequency_received_state(BiFrequencyParams(eta1, 0.0, n_s, n_th), probe)
             ).value
@@ -94,10 +94,9 @@ def sld_fock_report(
     h = qfi_gaussian(gauss_family).value
     ell = fock_sld_operator(form, cutoff)
 
-    fock_family = fock.bifrequency_fock_family(eta1, n_s, n_th, probe, cutoff)
-    step = 1e-4
-    rho = fock_family(0.0).rho
-    drho = (fock_family(step).rho - fock_family(-step).rho) / (2.0 * step)
+    rho, drho = fock.family_derivative(
+        fock.bifrequency_fock_family(eta1, n_s, n_th, probe, cutoff)
+    )
     anticomm = ell @ rho + rho @ ell
     residual = np.linalg.norm(anticomm - 2.0 * drho) / np.linalg.norm(drho)
     mean = float(np.trace(rho @ ell).real)

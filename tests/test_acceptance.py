@@ -64,7 +64,7 @@ def test_criterion_2_fock_oracle_equivalence():
     for probe, closed in (("tmsv", bf.hq_closed_form), ("coherent", bf.hc_closed_form)):
         for eta1, n_s, n_th in ORACLE_SET:
             family = fock.bifrequency_fock_family(eta1, n_s, n_th, probe, 30)
-            h_fock = fock.qfi_eq1(family, 0.0, 1e-4)
+            h_fock = fock.qfi_eq1(family)
             gauss = bf.qfi_gaussian(
                 bifrequency_received_state(BiFrequencyParams(eta1, 0.0, n_s, n_th), probe)
             ).value

@@ -133,25 +133,25 @@ def test_channel_trace_preserving():
 def test_qfi_eq1_constant_family():
     state = fock.fock_thermal(0.4, 15)
     pair = fock.FockState(np.kron(state.rho, state.rho), 15, 2)
-    assert fock.qfi_eq1(lambda lam: pair, 0.0, 1e-4) < 1e-10
+    assert fock.qfi_eq1(lambda lam: pair) < 1e-10
 
 
 def test_qfi_eq1_matches_coherent_closed_form():
     family = fock.bifrequency_fock_family(0.5, 0.5, 0.2, "coherent", 30)
-    h = fock.qfi_eq1(family, 0.0, 1e-4)
+    h = fock.qfi_eq1(family)
     assert abs(h - bf.hc_closed_form(0.5, 0.5, 0.2)) / h < 1e-3
 
 
 def test_qfi_eq1_matches_tmsv_closed_form():
     family = fock.bifrequency_fock_family(0.8, 0.5, 0.2, "tmsv", 30)
-    h = fock.qfi_eq1(family, 0.0, 1e-4)
+    h = fock.qfi_eq1(family)
     assert abs(h - bf.hq_closed_form(0.8, 0.5, 0.2)) / h < 1e-3
 
 
 def test_qfi_eq1_drop_threshold_stable():
     family = fock.bifrequency_fock_family(0.5, 0.2, 0.1, "tmsv", 24)
-    h1 = fock.qfi_eq1(family, 0.0, 1e-4, drop_threshold=1e-12)
-    h2 = fock.qfi_eq1(family, 0.0, 1e-4, drop_threshold=1e-10)
+    h1 = fock.qfi_eq1(family, drop_threshold=1e-12)
+    h2 = fock.qfi_eq1(family, drop_threshold=1e-10)
     assert abs(h1 - h2) / h1 < 1e-6
 
 

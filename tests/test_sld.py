@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import bifrost as bf
-from bifrost.errors import NoInformationError
+from bifrost.errors import DegenerateStateError, NoInformationError
 from bifrost.protocols import BiFrequencyParams, bifrequency_received_state
 from bifrost.qfi import StateFamily
-from bifrost.sld import complex_basis_matrix, from_complex, sld
+from bifrost.sld import complex_basis_matrix, sld
 
 
 def tmsv_family(eta1, n_s, n_th, lam0=0.0):
@@ -30,13 +30,6 @@ def test_vacuum_pair_complex_identity():
     cg = bf.to_complex(bf.vacuum(2))
     assert np.allclose(cg.cov_c, np.eye(4))
     assert np.allclose(cg.disp_c, np.zeros(4))
-
-
-def test_round_trip_tmsv():
-    state = bf.tmsv(1.0)
-    back = from_complex(bf.to_complex(state))
-    assert np.max(np.abs(back.cov - state.cov)) < 1e-12
-    assert np.max(np.abs(back.disp - state.disp)) < 1e-12
 
 
 def test_reality_structure_received_state():
@@ -164,6 +157,15 @@ def test_qfi_complex_form_agrees_with_symplectic_route():
         assert np.isclose(
             bf.qfi_complex_form(family), bf.qfi_gaussian(family).value, rtol=1e-9
         )
+
+
+def test_ill_conditioned_superoperator_reports_its_condition_number():
+    """A strongly mixed received state whose superoperator is too
+    ill-conditioned to solve: the error names cond(M), not purity."""
+    family = tmsv_family(0.807, 7.1e5, 3.7e-3)
+    assert min(bf.symplectic_eigenvalues(family.eval(0.0))) > 100.0
+    with pytest.raises(DegenerateStateError, match=r"cond\(M\) = \d\.\d+e\+\d+"):
+        bf.qfi_complex_form(family)
 
 
 # --- coherent-probe observable ----------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bifrost as bf
-from bifrost.gaussian import BLOCKWISE, INTERLEAVED, basis_change, omega
+from bifrost.gaussian import basis_change, omega
 
 SZ = np.diag([1.0, -1.0])
 
@@ -196,12 +196,7 @@ def test_bare_target_leaves_thermal_pair():
     assert np.allclose(received.cov, (1.0 + 2.0 * n_th) * np.eye(4))
 
 
-def test_reorder_round_trip_and_permutation():
-    state = bf.tensor(bf.thermal(0.2), bf.tmsv(0.9))
-    block = bf.reorder_basis(state, INTERLEAVED, BLOCKWISE)
-    back = bf.reorder_basis(block, BLOCKWISE, INTERLEAVED)
-    assert np.allclose(back.cov, state.cov)
-    assert np.allclose(back.disp, state.disp)
+def test_basis_change_is_a_permutation():
     t = basis_change(3)
     assert np.all(t.sum(axis=0) == 1) and np.all(t.sum(axis=1) == 1)
 
