@@ -56,8 +56,25 @@ def _parse_axis(text: str, log: bool = False) -> list[float]:
     return list(np.linspace(lo, hi, steps))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an ``error:`` line and exits EXIT_USAGE.
+
+    argparse would exit 2, the code this CLI gives to I/O errors; the
+    subcommand parsers inherit the class.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def _load_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Fold a JSON config file under the command-line flags (flags win)."""
+    """Fold a JSON config file under the command-line flags (flags win).
+
+    A file that cannot be read is an I/O error; bad JSON, a top level that
+    is not an object, an unknown key or a value that is not a number, string
+    or boolean is a usage error.
+    """
     if not args.config:
         return
     subparser = getattr(args, "subparser", parser)
@@ -65,13 +82,17 @@ def _load_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        subparser.error(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
+        subparser.exit(EXIT_IO, f"error: cannot read config: {exc}\n")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         subparser.error(f"config is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        subparser.error("config must be a JSON object")
     for key, value in data.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             subparser.error(f"unknown config key {key!r}")
+        if not isinstance(value, (int, float, str)):
+            subparser.error(f"config key {key!r} must be a number, string or boolean")
         if subparser.get_default(attr) == getattr(args, attr):
             if isinstance(value, (int, float)) and not isinstance(value, bool):
                 value = str(value)
@@ -264,7 +285,7 @@ def cmd_circuit(args, parser) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bifrost",
         description="QFI sweeps and regression checks for lossy bosonic sensing",
     )

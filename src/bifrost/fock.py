@@ -9,6 +9,20 @@ contraction, and the basis-dependent QFI
 
 over the eigenpairs of the received state.
 
+The oracle works sector by sector, and the sectors are exact, not an
+approximation. The beam splitter conserves the total photon number, so its
+unitary is one block per total n, built from a tridiagonal generator. The
+bath is diagonal in the number basis, so a thermal-loss channel is
+phase-covariant: it maps |k><l| only into coherences |k'><l'| with
+k' - l' = k - l, and its superoperator is one real block per offset k - l
+(``ThermalLossChannel.blocks``). A state whose modes pass through such
+channels keeps the zero pattern those offsets impose: the received
+two-mode squeezed state and its derivative vanish outside the sectors of
+fixed n1 - n2, exactly 0.0 and not merely small. ``qfi_eq1`` therefore
+diagonalises each connected component of the nonzero pattern on its own;
+it reads the pattern off the matrices and needs no knowledge of the probe,
+so a dense state is simply one component.
+
 The four-mode bi-frequency pipeline is never materialised: the interaction
 does not mix frequencies, so each frequency sees an independent thermal-loss
 channel acting on its signal mode, and the received two-mode state is the
@@ -28,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.stats import poisson
+from scipy.special import pdtrc
 
 from .errors import CutoffTooSmallError
 
@@ -145,7 +159,7 @@ def fock_coherent(alpha: complex, cutoff: int | None = None) -> FockState:
     """Coherent state |alpha> truncated at the cutoff."""
     if cutoff is None:
         mean = abs(alpha) ** 2
-        cutoff = _auto_cutoff(lambda d: float(poisson.sf(d - 1, mean)) if mean else 0.0)
+        cutoff = _auto_cutoff(lambda d: float(pdtrc(d - 1, mean)) if mean else 0.0)
     n = np.arange(cutoff)
     log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, cutoff)))])
     amps = np.exp(-0.5 * abs(alpha) ** 2) * alpha**n / np.exp(0.5 * log_fact)
@@ -154,25 +168,33 @@ def fock_coherent(alpha: complex, cutoff: int | None = None) -> FockState:
     return FockState(np.outer(amps, amps.conj()), cutoff, 1)
 
 
-def fock_beam_splitter(eta: float, cutoff: int) -> np.ndarray:
-    """Two-mode beam-splitter unitary matching the Gaussian convention.
+def _beam_splitter_sectors(eta: float, cutoff: int):
+    """The beam-splitter unitary one total photon number n at a time.
 
-    Exponential of theta (a_0^dag a_1 - a_1^dag a_0) with theta = arccos(sqrt(eta)),
-    evaluated block by block on the total-photon-number sectors the generator
-    preserves.
+    Yields ``(n, m, block)``: the first-mode counts m of the states
+    |m, n - m> inside the cutoff, ascending, and the unitary on them, the
+    exponential of theta times the tridiagonal generator
+    a_0^dag a_1 - a_1^dag a_0, whose entries are +-sqrt((m + 1)(n - m)).
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("reflectivity must lie in [0, 1]")
     theta = float(np.arccos(np.sqrt(eta)))
-    a = annihilation(cutoff)
-    eye = np.eye(cutoff)
-    gen = np.kron(a.T, eye) @ np.kron(eye, a) - np.kron(eye, a.T) @ np.kron(a, eye)
-    u = np.eye(cutoff * cutoff)
-    totals = (np.arange(cutoff)[:, None] + np.arange(cutoff)[None, :]).ravel()
     for n in range(2 * cutoff - 1):
-        idx = np.flatnonzero(totals == n)
-        if idx.size > 1:
-            u[np.ix_(idx, idx)] = expm(theta * gen[np.ix_(idx, idx)])
+        m = np.arange(max(0, n - cutoff + 1), min(n, cutoff - 1) + 1)
+        hop = np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
+        yield n, m, expm(theta * (np.diag(hop, -1) - np.diag(hop, 1)))
+
+
+def fock_beam_splitter(eta: float, cutoff: int) -> np.ndarray:
+    """Two-mode beam-splitter unitary matching the Gaussian convention.
+
+    Exponential of theta (a_0^dag a_1 - a_1^dag a_0) with theta = arccos(sqrt(eta)),
+    assembled from the total-photon-number sectors the generator preserves.
+    """
+    u = np.zeros((cutoff * cutoff, cutoff * cutoff))
+    for n, m, block in _beam_splitter_sectors(eta, cutoff):
+        idx = m * cutoff + (n - m)
+        u[np.ix_(idx, idx)] = block
     return u
 
 
@@ -193,32 +215,52 @@ def fock_partial_trace(state: FockState, keep: Sequence[int]) -> FockState:
 
 
 def quadrature_moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
-    """Interleaved covariance and displacement extracted from number-basis moments."""
+    """Interleaved covariance and displacement extracted from number-basis moments.
+
+    Each moment is read off the smallest marginal that holds it: the
+    one-mode marginals give the displacement and the same-mode second
+    moments, the two-mode marginals the cross-mode ones, by contraction.
+    No operator on the full space is formed.
+    """
     d, n = state.dim, state.n_modes
     a = annihilation(d)
-    x1 = (a + a.T) / np.sqrt(2.0)
-    p1 = (a - a.T) / (1j * np.sqrt(2.0))
-    quads = []
-    for m in range(n):
-        for q in (x1, p1):
-            op = np.eye(1)
-            for k in range(n):
-                op = np.kron(op, q if k == m else np.eye(d))
-            quads.append(op)
-    disp = np.array([float(np.trace(state.rho @ q).real) for q in quads])
+    quads = ((a + a.T) / np.sqrt(2.0), (a - a.T) / (1j * np.sqrt(2.0)))
+
+    def marginal(keep: list[int]) -> np.ndarray:
+        return state.rho if len(keep) == n else fock_partial_trace(state, keep).rho
+
+    disp = np.empty(2 * n)
     cov = np.empty((2 * n, 2 * n))
-    for i, qi in enumerate(quads):
-        for j, qj in enumerate(quads):
-            sym = np.trace(state.rho @ (qi @ qj + qj @ qi)).real
-            cov[i, j] = float(sym) - 2.0 * disp[i] * disp[j]
+    for m in range(n):
+        rho = marginal([m])
+        for u, qu in enumerate(quads):
+            disp[2 * m + u] = np.trace(rho @ qu).real
+        for u, qu in enumerate(quads):
+            for v, qv in enumerate(quads):
+                sym = np.trace(rho @ (qu @ qv + qv @ qu)).real
+                cov[2 * m + u, 2 * m + v] = sym - 2.0 * disp[2 * m + u] * disp[2 * m + v]
+    for m1 in range(n):
+        for m2 in range(m1 + 1, n):
+            # rho[k1, k2, l1, l2]; Tr(rho (qu x qv)) = sum rho qu[l1, k1] qv[l2, k2]
+            rho = marginal([m1, m2]).reshape(d, d, d, d)
+            for u, qu in enumerate(quads):
+                reduced = np.tensordot(rho, qu, axes=([0, 2], [1, 0]))
+                for v, qv in enumerate(quads):
+                    i, j = 2 * m1 + u, 2 * m2 + v
+                    second = np.sum(reduced * qv.T).real
+                    cov[i, j] = cov[j, i] = 2.0 * second - 2.0 * disp[i] * disp[j]
     return cov, disp
 
 
 class ThermalLossChannel:
     """Single-mode channel: mix with a thermal bath on a beam splitter.
 
-    ``apply_channel_pair`` pushes a two-mode state through two independent copies,
-    one reflectivity per mode.
+    The superoperator is kept as its sectors: ``blocks[k]`` maps the
+    coherences rho[i + k, i] of offset k to those of the output, indexed by
+    i in both. The channel preserves hermiticity and is real, so offset -k,
+    the coherences rho[i, i + k], has the same block. ``apply_channel_pair``
+    pushes a two-mode state through two independent copies, one reflectivity
+    per mode.
     """
 
     def __init__(self, eta: float, n_th: float, cutoff: int):
@@ -226,23 +268,46 @@ class ThermalLossChannel:
         self.n_th = n_th
         self.cutoff = cutoff
         _gate_cutoff(_thermal_tail(n_th, cutoff), cutoff, "thermal bath")
-        u = fock_beam_splitter(eta, cutoff).reshape(cutoff, cutoff, cutoff, cutoff)
         probs = _thermal_probs(n_th, cutoff)
-        # Kraus family E[k, j, t, s] = sqrt(p_j) <k, t| U |j, s>
-        kraus = np.sqrt(probs)[None, :, None, None] * u.transpose(0, 2, 1, 3)
-        flat = kraus.reshape(cutoff * cutoff, cutoff * cutoff)
-        gram = flat.T @ flat.conj()
-        gram = gram.reshape(cutoff, cutoff, cutoff, cutoff).transpose(0, 2, 1, 3)
-        self.superop = np.ascontiguousarray(gram.reshape(cutoff**2, cutoff**2))
+        # amp[t, j, s] = <j + s - t, t| U |j, s>: j bath photons enter the
+        # first port, s signal photons the second, t leave the kept second port
+        amp = np.zeros((cutoff, cutoff, cutoff))
+        for n, m, block in _beam_splitter_sectors(eta, cutoff):
+            amp[n - m[:, None], m[None, :], n - m[None, :]] = block
+        # output coherence |t><t'| from input |s><s'| with t - t' = s - s' = k,
+        # summed over the bath photons j and the traced output j + s - t
+        self.blocks = [
+            np.einsum("tjs,j,tjs->ts", amp[k:, :, k:], probs, amp[: cutoff - k, :, : cutoff - k])
+            for k in range(cutoff)
+        ]
+
+
+def _apply_sectors(blocks: list[np.ndarray], tensor: np.ndarray) -> np.ndarray:
+    """Apply a one-mode superoperator, kept as sector blocks, to the first two
+    axes (the row and column index of that mode) of a complex ``tensor``.
+
+    The real block multiplies the real and imaginary parts alike, so each
+    product runs on the slab viewed as real numbers.
+    """
+    out = np.empty_like(tensor)
+    size = len(blocks)
+    for k, block in enumerate(blocks):
+        i = np.arange(size - k)
+        for rows, cols in ((i + k, i), (i, i + k)) if k else ((i, i),):
+            out[rows, cols] = (block @ tensor[rows, cols].view(float)).view(complex)
+    return out
 
 
 def apply_channel_pair(
     ch1: ThermalLossChannel, ch2: ThermalLossChannel, rho: np.ndarray
 ) -> np.ndarray:
     d = ch1.cutoff
-    tensor = rho.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    mixed = ch1.superop @ tensor @ ch2.superop.T
-    return mixed.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    tensor = np.asarray(rho, dtype=complex).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    tensor = _apply_sectors(ch1.blocks, tensor.reshape(d, d, d * d))  # axes k1, l1, (k2 l2)
+    # copied: the sector gathers of a strided view are several times slower
+    tensor = np.ascontiguousarray(tensor.reshape(d, d, d, d).transpose(2, 3, 0, 1))
+    tensor = _apply_sectors(ch2.blocks, tensor.reshape(d, d, d * d))  # axes k2, l2, (k1 l1)
+    return tensor.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
 
 
 def bifrequency_fock_family(
@@ -278,16 +343,40 @@ def family_derivative(family: Callable[[float], FockState]) -> tuple[np.ndarray,
     return rho, drho
 
 
+def _components(*mats: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the joint nonzero pattern."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    pattern = np.zeros(mats[0].shape, dtype=bool)
+    for mat in mats:
+        pattern |= mat != 0
+    count, labels = connected_components(csr_matrix(pattern), directed=False)
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+
+
 def qfi_eq1(family: Callable[[float], FockState], drop_threshold: float = 1e-12) -> float:
     """Basis-dependent QFI from the eigendecomposition of the received state.
 
     The parameter derivative of the density matrix is one central difference
-    (``family_derivative``); eigenvalue pairs whose sum falls below
-    ``drop_threshold`` contribute nothing and are skipped.
+    (``family_derivative``). The basis splits into the connected components
+    of the nonzero pattern of the state and its derivative; both vanish
+    between components, so each is diagonalised on its own and the sum runs
+    over pairs within a component. A pair of matrices whose imaginary parts
+    are exactly zero, as for real probe amplitudes, is decomposed in real
+    arithmetic. Eigenvalue pairs whose sum falls below ``drop_threshold``
+    contribute nothing and are skipped.
     """
     rho0, drho = family_derivative(family)
-    evals, evecs = np.linalg.eigh(rho0)
-    mat = evecs.conj().T @ drho @ evecs
-    sums = evals[:, None] + evals[None, :]
-    mask = sums > drop_threshold
-    return float(2.0 * np.sum(np.abs(mat[mask]) ** 2 / sums[mask]))
+    if not (rho0.imag.any() or drho.imag.any()):
+        rho0, drho = rho0.real, drho.real
+    total = 0.0
+    for idx in _components(rho0, drho):
+        block = np.ix_(idx, idx)
+        evals, evecs = np.linalg.eigh(rho0[block])
+        mat = evecs.conj().T @ drho[block] @ evecs
+        sums = evals[:, None] + evals[None, :]
+        mask = sums > drop_threshold
+        total += np.sum(np.abs(mat[mask]) ** 2 / sums[mask])
+    return float(2.0 * total)

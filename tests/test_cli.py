@@ -177,3 +177,44 @@ def test_numerical_instability_is_an_error_line(command, kernel, monkeypatch, ca
     err = capsys.readouterr().err
     assert err.startswith("error: synthetic instability")
     assert "Traceback" not in err
+
+
+def test_import_leaves_scipy_stats_and_sparse_out():
+    code = (
+        "import sys, bifrost.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.sparse') if m in sys.modules))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "config_text, flags, code, message",
+    [
+        ('{"probe": "tmsv"}', [], 1, "unknown config key 'probe'"),
+        ('{"eta1": ', [], 1, "config is not valid JSON"),
+        ('[0.5]', [], 1, "config must be a JSON object"),
+        ('{"eta1": [0.5]}', [], 1, "must be a number, string or boolean"),
+        (None, [], 2, "cannot read config"),
+        ('{"eta1": 0.5}', ["--bogus"], 1, "unrecognized arguments: --bogus"),
+        ('{"eta1": 0.5}', ["--format", "xml"], 1, "invalid choice: 'xml'"),
+    ],
+    ids=["unknown-key", "bad-json", "not-an-object", "bad-value", "missing-file",
+         "bad-flag", "bad-choice"],
+)
+def test_config_and_flag_errors_exit_with_documented_codes(
+    config_text, flags, code, message, tmp_path, capsys
+):
+    from bifrost import cli
+
+    config = tmp_path / "c.json"
+    if config_text is not None:
+        config.write_text(config_text)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ratio-grid", "--config", str(config)] + flags)
+    assert exc.value.code == code
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and message in errors[0]
+    assert "Traceback" not in err

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import bifrost as bf
 from bifrost import fock
@@ -48,6 +49,28 @@ def test_tmsv_purity_and_reduced_covariance():
     cov, disp = fock.quadrature_moments(state)
     assert np.max(np.abs(cov - bf.tmsv(0.5).cov)) < 1e-6
     assert np.max(np.abs(disp)) < 1e-12
+
+
+def test_coherent_auto_cutoff_matches_poisson_tail():
+    """The auto cutoff reads the Poisson tail off scipy.special.pdtrc, the
+    function scipy.stats.poisson.sf evaluates, so the cutoffs are the same."""
+    from scipy.special import pdtrc
+    from scipy.stats import poisson
+
+    for mean in np.geomspace(1e-4, 50.0, 40):
+        for k in range(1, 120, 7):
+            assert pdtrc(k, mean) == poisson.sf(k, mean)
+
+
+def test_quadrature_moments_three_mode_product():
+    """Moments of a three-mode state come from its one- and two-mode marginals."""
+    cutoff = 10
+    pair, single = fock.fock_tmsv(0.05, cutoff), fock.fock_coherent(0.5, cutoff)
+    state = fock.FockState(np.kron(pair.rho, single.rho), cutoff, 3)
+    cov, disp = fock.quadrature_moments(state)
+    expected = bf.tensor(bf.tmsv(0.05), bf.coherent(0.5))
+    assert np.max(np.abs(cov - expected.cov)) < 1e-8
+    assert np.max(np.abs(disp - expected.disp)) < 1e-8
 
 
 def test_coherent_moments():
@@ -123,6 +146,46 @@ def test_loss_channel_coherent_displacement():
     assert np.allclose(disp, expected, atol=1e-7)
 
 
+def _dense_beam_splitter(eta: float, cutoff: int) -> np.ndarray:
+    """The truncated generator made from dense ladder operators, exponentiated
+    on each index set of fixed total photon number."""
+    a = fock.annihilation(cutoff)
+    eye = np.eye(cutoff)
+    gen = np.kron(a.T, eye) @ np.kron(eye, a) - np.kron(eye, a.T) @ np.kron(a, eye)
+    u = np.zeros_like(gen)
+    totals = (np.arange(cutoff)[:, None] + np.arange(cutoff)[None, :]).ravel()
+    for n in range(2 * cutoff - 1):
+        idx = np.ix_(totals == n, totals == n)
+        u[idx] = expm(np.arccos(np.sqrt(eta)) * gen[idx])
+    return u
+
+
+def _dense_kraus_superop(eta: float, n_th: float, cutoff: int) -> np.ndarray:
+    """The channel's dense superoperator, the gram of its Kraus operators;
+    the bath enters the first port and the second port is kept."""
+    u = _dense_beam_splitter(eta, cutoff).reshape(cutoff, cutoff, cutoff, cutoff)
+    probs = fock.fock_thermal(n_th, cutoff).rho.diagonal().real
+    # kraus[k, j, t, s] = sqrt(p_j) <k, t| U |j, s>
+    kraus = np.sqrt(probs)[None, :, None, None] * u.transpose(0, 2, 1, 3)
+    flat = kraus.reshape(cutoff * cutoff, cutoff * cutoff)
+    gram = (flat.T @ flat.conj()).reshape(cutoff, cutoff, cutoff, cutoff)
+    return gram.transpose(0, 2, 1, 3).reshape(cutoff**2, cutoff**2)
+
+
+def test_channel_blocks_match_kraus_superoperator():
+    eta, n_th, cutoff = 0.37, 0.15, 8
+    u = fock.fock_beam_splitter(eta, cutoff)
+    assert np.max(np.abs(u - _dense_beam_splitter(eta, cutoff))) < 1e-14
+    channel = fock.ThermalLossChannel(eta, n_th, cutoff)
+    dense = np.zeros((cutoff**2, cutoff**2))
+    for k, block in enumerate(channel.blocks):
+        i = np.arange(cutoff - k)
+        for rows, cols in ((i + k, i), (i, i + k)):
+            flat = rows * cutoff + cols
+            dense[np.ix_(flat, flat)] = block
+    assert np.max(np.abs(dense - _dense_kraus_superop(eta, n_th, cutoff))) < 1e-14
+
+
 def test_channel_trace_preserving():
     family = fock.bifrequency_fock_family(0.5, 0.3, 0.2, "tmsv", 22)
     assert abs(family(0.0).trace - 1.0) < 1e-6
@@ -146,6 +209,25 @@ def test_qfi_eq1_matches_tmsv_closed_form():
     family = fock.bifrequency_fock_family(0.8, 0.5, 0.2, "tmsv", 30)
     h = fock.qfi_eq1(family)
     assert abs(h - bf.hq_closed_form(0.8, 0.5, 0.2)) / h < 1e-3
+
+
+def test_qfi_eq1_invariant_under_unitary_conjugation():
+    """A fixed unitary fills the zero pattern of the received two-mode squeezed
+    state, so the QFI runs on one dense block; it must equal the sectored one."""
+    cutoff = 12
+    family = fock.bifrequency_fock_family(0.5, 0.2, 0.1, "tmsv", cutoff)
+    rng = np.random.default_rng(7)
+    size = cutoff * cutoff
+    q, _ = np.linalg.qr(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
+
+    def rotated(lam: float) -> fock.FockState:
+        rho = q @ family(lam).rho @ q.conj().T
+        return fock.FockState((rho + rho.conj().T) / 2.0, cutoff, 2)
+
+    assert len(fock._components(*fock.family_derivative(family))) == 2 * cutoff - 1
+    assert len(fock._components(*fock.family_derivative(rotated))) == 1
+    h_sectored, h_dense = fock.qfi_eq1(family), fock.qfi_eq1(rotated)
+    assert abs(h_dense - h_sectored) / h_sectored < 1e-9
 
 
 def test_qfi_eq1_drop_threshold_stable():
