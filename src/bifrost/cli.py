@@ -68,12 +68,33 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
+def _config_value(key: str, value, action: argparse.Action, subparser):
+    """A config value converted and checked as its flag would be: a switch
+    takes a JSON boolean, any other flag a number or string, passed through
+    the flag's ``type`` and ``choices``."""
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            subparser.error(f"config key {key!r} must be a JSON boolean, got {value!r}")
+        return value
+    if isinstance(value, bool):
+        subparser.error(f"config key {key!r} must be a number or string, got {value!r}")
+    text = value if isinstance(value, str) else str(value)
+    try:
+        converted = action.type(text) if action.type else text
+    except (TypeError, ValueError):
+        subparser.error(f"config key {key!r}: invalid value {value!r}")
+    if action.choices is not None and converted not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        subparser.error(f"config key {key!r}: invalid choice: {converted!r} (choose from {choices})")
+    return converted
+
+
 def _load_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
     """Fold a JSON config file under the command-line flags (flags win).
 
     A file that cannot be read is an I/O error; bad JSON, a top level that
-    is not an object, an unknown key or a value that is not a number, string
-    or boolean is a usage error.
+    is not an object, an unknown key or a value its flag would reject is a
+    usage error.
     """
     if not args.config:
         return
@@ -87,15 +108,15 @@ def _load_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
         subparser.error(f"config is not valid JSON: {exc}")
     if not isinstance(data, dict):
         subparser.error("config must be a JSON object")
+    flags = {a.dest: a for a in subparser._actions if a.option_strings and hasattr(args, a.dest)}
     for key, value in data.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in flags:
             subparser.error(f"unknown config key {key!r}")
         if not isinstance(value, (int, float, str)):
             subparser.error(f"config key {key!r} must be a number, string or boolean")
+        value = _config_value(key, value, flags[attr], subparser)
         if subparser.get_default(attr) == getattr(args, attr):
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                value = str(value)
             setattr(args, attr, value)
 
 

@@ -41,8 +41,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import pdtrc
 
 from .errors import CutoffTooSmallError
 
@@ -157,6 +155,8 @@ def fock_tmsv(n_s: float, cutoff: int | None = None) -> FockState:
 
 def fock_coherent(alpha: complex, cutoff: int | None = None) -> FockState:
     """Coherent state |alpha> truncated at the cutoff."""
+    from scipy.special import pdtrc
+
     if cutoff is None:
         mean = abs(alpha) ** 2
         cutoff = _auto_cutoff(lambda d: float(pdtrc(d - 1, mean)) if mean else 0.0)
@@ -176,6 +176,8 @@ def _beam_splitter_sectors(eta: float, cutoff: int):
     exponential of theta times the tridiagonal generator
     a_0^dag a_1 - a_1^dag a_0, whose entries are +-sqrt((m + 1)(n - m)).
     """
+    from scipy.linalg import expm
+
     if not 0.0 <= eta <= 1.0:
         raise ValueError("reflectivity must lie in [0, 1]")
     theta = float(np.arccos(np.sqrt(eta)))

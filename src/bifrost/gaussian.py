@@ -16,6 +16,13 @@ With these choices a thermal mode has covariance (1 + 2 n_th) I, a coherent
 state |alpha> has displacement sqrt(2) (Re alpha, Im alpha), and a beam
 splitter of reflectivity eta acts as the rotation
 [[sqrt(eta) I, sqrt(1-eta) I], [-sqrt(1-eta) I, sqrt(eta) I]].
+
+State families differentiate by propagation, not by differences: for a fixed
+input (Sigma, d) and a path of symplectic maps S(l), the output moments
+S Sigma S^T and S d have derivatives dS Sigma S^T + S Sigma dS^T and dS d
+(:func:`propagate`), and a partial trace, being a selection of rows and
+columns, commutes with the derivative. The beam splitter's dS/d eta is
+analytic (:func:`beam_splitter_derivative`).
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import block_diag
 
 SYMMETRY_TOL = 1e-12
 SYMPLECTIC_TOL = 1e-10
@@ -33,8 +39,29 @@ PHYSICALITY_TOL = 1e-9
 
 def omega(n_modes: int) -> np.ndarray:
     """Symplectic form for ``n_modes`` modes."""
-    single = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return block_diag(*([single] * n_modes))
+    w = np.zeros((2 * n_modes, 2 * n_modes))
+    x = np.arange(0, 2 * n_modes, 2)
+    w[x, x + 1] = 1.0
+    w[x + 1, x] = -1.0
+    return w
+
+
+def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    n = a.shape[0]
+    out = np.zeros((n + b.shape[0], n + b.shape[0]))
+    out[:n, :n] = a
+    out[n:, n:] = b
+    return out
+
+
+def _mode_pair(diag: float, off: float) -> np.ndarray:
+    """The two-mode matrix [[diag I, off I], [-off I, diag I]]."""
+    m = np.zeros((4, 4))
+    i = np.arange(2)
+    m[i, i] = m[i + 2, i + 2] = diag
+    m[i, i + 2] = off
+    m[i + 2, i] = -off
+    return m
 
 
 def basis_change(n_modes: int) -> np.ndarray:
@@ -135,8 +162,9 @@ def two_mode_squeezed(r: float) -> GaussianState:
     if r < 0:
         raise ValueError("squeezing parameter must be nonnegative")
     c, s = np.cosh(2.0 * r), np.sinh(2.0 * r)
-    sz = np.diag([1.0, -1.0])
-    cov = np.block([[c * np.eye(2), s * sz], [s * sz, c * np.eye(2)]])
+    cov = c * np.eye(4)
+    cov[0, 2] = cov[2, 0] = s
+    cov[1, 3] = cov[3, 1] = -s
     return GaussianState(cov, np.zeros(4))
 
 
@@ -154,7 +182,7 @@ def tmsv(n_s: float) -> GaussianState:
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     """Tensor product of two states; a's modes come first."""
-    cov = block_diag(a.cov, b.cov)
+    cov = _block_diag(a.cov, b.cov)
     disp = np.concatenate([a.disp, b.disp])
     return GaussianState(cov, disp)
 
@@ -168,10 +196,30 @@ def beam_splitter(eta: float) -> SymplecticTransform:
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("reflectivity must lie in [0, 1]")
-    rt, tt = np.sqrt(eta), np.sqrt(1.0 - eta)
-    eye = np.eye(2)
-    m = np.block([[rt * eye, tt * eye], [-tt * eye, rt * eye]])
-    return SymplecticTransform(m)
+    return SymplecticTransform(_mode_pair(np.sqrt(eta), np.sqrt(1.0 - eta)))
+
+
+def beam_splitter_derivative(eta: float) -> np.ndarray:
+    """d/d eta of the matrix of ``beam_splitter(eta)``.
+
+    The entries carry 1/sqrt(eta) and 1/sqrt(1 - eta), so the derivative
+    exists only for 0 < eta < 1; anywhere else this raises ValueError.
+    """
+    if not 0.0 < eta < 1.0:
+        raise ValueError(f"reflectivity must lie strictly in (0, 1) to differentiate, got {eta}")
+    return _mode_pair(0.5 / np.sqrt(eta), -0.5 / np.sqrt(1.0 - eta))
+
+
+def beam_splitter_amplitude_derivative(amp: float) -> np.ndarray:
+    """d/d amp of the matrix of ``beam_splitter(amp**2)``, for 0 <= amp < 1.
+
+    In the amplitude the entries are amp and sqrt(1 - amp^2), so unlike
+    :func:`beam_splitter_derivative` this stays regular at amp = 0; outside
+    [0, 1) it raises ValueError.
+    """
+    if not 0.0 <= amp < 1.0:
+        raise ValueError(f"amplitude reflectivity must lie in [0, 1) to differentiate, got {amp}")
+    return _mode_pair(1.0, -amp / np.sqrt(1.0 - amp * amp))
 
 
 def identity_transform(n_modes: int) -> SymplecticTransform:
@@ -180,7 +228,7 @@ def identity_transform(n_modes: int) -> SymplecticTransform:
 
 def direct_sum(s1: SymplecticTransform, s2: SymplecticTransform) -> SymplecticTransform:
     """Block-diagonal composition acting on the concatenated mode sets."""
-    return SymplecticTransform(block_diag(s1.matrix, s2.matrix))
+    return SymplecticTransform(_block_diag(s1.matrix, s2.matrix))
 
 
 def apply(s: SymplecticTransform, state: GaussianState) -> GaussianState:
@@ -194,16 +242,37 @@ def apply(s: SymplecticTransform, state: GaussianState) -> GaussianState:
     return GaussianState(cov, s.matrix @ state.disp)
 
 
-def partial_trace(state: GaussianState, keep: Sequence[int]) -> GaussianState:
-    """Restrict to the listed modes by deleting the complementary rows/columns."""
+def propagate(
+    state: GaussianState, s: SymplecticTransform, ds: np.ndarray, keep: Sequence[int]
+) -> tuple[GaussianState, np.ndarray, np.ndarray]:
+    """Tangent of the family l -> partial_trace(apply(S(l), state), keep).
+
+    ``state`` does not depend on l, ``s`` is S(l) and ``ds`` its derivative.
+    Returns the state, bit for bit what that expression gives, and the
+    derivatives dS Sigma S^T + S Sigma dS^T of the covariance and dS d of the
+    displacement, restricted to the kept modes like the state.
+    """
+    out = apply(s, state)
+    x = s.matrix @ state.cov @ ds.T
+    idx = _quadrature_indices(out.n_modes, keep)
+    sub = np.ix_(idx, idx)
+    return GaussianState(out.cov[sub], out.disp[idx]), (x + x.T)[sub], (ds @ state.disp)[idx]
+
+
+def _quadrature_indices(n_modes: int, keep: Sequence[int]) -> list[int]:
     keep = list(keep)
     if not keep:
         raise ValueError("must keep at least one mode")
-    if any(k < 0 or k >= state.n_modes for k in keep):
-        raise ValueError(f"mode index out of range for {state.n_modes} modes: {keep}")
+    if any(k < 0 or k >= n_modes for k in keep):
+        raise ValueError(f"mode index out of range for {n_modes} modes: {keep}")
     if any(b <= a for a, b in zip(keep, keep[1:])):
         raise ValueError("kept modes must be strictly increasing")
-    idx = [q for m in keep for q in (2 * m, 2 * m + 1)]
+    return [q for m in keep for q in (2 * m, 2 * m + 1)]
+
+
+def partial_trace(state: GaussianState, keep: Sequence[int]) -> GaussianState:
+    """Restrict to the listed modes by deleting the complementary rows/columns."""
+    idx = _quadrature_indices(state.n_modes, keep)
     return GaussianState(state.cov[np.ix_(idx, idx)], state.disp[idx])
 
 

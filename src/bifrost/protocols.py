@@ -15,9 +15,9 @@ Three pipelines are assembled here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.constants import hbar as HBAR, k as K_B
 
 from . import gaussian as g
 from .qfi import StateFamily, hc_closed_form, hq_closed_form, qfi_gaussian
@@ -25,6 +25,10 @@ from .sld import qfi_complex_form
 
 PROBE_TMSV = "tmsv"
 PROBE_COHERENT = "coherent"
+
+# exact SI values, as in scipy.constants
+HBAR = 6.62607015e-34 / (2.0 * np.pi)
+K_B = 1.380649e-23
 
 
 @dataclass(frozen=True)
@@ -64,17 +68,43 @@ def _bifrequency_input(p: BiFrequencyParams, probe: str) -> g.GaussianState:
     raise ValueError(f"unknown probe {probe!r}")
 
 
-def _received(p: BiFrequencyParams, probe: str, lam: float) -> g.GaussianState:
-    transform = g.direct_sum(g.beam_splitter(p.eta1), g.beam_splitter(p.eta1 + lam))
-    out = g.apply(transform, _bifrequency_input(p, probe))
-    return g.partial_trace(out, keep=[1, 3])
+def _channel_family(
+    state: g.GaussianState,
+    transform: Callable[[float], g.SymplecticTransform],
+    dtransform: Callable[[float], np.ndarray],
+    keep: list[int],
+    lambda0: float,
+) -> StateFamily:
+    """The family l -> modes ``keep`` of transform(l) acting on a fixed input
+    state, differentiated through ``dtransform`` = d transform / dl."""
+    return StateFamily(
+        eval=lambda lam: g.partial_trace(g.apply(transform(lam), state), keep),
+        tangent=lambda lam: g.propagate(state, transform(lam), dtransform(lam), keep),
+        lambda0=lambda0,
+    )
 
 
 def bifrequency_received_state(p: BiFrequencyParams, probe: str) -> StateFamily:
-    """Family of received two-mode states parametrised by the reflectivity gap."""
+    """Family of received two-mode states parametrised by the reflectivity gap.
+
+    The family evaluates wherever eta1 and eta1 + lambda lie in [0, 1]. Its
+    tangent needs both strictly inside (0, 1), where the beam splitter is
+    differentiable, and raises ValueError elsewhere.
+    """
     if probe not in (PROBE_TMSV, PROBE_COHERENT):
         raise ValueError(f"unknown probe {probe!r}")
-    return StateFamily(eval=lambda lam: _received(p, probe, lam), lambda0=p.lam)
+
+    def transform(lam: float) -> g.SymplecticTransform:
+        return g.direct_sum(g.beam_splitter(p.eta1), g.beam_splitter(p.eta1 + lam))
+
+    def dtransform(lam: float) -> np.ndarray:
+        if not 0.0 < p.eta1 < 1.0:
+            raise ValueError(f"eta1 must lie strictly in (0, 1) to differentiate, got {p.eta1}")
+        d = np.zeros((8, 8))
+        d[4:, 4:] = g.beam_splitter_derivative(p.eta1 + lam)
+        return d
+
+    return _channel_family(_bifrequency_input(p, probe), transform, dtransform, [1, 3], p.lam)
 
 
 def bifrequency_advantage(p: BiFrequencyParams) -> tuple[float, float, float]:
@@ -122,29 +152,44 @@ def qi_ratio(n_s: float, n_th: float) -> float:
     return (n_s + 1.0) * (2.0 * n_th + 1.0) / (2.0 * n_s * n_th + n_s + n_th + 1.0)
 
 
-def _qi_quantum_received(eta: float, n_s: float, n_th: float) -> g.GaussianState:
-    """Received (reflection, idler) state; the target reflects |eta|^2 in power."""
+def _qi_quantum_received(eta: float, n_s: float, n_th: float) -> StateFamily:
+    """Received (reflection, idler) states over the amplitude reflectivity
+    eta; the target reflects eta^2 in power."""
     probe = g.two_mode_squeezed(np.arcsinh(np.sqrt(n_s)))
-    full = g.tensor(g.thermal(n_th), probe)
-    transform = g.direct_sum(g.beam_splitter(eta**2), g.identity_transform(1))
-    return g.partial_trace(g.apply(transform, full), keep=[1, 2])
+
+    def dtransform(e: float) -> np.ndarray:
+        d = np.zeros((6, 6))
+        d[:4, :4] = g.beam_splitter_amplitude_derivative(e)
+        return d
+
+    return _channel_family(
+        g.tensor(g.thermal(n_th), probe),
+        lambda e: g.direct_sum(g.beam_splitter(e**2), g.identity_transform(1)),
+        dtransform,
+        [1, 2],
+        eta,
+    )
 
 
 def qi_quantum_qfi_numeric(eta: float, n_s: float, n_th: float) -> float:
     """Entangled-probe QFI from the three-mode pipeline at finite reflectivity."""
-    family = StateFamily(eval=lambda e: _qi_quantum_received(e, n_s, n_th), lambda0=eta)
-    return qfi_gaussian(family).value
+    return qfi_gaussian(_qi_quantum_received(eta, n_s, n_th)).value
 
 
-def _qi_classical_received(eta: float, n_s: float, n_th: float) -> g.GaussianState:
-    full = g.tensor(g.thermal(n_th), g.coherent(np.sqrt(n_s)))
-    return g.partial_trace(g.apply(g.beam_splitter(eta**2), full), keep=[1])
+def _qi_classical_received(eta: float, n_s: float, n_th: float) -> StateFamily:
+    """Received single-mode states over the amplitude reflectivity eta."""
+    return _channel_family(
+        g.tensor(g.thermal(n_th), g.coherent(np.sqrt(n_s))),
+        lambda e: g.beam_splitter(e**2),
+        g.beam_splitter_amplitude_derivative,
+        [1],
+        eta,
+    )
 
 
 def qi_classical_qfi_numeric(eta: float, n_s: float, n_th: float) -> float:
     """Coherent-probe QFI from the two-mode pipeline (single received mode)."""
-    family = StateFamily(eval=lambda e: _qi_classical_received(e, n_s, n_th), lambda0=eta)
-    return qfi_complex_form(family)
+    return qfi_complex_form(_qi_classical_received(eta, n_s, n_th))
 
 
 # --- equal thermal occupation approximation ------------------------------

@@ -8,8 +8,13 @@ and Fuentes (New J. Phys. 17, 073016, 2015),
       + 2 dd^T Sigma^-1 dd,
 
 where A = i Omega Sigma, d is the displacement and dots denote derivatives
-with respect to the estimated parameter, taken by one second-order central
-difference of the family (three evaluations). Everything is computed in real
+with respect to the estimated parameter. The QFI needs nothing of the
+family but the moments and their first derivatives (Monras, arXiv:1303.3682;
+Safranek, arXiv:1801.00299), so every family carries its own tangent
+(``StateFamily.tangent``) and a kernel call asks for that tangent once and
+evaluates the family no further. The families of :mod:`bifrost.protocols`
+propagate exact derivatives through their symplectic maps
+(:func:`bifrost.gaussian.propagate`). Everything is computed in real
 arithmetic through M = Omega Sigma (A = i M, A^2 = -M^2) and the two
 symplectic invariants
 
@@ -47,8 +52,8 @@ from .gaussian import GaussianState, basis_change, omega
 
 # det A must exceed 1 by this margin before the mixed-state branch is trusted
 MIXEDNESS_MARGIN = 1e-12
-# below this, a finite-difference derivative of the covariance or of its
-# invariants counts as zero
+# below this, a derivative of the covariance or of its invariants counts as
+# zero; the margin also absorbs round-off of a tangent computed by differences
 STATIC_COV_TOL = 1e-9
 # round-off in the discriminant s^2 - 4p is of order eps * s * |Sigma|_F^2;
 # a discriminant below -DISCRIMINANT_RTOL times that scale is not round-off
@@ -57,25 +62,26 @@ DISCRIMINANT_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class StateFamily:
-    """A differentiable map from the estimated parameter to a two-mode state.
+    """A differentiable map from the estimated parameter to a Gaussian state.
 
     Attributes:
         eval: callable returning the state at a given parameter value; must be
-            side-effect free and physical on [lambda0 - step, lambda0 + step].
+            side-effect free.
+        tangent: callable returning ``(state, dcov, ddisp)`` at a given
+            parameter value: the state, equal bit for bit to what ``eval``
+            returns there, and the derivatives of its covariance and
+            displacement. It raises ValueError where the family is not
+            differentiable.
         lambda0: evaluation point.
-        step: central finite-difference step.
     """
 
     eval: Callable[[float], GaussianState]
+    tangent: Callable[[float], tuple[GaussianState, np.ndarray, np.ndarray]]
     lambda0: float = 0.0
-    step: float = 1e-5
 
     def derivative(self) -> tuple[GaussianState, np.ndarray, np.ndarray]:
-        """The state at lambda0 and the central differences of its covariance
-        and displacement; the family is evaluated exactly three times."""
-        lam, h = self.lambda0, self.step
-        state, plus, minus = self.eval(lam), self.eval(lam + h), self.eval(lam - h)
-        return state, (plus.cov - minus.cov) / (2.0 * h), (plus.disp - minus.disp) / (2.0 * h)
+        """The tangent at lambda0; the one call a kernel makes to the family."""
+        return self.tangent(self.lambda0)
 
 
 @dataclass(frozen=True)
@@ -148,7 +154,7 @@ def _invariant_correction(s: float, p: float, ds: float, dp: float, nu_m: float)
 def qfi_gaussian(family: StateFamily) -> QfiResult:
     """Quantum Fisher information of a two-mode Gaussian family at ``family.lambda0``.
 
-    The moment derivatives are one central difference of the family (see
+    The moment derivatives are the family's tangent at lambda0 (see
     ``StateFamily.derivative``). The state must be mixed; the only pure case
     accepted is a constant covariance (displacement-only encoding), for which
     the covariance terms vanish identically and the displacement term alone

@@ -108,9 +108,11 @@ def test_qfi_point_output():
 
 
 def test_qfi_domain_error_exit_code():
-    result = run_cli("qfi", "--eta1", "0", "--ns", "1", "--nth", "1")
-    assert result.returncode == 1
-    assert "error" in result.stderr
+    """The reflectivity edges, where the family has no derivative."""
+    for eta1 in ("0", "1"):
+        result = run_cli("qfi", "--eta1", eta1, "--ns", "1", "--nth", "1")
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ")
 
 
 def test_sld_point_output():
@@ -180,9 +182,10 @@ def test_numerical_instability_is_an_error_line(command, kernel, monkeypatch, ca
 
 
 def test_import_leaves_scipy_stats_and_sparse_out():
+    """No scipy module at all: the Fock oracle imports what it needs when it runs."""
     code = (
         "import sys, bifrost.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.sparse') if m in sys.modules))"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
@@ -199,9 +202,11 @@ def test_import_leaves_scipy_stats_and_sparse_out():
         (None, [], 2, "cannot read config"),
         ('{"eta1": 0.5}', ["--bogus"], 1, "unrecognized arguments: --bogus"),
         ('{"eta1": 0.5}', ["--format", "xml"], 1, "invalid choice: 'xml'"),
+        ('{"format": "xml"}', [], 1, "config key 'format': invalid choice: 'xml'"),
+        ('{"log-nth": "false"}', [], 1, "config key 'log-nth' must be a JSON boolean"),
     ],
     ids=["unknown-key", "bad-json", "not-an-object", "bad-value", "missing-file",
-         "bad-flag", "bad-choice"],
+         "bad-flag", "bad-choice", "config-bad-choice", "config-switch-not-boolean"],
 )
 def test_config_and_flag_errors_exit_with_documented_codes(
     config_text, flags, code, message, tmp_path, capsys

@@ -137,7 +137,7 @@ def test_qi_numeric_pipeline_grid():
 def test_qi_numeric_pipeline_is_three_modes():
     from bifrost.protocols import _qi_quantum_received
 
-    state = _qi_quantum_received(1e-4, 0.5, 2.0)
+    state = _qi_quantum_received(1e-4, 0.5, 2.0).eval(1e-4)
     assert state.n_modes == 2  # received pair after tracing the loss mode
     assert np.isclose(state.cov[2, 2], 2.0 * 0.5 + 1.0, rtol=1e-10)
 

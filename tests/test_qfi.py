@@ -2,14 +2,20 @@
 
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 
 import bifrost as bf
 from bifrost.errors import PureStateError
-from bifrost.protocols import BiFrequencyParams, bifrequency_received_state
-from bifrost.qfi import StateFamily
+from bifrost.protocols import (
+    BiFrequencyParams,
+    _qi_classical_received,
+    _qi_quantum_received,
+    bifrequency_received_state,
+)
 from bifrost.sld import sld
+from family_difference import central_difference, difference_family
 
 SZ = np.diag([1.0, -1.0])
 
@@ -130,7 +136,7 @@ def test_qfi_tmsv_matches_closed_form():
 
 def test_qfi_constant_family_is_zero():
     pair = bf.tensor(bf.thermal(1.0), bf.thermal(1.0))
-    family = StateFamily(eval=lambda lam: pair, lambda0=0.0, step=1e-5)
+    family = difference_family(lambda lam: pair)
     assert abs(bf.qfi_gaussian(family).value) < 1e-12
 
 
@@ -143,25 +149,78 @@ def test_qfi_term_sum_identity():
 
 
 def test_qfi_rejects_wrong_mode_count():
-    family = StateFamily(eval=lambda lam: bf.thermal(0.5), lambda0=0.0)
+    family = difference_family(lambda lam: bf.thermal(0.5))
     with pytest.raises(ValueError):
         bf.qfi_gaussian(family)
 
 
 def test_qfi_pure_varying_family_raises():
-    family = StateFamily(eval=lambda lam: bf.two_mode_squeezed(0.3 + lam), lambda0=0.0)
+    family = difference_family(lambda lam: bf.two_mode_squeezed(0.3 + lam))
     with pytest.raises(PureStateError):
         bf.qfi_gaussian(family)
 
 
-def test_finite_difference_convergence():
-    for eta1, n_s, n_th in [(0.3, 1.0, 0.5), (0.7, 0.1, 5.0)]:
-        p = BiFrequencyParams(eta1, 0.0, n_s, n_th)
-        base = bifrequency_received_state(p, "tmsv")
-        halved = StateFamily(eval=base.eval, lambda0=0.0, step=base.step / 2.0)
-        v1 = bf.qfi_gaussian(base).value
-        v2 = bf.qfi_gaussian(halved).value
-        assert abs(v1 - v2) / abs(v1) < 1e-7
+def built_families(rng, n):
+    """Every state family the package builds, at n seeded points each:
+    both bi-frequency probes at a working point lam0 near zero and both
+    quantum-illumination families at an amplitude reflectivity in (0, 0.9)."""
+    for _ in range(n):
+        eta1 = rng.uniform(0.05, 0.95)
+        lam0 = rng.uniform(-0.01, 0.01)
+        n_s, n_th = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), 2))
+        for probe in ("tmsv", "coherent"):
+            yield bifrequency_received_state(BiFrequencyParams(eta1, lam0, n_s, n_th), probe)
+        amp = rng.uniform(0.01, 0.9)
+        yield _qi_quantum_received(amp, n_s, n_th)
+        yield _qi_classical_received(amp, n_s, n_th)
+
+
+def test_tangents_match_central_differences():
+    """The analytic tangent returns the evaluated state bit for bit and the
+    moment derivatives of the central difference to 1e-7 relative."""
+    for family in built_families(np.random.default_rng(1801), 50):
+        lam = family.lambda0
+        state, dcov, ddisp = family.tangent(lam)
+        ref = family.eval(lam)
+        assert np.array_equal(state.cov, ref.cov) and np.array_equal(state.disp, ref.disp)
+        _, fd_cov, fd_disp = central_difference(family.eval)(lam)
+        scale = max(np.max(np.abs(fd_cov)), np.max(np.abs(fd_disp)))
+        err = max(np.max(np.abs(dcov - fd_cov)), np.max(np.abs(ddisp - fd_disp)))
+        assert err <= 1e-7 * scale, (lam, err, scale)
+
+
+@pytest.mark.parametrize(
+    "eta1, lam0", [(0.0, 0.0), (1.0, 0.0), (0.0, 0.3), (0.5, 0.5), (0.5, -0.5)]
+)
+def test_tangent_outside_open_reflectivity_interval_raises(eta1, lam0):
+    """eta1 or eta1 + lambda on the edge of [0, 1]: the family evaluates but
+    has no derivative, and every kernel raises the domain error."""
+    for probe in ("tmsv", "coherent"):
+        family = bifrequency_received_state(BiFrequencyParams(eta1, lam0, 1.0, 1.0), probe)
+        family.eval(lam0)
+        for kernel in (bf.qfi_gaussian, bf.qfi_complex_form, sld):
+            with pytest.raises(ValueError, match="strictly in"):
+                kernel(family)
+
+
+def mp_closed_form(closed_form, eta1, n_s, n_th):
+    """A closed form evaluated in 50-digit arithmetic at the same float inputs."""
+    with mpmath.workdps(50):
+        return closed_form(mpmath.mpf(eta1), mpmath.mpf(n_s), mpmath.mpf(n_th))
+
+
+@pytest.mark.parametrize(
+    "eta1, n_s, n_th",
+    [(0.5, 1e-6, 1e-6), (1e-6, 1.0, 1.0), (0.999999, 1.0, 1.0), (0.99, 1e-3, 1e-6)],
+)
+def test_complex_form_at_domain_edges(eta1, n_s, n_th):
+    """Near the edges of the domain, where a difference step would leave
+    [0, 1] or drown in round-off, the complex-form QFI keeps 1e-6."""
+    for probe, closed in (("tmsv", bf.hq_closed_form), ("coherent", bf.hc_closed_form)):
+        family = bifrequency_received_state(BiFrequencyParams(eta1, 0.0, n_s, n_th), probe)
+        ref = mp_closed_form(closed, eta1, n_s, n_th)
+        value = bf.qfi_complex_form(family)
+        assert float(abs(value - ref) / ref) < 1e-6, (probe, value, ref)
 
 
 def test_two_sided_limit_consistency():
@@ -191,21 +250,25 @@ def test_qfi_where_discriminant_rounds_negative(eta1, n_s, n_th):
 
 
 def counted(family):
-    """The family with an evaluation counter: (family, list of evaluated parameters)."""
-    calls = []
+    """The family with call counters: (family, {"eval": [...], "tangent": [...]}),
+    each list holding the parameters it was called at."""
+    calls = {"eval": [], "tangent": []}
 
-    def eval_counted(lam):
-        calls.append(lam)
-        return family.eval(lam)
+    def counter(name):
+        def call(lam):
+            calls[name].append(lam)
+            return getattr(family, name)(lam)
 
-    return dataclasses.replace(family, eval=eval_counted), calls
+        return call
+
+    return dataclasses.replace(family, eval=counter("eval"), tangent=counter("tangent")), calls
 
 
 def test_log_uniform_sweep_matches_closed_forms():
     """Both numeric routes agree with the closed forms over a seeded box.
 
     eta1 ~ U[0.02, 0.98], n_s ~ logU[1e-3, 1e2], n_th ~ logU[1e-3, 316]; every
-    public kernel evaluates the family exactly three times per call.
+    public kernel asks for exactly one tangent and no evaluation per call.
     """
     rng = np.random.default_rng(20150716)
     n = 120
@@ -226,9 +289,10 @@ def test_log_uniform_sweep_matches_closed_forms():
             for name, kernel in kernels.items():
                 if name == "optimal_observable" and probe != "tmsv":
                     continue  # the coherent probe's observable is not pair-correlated
-                del calls[:]
+                for made in calls.values():
+                    del made[:]
                 value = kernel(family)
-                assert len(calls) == 3, (name, probe, eta1, n_s, n_th, len(calls))
+                assert calls == {"eval": [], "tangent": [0.0]}, (name, probe, eta1, n_s, n_th, calls)
                 if name.startswith("qfi"):
                     assert abs(value - ref) / ref < 1e-6, (name, probe, eta1, n_s, n_th, value, ref)
 

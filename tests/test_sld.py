@@ -6,8 +6,8 @@ import pytest
 import bifrost as bf
 from bifrost.errors import DegenerateStateError, NoInformationError
 from bifrost.protocols import BiFrequencyParams, bifrequency_received_state
-from bifrost.qfi import StateFamily
 from bifrost.sld import complex_basis_matrix, sld
+from family_difference import difference_family
 
 
 def tmsv_family(eta1, n_s, n_th, lam0=0.0):
@@ -51,7 +51,7 @@ def test_coherent_displacement_complex():
 
 def test_sld_constant_family_vanishes():
     pair = bf.tensor(bf.thermal(1.0), bf.thermal(0.5))
-    family = StateFamily(eval=lambda lam: pair, lambda0=0.0)
+    family = difference_family(lambda lam: pair)
     form = sld(family)
     assert np.max(np.abs(form.quad)) < 1e-10
     assert np.max(np.abs(form.linear)) < 1e-10
@@ -147,7 +147,7 @@ def test_high_reflectivity_limits_general_noise():
 
 def test_optimal_observable_no_information():
     pair = bf.tensor(bf.thermal(1.0), bf.thermal(1.0))
-    family = StateFamily(eval=lambda lam: pair, lambda0=0.0)
+    family = difference_family(lambda lam: pair)
     with pytest.raises(NoInformationError):
         bf.optimal_observable(family)
 
