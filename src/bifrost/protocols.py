@@ -52,8 +52,8 @@ class BiFrequencyParams:
             raise ValueError(f"eta1 must lie in [0, 1], got {self.eta1}")
         if not 0.0 <= self.eta1 + self.lam <= 1.0:
             raise ValueError(f"eta1 + lambda = {self.eta1 + self.lam} outside [0, 1]")
-        if self.n_s < 0 or self.n_th < 0:
-            raise ValueError("photon numbers must be nonnegative")
+        if not (0.0 <= self.n_s < np.inf and 0.0 <= self.n_th < np.inf):
+            raise ValueError("photon numbers must be finite and nonnegative")
 
 
 def _bifrequency_input(p: BiFrequencyParams, probe: str) -> g.GaussianState:

@@ -59,6 +59,9 @@ STATIC_COV_TOL = 1e-9
 # a discriminant below -DISCRIMINANT_RTOL times that scale is not round-off
 DISCRIMINANT_RTOL = 1e-12
 
+# the closed forms take floats or numpy arrays that broadcast together
+Floats = float | np.ndarray
+
 
 @dataclass(frozen=True)
 class StateFamily:
@@ -198,28 +201,52 @@ def qfi_gaussian(family: StateFamily) -> QfiResult:
     )
 
 
-def _check_eta(eta1: float):
-    if not 0.0 < eta1 < 1.0:
+def _holds(condition) -> bool:
+    """Whether a comparison of floats, or of arrays, holds everywhere; np.all
+    would cost microseconds on a scalar."""
+    return bool(condition.all() if isinstance(condition, np.ndarray) else condition)
+
+
+def _check_domain(eta1: Floats, n_s: Floats, n_th: Floats):
+    """Raise ValueError unless every eta1 lies strictly in (0, 1) and every
+    photon number is finite and nonnegative; scalars and arrays alike."""
+    if not _holds((0.0 < eta1) & (eta1 < 1.0)):
         raise ValueError(f"reference reflectivity must lie strictly in (0, 1), got {eta1}")
+    if not _holds((0.0 <= n_s) & (n_s < np.inf) & (0.0 <= n_th) & (n_th < np.inf)):
+        raise ValueError("photon numbers must be finite and nonnegative")
 
 
-def hq_closed_form(eta1: float, n_s: float, n_th: float) -> float:
+def _pow(x: Floats, k: int) -> Floats:
+    """x**k by Python's float pow, applied elementwise to an array.
+
+    numpy's array power differs from it by one ulp on some inputs; with it,
+    scalar and array calls of the closed forms agree bit for bit, since every
+    other operation in them is a correctly rounded one in the same order.
+    """
+    if not isinstance(x, np.ndarray):
+        return float(x) ** k
+    x = np.asarray(x, dtype=float)
+    return np.array([v**k for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def hq_closed_form(eta1: Floats, n_s: Floats, n_th: Floats) -> Floats:
     """QFI of the entangled (two-mode squeezed) probe at zero reflectivity gap.
 
     Finite for all n_s >= 0 and n_th >= 0 except n_s = n_th = 0, where the
-    received state carries no information at all.
+    received state carries no information at all. The arguments may be floats
+    or numpy arrays that broadcast together; a grid is best passed as axes of
+    shapes (E, 1, 1), (1, S, 1) and (1, 1, T), so that each power is taken
+    once per axis value. Any point outside the domain raises ValueError.
     """
-    _check_eta(eta1)
-    if n_s < 0 or n_th < 0:
-        raise ValueError("photon numbers must be nonnegative")
-    if n_s == 0.0 and n_th == 0.0:
+    _check_domain(eta1, n_s, n_th)
+    if not _holds((n_s != 0.0) | (n_th != 0.0)):
         raise ValueError("no photons anywhere: the QFI expression degenerates")
     tau = 1.0 - eta1
     num = (
-        8.0 * tau * eta1 * n_s**3 * (2.0 * n_th + 1.0)
-        + 4.0 * n_s**2 * (
+        8.0 * tau * eta1 * _pow(n_s, 3) * (2.0 * n_th + 1.0)
+        + 4.0 * _pow(n_s, 2) * (
             -eta1
-            + (eta1 + 3.0 * eta1 * n_th) ** 2
+            + _pow(eta1 + 3.0 * eta1 * n_th, 2)
             - eta1 * n_th * (10.0 * n_th + 7.0)
             + 3.0 * n_th * (n_th + 1.0)
             + 1.0
@@ -229,7 +256,7 @@ def hq_closed_form(eta1: float, n_s: float, n_th: float) -> float:
             + n_th * (eta1 * (3.0 * eta1 - 8.0) + 4.0 * tau * (tau - eta1) * n_th + 3.0)
             + 1.0
         )
-        + n_th**2 * (2.0 * tau * n_th * (tau * n_th + 1.0) + 1.0)
+        + _pow(n_th, 2) * (2.0 * tau * n_th * (tau * n_th + 1.0) + 1.0)
     )
     k = (
         tau
@@ -237,28 +264,27 @@ def hq_closed_form(eta1: float, n_s: float, n_th: float) -> float:
         * (
             2.0 * n_th * tau * (4.0 * n_s * eta1 + 1.0)
             + 4.0 * n_s * eta1 * tau
-            + 2.0 * n_th**2 * tau**2
+            + 2.0 * _pow(n_th, 2) * _pow(tau, 2)
             + 1.0
         )
     )
     return num / k
 
 
-def hc_closed_form(eta1: float, n_s: float, n_th: float) -> float:
+def hc_closed_form(eta1: Floats, n_s: Floats, n_th: Floats) -> Floats:
     """QFI of the coherent probe (|alpha|^2 = n_s per mode) at zero gap.
 
     The thermal contribution 4 n_th^2 ((1 + 2 n_th tau)^2 + 1) / ((1 + 2 n_th tau)^4 - 1)
     vanishes in the n_th -> 0 limit, which is where it is evaluated then.
+    Takes floats or broadcasting arrays, as :func:`hq_closed_form` does.
     """
-    _check_eta(eta1)
-    if n_s < 0 or n_th < 0:
-        raise ValueError("photon numbers must be nonnegative")
+    _check_domain(eta1, n_s, n_th)
     tau = 1.0 - eta1
-    if n_th == 0.0:
-        thermal_part = 0.0
-    else:
-        g = 1.0 + 2.0 * n_th * tau
-        thermal_part = 4.0 * n_th**2 * (g * g + 1.0) / (g**4 - 1.0)
+    g = 1.0 + 2.0 * n_th * tau
+    # where n_th = 0, g = 1 and the denominator is 0; adding 1 there divides
+    # the exactly-zero numerator by 1, and adds exactly 0 everywhere else
+    den = _pow(g, 4) - 1.0 + (n_th == 0.0)
+    thermal_part = 4.0 * _pow(n_th, 2) * (g * g + 1.0) / den
     return thermal_part + n_s / (eta1 + 2.0 * n_th * tau * eta1)
 
 

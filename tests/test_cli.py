@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+from bifrost.protocols import BiFrequencyParams, bifrequency_advantage
+
 CLI = [sys.executable, "-m", "bifrost.cli"]
 
 
@@ -80,6 +82,94 @@ def test_ratio_grid_json_format():
     rows = json.loads(result.stdout)
     assert rows[0]["eta1"] == 0.9
     assert set(rows[0]) == {"eta1", "n_s", "n_th", "h_q", "h_c", "ratio"}
+
+
+def _row_by_row_axis(text, log=False):
+    """An axis as the row-by-row sweep read it: one float, or numpy's grid values."""
+    if ":" not in text:
+        return [float(text)]
+    lo, hi, steps = text.split(":")
+    return list((np.geomspace if log else np.linspace)(float(lo), float(hi), int(steps)))
+
+
+def _row_by_row(eta1, ns, nth, log_nth, fmt):
+    """The ratio-grid payload as a loop writes it: one scalar
+    bifrequency_advantage call per row and one format call per value."""
+    rows = [
+        (e, s, t) + bifrequency_advantage(BiFrequencyParams(e, 0.0, s, t))
+        for e in _row_by_row_axis(eta1)
+        for s in _row_by_row_axis(ns)
+        for t in _row_by_row_axis(nth, log_nth)
+    ]
+    text = [[format(float(v), ".17g") for v in row] for row in rows]
+    if fmt == "csv":
+        return "\n".join(["eta1,n_s,n_th,h_q,h_c,ratio"] + [",".join(r) for r in text]) + "\n"
+    keys = ("eta1", "n_s", "n_th", "h_q", "h_c", "ratio")
+    return json.dumps([dict(zip(keys, map(float, r))) for r in text], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "eta1, ns, nth, log_nth",
+    [
+        ("0.75:0.95:3", "0.01:2:100", "0.01:100:100", True),
+        ("0.05:0.95:7", "0.1:5:40", "0:50:60", False),
+    ],
+    ids=["benchmark-grid", "linear-nth"],
+)
+def test_ratio_grid_bytes_match_row_by_row_sweep(eta1, ns, nth, log_nth, fmt, tmp_path):
+    from bifrost import cli
+
+    out = tmp_path / "grid"
+    argv = ["ratio-grid", "--eta1", eta1, "--ns", ns, "--nth", nth, "--format", fmt,
+            "--out", str(out)] + (["--log-nth"] if log_nth else [])
+    assert cli.main(argv) == 0
+    assert out.read_bytes() == _row_by_row(eta1, ns, nth, log_nth, fmt).encode()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--eta1", "1.5"],
+        ["--eta1", "0"],
+        ["--eta1", "0.5:1:3"],
+        ["--ns", "-1"],
+        ["--ns", "0:1:2", "--nth", "0:1:2"],
+    ],
+    ids=["eta1-above-one", "eta1-zero", "eta1-range-ends-at-one", "negative-signal", "no-photons"],
+)
+def test_ratio_grid_domain_error_is_that_of_first_failing_row(flags, capsys):
+    from bifrost import cli
+
+    axes = {"--eta1": "0.9", "--ns": "1.0", "--nth": "1.0"}
+    axes.update(zip(flags[::2], flags[1::2]))
+    with pytest.raises(ValueError) as expected:
+        _row_by_row(axes["--eta1"], axes["--ns"], axes["--nth"], False, "csv")
+    assert cli.main(["ratio-grid"] + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {expected.value}\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("ratio-grid", "--ns", "nan"), ("ratio-grid", "--nth", "inf"),
+     ("qfi", "--ns", "nan"), ("qfi", "--nth", "inf")],
+)
+def test_non_finite_photon_numbers_exit_with_one_error_line(command, flag, value):
+    result = run_cli(command, flag, value)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: photon numbers must be finite and nonnegative\n"
+
+
+@pytest.mark.parametrize("flags", [["--ns", "1e200"], ["--nth", "1e-300"], ["--nth", "1e-300:1:2"]],
+                         ids=["power-overflows", "thermal-part-0-over-0", "array-0-over-0"])
+def test_ratio_grid_arithmetic_failure_is_an_error_line(flags):
+    result = run_cli("ratio-grid", *flags)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -63,6 +63,11 @@ def test_params_validation():
         BiFrequencyParams(0.9, 0.2, 1.0, 1.0)
     with pytest.raises(ValueError):
         BiFrequencyParams(0.5, 0.0, -1.0, 1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            BiFrequencyParams(0.5, 0.0, bad, 1.0)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            BiFrequencyParams(0.5, 0.0, 1.0, bad)
     with pytest.raises(ValueError):
         bifrequency_received_state(BiFrequencyParams(0.5, 0.0, 1.0, 1.0), "squeezed")
 

@@ -1,6 +1,7 @@
 """QFI engine: symplectic eigenvalues, the numeric pipeline and closed forms."""
 
 import dataclasses
+import warnings
 
 import mpmath
 import numpy as np
@@ -352,6 +353,47 @@ def test_closed_form_domain_errors():
         bf.hc_closed_form(1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         bf.hq_closed_form(0.5, 0.0, 0.0)
+    for closed_form in (bf.hq_closed_form, bf.hc_closed_form):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                closed_form(0.5, bad, 1.0)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                closed_form(0.5, 1.0, bad)
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                closed_form(0.5, 1.0, np.array([1.0, bad]))
+        with pytest.raises(ValueError):
+            closed_form(np.array([0.5, 1.0]), 1.0, 1.0)
+    with pytest.raises(ValueError, match="no photons anywhere"):
+        bf.hq_closed_form(0.5, np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
+
+
+EDGE_ETA = [1e-6, 0.5, 0.999999]
+EDGE_PHOTONS = [1e-6, 1e-3, 1.0, 1e3, 1e6]
+
+
+@pytest.mark.parametrize(
+    "etas, n_ss, n_ths",
+    [
+        (np.linspace(0.75, 0.95, 3), np.linspace(0.01, 2.0, 100), np.geomspace(0.01, 100.0, 100)),
+        (np.linspace(0.05, 0.95, 7), np.linspace(0.1, 5.0, 40), np.linspace(0.0, 50.0, 60)),
+        (EDGE_ETA, [0.0] + EDGE_PHOTONS, EDGE_PHOTONS),
+        (EDGE_ETA, EDGE_PHOTONS, [0.0] + EDGE_PHOTONS),
+    ],
+    ids=["benchmark-grid", "linear-nth", "edge-zero-signal", "edge-zero-thermal"],
+)
+def test_array_closed_forms_match_scalar_calls_bit_for_bit(etas, n_ss, n_ths):
+    """On broadcast axes the closed forms give, bit for bit and without a
+    warning, what one scalar call per grid point gives."""
+    etas, n_ss, n_ths = (np.asarray(a, dtype=float) for a in (etas, n_ss, n_ths))
+    eta, n_s, n_th = etas[:, None, None], n_ss[None, :, None], n_ths[None, None, :]
+    points = [(e, s, t) for e in etas.tolist() for s in n_ss.tolist() for t in n_ths.tolist()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for closed_form in (bf.hq_closed_form, bf.hc_closed_form):
+            grid = closed_form(eta, n_s, n_th)
+            rows = np.array([closed_form(e, s, t) for e, s, t in points])
+            assert grid.shape == (len(etas), len(n_ss), len(n_ths))
+            assert np.array_equal(grid.ravel(), rows), closed_form.__name__
 
 
 def test_ratio_high_reflectivity_values():
