@@ -61,20 +61,26 @@ def _advantage_map(etas, n_ss, n_ths) -> tuple[np.ndarray, np.ndarray, np.ndarra
     shape (E, S, T).
 
     The closed forms run once on the broadcast axes. If a point lies outside
-    their domain, the error raised is that of the first such row in output
-    order, through the same scalar path a row-by-row sweep takes. A division
-    by zero, an overflow or a NaN raises FloatingPointError.
+    their domain, or its arithmetic overflows, divides by zero or makes a
+    NaN, the error raised is that of the first such row in output order,
+    through the same scalar path a row-by-row sweep takes: the domain's
+    ValueError, or an ArithmeticError that names the row's axis values.
     """
     eta, n_s, n_th = etas[:, None, None], n_ss[None, :, None], n_ths[None, None, :]
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
             h_q = hq_closed_form(eta, n_s, n_th)
             h_c = hc_closed_form(eta, n_s, n_th)
             return h_q, h_c, h_q / h_c
-    except ValueError:
-        for e, s, t in itertools.product(etas, n_ss, n_ths):
-            bifrequency_advantage(BiFrequencyParams(e, 0.0, s, t))
-        raise
+        except (ValueError, ArithmeticError):
+            for e, s, t in itertools.product(etas, n_ss, n_ths):
+                try:
+                    bifrequency_advantage(BiFrequencyParams(e, 0.0, s, t))
+                except ArithmeticError:
+                    raise ArithmeticError(
+                        f"the closed forms leave the float range at eta1 = {e}, n_s = {s}, n_th = {t}"
+                    ) from None
+            raise
 
 
 class _Parser(argparse.ArgumentParser):

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the photon-number domain check shared across the package."""
+
+import numpy as np
 
 
 class PureStateError(ValueError):
@@ -22,3 +24,18 @@ class NumericalInstabilityError(ArithmeticError):
 class CutoffTooSmallError(ValueError):
     """The requested Fock-space cutoff leaves too much probability mass in
     the truncated tail."""
+
+
+def holds(condition) -> bool:
+    """Whether a comparison of floats, or of arrays, holds everywhere; np.all
+    would cost microseconds on a scalar."""
+    return bool(condition.all() if isinstance(condition, np.ndarray) else condition)
+
+
+def check_photon_numbers(*values) -> None:
+    """Raise ValueError unless every photon number is finite and nonnegative,
+    for floats and numpy arrays alike; NaN fails, as every comparison with it
+    does."""
+    for n in values:
+        if not holds((0.0 <= n) & (n < np.inf)):
+            raise ValueError("photon numbers must be finite and nonnegative")

@@ -25,9 +25,17 @@ so a dense state is simply one component.
 
 The four-mode bi-frequency pipeline is never materialised: the interaction
 does not mix frequencies, so each frequency sees an independent thermal-loss
-channel acting on its signal mode, and the received two-mode state is the
-probe pushed through the two channels mode by mode. That keeps every matrix
-at cutoff^2 x cutoff^2.
+channel acting on its signal mode. The received two-mode state is built from
+the structure of the probe, never by passing a dense two-mode probe through
+the channels. The coherent probe is a product state, so its output is the
+Kronecker product of the two one-mode outputs. The two-mode squeezed probe
+sum_n a_n |n, n> holds only the coherences |n><m| x |n><m|, with the same
+offset k = n - m in both modes, and each channel keeps that offset; so its
+output is nonzero only where both modes share an offset, and for each k >= 0
+it is the one product B1_k diag(a_{i+k} a_i) B2_k^T of the two channels'
+blocks, placed at rows (i + k) d + (j + k) and columns i d + j, and its
+transpose at offset -k. Every matrix stays at cutoff^2 x cutoff^2, and real
+probes give real states, which keep a real dtype throughout.
 
 Beam-splitter convention: ``fock_beam_splitter(eta)`` realises exactly the
 quadrature rotation of :func:`bifrost.gaussian.beam_splitter`, i.e. the
@@ -42,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CutoffTooSmallError
+from .errors import CutoffTooSmallError, check_photon_numbers
 
 # tail-mass target when the cutoff is chosen automatically
 AUTO_TAIL_TOL = 1e-10
@@ -60,7 +68,9 @@ class FockState:
     """Density matrix on a photon-number-truncated space.
 
     The trace may fall short of one by the truncation leak of the
-    construction; it is never renormalised away.
+    construction; it is never renormalised away. A real matrix is kept
+    real (float64) and a complex one complex; hermiticity is checked in
+    the matrix's own dtype.
     """
 
     rho: np.ndarray
@@ -68,12 +78,13 @@ class FockState:
     n_modes: int
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=complex)
+        rho = np.asarray(self.rho)
+        rho = rho.astype(complex if np.iscomplexobj(rho) else float, copy=False)
         size = self.dim**self.n_modes
         if rho.shape != (size, size):
             raise ValueError(f"density matrix shape {rho.shape} != ({size}, {size})")
         herm = np.max(np.abs(rho - rho.conj().T))
-        if herm > 1e-12:
+        if not herm <= 1e-12:  # NaN fails too
             raise ValueError(f"density matrix non-hermitian by {herm:.3e}")
         object.__setattr__(self, "rho", rho)
 
@@ -126,12 +137,22 @@ def _gate_cutoff(tail_mass: float, cutoff: int, label: str):
 
 def fock_thermal(n_th: float, cutoff: int | None = None) -> FockState:
     """Thermal mode as a truncated geometric mixture of number states."""
-    if n_th < 0:
-        raise ValueError("thermal occupation must be nonnegative")
+    check_photon_numbers(n_th)
     if cutoff is None:
         cutoff = _auto_cutoff(lambda d: _thermal_tail(n_th, d))
     _gate_cutoff(_thermal_tail(n_th, cutoff), cutoff, "thermal")
-    return FockState(np.diag(_thermal_probs(n_th, cutoff)).astype(complex), cutoff, 1)
+    return FockState(np.diag(_thermal_probs(n_th, cutoff)), cutoff, 1)
+
+
+def _tmsv_amplitudes(n_s: float, cutoff: int | None) -> np.ndarray:
+    """The amplitudes a_n of the two-mode squeezed vacuum sum_n a_n |n, n>,
+    one per level of the cutoff, after the domain check and the tail gate."""
+    check_photon_numbers(n_s)
+    if cutoff is None:
+        cutoff = _auto_cutoff(lambda d: _tmsv_tail(n_s, d))
+    _gate_cutoff(_tmsv_tail(n_s, cutoff), cutoff, "two-mode squeezed")
+    tanh_r = np.sqrt(2.0 * n_s / (2.0 * n_s + 1.0))
+    return tanh_r ** np.arange(cutoff) * np.sqrt(1.0 - tanh_r**2)
 
 
 def fock_tmsv(n_s: float, cutoff: int | None = None) -> FockState:
@@ -141,16 +162,11 @@ def fock_tmsv(n_s: float, cutoff: int | None = None) -> FockState:
     phase is chosen so the x quadratures are positively correlated, again
     matching the covariance convention.
     """
-    if n_s < 0:
-        raise ValueError("signal photon number must be nonnegative")
-    if cutoff is None:
-        cutoff = _auto_cutoff(lambda d: _tmsv_tail(n_s, d))
-    _gate_cutoff(_tmsv_tail(n_s, cutoff), cutoff, "two-mode squeezed")
-    tanh_r = np.sqrt(2.0 * n_s / (2.0 * n_s + 1.0))
-    amps = tanh_r ** np.arange(cutoff) * np.sqrt(1.0 - tanh_r**2)
+    amps = _tmsv_amplitudes(n_s, cutoff)
+    cutoff = len(amps)
     psi = np.zeros(cutoff * cutoff)
     psi[np.arange(cutoff) * cutoff + np.arange(cutoff)] = amps
-    return FockState(np.outer(psi, psi).astype(complex), cutoff, 2)
+    return FockState(np.outer(psi, psi), cutoff, 2)
 
 
 def fock_coherent(alpha: complex, cutoff: int | None = None) -> FockState:
@@ -260,9 +276,9 @@ class ThermalLossChannel:
     The superoperator is kept as its sectors: ``blocks[k]`` maps the
     coherences rho[i + k, i] of offset k to those of the output, indexed by
     i in both. The channel preserves hermiticity and is real, so offset -k,
-    the coherences rho[i, i + k], has the same block. ``apply_channel_pair``
-    pushes a two-mode state through two independent copies, one reflectivity
-    per mode.
+    the coherences rho[i, i + k], has the same block. ``apply`` runs the
+    channel on one mode; ``bifrequency_fock_family`` combines the blocks of
+    two channels, one reflectivity per mode.
     """
 
     def __init__(self, eta: float, n_th: float, cutoff: int):
@@ -283,45 +299,56 @@ class ThermalLossChannel:
             for k in range(cutoff)
         ]
 
-
-def _apply_sectors(blocks: list[np.ndarray], tensor: np.ndarray) -> np.ndarray:
-    """Apply a one-mode superoperator, kept as sector blocks, to the first two
-    axes (the row and column index of that mode) of a complex ``tensor``.
-
-    The real block multiplies the real and imaginary parts alike, so each
-    product runs on the slab viewed as real numbers.
-    """
-    out = np.empty_like(tensor)
-    size = len(blocks)
-    for k, block in enumerate(blocks):
-        i = np.arange(size - k)
-        for rows, cols in ((i + k, i), (i, i + k)) if k else ((i, i),):
-            out[rows, cols] = (block @ tensor[rows, cols].view(float)).view(complex)
-    return out
+    def apply(self, rho: np.ndarray) -> np.ndarray:
+        """The channel's output for a one-mode cutoff x cutoff matrix ``rho``,
+        in the dtype of ``rho``."""
+        out = np.zeros_like(rho)
+        for k, block in enumerate(self.blocks):
+            i = np.arange(self.cutoff - k)
+            out[i + k, i] = block @ rho[i + k, i]
+            out[i, i + k] = block @ rho[i, i + k]
+        return out
 
 
-def apply_channel_pair(
-    ch1: ThermalLossChannel, ch2: ThermalLossChannel, rho: np.ndarray
+def _tmsv_received(
+    ch1: ThermalLossChannel, ch2: ThermalLossChannel, amps: np.ndarray
 ) -> np.ndarray:
-    d = ch1.cutoff
-    tensor = np.asarray(rho, dtype=complex).reshape(d, d, d, d).transpose(0, 2, 1, 3)
-    tensor = _apply_sectors(ch1.blocks, tensor.reshape(d, d, d * d))  # axes k1, l1, (k2 l2)
-    # copied: the sector gathers of a strided view are several times slower
-    tensor = np.ascontiguousarray(tensor.reshape(d, d, d, d).transpose(2, 3, 0, 1))
-    tensor = _apply_sectors(ch2.blocks, tensor.reshape(d, d, d * d))  # axes k2, l2, (k1 l1)
-    return tensor.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+    """The two-mode squeezed probe sum_n amps[n] |n, n> through ``ch1`` on the
+    first mode and ``ch2`` on the second, one offset k at a time (module
+    docstring); a real symmetric matrix."""
+    d = len(amps)
+    rho = np.zeros((d * d, d * d))
+    for k, (b1, b2) in enumerate(zip(ch1.blocks, ch2.blocks)):
+        i = np.arange(d - k)
+        lower = (i * d)[:, None] + i[None, :]  # |i, j> for the pair (i, j)
+        upper = lower + k * (d + 1)  # |i + k, j + k>
+        rho[upper, lower] = rho[lower, upper] = (b1 * (amps[k:] * amps[: d - k])) @ b2.T
+    return rho
 
 
 def bifrequency_fock_family(
     eta1: float, n_s: float, n_th: float, probe: str, cutoff: int
 ) -> Callable[[float], FockState]:
-    """Received-state family of the bi-frequency protocol, in Fock space."""
+    """Received-state family of the bi-frequency protocol, in Fock space.
+
+    Each evaluation at lam builds the received state from the probe's
+    structure (module docstring), with the channel at eta1 on the first
+    mode and at eta1 + lam on the second; a channel is built once per
+    reflectivity and family.
+    """
+    check_photon_numbers(n_s, n_th)
     if probe == "tmsv":
-        probe_state = fock_tmsv(n_s, cutoff)
+        amps = _tmsv_amplitudes(n_s, cutoff)
+
+        def received(ch1: ThermalLossChannel, ch2: ThermalLossChannel) -> np.ndarray:
+            return _tmsv_received(ch1, ch2, amps)
+
     elif probe == "coherent":
-        alpha = np.sqrt(n_s)
-        single = fock_coherent(alpha, cutoff)
-        probe_state = FockState(np.kron(single.rho, single.rho), cutoff, 2)
+        single = fock_coherent(np.sqrt(n_s), cutoff).rho
+
+        def received(ch1: ThermalLossChannel, ch2: ThermalLossChannel) -> np.ndarray:
+            return np.kron(ch1.apply(single), ch2.apply(single))
+
     else:
         raise ValueError(f"unknown probe {probe!r}")
     channels: dict[float, ThermalLossChannel] = {}
@@ -332,8 +359,7 @@ def bifrequency_fock_family(
         return channels[eta]
 
     def family(lam: float) -> FockState:
-        rho = apply_channel_pair(channel(eta1), channel(eta1 + lam), probe_state.rho)
-        return FockState(rho, cutoff, 2)
+        return FockState(received(channel(eta1), channel(eta1 + lam)), cutoff, 2)
 
     return family
 
@@ -365,14 +391,12 @@ def qfi_eq1(family: Callable[[float], FockState], drop_threshold: float = 1e-12)
     (``family_derivative``). The basis splits into the connected components
     of the nonzero pattern of the state and its derivative; both vanish
     between components, so each is diagonalised on its own and the sum runs
-    over pairs within a component. A pair of matrices whose imaginary parts
-    are exactly zero, as for real probe amplitudes, is decomposed in real
-    arithmetic. Eigenvalue pairs whose sum falls below ``drop_threshold``
-    contribute nothing and are skipped.
+    over pairs within a component. The dtype picks the arithmetic: real
+    states, which every probe of the repository gives, are decomposed in
+    real arithmetic, complex ones in complex. Eigenvalue pairs whose sum
+    falls below ``drop_threshold`` contribute nothing and are skipped.
     """
     rho0, drho = family_derivative(family)
-    if not (rho0.imag.any() or drho.imag.any()):
-        rho0, drho = rho0.real, drho.real
     total = 0.0
     for idx in _components(rho0, drho):
         block = np.ix_(idx, idx)

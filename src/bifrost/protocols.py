@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import gaussian as g
+from .errors import check_photon_numbers
 from .qfi import StateFamily, hc_closed_form, hq_closed_form, qfi_gaussian
 from .sld import qfi_complex_form
 
@@ -52,8 +53,7 @@ class BiFrequencyParams:
             raise ValueError(f"eta1 must lie in [0, 1], got {self.eta1}")
         if not 0.0 <= self.eta1 + self.lam <= 1.0:
             raise ValueError(f"eta1 + lambda = {self.eta1 + self.lam} outside [0, 1]")
-        if not (0.0 <= self.n_s < np.inf and 0.0 <= self.n_th < np.inf):
-            raise ValueError("photon numbers must be finite and nonnegative")
+        check_photon_numbers(self.n_s, self.n_th)
 
 
 def _bifrequency_input(p: BiFrequencyParams, probe: str) -> g.GaussianState:
@@ -127,8 +127,7 @@ def noise_factor_ratio(beta: float, eta1: float, n_s: float) -> float:
 
 def qi_quantum_qfi(n_s: float, n_th: float) -> float:
     """Entangled-probe QFI of quantum illumination in the dim-target limit."""
-    if n_s < 0 or n_th < 0:
-        raise ValueError("photon numbers must be nonnegative")
+    check_photon_numbers(n_s, n_th)
     return 4.0 * n_s * (n_s + 1.0) / (2.0 * n_s * n_th + n_s + n_th + 1.0)
 
 
@@ -136,8 +135,7 @@ def qi_classical_qfi(eta: float, n_s: float, n_th: float) -> float:
     """Coherent-probe QFI of quantum illumination at amplitude reflectivity eta."""
     if not 0.0 <= eta < 1.0:
         raise ValueError("amplitude reflectivity must lie in [0, 1)")
-    if n_s < 0 or n_th < 0:
-        raise ValueError("photon numbers must be nonnegative")
+    check_photon_numbers(n_s, n_th)
     first = 4.0 * n_s / (1.0 - 2.0 * n_th * (eta - 1.0))
     if eta == 0.0:
         return first
@@ -147,8 +145,7 @@ def qi_classical_qfi(eta: float, n_s: float, n_th: float) -> float:
 
 def qi_ratio(n_s: float, n_th: float) -> float:
     """Quantum-illumination advantage (N_S+1)(2N_th+1) / (2N_S N_th+N_S+N_th+1)."""
-    if n_s < 0 or n_th < 0:
-        raise ValueError("photon numbers must be nonnegative")
+    check_photon_numbers(n_s, n_th)
     return (n_s + 1.0) * (2.0 * n_th + 1.0) / (2.0 * n_s * n_th + n_s + n_th + 1.0)
 
 

@@ -47,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalInstabilityError, PureStateError
+from .errors import NumericalInstabilityError, PureStateError, check_photon_numbers, holds
 from .gaussian import GaussianState, basis_change, omega
 
 # det A must exceed 1 by this margin before the mixed-state branch is trusted
@@ -201,19 +201,12 @@ def qfi_gaussian(family: StateFamily) -> QfiResult:
     )
 
 
-def _holds(condition) -> bool:
-    """Whether a comparison of floats, or of arrays, holds everywhere; np.all
-    would cost microseconds on a scalar."""
-    return bool(condition.all() if isinstance(condition, np.ndarray) else condition)
-
-
 def _check_domain(eta1: Floats, n_s: Floats, n_th: Floats):
     """Raise ValueError unless every eta1 lies strictly in (0, 1) and every
     photon number is finite and nonnegative; scalars and arrays alike."""
-    if not _holds((0.0 < eta1) & (eta1 < 1.0)):
+    if not holds((0.0 < eta1) & (eta1 < 1.0)):
         raise ValueError(f"reference reflectivity must lie strictly in (0, 1), got {eta1}")
-    if not _holds((0.0 <= n_s) & (n_s < np.inf) & (0.0 <= n_th) & (n_th < np.inf)):
-        raise ValueError("photon numbers must be finite and nonnegative")
+    check_photon_numbers(n_s, n_th)
 
 
 def _pow(x: Floats, k: int) -> Floats:
@@ -239,7 +232,7 @@ def hq_closed_form(eta1: Floats, n_s: Floats, n_th: Floats) -> Floats:
     once per axis value. Any point outside the domain raises ValueError.
     """
     _check_domain(eta1, n_s, n_th)
-    if not _holds((n_s != 0.0) | (n_th != 0.0)):
+    if not holds((n_s != 0.0) | (n_th != 0.0)):
         raise ValueError("no photons anywhere: the QFI expression degenerates")
     tau = 1.0 - eta1
     num = (
@@ -277,10 +270,17 @@ def hc_closed_form(eta1: Floats, n_s: Floats, n_th: Floats) -> Floats:
     The thermal contribution 4 n_th^2 ((1 + 2 n_th tau)^2 + 1) / ((1 + 2 n_th tau)^4 - 1)
     vanishes in the n_th -> 0 limit, which is where it is evaluated then.
     Takes floats or broadcasting arrays, as :func:`hq_closed_form` does.
+    An n_th > 0 so small that 1 + 2 n_th tau rounds to 1 (below about
+    5.5e-17 / tau) leaves the thermal part 0 / 0 and raises ValueError.
     """
     _check_domain(eta1, n_s, n_th)
     tau = 1.0 - eta1
     g = 1.0 + 2.0 * n_th * tau
+    if not holds((g != 1.0) | (n_th == 0.0)):
+        small = float(np.max(np.where(g == 1.0, n_th, 0.0)))
+        raise ValueError(
+            f"thermal occupation {small!r} too small to resolve: 1 + 2 n_th (1 - eta1) rounds to 1"
+        )
     # where n_th = 0, g = 1 and the denominator is 0; adding 1 there divides
     # the exactly-zero numerator by 1, and adds exactly 0 everywhere else
     den = _pow(g, 4) - 1.0 + (n_th == 0.0)
@@ -290,10 +290,9 @@ def hc_closed_form(eta1: Floats, n_s: Floats, n_th: Floats) -> Floats:
 
 def ratio_high_reflectivity(n_s: float, n_th: float) -> float:
     """Advantage ratio of the two probes in the perfectly reflective limit."""
-    if n_th <= 0:
+    check_photon_numbers(n_s, n_th)
+    if n_th == 0.0:
         raise ValueError("the high-reflectivity ratio degenerates at zero thermal occupation")
-    if n_s < 0:
-        raise ValueError("photon numbers must be nonnegative")
     num = n_s**2 * (8.0 * n_th * (n_th + 1.0) + 4.0) + 4.0 * n_s * n_th**2 + n_th**2
     den = n_th * (n_s * (4.0 * n_th + 2.0) + n_th)
     return num / den
@@ -301,6 +300,5 @@ def ratio_high_reflectivity(n_s: float, n_th: float) -> float:
 
 def ratio_noisy_limit(n_s: float) -> float:
     """High-reflectivity advantage in the strong-noise limit: 1 + 8 n_s^2 / (4 n_s + 1)."""
-    if n_s < 0:
-        raise ValueError("photon numbers must be nonnegative")
+    check_photon_numbers(n_s)
     return 1.0 + 8.0 * n_s**2 / (4.0 * n_s + 1.0)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError, NoInformationError
+from .errors import DegenerateStateError, NoInformationError, check_photon_numbers
 from .gaussian import GaussianState
 from .qfi import StateFamily
 
@@ -186,8 +186,7 @@ def sld_coeffs_closed_form(eta1: float, n_s: float, n_th: float) -> SldCoefficie
     """
     if not 0.0 < eta1 < 1.0:
         raise ValueError(f"reference reflectivity must lie strictly in (0, 1), got {eta1}")
-    if n_s < 0 or n_th < 0:
-        raise ValueError("photon numbers must be nonnegative")
+    check_photon_numbers(n_s, n_th)
     e, s, t = eta1, n_s, n_th
     a = 8.0 * (e - 1.0) * e * s**3 * (2.0 * t + 1.0)
     b = 4.0 * s**2 * (

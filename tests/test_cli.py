@@ -163,13 +163,18 @@ def test_non_finite_photon_numbers_exit_with_one_error_line(command, flag, value
     assert result.stderr == "error: photon numbers must be finite and nonnegative\n"
 
 
-@pytest.mark.parametrize("flags", [["--ns", "1e200"], ["--nth", "1e-300"], ["--nth", "1e-300:1:2"]],
-                         ids=["power-overflows", "thermal-part-0-over-0", "array-0-over-0"])
-def test_ratio_grid_arithmetic_failure_is_an_error_line(flags):
+@pytest.mark.parametrize(
+    "flags, named",
+    [(["--ns", "1e200"], "n_s = 1e+200"), (["--nth", "1e-300"], "occupation 1e-300"),
+     (["--nth", "1e-300:1:2"], "occupation 1e-300"), (["--nth", "1e200"], "n_th = 1e+200")],
+    ids=["power-overflows", "thermal-part-0-over-0", "array-0-over-0", "thermal-overflows"],
+)
+def test_ratio_grid_arithmetic_failure_is_an_error_line(flags, named):
     result = run_cli("ratio-grid", *flags)
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr.startswith("error: ") and len(result.stderr.splitlines()) == 1
+    assert named in result.stderr
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -8,6 +8,8 @@ import bifrost as bf
 from bifrost import fock
 from bifrost.errors import CutoffTooSmallError
 
+import fock_reference
+
 
 def mean_photon(state: fock.FockState) -> float:
     n = np.diag(np.arange(state.dim))
@@ -15,6 +17,39 @@ def mean_photon(state: fock.FockState) -> float:
 
 
 # --- states -------------------------------------------------------------
+
+def test_fock_state_keeps_its_dtype():
+    """Real matrices stay float64 and complex ones complex; the hermiticity
+    check runs in either dtype with its tolerance of 1e-12."""
+    assert fock.fock_thermal(0.3, 10).rho.dtype == np.float64
+    assert fock.fock_tmsv(0.05, 8).rho.dtype == np.float64
+    assert fock.fock_coherent(0.5, 10).rho.dtype == np.float64
+    assert fock.fock_coherent(0.5j, 10).rho.dtype == np.complex128
+    assert fock.FockState(np.eye(4, dtype=int), 2, 2).rho.dtype == np.float64
+    family = fock.bifrequency_fock_family(0.6, 0.1, 0.1, "tmsv", 10)
+    assert family(0.0).rho.dtype == np.float64
+    assert fock.fock_partial_trace(family(0.0), [1]).rho.dtype == np.float64
+
+    real = np.diag([0.5, 0.25, 0.25, 0.0])
+    assert fock.FockState(real, 2, 2).rho is real
+    complex_rho = real.astype(complex)
+    complex_rho[0, 1], complex_rho[1, 0] = 0.1j, -0.1j
+    assert fock.FockState(complex_rho, 2, 2).rho.dtype == np.complex128
+
+    with pytest.raises(ValueError, match="non-hermitian"):
+        fock.FockState(np.full((4, 4), np.nan), 2, 2)
+    for size in (5e-13, 2e-12):
+        asymmetric = real.copy()
+        asymmetric[0, 1] = size
+        non_hermitian = complex_rho.copy()
+        non_hermitian[0, 1] += size * 1j
+        for rho in (asymmetric, non_hermitian):
+            if size < 1e-12:
+                fock.FockState(rho, 2, 2)
+            else:
+                with pytest.raises(ValueError, match="non-hermitian"):
+                    fock.FockState(rho, 2, 2)
+
 
 def test_thermal_vacuum_limit():
     state = fock.fock_thermal(0.0, 10)
@@ -184,6 +219,71 @@ def test_channel_blocks_match_kraus_superoperator():
             flat = rows * cutoff + cols
             dense[np.ix_(flat, flat)] = block
     assert np.max(np.abs(dense - _dense_kraus_superop(eta, n_th, cutoff))) < 1e-14
+
+
+def _dense_channel_pair(
+    eta1: float, eta2: float, n_th: float, rho: np.ndarray, cutoff: int
+) -> np.ndarray:
+    """Both Kraus superoperators applied to a dense two-mode ``rho``: the
+    first mode's coherence index (k1, l1) meets the first channel, (k2, l2)
+    the second."""
+    s1 = _dense_kraus_superop(eta1, n_th, cutoff)
+    s2 = _dense_kraus_superop(eta2, n_th, cutoff)
+    d = cutoff
+    pairs = rho.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    out = (s1 @ pairs @ s2.T).reshape(d, d, d, d).transpose(0, 2, 1, 3)
+    return out.reshape(d * d, d * d)
+
+
+@pytest.mark.parametrize("probe", ["tmsv", "coherent"])
+def test_received_states_match_dense_kraus_channels(probe):
+    """Each received state built from the probe's structure equals the dense
+    probe through the dense Kraus superoperators of both channels."""
+    n_th = 0.2
+    for cutoff, n_s in ((8, 0.05), (12, 0.2)):
+        if probe == "tmsv":
+            probe_rho = fock.fock_tmsv(n_s, cutoff).rho
+        else:
+            single = fock.fock_coherent(np.sqrt(n_s), cutoff).rho
+            probe_rho = np.kron(single, single)
+        for eta1 in (0.1, 0.37, 0.8, 0.95):
+            family = fock.bifrequency_fock_family(eta1, n_s, n_th, probe, cutoff)
+            for lam in (0.0, 1e-4, -0.05, 0.04):
+                state = family(lam)
+                expected = _dense_channel_pair(eta1, eta1 + lam, n_th, probe_rho, cutoff)
+                assert state.rho.dtype == np.float64
+                assert np.max(np.abs(state.rho - expected)) < 1e-13, (cutoff, eta1, lam)
+
+
+@pytest.mark.parametrize("probe", ["tmsv", "coherent"])
+def test_received_states_match_dense_channel_pair(probe):
+    """Against the dense probe pushed through both channels mode by mode
+    (``fock_reference``): the two-mode squeezed states are equal bit for bit
+    at cutoff 30, the coherent ones, products in another order, to 1e-15."""
+    cutoff, n_s, n_th = 30, 0.5, 0.3
+    for eta1 in (0.5, 0.8):
+        family = fock.bifrequency_fock_family(eta1, n_s, n_th, probe, cutoff)
+        reference = fock_reference.reference_family(eta1, n_s, n_th, probe, cutoff)
+        for lam in (0.0, 1e-4, -1e-4):
+            rho, expected = family(lam).rho, reference(lam)
+            assert not expected.imag.any()
+            if probe == "tmsv":
+                assert np.array_equal(rho, expected.real), (eta1, lam)
+            else:
+                assert np.max(np.abs(rho - expected.real)) < 1e-15, (eta1, lam)
+
+
+def test_channel_apply_matches_kraus_superoperator():
+    eta, n_th, cutoff = 0.63, 0.25, 10
+    channel = fock.ThermalLossChannel(eta, n_th, cutoff)
+    dense = _dense_kraus_superop(eta, n_th, cutoff)
+    rng = np.random.default_rng(3)
+    for rho in (rng.standard_normal((cutoff, cutoff)),
+                rng.standard_normal((cutoff, cutoff)) + 1j * rng.standard_normal((cutoff, cutoff))):
+        out = channel.apply(rho)
+        assert out.dtype == rho.dtype
+        expected = (dense @ rho.ravel()).reshape(cutoff, cutoff)
+        assert np.max(np.abs(out - expected)) < 1e-14
 
 
 def test_channel_trace_preserving():

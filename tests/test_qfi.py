@@ -367,6 +367,49 @@ def test_closed_form_domain_errors():
         bf.hq_closed_form(0.5, np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
 
 
+def test_hc_rejects_thermal_occupation_below_resolution():
+    """Where 1 + 2 n_th (1 - eta1) rounds to 1 for n_th > 0 the thermal part
+    would be 0 / 0; the domain error names the occupation instead."""
+    for eta1, n_th in ((0.5, 1e-300), (0.5, 1e-16), (0.999, 5e-14)):
+        with pytest.raises(ValueError, match=f"thermal occupation {n_th!r} too small"):
+            bf.hc_closed_form(eta1, 1.0, n_th)
+    with pytest.raises(ValueError, match="thermal occupation 1e-300 too small"):
+        bf.hc_closed_form(np.array([[0.5], [0.9]]), 1.0, np.array([0.0, 1e-300, 1.0]))
+    # the smallest occupations that do resolve, and zero, still evaluate
+    assert bf.hc_closed_form(0.5, 1.0, 0.0) == 2.0
+    assert np.isfinite(bf.hc_closed_form(0.5, 1.0, 2.3e-16))
+    assert np.isfinite(bf.hc_closed_form(0.999, 1.0, 2.3e-13))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_photon_number_checks_reject_non_finite_values(bad):
+    """Every function that takes a photon number rejects NaN, inf and
+    negative values with the one domain message."""
+    from bifrost import fock
+    from bifrost.sld import sld_coeffs_closed_form
+
+    calls = [
+        lambda n: bf.ratio_high_reflectivity(n, 1.0),
+        lambda n: bf.ratio_high_reflectivity(1.0, n),
+        bf.ratio_noisy_limit,
+        lambda n: bf.qi_quantum_qfi(n, 1.0),
+        lambda n: bf.qi_quantum_qfi(1.0, n),
+        lambda n: bf.qi_classical_qfi(0.1, n, 1.0),
+        lambda n: bf.qi_classical_qfi(0.1, 1.0, n),
+        lambda n: bf.qi_ratio(n, 1.0),
+        lambda n: bf.qi_ratio(1.0, n),
+        lambda n: sld_coeffs_closed_form(0.5, n, 1.0),
+        lambda n: sld_coeffs_closed_form(0.5, 1.0, n),
+        lambda n: fock.fock_thermal(n, 10),
+        lambda n: fock.fock_tmsv(n, 10),
+        lambda n: fock.bifrequency_fock_family(0.5, n, 0.1, "coherent", 10),
+        lambda n: fock.bifrequency_fock_family(0.5, 0.1, n, "coherent", 10),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^photon numbers must be finite and nonnegative$"):
+            call(bad)
+
+
 EDGE_ETA = [1e-6, 0.5, 0.999999]
 EDGE_PHOTONS = [1e-6, 1e-3, 1.0, 1e3, 1e6]
 
