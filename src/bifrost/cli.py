@@ -7,7 +7,9 @@ significant digits, rows in a fixed parameter-major order, LF line endings.
 broadcast axes, and formats each axis value once; its bytes equal those of
 one scalar ``bifrequency_advantage`` call and one format call per value.
 The environment variable BIFROST_THREADS is accepted and ignored, since a
-thread pool was measured slower than one thread.
+thread pool was measured slower than one thread. The regression checks, and
+the Fock oracle behind them, are imported only by the commands that run
+them, so the other commands never load that code.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .protocols import (
 )
 from .qfi import hc_closed_form, hq_closed_form, qfi_gaussian
 from .sld import jpa_circuit_solve, optimal_observable, sld_coeffs_closed_form
-from .validate import full_validation, qi_regression_checks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -264,10 +265,14 @@ def _report(checks) -> int:
 
 
 def cmd_qi_check(args, parser) -> int:
+    from .validate import qi_regression_checks
+
     return _report(qi_regression_checks())
 
 
 def cmd_validate(args, parser) -> int:
+    from .validate import full_validation
+
     return _report(full_validation(quick=args.quick))
 
 

@@ -21,20 +21,27 @@ two-mode squeezed state and its derivative vanish outside the sectors of
 fixed n1 - n2, exactly 0.0 and not merely small. ``qfi_eq1`` therefore
 diagonalises each connected component of the nonzero pattern on its own;
 it reads the pattern off the matrices and needs no knowledge of the probe,
-so a dense state is simply one component.
+so a dense state is simply one component. A product state A x B is kept as
+its one-mode factors (``FockState.product``); for a family of products
+``qfi_eq1`` diagonalises each cutoff x cutoff factor, takes the eigenvalues
+kron(a, b), rotates the factors of the shifted states factor by factor and
+runs the sum one row block at a time, so no cutoff^2 x cutoff^2 matrix is
+formed or diagonalised. Both routes share the sum over pairs.
 
 The four-mode bi-frequency pipeline is never materialised: the interaction
 does not mix frequencies, so each frequency sees an independent thermal-loss
 channel acting on its signal mode. The received two-mode state is built from
 the structure of the probe, never by passing a dense two-mode probe through
 the channels. The coherent probe is a product state, so its output is the
-Kronecker product of the two one-mode outputs. The two-mode squeezed probe
+product of the two one-mode outputs, kept as those two factors; the dense
+Kronecker product is formed only for a caller that reads ``rho``. The
+two-mode squeezed probe
 sum_n a_n |n, n> holds only the coherences |n><m| x |n><m|, with the same
 offset k = n - m in both modes, and each channel keeps that offset; so its
 output is nonzero only where both modes share an offset, and for each k >= 0
 it is the one product B1_k diag(a_{i+k} a_i) B2_k^T of the two channels'
 blocks, placed at rows (i + k) d + (j + k) and columns i d + j, and its
-transpose at offset -k. Every matrix stays at cutoff^2 x cutoff^2, and real
+transpose at offset -k. No matrix exceeds cutoff^2 x cutoff^2, and real
 probes give real states, which keep a real dtype throughout.
 
 Beam-splitter convention: ``fock_beam_splitter(eta)`` realises exactly the
@@ -45,7 +52,6 @@ input). Full reflection (eta = 1) is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -63,7 +69,33 @@ LAMBDA0 = 0.0
 FD_STEP = 1e-4
 
 
-@dataclass(frozen=True, eq=False)
+# side of the square tiles the hermiticity check compares: a tile and its
+# mirror both stay in cache, where a whole transposed read is strided
+HERMITICITY_TILE = 128
+
+
+def _hermitian(rho, size: int) -> np.ndarray:
+    """``rho`` as float64, or complex128 if complex, after checking that it is
+    ``size`` x ``size`` and hermitian to 1e-12; NaN fails too.
+
+    The largest |rho - rho^dag| is taken tile by tile over the upper triangle
+    of tiles, each tile against its mirror; it is the dense maximum.
+    """
+    rho = np.asarray(rho)
+    rho = rho.astype(complex if np.iscomplexobj(rho) else float, copy=False)
+    if rho.shape != (size, size):
+        raise ValueError(f"density matrix shape {rho.shape} != ({size}, {size})")
+    t = HERMITICITY_TILE
+    herm = np.zeros(())
+    for i in range(0, size, t):
+        for j in range(i, size, t):
+            mirror = rho[j : j + t, i : i + t].conj().T
+            herm = np.maximum(herm, np.max(np.abs(rho[i : i + t, j : j + t] - mirror)))
+    if not herm <= 1e-12:  # NaN fails too
+        raise ValueError(f"density matrix non-hermitian by {herm:.3e}")
+    return rho
+
+
 class FockState:
     """Density matrix on a photon-number-truncated space.
 
@@ -71,22 +103,34 @@ class FockState:
     construction; it is never renormalised away. A real matrix is kept
     real (float64) and a complex one complex; hermiticity is checked in
     the matrix's own dtype.
+
+    A product state is kept as its one-mode factors (``FockState.product``),
+    each checked on its own; ``factors`` is None for any other state. The
+    dense ``rho`` of a product, the Kronecker product of its factors, is
+    formed only when it is read, and then kept.
     """
 
-    rho: np.ndarray
-    dim: int
-    n_modes: int
+    __slots__ = ("_rho", "factors", "dim", "n_modes")
 
-    def __post_init__(self):
-        rho = np.asarray(self.rho)
-        rho = rho.astype(complex if np.iscomplexobj(rho) else float, copy=False)
-        size = self.dim**self.n_modes
-        if rho.shape != (size, size):
-            raise ValueError(f"density matrix shape {rho.shape} != ({size}, {size})")
-        herm = np.max(np.abs(rho - rho.conj().T))
-        if not herm <= 1e-12:  # NaN fails too
-            raise ValueError(f"density matrix non-hermitian by {herm:.3e}")
-        object.__setattr__(self, "rho", rho)
+    def __init__(self, rho: np.ndarray, dim: int, n_modes: int):
+        self._rho = _hermitian(rho, dim**n_modes)
+        self.factors: tuple[np.ndarray, ...] | None = None
+        self.dim, self.n_modes = dim, n_modes
+
+    @classmethod
+    def product(cls, first: np.ndarray, second: np.ndarray) -> "FockState":
+        """The two-mode product of one-mode density matrices of one cutoff."""
+        state = cls.__new__(cls)
+        state.dim, state.n_modes = len(first), 2
+        state.factors = (_hermitian(first, state.dim), _hermitian(second, state.dim))
+        state._rho = None
+        return state
+
+    @property
+    def rho(self) -> np.ndarray:
+        if self._rho is None:
+            self._rho = np.kron(*self.factors)
+        return self._rho
 
     @property
     def trace(self) -> float:
@@ -129,7 +173,7 @@ def _auto_cutoff(tail: Callable[[int], float], tol: float = AUTO_TAIL_TOL) -> in
 
 
 def _gate_cutoff(tail_mass: float, cutoff: int, label: str):
-    if tail_mass >= HARD_TAIL_TOL:
+    if not tail_mass < HARD_TAIL_TOL:  # a NaN tail fails too
         raise CutoffTooSmallError(
             f"cutoff {cutoff} leaves {label} tail mass {tail_mass:.3e} >= {HARD_TAIL_TOL}"
         )
@@ -173,6 +217,8 @@ def fock_coherent(alpha: complex, cutoff: int | None = None) -> FockState:
     """Coherent state |alpha> truncated at the cutoff."""
     from scipy.special import pdtrc
 
+    if not np.isfinite(alpha):
+        raise ValueError("coherent amplitude must be finite")
     if cutoff is None:
         mean = abs(alpha) ** 2
         cutoff = _auto_cutoff(lambda d: float(pdtrc(d - 1, mean)) if mean else 0.0)
@@ -285,6 +331,7 @@ class ThermalLossChannel:
         self.eta = eta
         self.n_th = n_th
         self.cutoff = cutoff
+        check_photon_numbers(n_th)
         _gate_cutoff(_thermal_tail(n_th, cutoff), cutoff, "thermal bath")
         probs = _thermal_probs(n_th, cutoff)
         # amp[t, j, s] = <j + s - t, t| U |j, s>: j bath photons enter the
@@ -340,14 +387,14 @@ def bifrequency_fock_family(
     if probe == "tmsv":
         amps = _tmsv_amplitudes(n_s, cutoff)
 
-        def received(ch1: ThermalLossChannel, ch2: ThermalLossChannel) -> np.ndarray:
-            return _tmsv_received(ch1, ch2, amps)
+        def received(ch1: ThermalLossChannel, ch2: ThermalLossChannel) -> FockState:
+            return FockState(_tmsv_received(ch1, ch2, amps), cutoff, 2)
 
     elif probe == "coherent":
         single = fock_coherent(np.sqrt(n_s), cutoff).rho
 
-        def received(ch1: ThermalLossChannel, ch2: ThermalLossChannel) -> np.ndarray:
-            return np.kron(ch1.apply(single), ch2.apply(single))
+        def received(ch1: ThermalLossChannel, ch2: ThermalLossChannel) -> FockState:
+            return FockState.product(ch1.apply(single), ch2.apply(single))
 
     else:
         raise ValueError(f"unknown probe {probe!r}")
@@ -359,16 +406,24 @@ def bifrequency_fock_family(
         return channels[eta]
 
     def family(lam: float) -> FockState:
-        return FockState(received(channel(eta1), channel(eta1 + lam)), cutoff, 2)
+        return received(channel(eta1), channel(eta1 + lam))
 
     return family
 
 
+def _central_states(family: Callable[[float], FockState]) -> tuple[FockState, ...]:
+    """The family at LAMBDA0, LAMBDA0 + FD_STEP and LAMBDA0 - FD_STEP."""
+    return family(LAMBDA0), family(LAMBDA0 + FD_STEP), family(LAMBDA0 - FD_STEP)
+
+
+def _difference(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+    return (plus - minus) / (2.0 * FD_STEP)
+
+
 def family_derivative(family: Callable[[float], FockState]) -> tuple[np.ndarray, np.ndarray]:
     """The density matrix at LAMBDA0 and its central difference with step FD_STEP."""
-    rho = family(LAMBDA0).rho
-    drho = (family(LAMBDA0 + FD_STEP).rho - family(LAMBDA0 - FD_STEP).rho) / (2.0 * FD_STEP)
-    return rho, drho
+    state, plus, minus = _central_states(family)
+    return state.rho, _difference(plus.rho, minus.rho)
 
 
 def _components(*mats: np.ndarray) -> list[np.ndarray]:
@@ -384,25 +439,69 @@ def _components(*mats: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
 
 
+def _pair_sum(
+    row_evals: np.ndarray, col_evals: np.ndarray, mat: np.ndarray, drop_threshold: float
+) -> float:
+    """sum |mat[m, n]|^2 / (p_m + p_n) over the pairs whose eigenvalue sum
+    p_m + p_n exceeds ``drop_threshold``; rows and columns may be different
+    index sets of one eigenbasis."""
+    sums = row_evals[:, None] + col_evals[None, :]
+    mask = sums > drop_threshold
+    return np.sum(np.abs(mat[mask]) ** 2 / sums[mask])
+
+
+def _product_qfi(
+    state: FockState, plus: FockState, minus: FockState, drop_threshold: float
+) -> float:
+    """The Eq. 1 sum for states that are all products A x B.
+
+    The eigenbasis of A x B is the product of the factors' eigenbases, with
+    the eigenvalues kron(a, b), so only cutoff x cutoff matrices are
+    diagonalised. The factors of the shifted states are rotated into those
+    bases one by one, and the rotated difference of the products is made one
+    row block at a time: the rows of one eigenvector of A, against all
+    columns. Neither factor is taken to be independent of lambda.
+    """
+    (a, u), (b, v) = (np.linalg.eigh(f) for f in state.factors)
+
+    def rotated(s: FockState) -> tuple[np.ndarray, np.ndarray]:
+        first, second = s.factors
+        return u.conj().T @ first @ u, v.conj().T @ second @ v
+
+    (a_plus, b_plus), (a_minus, b_minus) = rotated(plus), rotated(minus)
+    col_evals = np.kron(a, b)
+    total = 0.0
+    for i in range(len(a)):
+        rows = _difference(np.kron(a_plus[i : i + 1], b_plus), np.kron(a_minus[i : i + 1], b_minus))
+        total += _pair_sum(a[i] * b, col_evals, rows, drop_threshold)
+    return total
+
+
 def qfi_eq1(family: Callable[[float], FockState], drop_threshold: float = 1e-12) -> float:
     """Basis-dependent QFI from the eigendecomposition of the received state.
 
     The parameter derivative of the density matrix is one central difference
-    (``family_derivative``). The basis splits into the connected components
-    of the nonzero pattern of the state and its derivative; both vanish
-    between components, so each is diagonalised on its own and the sum runs
-    over pairs within a component. The dtype picks the arithmetic: real
-    states, which every probe of the repository gives, are decomposed in
-    real arithmetic, complex ones in complex. Eigenvalue pairs whose sum
-    falls below ``drop_threshold`` contribute nothing and are skipped.
+    with step FD_STEP around LAMBDA0. The route follows the structure of the
+    states, never the probe. If the family gives product states at all three
+    points, the sum runs in the product of the factors' eigenbases and no
+    matrix larger than one factor is diagonalised (``_product_qfi``).
+    Otherwise the basis splits into the connected components of the nonzero
+    pattern of the state and its derivative; both vanish between
+    components, so each is diagonalised on its own and the sum runs over
+    pairs within a component. The dtype picks the arithmetic: real states,
+    which every probe of the repository gives, are decomposed in real
+    arithmetic, complex ones in complex. Eigenvalue pairs whose sum falls
+    below ``drop_threshold`` contribute nothing and are skipped, on either
+    route.
     """
-    rho0, drho = family_derivative(family)
+    states = _central_states(family)
+    if all(s.factors is not None for s in states):
+        return float(2.0 * _product_qfi(*states, drop_threshold))
+    rho0, drho = states[0].rho, _difference(states[1].rho, states[2].rho)
     total = 0.0
     for idx in _components(rho0, drho):
         block = np.ix_(idx, idx)
         evals, evecs = np.linalg.eigh(rho0[block])
         mat = evecs.conj().T @ drho[block] @ evecs
-        sums = evals[:, None] + evals[None, :]
-        mask = sums > drop_threshold
-        total += np.sum(np.abs(mat[mask]) ** 2 / sums[mask])
+        total += _pair_sum(evals, evals, mat, drop_threshold)
     return float(2.0 * total)

@@ -72,23 +72,31 @@ def fock_sld_operator(form: SldForm, cutoff: int):
 
     Returned as a sparse CSR matrix: every term is a product of at most two
     ladder operators, so the operator is banded, with its nonzero entries
-    within 2 * cutoff of the diagonal.
+    within 2 * cutoff of the diagonal. The ladder operators are real, so a
+    form whose coefficients all have an imaginary part of exactly zero, as
+    every probe of the repository gives, yields a real matrix, built in
+    real arithmetic; any other form yields a complex one.
     """
     from scipy import sparse
 
+    coeffs = [form.quad, form.linear, form.center, form.scalar]
+    if not any(np.any(np.imag(c)) for c in coeffs):
+        coeffs = [np.real(c) for c in coeffs]
+    quad, linear, center, scalar = coeffs
+    dtype = np.result_type(*coeffs, float)
     a = sparse.csr_matrix(fock.annihilation(cutoff))
     eye = sparse.identity(cutoff)
-    one = sparse.identity(cutoff * cutoff, dtype=complex, format="csr")
+    one = sparse.identity(cutoff * cutoff, dtype=dtype, format="csr")
     basis = [sparse.kron(a, eye), sparse.kron(eye, a)]
     basis += [op.conj().T for op in basis]
-    delta = [(op - c * one).tocsr() for op, c in zip(basis, form.center)]
-    op = form.scalar * one
+    delta = [(op - c * one).tocsr() for op, c in zip(basis, center)]
+    op = scalar * one
     for i in range(4):
         di_dag = delta[i].conj().T
-        op = op + form.linear[i] * di_dag
+        op = op + linear[i] * di_dag
         for j in range(4):
-            if form.quad[i, j] != 0.0:
-                op = op + form.quad[i, j] * (di_dag @ delta[j])
+            if quad[i, j] != 0.0:
+                op = op + quad[i, j] * (di_dag @ delta[j])
     return op.tocsr()
 
 
@@ -100,7 +108,10 @@ def sld_fock_report(
     Everything is read off the one dense product ell rho: the anticommutator
     is ell rho + (ell rho)^dag, the mean Tr(ell rho) and the second moment
     Tr(ell rho ell), the sum of (ell rho) * ell^T over the nonzero entries
-    of the sparse ell.
+    of the sparse ell. The SLD form of every probe has real coefficients
+    and every received state is real, so ell, ell rho and the residual are
+    real matrices, made and summed in real arithmetic; a complex form or
+    state takes the same steps in complex arithmetic.
     """
     gauss_family = bifrequency_received_state(BiFrequencyParams(eta1, 0.0, n_s, n_th), probe)
     form = sld(gauss_family)
@@ -111,7 +122,9 @@ def sld_fock_report(
         fock.bifrequency_fock_family(eta1, n_s, n_th, probe, cutoff)
     )
     ell_rho = ell @ rho
-    residual = np.linalg.norm(ell_rho + ell_rho.conj().T - 2.0 * drho) / np.linalg.norm(drho)
+    anticommutator = ell_rho + ell_rho.conj().T
+    anticommutator -= 2.0 * drho
+    residual = np.linalg.norm(anticommutator) / np.linalg.norm(drho)
     mean = float(np.trace(ell_rho).real)
     second_moment = float(np.sum(ell.data * ell_rho[ell.col, ell.row]).real)
     return {

@@ -51,6 +51,68 @@ def test_fock_state_keeps_its_dtype():
                     fock.FockState(rho, 2, 2)
 
 
+def test_hermiticity_check_is_the_dense_maximum():
+    """The check compares tile against mirrored tile; on sizes that are and
+    are not multiples of the tile it reports the dense maximum of
+    |rho - rho^dag|, and a NaN in any tile fails it."""
+    rng = np.random.default_rng(11)
+    for size in (fock.HERMITICITY_TILE, 2 * fock.HERMITICITY_TILE + 1, 300):
+        for dtype in (float, complex):
+            m = rng.standard_normal((size, size))
+            if dtype is complex:
+                m = m + 1j * rng.standard_normal((size, size))
+            rho = (m + m.conj().T) / 2.0
+            assert fock.FockState(rho, size, 1).rho is rho
+            skew = rho.copy()
+            skew[size - 2, 3] += 3e-9  # below the diagonal, in the last tile row
+            skew[1, 2] += 1e-9
+            dense = np.max(np.abs(skew - skew.conj().T))
+            with pytest.raises(ValueError, match=f"^density matrix non-hermitian by {dense:.3e}$"):
+                fock.FockState(skew, size, 1)
+            rho[5, size - 1] = np.nan
+            with pytest.raises(ValueError, match="non-hermitian by nan"):
+                fock.FockState(rho, size, 1)
+
+
+def test_product_state_keeps_its_factors():
+    """The coherent received state is kept as its two one-mode factors, each
+    checked on its own; the dense matrix is their Kronecker product, formed
+    only when read."""
+    cutoff = 12
+    family = fock.bifrequency_fock_family(0.6, 0.1, 0.2, "coherent", cutoff)
+    state = family(0.01)
+    first, second = state.factors
+    assert first.shape == second.shape == (cutoff, cutoff)
+    assert state.dim == cutoff and state.n_modes == 2
+    assert state._rho is None
+    assert np.array_equal(state.rho, np.kron(first, second))
+    assert state.rho is state.rho
+    assert fock.bifrequency_fock_family(0.6, 0.1, 0.2, "tmsv", cutoff)(0.0).factors is None
+
+    skew = second.copy()
+    skew[0, 1] += 2e-12
+    with pytest.raises(ValueError, match="non-hermitian"):
+        fock.FockState.product(first, skew)
+    with pytest.raises(ValueError, match="shape"):
+        fock.FockState.product(first, second[:-1, :-1])
+
+
+def test_fock_constructors_reject_non_finite_inputs():
+    """NaN photon numbers, amplitudes and tail masses raise domain errors
+    instead of building NaN blocks or failing later as non-hermitian."""
+    for n_th in (np.nan, np.inf, -0.1):
+        with pytest.raises(ValueError, match="^photon numbers must be finite and nonnegative$"):
+            fock.ThermalLossChannel(0.5, n_th, 10)
+    for alpha in (np.nan, np.inf, complex(0.3, np.nan), complex(np.inf, 0.0)):
+        with pytest.raises(ValueError, match="^coherent amplitude must be finite$"):
+            fock.fock_coherent(alpha, 10)
+        with pytest.raises(ValueError, match="^coherent amplitude must be finite$"):
+            fock.fock_coherent(alpha)
+    with pytest.raises(CutoffTooSmallError):
+        fock._gate_cutoff(np.nan, 10, "thermal")
+    fock._gate_cutoff(0.0, 10, "thermal")
+
+
 def test_thermal_vacuum_limit():
     state = fock.fock_thermal(0.0, 10)
     expected = np.zeros((10, 10))
@@ -328,6 +390,72 @@ def test_qfi_eq1_invariant_under_unitary_conjugation():
     assert len(fock._components(*fock.family_derivative(rotated))) == 1
     h_sectored, h_dense = fock.qfi_eq1(family), fock.qfi_eq1(rotated)
     assert abs(h_dense - h_sectored) / h_sectored < 1e-9
+
+
+def _densified(family, cutoff):
+    """The same family with each state as a plain dense FockState, which
+    ``qfi_eq1`` decomposes by components."""
+    return lambda lam: fock.FockState(family(lam).rho, cutoff, 2)
+
+
+@pytest.mark.parametrize("cutoff", [10, 20, 30])
+def test_product_qfi_matches_dense_route(cutoff):
+    """On every oracle configuration the coherent family's QFI from its
+    factors equals the QFI of the same states made dense."""
+    from bifrost.validate import ORACLE_CONFIGS
+
+    for eta1, n_s, n_th in ORACLE_CONFIGS:
+        family = fock.bifrequency_fock_family(eta1, n_s, n_th, "coherent", cutoff)
+        assert family(0.0).factors is not None
+        h_product = fock.qfi_eq1(family)
+        h_dense = fock.qfi_eq1(_densified(family, cutoff))
+        assert abs(h_product - h_dense) / h_dense < 1e-10, (eta1, n_s, n_th)
+
+
+def test_product_qfi_with_both_factors_varying():
+    """A product family in which both factors depend on lam, one of them
+    complex, matches the dense route; so does one with a pure factor, whose
+    null eigenvalues exercise the drop threshold."""
+    cutoff = 14
+
+    def family_of(second):
+        def family(lam):
+            channel = fock.ThermalLossChannel(0.55 + lam, 0.2, cutoff)
+            first = channel.apply(fock.fock_coherent(0.7 * np.exp(0.4j) * (1 + lam), cutoff).rho)
+            return fock.FockState.product(first, second(lam))
+
+        return family
+
+    mixed = family_of(
+        lambda lam: fock.ThermalLossChannel(0.8 - 3 * lam, 0.1 + lam, cutoff).apply(
+            fock.fock_coherent(0.5, cutoff).rho
+        )
+    )
+    pure = family_of(lambda lam: fock.fock_coherent(0.5 - 2 * lam, cutoff).rho)
+    for family in (mixed, pure):
+        state = family(0.0)
+        assert state.factors[0].dtype == np.complex128
+        h_product = fock.qfi_eq1(family)
+        h_dense = fock.qfi_eq1(_densified(family, cutoff))
+        assert h_product > 0.1
+        assert abs(h_product - h_dense) / h_dense < 1e-10
+
+
+def test_product_qfi_diagonalises_only_factors(monkeypatch):
+    """The coherent family never diagonalises a matrix larger than one
+    mode's cutoff x cutoff factor."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(mat, *args, **kwargs):
+        shapes.append(mat.shape)
+        return eigh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    cutoff = 30
+    family = fock.bifrequency_fock_family(0.8, 0.5, 0.3, "coherent", cutoff)
+    fock.qfi_eq1(family)
+    assert shapes == [(cutoff, cutoff)] * 2
 
 
 def test_qfi_eq1_drop_threshold_stable():

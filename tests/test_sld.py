@@ -219,3 +219,39 @@ def test_circuit_continuation_over_signal():
 def test_circuit_rejects_zero_signal():
     with pytest.raises(ValueError):
         bf.jpa_circuit_solve(0.0)
+
+
+def test_fock_sld_operator_real_and_complex_paths_agree():
+    """A form with real coefficients gives a real operator; a complex one
+    takes the complex path, and by linearity in quad and linear its
+    operator is the real operator of the real parts plus i times that of
+    the imaginary parts, both built on the real path."""
+    from bifrost.sld import SldForm
+    from bifrost.validate import fock_sld_operator
+
+    cutoff = 12
+    form = sld(tmsv_family(0.8, 0.5, 0.3))
+    real_op = fock_sld_operator(form, cutoff)
+    assert real_op.dtype == np.float64
+
+    rng = np.random.default_rng(5)
+    quad_im = rng.standard_normal((4, 4))
+    quad_im = quad_im + quad_im.T
+    linear_im = rng.standard_normal(4)
+    shifted = SldForm(
+        quad=form.quad + 1j * quad_im,
+        linear=form.linear + 1j * linear_im,
+        scalar=form.scalar,
+        center=form.center,
+    )
+    imag_part = SldForm(
+        quad=quad_im.astype(complex), linear=linear_im.astype(complex), scalar=0.0,
+        center=form.center,
+    )
+    complex_op = fock_sld_operator(shifted, cutoff)
+    assert complex_op.dtype == np.complex128
+    imag_op = fock_sld_operator(imag_part, cutoff)
+    assert imag_op.dtype == np.float64
+    expected = (real_op + 1j * imag_op).toarray()
+    deviation = np.max(np.abs(complex_op.toarray() - expected))
+    assert deviation <= 1e-12 * np.max(np.abs(expected))
