@@ -9,7 +9,9 @@ class PureStateError(ValueError):
 
 
 class DegenerateStateError(ValueError):
-    """The superoperator needed for the logarithmic derivative is singular."""
+    """The family changes the purity of a pure normal mode at the evaluation
+    point: the logarithmic derivative does not exist there and the QFI
+    diverges. A pure mode that the family keeps pure is not an error."""
 
 
 class NoInformationError(ValueError):

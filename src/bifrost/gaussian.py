@@ -28,6 +28,7 @@ analytic (:func:`beam_splitter_derivative`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -37,16 +38,19 @@ SYMPLECTIC_TOL = 1e-10
 PHYSICALITY_TOL = 1e-9
 
 
+@cache
 def omega(n_modes: int) -> np.ndarray:
-    """Symplectic form for ``n_modes`` modes."""
+    """Symplectic form for ``n_modes`` modes; a shared read-only array."""
     w = np.zeros((2 * n_modes, 2 * n_modes))
     x = np.arange(0, 2 * n_modes, 2)
     w[x, x + 1] = 1.0
     w[x + 1, x] = -1.0
+    w.setflags(write=False)
     return w
 
 
-def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix with ``a`` then ``b`` on its diagonal."""
     n = a.shape[0]
     out = np.zeros((n + b.shape[0], n + b.shape[0]))
     out[:n, :n] = a
@@ -56,12 +60,9 @@ def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _mode_pair(diag: float, off: float) -> np.ndarray:
     """The two-mode matrix [[diag I, off I], [-off I, diag I]]."""
-    m = np.zeros((4, 4))
-    i = np.arange(2)
-    m[i, i] = m[i + 2, i + 2] = diag
-    m[i, i + 2] = off
-    m[i + 2, i] = -off
-    return m
+    return np.array(
+        [[diag, 0.0, off, 0.0], [0.0, diag, 0.0, off], [-off, 0.0, diag, 0.0], [0.0, -off, 0.0, diag]]
+    )
 
 
 def basis_change(n_modes: int) -> np.ndarray:
@@ -96,7 +97,7 @@ class GaussianState:
             raise ValueError(f"covariance must be square with even size, got {cov.shape}")
         if disp.shape != (cov.shape[0],):
             raise ValueError(f"displacement shape {disp.shape} does not match covariance {cov.shape}")
-        asym = np.max(np.abs(cov - cov.T))
+        asym = np.abs(cov - cov.T).max()
         if asym > SYMMETRY_TOL:
             raise ValueError(f"covariance asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
         object.__setattr__(self, "cov", cov)
@@ -118,7 +119,7 @@ class SymplecticTransform:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
             raise ValueError(f"symplectic matrix must be square with even size, got {m.shape}")
         omg = omega(m.shape[0] // 2)
-        err = np.max(np.abs(m @ omg @ m.T - omg))
+        err = np.abs(m @ omg @ m.T - omg).max()
         if err > SYMPLECTIC_TOL:
             raise ValueError(f"symplectic identity violated by {err:.3e}")
         object.__setattr__(self, "matrix", m)
@@ -182,9 +183,17 @@ def tmsv(n_s: float) -> GaussianState:
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     """Tensor product of two states; a's modes come first."""
-    cov = _block_diag(a.cov, b.cov)
+    cov = block_diag(a.cov, b.cov)
     disp = np.concatenate([a.disp, b.disp])
     return GaussianState(cov, disp)
+
+
+def beam_splitter_matrix(eta: float) -> np.ndarray:
+    """The matrix of ``beam_splitter(eta)``, built without the symplectic check
+    so that a larger transform holding it is checked once, as a whole."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("reflectivity must lie in [0, 1]")
+    return _mode_pair(np.sqrt(eta), np.sqrt(1.0 - eta))
 
 
 def beam_splitter(eta: float) -> SymplecticTransform:
@@ -194,9 +203,7 @@ def beam_splitter(eta: float) -> SymplecticTransform:
     -sqrt(1-eta) of the first, so keeping it models reflection off a target
     of reflectivity eta embedded in the first (environment) mode.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("reflectivity must lie in [0, 1]")
-    return SymplecticTransform(_mode_pair(np.sqrt(eta), np.sqrt(1.0 - eta)))
+    return SymplecticTransform(beam_splitter_matrix(eta))
 
 
 def beam_splitter_derivative(eta: float) -> np.ndarray:
@@ -228,18 +235,24 @@ def identity_transform(n_modes: int) -> SymplecticTransform:
 
 def direct_sum(s1: SymplecticTransform, s2: SymplecticTransform) -> SymplecticTransform:
     """Block-diagonal composition acting on the concatenated mode sets."""
-    return SymplecticTransform(_block_diag(s1.matrix, s2.matrix))
+    return SymplecticTransform(block_diag(s1.matrix, s2.matrix))
 
 
-def apply(s: SymplecticTransform, state: GaussianState) -> GaussianState:
-    """Act with a symplectic map: cov -> S cov S^T, disp -> S disp."""
+def _conjugate(s: SymplecticTransform, state: GaussianState) -> tuple[np.ndarray, np.ndarray]:
+    """S Sigma and the symmetrised S Sigma S^T, for a transform and state of
+    the same size."""
     if s.matrix.shape[0] != state.cov.shape[0]:
         raise ValueError(
             f"dimension mismatch: transform on {s.n_modes} modes, state has {state.n_modes}"
         )
-    cov = s.matrix @ state.cov @ s.matrix.T
-    cov = 0.5 * (cov + cov.T)
-    return GaussianState(cov, s.matrix @ state.disp)
+    s_cov = s.matrix @ state.cov
+    cov = s_cov @ s.matrix.T
+    return s_cov, 0.5 * (cov + cov.T)
+
+
+def apply(s: SymplecticTransform, state: GaussianState) -> GaussianState:
+    """Act with a symplectic map: cov -> S cov S^T, disp -> S disp."""
+    return GaussianState(_conjugate(s, state)[1], s.matrix @ state.disp)
 
 
 def propagate(
@@ -252,36 +265,47 @@ def propagate(
     derivatives dS Sigma S^T + S Sigma dS^T of the covariance and dS d of the
     displacement, restricted to the kept modes like the state.
     """
-    out = apply(s, state)
-    x = s.matrix @ state.cov @ ds.T
-    idx = _quadrature_indices(out.n_modes, keep)
-    sub = np.ix_(idx, idx)
-    return GaussianState(out.cov[sub], out.disp[idx]), (x + x.T)[sub], (ds @ state.disp)[idx]
+    s_cov, cov = _conjugate(s, state)
+    idx = _quadrature_indices(state.n_modes, tuple(keep))
+    x = s_cov @ ds.T
+    return (
+        GaussianState(_restrict(cov, idx), (s.matrix @ state.disp)[idx]),
+        _restrict(x + x.T, idx),
+        (ds @ state.disp)[idx],
+    )
 
 
-def _quadrature_indices(n_modes: int, keep: Sequence[int]) -> list[int]:
-    keep = list(keep)
+def _restrict(m: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The rows and columns ``idx`` of ``m``."""
+    return m.take(idx, 0).take(idx, 1)
+
+
+@cache
+def _quadrature_indices(n_modes: int, keep: tuple[int, ...]) -> np.ndarray:
+    """The quadrature indices of the modes ``keep``; a shared read-only array."""
     if not keep:
         raise ValueError("must keep at least one mode")
     if any(k < 0 or k >= n_modes for k in keep):
         raise ValueError(f"mode index out of range for {n_modes} modes: {keep}")
     if any(b <= a for a, b in zip(keep, keep[1:])):
         raise ValueError("kept modes must be strictly increasing")
-    return [q for m in keep for q in (2 * m, 2 * m + 1)]
+    idx = np.array([q for m in keep for q in (2 * m, 2 * m + 1)])
+    idx.setflags(write=False)
+    return idx
 
 
 def partial_trace(state: GaussianState, keep: Sequence[int]) -> GaussianState:
     """Restrict to the listed modes by deleting the complementary rows/columns."""
-    idx = _quadrature_indices(state.n_modes, keep)
-    return GaussianState(state.cov[np.ix_(idx, idx)], state.disp[idx])
+    idx = _quadrature_indices(state.n_modes, tuple(keep))
+    return GaussianState(_restrict(state.cov, idx), state.disp[idx])
 
 
 def permute_modes(state: GaussianState, order: Sequence[int]) -> GaussianState:
     """Reorder modes so that new mode k is old mode ``order[k]``."""
     if sorted(order) != list(range(state.n_modes)):
         raise ValueError(f"order must be a permutation of 0..{state.n_modes - 1}")
-    idx = [q for m in order for q in (2 * m, 2 * m + 1)]
-    return GaussianState(state.cov[np.ix_(idx, idx)], state.disp[idx])
+    idx = np.array([q for m in order for q in (2 * m, 2 * m + 1)])
+    return GaussianState(_restrict(state.cov, idx), state.disp[idx])
 
 
 def check_physical(state: GaussianState) -> PhysicalityReport:

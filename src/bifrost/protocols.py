@@ -57,29 +57,40 @@ class BiFrequencyParams:
 
 
 def _bifrequency_input(p: BiFrequencyParams, probe: str) -> g.GaussianState:
-    """Four-mode input ordered (bath 1, signal 1, bath 2, signal 2)."""
+    """Four-mode input ordered (bath 1, signal 1, bath 2, signal 2), built as
+    one array: thermal baths, (1 + 2 n_th) I, and as signals either the two
+    modes of ``tmsv(n_s)`` or two coherent states of amplitude sqrt(n_s)."""
+    cov = np.eye(8)
+    disp = np.zeros(8)
+    bath = [0, 1, 4, 5]
+    cov[bath, bath] = 1.0 + 2.0 * p.n_th
     if probe == PROBE_TMSV:
-        raw = g.tensor(g.tensor(g.thermal(p.n_th), g.thermal(p.n_th)), g.tmsv(p.n_s))
-        return g.permute_modes(raw, [0, 2, 1, 3])
-    if probe == PROBE_COHERENT:
-        alpha = np.sqrt(p.n_s)
-        arm = g.tensor(g.thermal(p.n_th), g.coherent(alpha))
-        return g.tensor(arm, arm)
-    raise ValueError(f"unknown probe {probe!r}")
+        signals = [2, 3, 6, 7]
+        cov[np.ix_(signals, signals)] = g.tmsv(p.n_s).cov
+    elif probe == PROBE_COHERENT:
+        disp[[2, 6]] = np.sqrt(2.0) * np.sqrt(p.n_s)
+    else:
+        raise ValueError(f"unknown probe {probe!r}")
+    return g.GaussianState(cov, disp)
 
 
 def _channel_family(
     state: g.GaussianState,
-    transform: Callable[[float], g.SymplecticTransform],
+    transform: Callable[[float], np.ndarray],
     dtransform: Callable[[float], np.ndarray],
     keep: list[int],
     lambda0: float,
 ) -> StateFamily:
-    """The family l -> modes ``keep`` of transform(l) acting on a fixed input
-    state, differentiated through ``dtransform`` = d transform / dl."""
+    """The family l -> modes ``keep`` of S(l) = transform(l) acting on a fixed
+    input state, differentiated through ``dtransform`` = dS/dl. ``transform``
+    returns the whole matrix, which is checked symplectic once per call."""
     return StateFamily(
-        eval=lambda lam: g.partial_trace(g.apply(transform(lam), state), keep),
-        tangent=lambda lam: g.propagate(state, transform(lam), dtransform(lam), keep),
+        eval=lambda lam: g.partial_trace(
+            g.apply(g.SymplecticTransform(transform(lam)), state), keep
+        ),
+        tangent=lambda lam: g.propagate(
+            state, g.SymplecticTransform(transform(lam)), dtransform(lam), keep
+        ),
         lambda0=lambda0,
     )
 
@@ -94,8 +105,10 @@ def bifrequency_received_state(p: BiFrequencyParams, probe: str) -> StateFamily:
     if probe not in (PROBE_TMSV, PROBE_COHERENT):
         raise ValueError(f"unknown probe {probe!r}")
 
-    def transform(lam: float) -> g.SymplecticTransform:
-        return g.direct_sum(g.beam_splitter(p.eta1), g.beam_splitter(p.eta1 + lam))
+    reference = g.beam_splitter_matrix(p.eta1)
+
+    def transform(lam: float) -> np.ndarray:
+        return g.block_diag(reference, g.beam_splitter_matrix(p.eta1 + lam))
 
     def dtransform(lam: float) -> np.ndarray:
         if not 0.0 < p.eta1 < 1.0:
@@ -161,7 +174,7 @@ def _qi_quantum_received(eta: float, n_s: float, n_th: float) -> StateFamily:
 
     return _channel_family(
         g.tensor(g.thermal(n_th), probe),
-        lambda e: g.direct_sum(g.beam_splitter(e**2), g.identity_transform(1)),
+        lambda e: g.block_diag(g.beam_splitter_matrix(e**2), np.eye(2)),
         dtransform,
         [1, 2],
         eta,
@@ -177,7 +190,7 @@ def _qi_classical_received(eta: float, n_s: float, n_th: float) -> StateFamily:
     """Received single-mode states over the amplitude reflectivity eta."""
     return _channel_family(
         g.tensor(g.thermal(n_th), g.coherent(np.sqrt(n_s))),
-        lambda e: g.beam_splitter(e**2),
+        lambda e: g.beam_splitter_matrix(e**2),
         g.beam_splitter_amplitude_derivative,
         [1],
         eta,

@@ -6,18 +6,43 @@ solving {L, rho} = 2 drho is the quadratic form
 
     L = dA^dag G dA - Tr[Sigma G] / 2 + 2 dA^dag Sigma^-1 d'   (dA = A - d),
 
-where vec(G) = M^-1 vec(Sigma') with M = conj(Sigma) (x) Sigma - K (x) K and
-K = diag(I_n, -I_n). The QFI is read off the same solved form,
+where G solves Sigma G Sigma - K G K = Sigma' with K = diag(I_n, -I_n), the
+commutator form i Omega in this basis. The equation is solved in the
+Williamson basis of Sigma (Monras, arXiv:1303.3682; Safranek, J. Phys. A 52,
+035304, 2019, arXiv:1801.00299). The eigenvalues lambda_i of the Hermitian
+matrix Sigma^-1/2 K Sigma^-1/2 are +-1/nu_k, nu_k the symplectic eigenvalues,
+and with its eigenvectors V the columns of R = Sigma^-1/2 V give R^dag Sigma R = I
+and R^dag K R = diag(lambda). In that basis the equation is diagonal: with the
+transported derivative Z = R^dag Sigma' R,
 
-    H = vec(Sigma')^dag M^-1 vec(Sigma') / 2 + 2 d'^dag Sigma^-1 d'
-      = Re Tr(Sigma'^dag G) / 2 + Re(d'^dag linear),    linear = 2 Sigma^-1 d',
+    G = R Q R^dag,    Q_ij = Z_ij / (1 - lambda_i lambda_j),
 
-so one solve with M gives both L and H; it is a route independent of
-the symplectic-invariant expression in :mod:`bifrost.qfi`. The observable
+an elementwise quotient by 1 - lambda_i lambda_j = (nu_i nu_j -+ 1) / (nu_i nu_j).
+The QFI and the constant of L are read off the same quotient,
+
+    H = Re Tr(Z Q) / 2 + 2 |R^dag d'|^2,
+    Tr[Sigma G] = Tr[(Sigma - K) G] = sum_i (1 - lambda_i) Q_ii,
+
+where the middle form holds because L has zero mean, Tr[K G] = 0. Taken in
+that form, the constant cancels the round-off of Tr[K G] carried by the
+entries of G, which near a pure state are large beside the observable's
+constant l0.
+
+So one decomposition gives both L and H; it is a route independent of the
+symplectic-invariant expression in :mod:`bifrost.qfi`. The observable
 saturating the Cramer-Rao bound at working point l0 is O = l0 + L / H.
 
+The quotient is singular only where two normal modes are both pure
+(lambda_i lambda_j = 1). Where the family keeps them pure, Z_ij vanishes
+there and the regularised value Q_ij = 0, the limit of the quotient, is
+taken; where Z_ij does not vanish the family changes the purity of a pure
+state, the QFI diverges, and the solve raises DegenerateStateError.
+
 Moments enter in the interleaved real order of :mod:`bifrost.gaussian`; the
-complex basis exists only inside this module.
+complex basis exists only inside this module. A state without x-p
+correlations, as every probe of the repository gives, has a real
+covariance in the complex basis; the solve then runs in real arithmetic and
+its coefficients are exactly real.
 
 For the entangled bi-frequency probe the observable reduces to
 l11 n_1 + l22 n_2 + l12 (a_1^dag a_2^dag + a_1 a_2) + l0; the coefficients are
@@ -29,15 +54,25 @@ mode in the noiseless high-reflectivity limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateStateError, NoInformationError, check_photon_numbers
+from .errors import (
+    DegenerateStateError,
+    NoInformationError,
+    NumericalInstabilityError,
+    check_photon_numbers,
+)
 from .gaussian import GaussianState
-from .qfi import StateFamily
+from .qfi import STATIC_COV_TOL, StateFamily
 
-_SINGULAR_COND = 1e12
 _STRUCTURE_TOL = 1e-7
+# a pair of normal modes counts as pure when 1 - lambda_i lambda_j is below
+# this; round-off leaves a few 1e-16 on a pure state, and the least mixed
+# received state of the domain (eta1 = 1 - 1e-6, n_th = 1e-6) has about 4e-12
+_PURE_TOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,44 +84,42 @@ class ComplexGaussian:
     n_modes: int
 
 
+@cache
 def complex_basis_matrix(n_modes: int) -> np.ndarray:
-    """Unitary W mapping interleaved quadratures to the complex basis."""
+    """Unitary W mapping interleaved quadratures to the complex basis; a
+    shared read-only array."""
     w = np.zeros((2 * n_modes, 2 * n_modes), dtype=complex)
     for k in range(n_modes):
         w[k, 2 * k] = 1.0 / np.sqrt(2.0)
         w[k, 2 * k + 1] = 1j / np.sqrt(2.0)
         w[n_modes + k, 2 * k] = 1.0 / np.sqrt(2.0)
         w[n_modes + k, 2 * k + 1] = -1j / np.sqrt(2.0)
+    w.setflags(write=False)
     return w
 
 
 def to_complex(state: GaussianState) -> ComplexGaussian:
     """Convert a real interleaved state to the complex basis: W cov W^dag, W disp."""
-    w = complex_basis_matrix(state.n_modes)
-    return ComplexGaussian(w @ state.cov @ w.conj().T, w @ state.disp, state.n_modes)
+    return ComplexGaussian(
+        _in_complex_basis(state.cov).astype(complex),
+        _in_complex_basis(state.disp).astype(complex),
+        state.n_modes,
+    )
 
 
-def _k_matrix(n_modes: int) -> np.ndarray:
-    return np.diag([1.0] * n_modes + [-1.0] * n_modes).astype(complex)
-
-
-def _sld_superoperator(cov_c: np.ndarray, n_modes: int) -> np.ndarray:
-    k = _k_matrix(n_modes)
-    return np.kron(cov_c.conj(), cov_c) - np.kron(k, k)
-
-
-def _solve_quad_form(cov_c, dcov, n_modes) -> np.ndarray:
-    """vec(G) = M^-1 vec(dSigma), returned as the Hermitian part of G."""
-    m = _sld_superoperator(cov_c, n_modes)
-    cond = np.linalg.cond(m)
-    if cond > _SINGULAR_COND:
-        raise DegenerateStateError(
-            f"logarithmic-derivative superoperator is ill-conditioned: "
-            f"cond(M) = {cond:.3e} > {_SINGULAR_COND:.0e}"
-        )
-    vec = np.linalg.solve(m, dcov.flatten(order="F"))
-    quad = vec.reshape((2 * n_modes, 2 * n_modes), order="F")
-    return 0.5 * (quad + quad.conj().T)
+def _in_complex_basis(m: np.ndarray) -> np.ndarray:
+    """W m W^dag for a real matrix m, or W m for a real vector, computed in
+    real arithmetic from W = W_re + i W_im. The result is a real array when its
+    imaginary part is exactly 0: for a matrix without x-p correlations every
+    term of that part is a product with an exact zero."""
+    w = complex_basis_matrix(m.shape[0] // 2)
+    w_re, w_im = w.real, w.imag
+    if m.ndim == 1:
+        re, im = w_re @ m, w_im @ m
+    else:
+        a, b = w_re @ m, w_im @ m
+        re, im = a @ w_re.T + b @ w_im.T, b @ w_re.T - a @ w_im.T
+    return re + 1j * im if im.any() else re
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,32 +136,93 @@ class SldForm:
     center: np.ndarray
 
 
-def _solved_form(family: StateFamily) -> tuple[SldForm, float]:
-    """The logarithmic derivative of a family and the QFI read off it,
-    H = Re Tr(dSigma^dag G) / 2 + Re(dd^dag linear) (module docstring).
+class _Solution(NamedTuple):
+    """The Williamson-basis solve of a family at its working point: the
+    eigenvalues lambda_i = +-1/nu_k, R, the quotient Q, the transported
+    derivative Z, R^dag dd_c and the displacement in the complex basis
+    (module docstring)."""
+
+    lam: np.ndarray
+    r: np.ndarray
+    q: np.ndarray
+    z: np.ndarray
+    proj: np.ndarray
+    center: np.ndarray
+
+    def qfi(self) -> float:
+        """H = Re Tr(Z Q) / 2 + 2 |R^dag dd_c|^2."""
+        return 0.5 * float(np.vdot(self.z, self.q).real) + 2.0 * float(
+            np.vdot(self.proj, self.proj).real
+        )
+
+    def form(self) -> SldForm:
+        """The logarithmic derivative: G = R Q R^dag, linear = 2 R R^dag dd_c
+        and scalar = -Tr(Sigma G) / 2 = -sum_i (1 - lambda_i) Q_ii / 2."""
+        quad = self.r @ self.q @ self.r.conj().T
+        quad = 0.5 * (quad + quad.conj().T)
+        return SldForm(
+            quad=quad.astype(complex),
+            linear=(2.0 * (self.r @ self.proj)).astype(complex),
+            scalar=-0.5 * float(np.sum((1.0 - self.lam) * np.diagonal(self.q)).real),
+            center=self.center,
+        )
+
+
+def _solve(family: StateFamily) -> _Solution:
+    """Solve Sigma G Sigma - K G K = dSigma in the Williamson basis of Sigma.
 
     The real moment derivatives map to the complex basis by the same unitary
     W as the moments: dSigma_c = W dSigma W^dag and dd_c = W dd.
     """
     state, dcov, ddisp = family.derivative()
-    c0 = to_complex(state)
-    w = complex_basis_matrix(c0.n_modes)
-    dcov_c, ddisp_c = w @ dcov @ w.conj().T, w @ ddisp
-    quad = _solve_quad_form(c0.cov_c, dcov_c, c0.n_modes)
-    linear = 2.0 * np.linalg.solve(c0.cov_c, ddisp_c)
-    scalar = -0.5 * float(np.trace(c0.cov_c @ quad).real)
-    h = 0.5 * float(np.vdot(dcov_c, quad).real) + float((ddisp_c.conj() @ linear).real)
-    return SldForm(quad=quad, linear=linear, scalar=scalar, center=c0.disp_c), h
+    n = state.n_modes
+    cov_c = _in_complex_basis(state.cov)
+
+    ev, u = np.linalg.eigh(cov_c)
+    if not ev[0] > 0.0:
+        raise NumericalInstabilityError(
+            f"covariance has eigenvalue {ev[0]:.3e}; the state is unphysical"
+        )
+    inv_half = (u / np.sqrt(ev)) @ u.conj().T
+    k_inv_half = inv_half.copy()
+    k_inv_half[n:] *= -1.0
+    lam, v = np.linalg.eigh(inv_half @ k_inv_half)
+    r = inv_half @ v
+    rh = r.conj().T
+    z = rh @ _in_complex_basis(dcov) @ r
+    den = 1.0 - lam[:, None] * lam
+    pure = den <= _PURE_TOL
+    if pure.any():
+        stray = float(np.max(np.abs(z[pure])))
+        if stray > STATIC_COV_TOL:
+            raise DegenerateStateError(
+                f"a pure normal mode changes its purity: transported covariance "
+                f"derivative {stray:.3e} where 1 - lambda_i lambda_j <= {_PURE_TOL:.0e}; "
+                "the logarithmic derivative does not exist"
+            )
+        den = np.where(pure, np.inf, den)
+    return _Solution(
+        lam=lam,
+        r=r,
+        q=z / den,
+        z=z,
+        proj=rh @ _in_complex_basis(ddisp),
+        center=_in_complex_basis(state.disp).astype(complex),
+    )
 
 
 def sld(family: StateFamily) -> SldForm:
-    """Logarithmic derivative of a Gaussian family at its working point."""
-    return _solved_form(family)[0]
+    """Logarithmic derivative of a Gaussian family at its working point.
+
+    Raises DegenerateStateError where the family changes the purity of a pure
+    normal mode, and ValueError where the family has no tangent.
+    """
+    return _solve(family).form()
 
 
 def qfi_complex_form(family: StateFamily) -> float:
-    """QFI from the complex-basis superoperator; valid for any mode count."""
-    return _solved_form(family)[1]
+    """QFI from the Williamson-basis solve; valid for any mode count."""
+    return _solve(family).qfi()
 
 
 @dataclass(frozen=True)
@@ -170,10 +264,11 @@ def _coefficients_from_form(form: SldForm) -> SldCoefficients:
 
 def optimal_observable(family: StateFamily) -> SldCoefficients:
     """Coefficients of the Cramer-Rao-saturating observable L/H at lambda0 = 0."""
-    form, h = _solved_form(family)
+    solution = _solve(family)
+    h = solution.qfi()
     if h <= 0.0 or not np.isfinite(h):
         raise NoInformationError(f"QFI is {h}; cannot normalise the observable")
-    raw = _coefficients_from_form(form)
+    raw = _coefficients_from_form(solution.form())
     return SldCoefficients(raw.l11 / h, raw.l22 / h, raw.l12 / h, raw.l0 / h)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bifrost as bf
+import tangent_reference
 from bifrost.protocols import (
     BiFrequencyParams,
     bifrequency_advantage,
@@ -145,6 +146,44 @@ def test_qi_numeric_pipeline_is_three_modes():
     state = _qi_quantum_received(1e-4, 0.5, 2.0).eval(1e-4)
     assert state.n_modes == 2  # received pair after tracing the loss mode
     assert np.isclose(state.cov[2, 2], 2.0 * 0.5 + 1.0, rtol=1e-10)
+
+
+def _arrays(tangent):
+    state, dcov, ddisp = tangent
+    return [state.cov, state.disp, dcov, ddisp]
+
+
+def _assert_same_bits(arrays, reference):
+    for a, b in zip(arrays, reference, strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_channel_family_tangents_match_reference_composition():
+    """Every channel family's tangent, and the bi-frequency family's eval,
+    equal bit for bit the composition of checked parts in
+    ``tangent_reference``, over the domain and off the working point."""
+    from bifrost.protocols import _qi_classical_received, _qi_quantum_received
+
+    rng = np.random.default_rng(2015)
+    for _ in range(60):
+        eta1 = float(rng.uniform(1e-6, 1.0 - 1e-6))
+        n_s, n_th = (float(v) for v in np.exp(rng.uniform(np.log(1e-6), np.log(1e6), 2)))
+        lam = float(rng.choice([0.0, rng.uniform(-eta1, 1.0 - eta1)]))
+        for probe in ("tmsv", "coherent"):
+            family = bifrequency_received_state(BiFrequencyParams(eta1, lam, n_s, n_th), probe)
+            reference = tangent_reference.bifrequency_tangent(eta1, lam, n_s, n_th, probe)
+            _assert_same_bits(_arrays(family.derivative()), _arrays(reference))
+            state = family.eval(lam)
+            _assert_same_bits([state.cov, state.disp], _arrays(reference)[:2])
+        amp = float(rng.uniform(0.0, 1.0))
+        _assert_same_bits(
+            _arrays(_qi_quantum_received(amp, n_s, n_th).derivative()),
+            _arrays(tangent_reference.qi_quantum_tangent(amp, n_s, n_th)),
+        )
+        _assert_same_bits(
+            _arrays(_qi_classical_received(amp, n_s, n_th).derivative()),
+            _arrays(tangent_reference.qi_classical_tangent(amp, n_s, n_th)),
+        )
 
 
 # --- thermal occupation approximation --------------------------------------

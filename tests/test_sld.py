@@ -6,7 +6,9 @@ import pytest
 import bifrost as bf
 from bifrost.errors import DegenerateStateError, NoInformationError
 from bifrost.protocols import BiFrequencyParams, bifrequency_received_state
+from bifrost.qfi import StateFamily
 from bifrost.sld import complex_basis_matrix, sld
+from bifrost.validate import ORACLE_CONFIGS
 from family_difference import difference_family
 
 
@@ -81,7 +83,9 @@ def test_sld_zero_mean_gaussian():
 
 
 def test_optimal_observable_zero_mean():
-    for eta1, n_s, n_th in [(0.75, 1.0, 1.0), (0.4, 0.3, 2.0)]:
+    """<O> = 0, also near a pure state, where the entries of the form are
+    large beside its constant."""
+    for eta1, n_s, n_th in [(0.75, 1.0, 1.0), (0.4, 0.3, 2.0), (0.82, 1.4e-6, 1.2e-6)]:
         family = tmsv_family(eta1, n_s, n_th)
         coeffs = bf.optimal_observable(family)
         state = family.eval(0.0)
@@ -159,13 +163,72 @@ def test_qfi_complex_form_agrees_with_symplectic_route():
         )
 
 
-def test_ill_conditioned_superoperator_reports_its_condition_number():
-    """A strongly mixed received state whose superoperator is too
-    ill-conditioned to solve: the error names cond(M), not purity."""
-    family = tmsv_family(0.807, 7.1e5, 3.7e-3)
+def test_large_signal_mixed_state_matches_closed_forms():
+    """A strongly mixed received state at large signal and small noise, where
+    a dense solve of the superoperator conj(Sigma) (x) Sigma - K (x) K is
+    ill-conditioned (cond 5.7e14): the QFI and the observable match the
+    closed forms, the observable at the benchmark's tolerance."""
+    eta1, n_s, n_th = 0.807, 7.1e5, 3.7e-3
+    family = tmsv_family(eta1, n_s, n_th)
     assert min(bf.symplectic_eigenvalues(family.eval(0.0))) > 100.0
-    with pytest.raises(DegenerateStateError, match=r"cond\(M\) = \d\.\d+e\+\d+"):
-        bf.qfi_complex_form(family)
+    h_q = bf.hq_closed_form(eta1, n_s, n_th)
+    assert abs(bf.qfi_complex_form(family) - h_q) / h_q < 1e-6
+    num = bf.optimal_observable(family)
+    closed = bf.sld_coeffs_closed_form(eta1, n_s, n_th)
+    for a, b in zip(num.as_tuple(), closed.as_tuple()):
+        assert abs(a - b) <= 1e-6 * max(abs(b), 1e-3)
+
+
+def test_noiseless_coherent_probe_is_pure_and_informative():
+    """With no thermal photons the coherent probe's received state is pure and
+    its covariance constant: the pure normal modes take the regularised
+    value and the displacement carries the whole QFI, n_s / eta1 = 2."""
+    assert bf.hc_closed_form(0.5, 1.0, 0.0) == 2.0
+    family = coherent_family(0.5, 1.0, 0.0)
+    assert abs(bf.qfi_complex_form(family) - 2.0) < 1e-12
+    form = sld(family)
+    assert np.max(np.abs(form.quad)) < 1e-12
+    assert np.allclose(form.linear, np.sqrt(2.0) * np.array([0.0, 1.0, 0.0, 1.0]))
+
+
+def test_pure_family_keeping_its_purity_has_the_pure_state_qfi():
+    """A two-mode squeezed vacuum over its squeezing r stays pure while its
+    covariance varies; the regularised solve gives the pure-state QFI
+    Tr[(Sigma^-1 Sigma')^2] / 4 = 4."""
+    def tangent(r):
+        c, s = np.cosh(2.0 * r), np.sinh(2.0 * r)
+        dcov = 2.0 * np.array([[s, 0, c, 0], [0, s, 0, -c], [c, 0, s, 0], [0, -c, 0, s]])
+        return bf.two_mode_squeezed(r), dcov, np.zeros(4)
+
+    family = StateFamily(eval=bf.two_mode_squeezed, tangent=tangent, lambda0=0.7)
+    state, dcov, _ = family.derivative()
+    x = np.linalg.solve(state.cov, dcov)
+    assert np.isclose(0.25 * np.trace(x @ x), 4.0, rtol=1e-12)
+    assert np.isclose(bf.qfi_complex_form(family), 4.0, rtol=1e-12)
+
+
+def test_pure_state_changing_its_purity_raises():
+    """The vacuum as the end of the thermal family n_th = l: pure at l = 0 with
+    a covariance derivative 2 I that mixes it, where the QFI diverges. Every
+    kernel reading the solve raises the documented error, never NaN."""
+    family = StateFamily(
+        eval=bf.thermal,
+        tangent=lambda lam: (bf.thermal(lam), 2.0 * np.eye(2), np.zeros(2)),
+        lambda0=0.0,
+    )
+    for kernel in (bf.qfi_complex_form, sld):
+        with pytest.raises(DegenerateStateError, match="purity"):
+            kernel(family)
+
+
+@pytest.mark.parametrize("eta1, n_s, n_th", ORACLE_CONFIGS)
+def test_sld_coefficients_are_exactly_real(eta1, n_s, n_th):
+    """Every probe's form has coefficients with imaginary parts exactly 0, so
+    the Fock oracle builds its operator in real arithmetic."""
+    for family in (tmsv_family(eta1, n_s, n_th), coherent_family(eta1, n_s, n_th)):
+        form = sld(family)
+        for coefficient in (form.quad, form.linear, form.center, form.scalar):
+            assert not np.any(np.imag(coefficient))
 
 
 # --- coherent-probe observable ----------------------------------------------
