@@ -12,7 +12,6 @@ from .gaussian import (
     PhysicalityReport,
     SymplecticTransform,
     apply,
-    basis_change,
     beam_splitter,
     check_physical,
     coherent,
@@ -30,16 +29,13 @@ from .gaussian import (
 from .qfi import (
     QfiResult,
     StateFamily,
-    a_matrix,
     hc_closed_form,
     hq_closed_form,
-    qfi_gaussian,
     ratio_high_reflectivity,
     ratio_noisy_limit,
     symplectic_eigenvalues,
 )
 from .sld import (
-    ComplexGaussian,
     CoherentObservable,
     JpaCircuitParams,
     JpaCircuitSolution,
@@ -49,9 +45,9 @@ from .sld import (
     jpa_circuit_solve,
     optimal_observable,
     qfi_complex_form,
+    qfi_result,
     sld,
     sld_coeffs_closed_form,
-    to_complex,
 )
 from .protocols import (
     BiFrequencyParams,

@@ -27,8 +27,8 @@ from .protocols import (
     bifrequency_received_state,
     thermal_equal_occupation,
 )
-from .qfi import hc_closed_form, hq_closed_form, qfi_gaussian
-from .sld import jpa_circuit_solve, optimal_observable, sld_coeffs_closed_form
+from .qfi import hc_closed_form, hq_closed_form
+from .sld import jpa_circuit_solve, optimal_observable, qfi_result, sld_coeffs_closed_form
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -201,7 +201,7 @@ def cmd_qfi(args, parser) -> int:
     try:
         params = _point_params(args, parser)
         family = bifrequency_received_state(params, args.probe)
-        result = qfi_gaussian(family)
+        result = qfi_result(family)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -216,7 +216,6 @@ def cmd_qfi(args, parser) -> int:
                 "nu_plus": result.nu_plus,
                 "nu_minus": result.nu_minus,
                 "term_covariance": result.term_covariance,
-                "term_eigenvalue_correction": result.term_eigenvalue_correction,
                 "term_displacement": result.term_displacement,
             },
             indent=2,

@@ -7,10 +7,7 @@ Conventions, fixed once and used everywhere:
 * the displacement vector holds the quadrature expectation values and the
   covariance matrix the symmetrised centered second moments
   cov_ij = <{R_i - d_i, R_j - d_j}> (anticommutator, no factor 1/2),
-* arrays are always stored in the interleaved order (x1, p1, x2, p2, ...);
-  the blockwise order (x1, ..., xn, p1, ..., pn) of the paper's A = i Omega
-  Sigma appears only inside :func:`bifrost.qfi.a_matrix`, through
-  :func:`basis_change`.
+* arrays are always stored in the interleaved order (x1, p1, x2, p2, ...).
 
 With these choices a thermal mode has covariance (1 + 2 n_th) I, a coherent
 state |alpha> has displacement sqrt(2) (Re alpha, Im alpha), and a beam
@@ -63,19 +60,6 @@ def _mode_pair(diag: float, off: float) -> np.ndarray:
     return np.array(
         [[diag, 0.0, off, 0.0], [0.0, diag, 0.0, off], [-off, 0.0, diag, 0.0], [0.0, -off, 0.0, diag]]
     )
-
-
-def basis_change(n_modes: int) -> np.ndarray:
-    """Permutation matrix mapping interleaved vectors to blockwise ones.
-
-    Row k (k < n) selects x_k and row n + k selects p_k, so for two modes the
-    entries satisfy T_ij = delta_{j+4,2i} + delta_{j,2i-1} in 1-based indices.
-    """
-    t = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        t[k, 2 * k] = 1.0
-        t[n_modes + k, 2 * k + 1] = 1.0
-    return t
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gaussian as g
 from .errors import check_photon_numbers
-from .qfi import StateFamily, hc_closed_form, hq_closed_form, qfi_gaussian
+from .qfi import StateFamily, hc_closed_form, hq_closed_form
 from .sld import qfi_complex_form
 
 PROBE_TMSV = "tmsv"
@@ -145,11 +145,16 @@ def qi_quantum_qfi(n_s: float, n_th: float) -> float:
 
 
 def qi_classical_qfi(eta: float, n_s: float, n_th: float) -> float:
-    """Coherent-probe QFI of quantum illumination at amplitude reflectivity eta."""
+    """Coherent-probe QFI of quantum illumination at amplitude reflectivity eta.
+
+    The target reflects eta^2 in power, as in the numeric family: the received
+    mode is displaced thermal with occupation N = n_th (1 - eta^2), and
+    H = 4 n_s / (1 + 2 N) + N'^2 / (N (N + 1)), N' = -2 eta n_th.
+    """
     if not 0.0 <= eta < 1.0:
         raise ValueError("amplitude reflectivity must lie in [0, 1)")
     check_photon_numbers(n_s, n_th)
-    first = 4.0 * n_s / (1.0 - 2.0 * n_th * (eta - 1.0))
+    first = 4.0 * n_s / (1.0 - 2.0 * n_th * (eta**2 - 1.0))
     if eta == 0.0:
         return first
     second = 4.0 * n_th * eta**2 / ((eta**2 - 1.0) * (n_th * (eta**2 - 1.0) - 1.0))
@@ -183,7 +188,7 @@ def _qi_quantum_received(eta: float, n_s: float, n_th: float) -> StateFamily:
 
 def qi_quantum_qfi_numeric(eta: float, n_s: float, n_th: float) -> float:
     """Entangled-probe QFI from the three-mode pipeline at finite reflectivity."""
-    return qfi_gaussian(_qi_quantum_received(eta, n_s, n_th)).value
+    return qfi_complex_form(_qi_quantum_received(eta, n_s, n_th))
 
 
 def _qi_classical_received(eta: float, n_s: float, n_th: float) -> StateFamily:

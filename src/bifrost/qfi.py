@@ -1,20 +1,23 @@
-"""Quantum Fisher information of two-mode Gaussian state families.
+"""Quantum Fisher information of two-mode Gaussian state families: the
+symplectic-invariant check, the state-family interface and the closed forms.
 
-The numeric pipeline evaluates the mixed-state two-mode QFI of Safranek, Lee
-and Fuentes (New J. Phys. 17, 073016, 2015),
+Every caller in the package reads the QFI from the Williamson-basis solve of
+:mod:`bifrost.sld`. This module keeps the paper's mixed-state two-mode
+expression of Safranek, Lee and Fuentes (New J. Phys. 17, 073016, 2015),
 
     H = [det A * Tr((A^-1 dA)^2) + sqrt(det(1 + A^2)) * Tr(((1 + A^2)^-1 dA)^2) - f]
         / (2 (det A - 1))
       + 2 dd^T Sigma^-1 dd,
 
 where A = i Omega Sigma, d is the displacement and dots denote derivatives
-with respect to the estimated parameter. The QFI needs nothing of the
-family but the moments and their first derivatives (Monras, arXiv:1303.3682;
-Safranek, arXiv:1801.00299), so every family carries its own tangent
-(``StateFamily.tangent``) and a kernel call asks for that tangent once and
-evaluates the family no further. The families of :mod:`bifrost.protocols`
-propagate exact derivatives through their symplectic maps
-(:func:`bifrost.gaussian.propagate`). Everything is computed in real
+with respect to the estimated parameter, as the independent check of that
+solve (:func:`qfi_gaussian`, run by :mod:`bifrost.validate`). The QFI needs
+nothing of the family but the moments and their first derivatives (Monras,
+arXiv:1303.3682; Safranek, arXiv:1801.00299), so every family carries its
+own tangent (``StateFamily.tangent``) and a kernel call asks for that
+tangent once and evaluates the family no further. The families of
+:mod:`bifrost.protocols` propagate exact derivatives through their
+symplectic maps (:func:`bifrost.gaussian.propagate`). Everything is computed in real
 arithmetic through M = Omega Sigma (A = i M, A^2 = -M^2) and the two
 symplectic invariants
 
@@ -37,7 +40,8 @@ apply. The symplectic eigenvalues nu_+- are reported, not used.
 
 Closed forms for the bi-frequency illumination protocol (entangled and
 coherent probes, plus the high-reflectivity and noisy limits of their ratio)
-live alongside so the pipeline and the formulas can cross-check each other.
+live alongside so both numeric routes and the formulas can cross-check each
+other.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalInstabilityError, PureStateError, check_photon_numbers, holds
-from .gaussian import GaussianState, basis_change, omega
+from .gaussian import GaussianState, omega
 
 # det A must exceed 1 by this margin before the mixed-state branch is trusted
 MIXEDNESS_MARGIN = 1e-12
@@ -89,22 +93,15 @@ class StateFamily:
 
 @dataclass(frozen=True)
 class QfiResult:
-    """QFI value with its term-by-term breakdown and symplectic eigenvalues."""
+    """QFI value, its covariance and displacement terms (value is their sum)
+    and the largest and smallest symplectic eigenvalues; both QFI routes
+    fill it."""
 
     value: float
     nu_plus: float
     nu_minus: float
     term_covariance: float
-    term_eigenvalue_correction: float
     term_displacement: float
-
-
-def a_matrix(state: GaussianState) -> np.ndarray:
-    """The paper's A = i Omega Sigma in the blockwise basis: T (i Omega Sigma) T^T."""
-    if state.n_modes != 2:
-        raise ValueError(f"expected a two-mode state, got {state.n_modes} modes")
-    t = basis_change(2)
-    return t @ (1j * omega(2) @ state.cov) @ t.T
 
 
 def _invariants(cov: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -155,13 +152,28 @@ def _invariant_correction(s: float, p: float, ds: float, dp: float, nu_m: float)
 
 
 def qfi_gaussian(family: StateFamily) -> QfiResult:
-    """Quantum Fisher information of a two-mode Gaussian family at ``family.lambda0``.
+    """Quantum Fisher information of a two-mode Gaussian family at
+    ``family.lambda0`` by the symplectic-invariant expression; the check of
+    :func:`bifrost.sld.qfi_result`, which every caller reads.
 
     The moment derivatives are the family's tangent at lambda0 (see
     ``StateFamily.derivative``). The state must be mixed; the only pure case
     accepted is a constant covariance (displacement-only encoding), for which
     the covariance terms vanish identically and the displacement term alone
-    survives.
+    survives. The covariance term includes the eigenvalue correction f.
+
+    Accuracy domain: the expression divides by det A - 1 and by
+    D = p (nu_+^4 - 1)(nu_-^4 - 1), which both vanish as a normal mode
+    approaches purity. Near the vacuum corner (n_s and n_th near 1e-6) f is a
+    cancellation of terms of order 1/D: the coherent probe at
+    (eta1, n_s, n_th) = (0.8053, 2.86e-6, 1e-6) reads 1.1e-4 off its closed
+    form. As eta1 -> 1 with small n_th the nu_- read off the invariants
+    reaches 1 within round-off, and the varying covariance raises
+    PureStateError, as at (0.999999, 1e6, 1e-6) for the coherent probe and
+    at (0.999999, 1e-6, 1e-6) for both. Where both normal modes stay
+    clearly mixed, eta1 in [0.02, 0.99] and photon numbers from 1e-3 to 1e6,
+    it agrees with the solve to 1e-8 (9.1e-9 at worst over 1,000 seeded
+    points of that box).
     """
     state, dcov, ddisp = family.derivative()
     if state.n_modes != 2:
@@ -178,7 +190,6 @@ def qfi_gaussian(family: StateFamily) -> QfiResult:
                 "covariance; only mixed states are supported"
             )
         term_cov = 0.0
-        term_eig = 0.0
     else:
         dm = omega(2) @ dcov
         inv_dcov = np.linalg.solve(cov, dcov)
@@ -189,14 +200,13 @@ def qfi_gaussian(family: StateFamily) -> QfiResult:
         dp = p * float(np.trace(inv_dcov))
         denom = 2.0 * (p - 1.0)
         term_cov = (p * tr1 + (1.0 + s + p) * tr2) / denom
-        term_eig = -_invariant_correction(s, p, ds, dp, nu_m) / denom
+        term_cov -= _invariant_correction(s, p, ds, dp, nu_m) / denom
 
     return QfiResult(
-        value=term_cov + term_eig + term_disp,
+        value=term_cov + term_disp,
         nu_plus=nu_p,
         nu_minus=nu_m,
         term_covariance=term_cov,
-        term_eigenvalue_correction=term_eig,
         term_displacement=term_disp,
     )
 

@@ -28,9 +28,11 @@ that form, the constant cancels the round-off of Tr[K G] carried by the
 entries of G, which near a pure state are large beside the observable's
 constant l0.
 
-So one decomposition gives both L and H; it is a route independent of the
-symplectic-invariant expression in :mod:`bifrost.qfi`. The observable
-saturating the Cramer-Rao bound at working point l0 is O = l0 + L / H.
+So one decomposition gives both L and H, with nu_k = 1 / |lambda_i|. It is
+the QFI route every caller reads (:func:`qfi_result`); the
+symplectic-invariant expression of :mod:`bifrost.qfi` is kept as its
+independent check. The observable saturating the Cramer-Rao bound at
+working point l0 is O = l0 + L / H.
 
 The quotient is singular only where two normal modes are both pure
 (lambda_i lambda_j = 1). Where the family keeps them pure, Z_ij vanishes
@@ -59,29 +61,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateStateError,
-    NoInformationError,
-    NumericalInstabilityError,
-    check_photon_numbers,
-)
-from .gaussian import GaussianState
-from .qfi import STATIC_COV_TOL, StateFamily
+from .errors import DegenerateStateError, NoInformationError, NumericalInstabilityError
+from .qfi import STATIC_COV_TOL, QfiResult, StateFamily, _check_domain
 
 _STRUCTURE_TOL = 1e-7
 # a pair of normal modes counts as pure when 1 - lambda_i lambda_j is below
 # this; round-off leaves a few 1e-16 on a pure state, and the least mixed
 # received state of the domain (eta1 = 1 - 1e-6, n_th = 1e-6) has about 4e-12
 _PURE_TOL = 1e-13
-
-
-@dataclass(frozen=True, eq=False)
-class ComplexGaussian:
-    """Gaussian moments in the complex basis (a_1..a_n, a_1^dag..a_n^dag)."""
-
-    cov_c: np.ndarray
-    disp_c: np.ndarray
-    n_modes: int
 
 
 @cache
@@ -96,15 +83,6 @@ def complex_basis_matrix(n_modes: int) -> np.ndarray:
         w[n_modes + k, 2 * k + 1] = -1j / np.sqrt(2.0)
     w.setflags(write=False)
     return w
-
-
-def to_complex(state: GaussianState) -> ComplexGaussian:
-    """Convert a real interleaved state to the complex basis: W cov W^dag, W disp."""
-    return ComplexGaussian(
-        _in_complex_basis(state.cov).astype(complex),
-        _in_complex_basis(state.disp).astype(complex),
-        state.n_modes,
-    )
 
 
 def _in_complex_basis(m: np.ndarray) -> np.ndarray:
@@ -149,10 +127,18 @@ class _Solution(NamedTuple):
     proj: np.ndarray
     center: np.ndarray
 
-    def qfi(self) -> float:
-        """H = Re Tr(Z Q) / 2 + 2 |R^dag dd_c|^2."""
-        return 0.5 * float(np.vdot(self.z, self.q).real) + 2.0 * float(
-            np.vdot(self.proj, self.proj).real
+    def result(self) -> QfiResult:
+        """H = Re Tr(Z Q) / 2 + 2 |R^dag dd_c|^2, term by term, with the
+        symplectic eigenvalues nu = 1 / |lambda|."""
+        term_cov = 0.5 * float(np.vdot(self.z, self.q).real)
+        term_disp = 2.0 * float(np.vdot(self.proj, self.proj).real)
+        abs_lam = np.abs(self.lam)
+        return QfiResult(
+            value=term_cov + term_disp,
+            nu_plus=1.0 / float(abs_lam.min()),
+            nu_minus=1.0 / float(abs_lam.max()),
+            term_covariance=term_cov,
+            term_displacement=term_disp,
         )
 
     def form(self) -> SldForm:
@@ -220,9 +206,15 @@ def sld(family: StateFamily) -> SldForm:
     return _solve(family).form()
 
 
+def qfi_result(family: StateFamily) -> QfiResult:
+    """QFI of a Gaussian family at its working point, with its terms and
+    symplectic eigenvalues, from the Williamson-basis solve; any mode count."""
+    return _solve(family).result()
+
+
 def qfi_complex_form(family: StateFamily) -> float:
-    """QFI from the Williamson-basis solve; valid for any mode count."""
-    return _solve(family).qfi()
+    """The value of :func:`qfi_result`."""
+    return qfi_result(family).value
 
 
 @dataclass(frozen=True)
@@ -265,7 +257,7 @@ def _coefficients_from_form(form: SldForm) -> SldCoefficients:
 def optimal_observable(family: StateFamily) -> SldCoefficients:
     """Coefficients of the Cramer-Rao-saturating observable L/H at lambda0 = 0."""
     solution = _solve(family)
-    h = solution.qfi()
+    h = solution.result().value
     if h <= 0.0 or not np.isfinite(h):
         raise NoInformationError(f"QFI is {h}; cannot normalise the observable")
     raw = _coefficients_from_form(solution.form())
@@ -279,9 +271,7 @@ def sld_coeffs_closed_form(eta1: float, n_s: float, n_th: float) -> SldCoefficie
     the constant is fixed by the zero-mean condition at the working point,
     <O> = 0, which any normalised logarithmic derivative satisfies exactly.
     """
-    if not 0.0 < eta1 < 1.0:
-        raise ValueError(f"reference reflectivity must lie strictly in (0, 1), got {eta1}")
-    check_photon_numbers(n_s, n_th)
+    _check_domain(eta1, n_s, n_th)
     e, s, t = eta1, n_s, n_th
     a = 8.0 * (e - 1.0) * e * s**3 * (2.0 * t + 1.0)
     b = 4.0 * s**2 * (
@@ -330,9 +320,10 @@ class CoherentObservable:
 
 
 def coherent_observable(eta1: float, n_th: float, alpha: float) -> CoherentObservable:
-    """Optimal observable for the coherent probe: local displacement plus counting."""
-    if not 0.0 < eta1 < 1.0:
-        raise ValueError(f"reference reflectivity must lie strictly in (0, 1), got {eta1}")
+    """Optimal observable for the coherent probe: local displacement plus
+    counting. ``n_th`` and ``alpha``, which enters as sqrt(alpha), take the
+    photon-number check."""
+    _check_domain(eta1, n_th, alpha)
     prefactor = 0.5 * (eta1 - 1.0) * (1.0 - n_th * (eta1 - 1.0))
     return CoherentObservable(prefactor=prefactor, center=eta1 * np.sqrt(alpha))
 

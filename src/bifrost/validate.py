@@ -21,7 +21,7 @@ from .protocols import (
     qi_ratio,
 )
 from .qfi import hc_closed_form, hq_closed_form, qfi_gaussian
-from .sld import SldForm, sld
+from .sld import SldForm, _solve, qfi_complex_form
 
 ORACLE_CONFIGS = [
     (eta1, n_s, n_th)
@@ -57,9 +57,9 @@ def oracle_equivalence_checks(
         for eta1, n_s, n_th in configs:
             family = fock.bifrequency_fock_family(eta1, n_s, n_th, probe, cutoff)
             h_fock = fock.qfi_eq1(family)
-            gauss = qfi_gaussian(
+            gauss = qfi_complex_form(
                 bifrequency_received_state(BiFrequencyParams(eta1, 0.0, n_s, n_th), probe)
-            ).value
+            )
             rel = abs(h_fock - gauss) / abs(gauss)
             checks.append(
                 Check(f"oracle {probe} eta1={eta1} n_s={n_s} n_th={n_th}", rel, 1e-3)
@@ -105,18 +105,18 @@ def sld_fock_report(
 ) -> dict:
     """Anticommutator residual, mean and variance of the SLD on the oracle.
 
-    Everything is read off the one dense product ell rho: the anticommutator
-    is ell rho + (ell rho)^dag, the mean Tr(ell rho) and the second moment
+    The form and its QFI come from one Williamson-basis solve; the rest is
+    read off the one dense product ell rho: the anticommutator is
+    ell rho + (ell rho)^dag, the mean Tr(ell rho) and the second moment
     Tr(ell rho ell), the sum of (ell rho) * ell^T over the nonzero entries
     of the sparse ell. The SLD form of every probe has real coefficients
     and every received state is real, so ell, ell rho and the residual are
     real matrices, made and summed in real arithmetic; a complex form or
     state takes the same steps in complex arithmetic.
     """
-    gauss_family = bifrequency_received_state(BiFrequencyParams(eta1, 0.0, n_s, n_th), probe)
-    form = sld(gauss_family)
-    h = qfi_gaussian(gauss_family).value
-    ell = fock_sld_operator(form, cutoff).tocoo()
+    solution = _solve(bifrequency_received_state(BiFrequencyParams(eta1, 0.0, n_s, n_th), probe))
+    h = solution.result().value
+    ell = fock_sld_operator(solution.form(), cutoff).tocoo()
 
     rho, drho = fock.family_derivative(
         fock.bifrequency_fock_family(eta1, n_s, n_th, probe, cutoff)
@@ -178,7 +178,7 @@ def qi_regression_checks() -> list[Check]:
                 Check(
                     f"qi classical pipeline n_s={n_s} n_th={n_th}",
                     abs(hc_num - hc_closed) / hc_closed,
-                    1e-4,
+                    1e-9,
                 )
             )
     checks.append(
@@ -191,27 +191,27 @@ def qi_regression_checks() -> list[Check]:
 
 
 def closed_form_checks() -> list[Check]:
-    """Numeric two-mode QFI against the protocol closed forms on a small grid."""
+    """Both numeric two-mode QFI routes, the Williamson solve every caller
+    reads and the symplectic-invariant check, against the protocol closed
+    forms on a small grid inside the check's accuracy domain."""
+    routes = (("williamson", qfi_complex_form), ("invariant", lambda f: qfi_gaussian(f).value))
     checks = []
     for eta1 in (0.3, 0.7):
         for n_s, n_th in ((0.5, 0.2), (1.0, 1.0)):
             p = BiFrequencyParams(eta1, 0.0, n_s, n_th)
-            hq = qfi_gaussian(bifrequency_received_state(p, "tmsv")).value
-            hc = qfi_gaussian(bifrequency_received_state(p, "coherent")).value
-            checks.append(
-                Check(
-                    f"closed-form quantum eta1={eta1} n_s={n_s} n_th={n_th}",
-                    abs(hq - hq_closed_form(eta1, n_s, n_th)) / hq,
-                    1e-6,
-                )
-            )
-            checks.append(
-                Check(
-                    f"closed-form coherent eta1={eta1} n_s={n_s} n_th={n_th}",
-                    abs(hc - hc_closed_form(eta1, n_s, n_th)) / hc,
-                    1e-6,
-                )
-            )
+            for probe, label, closed in (
+                ("tmsv", "quantum", hq_closed_form), ("coherent", "coherent", hc_closed_form)
+            ):
+                ref = closed(eta1, n_s, n_th)
+                for route, kernel in routes:
+                    h = kernel(bifrequency_received_state(p, probe))
+                    checks.append(
+                        Check(
+                            f"closed-form {label} {route} eta1={eta1} n_s={n_s} n_th={n_th}",
+                            abs(h - ref) / h,
+                            1e-6,
+                        )
+                    )
     return checks
 
 

@@ -22,7 +22,10 @@ from bifrost.protocols import (
     qi_ratio,
     thermal_equal_occupation,
 )
+from bifrost.qfi import qfi_gaussian
 
+# the Williamson solve every caller reads, and the symplectic-invariant check
+QFI_ROUTES = (bf.qfi_complex_form, lambda family: qfi_gaussian(family).value)
 GRID_ETA = (0.1, 0.3, 0.5, 0.7, 0.9)
 GRID_NS = (0.1, 1.0, 5.0)
 GRID_NTH = (0.0, 0.5, 5.0)
@@ -46,13 +49,14 @@ def test_criterion_1_closed_form_consistency():
         for n_s in GRID_NS:
             for n_th in GRID_NTH:
                 p = BiFrequencyParams(eta1, 0.0, n_s, n_th)
-                hq = bf.qfi_gaussian(bifrequency_received_state(p, "tmsv")).value
-                hc = bf.qfi_gaussian(bifrequency_received_state(p, "coherent")).value
-                worst = max(
-                    worst,
-                    abs(hq - bf.hq_closed_form(eta1, n_s, n_th)) / hq,
-                    abs(hc - bf.hc_closed_form(eta1, n_s, n_th)) / hc,
-                )
+                for kernel in QFI_ROUTES:
+                    hq = kernel(bifrequency_received_state(p, "tmsv"))
+                    hc = kernel(bifrequency_received_state(p, "coherent"))
+                    worst = max(
+                        worst,
+                        abs(hq - bf.hq_closed_form(eta1, n_s, n_th)) / hq,
+                        abs(hc - bf.hc_closed_form(eta1, n_s, n_th)) / hc,
+                    )
     elapsed = time.perf_counter() - start
     print(f"criterion 1: max relative deviation {worst:.3e}, runtime {elapsed:.2f}s")
     verdict(1, "closed-form consistency", worst <= 1e-6 and elapsed < 1.0)
@@ -65,10 +69,10 @@ def test_criterion_2_fock_oracle_equivalence():
         for eta1, n_s, n_th in ORACLE_SET:
             family = fock.bifrequency_fock_family(eta1, n_s, n_th, probe, 30)
             h_fock = fock.qfi_eq1(family)
-            gauss = bf.qfi_gaussian(
-                bifrequency_received_state(BiFrequencyParams(eta1, 0.0, n_s, n_th), probe)
-            ).value
-            worst = max(worst, abs(h_fock - gauss) / gauss)
+            gauss_family = bifrequency_received_state(BiFrequencyParams(eta1, 0.0, n_s, n_th), probe)
+            for kernel in QFI_ROUTES:
+                gauss = kernel(gauss_family)
+                worst = max(worst, abs(h_fock - gauss) / gauss)
     elapsed = time.perf_counter() - start
     print(f"criterion 2: max relative deviation {worst:.3e}, runtime {elapsed:.1f}s")
     verdict(2, "Fock-oracle equivalence", worst <= 1e-3 and elapsed < 120.0)

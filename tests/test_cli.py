@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from bifrost.protocols import BiFrequencyParams, bifrequency_advantage
+import bifrost as bf
+from bifrost.protocols import BiFrequencyParams, bifrequency_advantage, bifrequency_received_state
 
 CLI = [sys.executable, "-m", "bifrost.cli"]
 
@@ -194,12 +195,73 @@ def test_qfi_point_output():
                      "--probe", "tmsv")
     assert result.returncode == 0
     payload = json.loads(result.stdout)
-    total = (
-        payload["term_covariance"]
-        + payload["term_eigenvalue_correction"]
-        + payload["term_displacement"]
-    )
+    assert list(payload) == [
+        "eta1", "n_s", "n_th", "probe", "value", "nu_plus", "nu_minus",
+        "term_covariance", "term_displacement",
+    ]
+    total = payload["term_covariance"] + payload["term_displacement"]
     assert np.isclose(payload["value"], total, rtol=1e-10)
+
+
+# the edge points of the domain where the symplectic-invariant route loses
+# digits or raises, and the corners (eta1 = 1 - 1e-6, n_th = 1e-6) where the
+# stored moments themselves cannot resolve 1e-9
+QFI_EDGE_POINTS = [
+    ((0.8053, 2.86e-6, 1e-6), "coherent"),
+    ((0.5, 1e-6, 1e-6), "tmsv"),
+    ((0.999999, 1.0, 1.0), "tmsv"),
+    ((0.999999, 1.0, 1.0), "coherent"),
+    ((0.999999, 1e6, 1e-6), "coherent"),
+]
+QFI_STORED_MOMENT_CORNERS = [
+    ((0.999999, 1e6, 1e-6), "tmsv"),
+    ((0.999999, 1e-6, 1e-6), "tmsv"),
+    ((0.999999, 1e-6, 1e-6), "coherent"),
+]
+
+
+@pytest.mark.parametrize(
+    "point, probe, corner",
+    [
+        pytest.param(point, probe, corner, id="-".join([probe, *map(repr, point)]))
+        for points, corner in ((QFI_EDGE_POINTS, False), (QFI_STORED_MOMENT_CORNERS, True))
+        for point, probe in points
+    ],
+)
+def test_qfi_at_domain_edges(point, probe, corner, capsys):
+    """`bifrost qfi` exits 0 at the edge points within 1e-9 of the 50-digit
+    closed forms; at the stored-moment corners within 1e-6 plus 8 times the
+    rounding bound of those moments."""
+    from bifrost import cli
+    from closed_form_reference import mp_closed_form, rounding_bound
+
+    eta1, n_s, n_th = point
+    argv = ["qfi", "--eta1", repr(eta1), "--ns", repr(n_s), "--nth", repr(n_th), "--probe", probe]
+    assert cli.main(argv) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    closed = bf.hq_closed_form if probe == "tmsv" else bf.hc_closed_form
+    ref = mp_closed_form(closed, eta1, n_s, n_th)
+    tol = 1e-9
+    if corner:
+        family = bifrequency_received_state(BiFrequencyParams(eta1, 0.0, n_s, n_th), probe)
+        tol = 1e-6 + 8.0 * rounding_bound(family)
+    assert float(abs(value - ref) / ref) < tol, (value, ref, tol)
+
+
+def test_qfi_symplectic_eigenvalues_at_a_symmetric_point(capsys):
+    """At zero gap both received modes of the entangled probe see the same
+    channel, so nu_plus = nu_minus = sqrt((a - c)(a + c)) from the covariance
+    entries a = Sigma_11 and c = Sigma_13, up to a few ulps."""
+    from bifrost import cli
+
+    assert cli.main(["qfi", "--eta1", "0.75", "--ns", "1", "--nth", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    cov = bifrequency_received_state(BiFrequencyParams(0.75, 0.0, 1.0, 1.0), "tmsv").eval(0.0).cov
+    a, c = cov[0, 0], cov[0, 2]
+    nu = np.sqrt((a - c) * (a + c))
+    assert payload["nu_plus"] == pytest.approx(payload["nu_minus"], rel=1e-14, abs=0.0)
+    assert payload["nu_plus"] == pytest.approx(nu, rel=1e-14, abs=0.0)
+    assert payload["nu_minus"] == pytest.approx(nu, rel=1e-14, abs=0.0)
 
 
 def test_qfi_domain_error_exit_code():
@@ -261,7 +323,7 @@ def test_qfi_where_discriminant_rounds_negative_exits_zero():
     assert json.loads(result.stdout)["value"] > 0.0
 
 
-@pytest.mark.parametrize("command, kernel", [("qfi", "qfi_gaussian"), ("sld", "optimal_observable")])
+@pytest.mark.parametrize("command, kernel", [("qfi", "qfi_result"), ("sld", "optimal_observable")])
 def test_numerical_instability_is_an_error_line(command, kernel, monkeypatch, capsys):
     from bifrost import cli
     from bifrost.errors import NumericalInstabilityError

@@ -1,9 +1,10 @@
 """QFI engine: symplectic eigenvalues, the numeric pipeline and closed forms."""
 
 import dataclasses
+import pathlib
+import re
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,7 +19,9 @@ from bifrost.protocols import (
     bifrequency_received_state,
     qi_classical_qfi_numeric,
 )
-from bifrost.sld import complex_basis_matrix, sld
+from bifrost.qfi import qfi_gaussian
+from bifrost.sld import sld
+from closed_form_reference import mp_closed_form, rounding_bound
 from family_difference import central_difference, difference_family
 
 SZ = np.diag([1.0, -1.0])
@@ -57,43 +60,22 @@ def coherent_family(eta1, n_s, n_th, lam0=0.0):
     return bifrequency_received_state(BiFrequencyParams(eta1, lam0, n_s, n_th), "coherent")
 
 
-# --- matrix A ---------------------------------------------------------------
+# --- received covariance ----------------------------------------------------
 
-def test_a_matrix_thermal_pair():
-    pair = bf.tensor(bf.thermal(1.0), bf.thermal(1.0))
-    a = bf.a_matrix(pair)
-    expected = 1j * np.block(
-        [[np.zeros((2, 2)), 3.0 * np.eye(2)], [-3.0 * np.eye(2), np.zeros((2, 2))]]
-    )
-    assert np.allclose(a, expected)
-
-
-def test_a_matrix_received_structure():
+def test_received_covariance_entries():
+    """The received state at gap lam: blocks c(eta1) I and c(eta1 + lam) I on
+    the diagonal and f sigma_z off it."""
     eta1, lam, n_s, n_th = 0.6, 0.05, 0.8, 0.4
-    state = bf.GaussianState(received_cov(eta1, lam, n_s, n_th), np.zeros(4))
-    a = bf.a_matrix(state)
+    cov = tmsv_family(eta1, n_s, n_th, lam).eval(lam).cov
 
     def c(x):
         return 2.0 * x * (2.0 * n_s - n_th) + 2.0 * n_th + 1.0
 
     f = 2.0 * np.sqrt(2.0 * n_s * (2.0 * n_s + 1.0) * eta1 * (eta1 + lam))
-    upper = np.array([[c(eta1), -f], [-f, c(eta1 + lam)]])
-    lower = np.array([[-c(eta1), -f], [-f, -c(eta1 + lam)]])
-    assert np.allclose(a[:2, 2:], 1j * upper)
-    assert np.allclose(a[2:, :2], 1j * lower)
-    assert np.allclose(a[:2, :2], 0.0)
-    assert abs(np.trace(a)) < 1e-9
-
-
-def test_a_matrix_vacuum_eigenvalues():
-    a = bf.a_matrix(bf.vacuum(2))
-    eigs = np.sort(np.linalg.eigvals(a).real)
-    assert np.allclose(eigs, [-1.0, -1.0, 1.0, 1.0])
-
-
-def test_a_matrix_needs_two_modes():
-    with pytest.raises(ValueError):
-        bf.a_matrix(bf.vacuum(1))
+    assert np.allclose(cov[:2, :2], c(eta1) * np.eye(2))
+    assert np.allclose(cov[2:, 2:], c(eta1 + lam) * np.eye(2))
+    assert np.allclose(cov[:2, 2:], f * SZ)
+    assert np.allclose(cov[2:, :2], f * SZ)
 
 
 # --- symplectic eigenvalues -------------------------------------------------
@@ -127,41 +109,58 @@ def test_symplectic_eigenvalues_degenerate_point():
 # --- numeric QFI ------------------------------------------------------------
 
 def test_qfi_coherent_noiseless_point():
-    result = bf.qfi_gaussian(coherent_family(0.5, 1.0, 0.0))
-    assert np.isclose(result.value, 2.0, rtol=1e-9)
-    assert result.term_covariance == 0.0
-    assert result.term_eigenvalue_correction == 0.0
+    """Both routes' records: the pure state's covariance is static, so all of
+    the QFI is in the displacement term."""
+    family = coherent_family(0.5, 1.0, 0.0)
+    for result in (qfi_gaussian(family), bf.qfi_result(family)):
+        assert np.isclose(result.value, 2.0, rtol=1e-9)
+        assert result.term_covariance == 0.0
+        assert result.term_displacement == result.value
+        assert np.isclose(result.nu_plus, 1.0) and np.isclose(result.nu_minus, 1.0)
 
 
 def test_qfi_tmsv_matches_closed_form():
-    result = bf.qfi_gaussian(tmsv_family(0.75, 1.0, 1.0))
+    result = qfi_gaussian(tmsv_family(0.75, 1.0, 1.0))
     assert np.isclose(result.value, bf.hq_closed_form(0.75, 1.0, 1.0), rtol=1e-6)
 
 
 def test_qfi_constant_family_is_zero():
     pair = bf.tensor(bf.thermal(1.0), bf.thermal(1.0))
     family = difference_family(lambda lam: pair)
-    assert abs(bf.qfi_gaussian(family).value) < 1e-12
+    assert abs(qfi_gaussian(family).value) < 1e-12
 
 
 def test_qfi_term_sum_identity():
     for family in (tmsv_family(0.6, 0.8, 0.7), coherent_family(0.6, 0.8, 0.7)):
-        r = bf.qfi_gaussian(family)
-        total = r.term_covariance + r.term_eigenvalue_correction + r.term_displacement
-        assert np.isclose(r.value, total, rtol=1e-10)
-        assert r.nu_plus >= r.nu_minus >= 1.0 - 1e-9
+        for r in (qfi_gaussian(family), bf.qfi_result(family)):
+            total = r.term_covariance + r.term_displacement
+            assert np.isclose(r.value, total, rtol=1e-10)
+            assert r.nu_plus >= r.nu_minus >= 1.0 - 1e-9
+
+
+def test_only_the_check_reads_the_invariant_kernel():
+    """Every caller in the package reads the Williamson solve: qfi_gaussian
+    appears only in qfi.py, where it is defined, and in validate.py, where it
+    is the check."""
+    package = pathlib.Path(bf.__file__).parent
+    readers = {
+        path.name
+        for path in package.glob("*.py")
+        if re.search(r"\bqfi_gaussian\b", path.read_text(encoding="utf-8"))
+    }
+    assert readers == {"qfi.py", "validate.py"}
 
 
 def test_qfi_rejects_wrong_mode_count():
     family = difference_family(lambda lam: bf.thermal(0.5))
     with pytest.raises(ValueError):
-        bf.qfi_gaussian(family)
+        qfi_gaussian(family)
 
 
 def test_qfi_pure_varying_family_raises():
     family = difference_family(lambda lam: bf.two_mode_squeezed(0.3 + lam))
     with pytest.raises(PureStateError):
-        bf.qfi_gaussian(family)
+        qfi_gaussian(family)
 
 
 def built_families(rng, n):
@@ -202,15 +201,9 @@ def test_tangent_outside_open_reflectivity_interval_raises(eta1, lam0):
     for probe in ("tmsv", "coherent"):
         family = bifrequency_received_state(BiFrequencyParams(eta1, lam0, 1.0, 1.0), probe)
         family.eval(lam0)
-        for kernel in (bf.qfi_gaussian, bf.qfi_complex_form, sld):
+        for kernel in (qfi_gaussian, bf.qfi_complex_form, sld):
             with pytest.raises(ValueError, match="strictly in"):
                 kernel(family)
-
-
-def mp_closed_form(closed_form, eta1, n_s, n_th):
-    """A closed form evaluated in 50-digit arithmetic at the same float inputs."""
-    with mpmath.workdps(50):
-        return closed_form(mpmath.mpf(eta1), mpmath.mpf(n_s), mpmath.mpf(n_th))
 
 
 @pytest.mark.parametrize(
@@ -227,30 +220,6 @@ def test_complex_form_at_domain_edges(eta1, n_s, n_th):
         assert float(abs(value - ref) / ref) < 1e-6, (probe, value, ref)
 
 
-def rounding_bound(family):
-    """First-order relative change of the QFI when every stored entry of the
-    family's covariance, its derivative and the displacement derivative moves
-    by one unit round-off of its own size.
-
-    It uses dH = -Tr(Phi Sigma Phi dSigma) + Tr(Phi dSigma') + (the
-    displacement term), with Phi the real-basis form of the logarithmic
-    derivative. It is what no kernel reading these floats can resolve: near
-    eta1 = 1 the covariance stores 1 + 2 n_th (1 - eta1) and loses most digits
-    of the second term, on which the QFI then depends.
-    """
-    state, dcov, ddisp = family.derivative()
-    w = complex_basis_matrix(state.n_modes)
-    phi = (w.conj().T @ sld(family).quad @ w).real
-    y = np.linalg.solve(state.cov, ddisp)
-    grad_cov = phi @ state.cov @ phi + 2.0 * np.outer(y, y)
-    change = (
-        np.sum(np.abs(grad_cov * state.cov))
-        + np.sum(np.abs(phi * dcov))
-        + 4.0 * np.sum(np.abs(y * ddisp))
-    )
-    return np.finfo(float).eps * change / bf.qfi_complex_form(family)
-
-
 def log_uniform(lo, hi):
     return st.floats(np.log(lo), np.log(hi)).map(lambda u: float(np.exp(u)))
 
@@ -261,6 +230,20 @@ def displaced_thermal_qfi(amp, n_s, n_th):
     N = n_th (1 - amp^2), so H = 4 n_s / (1 + 2 N) + N'^2 / (N (N + 1))."""
     occupation = n_th * (1 - amp**2)
     return 4 * n_s / (1 + 2 * occupation) + 4 * amp**2 * n_th**2 / (occupation * (occupation + 1))
+
+
+@pytest.mark.parametrize("eta", [1e-4, 0.1, 0.37, 0.7, 0.95, 0.99])
+def test_qi_classical_closed_form_at_finite_reflectivity(eta):
+    """The closed form, with eta^2 reflected in power, matches the exact QFI
+    of the displaced thermal state and the numeric family to 1e-9 over the
+    qi-check photon numbers."""
+    for n_s in (0.1, 0.5, 1.0):
+        for n_th in (0.5, 2.0, 10.0):
+            closed = bf.qi_classical_qfi(eta, n_s, n_th)
+            ref = mp_closed_form(displaced_thermal_qfi, eta, n_s, n_th)
+            assert float(abs(closed - ref) / ref) < 1e-9, (eta, n_s, n_th, closed, ref)
+            numeric = qi_classical_qfi_numeric(eta, n_s, n_th)
+            assert abs(numeric - closed) / closed < 1e-9, (eta, n_s, n_th, numeric, closed)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -299,13 +282,13 @@ def test_two_sided_limit_consistency():
     """Evaluating at the working point agrees with extrapolating from +-eps."""
     eps = 2e-4
     for probe in ("tmsv", "coherent"):
-        center = bf.qfi_gaussian(
+        center = qfi_gaussian(
             bifrequency_received_state(BiFrequencyParams(0.6, 0.0, 1.0, 0.8), probe)
         ).value
-        plus = bf.qfi_gaussian(
+        plus = qfi_gaussian(
             bifrequency_received_state(BiFrequencyParams(0.6, eps, 1.0, 0.8), probe)
         ).value
-        minus = bf.qfi_gaussian(
+        minus = qfi_gaussian(
             bifrequency_received_state(BiFrequencyParams(0.6, -eps, 1.0, 0.8), probe)
         ).value
         assert abs(0.5 * (plus + minus) - center) / center < 1e-6
@@ -315,8 +298,8 @@ def test_two_sided_limit_consistency():
 def test_qfi_where_discriminant_rounds_negative(eta1, n_s, n_th):
     """The symplectic discriminant rounds to about -1e-8 here; only a bound that
     scales with the covariance tells that round-off from an unphysical state."""
-    hq = bf.qfi_gaussian(tmsv_family(eta1, n_s, n_th)).value
-    hc = bf.qfi_gaussian(coherent_family(eta1, n_s, n_th)).value
+    hq = qfi_gaussian(tmsv_family(eta1, n_s, n_th)).value
+    hc = qfi_gaussian(coherent_family(eta1, n_s, n_th)).value
     assert abs(hq - bf.hq_closed_form(eta1, n_s, n_th)) / bf.hq_closed_form(eta1, n_s, n_th) < 1e-6
     assert abs(hc - bf.hc_closed_form(eta1, n_s, n_th)) / bf.hc_closed_form(eta1, n_s, n_th) < 1e-6
 
@@ -348,7 +331,7 @@ def test_log_uniform_sweep_matches_closed_forms():
     n_ss = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), n))
     n_ths = np.exp(rng.uniform(np.log(1e-3), np.log(316.0), n))
     kernels = {
-        "qfi_gaussian": lambda f: bf.qfi_gaussian(f).value,
+        "qfi_gaussian": lambda f: qfi_gaussian(f).value,
         "qfi_complex_form": bf.qfi_complex_form,
         "sld": sld,
         "optimal_observable": bf.optimal_observable,
@@ -385,7 +368,7 @@ def test_hc_equivalent_form():
 
 
 def test_hc_matches_numeric():
-    value = bf.qfi_gaussian(coherent_family(0.3, 2.0, 1.5)).value
+    value = qfi_gaussian(coherent_family(0.3, 2.0, 1.5)).value
     assert np.isclose(value, bf.hc_closed_form(0.3, 2.0, 1.5), rtol=1e-6)
 
 
@@ -404,7 +387,7 @@ def test_hq_zero_signal_limit():
     )
     assert np.isclose(bf.hq_closed_form(eta1, 0.0, n_th), expected, rtol=1e-12)
     # numeric cross-check slightly away from zero signal
-    numeric = bf.qfi_gaussian(tmsv_family(eta1, 1e-7, n_th)).value
+    numeric = qfi_gaussian(tmsv_family(eta1, 1e-7, n_th)).value
     assert np.isclose(numeric, expected, rtol=1e-4)
 
 
@@ -457,7 +440,7 @@ def test_photon_number_checks_reject_non_finite_values(bad):
     """Every function that takes a photon number rejects NaN, inf and
     negative values with the one domain message."""
     from bifrost import fock
-    from bifrost.sld import sld_coeffs_closed_form
+    from bifrost.sld import coherent_observable, sld_coeffs_closed_form
 
     calls = [
         lambda n: bf.ratio_high_reflectivity(n, 1.0),
@@ -471,6 +454,8 @@ def test_photon_number_checks_reject_non_finite_values(bad):
         lambda n: bf.qi_ratio(1.0, n),
         lambda n: sld_coeffs_closed_form(0.5, n, 1.0),
         lambda n: sld_coeffs_closed_form(0.5, 1.0, n),
+        lambda n: coherent_observable(0.5, n, 1.0),
+        lambda n: coherent_observable(0.5, 1.0, n),
         lambda n: fock.fock_thermal(n, 10),
         lambda n: fock.fock_tmsv(n, 10),
         lambda n: fock.bifrequency_fock_family(0.5, n, 0.1, "coherent", 10),

@@ -6,8 +6,8 @@ import pytest
 import bifrost as bf
 from bifrost.errors import DegenerateStateError, NoInformationError
 from bifrost.protocols import BiFrequencyParams, bifrequency_received_state
-from bifrost.qfi import StateFamily
-from bifrost.sld import complex_basis_matrix, sld
+from bifrost.qfi import StateFamily, qfi_gaussian
+from bifrost.sld import _in_complex_basis, complex_basis_matrix, sld
 from bifrost.validate import ORACLE_CONFIGS
 from family_difference import difference_family
 
@@ -29,24 +29,24 @@ def test_complex_basis_unitary():
 
 
 def test_vacuum_pair_complex_identity():
-    cg = bf.to_complex(bf.vacuum(2))
-    assert np.allclose(cg.cov_c, np.eye(4))
-    assert np.allclose(cg.disp_c, np.zeros(4))
+    vacuum = bf.vacuum(2)
+    assert np.allclose(_in_complex_basis(vacuum.cov), np.eye(4))
+    assert np.allclose(_in_complex_basis(vacuum.disp), np.zeros(4))
 
 
 def test_reality_structure_received_state():
     state = tmsv_family(0.9, 1.0, 0.5).eval(0.0)
-    cg = bf.to_complex(state)
+    cov_c = _in_complex_basis(state.cov)
     x = np.block(
         [[np.zeros((2, 2)), np.eye(2)], [np.eye(2), np.zeros((2, 2))]]
     )
-    assert np.allclose(cg.cov_c, x @ cg.cov_c.conj() @ x)
+    assert np.allclose(cov_c, x @ cov_c.conj() @ x)
 
 
 def test_coherent_displacement_complex():
-    cg = bf.to_complex(bf.tensor(bf.coherent(0.7, 0.2), bf.vacuum(1)))
-    assert np.allclose(cg.disp_c[0], 0.7 + 0.2j)
-    assert np.allclose(cg.disp_c[2], 0.7 - 0.2j)
+    disp_c = _in_complex_basis(bf.tensor(bf.coherent(0.7, 0.2), bf.vacuum(1)).disp)
+    assert np.allclose(disp_c[0], 0.7 + 0.2j)
+    assert np.allclose(disp_c[2], 0.7 - 0.2j)
 
 
 # --- logarithmic derivative --------------------------------------------------
@@ -159,7 +159,7 @@ def test_optimal_observable_no_information():
 def test_qfi_complex_form_agrees_with_symplectic_route():
     for family in (tmsv_family(0.6, 0.9, 1.2), coherent_family(0.6, 0.9, 1.2)):
         assert np.isclose(
-            bf.qfi_complex_form(family), bf.qfi_gaussian(family).value, rtol=1e-9
+            bf.qfi_complex_form(family), qfi_gaussian(family).value, rtol=1e-9
         )
 
 
@@ -250,8 +250,13 @@ def test_coherent_observable_expansion():
 
 
 def test_coherent_observable_domain():
-    with pytest.raises(ValueError):
-        bf.coherent_observable(0.0, 1.0, 1.0)
+    for eta1 in (0.0, 1.0, np.nan):
+        with pytest.raises(ValueError, match="strictly in"):
+            bf.coherent_observable(eta1, 1.0, 1.0)
+    for bad in (np.nan, np.inf, -1.0):
+        for args in ((0.5, bad, 1.0), (0.5, 1.0, bad)):
+            with pytest.raises(ValueError, match="^photon numbers must be finite and nonnegative$"):
+                bf.coherent_observable(*args)
 
 
 # --- circuit solve -----------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import bifrost as bf
-from bifrost.gaussian import basis_change, omega
+from bifrost.gaussian import omega
 
 SZ = np.diag([1.0, -1.0])
 
@@ -194,21 +194,6 @@ def test_bare_target_leaves_thermal_pair():
     s = bf.direct_sum(bf.beam_splitter(0.0), bf.beam_splitter(0.0))
     received = bf.partial_trace(bf.apply(s, state), [1, 3])
     assert np.allclose(received.cov, (1.0 + 2.0 * n_th) * np.eye(4))
-
-
-def test_basis_change_is_a_permutation():
-    t = basis_change(3)
-    assert np.all(t.sum(axis=0) == 1) and np.all(t.sum(axis=1) == 1)
-
-
-def test_basis_change_matches_delta_formula():
-    """Two-mode permutation: T_ij = delta_{j+4,2i} + delta_{j,2i-1}, 1-based."""
-    t = basis_change(2)
-    expected = np.zeros((4, 4))
-    for i in range(1, 5):
-        for j in range(1, 5):
-            expected[i - 1, j - 1] = float(j + 4 == 2 * i) + float(j == 2 * i - 1)
-    assert np.array_equal(t, expected)
 
 
 def test_check_physical_rejects_sub_vacuum():
