@@ -1,5 +1,11 @@
 """Truncated Fock-space oracle against the Gaussian machinery."""
 
+import pathlib
+import re
+import subprocess
+import sys
+
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -159,6 +165,22 @@ def test_coherent_auto_cutoff_matches_poisson_tail():
             assert pdtrc(k, mean) == poisson.sf(k, mean)
 
 
+def test_coherent_family_with_given_cutoff_loads_no_scipy():
+    """scipy.special is imported only to choose a coherent cutoff; a coherent
+    family at a given cutoff, its QFI and its moments load no scipy module."""
+    code = (
+        "import sys\n"
+        "from bifrost import fock\n"
+        "family = fock.bifrequency_fock_family(0.8, 0.5, 0.3, 'coherent', 20)\n"
+        "fock.qfi_eq1(family)\n"
+        "fock.quadrature_moments(family(0.0))\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_quadrature_moments_three_mode_product():
     """Moments of a three-mode state come from its one- and two-mode marginals."""
     cutoff = 10
@@ -243,9 +265,9 @@ def test_loss_channel_coherent_displacement():
     assert np.allclose(disp, expected, atol=1e-7)
 
 
-def _dense_beam_splitter(eta: float, cutoff: int) -> np.ndarray:
+def _dense_beam_splitter(eta: float, cutoff: int, exponential=expm) -> np.ndarray:
     """The truncated generator made from dense ladder operators, exponentiated
-    on each index set of fixed total photon number."""
+    by ``exponential`` on each index set of fixed total photon number."""
     a = fock.annihilation(cutoff)
     eye = np.eye(cutoff)
     gen = np.kron(a.T, eye) @ np.kron(eye, a) - np.kron(eye, a.T) @ np.kron(a, eye)
@@ -253,14 +275,14 @@ def _dense_beam_splitter(eta: float, cutoff: int) -> np.ndarray:
     totals = (np.arange(cutoff)[:, None] + np.arange(cutoff)[None, :]).ravel()
     for n in range(2 * cutoff - 1):
         idx = np.ix_(totals == n, totals == n)
-        u[idx] = expm(np.arccos(np.sqrt(eta)) * gen[idx])
+        u[idx] = exponential(np.arccos(np.sqrt(eta)) * gen[idx])
     return u
 
 
-def _dense_kraus_superop(eta: float, n_th: float, cutoff: int) -> np.ndarray:
+def _dense_kraus_superop(eta: float, n_th: float, cutoff: int, exponential=expm) -> np.ndarray:
     """The channel's dense superoperator, the gram of its Kraus operators;
     the bath enters the first port and the second port is kept."""
-    u = _dense_beam_splitter(eta, cutoff).reshape(cutoff, cutoff, cutoff, cutoff)
+    u = _dense_beam_splitter(eta, cutoff, exponential).reshape(cutoff, cutoff, cutoff, cutoff)
     probs = fock.fock_thermal(n_th, cutoff).rho.diagonal().real
     # kraus[k, j, t, s] = sqrt(p_j) <k, t| U |j, s>
     kraus = np.sqrt(probs)[None, :, None, None] * u.transpose(0, 2, 1, 3)
@@ -269,10 +291,18 @@ def _dense_kraus_superop(eta: float, n_th: float, cutoff: int) -> np.ndarray:
     return gram.transpose(0, 2, 1, 3).reshape(cutoff**2, cutoff**2)
 
 
+def _mp_expm(gen: np.ndarray) -> np.ndarray:
+    """The exponential of ``gen`` to 40 digits, rounded to float64."""
+    with mpmath.workdps(40):
+        return np.array(mpmath.expm(mpmath.matrix(gen.tolist())).tolist(), dtype=float)
+
+
 def test_channel_blocks_match_kraus_superoperator():
+    """Beam splitter and channel blocks against the 40-digit exponential of
+    each sector; scipy.linalg.expm is itself 9.5e-14 off it at this point."""
     eta, n_th, cutoff = 0.37, 0.15, 8
     u = fock.fock_beam_splitter(eta, cutoff)
-    assert np.max(np.abs(u - _dense_beam_splitter(eta, cutoff))) < 1e-14
+    assert np.max(np.abs(u - _dense_beam_splitter(eta, cutoff, _mp_expm))) < 1e-14
     channel = fock.ThermalLossChannel(eta, n_th, cutoff)
     dense = np.zeros((cutoff**2, cutoff**2))
     for k, block in enumerate(channel.blocks):
@@ -280,7 +310,83 @@ def test_channel_blocks_match_kraus_superoperator():
         for rows, cols in ((i + k, i), (i, i + k)):
             flat = rows * cutoff + cols
             dense[np.ix_(flat, flat)] = block
-    assert np.max(np.abs(dense - _dense_kraus_superop(eta, n_th, cutoff))) < 1e-14
+    exact = _dense_kraus_superop(eta, n_th, cutoff, _mp_expm)
+    assert np.max(np.abs(dense - exact)) < 1e-14
+
+
+# fixed-point scale of the exact sector exponential
+EXACT_BITS = 200
+
+
+def _exact_expm(gen: np.ndarray) -> np.ndarray:
+    """The exponential of a float64 tridiagonal ``gen`` with zero diagonal,
+    exact to about 2^-190, rounded to float64.
+
+    The entries are held as integers in units of 2^-EXACT_BITS, so every sum
+    and product is exact and only the floor of each rescaling rounds. The
+    generator is scaled by 2^-s to a 1-norm below 8, its Taylor series runs
+    to the last nonzero term, one tridiagonal product per term, and the
+    result is squared s times. mpmath.expm gives the same numbers but takes
+    seconds for one 45 x 45 sector.
+    """
+    one = 1 << EXACT_BITS
+    lower, upper = (
+        np.array([int(x * 2.0**EXACT_BITS) for x in np.diag(gen, k)], dtype=object)[:, None]
+        for k in (-1, 1)
+    )
+    s = max(0, int(np.max(np.sum(np.abs(gen), axis=0))).bit_length() - 3)
+    term = np.zeros(gen.shape, dtype=object)
+    term[np.diag_indices(len(gen))] = one
+    total = term.copy()
+    k = 0
+    while np.max(np.abs(term)) > 1:
+        k += 1
+        step = np.zeros_like(term)
+        step[1:] = lower * term[:-1]
+        step[:-1] += upper * term[1:]
+        term = (step >> (EXACT_BITS + s)) // k
+        total += term
+    for _ in range(s):
+        total = (total @ total) >> EXACT_BITS
+    return total.astype(float) / float(one)
+
+
+@pytest.mark.parametrize("cutoff", [30, 45])
+@pytest.mark.parametrize("eta", [1e-6, 0.1, 0.37, 0.8, 0.999999])
+def test_beam_splitter_sectors_against_exact_exponential(cutoff, eta):
+    """Every sector block is orthogonal to 1e-14, and the sampled sectors are
+    within 1e-14 of the exact exponential of the same float64 generator."""
+    d, theta = cutoff, float(np.arccos(np.sqrt(eta)))
+    sampled = {0, 1, d // 2, d - 1, d, 2 * d - 3, 2 * d - 2}
+    seen = set()
+    for n, m, block in fock._beam_splitter_sectors(eta, cutoff):
+        seen.add(n)
+        assert np.max(np.abs(block.T @ block - np.eye(len(m)))) < 1e-14, n
+        if n in sampled:
+            hop = np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
+            exact = _exact_expm(theta * (np.diag(hop, -1) - np.diag(hop, 1)))
+            assert np.max(np.abs(block - exact)) < 1e-14, n
+    assert seen == set(range(2 * d - 1))
+
+
+def test_exact_expm_matches_mpmath():
+    """The fixed-point reference against 40-digit mpmath on a small sector."""
+    hop = np.sqrt(np.arange(1.0, 8.0) * np.arange(7.0, 0.0, -1.0))
+    gen = 1.3 * (np.diag(hop, -1) - np.diag(hop, 1))
+    assert np.max(np.abs(_exact_expm(gen) - _mp_expm(gen))) < 1e-16
+
+
+def test_package_imports_no_scipy_linalg():
+    """The Fock oracle and the Gaussian engine run on numpy's linear algebra
+    alone: scipy ships its own BLAS, and its thread pool contends with
+    numpy's. No module of the package imports scipy.linalg."""
+    package = pathlib.Path(fock.__file__).parent
+    pattern = re.compile(
+        r"^\s*(from\s+scipy\.linalg\b|import\s+scipy\.linalg\b|from\s+scipy\s+import\s.*\blinalg\b)",
+        re.M,
+    )
+    readers = [p.name for p in package.glob("*.py") if pattern.search(p.read_text(encoding="utf-8"))]
+    assert readers == []
 
 
 def _dense_channel_pair(

@@ -5,13 +5,14 @@ import pathlib
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bifrost as bf
-from bifrost.errors import PureStateError
+from bifrost.errors import NumericalInstabilityError, PureStateError
 from bifrost.protocols import (
     BiFrequencyParams,
     _qi_classical_received,
@@ -96,14 +97,36 @@ def test_symplectic_eigenvalues_received(eta1, lam, n_s, n_th):
     assert np.allclose(got, nu_oracle(eta1, lam, n_s, n_th), rtol=1e-12, atol=1e-12)
 
 
+def _exact_symplectic_eigenvalues(cov):
+    """(nu_plus, nu_minus) of the stored ``cov`` from its 60-digit eigenvalues."""
+    with mpmath.workdps(60):
+        form = mpmath.matrix((1j * bf.omega(2)).tolist()) * mpmath.matrix(cov.tolist())
+        moduli = sorted(abs(e) for e in mpmath.eig(form, left=False, right=False))
+        return float(moduli[3]), float(moduli[0])
+
+
 def test_symplectic_eigenvalues_degenerate_point():
-    # 2 n_s = n_th makes both covariance blocks equal for every gap; the
-    # discriminant then cancels catastrophically, so only ~sqrt(eps) is exact
+    # 2 n_s = n_th makes both covariance blocks equal for every gap, and the
+    # two symplectic eigenvalues coincide
     nu_p, nu_m = bf.symplectic_eigenvalues(
         bf.GaussianState(received_cov(0.5, 0.1, 1.0, 2.0), np.zeros(4))
     )
-    assert np.isclose(nu_p, nu_m, rtol=1e-6)
-    assert np.isclose(nu_p, np.sqrt(17.8), rtol=1e-6)
+    assert np.isclose(nu_p, nu_m, rtol=1e-12, atol=0.0)
+    assert np.isclose(nu_p, np.sqrt(17.8), rtol=1e-12, atol=0.0)
+    # at tmsv (0.9857, 8.0e5, 1.32) the exact eigenvalues of the stored
+    # covariance are degenerate near 573; the invariant discriminant split
+    # them by 3.8e-5 relative
+    state = tmsv_family(0.9857, 8.0e5, 1.32).eval(0.0)
+    got = bf.symplectic_eigenvalues(state)
+    assert np.allclose(got, _exact_symplectic_eigenvalues(state.cov), rtol=1e-8, atol=0.0)
+
+
+def test_symplectic_eigenvalues_reject_unphysical_covariance():
+    """Not positive definite, or positive definite below the uncertainty
+    bound: either is a NumericalInstabilityError."""
+    for diag in ([1.0, 1.0, -1.0, 1.0], [0.5, 0.5, 1.0, 1.0]):
+        with pytest.raises(NumericalInstabilityError, match="unphysical"):
+            bf.symplectic_eigenvalues(bf.GaussianState(np.diag(diag), np.zeros(4)))
 
 
 # --- numeric QFI ------------------------------------------------------------
