@@ -21,10 +21,13 @@ orthogonal to a few ulps; scipy's expm leaves defects up to 1.4e-12. The
 bath is diagonal in the number basis, so a thermal-loss channel is
 phase-covariant: it maps |k><l| only into coherences |k'><l'| with
 k' - l' = k - l, and its superoperator is one real block per offset k - l
-(``ThermalLossChannel.blocks``). A state whose modes pass through such
-channels keeps the zero pattern those offsets impose: the received
-two-mode squeezed state and its derivative vanish outside the sectors of
-fixed n1 - n2, exactly 0.0 and not merely small. ``qfi_eq1`` therefore
+(``ThermalLossChannel.blocks``). A channel depends only on (eta, n_th,
+cutoff), so it is built once per process for each such key, through one
+bounded memo (``_channel``) that every family shares, and its blocks are
+read-only. A state whose modes pass through such channels keeps the zero
+pattern those offsets impose: the received two-mode squeezed state and its
+derivative vanish outside the sectors of fixed n1 - n2, exactly 0.0 and not
+merely small. ``qfi_eq1`` therefore
 diagonalises each connected component of the nonzero pattern on its own;
 it reads the pattern off the matrices and needs no knowledge of the probe,
 so a dense state is simply one component. A product state A x B is kept as
@@ -58,6 +61,7 @@ input). Full reflection (eta = 1) is the identity.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -371,7 +375,10 @@ class ThermalLossChannel:
     i in both. The channel preserves hermiticity and is real, so offset -k,
     the coherences rho[i, i + k], has the same block. ``apply`` runs the
     channel on one mode; ``bifrequency_fock_family`` combines the blocks of
-    two channels, one reflectivity per mode.
+    two channels, one reflectivity per mode. The families take their
+    channels from ``_channel``, so one channel is built once per process
+    for each (eta, n_th, cutoff) and shared; ``blocks`` is therefore a tuple
+    of read-only arrays.
     """
 
     def __init__(self, eta: float, n_th: float, cutoff: int):
@@ -388,10 +395,12 @@ class ThermalLossChannel:
             amp[n - m[:, None], m[None, :], n - m[None, :]] = block
         # output coherence |t><t'| from input |s><s'| with t - t' = s - s' = k,
         # summed over the bath photons j and the traced output j + s - t
-        self.blocks = [
+        self.blocks = tuple(
             np.einsum("tjs,j,tjs->ts", amp[k:, :, k:], probs, amp[: cutoff - k, :, : cutoff - k])
             for k in range(cutoff)
-        ]
+        )
+        for block in self.blocks:
+            block.setflags(write=False)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """The channel's output for a one-mode cutoff x cutoff matrix ``rho``,
@@ -402,6 +411,14 @@ class ThermalLossChannel:
             out[i + k, i] = block @ rho[i + k, i]
             out[i, i + k] = block @ rho[i, i + k]
         return out
+
+
+# The channel of one (eta, n_th, cutoff), built on its first request and
+# shared by every family. typed, so that cutoff 30.0 meets the constructor's
+# TypeError instead of the channel of cutoff 30; a call that raises is not
+# memoised, so a rejected argument is rejected on every call. 16 channels
+# hold the 12 keys of one cutoff of ``validate.full_validation``.
+_channel = functools.lru_cache(maxsize=16, typed=True)(ThermalLossChannel)
 
 
 def _tmsv_received(
@@ -427,8 +444,9 @@ def bifrequency_fock_family(
 
     Each evaluation at lam builds the received state from the probe's
     structure (module docstring), with the channel at eta1 on the first
-    mode and at eta1 + lam on the second; a channel is built once per
-    reflectivity and family.
+    mode and at eta1 + lam on the second. The channels come from the
+    module's memo, so each (eta, n_th, cutoff) is built once per process
+    and shared by every family that asks for it; their blocks are read-only.
     """
     check_photon_numbers(n_s, n_th)
     if probe == "tmsv":
@@ -445,15 +463,9 @@ def bifrequency_fock_family(
 
     else:
         raise ValueError(f"unknown probe {probe!r}")
-    channels: dict[float, ThermalLossChannel] = {}
-
-    def channel(eta: float) -> ThermalLossChannel:
-        if eta not in channels:
-            channels[eta] = ThermalLossChannel(eta, n_th, cutoff)
-        return channels[eta]
 
     def family(lam: float) -> FockState:
-        return received(channel(eta1), channel(eta1 + lam))
+        return received(_channel(eta1, n_th, cutoff), _channel(eta1 + lam, n_th, cutoff))
 
     return family
 
@@ -539,8 +551,12 @@ def qfi_eq1(family: Callable[[float], FockState], drop_threshold: float = 1e-12)
     which every probe of the repository gives, are decomposed in real
     arithmetic, complex ones in complex. Eigenvalue pairs whose sum falls
     below ``drop_threshold`` contribute nothing and are skipped, on either
-    route.
+    route; it must be finite and nonnegative, else ValueError, since a NaN
+    or infinite threshold would skip every pair and a negative one would
+    divide by pairs whose sum is 0.
     """
+    if not 0.0 <= drop_threshold < np.inf:  # NaN fails too
+        raise ValueError(f"drop_threshold must be finite and nonnegative, got {drop_threshold!r}")
     states = _central_states(family)
     if all(s.factors is not None for s in states):
         return float(2.0 * _product_qfi(*states, drop_threshold))

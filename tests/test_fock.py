@@ -11,7 +11,7 @@ import pytest
 from scipy.linalg import expm
 
 import bifrost as bf
-from bifrost import fock
+from bifrost import fock, validate
 from bifrost.errors import CutoffTooSmallError
 
 import fock_reference
@@ -442,9 +442,12 @@ def test_received_states_match_dense_channel_pair(probe):
 
 
 def test_channel_apply_matches_kraus_superoperator():
+    """Against the superoperator built on the 40-digit exponential: the
+    outputs are within 6.9e-16 of it, and 7.3e-15 of the one built on
+    scipy.linalg.expm."""
     eta, n_th, cutoff = 0.63, 0.25, 10
     channel = fock.ThermalLossChannel(eta, n_th, cutoff)
-    dense = _dense_kraus_superop(eta, n_th, cutoff)
+    dense = _dense_kraus_superop(eta, n_th, cutoff, _mp_expm)
     rng = np.random.default_rng(3)
     for rho in (rng.standard_normal((cutoff, cutoff)),
                 rng.standard_normal((cutoff, cutoff)) + 1j * rng.standard_normal((cutoff, cutoff))):
@@ -457,6 +460,106 @@ def test_channel_apply_matches_kraus_superoperator():
 def test_channel_trace_preserving():
     family = fock.bifrequency_fock_family(0.5, 0.3, 0.2, "tmsv", 22)
     assert abs(family(0.0).trace - 1.0) < 1e-6
+
+
+# --- channel memo -----------------------------------------------------------
+
+def _count_builds(monkeypatch) -> list:
+    """Empty the channel memo and record the arguments of every channel built
+    from here on."""
+    fock._channel.cache_clear()
+    built = []
+    init = fock.ThermalLossChannel.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(fock.ThermalLossChannel, "__init__", counting_init)
+    return built
+
+
+def _oracle_pass(cutoff: int = 30):
+    """One pass of the benchmark's oracle workload at (0.8, 0.5, 0.3)."""
+    for probe in ("tmsv", "coherent"):
+        family = fock.bifrequency_fock_family(0.8, 0.5, 0.3, probe, cutoff)
+        fock.qfi_eq1(family)
+        validate.sld_fock_report(0.8, 0.5, 0.3, probe, cutoff)
+
+
+def test_oracle_pass_builds_each_channel_once(monkeypatch):
+    """Both probes, their QFI and their SLD reports share three channels,
+    eta1 and eta1 +- FD_STEP, and a second pass builds none."""
+    built = _count_builds(monkeypatch)
+    _oracle_pass()
+    assert sorted(built) == sorted(
+        (eta, 0.3, 30) for eta in (0.8, 0.8 + fock.FD_STEP, 0.8 - fock.FD_STEP)
+    )
+    _oracle_pass()
+    assert len(built) == 3
+
+
+def test_quick_validation_builds_each_channel_once(monkeypatch):
+    """Two configurations at one cutoff and one n_th each: six channels for
+    the oracle and SLD checks of both probes."""
+    built = _count_builds(monkeypatch)
+    assert all(check.passed for check in validate.full_validation(quick=True))
+    assert len(built) == len(set(built)) == 6
+
+
+def test_memoised_channel_is_read_only():
+    """A memoised channel is shared, so neither its tuple of blocks nor any
+    block can be written."""
+    channel = fock._channel(0.8, 0.3, 12)
+    assert fock._channel(0.8, 0.3, 12) is channel
+    assert isinstance(channel.blocks, tuple)
+    for block in channel.blocks:
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        channel.blocks[0] = np.zeros((12, 12))
+
+
+def test_memo_rejects_what_the_constructor_rejects():
+    """With the cutoff-30 channel memoised, a float cutoff, a NaN or
+    out-of-range reflectivity and a bad bath are rejected on every call, by
+    the memo and through a family alike."""
+    fock._channel(0.8, 0.3, 30)
+    bad = [
+        ((0.8, 0.3, 30.0), TypeError, None),
+        ((np.nan, 0.3, 30), ValueError, "reflectivity"),
+        ((1.5, 0.3, 30), ValueError, "reflectivity"),
+        ((0.8, -1, 30), ValueError, "photon numbers"),
+        ((0.8, np.nan, 30), ValueError, "photon numbers"),
+        ((0.8, np.inf, 30), ValueError, "photon numbers"),
+    ]
+    for args, error, match in bad:
+        for _ in range(2):
+            with pytest.raises(error, match=match):
+                fock._channel(*args)
+            with pytest.raises(error, match=match):
+                fock.ThermalLossChannel(*args)
+    family = fock.bifrequency_fock_family(0.8, 0.5, 0.3, "tmsv", 30.0)
+    for _ in range(2):
+        with pytest.raises(TypeError):
+            family(0.0)
+
+
+@pytest.mark.parametrize("probe", ["tmsv", "coherent"])
+def test_memoised_channels_give_the_states_of_fresh_ones(probe, monkeypatch):
+    """States from a warm memo equal, bit for bit, those from channels built
+    anew for each evaluation."""
+    cutoff, lams = 30, (fock.LAMBDA0, fock.LAMBDA0 + fock.FD_STEP, fock.LAMBDA0 - fock.FD_STEP)
+    family = fock.bifrequency_fock_family(0.8, 0.5, 0.3, probe, cutoff)
+    family(0.0)
+    memoised = [family(lam) for lam in lams]
+    monkeypatch.setattr(fock, "_channel", fock.ThermalLossChannel)
+    fresh_family = fock.bifrequency_fock_family(0.8, 0.5, 0.3, probe, cutoff)
+    for lam, state in zip(lams, memoised):
+        fresh = fresh_family(lam)
+        assert np.array_equal(state.rho, fresh.rho), lam
+        if probe == "coherent":
+            assert all(map(np.array_equal, state.factors, fresh.factors)), lam
 
 
 # --- QFI ------------------------------------------------------------------
@@ -569,6 +672,18 @@ def test_qfi_eq1_drop_threshold_stable():
     h1 = fock.qfi_eq1(family, drop_threshold=1e-12)
     h2 = fock.qfi_eq1(family, drop_threshold=1e-10)
     assert abs(h1 - h2) / h1 < 1e-6
+
+
+@pytest.mark.parametrize("probe", ["tmsv", "coherent"])
+def test_qfi_eq1_rejects_a_bad_drop_threshold(probe):
+    """NaN and inf would skip every pair and return 0.0, a negative value
+    would admit pairs whose eigenvalue sum is 0; each raises, on the
+    per-component route (tmsv) and the product route (coherent)."""
+    family = fock.bifrequency_fock_family(0.5, 0.2, 0.1, probe, 16)
+    for threshold in (np.nan, np.inf, -np.inf, -1e-12):
+        with pytest.raises(ValueError, match="drop_threshold"):
+            fock.qfi_eq1(family, drop_threshold=threshold)
+    assert fock.qfi_eq1(family, drop_threshold=0.0) > 0.1
 
 
 def test_eigenvalue_sum_rule():
