@@ -27,36 +27,32 @@ bounded memo (``_channel``) that every family shares, and its blocks are
 read-only. A state whose modes pass through such channels keeps the zero
 pattern those offsets impose: the received two-mode squeezed state and its
 derivative vanish outside the sectors of fixed n1 - n2, exactly 0.0 and not
-merely small. ``qfi_eq1`` therefore
-diagonalises each connected component of the nonzero pattern on its own;
-it reads the pattern off the matrices and needs no knowledge of the probe,
-so a dense state is simply one component. A product state A x B is kept as
-its one-mode factors (``FockState.product``); for a family of products
-``qfi_eq1`` diagonalises each cutoff x cutoff factor, takes the eigenvalues
-kron(a, b), rotates the factors of the shifted states factor by factor and
-runs the sum one row block at a time, so no cutoff^2 x cutoff^2 matrix is
-formed or diagonalised. Both routes share the sum over pairs.
+merely small. Such a state is kept as those 2 cutoff - 1 blocks
+(``FockState.sectors``), about 2 cutoff^3 / 3 entries, and a product state
+as its one-mode factors (``FockState.product``). ``qfi_eq1`` diagonalises
+the factors or the sectors, never a cutoff^2 x cutoff^2 matrix, and reads
+which off the states, never off the probe; a dense state is one block.
 
 The four-mode bi-frequency pipeline is never materialised: the interaction
 does not mix frequencies, so each frequency sees an independent thermal-loss
 channel acting on its signal mode. The received two-mode state is built from
 the structure of the probe, never by passing a dense two-mode probe through
 the channels. The coherent probe is a product state, so its output is the
-product of the two one-mode outputs, kept as those two factors; the dense
-Kronecker product is formed only for a caller that reads ``rho``. The
-two-mode squeezed probe
-sum_n a_n |n, n> holds only the coherences |n><m| x |n><m|, with the same
-offset k = n - m in both modes, and each channel keeps that offset; so its
-output is nonzero only where both modes share an offset, and for each k >= 0
-it is the one product B1_k diag(a_{i+k} a_i) B2_k^T of the two channels'
-blocks, placed at rows (i + k) d + (j + k) and columns i d + j, and its
-transpose at offset -k. No matrix exceeds cutoff^2 x cutoff^2, and real
-probes give real states, which keep a real dtype throughout.
+product of the two one-mode outputs, kept as those two factors. The
+two-mode squeezed probe sum_n a_n |n, n> holds only the coherences
+|n><m| x |n><m|, with the same offset k = n - m in both modes, and each
+channel keeps that offset; so its output is nonzero only where both modes
+share an offset, and for each k >= 0 it is the one product
+B1_k diag(a_{i+k} a_i) B2_k^T of the two channels' blocks, the entry at
+|i + k, j + k><i, j| for row i and column j, and its transpose at offset -k.
+Each sector gathers its entries from these products. Real probes give real
+states, which keep a real dtype throughout.
 
-Beam-splitter convention: ``fock_beam_splitter(eta)`` realises exactly the
-quadrature rotation of :func:`bifrost.gaussian.beam_splitter`, i.e. the
-second output slot is sqrt(eta) x (second input) - sqrt(1-eta) x (first
-input). Full reflection (eta = 1) is the identity.
+Beam-splitter convention: the unitary of ``_beam_splitter_sectors(eta)``
+realises exactly the quadrature rotation of
+:func:`bifrost.gaussian.beam_splitter`, i.e. the second output slot is
+sqrt(eta) x (second input) - sqrt(1-eta) x (first input). Full reflection
+(eta = 1) is the identity.
 """
 
 from __future__ import annotations
@@ -79,28 +75,14 @@ LAMBDA0 = 0.0
 FD_STEP = 1e-4
 
 
-# side of the square tiles the hermiticity check compares: a tile and its
-# mirror both stay in cache, where a whole transposed read is strided
-HERMITICITY_TILE = 128
-
-
 def _hermitian(rho, size: int) -> np.ndarray:
     """``rho`` as float64, or complex128 if complex, after checking that it is
-    ``size`` x ``size`` and hermitian to 1e-12; NaN fails too.
-
-    The largest |rho - rho^dag| is taken tile by tile over the upper triangle
-    of tiles, each tile against its mirror; it is the dense maximum.
-    """
+    ``size`` x ``size`` and hermitian to 1e-12; NaN fails too."""
     rho = np.asarray(rho)
     rho = rho.astype(complex if np.iscomplexobj(rho) else float, copy=False)
     if rho.shape != (size, size):
         raise ValueError(f"density matrix shape {rho.shape} != ({size}, {size})")
-    t = HERMITICITY_TILE
-    herm = np.zeros(())
-    for i in range(0, size, t):
-        for j in range(i, size, t):
-            mirror = rho[j : j + t, i : i + t].conj().T
-            herm = np.maximum(herm, np.max(np.abs(rho[i : i + t, j : j + t] - mirror)))
+    herm = np.max(np.abs(rho - rho.conj().T))
     if not herm <= 1e-12:  # NaN fails too
         raise ValueError(f"density matrix non-hermitian by {herm:.3e}")
     return rho
@@ -115,16 +97,20 @@ class FockState:
     the matrix's own dtype.
 
     A product state is kept as its one-mode factors (``FockState.product``),
-    each checked on its own; ``factors`` is None for any other state. The
-    dense ``rho`` of a product, the Kronecker product of its factors, is
-    formed only when it is read, and then kept.
+    each checked on its own; ``factors`` is None for any other state. A
+    two-mode state block-diagonal in n1 - n2 is kept as its blocks
+    (``FockState.sectors``), each checked on its own. ``blocks`` holds
+    (basis index set, block) pairs: the sectors, or one block over the whole
+    basis for a dense state; it is None for a product. The dense ``rho`` of
+    a product or of sectors is formed only when it is read, and then kept.
     """
 
-    __slots__ = ("_rho", "factors", "dim", "n_modes")
+    __slots__ = ("_rho", "factors", "blocks", "dim", "n_modes")
 
     def __init__(self, rho: np.ndarray, dim: int, n_modes: int):
         self._rho = _hermitian(rho, dim**n_modes)
         self.factors: tuple[np.ndarray, ...] | None = None
+        self.blocks = ((np.arange(dim**n_modes), self._rho),)
         self.dim, self.n_modes = dim, n_modes
 
     @classmethod
@@ -133,18 +119,53 @@ class FockState:
         state = cls.__new__(cls)
         state.dim, state.n_modes = len(first), 2
         state.factors = (_hermitian(first, state.dim), _hermitian(second, state.dim))
-        state._rho = None
+        state._rho = state.blocks = None
+        return state
+
+    @classmethod
+    def sectors(cls, blocks: Sequence[np.ndarray]) -> "FockState":
+        """The two-mode state whose only nonzero blocks are ``blocks``, one
+        per sector of n1 - n2 in the order of ``_sector_indices``."""
+        state = cls.__new__(cls)
+        state.dim, state.n_modes = (len(blocks) + 1) // 2, 2
+        state.factors = state._rho = None
+        state.blocks = tuple(
+            (idx, _hermitian(block, len(idx)))
+            for idx, block in zip(_sector_indices(state.dim), blocks, strict=True)
+        )
         return state
 
     @property
     def rho(self) -> np.ndarray:
-        if self._rho is None:
+        if self._rho is None and self.factors is not None:
             self._rho = np.kron(*self.factors)
+        elif self._rho is None:
+            size = self.dim**self.n_modes
+            self._rho = np.zeros((size, size), np.result_type(*(b for _, b in self.blocks)))
+            for idx, block in self.blocks:
+                self._rho[np.ix_(idx, idx)] = block
         return self._rho
 
     @property
     def trace(self) -> float:
-        return float(self.rho.trace().real)
+        """Tr A Tr B for a product A x B, else the sum of the block traces."""
+        if self.factors is not None:
+            return float((self.factors[0].trace() * self.factors[1].trace()).real)
+        return float(sum(block.trace() for _, block in self.blocks).real)
+
+
+@functools.lru_cache(maxsize=16)
+def _sector_indices(dim: int) -> tuple[np.ndarray, ...]:
+    """The basis indices n1 dim + n2 of the two-mode states |n1, n2> in each
+    sector n1 - n2 = delta, for delta = 1 - dim, ..., dim - 1, ascending in
+    n1; read-only, since they are shared."""
+    sectors = []
+    for delta in range(1 - dim, dim):
+        t = np.arange(dim - abs(delta))
+        idx = (t + max(delta, 0)) * dim + t + max(-delta, 0)
+        idx.setflags(write=False)
+        sectors.append(idx)
+    return tuple(sectors)
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -300,19 +321,6 @@ def _beam_splitter_sectors(eta: float, cutoff: int):
         yield from zip(pair, counts, _expm(np.stack(generators)))
 
 
-def fock_beam_splitter(eta: float, cutoff: int) -> np.ndarray:
-    """Two-mode beam-splitter unitary matching the Gaussian convention.
-
-    Exponential of theta (a_0^dag a_1 - a_1^dag a_0) with theta = arccos(sqrt(eta)),
-    assembled from the total-photon-number sectors the generator preserves.
-    """
-    u = np.zeros((cutoff * cutoff, cutoff * cutoff))
-    for n, m, block in _beam_splitter_sectors(eta, cutoff):
-        idx = m * cutoff + (n - m)
-        u[np.ix_(idx, idx)] = block
-    return u
-
-
 def fock_partial_trace(state: FockState, keep: Sequence[int]) -> FockState:
     """Trace out all modes not listed in ``keep``."""
     keep = list(keep)
@@ -421,20 +429,25 @@ class ThermalLossChannel:
 _channel = functools.lru_cache(maxsize=16, typed=True)(ThermalLossChannel)
 
 
-def _tmsv_received(
+def _tmsv_sectors(
     ch1: ThermalLossChannel, ch2: ThermalLossChannel, amps: np.ndarray
-) -> np.ndarray:
+) -> list[np.ndarray]:
     """The two-mode squeezed probe sum_n amps[n] |n, n> through ``ch1`` on the
-    first mode and ``ch2`` on the second, one offset k at a time (module
-    docstring); a real symmetric matrix."""
+    first mode and ``ch2`` on the second, as its blocks of fixed n1 - n2
+    (module docstring); each block is real and symmetric."""
     d = len(amps)
-    rho = np.zeros((d * d, d * d))
+    # coherences[k, i, j]: the entry at |i + k, j + k><i, j|, one product per k
+    coherences = np.zeros((d, d, d))
     for k, (b1, b2) in enumerate(zip(ch1.blocks, ch2.blocks)):
-        i = np.arange(d - k)
-        lower = (i * d)[:, None] + i[None, :]  # |i, j> for the pair (i, j)
-        upper = lower + k * (d + 1)  # |i + k, j + k>
-        rho[upper, lower] = rho[lower, upper] = (b1 * (amps[k:] * amps[: d - k])) @ b2.T
-    return rho
+        coherences[k, : d - k, : d - k] = (b1 * (amps[k:] * amps[: d - k])) @ b2.T
+    t = np.arange(d)
+    offset, low = np.abs(t[:, None] - t[None, :]), np.minimum(t[:, None], t[None, :])
+    blocks = []
+    for delta in range(1 - d, d):
+        size = d - abs(delta)
+        k, m = offset[:size, :size], low[:size, :size]
+        blocks.append(coherences[k, m + max(delta, 0), m + max(-delta, 0)])
+    return blocks
 
 
 def bifrequency_fock_family(
@@ -453,7 +466,7 @@ def bifrequency_fock_family(
         amps = _tmsv_amplitudes(n_s, cutoff)
 
         def received(ch1: ThermalLossChannel, ch2: ThermalLossChannel) -> FockState:
-            return FockState(_tmsv_received(ch1, ch2, amps), cutoff, 2)
+            return FockState.sectors(_tmsv_sectors(ch1, ch2, amps))
 
     elif probe == "coherent":
         single = fock_coherent(np.sqrt(n_s), cutoff).rho
@@ -479,23 +492,17 @@ def _difference(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
     return (plus - minus) / (2.0 * FD_STEP)
 
 
-def family_derivative(family: Callable[[float], FockState]) -> tuple[np.ndarray, np.ndarray]:
-    """The density matrix at LAMBDA0 and its central difference with step FD_STEP."""
-    state, plus, minus = _central_states(family)
-    return state.rho, _difference(plus.rho, minus.rho)
-
-
-def _components(*mats: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of the joint nonzero pattern."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    pattern = np.zeros(mats[0].shape, dtype=bool)
-    for mat in mats:
-        pattern |= mat != 0
-    count, labels = connected_components(csr_matrix(pattern), directed=False)
-    order = np.argsort(labels, kind="stable")
-    return np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+def _blockwise(states: Sequence[FockState]) -> list[tuple[np.ndarray, ...]]:
+    """(basis index set, block of the state, block of its central difference)
+    for the states at LAMBDA0 and LAMBDA0 +- FD_STEP: one triple per sector
+    if all three are kept as sectors, else one over the whole basis."""
+    parts = [s.blocks for s in states]
+    if None in parts or len(set(map(len, parts))) > 1:
+        parts = [((np.arange(len(s.rho)), s.rho),) for s in states]
+    return [
+        (idx, block, _difference(plus, minus))
+        for (idx, block), (_, plus), (_, minus) in zip(*parts)
+    ]
 
 
 def _pair_sum(
@@ -544,10 +551,11 @@ def qfi_eq1(family: Callable[[float], FockState], drop_threshold: float = 1e-12)
     states, never the probe. If the family gives product states at all three
     points, the sum runs in the product of the factors' eigenbases and no
     matrix larger than one factor is diagonalised (``_product_qfi``).
-    Otherwise the basis splits into the connected components of the nonzero
-    pattern of the state and its derivative; both vanish between
-    components, so each is diagonalised on its own and the sum runs over
-    pairs within a component. The dtype picks the arithmetic: real states,
+    Otherwise it runs over the blocks of ``_blockwise``: the sectors of
+    n1 - n2 if all three states are kept as sectors, since both the state
+    and its derivative vanish between sectors, else one block over the
+    whole basis. Each block is diagonalised on its own and the sum runs over
+    pairs within a block. The dtype picks the arithmetic: real states,
     which every probe of the repository gives, are decomposed in real
     arithmetic, complex ones in complex. Eigenvalue pairs whose sum falls
     below ``drop_threshold`` contribute nothing and are skipped, on either
@@ -560,11 +568,8 @@ def qfi_eq1(family: Callable[[float], FockState], drop_threshold: float = 1e-12)
     states = _central_states(family)
     if all(s.factors is not None for s in states):
         return float(2.0 * _product_qfi(*states, drop_threshold))
-    rho0, drho = states[0].rho, _difference(states[1].rho, states[2].rho)
     total = 0.0
-    for idx in _components(rho0, drho):
-        block = np.ix_(idx, idx)
-        evals, evecs = np.linalg.eigh(rho0[block])
-        mat = evecs.conj().T @ drho[block] @ evecs
-        total += _pair_sum(evals, evals, mat, drop_threshold)
+    for _, block, dblock in _blockwise(states):
+        evals, evecs = np.linalg.eigh(block)
+        total += _pair_sum(evals, evals, evecs.conj().T @ dblock @ evecs, drop_threshold)
     return float(2.0 * total)

@@ -59,3 +59,75 @@ def reference_family(eta1, n_s, n_th, probe, cutoff):
         return apply_channel_pair(ch1, ch2, probe_rho)
 
     return family
+
+
+def fock_beam_splitter(eta, cutoff):
+    """Two-mode beam-splitter unitary matching the Gaussian convention.
+
+    Exponential of theta (a_0^dag a_1 - a_1^dag a_0) with theta = arccos(sqrt(eta)),
+    assembled from the total-photon-number sectors the generator preserves.
+    The second output slot is sqrt(eta) x (second input) - sqrt(1-eta) x
+    (first input), as in :func:`bifrost.gaussian.beam_splitter`; full
+    reflection (eta = 1) is the identity.
+    """
+    u = np.zeros((cutoff * cutoff, cutoff * cutoff))
+    for n, m, block in fock._beam_splitter_sectors(eta, cutoff):
+        idx = m * cutoff + (n - m)
+        u[np.ix_(idx, idx)] = block
+    return u
+
+
+def sparse_sld_operator(form, cutoff):
+    """A two-mode quadratic-form observable as a sparse CSR matrix on the
+    truncated space, built from the two-mode ladder operators; real when
+    every coefficient of the form is."""
+    from scipy import sparse
+
+    coeffs = [form.quad, form.linear, form.center, form.scalar]
+    if not any(np.any(np.imag(c)) for c in coeffs):
+        coeffs = [np.real(c) for c in coeffs]
+    quad, linear, center, scalar = coeffs
+    dtype = np.result_type(*coeffs, float)
+    a = sparse.csr_matrix(fock.annihilation(cutoff))
+    eye = sparse.identity(cutoff)
+    one = sparse.identity(cutoff * cutoff, dtype=dtype, format="csr")
+    basis = [sparse.kron(a, eye), sparse.kron(eye, a)]
+    basis += [op.conj().T for op in basis]
+    delta = [(op - c * one).tocsr() for op, c in zip(basis, center)]
+    op = scalar * one
+    for i in range(4):
+        di_dag = delta[i].conj().T
+        op = op + linear[i] * di_dag
+        for j in range(4):
+            if quad[i, j] != 0.0:
+                op = op + quad[i, j] * (di_dag @ delta[j])
+    return op.tocsr()
+
+
+def dense_sld_report(eta1, n_s, n_th, probe, cutoff):
+    """The SLD report of ``validate.sld_fock_report`` on dense matrices: the
+    sparse operator against the dense received state and its central
+    difference."""
+    from bifrost.protocols import BiFrequencyParams, bifrequency_received_state
+    from bifrost.sld import _solve
+
+    solution = _solve(bifrequency_received_state(BiFrequencyParams(eta1, 0.0, n_s, n_th), probe))
+    h = solution.result().value
+    ell = sparse_sld_operator(solution.form(), cutoff).tocoo()
+    family = fock.bifrequency_fock_family(eta1, n_s, n_th, probe, cutoff)
+    rho = family(fock.LAMBDA0).rho
+    drho = (family(fock.LAMBDA0 + fock.FD_STEP).rho - family(fock.LAMBDA0 - fock.FD_STEP).rho)
+    drho /= 2.0 * fock.FD_STEP
+    ell_rho = ell @ rho
+    anticommutator = ell_rho + ell_rho.conj().T
+    anticommutator -= 2.0 * drho
+    residual = np.linalg.norm(anticommutator) / np.linalg.norm(drho)
+    mean = float(np.trace(ell_rho).real)
+    second_moment = float(np.sum(ell.data * ell_rho[ell.col, ell.row]).real)
+    return {
+        "residual": float(residual),
+        "mean": mean,
+        "second_moment": second_moment,
+        "qfi": h,
+        "variance_rel_error": abs(second_moment - h) / h,
+    }

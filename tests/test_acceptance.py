@@ -161,6 +161,28 @@ def test_criterion_6_sld_correctness():
     )
 
 
+def test_wide_oracle_box():
+    """Criteria 2 and 6 where the paper's advantage is large: the oracle and
+    SLD checks at eta1 = 0.8, n_s and n_th in {1, 2}, both probes, at their
+    tolerances, in a process of its own whose peak RSS stays under 176 MB."""
+    code = (
+        "import resource\n"
+        "from bifrost import validate\n"
+        "for check in validate.wide_box_checks():\n"
+        "    print(check.line())\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)"
+    )
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    elapsed = time.perf_counter() - start
+    assert result.returncode == 0, result.stderr
+    *lines, peak_mb = result.stdout.splitlines()
+    failed = [line for line in lines if not line.startswith("[PASS]")]
+    print("\n".join(failed))
+    print(f"wide box: {len(lines)} checks, peak RSS {float(peak_mb):.1f} MB, runtime {elapsed:.1f}s")
+    verdict("2, 6", "wide oracle box", len(lines) == 32 and not failed and float(peak_mb) < 176.0)
+
+
 def test_criterion_7_advantage_map_reproduction(tmp_path):
     grids = {}
     for eta1 in (0.75, 0.90, 0.95):

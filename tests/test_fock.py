@@ -1,5 +1,6 @@
 """Truncated Fock-space oracle against the Gaussian machinery."""
 
+import importlib
 import pathlib
 import re
 import subprocess
@@ -58,11 +59,10 @@ def test_fock_state_keeps_its_dtype():
 
 
 def test_hermiticity_check_is_the_dense_maximum():
-    """The check compares tile against mirrored tile; on sizes that are and
-    are not multiples of the tile it reports the dense maximum of
-    |rho - rho^dag|, and a NaN in any tile fails it."""
+    """On several sizes the check reports the dense maximum of
+    |rho - rho^dag|, and a NaN anywhere fails it."""
     rng = np.random.default_rng(11)
-    for size in (fock.HERMITICITY_TILE, 2 * fock.HERMITICITY_TILE + 1, 300):
+    for size in (128, 257, 300):
         for dtype in (float, complex):
             m = rng.standard_normal((size, size))
             if dtype is complex:
@@ -101,6 +101,54 @@ def test_product_state_keeps_its_factors():
         fock.FockState.product(first, skew)
     with pytest.raises(ValueError, match="shape"):
         fock.FockState.product(first, second[:-1, :-1])
+
+
+def test_entangled_state_keeps_its_sectors():
+    """The received two-mode squeezed state is kept as its 2 cutoff - 1
+    blocks of fixed n1 - n2, each checked on its own; the dense matrix,
+    formed only when read, holds them at their states and is 0 elsewhere."""
+    cutoff = 12
+    state = fock.bifrequency_fock_family(0.6, 0.1, 0.2, "tmsv", cutoff)(0.01)
+    assert state._rho is None and state.factors is None
+    blocks = state.blocks
+    assert len(blocks) == 2 * cutoff - 1
+    shifts = []
+    for idx, block in blocks:
+        n1, n2 = np.divmod(idx, cutoff)
+        assert len(set(n1 - n2)) == 1 and np.all(np.diff(n1) == 1)
+        assert block.shape == (len(idx), len(idx)) and block.dtype == np.float64
+        shifts.append(int(n1[0] - n2[0]))
+    assert shifts == list(range(1 - cutoff, cutoff))
+    rho = state.rho
+    assert state.rho is rho
+    mask = np.zeros(rho.shape, dtype=bool)
+    for idx, block in blocks:
+        assert np.array_equal(rho[np.ix_(idx, idx)], block)
+        mask[np.ix_(idx, idx)] = True
+    assert not rho[~mask].any()
+
+    skew = [block.copy() for _, block in blocks]
+    skew[cutoff][0, 1] += 2e-12
+    with pytest.raises(ValueError, match="non-hermitian"):
+        fock.FockState.sectors(skew)
+    with pytest.raises(ValueError):
+        fock.FockState.sectors([block for _, block in blocks][:-1])
+
+
+@pytest.mark.parametrize("probe", ["tmsv", "coherent"])
+def test_trace_is_read_off_the_structure(probe):
+    """Tr A Tr B for a product, the sum of the block traces for a state kept
+    as sectors: both equal the trace of the dense matrix to 1e-15, and
+    neither forms that matrix."""
+    family = fock.bifrequency_fock_family(0.8, 0.5, 0.3, probe, 30)
+    for lam in (0.0, 0.03):
+        state = family(lam)
+        trace = state.trace
+        assert state._rho is None
+        assert abs(trace - np.trace(state.rho)) < 1e-15
+        assert abs(trace - 1.0) < 1e-6
+    dense = fock.FockState(family(0.0).rho, 30, 2)
+    assert dense.trace == float(np.trace(dense.rho))
 
 
 def test_fock_constructors_reject_non_finite_inputs():
@@ -166,14 +214,18 @@ def test_coherent_auto_cutoff_matches_poisson_tail():
 
 
 def test_coherent_family_with_given_cutoff_loads_no_scipy():
-    """scipy.special is imported only to choose a coherent cutoff; a coherent
-    family at a given cutoff, its QFI and its moments load no scipy module."""
+    """scipy.special is imported only to choose a coherent cutoff; a whole
+    oracle pass at a given cutoff, as the benchmark makes it (the QFI and
+    the SLD report of both probes, the moments of both received states),
+    loads no scipy module."""
     code = (
         "import sys\n"
-        "from bifrost import fock\n"
-        "family = fock.bifrequency_fock_family(0.8, 0.5, 0.3, 'coherent', 20)\n"
-        "fock.qfi_eq1(family)\n"
-        "fock.quadrature_moments(family(0.0))\n"
+        "from bifrost import fock, validate\n"
+        "for probe in ('tmsv', 'coherent'):\n"
+        "    family = fock.bifrequency_fock_family(0.8, 0.5, 0.3, probe, 20)\n"
+        "    fock.qfi_eq1(family)\n"
+        "    validate.sld_fock_report(0.8, 0.5, 0.3, probe, 20)\n"
+        "    fock.quadrature_moments(family(0.0))\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -202,13 +254,13 @@ def test_coherent_moments():
 # --- beam splitter --------------------------------------------------------
 
 def test_beam_splitter_full_reflection_is_identity():
-    u = fock.fock_beam_splitter(1.0, 12)
+    u = fock_reference.fock_beam_splitter(1.0, 12)
     assert np.allclose(u, np.eye(144))
 
 
 def test_beam_splitter_zero_reflectivity_swaps():
     """At eta = 0 the kept slot carries the other input (mode swap with sign)."""
-    u = fock.fock_beam_splitter(0.0, 18)
+    u = fock_reference.fock_beam_splitter(0.0, 18)
     th = fock.fock_thermal(0.3, 18)
     coh = fock.fock_coherent(0.5, 18)
     joint = np.kron(th.rho, coh.rho)
@@ -221,7 +273,7 @@ def test_beam_splitter_zero_reflectivity_swaps():
 
 def test_beam_splitter_unitary_interior():
     cutoff = 20
-    u = fock.fock_beam_splitter(0.42, cutoff)
+    u = fock_reference.fock_beam_splitter(0.42, cutoff)
     defect = u.conj().T @ u - np.eye(cutoff * cutoff)
     totals = (np.arange(cutoff)[:, None] + np.arange(cutoff)[None, :]).ravel()
     interior = totals < cutoff - 5
@@ -233,7 +285,7 @@ def test_beam_splitter_moments_match_gaussian():
     th = fock.fock_thermal(0.4, cutoff)
     coh = fock.fock_coherent(0.8, cutoff)
     joint = fock.FockState(np.kron(th.rho, coh.rho), cutoff, 2)
-    u = fock.fock_beam_splitter(0.3, cutoff)
+    u = fock_reference.fock_beam_splitter(0.3, cutoff)
     after = fock.FockState(u @ joint.rho @ u.conj().T, cutoff, 2)
     cov_f, disp_f = fock.quadrature_moments(after)
     expected = bf.apply(bf.beam_splitter(0.3), bf.tensor(bf.thermal(0.4), bf.coherent(0.8)))
@@ -301,7 +353,7 @@ def test_channel_blocks_match_kraus_superoperator():
     """Beam splitter and channel blocks against the 40-digit exponential of
     each sector; scipy.linalg.expm is itself 9.5e-14 off it at this point."""
     eta, n_th, cutoff = 0.37, 0.15, 8
-    u = fock.fock_beam_splitter(eta, cutoff)
+    u = fock_reference.fock_beam_splitter(eta, cutoff)
     assert np.max(np.abs(u - _dense_beam_splitter(eta, cutoff, _mp_expm))) < 1e-14
     channel = fock.ThermalLossChannel(eta, n_th, cutoff)
     dense = np.zeros((cutoff**2, cutoff**2))
@@ -595,15 +647,15 @@ def test_qfi_eq1_invariant_under_unitary_conjugation():
         rho = q @ family(lam).rho @ q.conj().T
         return fock.FockState((rho + rho.conj().T) / 2.0, cutoff, 2)
 
-    assert len(fock._components(*fock.family_derivative(family))) == 2 * cutoff - 1
-    assert len(fock._components(*fock.family_derivative(rotated))) == 1
+    assert len(family(0.0).blocks) == 2 * cutoff - 1
+    assert len(rotated(0.0).blocks) == 1
     h_sectored, h_dense = fock.qfi_eq1(family), fock.qfi_eq1(rotated)
     assert abs(h_dense - h_sectored) / h_sectored < 1e-9
 
 
 def _densified(family, cutoff):
     """The same family with each state as a plain dense FockState, which
-    ``qfi_eq1`` decomposes by components."""
+    ``qfi_eq1`` decomposes as one block."""
     return lambda lam: fock.FockState(family(lam).rho, cutoff, 2)
 
 
@@ -619,6 +671,21 @@ def test_product_qfi_matches_dense_route(cutoff):
         h_product = fock.qfi_eq1(family)
         h_dense = fock.qfi_eq1(_densified(family, cutoff))
         assert abs(h_product - h_dense) / h_dense < 1e-10, (eta1, n_s, n_th)
+
+
+@pytest.mark.parametrize("cutoff", [20, 25, 30])
+def test_sector_qfi_matches_dense_route(cutoff):
+    """On every oracle configuration the two-mode squeezed family's QFI from
+    its sectors equals the QFI of the same states made dense. Below cutoff
+    20 the tail gate rejects the configurations with n_s = 0.5."""
+    from bifrost.validate import ORACLE_CONFIGS
+
+    for eta1, n_s, n_th in ORACLE_CONFIGS:
+        family = fock.bifrequency_fock_family(eta1, n_s, n_th, "tmsv", cutoff)
+        assert len(family(0.0).blocks) == 2 * cutoff - 1
+        h_sectors = fock.qfi_eq1(family)
+        h_dense = fock.qfi_eq1(_densified(family, cutoff))
+        assert abs(h_sectors - h_dense) / h_dense < 1e-10, (eta1, n_s, n_th)
 
 
 def test_product_qfi_with_both_factors_varying():
@@ -667,6 +734,23 @@ def test_product_qfi_diagonalises_only_factors(monkeypatch):
     assert shapes == [(cutoff, cutoff)] * 2
 
 
+def test_sector_qfi_diagonalises_only_sectors(monkeypatch):
+    """The two-mode squeezed family diagonalises each sector once, so no
+    matrix larger than cutoff x cutoff."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(mat, *args, **kwargs):
+        shapes.append(mat.shape)
+        return eigh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    cutoff = 30
+    fock.qfi_eq1(fock.bifrequency_fock_family(0.8, 0.5, 0.3, "tmsv", cutoff))
+    sizes = [cutoff - abs(delta) for delta in range(1 - cutoff, cutoff)]
+    assert shapes == [(size, size) for size in sizes]
+
+
 def test_qfi_eq1_drop_threshold_stable():
     family = fock.bifrequency_fock_family(0.5, 0.2, 0.1, "tmsv", 24)
     h1 = fock.qfi_eq1(family, drop_threshold=1e-12)
@@ -678,7 +762,7 @@ def test_qfi_eq1_drop_threshold_stable():
 def test_qfi_eq1_rejects_a_bad_drop_threshold(probe):
     """NaN and inf would skip every pair and return 0.0, a negative value
     would admit pairs whose eigenvalue sum is 0; each raises, on the
-    per-component route (tmsv) and the product route (coherent)."""
+    sector route (tmsv) and the product route (coherent)."""
     family = fock.bifrequency_fock_family(0.5, 0.2, 0.1, probe, 16)
     for threshold in (np.nan, np.inf, -np.inf, -1e-12):
         with pytest.raises(ValueError, match="drop_threshold"):
@@ -707,3 +791,100 @@ def test_partial_trace_validation():
         fock.fock_partial_trace(state, [])
     with pytest.raises(ValueError):
         fock.fock_partial_trace(state, [2])
+
+
+# --- SLD on the oracle --------------------------------------------------------
+
+REPORT_KEYS = ("residual", "mean", "second_moment", "qfi", "variance_rel_error")
+
+
+@pytest.mark.parametrize("probe", ["tmsv", "coherent"])
+def test_sld_report_matches_dense_computation(probe):
+    """On every oracle configuration the report from factors or sectors
+    equals the one made of the sparse operator and the dense states, within
+    1e-10 per key, and its QFI is the same number."""
+    for config in validate.ORACLE_CONFIGS:
+        report = validate.sld_fock_report(*config, probe, 25)
+        expected = fock_reference.dense_sld_report(*config, probe, 25)
+        assert report["qfi"] == expected["qfi"]
+        for key in REPORT_KEYS:
+            assert abs(report[key] - expected[key]) < 1e-10, (config, key)
+
+
+@pytest.mark.parametrize("probe", ["tmsv", "coherent"])
+def test_sld_report_on_dense_states_takes_one_block(probe, monkeypatch):
+    """A family of plain dense states takes the one-block route, which gives
+    the report of the structured states within 1e-10 per key."""
+    cutoff, config = 16, (0.5, 0.2, 0.1)
+    structured = validate.sld_fock_report(*config, probe, cutoff)
+    build = fock.bifrequency_fock_family
+    monkeypatch.setattr(
+        fock, "bifrequency_fock_family", lambda *args: _densified(build(*args), cutoff)
+    )
+    counts = []
+    blockwise = fock._blockwise
+
+    def counting_blockwise(states):
+        blocks = blockwise(states)
+        counts.append(len(blocks))
+        return blocks
+
+    monkeypatch.setattr(fock, "_blockwise", counting_blockwise)
+    dense = validate.sld_fock_report(*config, probe, cutoff)
+    assert counts == [1]
+    for key in REPORT_KEYS:
+        assert abs(dense[key] - structured[key]) < 1e-10, key
+
+
+def test_sld_report_forms_no_dense_matrix(monkeypatch):
+    """Neither structured route gathers the operator on the whole basis or
+    forms a two-mode density matrix."""
+    cutoff = 20
+    gathered = []
+    block = validate.LadderOperator.block
+
+    def recording_block(self, rows, cols):
+        gathered.append((len(rows), len(cols)))
+        return block(self, rows, cols)
+
+    monkeypatch.setattr(validate.LadderOperator, "block", recording_block)
+    rho = fock.FockState.rho.fget
+
+    def one_mode_rho(self):
+        assert self.n_modes == 1, "a two-mode density matrix was formed"
+        return rho(self)
+
+    monkeypatch.setattr(fock.FockState, "rho", property(one_mode_rho))
+    for probe in ("tmsv", "coherent"):
+        validate.sld_fock_report(0.8, 0.5, 0.3, probe, cutoff)
+    assert gathered and max(max(shape) for shape in gathered) <= cutoff
+
+
+def test_sld_report_sums_over_the_sectors_a_form_couples(monkeypatch):
+    """A form whose terms change n1 - n2 by 1 and 2 couples the sectors of
+    the two-mode squeezed states; the report gathers the operator between
+    them and equals the dense computation with the same form."""
+    sld = importlib.import_module("bifrost.sld")  # the package exports a function ``sld``
+    rng = np.random.default_rng(4)
+    quad = rng.standard_normal((4, 4))
+    form = sld.SldForm(quad=(quad + quad.T).astype(complex), linear=rng.standard_normal(4) + 0j,
+                       scalar=0.2, center=np.zeros(4))
+    solve = sld._solve
+
+    class FixedForm:
+        def __init__(self, family):
+            self.solution = solve(family)
+
+        def result(self):
+            return self.solution.result()
+
+        def form(self):
+            return form
+
+    monkeypatch.setattr(validate, "_solve", FixedForm)
+    monkeypatch.setattr(sld, "_solve", FixedForm)
+    assert validate.fock_sld_operator(form, 16).charges == {-2, -1, 0, 1, 2}
+    report = validate.sld_fock_report(0.8, 0.2, 0.3, "tmsv", 16)
+    expected = fock_reference.dense_sld_report(0.8, 0.2, 0.3, "tmsv", 16)
+    for key in REPORT_KEYS:
+        assert abs(report[key] - expected[key]) <= 1e-12 * max(1.0, abs(expected[key])), key

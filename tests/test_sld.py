@@ -298,8 +298,9 @@ def test_fock_sld_operator_real_and_complex_paths_agree():
     from bifrost.validate import fock_sld_operator
 
     cutoff = 12
+    whole = np.arange(cutoff * cutoff)
     form = sld(tmsv_family(0.8, 0.5, 0.3))
-    real_op = fock_sld_operator(form, cutoff)
+    real_op = fock_sld_operator(form, cutoff).block(whole, whole)
     assert real_op.dtype == np.float64
 
     rng = np.random.default_rng(5)
@@ -316,10 +317,48 @@ def test_fock_sld_operator_real_and_complex_paths_agree():
         quad=quad_im.astype(complex), linear=linear_im.astype(complex), scalar=0.0,
         center=form.center,
     )
-    complex_op = fock_sld_operator(shifted, cutoff)
+    complex_op = fock_sld_operator(shifted, cutoff).block(whole, whole)
     assert complex_op.dtype == np.complex128
-    imag_op = fock_sld_operator(imag_part, cutoff)
+    imag_op = fock_sld_operator(imag_part, cutoff).block(whole, whole)
     assert imag_op.dtype == np.float64
-    expected = (real_op + 1j * imag_op).toarray()
-    deviation = np.max(np.abs(complex_op.toarray() - expected))
+    expected = real_op + 1j * imag_op
+    deviation = np.max(np.abs(complex_op - expected))
     assert deviation <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_fock_sld_operator_matches_sparse_reference():
+    """Gathered from one-mode ladder words, the operator equals the one made
+    of sparse two-mode ladder operators: on the whole basis, and on each
+    pair of n1 - n2 sectors, for the forms of both probes, a complex one
+    with a displaced center, and the zero form. Its charges are 0 and the
+    sector shifts where it has nonzero entries."""
+    import fock_reference
+    from bifrost import fock
+    from bifrost.sld import SldForm
+    from bifrost.validate import fock_sld_operator
+
+    cutoff = 10
+    rng = np.random.default_rng(9)
+    quad = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    forms = [
+        sld(tmsv_family(0.8, 0.5, 0.3)),
+        sld(coherent_family(0.8, 0.5, 0.3)),
+        SldForm(quad=quad + quad.conj().T, linear=rng.standard_normal(4) + 0.5j,
+                scalar=0.3, center=rng.standard_normal(4) + 0.2j),
+        SldForm(quad=np.zeros((4, 4)), linear=np.zeros(4), scalar=0.0, center=np.zeros(4)),
+    ]
+    whole = np.arange(cutoff * cutoff)
+    sectors = fock._sector_indices(cutoff)
+    for form in forms:
+        op = fock_sld_operator(form, cutoff)
+        reference = fock_reference.sparse_sld_operator(form, cutoff).toarray()
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(op.block(whole, whole) - reference)) <= 1e-13 * scale
+        coupled = set()
+        for p, rows in enumerate(sectors):
+            for q, cols in enumerate(sectors):
+                expected = reference[np.ix_(rows, cols)]
+                assert np.max(np.abs(op.block(rows, cols) - expected)) <= 1e-13 * scale
+                if np.any(expected):
+                    coupled.add(p - q)
+        assert coupled | {0} == op.charges
