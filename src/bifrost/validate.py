@@ -85,7 +85,8 @@ class LadderOperator(NamedTuple):
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The block between basis states ``rows`` and ``cols``."""
         (r1, r2), (c1, c2) = (divmod(idx, self.first.shape[-1]) for idx in (rows, cols))
-        return np.einsum("tij,tij->ij", self.first[:, r1[:, None], c1], self.second[:, r2[:, None], c2])
+        first, second = self.first[:, r1[:, None], c1], self.second[:, r2[:, None], c2]
+        return np.einsum("tij,tij->ij", first, second)
 
 
 def fock_sld_operator(form: SldForm, cutoff: int) -> LadderOperator:
