@@ -2,8 +2,8 @@
 
 Everything here exists to validate the Gaussian pipeline by a route that
 shares none of its machinery: density matrices on a photon-number cutoff,
-beam-splitter unitaries by matrix exponential, partial traces by index
-contraction, and the basis-dependent QFI
+beam-splitter unitaries by matrix exponential, moments as traces against
+number-basis operators, and the basis-dependent QFI
 
     H = 2 sum_{m,n} |<m| drho |n>|^2 / (p_m + p_n)
 
@@ -28,10 +28,13 @@ read-only. A state whose modes pass through such channels keeps the zero
 pattern those offsets impose: the received two-mode squeezed state and its
 derivative vanish outside the sectors of fixed n1 - n2, exactly 0.0 and not
 merely small. Such a state is kept as those 2 cutoff - 1 blocks
-(``FockState.sectors``), about 2 cutoff^3 / 3 entries, and a product state
-as its one-mode factors (``FockState.product``). ``qfi_eq1`` diagonalises
-the factors or the sectors, never a cutoff^2 x cutoff^2 matrix, and reads
-which off the states, never off the probe; a dense state is one block.
+(``FockState.sectors``), about 2 cutoff^3 / 3 entries, held in one
+zero-padded (2 cutoff - 1, cutoff, cutoff) stack, so that it is gathered in
+one index and checked in one pass; a product state is kept as its one-mode
+factors (``FockState.product``). ``qfi_eq1`` diagonalises the factors or
+the sectors, never a cutoff^2 x cutoff^2 matrix, and reads which off the
+states, never off the probe; ``quadrature_moments`` sums over the factors'
+or the stack's entries; a dense state is one block.
 
 The four-mode bi-frequency pipeline is never materialised: the interaction
 does not mix frequencies, so each frequency sees an independent thermal-loss
@@ -45,8 +48,15 @@ channel keeps that offset; so its output is nonzero only where both modes
 share an offset, and for each k >= 0 it is the one product
 B1_k diag(a_{i+k} a_i) B2_k^T of the two channels' blocks, the entry at
 |i + k, j + k><i, j| for row i and column j, and its transpose at offset -k.
-Each sector gathers its entries from these products. Real probes give real
-states, which keep a real dtype throughout.
+One fancy index (``_sector_layout``) gathers the sector stack from these
+products. Real probes give real states, which keep a real dtype throughout.
+
+The products stay one BLAS call per offset, at the offset's own size. A
+product padded to the full cutoff, batched over the offsets, gives the same
+numbers only up to round-off: OpenBLAS orders its sums by the length of the
+reduction, and the zero padding changes that length. The padded batch moves
+the coherent QFI by about 5e-12 relative and the cutoff-45 and cutoff-80
+sectors in their last bits, so it is not used.
 
 Beam-splitter convention: the unitary of ``_beam_splitter_sectors(eta)``
 realises exactly the quadrature rotation of
@@ -58,7 +68,7 @@ sqrt(eta) x (second input) - sqrt(1-eta) x (first input). Full reflection
 from __future__ import annotations
 
 import functools
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,14 +85,15 @@ LAMBDA0 = 0.0
 FD_STEP = 1e-4
 
 
-def _hermitian(rho, size: int) -> np.ndarray:
-    """``rho`` as float64, or complex128 if complex, after checking that it is
-    ``size`` x ``size`` and hermitian to 1e-12; NaN fails too."""
+def _hermitian(rho, shape: tuple[int, ...]) -> np.ndarray:
+    """``rho`` as float64, or complex128 if complex, after checking that its
+    shape is ``shape`` and that each matrix on its last two axes is hermitian
+    to 1e-12; NaN fails too."""
     rho = np.asarray(rho)
     rho = rho.astype(complex if np.iscomplexobj(rho) else float, copy=False)
-    if rho.shape != (size, size):
-        raise ValueError(f"density matrix shape {rho.shape} != ({size}, {size})")
-    herm = np.max(np.abs(rho - rho.conj().T))
+    if rho.shape != shape:
+        raise ValueError(f"density matrix shape {rho.shape} != {shape}")
+    herm = np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)))
     if not herm <= 1e-12:  # NaN fails too
         raise ValueError(f"density matrix non-hermitian by {herm:.3e}")
     return rho
@@ -98,19 +109,24 @@ class FockState:
 
     A product state is kept as its one-mode factors (``FockState.product``),
     each checked on its own; ``factors`` is None for any other state. A
-    two-mode state block-diagonal in n1 - n2 is kept as its blocks
-    (``FockState.sectors``), each checked on its own. ``blocks`` holds
-    (basis index set, block) pairs: the sectors, or one block over the whole
-    basis for a dense state; it is None for a product. The dense ``rho`` of
-    a product or of sectors is formed only when it is read, and then kept.
+    two-mode state block-diagonal in n1 - n2 is kept as its sectors
+    (``FockState.sectors``), checked at once. ``blocks`` holds (basis index
+    set, block) pairs: the sectors, or one block over the whole basis for a
+    dense state. The same blocks, zero-padded to one size, are ``stack``,
+    with their index sets padded alike in ``indices``; ``blocks[q]`` is
+    (indices[q, :m], stack[q, :m, :m]) for the size m of block q. All three
+    are None for a product. The dense ``rho`` of a product or of sectors is
+    formed only when it is read, and then kept.
     """
 
-    __slots__ = ("_rho", "factors", "blocks", "dim", "n_modes")
+    __slots__ = ("_rho", "factors", "blocks", "stack", "indices", "dim", "n_modes")
 
     def __init__(self, rho: np.ndarray, dim: int, n_modes: int):
-        self._rho = _hermitian(rho, dim**n_modes)
+        size = dim**n_modes
+        self._rho = _hermitian(rho, (size, size))
         self.factors: tuple[np.ndarray, ...] | None = None
-        self.blocks = ((np.arange(dim**n_modes), self._rho),)
+        self.stack, self.indices = self._rho[None], np.arange(size)[None]
+        self.blocks = ((self.indices[0], self._rho),)
         self.dim, self.n_modes = dim, n_modes
 
     @classmethod
@@ -118,20 +134,31 @@ class FockState:
         """The two-mode product of one-mode density matrices of one cutoff."""
         state = cls.__new__(cls)
         state.dim, state.n_modes = len(first), 2
-        state.factors = (_hermitian(first, state.dim), _hermitian(second, state.dim))
-        state._rho = state.blocks = None
+        shape = (state.dim, state.dim)
+        state.factors = (_hermitian(first, shape), _hermitian(second, shape))
+        state._rho = state.blocks = state.stack = state.indices = None
         return state
 
     @classmethod
-    def sectors(cls, blocks: Sequence[np.ndarray]) -> "FockState":
-        """The two-mode state whose only nonzero blocks are ``blocks``, one
-        per sector of n1 - n2 in the order of ``_sector_indices``."""
+    def sectors(cls, stack: np.ndarray) -> "FockState":
+        """The two-mode state whose only nonzero blocks are its sectors of
+        n1 - n2, given as their zero-padded (2 cutoff - 1, cutoff, cutoff)
+        stack in the order of ``_sector_indices``. Hermiticity is checked
+        once over the stack, to the 1e-12 of a dense state, and a nonzero
+        padding entry is rejected, since neither ``trace`` nor ``rho`` would
+        see it."""
         state = cls.__new__(cls)
-        state.dim, state.n_modes = (len(blocks) + 1) // 2, 2
+        dim = np.shape(stack)[-1]
+        state.dim, state.n_modes = dim, 2
         state.factors = state._rho = None
+        state.stack = _hermitian(stack, (2 * dim - 1, dim, dim))
+        layout = _sector_layout(dim)
+        if np.any((state.stack != 0) & layout.padding):  # NaN fails too
+            raise ValueError("sector stack nonzero in its padding")
+        state.indices = layout.indices
         state.blocks = tuple(
-            (idx, _hermitian(block, len(idx)))
-            for idx, block in zip(_sector_indices(state.dim), blocks, strict=True)
+            (idx, sector[: len(idx), : len(idx)])
+            for idx, sector in zip(_sector_indices(dim), state.stack)
         )
         return state
 
@@ -154,18 +181,63 @@ class FockState:
         return float(sum(block.trace() for _, block in self.blocks).real)
 
 
+class _SectorLayout(NamedTuple):
+    """Where the sectors of n1 - n2 of a two-mode cutoff lie, sector
+    delta = 1 - cutoff, ..., cutoff - 1 at row delta + cutoff - 1:
+    ``indices``, the basis indices n1 cutoff + n2 of each, ascending in n1
+    and padded with 0; ``padding``, the mask of the padding of a
+    (2 cutoff - 1, cutoff, cutoff) sector stack; ``gather``, the flat indices
+    into the coherences of ``_tmsv_sectors`` that fill that stack."""
+
+    indices: np.ndarray
+    padding: np.ndarray
+    gather: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _sector_layout(dim: int) -> _SectorLayout:
+    """The layout of the sectors at cutoff ``dim``; read-only, since it is
+    shared. Padding entries gather coherences[dim - 1, dim - 1, dim - 1],
+    which lies in their zero padding."""
+    t = np.arange(dim)
+    delta = np.arange(1 - dim, dim)[:, None]
+    up, down = np.maximum(delta, 0), np.maximum(-delta, 0)
+    inside = t < dim - np.abs(delta)
+    indices = np.where(inside, (t + up) * dim + t + down, 0)
+    padding = ~(inside[:, :, None] & inside[:, None, :])
+    offset, low = np.abs(t[:, None] - t[None, :]), np.minimum(t[:, None], t[None, :])
+    gather = (offset * dim + low + up[:, :, None]) * dim + low + down[:, :, None]
+    # int32 halves the shared memo; it holds dim^3 up to cutoff 1290, whose
+    # coherences alone would take 17 GB
+    gather = np.where(padding, dim**3 - 1, gather).astype(np.int32)
+    layout = _SectorLayout(indices, padding, gather)
+    for array in layout:
+        array.setflags(write=False)
+    return layout
+
+
 @functools.lru_cache(maxsize=16)
 def _sector_indices(dim: int) -> tuple[np.ndarray, ...]:
     """The basis indices n1 dim + n2 of the two-mode states |n1, n2> in each
     sector n1 - n2 = delta, for delta = 1 - dim, ..., dim - 1, ascending in
-    n1; read-only, since they are shared."""
-    sectors = []
-    for delta in range(1 - dim, dim):
-        t = np.arange(dim - abs(delta))
-        idx = (t + max(delta, 0)) * dim + t + max(-delta, 0)
-        idx.setflags(write=False)
-        sectors.append(idx)
-    return tuple(sectors)
+    n1: read-only views of ``_sector_layout(dim).indices``."""
+    indices = _sector_layout(dim).indices
+    return tuple(idx[: dim - abs(delta)] for idx, delta in zip(indices, range(1 - dim, dim)))
+
+
+@functools.lru_cache(maxsize=16)
+def _offset_order(dim: int) -> np.ndarray:
+    """The flat indices of a dim x dim matrix grouped by coherence offset:
+    rho[i, i] for i < dim, then for each k = 1, ..., dim - 1 the entries
+    rho[i + k, i] and then rho[i, i + k], each ascending in i. A permutation,
+    read-only since it is shared."""
+    groups = [np.arange(dim) * (dim + 1)]
+    for k in range(1, dim):
+        i = np.arange(dim - k)
+        groups += [(i + k) * dim + i, i * dim + i + k]
+    order = np.concatenate(groups)
+    order.setflags(write=False)
+    return order
 
 
 def annihilation(dim: int) -> np.ndarray:
@@ -321,57 +393,61 @@ def _beam_splitter_sectors(eta: float, cutoff: int):
         yield from zip(pair, counts, _expm(np.stack(generators)))
 
 
-def fock_partial_trace(state: FockState, keep: Sequence[int]) -> FockState:
-    """Trace out all modes not listed in ``keep``."""
-    keep = list(keep)
-    if not keep or any(k < 0 or k >= state.n_modes for k in keep):
-        raise ValueError(f"invalid mode selection {keep} for {state.n_modes} modes")
-    if any(b <= a for a, b in zip(keep, keep[1:])):
-        raise ValueError("kept modes must be strictly increasing")
-    n, d = state.n_modes, state.dim
-    tensor = state.rho.reshape([d] * (2 * n))
-    traced = [m for m in range(n) if m not in keep]
-    for m in sorted(traced, reverse=True):
-        tensor = np.trace(tensor, axis1=m, axis2=m + tensor.ndim // 2)
-    size = d ** len(keep)
-    return FockState(tensor.reshape(size, size), d, len(keep))
-
-
 def quadrature_moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
     """Interleaved covariance and displacement extracted from number-basis moments.
 
-    Each moment is read off the smallest marginal that holds it: the
-    one-mode marginals give the displacement and the same-mode second
-    moments, the two-mode marginals the cross-mode ones, by contraction.
-    No operator on the full space is formed.
+    Each moment is Tr(rho O) = sum rho[r, s] O[s, r], with O a product of
+    one-mode operators: the identity, a quadrature, or the anticommutator of
+    two. Each of them moves a photon number by at most 2, so the sum runs
+    over the nonzero entries of rho within that band on every mode, and each
+    one-mode operator is gathered at their photon numbers. The entries are
+    read off the state's structure: the stored blocks (``stack``), or for a
+    product A x B the products A[i1, j1] B[i2, j2] inside the band. They are
+    summed in the order of the dense matrix, so a state gives the same
+    moments however it is kept. No cutoff^2 x cutoff^2 matrix is formed for
+    a product or for sectors; a dense state is one block.
     """
     d, n = state.dim, state.n_modes
+    if state.factors is not None:
+        # rows (i1, i2), columns (j1, j2) = (i1 + e1, i2 + e2), for |e| <= 2
+        t, e = np.arange(d)[:, None], np.arange(-2, 3)
+        near = np.clip(t + e, 0, d - 1)
+        first, second = (np.where(t + e == near, f[t, near], 0) for f in state.factors)
+        values = first[:, None, :, None] * second[None, :, None, :]
+        rows = (t * d + t.T)[:, :, None, None]
+        cols = near[:, None, :, None] * d + near[None, :, None, :]
+    else:
+        values = state.stack
+        rows, cols = state.indices[:, :, None], state.indices[:, None, :]
+    places = d ** np.arange(n - 1, -1, -1)
+    keep = values != 0
+    for place in places:
+        keep &= np.abs(rows // place % d - cols // place % d) <= 2
+    rows, cols = (np.broadcast_to(i, keep.shape)[keep] for i in (rows, cols))
+    order = np.argsort(rows * d**n + cols)
+    values, rows, cols = values[keep][order], rows[order], cols[order]
+
     a = annihilation(d)
-    quads = ((a + a.T) / np.sqrt(2.0), (a - a.T) / (1j * np.sqrt(2.0)))
+    x, p = (a + a.T) / np.sqrt(2.0), (a - a.T) / (1j * np.sqrt(2.0))
+    # ops[0] = I, ops[1 + u] = q_u and ops[3 + u + v] = q_u q_v + q_v q_u
+    ops = np.stack([np.eye(d), x, p, x @ x + x @ x, x @ p + p @ x, p @ p + p @ p])
+    gathered = [ops.reshape(len(ops), -1)[:, cols // p % d * d + rows // p % d] for p in places]
 
-    def marginal(keep: list[int]) -> np.ndarray:
-        return state.rho if len(keep) == n else fock_partial_trace(state, keep).rho
+    def expect(terms: dict[int, int]) -> float:
+        """Tr(rho O) for O = ops[terms[m]] on each listed mode m, I elsewhere."""
+        factors = [g[terms.get(m, 0)] for m, g in enumerate(gathered)]
+        return np.sum(values * np.prod(factors, axis=0)).real
 
-    disp = np.empty(2 * n)
+    disp = np.array([expect({m: 1 + u}) for m in range(n) for u in range(2)])
     cov = np.empty((2 * n, 2 * n))
-    for m in range(n):
-        rho = marginal([m])
-        for u, qu in enumerate(quads):
-            disp[2 * m + u] = np.trace(rho @ qu).real
-        for u, qu in enumerate(quads):
-            for v, qv in enumerate(quads):
-                sym = np.trace(rho @ (qu @ qv + qv @ qu)).real
-                cov[2 * m + u, 2 * m + v] = sym - 2.0 * disp[2 * m + u] * disp[2 * m + v]
-    for m1 in range(n):
-        for m2 in range(m1 + 1, n):
-            # rho[k1, k2, l1, l2]; Tr(rho (qu x qv)) = sum rho qu[l1, k1] qv[l2, k2]
-            rho = marginal([m1, m2]).reshape(d, d, d, d)
-            for u, qu in enumerate(quads):
-                reduced = np.tensordot(rho, qu, axes=([0, 2], [1, 0]))
-                for v, qv in enumerate(quads):
-                    i, j = 2 * m1 + u, 2 * m2 + v
-                    second = np.sum(reduced * qv.T).real
-                    cov[i, j] = cov[j, i] = 2.0 * second - 2.0 * disp[i] * disp[j]
+    for i in range(2 * n):
+        for j in range(i, 2 * n):
+            (m1, u), (m2, v) = divmod(i, 2), divmod(j, 2)
+            if m1 == m2:
+                sym = expect({m1: 3 + u + v})
+            else:
+                sym = 2.0 * expect({m1: 1 + u, m2: 1 + v})
+            cov[i, j] = cov[j, i] = sym - 2.0 * disp[i] * disp[j]
     return cov, disp
 
 
@@ -382,8 +458,11 @@ class ThermalLossChannel:
     coherences rho[i + k, i] of offset k to those of the output, indexed by
     i in both. The channel preserves hermiticity and is real, so offset -k,
     the coherences rho[i, i + k], has the same block. ``apply`` runs the
-    channel on one mode; ``bifrequency_fock_family`` combines the blocks of
-    two channels, one reflectivity per mode. The families take their
+    channel on one mode, with every offset's coherences gathered in one
+    index and scattered back in one; ``bifrequency_fock_family`` combines
+    the blocks of two channels, one reflectivity per mode. Each block
+    multiplies at its own size, not padded into one batched product, which
+    would round differently (module docstring). The families take their
     channels from ``_channel``, so one channel is built once per process
     for each (eta, n_th, cutoff) and shared; ``blocks`` is therefore a tuple
     of read-only arrays.
@@ -412,13 +491,21 @@ class ThermalLossChannel:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """The channel's output for a one-mode cutoff x cutoff matrix ``rho``,
-        in the dtype of ``rho``."""
-        out = np.zeros_like(rho)
+        in the dtype of ``rho``: its entries gathered by offset in one index
+        (``_offset_order``), one product per offset and side, and one
+        scatter back."""
+        order = _offset_order(self.cutoff)
+        coherences = np.take(rho, order)
+        out = np.empty_like(coherences)
+        start = 0
         for k, block in enumerate(self.blocks):
-            i = np.arange(self.cutoff - k)
-            out[i + k, i] = block @ rho[i + k, i]
-            out[i, i + k] = block @ rho[i, i + k]
-        return out
+            for _ in range(1 if k == 0 else 2):  # the diagonal, else both sides
+                stop = start + self.cutoff - k
+                out[start:stop] = block @ coherences[start:stop]
+                start = stop
+        result = np.empty(rho.shape, out.dtype)
+        result.reshape(-1)[order] = out
+        return result
 
 
 # The channel of one (eta, n_th, cutoff), built on its first request and
@@ -431,23 +518,18 @@ _channel = functools.lru_cache(maxsize=16, typed=True)(ThermalLossChannel)
 
 def _tmsv_sectors(
     ch1: ThermalLossChannel, ch2: ThermalLossChannel, amps: np.ndarray
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """The two-mode squeezed probe sum_n amps[n] |n, n> through ``ch1`` on the
-    first mode and ``ch2`` on the second, as its blocks of fixed n1 - n2
-    (module docstring); each block is real and symmetric."""
+    first mode and ``ch2`` on the second, as the padded stack of its sectors
+    of fixed n1 - n2 (module docstring, ``FockState.sectors``); each sector
+    is real and symmetric."""
     d = len(amps)
-    # coherences[k, i, j]: the entry at |i + k, j + k><i, j|, one product per k
+    # coherences[k, i, j]: the entry at |i + k, j + k><i, j|, one product per
+    # k, and 0 outside i, j < d - k
     coherences = np.zeros((d, d, d))
     for k, (b1, b2) in enumerate(zip(ch1.blocks, ch2.blocks)):
         coherences[k, : d - k, : d - k] = (b1 * (amps[k:] * amps[: d - k])) @ b2.T
-    t = np.arange(d)
-    offset, low = np.abs(t[:, None] - t[None, :]), np.minimum(t[:, None], t[None, :])
-    blocks = []
-    for delta in range(1 - d, d):
-        size = d - abs(delta)
-        k, m = offset[:size, :size], low[:size, :size]
-        blocks.append(coherences[k, m + max(delta, 0), m + max(-delta, 0)])
-    return blocks
+    return np.take(coherences, _sector_layout(d).gather)
 
 
 def bifrequency_fock_family(

@@ -4,7 +4,9 @@ through both channels mode by mode.
 The package builds each received state from its probe's structure; this is
 the general path it replaced, which applies each channel's sector blocks to
 the full probe density matrix, one mode after the other, and knows nothing
-of the probe.
+of the probe. The partial trace of a dense state, by index contraction,
+is kept here too: the package reads every moment off a state's structure
+and no longer takes marginals.
 """
 
 import numpy as np
@@ -75,6 +77,23 @@ def fock_beam_splitter(eta, cutoff):
         idx = m * cutoff + (n - m)
         u[np.ix_(idx, idx)] = block
     return u
+
+
+def fock_partial_trace(state, keep):
+    """Trace out all modes of a ``fock.FockState`` not listed in ``keep``,
+    by index contraction of its dense matrix."""
+    keep = list(keep)
+    if not keep or any(k < 0 or k >= state.n_modes for k in keep):
+        raise ValueError(f"invalid mode selection {keep} for {state.n_modes} modes")
+    if any(b <= a for a, b in zip(keep, keep[1:])):
+        raise ValueError("kept modes must be strictly increasing")
+    n, d = state.n_modes, state.dim
+    tensor = state.rho.reshape([d] * (2 * n))
+    traced = [m for m in range(n) if m not in keep]
+    for m in sorted(traced, reverse=True):
+        tensor = np.trace(tensor, axis1=m, axis2=m + tensor.ndim // 2)
+    size = d ** len(keep)
+    return fock.FockState(tensor.reshape(size, size), d, len(keep))
 
 
 def sparse_sld_operator(form, cutoff):

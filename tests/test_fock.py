@@ -35,7 +35,7 @@ def test_fock_state_keeps_its_dtype():
     assert fock.FockState(np.eye(4, dtype=int), 2, 2).rho.dtype == np.float64
     family = fock.bifrequency_fock_family(0.6, 0.1, 0.1, "tmsv", 10)
     assert family(0.0).rho.dtype == np.float64
-    assert fock.fock_partial_trace(family(0.0), [1]).rho.dtype == np.float64
+    assert fock_reference.fock_partial_trace(family(0.0), [1]).rho.dtype == np.float64
 
     real = np.diag([0.5, 0.25, 0.25, 0.0])
     assert fock.FockState(real, 2, 2).rho is real
@@ -105,18 +105,23 @@ def test_product_state_keeps_its_factors():
 
 def test_entangled_state_keeps_its_sectors():
     """The received two-mode squeezed state is kept as its 2 cutoff - 1
-    blocks of fixed n1 - n2, each checked on its own; the dense matrix,
-    formed only when read, holds them at their states and is 0 elsewhere."""
+    blocks of fixed n1 - n2, views of one zero-padded stack checked at once;
+    the dense matrix, formed only when read, holds them at their states and
+    is 0 elsewhere. A skew sector, a wrong sector count and a nonzero
+    padding entry are each rejected."""
     cutoff = 12
     state = fock.bifrequency_fock_family(0.6, 0.1, 0.2, "tmsv", cutoff)(0.01)
     assert state._rho is None and state.factors is None
     blocks = state.blocks
     assert len(blocks) == 2 * cutoff - 1
+    assert state.stack.shape == (2 * cutoff - 1, cutoff, cutoff)
     shifts = []
-    for idx, block in blocks:
+    for q, (idx, block) in enumerate(blocks):
         n1, n2 = np.divmod(idx, cutoff)
         assert len(set(n1 - n2)) == 1 and np.all(np.diff(n1) == 1)
         assert block.shape == (len(idx), len(idx)) and block.dtype == np.float64
+        assert np.shares_memory(block, state.stack)
+        assert np.array_equal(state.indices[q, : len(idx)], idx)
         shifts.append(int(n1[0] - n2[0]))
     assert shifts == list(range(1 - cutoff, cutoff))
     rho = state.rho
@@ -127,12 +132,26 @@ def test_entangled_state_keeps_its_sectors():
         mask[np.ix_(idx, idx)] = True
     assert not rho[~mask].any()
 
-    skew = [block.copy() for _, block in blocks]
+    stack = np.zeros((2 * cutoff - 1, cutoff, cutoff))
+    for q, (idx, block) in enumerate(blocks):
+        stack[q, : len(idx), : len(idx)] = block
+    assert np.array_equal(stack, state.stack)
+    rebuilt = fock.FockState.sectors(stack)
+    assert all(np.array_equal(b, c) for (_, b), (_, c) in zip(rebuilt.blocks, blocks))
+    skew = stack.copy()
     skew[cutoff][0, 1] += 2e-12
     with pytest.raises(ValueError, match="non-hermitian"):
         fock.FockState.sectors(skew)
     with pytest.raises(ValueError):
-        fock.FockState.sectors([block for _, block in blocks][:-1])
+        fock.FockState.sectors(stack[:-1])
+    # sector n1 - n2 = 1 - cutoff holds the one state |0, cutoff - 1>
+    padded = stack.copy()
+    padded[0][2, 3] = padded[0][3, 2] = 0.1
+    with pytest.raises(ValueError, match="padding"):
+        fock.FockState.sectors(padded)
+    padded[0][2, 3] = padded[0][3, 2] = np.nan
+    with pytest.raises(ValueError):
+        fock.FockState.sectors(padded)
 
 
 @pytest.mark.parametrize("probe", ["tmsv", "coherent"])
@@ -195,7 +214,7 @@ def test_tmsv_purity_and_reduced_covariance():
     state = fock.fock_tmsv(0.5)
     purity = float(np.trace(state.rho @ state.rho).real)
     assert abs(purity - 1.0) < 1e-9
-    reduced = fock.fock_partial_trace(state, [0])
+    reduced = fock_reference.fock_partial_trace(state, [0])
     assert abs(mean_photon(reduced) - 1.0) < 1e-6  # per-mode photon number 2 n_s
     cov, disp = fock.quadrature_moments(state)
     assert np.max(np.abs(cov - bf.tmsv(0.5).cov)) < 1e-6
@@ -251,6 +270,21 @@ def test_coherent_moments():
     assert np.allclose(disp, [0.9 * np.sqrt(2.0), 0.0], atol=1e-9)
 
 
+@pytest.mark.parametrize("probe", ["tmsv", "coherent"])
+def test_moments_read_off_the_structure(probe):
+    """At every oracle configuration the moments read off the factors or the
+    sectors equal, to 1e-15, those of the same state made dense, and the
+    structured state forms no dense matrix for them."""
+    cutoff = 30
+    for config in validate.ORACLE_CONFIGS:
+        state = fock.bifrequency_fock_family(*config, probe, cutoff)(0.0)
+        cov, disp = fock.quadrature_moments(state)
+        assert state._rho is None
+        cov_dense, disp_dense = fock.quadrature_moments(fock.FockState(state.rho, cutoff, 2))
+        assert np.max(np.abs(cov - cov_dense)) <= 1e-15, config
+        assert np.max(np.abs(disp - disp_dense)) <= 1e-15, config
+
+
 # --- beam splitter --------------------------------------------------------
 
 def test_beam_splitter_full_reflection_is_identity():
@@ -265,7 +299,7 @@ def test_beam_splitter_zero_reflectivity_swaps():
     coh = fock.fock_coherent(0.5, 18)
     joint = np.kron(th.rho, coh.rho)
     out = fock.FockState(u @ joint @ u.conj().T, 18, 2)
-    kept = fock.fock_partial_trace(out, [1])
+    kept = fock_reference.fock_partial_trace(out, [1])
     cov, disp = fock.quadrature_moments(kept)
     assert np.max(np.abs(cov - bf.thermal(0.3).cov)) < 1e-8
     assert np.max(np.abs(disp)) < 1e-9
@@ -496,7 +530,8 @@ def test_received_states_match_dense_channel_pair(probe):
 def test_channel_apply_matches_kraus_superoperator():
     """Against the superoperator built on the 40-digit exponential: the
     outputs are within 6.9e-16 of it, and 7.3e-15 of the one built on
-    scipy.linalg.expm."""
+    scipy.linalg.expm. They equal, bit for bit, one product per offset and
+    side of each block with that offset's coherences."""
     eta, n_th, cutoff = 0.63, 0.25, 10
     channel = fock.ThermalLossChannel(eta, n_th, cutoff)
     dense = _dense_kraus_superop(eta, n_th, cutoff, _mp_expm)
@@ -507,6 +542,12 @@ def test_channel_apply_matches_kraus_superoperator():
         assert out.dtype == rho.dtype
         expected = (dense @ rho.ravel()).reshape(cutoff, cutoff)
         assert np.max(np.abs(out - expected)) < 1e-14
+        per_offset = np.zeros_like(rho)
+        for k, block in enumerate(channel.blocks):
+            i = np.arange(cutoff - k)
+            per_offset[i + k, i] = block @ rho[i + k, i]
+            per_offset[i, i + k] = block @ rho[i, i + k]
+        assert np.array_equal(out, per_offset)
 
 
 def test_channel_trace_preserving():
@@ -561,7 +602,8 @@ def test_quick_validation_builds_each_channel_once(monkeypatch):
 
 def test_memoised_channel_is_read_only():
     """A memoised channel is shared, so neither its tuple of blocks nor any
-    block can be written."""
+    block can be written; nor can the memoised per-cutoff layouts of the
+    coherence offsets and of the sector stack, or the sector index sets."""
     channel = fock._channel(0.8, 0.3, 12)
     assert fock._channel(0.8, 0.3, 12) is channel
     assert isinstance(channel.blocks, tuple)
@@ -570,6 +612,12 @@ def test_memoised_channel_is_read_only():
             block[0, 0] = 1.0
     with pytest.raises(TypeError):
         channel.blocks[0] = np.zeros((12, 12))
+    assert fock._offset_order(12) is fock._offset_order(12)
+    assert fock._sector_layout(12) is fock._sector_layout(12)
+    shared = [fock._offset_order(12), *fock._sector_layout(12), *fock._sector_indices(12)]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 1
 
 
 def test_memo_rejects_what_the_constructor_rejects():
@@ -788,9 +836,9 @@ def test_explicit_cutoff_leak_allowed_within_gate():
 def test_partial_trace_validation():
     state = fock.fock_tmsv(0.1, 8)
     with pytest.raises(ValueError):
-        fock.fock_partial_trace(state, [])
+        fock_reference.fock_partial_trace(state, [])
     with pytest.raises(ValueError):
-        fock.fock_partial_trace(state, [2])
+        fock_reference.fock_partial_trace(state, [2])
 
 
 # --- SLD on the oracle --------------------------------------------------------
@@ -858,6 +906,35 @@ def test_sld_report_forms_no_dense_matrix(monkeypatch):
     for probe in ("tmsv", "coherent"):
         validate.sld_fock_report(0.8, 0.5, 0.3, probe, cutoff)
     assert gathered and max(max(shape) for shape in gathered) <= cutoff
+
+
+def test_oracle_pass_forms_no_dense_matrix(monkeypatch):
+    """A whole pass as the benchmark makes it, at cutoff 30 with both
+    probes, the QFI, the SLD report and the moments, keeps every two-mode
+    state it makes as factors or sectors: none forms its dense matrix."""
+    made = []
+
+    def recording(build):
+        return classmethod(lambda cls, *args: made.append(build(*args)) or made[-1])
+
+    for name in ("product", "sectors"):
+        monkeypatch.setattr(fock.FockState, name, recording(getattr(fock.FockState, name)))
+    init = fock.FockState.__init__
+
+    def recording_init(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(fock.FockState, "__init__", recording_init)
+    for probe in ("tmsv", "coherent"):
+        family = fock.bifrequency_fock_family(0.8, 0.5, 0.3, probe, 30)
+        fock.qfi_eq1(family)
+        validate.sld_fock_report(0.8, 0.5, 0.3, probe, 30)
+        fock.quadrature_moments(family(0.0))
+    # each coherent family reads its one-mode probe as a cutoff x cutoff matrix
+    received = [state for state in made if state.n_modes == 2]
+    assert len(received) == 14 and len(made) == 16
+    assert all(state._rho is None for state in received)
 
 
 def test_sld_report_sums_over_the_sectors_a_form_couples(monkeypatch):
