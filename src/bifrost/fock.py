@@ -51,6 +51,17 @@ B1_k diag(a_{i+k} a_i) B2_k^T of the two channels' blocks, the entry at
 One fancy index (``_sector_layout``) gathers the sector stack from these
 products. Real probes give real states, which keep a real dtype throughout.
 
+The tangent rule: each state a family returns carries drho/dlam, exact, in
+its own structure (``FockState.tangent``). In each sector U = exp(theta G),
+so dU/dtheta = G U exactly, and theta = arccos sqrt(eta) gives
+dtheta/deta = -1 / (2 sqrt(eta (1 - eta))), finite only inside (0, 1)
+(``_theta_rate``). A channel block, a sum of amp p amp, has as its
+theta-derivative (``ThermalLossChannel.dblocks``) the same sum with G U for
+U on either side. Only the second channel moves with lam, so the two-mode
+squeezed tangent is B1_k diag(a_{i+k} a_i) dB2_k^T per offset, in the
+state's sector stack, and the product tangent is (dA, dB) with dA = 0
+exactly, read as dA x B + A x dB.
+
 The products stay one BLAS call per offset, at the offset's own size. A
 product padded to the full cutoff, batched over the offsets, gives the same
 numbers only up to round-off: OpenBLAS orders its sums by the length of the
@@ -80,9 +91,8 @@ AUTO_TAIL_TOL = 1e-10
 HARD_TAIL_TOL = 1e-6
 # extra levels on top of the auto choice, headroom for beam-splitter mixing
 GUARD_LEVELS = 5
-# working point and central-difference step of every Fock-family derivative
+# working point of every Fock-family tangent
 LAMBDA0 = 0.0
-FD_STEP = 1e-4
 
 
 def _hermitian(rho, shape: tuple[int, ...]) -> np.ndarray:
@@ -116,45 +126,50 @@ class FockState:
     with their index sets padded alike in ``indices``; ``blocks[q]`` is
     (indices[q, :m], stack[q, :m, :m]) for the size m of block q. All three
     are None for a product. The dense ``rho`` of a product or of sectors is
-    formed only when it is read, and then kept.
+    formed only when read, and then kept. ``tangent`` (the tangent rule) is a
+    stack like ``stack`` or a product's pair (dA, dB), checked alike; or None.
     """
 
-    __slots__ = ("_rho", "factors", "blocks", "stack", "indices", "dim", "n_modes")
+    __slots__ = ("_rho", "factors", "blocks", "stack", "indices", "dim", "n_modes", "tangent")
 
-    def __init__(self, rho: np.ndarray, dim: int, n_modes: int):
+    def __init__(self, rho: np.ndarray, dim: int, n_modes: int, tangent: np.ndarray | None = None):
         size = dim**n_modes
         self._rho = _hermitian(rho, (size, size))
         self.factors: tuple[np.ndarray, ...] | None = None
         self.stack, self.indices = self._rho[None], np.arange(size)[None]
         self.blocks = ((self.indices[0], self._rho),)
         self.dim, self.n_modes = dim, n_modes
+        self.tangent = None if tangent is None else _hermitian(tangent, (size, size))[None]
 
     @classmethod
-    def product(cls, first: np.ndarray, second: np.ndarray) -> "FockState":
+    def product(cls, first: np.ndarray, second: np.ndarray, tangent=None) -> "FockState":
         """The two-mode product of one-mode density matrices of one cutoff."""
         state = cls.__new__(cls)
         state.dim, state.n_modes = len(first), 2
         shape = (state.dim, state.dim)
         state.factors = (_hermitian(first, shape), _hermitian(second, shape))
         state._rho = state.blocks = state.stack = state.indices = None
+        state.tangent = None if tangent is None else tuple(_hermitian(t, shape) for t in tangent)
         return state
 
     @classmethod
-    def sectors(cls, stack: np.ndarray) -> "FockState":
+    def sectors(cls, stack: np.ndarray, tangent: np.ndarray | None = None) -> "FockState":
         """The two-mode state whose only nonzero blocks are its sectors of
         n1 - n2, given as their zero-padded (2 cutoff - 1, cutoff, cutoff)
         stack in the order of ``_sector_indices``. Hermiticity is checked
         once over the stack, to the 1e-12 of a dense state, and a nonzero
         padding entry is rejected, since neither ``trace`` nor ``rho`` would
-        see it."""
+        see it; the same holds for the tangent's stack."""
         state = cls.__new__(cls)
         dim = np.shape(stack)[-1]
         state.dim, state.n_modes = dim, 2
         state.factors = state._rho = None
         state.stack = _hermitian(stack, (2 * dim - 1, dim, dim))
+        state.tangent = None if tangent is None else _hermitian(tangent, state.stack.shape)
         layout = _sector_layout(dim)
-        if np.any((state.stack != 0) & layout.padding):  # NaN fails too
-            raise ValueError("sector stack nonzero in its padding")
+        for part in (state.stack, state.tangent):
+            if part is not None and np.any((part != 0) & layout.padding):  # NaN fails too
+                raise ValueError("sector stack nonzero in its padding")
         state.indices = layout.indices
         state.blocks = tuple(
             (idx, sector[: len(idx), : len(idx)])
@@ -368,15 +383,22 @@ def _expm(stack: np.ndarray) -> np.ndarray:
     return r
 
 
+def _theta_rate(eta: float) -> float:
+    """dtheta/deta for theta = arccos sqrt(eta); ValueError outside (0, 1), NaN included."""
+    if not 0.0 < eta < 1.0:
+        raise ValueError(f"reflectivity must lie in (0, 1) for a tangent, got {eta!r}")
+    return -0.5 / np.sqrt(eta * (1.0 - eta))
+
+
 def _beam_splitter_sectors(eta: float, cutoff: int):
     """The beam-splitter unitary one total photon number n at a time.
 
-    Yields ``(n, m, block)``: the first-mode counts m of the states
-    |m, n - m> inside the cutoff, ascending, and the unitary on them, the
-    exponential of theta times the tridiagonal generator
-    a_0^dag a_1 - a_1^dag a_0, whose entries are +-sqrt((m + 1)(n - m)).
-    Sectors n and 2 cutoff - 2 - n have the same size and are exponentiated
-    as one stack, so they come out in those pairs, not in order of n.
+    Yields ``(n, m, block, generator)``: the first-mode counts m of the
+    states |m, n - m> inside the cutoff, ascending, the generator G =
+    a_0^dag a_1 - a_1^dag a_0 on them, tridiagonal with entries
+    +-sqrt((m + 1)(n - m)), and the unitary exp(theta G). Sectors n and
+    2 cutoff - 2 - n have the same size and are exponentiated as one stack,
+    so they come out in those pairs, not in order of n.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError("reflectivity must lie in [0, 1]")
@@ -385,12 +407,12 @@ def _beam_splitter_sectors(eta: float, cutoff: int):
     def sector(n: int) -> tuple[np.ndarray, np.ndarray]:
         m = np.arange(max(0, n - cutoff + 1), min(n, cutoff - 1) + 1)
         hop = np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
-        return m, theta * (np.diag(hop, -1) - np.diag(hop, 1))
+        return m, np.diag(hop, -1) - np.diag(hop, 1)
 
     for n in range(cutoff):
         pair = (n, 2 * cutoff - 2 - n) if n < cutoff - 1 else (n,)
         counts, generators = zip(*map(sector, pair))
-        yield from zip(pair, counts, _expm(np.stack(generators)))
+        yield from zip(pair, counts, _expm(theta * np.stack(generators)), generators)
 
 
 def quadrature_moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
@@ -457,15 +479,14 @@ class ThermalLossChannel:
     The superoperator is kept as its sectors: ``blocks[k]`` maps the
     coherences rho[i + k, i] of offset k to those of the output, indexed by
     i in both. The channel preserves hermiticity and is real, so offset -k,
-    the coherences rho[i, i + k], has the same block. ``apply`` runs the
-    channel on one mode, with every offset's coherences gathered in one
-    index and scattered back in one; ``bifrequency_fock_family`` combines
-    the blocks of two channels, one reflectivity per mode. Each block
-    multiplies at its own size, not padded into one batched product, which
-    would round differently (module docstring). The families take their
-    channels from ``_channel``, so one channel is built once per process
-    for each (eta, n_th, cutoff) and shared; ``blocks`` is therefore a tuple
-    of read-only arrays.
+    the coherences rho[i, i + k], has the same block; ``dblocks`` are their
+    theta-derivatives (the tangent rule, module docstring). ``apply`` runs
+    the channel on one mode, with every offset's coherences gathered in one
+    index and scattered back in one (``_by_offset``, which also applies
+    ``dblocks``); ``bifrequency_fock_family`` combines the blocks of two
+    channels. Each block multiplies at its own size, not padded into one
+    batched product, which would round differently, and the blocks are
+    read-only, since ``_channel`` shares them (module docstring).
     """
 
     def __init__(self, eta: float, n_th: float, cutoff: int):
@@ -476,60 +497,69 @@ class ThermalLossChannel:
         _gate_cutoff(_thermal_tail(n_th, cutoff), cutoff, "thermal bath")
         probs = _thermal_probs(n_th, cutoff)
         # amp[t, j, s] = <j + s - t, t| U |j, s>: j bath photons enter the
-        # first port, s signal photons the second, t leave the kept second port
-        amp = np.zeros((cutoff, cutoff, cutoff))
-        for n, m, block in _beam_splitter_sectors(eta, cutoff):
-            amp[n - m[:, None], m[None, :], n - m[None, :]] = block
+        # first port, s signal photons the second, t leave the kept second
+        # port; damp holds the same entries of dU/dtheta = G U
+        amp, damp = np.zeros((2, cutoff, cutoff, cutoff))
+        for n, m, block, generator in _beam_splitter_sectors(eta, cutoff):
+            place = n - m[:, None], m[None, :], n - m[None, :]
+            amp[place], damp[place] = block, generator @ block
         # output coherence |t><t'| from input |s><s'| with t - t' = s - s' = k,
         # summed over the bath photons j and the traced output j + s - t
-        self.blocks = tuple(
-            np.einsum("tjs,j,tjs->ts", amp[k:, :, k:], probs, amp[: cutoff - k, :, : cutoff - k])
-            for k in range(cutoff)
-        )
-        for block in self.blocks:
+        def offset(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
+            return np.einsum("tjs,j,tjs->ts", x[k:, :, k:], probs, y[: cutoff - k, :, : cutoff - k])
+
+        self.blocks = tuple(offset(amp, amp, k) for k in range(cutoff))
+        self.dblocks = tuple(offset(damp, amp, k) + offset(amp, damp, k) for k in range(cutoff))
+        for block in self.blocks + self.dblocks:
             block.setflags(write=False)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """The channel's output for a one-mode cutoff x cutoff matrix ``rho``,
-        in the dtype of ``rho``: its entries gathered by offset in one index
-        (``_offset_order``), one product per offset and side, and one
-        scatter back."""
-        order = _offset_order(self.cutoff)
-        coherences = np.take(rho, order)
-        out = np.empty_like(coherences)
-        start = 0
-        for k, block in enumerate(self.blocks):
-            for _ in range(1 if k == 0 else 2):  # the diagonal, else both sides
-                stop = start + self.cutoff - k
-                out[start:stop] = block @ coherences[start:stop]
-                start = stop
-        result = np.empty(rho.shape, out.dtype)
-        result.reshape(-1)[order] = out
-        return result
+        """The channel's output for a one-mode matrix ``rho``, in its dtype (``_by_offset``)."""
+        return _by_offset(self.blocks, rho)
+
+
+def _by_offset(blocks: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
+    """A channel's ``blocks`` or ``dblocks`` applied to ``rho``: its entries
+    gathered by offset in one index (``_offset_order``), one product per
+    offset and side, and one scatter back."""
+    order = _offset_order(len(blocks))
+    coherences = np.take(rho, order)
+    out = np.empty_like(coherences)
+    start = 0
+    for k, block in enumerate(blocks):
+        for _ in range(1 if k == 0 else 2):  # the diagonal, else both sides
+            stop = start + len(blocks) - k
+            out[start:stop] = block @ coherences[start:stop]
+            start = stop
+    result = np.empty(rho.shape, out.dtype)
+    result.reshape(-1)[order] = out
+    return result
 
 
 # The channel of one (eta, n_th, cutoff), built on its first request and
 # shared by every family. typed, so that cutoff 30.0 meets the constructor's
 # TypeError instead of the channel of cutoff 30; a call that raises is not
-# memoised, so a rejected argument is rejected on every call. 16 channels
-# hold the 12 keys of one cutoff of ``validate.full_validation``.
+# memoised, so a rejected argument is rejected on every call. A family is
+# read only at LAMBDA0, so a cutoff of ``full_validation`` needs 4 of 16 keys.
 _channel = functools.lru_cache(maxsize=16, typed=True)(ThermalLossChannel)
 
 
 def _tmsv_sectors(
-    ch1: ThermalLossChannel, ch2: ThermalLossChannel, amps: np.ndarray
+    ch1: ThermalLossChannel, ch2: ThermalLossChannel, amps: np.ndarray, rate: float
 ) -> np.ndarray:
     """The two-mode squeezed probe sum_n amps[n] |n, n> through ``ch1`` on the
-    first mode and ``ch2`` on the second, as the padded stack of its sectors
-    of fixed n1 - n2 (module docstring, ``FockState.sectors``); each sector
-    is real and symmetric."""
+    first mode and ``ch2`` on the second, and ``rate`` times its
+    theta-derivative in ``ch2``, as the padded stacks of their sectors of
+    fixed n1 - n2 (module docstring, ``FockState.sectors``); each sector is
+    real and symmetric."""
     d = len(amps)
-    # coherences[k, i, j]: the entry at |i + k, j + k><i, j|, one product per
-    # k, and 0 outside i, j < d - k
-    coherences = np.zeros((d, d, d))
-    for k, (b1, b2) in enumerate(zip(ch1.blocks, ch2.blocks)):
-        coherences[k, : d - k, : d - k] = (b1 * (amps[k:] * amps[: d - k])) @ b2.T
-    return np.take(coherences, _sector_layout(d).gather)
+    # coherences[:, k, i, j]: the entry at |i + k, j + k><i, j| of the state
+    # and of its derivative, one product per k, and 0 outside i, j < d - k
+    coherences = np.zeros((2, d, d, d))
+    for k, (b1, b2, db2) in enumerate(zip(ch1.blocks, ch2.blocks, ch2.dblocks)):
+        weighted = b1 * (amps[k:] * amps[: d - k])
+        coherences[:, k, : d - k, : d - k] = weighted @ b2.T, rate * (weighted @ db2.T)
+    return coherences.reshape(2, -1)[:, _sector_layout(d).gather]
 
 
 def bifrequency_fock_family(
@@ -539,119 +569,89 @@ def bifrequency_fock_family(
 
     Each evaluation at lam builds the received state from the probe's
     structure (module docstring), with the channel at eta1 on the first
-    mode and at eta1 + lam on the second. The channels come from the
-    module's memo, so each (eta, n_th, cutoff) is built once per process
-    and shared by every family that asks for it; their blocks are read-only.
+    mode and at eta1 + lam on the second, with its tangent (the tangent
+    rule), so both must lie in (0, 1), else ValueError.
     """
     check_photon_numbers(n_s, n_th)
+    _theta_rate(eta1)
     if probe == "tmsv":
         amps = _tmsv_amplitudes(n_s, cutoff)
 
-        def received(ch1: ThermalLossChannel, ch2: ThermalLossChannel) -> FockState:
-            return FockState.sectors(_tmsv_sectors(ch1, ch2, amps))
+        def received(ch1: ThermalLossChannel, ch2: ThermalLossChannel, rate: float) -> FockState:
+            return FockState.sectors(*_tmsv_sectors(ch1, ch2, amps, rate))
 
     elif probe == "coherent":
         single = fock_coherent(np.sqrt(n_s), cutoff).rho
 
-        def received(ch1: ThermalLossChannel, ch2: ThermalLossChannel) -> FockState:
-            return FockState.product(ch1.apply(single), ch2.apply(single))
+        def received(ch1: ThermalLossChannel, ch2: ThermalLossChannel, rate: float) -> FockState:
+            second, dsecond = ch2.apply(single), rate * _by_offset(ch2.dblocks, single)
+            return FockState.product(ch1.apply(single), second, (np.zeros_like(second), dsecond))
 
     else:
         raise ValueError(f"unknown probe {probe!r}")
 
     def family(lam: float) -> FockState:
-        return received(_channel(eta1, n_th, cutoff), _channel(eta1 + lam, n_th, cutoff))
+        eta = eta1 + lam
+        return received(_channel(eta1, n_th, cutoff), _channel(eta, n_th, cutoff), _theta_rate(eta))
 
     return family
 
 
-def _central_states(family: Callable[[float], FockState]) -> tuple[FockState, ...]:
-    """The family at LAMBDA0, LAMBDA0 + FD_STEP and LAMBDA0 - FD_STEP."""
-    return family(LAMBDA0), family(LAMBDA0 + FD_STEP), family(LAMBDA0 - FD_STEP)
-
-
-def _difference(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-    return (plus - minus) / (2.0 * FD_STEP)
-
-
-def _blockwise(states: Sequence[FockState]) -> list[tuple[np.ndarray, ...]]:
-    """(basis index set, block of the state, block of its central difference)
-    for the states at LAMBDA0 and LAMBDA0 +- FD_STEP: one triple per sector
-    if all three are kept as sectors, else one over the whole basis."""
-    parts = [s.blocks for s in states]
-    if None in parts or len(set(map(len, parts))) > 1:
-        parts = [((np.arange(len(s.rho)), s.rho),) for s in states]
+def _blockwise(state: FockState) -> list[tuple[np.ndarray, ...]]:
+    """(basis index set, block of the state, block of its tangent) per stored
+    block, or for a product one triple over the whole basis."""
+    if state.factors is not None:
+        (a, b), (da, db) = state.factors, state.tangent
+        return [(np.arange(state.dim**2), state.rho, np.kron(da, b) + np.kron(a, db))]
     return [
-        (idx, block, _difference(plus, minus))
-        for (idx, block), (_, plus), (_, minus) in zip(*parts)
+        (idx, block, dstack[: len(idx), : len(idx)])
+        for (idx, block), dstack in zip(state.blocks, state.tangent)
     ]
 
 
-def _pair_sum(
-    row_evals: np.ndarray, col_evals: np.ndarray, mat: np.ndarray, drop_threshold: float
-) -> float:
-    """sum |mat[m, n]|^2 / (p_m + p_n) over the pairs whose eigenvalue sum
-    p_m + p_n exceeds ``drop_threshold``; rows and columns may be different
-    index sets of one eigenbasis."""
-    sums = row_evals[:, None] + col_evals[None, :]
+def _pair_sum(sums: np.ndarray, mat: np.ndarray, drop_threshold: float) -> float:
+    """sum |mat|^2 / sums over the pairs whose eigenvalue sum exceeds ``drop_threshold``."""
     mask = sums > drop_threshold
     return np.sum(np.abs(mat[mask]) ** 2 / sums[mask])
 
 
-def _product_qfi(
-    state: FockState, plus: FockState, minus: FockState, drop_threshold: float
-) -> float:
-    """The Eq. 1 sum for states that are all products A x B.
-
-    The eigenbasis of A x B is the product of the factors' eigenbases, with
-    the eigenvalues kron(a, b), so only cutoff x cutoff matrices are
-    diagonalised. The factors of the shifted states are rotated into those
-    bases one by one, and the rotated difference of the products is made one
-    row block at a time: the rows of one eigenvector of A, against all
-    columns. Neither factor is taken to be independent of lambda.
-    """
+def _product_qfi(state: FockState, drop_threshold: float) -> float:
+    """The Eq. 1 sum for a product A x B, in the product of the factors'
+    eigenbases, where p[i1, i2] = a[i1] b[i2]. There dA x B + A x dB couples
+    (i1, i2) only to (j1, i2), by dA'[i1, j1] b[i2], and to (i1, j2), by
+    a[i1] dB'[i2, j2], with both terms on the diagonal."""
     (a, u), (b, v) = (np.linalg.eigh(f) for f in state.factors)
-
-    def rotated(s: FockState) -> tuple[np.ndarray, np.ndarray]:
-        first, second = s.factors
-        return u.conj().T @ first @ u, v.conj().T @ second @ v
-
-    (a_plus, b_plus), (a_minus, b_minus) = rotated(plus), rotated(minus)
-    col_evals = np.kron(a, b)
-    total = 0.0
-    for i in range(len(a)):
-        rows = _difference(np.kron(a_plus[i : i + 1], b_plus), np.kron(a_minus[i : i + 1], b_minus))
-        total += _pair_sum(a[i] * b, col_evals, rows, drop_threshold)
-    return total
+    da, db = (w.conj().T @ t @ w for w, t in zip((u, v), state.tangent))
+    p = np.outer(a, b)
+    # (pair sums, tangent entries) on [i2, i1, j1], [i1, i2, j2] and [i1, i2]
+    terms = (
+        (p.T[:, :, None] + p.T[:, None, :], b[:, None, None] * (da - np.diag(np.diagonal(da)))),
+        (p[:, :, None] + p[:, None, :], a[:, None, None] * (db - np.diag(np.diagonal(db)))),
+        (2.0 * p, np.diagonal(da)[:, None] * b + a[:, None] * np.diagonal(db)),
+    )
+    return sum(_pair_sum(sums, mat, drop_threshold) for sums, mat in terms)
 
 
 def qfi_eq1(family: Callable[[float], FockState], drop_threshold: float = 1e-12) -> float:
     """Basis-dependent QFI from the eigendecomposition of the received state.
 
-    The parameter derivative of the density matrix is one central difference
-    with step FD_STEP around LAMBDA0. The route follows the structure of the
-    states, never the probe. If the family gives product states at all three
-    points, the sum runs in the product of the factors' eigenbases and no
-    matrix larger than one factor is diagonalised (``_product_qfi``).
-    Otherwise it runs over the blocks of ``_blockwise``: the sectors of
-    n1 - n2 if all three states are kept as sectors, since both the state
-    and its derivative vanish between sectors, else one block over the
-    whole basis. Each block is diagonalised on its own and the sum runs over
-    pairs within a block. The dtype picks the arithmetic: real states,
-    which every probe of the repository gives, are decomposed in real
-    arithmetic, complex ones in complex. Eigenvalue pairs whose sum falls
-    below ``drop_threshold`` contribute nothing and are skipped, on either
-    route; it must be finite and nonnegative, else ValueError, since a NaN
-    or infinite threshold would skip every pair and a negative one would
-    divide by pairs whose sum is 0.
+    The family is evaluated once, at LAMBDA0, and drho is the tangent that
+    state carries (the tangent rule, module docstring), else ValueError. The
+    sum runs in the factors' eigenbases (``_product_qfi``) or over the
+    stored blocks, each decomposed in its own dtype. Eigenvalue pairs whose
+    sum falls below ``drop_threshold`` are skipped; it must be finite and
+    nonnegative, else ValueError, since a NaN or infinite threshold would
+    skip every pair and a negative one would divide by pairs whose sum is 0.
     """
     if not 0.0 <= drop_threshold < np.inf:  # NaN fails too
         raise ValueError(f"drop_threshold must be finite and nonnegative, got {drop_threshold!r}")
-    states = _central_states(family)
-    if all(s.factors is not None for s in states):
-        return float(2.0 * _product_qfi(*states, drop_threshold))
+    state = family(LAMBDA0)
+    if state.tangent is None:
+        raise ValueError("the family's state carries no tangent")
+    if state.factors is not None:
+        return float(2.0 * _product_qfi(state, drop_threshold))
     total = 0.0
-    for _, block, dblock in _blockwise(states):
+    for _, block, dblock in _blockwise(state):
         evals, evecs = np.linalg.eigh(block)
-        total += _pair_sum(evals, evals, evecs.conj().T @ dblock @ evecs, drop_threshold)
+        total += _pair_sum(evals[:, None] + evals, evecs.conj().T @ dblock @ evecs, drop_threshold)
     return float(2.0 * total)

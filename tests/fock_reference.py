@@ -6,12 +6,34 @@ the general path it replaced, which applies each channel's sector blocks to
 the full probe density matrix, one mode after the other, and knows nothing
 of the probe. The partial trace of a dense state, by index contraction,
 is kept here too: the package reads every moment off a state's structure
-and no longer takes marginals.
+and no longer takes marginals. So is the central difference of a family,
+which the package replaced by the exact tangent each state carries.
 """
 
 import numpy as np
 
 from bifrost import fock
+
+# step of the test-side central difference
+FD_STEP = 1e-5
+
+
+def central_difference(family):
+    """The dense central difference of ``family`` at lam = 0, step FD_STEP."""
+    return (family(FD_STEP).rho - family(-FD_STEP).rho) / (2.0 * FD_STEP)
+
+
+def dense_tangent(state):
+    """A state's tangent as one dense matrix: dA x B + A x dB for a product,
+    else its blocks placed at their basis index sets."""
+    if state.factors is not None:
+        (first, second), (dfirst, dsecond) = state.factors, state.tangent
+        return np.kron(dfirst, second) + np.kron(first, dsecond)
+    size = state.dim**state.n_modes
+    out = np.zeros((size, size), state.tangent.dtype)
+    for (idx, _), dstack in zip(state.blocks, state.tangent):
+        out[np.ix_(idx, idx)] = dstack[: len(idx), : len(idx)]
+    return out
 
 
 def _apply_sectors(blocks, tensor):
@@ -73,7 +95,7 @@ def fock_beam_splitter(eta, cutoff):
     reflection (eta = 1) is the identity.
     """
     u = np.zeros((cutoff * cutoff, cutoff * cutoff))
-    for n, m, block in fock._beam_splitter_sectors(eta, cutoff):
+    for n, m, block, _ in fock._beam_splitter_sectors(eta, cutoff):
         idx = m * cutoff + (n - m)
         u[np.ix_(idx, idx)] = block
     return u
@@ -125,18 +147,15 @@ def sparse_sld_operator(form, cutoff):
 
 def dense_sld_report(eta1, n_s, n_th, probe, cutoff):
     """The SLD report of ``validate.sld_fock_report`` on dense matrices: the
-    sparse operator against the dense received state and its central
-    difference."""
+    sparse operator against the dense received state and its tangent."""
     from bifrost.protocols import BiFrequencyParams, bifrequency_received_state
     from bifrost.sld import _solve
 
     solution = _solve(bifrequency_received_state(BiFrequencyParams(eta1, 0.0, n_s, n_th), probe))
     h = solution.result().value
     ell = sparse_sld_operator(solution.form(), cutoff).tocoo()
-    family = fock.bifrequency_fock_family(eta1, n_s, n_th, probe, cutoff)
-    rho = family(fock.LAMBDA0).rho
-    drho = (family(fock.LAMBDA0 + fock.FD_STEP).rho - family(fock.LAMBDA0 - fock.FD_STEP).rho)
-    drho /= 2.0 * fock.FD_STEP
+    state = fock.bifrequency_fock_family(eta1, n_s, n_th, probe, cutoff)(fock.LAMBDA0)
+    rho, drho = state.rho, dense_tangent(state)
     ell_rho = ell @ rho
     anticommutator = ell_rho + ell_rho.conj().T
     anticommutator -= 2.0 * drho

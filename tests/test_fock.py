@@ -9,6 +9,8 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import bifrost as bf
@@ -445,7 +447,7 @@ def test_beam_splitter_sectors_against_exact_exponential(cutoff, eta):
     d, theta = cutoff, float(np.arccos(np.sqrt(eta)))
     sampled = {0, 1, d // 2, d - 1, d, 2 * d - 3, 2 * d - 2}
     seen = set()
-    for n, m, block in fock._beam_splitter_sectors(eta, cutoff):
+    for n, m, block, _ in fock._beam_splitter_sectors(eta, cutoff):
         seen.add(n)
         assert np.max(np.abs(block.T @ block - np.eye(len(m)))) < 1e-14, n
         if n in sampled:
@@ -453,6 +455,22 @@ def test_beam_splitter_sectors_against_exact_exponential(cutoff, eta):
             exact = _exact_expm(theta * (np.diag(hop, -1) - np.diag(hop, 1)))
             assert np.max(np.abs(block - exact)) < 1e-14, n
     assert seen == set(range(2 * d - 1))
+
+
+@pytest.mark.parametrize("eta", [1e-6, 0.37, 0.999999])
+def test_sector_derivative_against_mpmath(eta):
+    """dU/dtheta = G U, the product of each sector's generator with its
+    block, is within 1e-14 per unit of |G| of the 40-digit derivative of
+    exp(theta G), a central difference with step 1e-15 at 40 digits."""
+    cutoff, theta = 8, float(np.arccos(np.sqrt(eta)))
+    for n, m, block, gen in fock._beam_splitter_sectors(eta, cutoff):
+        hop = np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
+        assert np.array_equal(gen, np.diag(hop, -1) - np.diag(hop, 1))
+        with mpmath.workdps(40):
+            g, t, h = mpmath.matrix(gen.tolist()), mpmath.mpf(theta), mpmath.mpf("1e-15")
+            exact = (mpmath.expm((t + h) * g) - mpmath.expm((t - h) * g)) / (2 * h)
+        exact = np.array(exact.tolist(), dtype=float)
+        assert np.max(np.abs(gen @ block - exact)) <= 1e-14 * max(1.0, np.max(np.abs(gen))), n
 
 
 def test_exact_expm_matches_mpmath():
@@ -581,33 +599,51 @@ def _oracle_pass(cutoff: int = 30):
 
 
 def test_oracle_pass_builds_each_channel_once(monkeypatch):
-    """Both probes, their QFI and their SLD reports share three channels,
-    eta1 and eta1 +- FD_STEP, and a second pass builds none."""
+    """Both probes, their QFI and their SLD reports share one channel, at
+    eta1, since each reads its family only at the working point; a second
+    pass builds none."""
     built = _count_builds(monkeypatch)
     _oracle_pass()
-    assert sorted(built) == sorted(
-        (eta, 0.3, 30) for eta in (0.8, 0.8 + fock.FD_STEP, 0.8 - fock.FD_STEP)
-    )
+    assert built == [(0.8, 0.3, 30)]
     _oracle_pass()
-    assert len(built) == 3
+    assert len(built) == 1
 
 
 def test_quick_validation_builds_each_channel_once(monkeypatch):
-    """Two configurations at one cutoff and one n_th each: six channels for
+    """Two configurations at one cutoff and one n_th each: two channels for
     the oracle and SLD checks of both probes."""
     built = _count_builds(monkeypatch)
     assert all(check.passed for check in validate.full_validation(quick=True))
-    assert len(built) == len(set(built)) == 6
+    assert len(built) == len(set(built)) == 2
+
+
+@pytest.mark.parametrize("probe", ["tmsv", "coherent"])
+def test_qfi_and_sld_report_evaluate_the_family_once(probe, monkeypatch):
+    """``qfi_eq1`` and ``sld_fock_report`` each evaluate their family once,
+    at the working point."""
+    calls = []
+    build = fock.bifrequency_fock_family
+
+    def counting_build(*args):
+        family = build(*args)
+        return lambda lam: calls.append(lam) or family(lam)
+
+    monkeypatch.setattr(fock, "bifrequency_fock_family", counting_build)
+    fock.qfi_eq1(fock.bifrequency_fock_family(0.8, 0.5, 0.3, probe, 20))
+    assert calls == [fock.LAMBDA0]
+    validate.sld_fock_report(0.8, 0.5, 0.3, probe, 20)
+    assert calls == [fock.LAMBDA0] * 2
 
 
 def test_memoised_channel_is_read_only():
-    """A memoised channel is shared, so neither its tuple of blocks nor any
-    block can be written; nor can the memoised per-cutoff layouts of the
-    coherence offsets and of the sector stack, or the sector index sets."""
+    """A memoised channel is shared, so neither its tuples of blocks and of
+    their derivatives nor any block can be written; nor can the memoised
+    per-cutoff layouts of the coherence offsets and of the sector stack, or
+    the sector index sets."""
     channel = fock._channel(0.8, 0.3, 12)
     assert fock._channel(0.8, 0.3, 12) is channel
-    assert isinstance(channel.blocks, tuple)
-    for block in channel.blocks:
+    assert isinstance(channel.blocks, tuple) and isinstance(channel.dblocks, tuple)
+    for block in channel.blocks + channel.dblocks:
         with pytest.raises(ValueError, match="read-only"):
             block[0, 0] = 1.0
     with pytest.raises(TypeError):
@@ -647,9 +683,9 @@ def test_memo_rejects_what_the_constructor_rejects():
 
 @pytest.mark.parametrize("probe", ["tmsv", "coherent"])
 def test_memoised_channels_give_the_states_of_fresh_ones(probe, monkeypatch):
-    """States from a warm memo equal, bit for bit, those from channels built
-    anew for each evaluation."""
-    cutoff, lams = 30, (fock.LAMBDA0, fock.LAMBDA0 + fock.FD_STEP, fock.LAMBDA0 - fock.FD_STEP)
+    """States and their tangents from a warm memo equal, bit for bit, those
+    from channels built anew for each evaluation."""
+    cutoff, lams = 30, (0.0, 1e-4, -1e-4)
     family = fock.bifrequency_fock_family(0.8, 0.5, 0.3, probe, cutoff)
     family(0.0)
     memoised = [family(lam) for lam in lams]
@@ -660,14 +696,79 @@ def test_memoised_channels_give_the_states_of_fresh_ones(probe, monkeypatch):
         assert np.array_equal(state.rho, fresh.rho), lam
         if probe == "coherent":
             assert all(map(np.array_equal, state.factors, fresh.factors)), lam
+            assert all(map(np.array_equal, state.tangent, fresh.tangent)), lam
+        else:
+            assert np.array_equal(state.tangent, fresh.tangent), lam
 
 
 # --- QFI ------------------------------------------------------------------
 
 def test_qfi_eq1_constant_family():
     state = fock.fock_thermal(0.4, 15)
-    pair = fock.FockState(np.kron(state.rho, state.rho), 15, 2)
+    pair = fock.FockState(np.kron(state.rho, state.rho), 15, 2, np.zeros((225, 225)))
     assert fock.qfi_eq1(lambda lam: pair) < 1e-10
+
+
+def test_qfi_eq1_rejects_a_state_without_tangent():
+    """A family whose state carries no tangent gives no QFI: ValueError, on
+    the block route and the product route."""
+    state = fock.fock_thermal(0.4, 15)
+    for pair in (fock.FockState(np.kron(state.rho, state.rho), 15, 2),
+                 fock.FockState.product(state.rho, state.rho)):
+        with pytest.raises(ValueError, match="tangent"):
+            fock.qfi_eq1(lambda lam: pair)
+
+
+@pytest.mark.parametrize("probe", ["tmsv", "coherent"])
+def test_family_tangent_matches_central_difference(probe):
+    """At every oracle configuration the tangent each state carries is
+    within 1e-10 of the test-side central difference with step 1e-5, whose
+    truncation and round-off there are about 3e-11; the coherent tangent's
+    first factor is exactly 0."""
+    for config in validate.ORACLE_CONFIGS:
+        family = fock.bifrequency_fock_family(*config, probe, 30)
+        state = family(0.0)
+        tangent = fock_reference.dense_tangent(state)
+        assert np.max(np.abs(tangent)) > 0.1
+        difference = fock_reference.central_difference(family)
+        assert np.max(np.abs(tangent - difference)) < 1e-10, config
+        if probe == "coherent":
+            assert not np.any(state.tangent[0])
+
+
+@pytest.mark.parametrize("eta1", [0.0, 1.0, np.nan, 1.5, -0.2])
+def test_family_needs_reflectivity_inside_the_open_interval(eta1):
+    """The tangent's dtheta/deta is infinite at eta = 0 and 1, so a family
+    there is rejected, as are NaN and values outside [0, 1]; so is an
+    evaluation that moves eta1 + lam onto an edge. Channels at 0 and 1 still
+    build."""
+    for probe in ("tmsv", "coherent"):
+        with pytest.raises(ValueError, match="reflectivity"):
+            fock.bifrequency_fock_family(eta1, 0.05, 0.1, probe, 10)
+        with pytest.raises(ValueError, match="reflectivity"):
+            fock.bifrequency_fock_family(0.75, 0.05, 0.1, probe, 10)(0.25)
+    if eta1 in (0.0, 1.0):
+        channel = fock.ThermalLossChannel(eta1, 0.1, 10)
+        assert all(np.all(np.isfinite(b)) for b in channel.blocks + channel.dblocks)
+
+
+def test_tangent_is_checked_as_its_state():
+    """A tangent is checked for hermiticity and shape as its state is, and a
+    sector tangent's padding must be 0."""
+    state = fock.bifrequency_fock_family(0.6, 0.1, 0.2, "tmsv", 8)(0.0)
+    skew = state.tangent.copy()
+    skew[8][0, 1] += 1e-9
+    with pytest.raises(ValueError, match="non-hermitian"):
+        fock.FockState.sectors(state.stack, skew)
+    padded = state.tangent.copy()
+    padded[0][2, 3] = padded[0][3, 2] = 0.1
+    with pytest.raises(ValueError, match="padding"):
+        fock.FockState.sectors(state.stack, padded)
+    with pytest.raises(ValueError, match="shape"):
+        fock.FockState(state.rho, 8, 2, np.zeros((8, 8)))
+    single = fock.fock_thermal(0.2, 8).rho
+    with pytest.raises(ValueError, match="non-hermitian"):
+        fock.FockState.product(single, single, (np.zeros((8, 8)), np.triu(np.ones((8, 8)))))
 
 
 def test_qfi_eq1_matches_coherent_closed_form():
@@ -692,8 +793,13 @@ def test_qfi_eq1_invariant_under_unitary_conjugation():
     q, _ = np.linalg.qr(rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size)))
 
     def rotated(lam: float) -> fock.FockState:
-        rho = q @ family(lam).rho @ q.conj().T
-        return fock.FockState((rho + rho.conj().T) / 2.0, cutoff, 2)
+        state = family(lam)
+        rho, tangent = (
+            q @ m @ q.conj().T for m in (state.rho, fock_reference.dense_tangent(state))
+        )
+        return fock.FockState(
+            (rho + rho.conj().T) / 2.0, cutoff, 2, (tangent + tangent.conj().T) / 2.0
+        )
 
     assert len(family(0.0).blocks) == 2 * cutoff - 1
     assert len(rotated(0.0).blocks) == 1
@@ -702,9 +808,32 @@ def test_qfi_eq1_invariant_under_unitary_conjugation():
 
 
 def _densified(family, cutoff):
-    """The same family with each state as a plain dense FockState, which
-    ``qfi_eq1`` decomposes as one block."""
-    return lambda lam: fock.FockState(family(lam).rho, cutoff, 2)
+    """The same family with each state and its tangent as a plain dense
+    FockState, which ``qfi_eq1`` decomposes as one block."""
+
+    def dense(lam):
+        state = family(lam)
+        return fock.FockState(state.rho, cutoff, 2, fock_reference.dense_tangent(state))
+
+    return dense
+
+
+def _coherent_with_tangent(alpha, dalpha, cutoff):
+    """|alpha><alpha| at the cutoff and its derivative as alpha moves at
+    dalpha: each amplitude e^{-|alpha|^2/2} alpha^n / sqrt(n!) moves at
+    n dalpha / alpha - Re(conj(alpha) dalpha) times itself."""
+    rho = fock.fock_coherent(alpha, cutoff).rho
+    rate = np.arange(cutoff) * dalpha / alpha - (np.conj(alpha) * dalpha).real
+    return rho, rate[:, None] * rho + rho * np.conj(rate)[None, :]
+
+
+def _lossy_coherent_with_tangent(eta, deta, n_th, alpha, dalpha, cutoff):
+    """A coherent state through a thermal-loss channel, and its derivative as
+    eta and alpha move at deta and dalpha."""
+    channel = fock.ThermalLossChannel(eta, n_th, cutoff)
+    rho, drho = _coherent_with_tangent(alpha, dalpha, cutoff)
+    moved = deta * fock._theta_rate(eta) * fock._by_offset(channel.dblocks, rho)
+    return channel.apply(rho), channel.apply(drho) + moved
 
 
 @pytest.mark.parametrize("cutoff", [10, 20, 30])
@@ -739,26 +868,32 @@ def test_sector_qfi_matches_dense_route(cutoff):
 def test_product_qfi_with_both_factors_varying():
     """A product family in which both factors depend on lam, one of them
     complex, matches the dense route; so does one with a pure factor, whose
-    null eigenvalues exercise the drop threshold."""
+    null eigenvalues exercise the drop threshold. Each tangent is within
+    1e-9 of the central difference."""
     cutoff = 14
+    amplitude = 0.7 * np.exp(0.4j)
 
     def family_of(second):
         def family(lam):
-            channel = fock.ThermalLossChannel(0.55 + lam, 0.2, cutoff)
-            first = channel.apply(fock.fock_coherent(0.7 * np.exp(0.4j) * (1 + lam), cutoff).rho)
-            return fock.FockState.product(first, second(lam))
+            first, dfirst = _lossy_coherent_with_tangent(
+                0.55 + lam, 1.0, 0.2, amplitude * (1 + lam), amplitude, cutoff
+            )
+            other, dother = second(lam)
+            return fock.FockState.product(first, other, (dfirst, dother))
 
         return family
 
     mixed = family_of(
-        lambda lam: fock.ThermalLossChannel(0.8 - 3 * lam, 0.1 + lam, cutoff).apply(
-            fock.fock_coherent(0.5, cutoff).rho
+        lambda lam: _lossy_coherent_with_tangent(
+            0.8 - 3 * lam, -3.0, 0.1, 0.5 * (1 + 2 * lam), 1.0, cutoff
         )
     )
-    pure = family_of(lambda lam: fock.fock_coherent(0.5 - 2 * lam, cutoff).rho)
+    pure = family_of(lambda lam: _coherent_with_tangent(0.5 - 2 * lam, -2.0, cutoff))
     for family in (mixed, pure):
         state = family(0.0)
         assert state.factors[0].dtype == np.complex128
+        difference = fock_reference.central_difference(family)
+        assert np.max(np.abs(fock_reference.dense_tangent(state) - difference)) < 1e-9
         h_product = fock.qfi_eq1(family)
         h_dense = fock.qfi_eq1(_densified(family, cutoff))
         assert h_product > 0.1
@@ -872,8 +1007,8 @@ def test_sld_report_on_dense_states_takes_one_block(probe, monkeypatch):
     counts = []
     blockwise = fock._blockwise
 
-    def counting_blockwise(states):
-        blocks = blockwise(states)
+    def counting_blockwise(state):
+        blocks = blockwise(state)
         counts.append(len(blocks))
         return blocks
 
@@ -933,7 +1068,7 @@ def test_oracle_pass_forms_no_dense_matrix(monkeypatch):
         fock.quadrature_moments(family(0.0))
     # each coherent family reads its one-mode probe as a cutoff x cutoff matrix
     received = [state for state in made if state.n_modes == 2]
-    assert len(received) == 14 and len(made) == 16
+    assert len(received) == 6 and len(made) == 8
     assert all(state._rho is None for state in received)
 
 
@@ -965,3 +1100,18 @@ def test_sld_report_sums_over_the_sectors_a_form_couples(monkeypatch):
     expected = fock_reference.dense_sld_report(0.8, 0.2, 0.3, "tmsv", 16)
     for key in REPORT_KEYS:
         assert abs(report[key] - expected[key]) <= 1e-12 * max(1.0, abs(expected[key])), key
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    eta1=st.floats(0.05, 0.95),
+    n_s=st.floats(1e-3, 0.5),
+    n_th=st.floats(1e-3, 0.5),
+)
+def test_oracle_qfi_matches_closed_forms_over_the_box(eta1, n_s, n_th):
+    """Over eta1 in [0.05, 0.95] and n_s, n_th in [1e-3, 0.5], at cutoff 40,
+    the oracle QFI of both probes is within 1e-7 of the closed forms."""
+    for probe, closed in (("tmsv", bf.hq_closed_form), ("coherent", bf.hc_closed_form)):
+        h = fock.qfi_eq1(fock.bifrequency_fock_family(eta1, n_s, n_th, probe, 40))
+        ref = closed(eta1, n_s, n_th)
+        assert abs(h - ref) / ref < 1e-7, probe
