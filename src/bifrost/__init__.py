@@ -9,17 +9,12 @@ from .errors import (
 )
 from .gaussian import (
     GaussianState,
-    PhysicalityReport,
     SymplecticTransform,
     apply,
     beam_splitter,
-    check_physical,
     coherent,
-    direct_sum,
-    identity_transform,
     omega,
     partial_trace,
-    permute_modes,
     tensor,
     thermal,
     tmsv,
@@ -33,7 +28,6 @@ from .qfi import (
     hq_closed_form,
     ratio_high_reflectivity,
     ratio_noisy_limit,
-    symplectic_eigenvalues,
 )
 from .sld import (
     CoherentObservable,

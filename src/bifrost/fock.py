@@ -85,14 +85,12 @@ import numpy as np
 
 from .errors import CutoffTooSmallError, check_photon_numbers
 
-# tail-mass target when the cutoff is chosen automatically
-AUTO_TAIL_TOL = 1e-10
-# hard gate for explicitly requested cutoffs
+# gate on the tail mass a cutoff leaves
 HARD_TAIL_TOL = 1e-6
-# extra levels on top of the auto choice, headroom for beam-splitter mixing
-GUARD_LEVELS = 5
 # working point of every Fock-family tangent
 LAMBDA0 = 0.0
+# eigenvalue pairs of the QFI sum whose sum is at most this are skipped
+DROP_THRESHOLD = 1e-12
 
 
 def _hermitian(rho, shape: tuple[int, ...]) -> np.ndarray:
@@ -156,7 +154,7 @@ class FockState:
     def sectors(cls, stack: np.ndarray, tangent: np.ndarray | None = None) -> "FockState":
         """The two-mode state whose only nonzero blocks are its sectors of
         n1 - n2, given as their zero-padded (2 cutoff - 1, cutoff, cutoff)
-        stack in the order of ``_sector_indices``. Hermiticity is checked
+        stack in the order of ``_sector_layout``. Hermiticity is checked
         once over the stack, to the 1e-12 of a dense state, and a nonzero
         padding entry is rejected, since neither ``trace`` nor ``rho`` would
         see it; the same holds for the tangent's stack."""
@@ -171,9 +169,9 @@ class FockState:
             if part is not None and np.any((part != 0) & layout.padding):  # NaN fails too
                 raise ValueError("sector stack nonzero in its padding")
         state.indices = layout.indices
+        sizes = (dim - abs(delta) for delta in range(1 - dim, dim))
         state.blocks = tuple(
-            (idx, sector[: len(idx), : len(idx)])
-            for idx, sector in zip(_sector_indices(dim), state.stack)
+            (idx[:m], sector[:m, :m]) for idx, sector, m in zip(layout.indices, state.stack, sizes)
         )
         return state
 
@@ -232,15 +230,6 @@ def _sector_layout(dim: int) -> _SectorLayout:
 
 
 @functools.lru_cache(maxsize=16)
-def _sector_indices(dim: int) -> tuple[np.ndarray, ...]:
-    """The basis indices n1 dim + n2 of the two-mode states |n1, n2> in each
-    sector n1 - n2 = delta, for delta = 1 - dim, ..., dim - 1, ascending in
-    n1: read-only views of ``_sector_layout(dim).indices``."""
-    indices = _sector_layout(dim).indices
-    return tuple(idx[: dim - abs(delta)] for idx, delta in zip(indices, range(1 - dim, dim)))
-
-
-@functools.lru_cache(maxsize=16)
 def _offset_order(dim: int) -> np.ndarray:
     """The flat indices of a dim x dim matrix grouped by coherence offset:
     rho[i, i] for i < dim, then for each k = 1, ..., dim - 1 the entries
@@ -281,15 +270,6 @@ def _tmsv_tail(n_s: float, dim: int) -> float:
     return float(tanh2**dim)
 
 
-def _auto_cutoff(tail: Callable[[int], float], tol: float = AUTO_TAIL_TOL) -> int:
-    dim = 2
-    while tail(dim) >= tol:
-        dim += 1
-        if dim > 4000:
-            raise CutoffTooSmallError("cannot reach the requested tail mass below cutoff 4000")
-    return dim + GUARD_LEVELS
-
-
 def _gate_cutoff(tail_mass: float, cutoff: int, label: str):
     if not tail_mass < HARD_TAIL_TOL:  # a NaN tail fails too
         raise CutoffTooSmallError(
@@ -297,49 +277,22 @@ def _gate_cutoff(tail_mass: float, cutoff: int, label: str):
         )
 
 
-def fock_thermal(n_th: float, cutoff: int | None = None) -> FockState:
-    """Thermal mode as a truncated geometric mixture of number states."""
-    check_photon_numbers(n_th)
-    if cutoff is None:
-        cutoff = _auto_cutoff(lambda d: _thermal_tail(n_th, d))
-    _gate_cutoff(_thermal_tail(n_th, cutoff), cutoff, "thermal")
-    return FockState(np.diag(_thermal_probs(n_th, cutoff)), cutoff, 1)
-
-
-def _tmsv_amplitudes(n_s: float, cutoff: int | None) -> np.ndarray:
+def _tmsv_amplitudes(n_s: float, cutoff: int) -> np.ndarray:
     """The amplitudes a_n of the two-mode squeezed vacuum sum_n a_n |n, n>,
-    one per level of the cutoff, after the domain check and the tail gate."""
+    one per level of the cutoff, after the domain check and the tail gate.
+    sinh^2 r = 2 n_s, matching :func:`bifrost.gaussian.tmsv`, with the
+    relative phase that correlates the x quadratures positively, again
+    matching the covariance convention."""
     check_photon_numbers(n_s)
-    if cutoff is None:
-        cutoff = _auto_cutoff(lambda d: _tmsv_tail(n_s, d))
     _gate_cutoff(_tmsv_tail(n_s, cutoff), cutoff, "two-mode squeezed")
     tanh_r = np.sqrt(2.0 * n_s / (2.0 * n_s + 1.0))
     return tanh_r ** np.arange(cutoff) * np.sqrt(1.0 - tanh_r**2)
 
 
-def fock_tmsv(n_s: float, cutoff: int | None = None) -> FockState:
-    """Two-mode squeezed vacuum with the protocol photon-number label.
-
-    sinh^2 r = 2 n_s, matching :func:`bifrost.gaussian.tmsv`; the relative
-    phase is chosen so the x quadratures are positively correlated, again
-    matching the covariance convention.
-    """
-    amps = _tmsv_amplitudes(n_s, cutoff)
-    cutoff = len(amps)
-    psi = np.zeros(cutoff * cutoff)
-    psi[np.arange(cutoff) * cutoff + np.arange(cutoff)] = amps
-    return FockState(np.outer(psi, psi), cutoff, 2)
-
-
-def fock_coherent(alpha: complex, cutoff: int | None = None) -> FockState:
+def fock_coherent(alpha: complex, cutoff: int) -> FockState:
     """Coherent state |alpha> truncated at the cutoff."""
     if not np.isfinite(alpha):
         raise ValueError("coherent amplitude must be finite")
-    if cutoff is None:
-        from scipy.special import pdtrc
-
-        mean = abs(alpha) ** 2
-        cutoff = _auto_cutoff(lambda d: float(pdtrc(d - 1, mean)) if mean else 0.0)
     n = np.arange(cutoff)
     log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, cutoff)))])
     amps = np.exp(-0.5 * abs(alpha) ** 2) * alpha**n / np.exp(0.5 * log_fact)
@@ -484,8 +437,7 @@ class ThermalLossChannel:
     the channel on one mode, with every offset's coherences gathered in one
     index and scattered back in one (``_by_offset``, which also applies
     ``dblocks``); ``bifrequency_fock_family`` combines the blocks of two
-    channels. Each block multiplies at its own size, not padded into one
-    batched product, which would round differently, and the blocks are
+    channels. Each block multiplies at its own size, and the blocks are
     read-only, since ``_channel`` shares them (module docstring).
     """
 
@@ -582,10 +534,14 @@ def bifrequency_fock_family(
 
     elif probe == "coherent":
         single = fock_coherent(np.sqrt(n_s), cutoff).rho
+        # the first channel does not move with lam: its output, shared by
+        # every state of the family, is computed once and read-only
+        first = _channel(eta1, n_th, cutoff).apply(single)
+        first.setflags(write=False)
 
         def received(ch1: ThermalLossChannel, ch2: ThermalLossChannel, rate: float) -> FockState:
             second, dsecond = ch2.apply(single), rate * _by_offset(ch2.dblocks, single)
-            return FockState.product(ch1.apply(single), second, (np.zeros_like(second), dsecond))
+            return FockState.product(first, second, (np.zeros_like(second), dsecond))
 
     else:
         raise ValueError(f"unknown probe {probe!r}")
@@ -609,13 +565,13 @@ def _blockwise(state: FockState) -> list[tuple[np.ndarray, ...]]:
     ]
 
 
-def _pair_sum(sums: np.ndarray, mat: np.ndarray, drop_threshold: float) -> float:
-    """sum |mat|^2 / sums over the pairs whose eigenvalue sum exceeds ``drop_threshold``."""
-    mask = sums > drop_threshold
+def _pair_sum(sums: np.ndarray, mat: np.ndarray) -> float:
+    """sum |mat|^2 / sums over the pairs whose eigenvalue sum exceeds DROP_THRESHOLD."""
+    mask = sums > DROP_THRESHOLD
     return np.sum(np.abs(mat[mask]) ** 2 / sums[mask])
 
 
-def _product_qfi(state: FockState, drop_threshold: float) -> float:
+def _product_qfi(state: FockState) -> float:
     """The Eq. 1 sum for a product A x B, in the product of the factors'
     eigenbases, where p[i1, i2] = a[i1] b[i2]. There dA x B + A x dB couples
     (i1, i2) only to (j1, i2), by dA'[i1, j1] b[i2], and to (i1, j2), by
@@ -629,29 +585,25 @@ def _product_qfi(state: FockState, drop_threshold: float) -> float:
         (p[:, :, None] + p[:, None, :], a[:, None, None] * (db - np.diag(np.diagonal(db)))),
         (2.0 * p, np.diagonal(da)[:, None] * b + a[:, None] * np.diagonal(db)),
     )
-    return sum(_pair_sum(sums, mat, drop_threshold) for sums, mat in terms)
+    return sum(_pair_sum(sums, mat) for sums, mat in terms)
 
 
-def qfi_eq1(family: Callable[[float], FockState], drop_threshold: float = 1e-12) -> float:
+def qfi_eq1(family: Callable[[float], FockState]) -> float:
     """Basis-dependent QFI from the eigendecomposition of the received state.
 
     The family is evaluated once, at LAMBDA0, and drho is the tangent that
     state carries (the tangent rule, module docstring), else ValueError. The
     sum runs in the factors' eigenbases (``_product_qfi``) or over the
     stored blocks, each decomposed in its own dtype. Eigenvalue pairs whose
-    sum falls below ``drop_threshold`` are skipped; it must be finite and
-    nonnegative, else ValueError, since a NaN or infinite threshold would
-    skip every pair and a negative one would divide by pairs whose sum is 0.
+    sum is at most DROP_THRESHOLD are skipped.
     """
-    if not 0.0 <= drop_threshold < np.inf:  # NaN fails too
-        raise ValueError(f"drop_threshold must be finite and nonnegative, got {drop_threshold!r}")
     state = family(LAMBDA0)
     if state.tangent is None:
         raise ValueError("the family's state carries no tangent")
     if state.factors is not None:
-        return float(2.0 * _product_qfi(state, drop_threshold))
+        return float(2.0 * _product_qfi(state))
     total = 0.0
     for _, block, dblock in _blockwise(state):
         evals, evecs = np.linalg.eigh(block)
-        total += _pair_sum(evals[:, None] + evals, evecs.conj().T @ dblock @ evecs, drop_threshold)
+        total += _pair_sum(evals[:, None] + evals, evecs.conj().T @ dblock @ evecs)
     return float(2.0 * total)

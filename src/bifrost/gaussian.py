@@ -26,13 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 SYMMETRY_TOL = 1e-12
 SYMPLECTIC_TOL = 1e-10
-PHYSICALITY_TOL = 1e-9
 
 
 @cache
@@ -111,11 +110,6 @@ class SymplecticTransform:
     @property
     def n_modes(self) -> int:
         return self.matrix.shape[0] // 2
-
-
-class PhysicalityReport(NamedTuple):
-    is_physical: bool
-    min_eigenvalue: float
 
 
 def vacuum(n_modes: int) -> GaussianState:
@@ -213,15 +207,6 @@ def beam_splitter_amplitude_derivative(amp: float) -> np.ndarray:
     return _mode_pair(1.0, -amp / np.sqrt(1.0 - amp * amp))
 
 
-def identity_transform(n_modes: int) -> SymplecticTransform:
-    return SymplecticTransform(np.eye(2 * n_modes))
-
-
-def direct_sum(s1: SymplecticTransform, s2: SymplecticTransform) -> SymplecticTransform:
-    """Block-diagonal composition acting on the concatenated mode sets."""
-    return SymplecticTransform(block_diag(s1.matrix, s2.matrix))
-
-
 def _conjugate(s: SymplecticTransform, state: GaussianState) -> tuple[np.ndarray, np.ndarray]:
     """S Sigma and the symmetrised S Sigma S^T, for a transform and state of
     the same size."""
@@ -282,19 +267,3 @@ def partial_trace(state: GaussianState, keep: Sequence[int]) -> GaussianState:
     """Restrict to the listed modes by deleting the complementary rows/columns."""
     idx = _quadrature_indices(state.n_modes, tuple(keep))
     return GaussianState(_restrict(state.cov, idx), state.disp[idx])
-
-
-def permute_modes(state: GaussianState, order: Sequence[int]) -> GaussianState:
-    """Reorder modes so that new mode k is old mode ``order[k]``."""
-    if sorted(order) != list(range(state.n_modes)):
-        raise ValueError(f"order must be a permutation of 0..{state.n_modes - 1}")
-    idx = np.array([q for m in order for q in (2 * m, 2 * m + 1)])
-    return GaussianState(_restrict(state.cov, idx), state.disp[idx])
-
-
-def check_physical(state: GaussianState) -> PhysicalityReport:
-    """Check the uncertainty relation cov + i Omega >= 0 (up to tolerance)."""
-    omg = omega(state.n_modes)
-    eigs = np.linalg.eigvalsh(state.cov + 1j * omg)
-    lo = float(eigs.min())
-    return PhysicalityReport(lo >= -PHYSICALITY_TOL, lo)

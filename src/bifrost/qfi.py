@@ -121,32 +121,6 @@ def _nu_from_invariants(s: float, p: float, cov: np.ndarray) -> tuple[float, flo
     return float(np.sqrt(0.5 * (s + root))), float(np.sqrt(max(0.5 * (s - root), 0.0)))
 
 
-def symplectic_eigenvalues(state: GaussianState) -> tuple[float, float]:
-    """Symplectic eigenvalues (nu_plus, nu_minus) of a two-mode state.
-
-    They are the moduli of the eigenvalues +-nu of the hermitian
-    L^T (i Omega) L, with Sigma = L L^T by Cholesky, a matrix similar to
-    i Omega Sigma. Where the two modes are nearly degenerate they stay
-    accurate, whereas the invariant discriminant s^2 - 4p of the check
-    cancels there to sqrt(eps).
-    """
-    if state.n_modes != 2:
-        raise ValueError(f"expected a two-mode state, got {state.n_modes} modes")
-    try:
-        chol = np.linalg.cholesky(state.cov)
-    except np.linalg.LinAlgError:
-        raise NumericalInstabilityError(
-            "covariance is not positive definite; state is unphysical"
-        ) from None
-    nu = np.linalg.eigvalsh(chol.T @ (1j * omega(2)) @ chol)
-    nu_p, nu_m = float(nu[3]), float(nu[2])
-    if nu_m < 1.0 - 1e-9:
-        raise NumericalInstabilityError(
-            f"symplectic eigenvalue {nu_m:.12f} below 1; state is unphysical"
-        )
-    return nu_p, nu_m
-
-
 def _invariant_correction(s: float, p: float, ds: float, dp: float, nu_m: float) -> float:
     """The correction f of the module docstring from the invariants s, p and
     their derivatives; zero at a pure normal mode whose invariants are static."""

@@ -69,6 +69,8 @@ _STRUCTURE_TOL = 1e-7
 # this; round-off leaves a few 1e-16 on a pure state, and the least mixed
 # received state of the domain (eta1 = 1 - 1e-6, n_th = 1e-6) has about 4e-12
 _PURE_TOL = 1e-13
+# the circuit solve counts as converged when its residual norm is at most this
+_CIRCUIT_TOL = 1e-12
 
 
 @cache
@@ -369,7 +371,7 @@ def _circuit_coefficients(p: np.ndarray) -> np.ndarray:
     )
 
 
-def jpa_circuit_solve(n_s: float, tol: float = 1e-12) -> JpaCircuitSolution:
+def jpa_circuit_solve(n_s: float) -> JpaCircuitSolution:
     """Circuit parameters realising the pair-counting mode -i(a_2^dag - mu a_1).
 
     The target mode has commutator mu^2 - 1 = 1/(2 n_s) with itself-dagger, so
@@ -378,7 +380,7 @@ def jpa_circuit_solve(n_s: float, tol: float = 1e-12) -> JpaCircuitSolution:
     output relate to counts of the target mode by that fixed factor. The
     symmetric two-squeezer ansatz solves both identifications exactly; the
     residuals, in target-mode units, report its floating-point error, and the
-    solution counts as converged when their norm is at most ``tol``.
+    solution counts as converged when their norm is at most ``_CIRCUIT_TOL``.
     """
     if n_s <= 0:
         raise ValueError("signal photon number must be positive")
@@ -405,5 +407,5 @@ def jpa_circuit_solve(n_s: float, tol: float = 1e-12) -> JpaCircuitSolution:
         scale=float(scale),
         commutator=float(mu**2 - 1.0),
         residuals=residuals,
-        converged=bool(norm <= tol),
+        converged=bool(norm <= _CIRCUIT_TOL),
     )

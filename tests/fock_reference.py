@@ -7,12 +7,31 @@ the full probe density matrix, one mode after the other, and knows nothing
 of the probe. The partial trace of a dense state, by index contraction,
 is kept here too: the package reads every moment off a state's structure
 and no longer takes marginals. So is the central difference of a family,
-which the package replaced by the exact tangent each state carries.
+which the package replaced by the exact tangent each state carries, and so
+are the dense thermal and two-mode squeezed states, which the package never
+forms.
 """
 
 import numpy as np
 
 from bifrost import fock
+from bifrost.errors import check_photon_numbers
+
+
+def fock_thermal(n_th, cutoff):
+    """Thermal mode as a truncated geometric mixture of number states."""
+    check_photon_numbers(n_th)
+    fock._gate_cutoff(fock._thermal_tail(n_th, cutoff), cutoff, "thermal")
+    return fock.FockState(np.diag(fock._thermal_probs(n_th, cutoff)), cutoff, 1)
+
+
+def fock_tmsv(n_s, cutoff):
+    """Two-mode squeezed vacuum sum_n a_n |n, n> with the protocol
+    photon-number label, as a dense two-mode state."""
+    amps = fock._tmsv_amplitudes(n_s, cutoff)
+    psi = np.zeros(cutoff * cutoff)
+    psi[np.arange(cutoff) * cutoff + np.arange(cutoff)] = amps
+    return fock.FockState(np.outer(psi, psi), cutoff, 2)
 
 # step of the test-side central difference
 FD_STEP = 1e-5
@@ -67,7 +86,7 @@ def apply_channel_pair(ch1, ch2, rho):
 def probe_density(n_s, probe, cutoff):
     """The two-mode probe of the bi-frequency family as a dense matrix."""
     if probe == "tmsv":
-        return fock.fock_tmsv(n_s, cutoff).rho
+        return fock_tmsv(n_s, cutoff).rho
     single = fock.fock_coherent(np.sqrt(n_s), cutoff).rho
     return np.kron(single, single)
 

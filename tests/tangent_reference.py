@@ -6,11 +6,34 @@ the input from the one-mode and two-mode states by ``tensor`` (and
 ``permute_modes``), the transform as a ``direct_sum`` of checked
 ``SymplecticTransform`` blocks, ``apply`` and ``partial_trace`` for the
 state, and dS Sigma S^T + S Sigma dS^T and dS d for the derivatives.
+The parts the package does not keep are defined here, with the
+physicality test ``min_physical_eigenvalue``.
 """
 
 import numpy as np
 
 from bifrost import gaussian as g
+
+
+def identity_transform(n_modes):
+    return g.SymplecticTransform(np.eye(2 * n_modes))
+
+
+def direct_sum(s1, s2):
+    """Block-diagonal composition acting on the concatenated mode sets."""
+    return g.SymplecticTransform(g.block_diag(s1.matrix, s2.matrix))
+
+
+def permute_modes(state, order):
+    """Reorder modes so that new mode k is old mode ``order[k]``."""
+    idx = [q for m in order for q in (2 * m, 2 * m + 1)]
+    return g.GaussianState(state.cov[np.ix_(idx, idx)], state.disp[idx])
+
+
+def min_physical_eigenvalue(state):
+    """The least eigenvalue of cov + i Omega; a physical state has none below
+    -1e-9, the uncertainty relation up to round-off."""
+    return float(np.linalg.eigvalsh(state.cov + 1j * g.omega(state.n_modes)).min())
 
 
 def reference_tangent(state, s, ds, keep):
@@ -32,11 +55,11 @@ def bifrequency_tangent(eta1, lam, n_s, n_th, probe):
     """Received (signal 1, signal 2) state of the bi-frequency protocol."""
     if probe == "tmsv":
         raw = g.tensor(g.tensor(g.thermal(n_th), g.thermal(n_th)), g.tmsv(n_s))
-        state = g.permute_modes(raw, [0, 2, 1, 3])
+        state = permute_modes(raw, [0, 2, 1, 3])
     else:
         arm = g.tensor(g.thermal(n_th), g.coherent(np.sqrt(n_s)))
         state = g.tensor(arm, arm)
-    s = g.direct_sum(g.beam_splitter(eta1), g.beam_splitter(eta1 + lam))
+    s = direct_sum(g.beam_splitter(eta1), g.beam_splitter(eta1 + lam))
     ds = _embedded(g.beam_splitter_derivative(eta1 + lam), 8, 4)
     return reference_tangent(state, s, ds, [1, 3])
 
@@ -44,7 +67,7 @@ def bifrequency_tangent(eta1, lam, n_s, n_th, probe):
 def qi_quantum_tangent(amp, n_s, n_th):
     """Received (reflection, idler) state of quantum illumination."""
     state = g.tensor(g.thermal(n_th), g.two_mode_squeezed(np.arcsinh(np.sqrt(n_s))))
-    s = g.direct_sum(g.beam_splitter(amp**2), g.identity_transform(1))
+    s = direct_sum(g.beam_splitter(amp**2), identity_transform(1))
     ds = _embedded(g.beam_splitter_amplitude_derivative(amp), 6, 0)
     return reference_tangent(state, s, ds, [1, 2])
 

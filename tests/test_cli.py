@@ -339,9 +339,17 @@ def test_numerical_instability_is_an_error_line(command, kernel, monkeypatch, ca
 
 
 def test_import_leaves_scipy_stats_and_sparse_out():
-    """No scipy module at all: the Fock oracle imports what it needs when it runs."""
+    """No scipy module at all, on import or after running ``validate
+    --quick``, ``qi-check``, ``qfi`` for both probes and ``sld``: numpy is
+    the one runtime dependency."""
     code = (
-        "import sys, bifrost.cli; "
+        "import contextlib, io, sys\n"
+        "from bifrost import cli\n"
+        "commands = [['validate', '--quick'], ['qi-check'], ['qfi'],\n"
+        "            ['qfi', '--probe', 'coherent'], ['sld']]\n"
+        "for argv in commands:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bifrost as bf
-from bifrost.errors import NumericalInstabilityError, PureStateError
+from bifrost.errors import PureStateError
 from bifrost.protocols import (
     BiFrequencyParams,
     _qi_classical_received,
@@ -81,10 +81,17 @@ def test_received_covariance_entries():
 
 # --- symplectic eigenvalues -------------------------------------------------
 
+def williamson_nu(state):
+    """(nu_plus, nu_minus) of ``state``, read off the Williamson solve of a
+    family that stays at it."""
+    result = bf.qfi_result(difference_family(lambda lam: state))
+    return result.nu_plus, result.nu_minus
+
+
 def test_symplectic_eigenvalues_vacuum_and_thermal():
-    assert np.allclose(bf.symplectic_eigenvalues(bf.vacuum(2)), (1.0, 1.0))
+    assert np.allclose(williamson_nu(bf.vacuum(2)), (1.0, 1.0))
     pair = bf.tensor(bf.thermal(0.7), bf.thermal(0.7))
-    assert np.allclose(bf.symplectic_eigenvalues(pair), (2.4, 2.4))
+    assert np.allclose(williamson_nu(pair), (2.4, 2.4))
 
 
 @pytest.mark.parametrize(
@@ -93,7 +100,7 @@ def test_symplectic_eigenvalues_vacuum_and_thermal():
 )
 def test_symplectic_eigenvalues_received(eta1, lam, n_s, n_th):
     state = bf.GaussianState(received_cov(eta1, lam, n_s, n_th), np.zeros(4))
-    got = bf.symplectic_eigenvalues(state)
+    got = williamson_nu(state)
     assert np.allclose(got, nu_oracle(eta1, lam, n_s, n_th), rtol=1e-12, atol=1e-12)
 
 
@@ -108,25 +115,16 @@ def _exact_symplectic_eigenvalues(cov):
 def test_symplectic_eigenvalues_degenerate_point():
     # 2 n_s = n_th makes both covariance blocks equal for every gap, and the
     # two symplectic eigenvalues coincide
-    nu_p, nu_m = bf.symplectic_eigenvalues(
-        bf.GaussianState(received_cov(0.5, 0.1, 1.0, 2.0), np.zeros(4))
-    )
+    nu_p, nu_m = williamson_nu(bf.GaussianState(received_cov(0.5, 0.1, 1.0, 2.0), np.zeros(4)))
     assert np.isclose(nu_p, nu_m, rtol=1e-12, atol=0.0)
     assert np.isclose(nu_p, np.sqrt(17.8), rtol=1e-12, atol=0.0)
     # at tmsv (0.9857, 8.0e5, 1.32) the exact eigenvalues of the stored
     # covariance are degenerate near 573; the invariant discriminant split
     # them by 3.8e-5 relative
-    state = tmsv_family(0.9857, 8.0e5, 1.32).eval(0.0)
-    got = bf.symplectic_eigenvalues(state)
-    assert np.allclose(got, _exact_symplectic_eigenvalues(state.cov), rtol=1e-8, atol=0.0)
-
-
-def test_symplectic_eigenvalues_reject_unphysical_covariance():
-    """Not positive definite, or positive definite below the uncertainty
-    bound: either is a NumericalInstabilityError."""
-    for diag in ([1.0, 1.0, -1.0, 1.0], [0.5, 0.5, 1.0, 1.0]):
-        with pytest.raises(NumericalInstabilityError, match="unphysical"):
-            bf.symplectic_eigenvalues(bf.GaussianState(np.diag(diag), np.zeros(4)))
+    family = tmsv_family(0.9857, 8.0e5, 1.32)
+    result = bf.qfi_result(family)
+    exact = _exact_symplectic_eigenvalues(family.eval(0.0).cov)
+    assert np.allclose((result.nu_plus, result.nu_minus), exact, rtol=1e-8, atol=0.0)
 
 
 # --- numeric QFI ------------------------------------------------------------
@@ -479,8 +477,8 @@ def test_photon_number_checks_reject_non_finite_values(bad):
         lambda n: sld_coeffs_closed_form(0.5, 1.0, n),
         lambda n: coherent_observable(0.5, n, 1.0),
         lambda n: coherent_observable(0.5, 1.0, n),
-        lambda n: fock.fock_thermal(n, 10),
-        lambda n: fock.fock_tmsv(n, 10),
+        lambda n: fock.ThermalLossChannel(0.5, n, 10),
+        lambda n: fock.bifrequency_fock_family(0.5, n, 0.1, "tmsv", 10),
         lambda n: fock.bifrequency_fock_family(0.5, n, 0.1, "coherent", 10),
         lambda n: fock.bifrequency_fock_family(0.5, 0.1, n, "coherent", 10),
     ]
