@@ -1,14 +1,18 @@
 """Command-line interface: sweeps, point evaluations and regression checks.
 
 Exit codes: 0 success, 1 usage or domain error, 2 I/O error, 3 regression
-failure. Numeric output is byte-deterministic: floats are printed with 17
-significant digits, rows in a fixed parameter-major order, LF line endings.
-``ratio-grid`` evaluates the closed forms once, as numpy arrays over the
-broadcast axes, and formats each axis value once; its bytes equal those of
-one scalar ``bifrequency_advantage`` call and one format call per value.
-The environment variable BIFROST_THREADS is accepted and ignored, since a
-thread pool was measured slower than one thread. The regression checks, and
-the Fock oracle behind them, are imported only by the commands that run
+failure. ``main`` is the one place that turns a ValueError or an
+ArithmeticError of any command into an ``error:`` line and exit 1. A config
+file becomes its command's defaults, so a flag on the command line always
+wins over the file. Numeric output is byte-deterministic: floats are printed
+with 17 significant digits, rows in a fixed parameter-major order, LF line
+endings. ``ratio-grid`` evaluates the closed forms once, as numpy arrays
+over the broadcast axes (``protocols.advantage_map``), and formats each
+axis value once; its bytes equal those of one scalar
+``bifrequency_advantage`` call and one format call per value. The
+environment variable BIFROST_THREADS is accepted and ignored, since a
+thread pool was measured slower than one thread. The regression checks,
+and the Fock oracle behind them, are imported only by the commands that run
 them, so the other commands never load that code.
 """
 
@@ -23,11 +27,10 @@ import numpy as np
 
 from .protocols import (
     BiFrequencyParams,
-    bifrequency_advantage,
+    advantage_map,
     bifrequency_received_state,
     thermal_equal_occupation,
 )
-from .qfi import hc_closed_form, hq_closed_form
 from .sld import jpa_circuit_solve, optimal_observable, qfi_result, sld_coeffs_closed_form
 
 EXIT_OK = 0
@@ -57,33 +60,6 @@ def _parse_axis(text: str, log: bool = False) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _advantage_map(etas, n_ss, n_ths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """h_q, h_c and their ratio over the grid etas x n_ss x n_ths, each of
-    shape (E, S, T).
-
-    The closed forms run once on the broadcast axes. If a point lies outside
-    their domain, or its arithmetic overflows, divides by zero or makes a
-    NaN, the error raised is that of the first such row in output order,
-    through the same scalar path a row-by-row sweep takes: the domain's
-    ValueError, or an ArithmeticError that names the row's axis values.
-    """
-    eta, n_s, n_th = etas[:, None, None], n_ss[None, :, None], n_ths[None, None, :]
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
-        try:
-            h_q = hq_closed_form(eta, n_s, n_th)
-            h_c = hc_closed_form(eta, n_s, n_th)
-            return h_q, h_c, h_q / h_c
-        except (ValueError, ArithmeticError):
-            for e, s, t in itertools.product(etas, n_ss, n_ths):
-                try:
-                    bifrequency_advantage(BiFrequencyParams(e, 0.0, s, t))
-                except ArithmeticError:
-                    raise ArithmeticError(
-                        f"the closed forms leave the float range at eta1 = {e}, n_s = {s}, n_th = {t}"
-                    ) from None
-            raise
-
-
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as an ``error:`` line and exits EXIT_USAGE.
 
@@ -97,9 +73,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _config_value(key: str, value, action: argparse.Action, subparser):
-    """A config value converted and checked as its flag would be: a switch
-    takes a JSON boolean, any other flag a number or string, passed through
-    the flag's ``type`` and ``choices``."""
+    """A config value checked as its flag would be: a switch takes a JSON
+    boolean, any other flag a number or string, as text within the flag's
+    ``choices``. argparse applies the flag's ``type`` to a text default when
+    it parses again."""
     if action.nargs == 0:
         if not isinstance(value, bool):
             subparser.error(f"config key {key!r} must be a JSON boolean, got {value!r}")
@@ -107,28 +84,21 @@ def _config_value(key: str, value, action: argparse.Action, subparser):
     if isinstance(value, bool):
         subparser.error(f"config key {key!r} must be a number or string, got {value!r}")
     text = value if isinstance(value, str) else str(value)
-    try:
-        converted = action.type(text) if action.type else text
-    except (TypeError, ValueError):
-        subparser.error(f"config key {key!r}: invalid value {value!r}")
-    if action.choices is not None and converted not in action.choices:
+    if action.choices is not None and text not in action.choices:
         choices = ", ".join(map(repr, action.choices))
-        subparser.error(f"config key {key!r}: invalid choice: {converted!r} (choose from {choices})")
-    return converted
+        subparser.error(f"config key {key!r}: invalid choice: {text!r} (choose from {choices})")
+    return text
 
 
-def _load_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
-    """Fold a JSON config file under the command-line flags (flags win).
+def _load_config(path: str, subparser: argparse.ArgumentParser) -> dict:
+    """The values of a JSON config file, keyed by their flags' ``dest``.
 
     A file that cannot be read is an I/O error; bad JSON, a top level that
     is not an object, an unknown key or a value its flag would reject is a
     usage error.
     """
-    if not args.config:
-        return
-    subparser = getattr(args, "subparser", parser)
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         subparser.exit(EXIT_IO, f"error: cannot read config: {exc}\n")
@@ -136,34 +106,24 @@ def _load_config(args: argparse.Namespace, parser: argparse.ArgumentParser):
         subparser.error(f"config is not valid JSON: {exc}")
     if not isinstance(data, dict):
         subparser.error("config must be a JSON object")
-    flags = {a.dest: a for a in subparser._actions if a.option_strings and hasattr(args, a.dest)}
+    flags = {a.dest: a for a in subparser._actions if a.option_strings}
+    del flags["help"]
+    values = {}
     for key, value in data.items():
         attr = key.replace("-", "_")
         if attr not in flags:
             subparser.error(f"unknown config key {key!r}")
         if not isinstance(value, (int, float, str)):
             subparser.error(f"config key {key!r} must be a number, string or boolean")
-        value = _config_value(key, value, flags[attr], subparser)
-        if subparser.get_default(attr) == getattr(args, attr):
-            setattr(args, attr, value)
+        values[attr] = _config_value(key, value, flags[attr], subparser)
+    return values
 
 
-def cmd_ratio_grid(args, parser) -> int:
-    _load_config(args, parser)
-    try:
-        etas = _parse_axis(args.eta1)
-        n_ss = _parse_axis(args.ns)
-        n_ths = _parse_axis(args.nth, log=args.log_nth)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        columns = _advantage_map(etas, n_ss, n_ths)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    values = zip(*(column.ravel().tolist() for column in columns))
+def cmd_ratio_grid(args) -> int:
+    etas = _parse_axis(args.eta1)
+    n_ss = _parse_axis(args.ns)
+    n_ths = _parse_axis(args.nth, log=args.log_nth)
+    values = zip(*(column.ravel().tolist() for column in advantage_map(etas, n_ss, n_ths)))
 
     if args.format == "csv":
         # each axis value is formatted once, as the prefix of its rows
@@ -192,19 +152,13 @@ def cmd_ratio_grid(args, parser) -> int:
     return EXIT_OK
 
 
-def _point_params(args, parser) -> BiFrequencyParams:
-    _load_config(args, parser)
+def _point_params(args) -> BiFrequencyParams:
     return BiFrequencyParams(float(args.eta1), 0.0, float(args.ns), float(args.nth))
 
 
-def cmd_qfi(args, parser) -> int:
-    try:
-        params = _point_params(args, parser)
-        family = bifrequency_received_state(params, args.probe)
-        result = qfi_result(family)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_qfi(args) -> int:
+    params = _point_params(args)
+    result = qfi_result(bifrequency_received_state(params, args.probe))
     print(
         json.dumps(
             {
@@ -224,18 +178,11 @@ def cmd_qfi(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_sld(args, parser) -> int:
-    try:
-        params = _point_params(args, parser)
-        family = bifrequency_received_state(params, "tmsv")
-        numeric = optimal_observable(family)
-        closed = sld_coeffs_closed_form(params.eta1, params.n_s, params.n_th)
-    except (ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    deviation = max(
-        abs(a - b) for a, b in zip(numeric.as_tuple(), closed.as_tuple())
-    )
+def cmd_sld(args) -> int:
+    params = _point_params(args)
+    numeric = optimal_observable(bifrequency_received_state(params, "tmsv"))
+    closed = sld_coeffs_closed_form(params.eta1, params.n_s, params.n_th)
+    deviation = max(abs(a - b) for a, b in zip(numeric.as_tuple(), closed.as_tuple()))
     print(
         json.dumps(
             {
@@ -263,27 +210,21 @@ def _report(checks) -> int:
     return EXIT_OK if failed == 0 else EXIT_REGRESSION
 
 
-def cmd_qi_check(args, parser) -> int:
+def cmd_qi_check(args) -> int:
     from .validate import qi_regression_checks
 
     return _report(qi_regression_checks())
 
 
-def cmd_validate(args, parser) -> int:
+def cmd_validate(args) -> int:
     from .validate import full_validation
 
     return _report(full_validation(quick=args.quick))
 
 
-def cmd_thermal_approx(args, parser) -> int:
-    try:
-        omega1 = 2.0 * np.pi * float(args.ghz) * 1e9
-        report = thermal_equal_occupation(
-            omega1, float(args.delta_frac) * omega1, float(args.temp)
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_thermal_approx(args) -> int:
+    omega1 = 2.0 * np.pi * float(args.ghz) * 1e9
+    report = thermal_equal_occupation(omega1, float(args.delta_frac) * omega1, float(args.temp))
     print(
         json.dumps(
             {
@@ -301,12 +242,8 @@ def cmd_thermal_approx(args, parser) -> int:
     return EXIT_OK
 
 
-def cmd_circuit(args, parser) -> int:
-    try:
-        solution = jpa_circuit_solve(float(args.ns))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_circuit(args) -> int:
+    solution = jpa_circuit_solve(float(args.ns))
     p = solution.params
     print(
         json.dumps(
@@ -384,9 +321,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Parse ``argv`` and run its command. A config file becomes the
+    command's defaults and ``argv`` is parsed again, so a flag given on the
+    command line always wins over the file. A domain error or a numerical
+    failure of any command is reported here, as one ``error:`` line with
+    exit code EXIT_USAGE."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    if getattr(args, "config", ""):
+        args.subparser.set_defaults(**_load_config(args.config, args.subparser))
+        args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, ArithmeticError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -27,12 +27,19 @@ bounded memo (``_channel``) that every family shares, and its blocks are
 read-only. A state whose modes pass through such channels keeps the zero
 pattern those offsets impose: the received two-mode squeezed state and its
 derivative vanish outside the sectors of fixed n1 - n2, exactly 0.0 and not
-merely small. Such a state is kept as those 2 cutoff - 1 blocks
-(``FockState.sectors``), about 2 cutoff^3 / 3 entries, held in one
-zero-padded (2 cutoff - 1, cutoff, cutoff) stack, so that it is gathered in
-one index and checked in one pass; a product state is kept as its one-mode
-factors (``FockState.product``). ``qfi_eq1`` diagonalises the factors or
-the sectors, never a cutoff^2 x cutoff^2 matrix, and reads which off the
+merely small.
+
+The sector structure. Sector delta = n1 - n2, for delta = 1 - cutoff, ...,
+cutoff - 1, holds the cutoff - |delta| basis states n1 cutoff + n2 with
+that difference, ascending in n1. A state block-diagonal in n1 - n2 is kept
+as its 2 cutoff - 1 sectors (``FockState.sectors``), about 2 cutoff^3 / 3
+entries, in one zero-padded (2 cutoff - 1, cutoff, cutoff) stack: sector
+delta at row delta + cutoff - 1, in the leading corner of its size, and 0
+elsewhere. So the state is gathered in one index and checked in one pass;
+``_sector_layout`` holds the indices, the padding mask and the gather index
+of each cutoff. A product state is kept as its one-mode factors
+(``FockState.product``). ``qfi_eq1`` diagonalises the factors or the
+sectors, never a cutoff^2 x cutoff^2 matrix, and reads which off the
 states, never off the probe; ``quadrature_moments`` sums over the factors'
 or the stack's entries; a dense state is one block.
 
@@ -59,8 +66,8 @@ dtheta/deta = -1 / (2 sqrt(eta (1 - eta))), finite only inside (0, 1)
 theta-derivative (``ThermalLossChannel.dblocks``) the same sum with G U for
 U on either side. Only the second channel moves with lam, so the two-mode
 squeezed tangent is B1_k diag(a_{i+k} a_i) dB2_k^T per offset, in the
-state's sector stack, and the product tangent is (dA, dB) with dA = 0
-exactly, read as dA x B + A x dB.
+state's sector stack. The first factor of the coherent product does not
+move, so the product tangent is dB alone, read as A x dB.
 
 The products stay one BLAS call per offset, at the offset's own size. A
 product padded to the full cutoff, batched over the offsets, gives the same
@@ -117,15 +124,14 @@ class FockState:
 
     A product state is kept as its one-mode factors (``FockState.product``),
     each checked on its own; ``factors`` is None for any other state. A
-    two-mode state block-diagonal in n1 - n2 is kept as its sectors
-    (``FockState.sectors``), checked at once. ``blocks`` holds (basis index
-    set, block) pairs: the sectors, or one block over the whole basis for a
-    dense state. The same blocks, zero-padded to one size, are ``stack``,
-    with their index sets padded alike in ``indices``; ``blocks[q]`` is
-    (indices[q, :m], stack[q, :m, :m]) for the size m of block q. All three
-    are None for a product. The dense ``rho`` of a product or of sectors is
-    formed only when read, and then kept. ``tangent`` (the tangent rule) is a
-    stack like ``stack`` or a product's pair (dA, dB), checked alike; or None.
+    state of sectors (``FockState.sectors``, the sector structure of the
+    module docstring) keeps their padded stack as ``stack`` and their index
+    sets as ``indices``; a dense state is a stack of one block over the
+    whole basis. ``blocks[q]`` is (indices[q, :m], stack[q, :m, :m]) for the
+    size m of block q. All three are None for a product. The dense ``rho``
+    of a product or of sectors is formed only when read, and then kept.
+    ``tangent`` (the tangent rule) is a stack like ``stack`` or a product's
+    dB, checked alike; or None.
     """
 
     __slots__ = ("_rho", "factors", "blocks", "stack", "indices", "dim", "n_modes", "tangent")
@@ -141,23 +147,25 @@ class FockState:
 
     @classmethod
     def product(cls, first: np.ndarray, second: np.ndarray, tangent=None) -> "FockState":
-        """The two-mode product of one-mode density matrices of one cutoff."""
+        """The two-mode product of one-mode density matrices of one cutoff;
+        ``tangent`` is the second factor's derivative dB, the first factor
+        being fixed (the tangent rule)."""
         state = cls.__new__(cls)
         state.dim, state.n_modes = len(first), 2
         shape = (state.dim, state.dim)
         state.factors = (_hermitian(first, shape), _hermitian(second, shape))
         state._rho = state.blocks = state.stack = state.indices = None
-        state.tangent = None if tangent is None else tuple(_hermitian(t, shape) for t in tangent)
+        state.tangent = None if tangent is None else _hermitian(tangent, shape)
         return state
 
     @classmethod
     def sectors(cls, stack: np.ndarray, tangent: np.ndarray | None = None) -> "FockState":
         """The two-mode state whose only nonzero blocks are its sectors of
-        n1 - n2, given as their zero-padded (2 cutoff - 1, cutoff, cutoff)
-        stack in the order of ``_sector_layout``. Hermiticity is checked
-        once over the stack, to the 1e-12 of a dense state, and a nonzero
-        padding entry is rejected, since neither ``trace`` nor ``rho`` would
-        see it; the same holds for the tangent's stack."""
+        n1 - n2, given as their padded stack (the sector structure of the
+        module docstring). Hermiticity is checked once over the stack, to
+        the 1e-12 of a dense state, and a nonzero padding entry is rejected,
+        since neither ``trace`` nor ``rho`` would see it; the same holds for
+        the tangent's stack."""
         state = cls.__new__(cls)
         dim = np.shape(stack)[-1]
         state.dim, state.n_modes = dim, 2
@@ -195,12 +203,11 @@ class FockState:
 
 
 class _SectorLayout(NamedTuple):
-    """Where the sectors of n1 - n2 of a two-mode cutoff lie, sector
-    delta = 1 - cutoff, ..., cutoff - 1 at row delta + cutoff - 1:
-    ``indices``, the basis indices n1 cutoff + n2 of each, ascending in n1
-    and padded with 0; ``padding``, the mask of the padding of a
-    (2 cutoff - 1, cutoff, cutoff) sector stack; ``gather``, the flat indices
-    into the coherences of ``_tmsv_sectors`` that fill that stack."""
+    """Where the sectors of a two-mode cutoff lie in their stack (the sector
+    structure of the module docstring): ``indices``, the basis indices of
+    each sector, padded with 0; ``padding``, the mask of the stack's
+    padding; ``gather``, the flat indices into the coherences of
+    ``_tmsv_sectors`` that fill the stack."""
 
     indices: np.ndarray
     padding: np.ndarray
@@ -541,7 +548,7 @@ def bifrequency_fock_family(
 
         def received(ch1: ThermalLossChannel, ch2: ThermalLossChannel, rate: float) -> FockState:
             second, dsecond = ch2.apply(single), rate * _by_offset(ch2.dblocks, single)
-            return FockState.product(first, second, (np.zeros_like(second), dsecond))
+            return FockState.product(first, second, dsecond)
 
     else:
         raise ValueError(f"unknown probe {probe!r}")
@@ -557,8 +564,7 @@ def _blockwise(state: FockState) -> list[tuple[np.ndarray, ...]]:
     """(basis index set, block of the state, block of its tangent) per stored
     block, or for a product one triple over the whole basis."""
     if state.factors is not None:
-        (a, b), (da, db) = state.factors, state.tangent
-        return [(np.arange(state.dim**2), state.rho, np.kron(da, b) + np.kron(a, db))]
+        return [(np.arange(state.dim**2), state.rho, np.kron(state.factors[0], state.tangent))]
     return [
         (idx, block, dstack[: len(idx), : len(idx)])
         for (idx, block), dstack in zip(state.blocks, state.tangent)
@@ -572,20 +578,14 @@ def _pair_sum(sums: np.ndarray, mat: np.ndarray) -> float:
 
 
 def _product_qfi(state: FockState) -> float:
-    """The Eq. 1 sum for a product A x B, in the product of the factors'
-    eigenbases, where p[i1, i2] = a[i1] b[i2]. There dA x B + A x dB couples
-    (i1, i2) only to (j1, i2), by dA'[i1, j1] b[i2], and to (i1, j2), by
-    a[i1] dB'[i2, j2], with both terms on the diagonal."""
-    (a, u), (b, v) = (np.linalg.eigh(f) for f in state.factors)
-    da, db = (w.conj().T @ t @ w for w, t in zip((u, v), state.tangent))
-    p = np.outer(a, b)
-    # (pair sums, tangent entries) on [i2, i1, j1], [i1, i2, j2] and [i1, i2]
-    terms = (
-        (p.T[:, :, None] + p.T[:, None, :], b[:, None, None] * (da - np.diag(np.diagonal(da)))),
-        (p[:, :, None] + p[:, None, :], a[:, None, None] * (db - np.diag(np.diagonal(db)))),
-        (2.0 * p, np.diagonal(da)[:, None] * b + a[:, None] * np.diagonal(db)),
-    )
-    return sum(_pair_sum(sums, mat) for sums, mat in terms)
+    """The Eq. 1 sum for a product A x B with tangent A x dB, in the product
+    of the factors' eigenbases, where p[i1, i2] = a[i1] b[i2]. There A x dB
+    couples (i1, i2) only to (i1, j2), by a[i1] dB'[i2, j2], so the sum runs
+    over [i1, i2, j2] with pair sums a[i1] (b[i2] + b[j2])."""
+    a = np.linalg.eigvalsh(state.factors[0])
+    b, v = np.linalg.eigh(state.factors[1])
+    db = v.conj().T @ state.tangent @ v
+    return _pair_sum(a[:, None, None] * (b[:, None] + b), a[:, None, None] * db)
 
 
 def qfi_eq1(family: Callable[[float], FockState]) -> float:

@@ -30,6 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import check_photon_numbers
+
 SYMMETRY_TOL = 1e-12
 SYMPLECTIC_TOL = 1e-10
 
@@ -81,7 +83,7 @@ class GaussianState:
         if disp.shape != (cov.shape[0],):
             raise ValueError(f"displacement shape {disp.shape} does not match covariance {cov.shape}")
         asym = np.abs(cov - cov.T).max()
-        if asym > SYMMETRY_TOL:
+        if not asym <= SYMMETRY_TOL:  # NaN fails too
             raise ValueError(f"covariance asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "disp", disp)
@@ -103,7 +105,7 @@ class SymplecticTransform:
             raise ValueError(f"symplectic matrix must be square with even size, got {m.shape}")
         omg = omega(m.shape[0] // 2)
         err = np.abs(m @ omg @ m.T - omg).max()
-        if err > SYMPLECTIC_TOL:
+        if not err <= SYMPLECTIC_TOL:  # NaN fails too
             raise ValueError(f"symplectic identity violated by {err:.3e}")
         object.__setattr__(self, "matrix", m)
 
@@ -121,8 +123,7 @@ def vacuum(n_modes: int) -> GaussianState:
 
 def thermal(n_th: float) -> GaussianState:
     """Single thermal mode with mean occupation ``n_th``."""
-    if n_th < 0:
-        raise ValueError("thermal occupation must be nonnegative")
+    check_photon_numbers(n_th)
     return GaussianState((1.0 + 2.0 * n_th) * np.eye(2), np.zeros(2))
 
 
@@ -154,8 +155,7 @@ def tmsv(n_s: float) -> GaussianState:
     i.e. sinh^2 r = 2 n_s. Note that under the vacuum-identity convention this
     makes the per-mode photon number equal to 2 n_s, twice the label.
     """
-    if n_s < 0:
-        raise ValueError("signal photon number must be nonnegative")
+    check_photon_numbers(n_s)
     return two_mode_squeezed(np.arcsinh(np.sqrt(2.0 * n_s)))
 
 

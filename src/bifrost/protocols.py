@@ -14,6 +14,7 @@ Three pipelines are assembled here:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -129,6 +130,34 @@ def bifrequency_advantage(p: BiFrequencyParams) -> tuple[float, float, float]:
     return h_q, h_c, h_q / h_c
 
 
+def advantage_map(etas, n_ss, n_ths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """h_q, h_c and their ratio over the grid etas x n_ss x n_ths, each of
+    shape (E, S, T).
+
+    The closed forms run once on the broadcast axes. If a point lies outside
+    their domain, or its arithmetic overflows, divides by zero or makes a
+    NaN, the error raised is that of the first such point in etas-major
+    order, through the same scalar ``bifrequency_advantage`` a point-by-point
+    loop calls: the domain's ValueError, or an ArithmeticError that names the
+    point's axis values.
+    """
+    eta, n_s, n_th = etas[:, None, None], n_ss[None, :, None], n_ths[None, None, :]
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            h_q = hq_closed_form(eta, n_s, n_th)
+            h_c = hc_closed_form(eta, n_s, n_th)
+            return h_q, h_c, h_q / h_c
+        except (ValueError, ArithmeticError):
+            for e, s, t in itertools.product(etas, n_ss, n_ths):
+                try:
+                    bifrequency_advantage(BiFrequencyParams(e, 0.0, s, t))
+                except ArithmeticError:
+                    raise ArithmeticError(
+                        f"the closed forms leave the float range at eta1 = {e}, n_s = {s}, n_th = {t}"
+                    ) from None
+            raise
+
+
 def noise_factor_ratio(beta: float, eta1: float, n_s: float) -> float:
     """Advantage ratio at fixed noise factor beta = n_s / n_th."""
     if beta <= 0:
@@ -231,10 +260,10 @@ def thermal_equal_occupation(
     value 1 - delta_omega/omega1 is accurate in the high-temperature regime
     beta*omega1 << 1 relevant to microwave sensing.
     """
-    if omega1 <= 0 or temperature <= 0:
-        raise ValueError("frequency and temperature must be positive")
-    if delta_omega < 0:
-        raise ValueError("frequency gap must be nonnegative")
+    if not (0.0 < omega1 < np.inf and 0.0 < temperature < np.inf):  # NaN fails too
+        raise ValueError("frequency and temperature must be positive and finite")
+    if not 0.0 <= delta_omega < np.inf:
+        raise ValueError("frequency gap must be nonnegative and finite")
     beta = HBAR / (K_B * temperature)
     expm1 = np.expm1(beta * omega1)
     ratio = 1.0 / (1.0 + beta * delta_omega * np.exp(beta * omega1) / expm1)

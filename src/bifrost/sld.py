@@ -61,7 +61,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateStateError, NoInformationError, NumericalInstabilityError
+from .errors import (
+    DegenerateStateError,
+    NoInformationError,
+    NumericalInstabilityError,
+    check_photon_numbers,
+)
 from .qfi import STATIC_COV_TOL, QfiResult, StateFamily, _check_domain
 
 _STRUCTURE_TOL = 1e-7
@@ -382,7 +387,8 @@ def jpa_circuit_solve(n_s: float) -> JpaCircuitSolution:
     residuals, in target-mode units, report its floating-point error, and the
     solution counts as converged when their norm is at most ``_CIRCUIT_TOL``.
     """
-    if n_s <= 0:
+    check_photon_numbers(n_s)
+    if n_s == 0.0:
         raise ValueError("signal photon number must be positive")
     mu = np.sqrt(1.0 + 0.5 / n_s)
     scale = np.sqrt(2.0 * n_s)

@@ -144,10 +144,10 @@ def sld_fock_report(
     of ell rho + (ell rho)^dag = 2 drho, the mean Tr(ell rho) and the second
     moment Tr(ell ell rho) are sums over blocks, read off the form and one
     family evaluation, the state and its tangent drho (the tangent rule of
-    the ``fock`` module docstring), never the probe. For products A x B with
-    dA = 0 and a form with no mode-1 term, ell = I x ell_2 is ell_2 on the
-    states |0, n2>: one block B with tangent dB, and the mean and second
-    moment scaled by Tr A. Otherwise the blocks are those of
+    the ``fock`` module docstring), never the probe. For products A x B
+    (tangent A x dB) and a form with no mode-1 term, ell = I x ell_2 is
+    ell_2 on the states |0, n2>: one block B with tangent dB, and the mean
+    and second moment scaled by Tr A. Otherwise the blocks are those of
     ``fock._blockwise``, and ell is gathered between the sectors whose
     n1 - n2 differ by a charge of the form. Neither route forms a
     cutoff^2 x cutoff^2 matrix for products or sectors. A cutoff that passes
@@ -159,14 +159,11 @@ def sld_fock_report(
     ell = fock_sld_operator(solution.form(), cutoff)
     state = fock.bifrequency_fock_family(eta1, n_s, n_th, probe, cutoff)(fock.LAMBDA0)
     scale = 1.0
-    if (
-        state.factors is not None
-        and np.array_equal(ell.first, ell.first[:, :1, :1] * np.eye(cutoff))
-        and not np.any(state.tangent[0])
+    if state.factors is not None and np.array_equal(
+        ell.first, ell.first[:, :1, :1] * np.eye(cutoff)
     ):
-        (first, second), (_, dsecond) = state.factors, state.tangent
-        scale = first.trace()
-        blocks = [(np.arange(cutoff), second, dsecond)]
+        scale = state.factors[0].trace()
+        blocks = [(np.arange(cutoff), state.factors[1], state.tangent)]
     else:
         blocks = fock._blockwise(state)
     count = len(blocks)

@@ -43,11 +43,10 @@ def central_difference(family):
 
 
 def dense_tangent(state):
-    """A state's tangent as one dense matrix: dA x B + A x dB for a product,
+    """A state's tangent as one dense matrix: A x dB for a product A x B,
     else its blocks placed at their basis index sets."""
     if state.factors is not None:
-        (first, second), (dfirst, dsecond) = state.factors, state.tangent
-        return np.kron(dfirst, second) + np.kron(first, dsecond)
+        return np.kron(state.factors[0], state.tangent)
     size = state.dim**state.n_modes
     out = np.zeros((size, size), state.tangent.dtype)
     for (idx, _), dstack in zip(state.blocks, state.tangent):

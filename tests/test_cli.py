@@ -1,7 +1,9 @@
 """Command-line surface: formats, determinism, exit codes."""
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -155,7 +157,7 @@ def test_ratio_grid_domain_error_is_that_of_first_failing_row(flags, capsys):
 @pytest.mark.parametrize(
     "command, flag, value",
     [("ratio-grid", "--ns", "nan"), ("ratio-grid", "--nth", "inf"),
-     ("qfi", "--ns", "nan"), ("qfi", "--nth", "inf")],
+     ("qfi", "--ns", "nan"), ("qfi", "--nth", "inf"), ("circuit", "--ns", "nan")],
 )
 def test_non_finite_photon_numbers_exit_with_one_error_line(command, flag, value):
     result = run_cli(command, flag, value)
@@ -388,3 +390,81 @@ def test_config_and_flag_errors_exit_with_documented_codes(
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and message in errors[0]
     assert "Traceback" not in err
+
+
+def test_given_flag_wins_over_config_at_its_default(tmp_path, capsys):
+    """A flag on the command line wins over the config file even when its
+    value is the flag's default; a flag not given takes the file's value."""
+    from bifrost import cli
+
+    config = tmp_path / "c.json"
+    config.write_text('{"format": "json"}')
+    assert cli.main(["ratio-grid", "--format", "csv", "--config", str(config)]) == 0
+    assert capsys.readouterr().out.startswith(cli.CSV_HEADER + "\n")
+    config.write_text('{"ns": 2}')
+    assert cli.main(["qfi", "--ns", "1.0", "--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["n_s"] == 1.0
+    assert cli.main(["qfi", "--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["n_s"] == 2.0
+
+
+@pytest.mark.parametrize("error", [ValueError, ArithmeticError])
+@pytest.mark.parametrize(
+    "argv, module, name",
+    [(["validate", "--quick"], "bifrost.validate", "full_validation"),
+     (["qi-check"], "bifrost.validate", "qi_regression_checks"),
+     (["thermal-approx"], "bifrost.cli", "thermal_equal_occupation"),
+     (["circuit"], "bifrost.cli", "jpa_circuit_solve")],
+    ids=["validate", "qi-check", "thermal-approx", "circuit"],
+)
+def test_every_command_reports_a_raised_error_as_one_line(
+    argv, module, name, error, monkeypatch, capsys
+):
+    from bifrost import cli
+
+    def failing(*args, **kwargs):
+        raise error("synthetic failure")
+
+    monkeypatch.setattr(f"{module}.{name}", failing)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: synthetic failure\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["thermal-approx", "--ghz", "nan"], "frequency and temperature must be positive and finite"),
+     (["thermal-approx", "--temp", "inf"], "frequency and temperature must be positive and finite"),
+     (["thermal-approx", "--delta-frac", "nan"], "frequency gap must be nonnegative and finite")],
+    ids=["ghz-nan", "temp-inf", "delta-frac-nan"],
+)
+def test_non_finite_thermal_inputs_exit_with_one_error_line(argv, message, capsys):
+    from bifrost import cli
+
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_only_main_catches_domain_errors():
+    """``main`` is the one place in the CLI that turns a ValueError or an
+    ArithmeticError into an exit code, and no command takes the parser: a
+    command that grows its own error path fails here. (The config file's
+    decode errors are caught by their own names, as usage errors.)"""
+    from bifrost import cli
+
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    catching = set()
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        if function.name.startswith("cmd_"):
+            assert [a.arg for a in function.args.args] == ["args"], function.name
+        for handler in ast.walk(function):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                names = {n.id for n in ast.walk(handler.type) if isinstance(n, ast.Name)}
+                if names & {"ValueError", "ArithmeticError"}:
+                    catching.add(function.name)
+    assert catching == {"main"}

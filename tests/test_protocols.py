@@ -224,3 +224,7 @@ def test_thermal_approx_validation():
         thermal_equal_occupation(0.0, 1.0, 300.0)
     with pytest.raises(ValueError):
         thermal_equal_occupation(1e9, 1.0, -1.0)
+    for args in ((np.nan, 1.0, 300.0), (np.inf, 1.0, 300.0), (1e9, np.nan, 300.0),
+                 (1e9, np.inf, 300.0), (1e9, 1.0, np.nan), (1e9, 1.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            thermal_equal_occupation(*args)

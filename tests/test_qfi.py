@@ -464,6 +464,9 @@ def test_photon_number_checks_reject_non_finite_values(bad):
     from bifrost.sld import coherent_observable, sld_coeffs_closed_form
 
     calls = [
+        bf.thermal,
+        bf.tmsv,
+        bf.jpa_circuit_solve,
         lambda n: bf.ratio_high_reflectivity(n, 1.0),
         lambda n: bf.ratio_high_reflectivity(1.0, n),
         bf.ratio_noisy_limit,
