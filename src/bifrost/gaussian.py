@@ -69,7 +69,7 @@ class GaussianState:
 
     Attributes:
         cov: real symmetric 2n x 2n covariance matrix (vacuum = identity).
-        disp: real quadrature displacement vector of length 2n.
+        disp: real, finite quadrature displacement vector of length 2n.
     """
 
     cov: np.ndarray
@@ -85,6 +85,8 @@ class GaussianState:
         asym = np.abs(cov - cov.T).max()
         if not asym <= SYMMETRY_TOL:  # NaN fails too
             raise ValueError(f"covariance asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
+        if not np.isfinite(disp).all():
+            raise ValueError(f"displacement must be finite, got {disp}")
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "disp", disp)
 

@@ -258,22 +258,37 @@ def thermal_equal_occupation(
 
     Frequencies are angular (rad/s); beta = hbar / (k_B T). The first-order
     value 1 - delta_omega/omega1 is accurate in the high-temperature regime
-    beta*omega1 << 1 relevant to microwave sensing.
+    beta*omega1 << 1 relevant to microwave sensing. Every value is finite
+    where it returns; where one would leave the float range (beta*omega1
+    rounding to 0, or a ratio too small to divide by) it raises
+    ArithmeticError.
     """
     if not (0.0 < omega1 < np.inf and 0.0 < temperature < np.inf):  # NaN fails too
         raise ValueError("frequency and temperature must be positive and finite")
     if not 0.0 <= delta_omega < np.inf:
         raise ValueError("frequency gap must be nonnegative and finite")
-    beta = HBAR / (K_B * temperature)
-    expm1 = np.expm1(beta * omega1)
-    ratio = 1.0 / (1.0 + beta * delta_omega * np.exp(beta * omega1) / expm1)
     first_order = 1.0 - delta_omega / omega1
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            beta = HBAR / (K_B * temperature)
+            x = beta * omega1
+            # 1 / (e^x - 1) and e^x / (e^x - 1) through e^-x, which cannot overflow
+            one_minus = -np.expm1(-x)
+            occupation = np.exp(-x) / one_minus
+            ratio = float(1.0 / (1.0 + beta * delta_omega * (1.0 / one_minus)))
+            rel_error = abs(ratio - first_order) / ratio
+        except ArithmeticError:
+            rel_error = np.inf
+    if not rel_error < np.inf:  # NaN fails too
+        raise ArithmeticError(
+            f"the occupation ratio leaves the float range at omega1 = {omega1}, T = {temperature}"
+        )
     return ThermalApproxReport(
         omega1=omega1,
         delta_omega=delta_omega,
         temperature=temperature,
-        occupation=1.0 / expm1,
-        ratio=float(ratio),
+        occupation=occupation,
+        ratio=ratio,
         first_order=first_order,
-        rel_error=abs(ratio - first_order) / ratio,
+        rel_error=rel_error,
     )

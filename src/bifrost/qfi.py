@@ -14,10 +14,11 @@ with respect to the estimated parameter, as the independent check of that
 solve (:func:`qfi_gaussian`, run by :mod:`bifrost.validate`). The QFI needs
 nothing of the family but the moments and their first derivatives (Monras,
 arXiv:1303.3682; Safranek, arXiv:1801.00299), so every family carries its
-own tangent (``StateFamily.tangent``) and a kernel call asks for that
-tangent once and evaluates the family no further. The families of
-:mod:`bifrost.protocols` propagate exact derivatives through their
-symplectic maps (:func:`bifrost.gaussian.propagate`). Everything is computed in real
+own tangent (``StateFamily.tangent``). Its tangent at lambda0 is computed
+once per family and kept (``StateFamily.derivative``), and no kernel
+evaluates the family. The families of :mod:`bifrost.protocols` propagate
+exact derivatives through their symplectic maps
+(:func:`bifrost.gaussian.propagate`). Everything is computed in real
 arithmetic through M = Omega Sigma (A = i M, A^2 = -M^2) and the two
 symplectic invariants
 
@@ -71,9 +72,12 @@ Floats = float | np.ndarray
 class StateFamily:
     """A differentiable map from the estimated parameter to a Gaussian state.
 
+    ``eval`` and ``tangent`` must be pure functions of the parameter, and
+    hashable: the tangent at lambda0 is computed once per family and kept,
+    and the Williamson solve of :mod:`bifrost.sld` is memoised by family.
+
     Attributes:
-        eval: callable returning the state at a given parameter value; must be
-            side-effect free.
+        eval: callable returning the state at a given parameter value.
         tangent: callable returning ``(state, dcov, ddisp)`` at a given
             parameter value: the state, equal bit for bit to what ``eval``
             returns there, and the derivatives of its covariance and
@@ -87,8 +91,15 @@ class StateFamily:
     lambda0: float = 0.0
 
     def derivative(self) -> tuple[GaussianState, np.ndarray, np.ndarray]:
-        """The tangent at lambda0; the one call a kernel makes to the family."""
-        return self.tangent(self.lambda0)
+        """The tangent at lambda0, asked of the family once and kept with its
+        arrays read-only; an error is raised again on every call."""
+        memo = self.__dict__.get("_derivative")
+        if memo is None:
+            memo = self.tangent(self.lambda0)
+            for array in (memo[0].cov, memo[0].disp, *memo[1:]):
+                array.setflags(write=False)
+            self.__dict__["_derivative"] = memo
+        return memo
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ mode in the noiseless high-reflectivity limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -157,15 +157,18 @@ class _Solution(NamedTuple):
             quad=quad.astype(complex),
             linear=(2.0 * (self.r @ self.proj)).astype(complex),
             scalar=-0.5 * float(np.sum((1.0 - self.lam) * np.diagonal(self.q)).real),
-            center=self.center,
+            center=self.center.copy(),
         )
 
 
+@lru_cache(maxsize=16)
 def _solve(family: StateFamily) -> _Solution:
     """Solve Sigma G Sigma - K G K = dSigma in the Williamson basis of Sigma.
 
     The real moment derivatives map to the complex basis by the same unitary
-    W as the moments: dSigma_c = W dSigma W^dag and dd_c = W dd.
+    W as the moments: dSigma_c = W dSigma W^dag and dd_c = W dd. Memoised per
+    family, so every kernel on one family shares one solve; its arrays are
+    read-only, and an error is raised again on every call.
     """
     state, dcov, ddisp = family.derivative()
     n = state.n_modes
@@ -194,7 +197,7 @@ def _solve(family: StateFamily) -> _Solution:
                 "the logarithmic derivative does not exist"
             )
         den = np.where(pure, np.inf, den)
-    return _Solution(
+    solution = _Solution(
         lam=lam,
         r=r,
         q=z / den,
@@ -202,6 +205,9 @@ def _solve(family: StateFamily) -> _Solution:
         proj=rh @ _in_complex_basis(ddisp),
         center=_in_complex_basis(state.disp).astype(complex),
     )
+    for array in solution:
+        array.setflags(write=False)
+    return solution
 
 
 def sld(family: StateFamily) -> SldForm:

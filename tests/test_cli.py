@@ -296,6 +296,18 @@ def test_thermal_approx_output():
     assert abs(payload["occupation"] - 1250.0) < 15.0
 
 
+@pytest.mark.parametrize("argv", [["--temp", "1e-300"], ["--ghz", "1e12"]], ids=["cold", "optical"])
+def test_thermal_approx_far_above_the_bath_energy_prints_finite_json(argv):
+    """hbar omega1 / (k_B T) far above 710: finite JSON, no warning."""
+    result = run_cli("thermal-approx", *argv)
+    assert result.returncode == 0
+    assert result.stderr == ""
+    payload = json.loads(result.stdout, parse_constant=lambda name: pytest.fail(name))
+    assert all(np.isfinite(value) for value in payload.values())
+    assert payload["occupation"] == 0.0
+    assert 0.0 < payload["ratio"] < 1e-7
+
+
 def test_circuit_output():
     result = run_cli("circuit", "--ns", "1")
     assert result.returncode == 0

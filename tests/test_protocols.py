@@ -1,11 +1,15 @@
 """Protocol assembly: received states, advantage ratios, regressions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import bifrost as bf
 import tangent_reference
 from bifrost.protocols import (
+    HBAR,
+    K_B,
     BiFrequencyParams,
     bifrequency_advantage,
     bifrequency_received_state,
@@ -228,3 +232,34 @@ def test_thermal_approx_validation():
                  (1e9, np.inf, 300.0), (1e9, 1.0, np.nan), (1e9, 1.0, np.inf)):
         with pytest.raises(ValueError, match="finite"):
             thermal_equal_occupation(*args)
+
+
+@pytest.mark.parametrize(
+    "omega1, temperature",
+    [(2 * np.pi * 5e9, 1e-300), (2 * np.pi * 1e21, 300.0)],
+    ids=["cold", "optical"],
+)
+def test_thermal_approx_far_above_the_bath_energy(omega1, temperature):
+    """hbar omega1 / (k_B T) far above 710, where e^x overflows: the
+    occupation is 0 and the ratio 1 / (1 + beta delta), finite and without a
+    warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = thermal_equal_occupation(omega1, 0.2 * omega1, temperature)
+    beta = HBAR / (K_B * temperature)
+    assert report.occupation == 0.0
+    assert report.ratio == pytest.approx(1.0 / (1.0 + beta * 0.2 * omega1), rel=1e-15)
+    assert np.isfinite(report.rel_error)
+
+
+@pytest.mark.parametrize(
+    "omega1, delta, temperature",
+    [(2 * np.pi * 1e-291, 0.0, 1e300), (2 * np.pi * 5e9, 0.2 * 2 * np.pi * 5e9, 1e-310),
+     (2 * np.pi * 1e20, 0.2 * 2 * np.pi * 1e20, 1e-300)],
+    ids=["x-rounds-to-zero", "beta-overflows", "ratio-underflows"],
+)
+def test_thermal_approx_outside_the_float_range_raises(omega1, delta, temperature):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="leaves the float range"):
+            thermal_equal_occupation(omega1, delta, temperature)

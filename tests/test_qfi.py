@@ -343,8 +343,9 @@ def counted(family):
 def test_log_uniform_sweep_matches_closed_forms():
     """Both numeric routes agree with the closed forms over a seeded box.
 
-    eta1 ~ U[0.02, 0.98], n_s ~ logU[1e-3, 1e2], n_th ~ logU[1e-3, 316]; every
-    public kernel asks for exactly one tangent and no evaluation per call.
+    eta1 ~ U[0.02, 0.98], n_s ~ logU[1e-3, 1e2], n_th ~ logU[1e-3, 316]; all
+    public kernels on one family together ask for exactly one tangent and no
+    evaluation.
     """
     rng = np.random.default_rng(20150716)
     n = 120
@@ -365,12 +366,90 @@ def test_log_uniform_sweep_matches_closed_forms():
             for name, kernel in kernels.items():
                 if name == "optimal_observable" and probe != "tmsv":
                     continue  # the coherent probe's observable is not pair-correlated
-                for made in calls.values():
-                    del made[:]
                 value = kernel(family)
-                assert calls == {"eval": [], "tangent": [0.0]}, (name, probe, eta1, n_s, n_th, calls)
                 if name.startswith("qfi"):
                     assert abs(value - ref) / ref < 1e-6, (name, probe, eta1, n_s, n_th, value, ref)
+            assert calls == {"eval": [], "tangent": [0.0]}, (probe, eta1, n_s, n_th, calls)
+
+
+# --- the per-family memo ------------------------------------------------------
+
+def _kernel_outputs(family, order):
+    """The repr of every kernel's result on ``family``, run in ``order``; the
+    form's arrays as bytes, so that equal reprs mean equal bits."""
+    kernels = {
+        "qfi_gaussian": lambda f: dataclasses.astuple(qfi_gaussian(f)),
+        "qfi_result": lambda f: dataclasses.astuple(bf.qfi_result(f)),
+        "qfi_complex_form": bf.qfi_complex_form,
+        "sld": lambda f: [
+            a.tobytes() if isinstance(a, np.ndarray) else a
+            for a in dataclasses.astuple(sld(f))
+        ],
+        "optimal_observable": lambda f: bf.optimal_observable(f).as_tuple(),
+    }
+    return {name: repr(kernels[name](family)) for name in order}
+
+
+def test_kernels_on_a_shared_family_match_fresh_families():
+    """One family read by every kernel, in either order, gives bit for bit what
+    a fresh family per kernel gives."""
+    rng = np.random.default_rng(4242)
+    forward = ["qfi_gaussian", "qfi_result", "qfi_complex_form", "sld", "optimal_observable"]
+    for eta1, n_s, n_th in zip(rng.uniform(0.05, 0.95, 12), 10.0 ** rng.uniform(-2, 1, 12),
+                               10.0 ** rng.uniform(-2, 0.7, 12)):
+        p = BiFrequencyParams(eta1, 0.0, n_s, n_th)
+        for probe in ("tmsv", "coherent"):
+            order = forward if probe == "tmsv" else forward[:-1]
+            fresh = {
+                name: _kernel_outputs(bifrequency_received_state(p, probe), [name])[name]
+                for name in order
+            }
+            for run in (order, order[::-1]):
+                assert _kernel_outputs(bifrequency_received_state(p, probe), run) == fresh
+
+
+def test_memoised_arrays_are_read_only():
+    from bifrost.sld import _solve
+
+    family = bifrequency_received_state(BiFrequencyParams(0.7, 0.0, 0.5, 0.3), "coherent")
+    state, dcov, ddisp = family.derivative()
+    assert family.derivative()[1] is dcov
+    for array in (state.cov, state.disp, dcov, ddisp, *_solve(family)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    form = sld(family)
+    expected = form.quad.copy()
+    form.quad[:] = 0.0
+    form.center[:] = 0.0
+    assert np.array_equal(sld(family).quad, expected)
+    assert sld(family).center.any()
+    assert bf.qfi_complex_form(family) == bf.qfi_complex_form(
+        bifrequency_received_state(BiFrequencyParams(0.7, 0.0, 0.5, 0.3), "coherent")
+    )
+
+
+def test_a_failed_tangent_is_asked_for_again():
+    family, calls = counted(bifrequency_received_state(BiFrequencyParams(1.0, 0.0, 1.0, 1.0), "tmsv"))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="strictly in"):
+            family.derivative()
+    assert calls["tangent"] == [0.0, 0.0]
+
+
+def test_replace_starts_a_fresh_memo():
+    """The memo is no field: equality and hashing ignore it, and a replaced
+    family asks its own tangent."""
+    family = bifrequency_received_state(BiFrequencyParams(0.6, 0.0, 1.0, 1.0), "tmsv")
+    plain = dataclasses.replace(family)
+    family.derivative()
+    assert family == plain and hash(family) == hash(plain)
+    counted_family, calls = counted(family)
+    moved = dataclasses.replace(counted_family, lambda0=0.01)
+    counted_family.derivative()
+    moved.derivative()
+    moved.derivative()
+    assert calls["tangent"] == [0.0, 0.01]
+    assert not np.array_equal(moved.derivative()[0].cov, family.derivative()[0].cov)
 
 
 # --- closed forms -----------------------------------------------------------

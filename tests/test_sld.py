@@ -210,13 +210,14 @@ def test_pure_family_keeping_its_purity_has_the_pure_state_qfi():
 def test_pure_state_changing_its_purity_raises():
     """The vacuum as the end of the thermal family n_th = l: pure at l = 0 with
     a covariance derivative 2 I that mixes it, where the QFI diverges. Every
-    kernel reading the solve raises the documented error, never NaN."""
+    kernel reading the solve raises the documented error, never NaN, and
+    raises it again on a second call, since no error is memoised."""
     family = StateFamily(
         eval=bf.thermal,
         tangent=lambda lam: (bf.thermal(lam), 2.0 * np.eye(2), np.zeros(2)),
         lambda0=0.0,
     )
-    for kernel in (bf.qfi_complex_form, sld):
+    for kernel in (bf.qfi_complex_form, sld, bf.qfi_complex_form, sld):
         with pytest.raises(DegenerateStateError, match="purity"):
             kernel(family)
 

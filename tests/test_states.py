@@ -202,10 +202,16 @@ def test_state_validation():
         bf.GaussianState(np.eye(3), np.zeros(3))
     with pytest.raises(ValueError):
         bf.SymplecticTransform(np.diag([2.0, 3.0]))
-    # a NaN entry fails the checks, as a violation does
+    # a NaN entry fails the checks, as a violation does, and so does a
+    # non-finite displacement
     cov = np.eye(4)
     cov[0, 2] = cov[2, 0] = np.nan
     with pytest.raises(ValueError, match="asymmetry nan"):
         bf.GaussianState(cov, np.zeros(4))
     with pytest.raises(ValueError, match="violated by nan"):
         bf.SymplecticTransform(np.diag([1.0, np.nan]))
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="displacement must be finite"):
+            bf.coherent(value)
+        with pytest.raises(ValueError, match="displacement must be finite"):
+            bf.GaussianState(np.eye(4), np.array([0.0, 0.0, value, 0.0]))
