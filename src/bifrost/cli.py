@@ -19,6 +19,7 @@ them, so the other commands never load that code.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -166,11 +167,7 @@ def cmd_qfi(args) -> int:
                 "n_s": params.n_s,
                 "n_th": params.n_th,
                 "probe": args.probe,
-                "value": result.value,
-                "nu_plus": result.nu_plus,
-                "nu_minus": result.nu_minus,
-                "term_covariance": result.term_covariance,
-                "term_displacement": result.term_displacement,
+                **dataclasses.asdict(result),
             },
             indent=2,
         )
@@ -189,8 +186,8 @@ def cmd_sld(args) -> int:
                 "eta1": params.eta1,
                 "n_s": params.n_s,
                 "n_th": params.n_th,
-                "numeric": dict(zip(("l11", "l22", "l12", "l0"), numeric.as_tuple())),
-                "closed_form": dict(zip(("l11", "l22", "l12", "l0"), closed.as_tuple())),
+                "numeric": dataclasses.asdict(numeric),
+                "closed_form": dataclasses.asdict(closed),
                 "max_abs_deviation": deviation,
             },
             indent=2,
@@ -244,7 +241,6 @@ def cmd_thermal_approx(args) -> int:
 
 def cmd_circuit(args) -> int:
     solution = jpa_circuit_solve(float(args.ns))
-    p = solution.params
     print(
         json.dumps(
             {
@@ -253,15 +249,7 @@ def cmd_circuit(args) -> int:
                 "scale": solution.scale,
                 "commutator": solution.commutator,
                 "converged": solution.converged,
-                "params": {
-                    "varphi": p.varphi,
-                    "theta": p.theta,
-                    "r1": p.r1,
-                    "r2": p.r2,
-                    "theta1": p.theta1,
-                    "theta2": p.theta2,
-                    "phi": p.phi,
-                },
+                "params": dataclasses.asdict(solution.params),
                 "residuals": {k: float(v) for k, v in solution.residuals.items()},
             },
             indent=2,

@@ -41,7 +41,7 @@ of each cutoff. A product state is kept as its one-mode factors
 (``FockState.product``). ``qfi_eq1`` diagonalises the factors or the
 sectors, never a cutoff^2 x cutoff^2 matrix, and reads which off the
 states, never off the probe; ``quadrature_moments`` sums over the factors'
-or the stack's entries; a dense state is one block.
+or the stack's entries.
 
 The four-mode bi-frequency pipeline is never materialised: the interaction
 does not mix frequencies, so each frequency sees an independent thermal-loss
@@ -115,91 +115,52 @@ def _hermitian(rho, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class FockState:
-    """Density matrix on a photon-number-truncated space.
-
-    The trace may fall short of one by the truncation leak of the
-    construction; it is never renormalised away. A real matrix is kept
-    real (float64) and a complex one complex; hermiticity is checked in
-    the matrix's own dtype.
-
-    A product state is kept as its one-mode factors (``FockState.product``),
-    each checked on its own; ``factors`` is None for any other state. A
-    state of sectors (``FockState.sectors``, the sector structure of the
-    module docstring) keeps their padded stack as ``stack`` and their index
-    sets as ``indices``; a dense state is a stack of one block over the
-    whole basis. ``blocks[q]`` is (indices[q, :m], stack[q, :m, :m]) for the
-    size m of block q. All three are None for a product. The dense ``rho``
-    of a product or of sectors is formed only when read, and then kept.
+    """A two-mode density matrix on a photon-number-truncated space, kept in
+    one of the two forms the probes give and never as one cutoff^2 x
+    cutoff^2 matrix: a product A x B as its one-mode ``factors``
+    (``FockState.product``), or a state block-diagonal in n1 - n2 as the
+    padded ``stack`` of its sectors (``FockState.sectors``, the sector
+    structure of the module docstring). The other of the two is None.
     ``tangent`` (the tangent rule) is a stack like ``stack`` or a product's
     dB, checked alike; or None.
+
+    The trace may fall short of one by the truncation leak of the
+    construction; it is never renormalised away. A real matrix is kept real
+    (float64) and a complex one complex; hermiticity is checked in the
+    matrix's own dtype.
     """
 
-    __slots__ = ("_rho", "factors", "blocks", "stack", "indices", "dim", "n_modes", "tangent")
-
-    def __init__(self, rho: np.ndarray, dim: int, n_modes: int, tangent: np.ndarray | None = None):
-        size = dim**n_modes
-        self._rho = _hermitian(rho, (size, size))
-        self.factors: tuple[np.ndarray, ...] | None = None
-        self.stack, self.indices = self._rho[None], np.arange(size)[None]
-        self.blocks = ((self.indices[0], self._rho),)
-        self.dim, self.n_modes = dim, n_modes
-        self.tangent = None if tangent is None else _hermitian(tangent, (size, size))[None]
+    __slots__ = ("factors", "stack", "dim", "tangent")
 
     @classmethod
     def product(cls, first: np.ndarray, second: np.ndarray, tangent=None) -> "FockState":
-        """The two-mode product of one-mode density matrices of one cutoff;
-        ``tangent`` is the second factor's derivative dB, the first factor
-        being fixed (the tangent rule)."""
+        """The two-mode product of one-mode density matrices of one cutoff,
+        each checked on its own; ``tangent`` is the second factor's
+        derivative dB, the first factor being fixed (the tangent rule)."""
         state = cls.__new__(cls)
-        state.dim, state.n_modes = len(first), 2
+        state.dim = len(first)
         shape = (state.dim, state.dim)
         state.factors = (_hermitian(first, shape), _hermitian(second, shape))
-        state._rho = state.blocks = state.stack = state.indices = None
+        state.stack = None
         state.tangent = None if tangent is None else _hermitian(tangent, shape)
         return state
 
     @classmethod
     def sectors(cls, stack: np.ndarray, tangent: np.ndarray | None = None) -> "FockState":
         """The two-mode state whose only nonzero blocks are its sectors of
-        n1 - n2, given as their padded stack (the sector structure of the
-        module docstring). Hermiticity is checked once over the stack, to
-        the 1e-12 of a dense state, and a nonzero padding entry is rejected,
-        since neither ``trace`` nor ``rho`` would see it; the same holds for
-        the tangent's stack."""
+        n1 - n2, given as their padded stack. Hermiticity is checked once
+        over the stack, and a nonzero padding entry is rejected, since no
+        sector would see it; the same holds for the tangent's stack."""
         state = cls.__new__(cls)
-        dim = np.shape(stack)[-1]
-        state.dim, state.n_modes = dim, 2
-        state.factors = state._rho = None
+        state.dim = dim = np.shape(stack)[-1]
+        state.factors = None
         state.stack = _hermitian(stack, (2 * dim - 1, dim, dim))
         state.tangent = None if tangent is None else _hermitian(tangent, state.stack.shape)
-        layout = _sector_layout(dim)
+        padding = _sector_layout(dim).padding
         for part in (state.stack, state.tangent):
-            if part is not None and np.any((part != 0) & layout.padding):  # NaN fails too
+            if part is not None and np.any((part != 0) & padding):  # NaN fails too
                 raise ValueError("sector stack nonzero in its padding")
-        state.indices = layout.indices
-        sizes = (dim - abs(delta) for delta in range(1 - dim, dim))
-        state.blocks = tuple(
-            (idx[:m], sector[:m, :m]) for idx, sector, m in zip(layout.indices, state.stack, sizes)
-        )
         return state
-
-    @property
-    def rho(self) -> np.ndarray:
-        if self._rho is None and self.factors is not None:
-            self._rho = np.kron(*self.factors)
-        elif self._rho is None:
-            size = self.dim**self.n_modes
-            self._rho = np.zeros((size, size), np.result_type(*(b for _, b in self.blocks)))
-            for idx, block in self.blocks:
-                self._rho[np.ix_(idx, idx)] = block
-        return self._rho
-
-    @property
-    def trace(self) -> float:
-        """Tr A Tr B for a product A x B, else the sum of the block traces."""
-        if self.factors is not None:
-            return float((self.factors[0].trace() * self.factors[1].trace()).real)
-        return float(sum(block.trace() for _, block in self.blocks).real)
 
 
 class _SectorLayout(NamedTuple):
@@ -256,23 +217,15 @@ def annihilation(dim: int) -> np.ndarray:
 
 
 def _thermal_probs(n_th: float, dim: int) -> np.ndarray:
-    if n_th == 0.0:
-        p = np.zeros(dim)
-        p[0] = 1.0
-        return p
     q = n_th / (1.0 + n_th)
     return (1.0 - q) * q ** np.arange(dim)
 
 
 def _thermal_tail(n_th: float, dim: int) -> float:
-    if n_th == 0.0:
-        return 0.0
     return float((n_th / (1.0 + n_th)) ** dim)
 
 
 def _tmsv_tail(n_s: float, dim: int) -> float:
-    if n_s == 0.0:
-        return 0.0
     tanh2 = 2.0 * n_s / (2.0 * n_s + 1.0)  # tanh^2 r with sinh^2 r = 2 n_s
     return float(tanh2**dim)
 
@@ -296,8 +249,9 @@ def _tmsv_amplitudes(n_s: float, cutoff: int) -> np.ndarray:
     return tanh_r ** np.arange(cutoff) * np.sqrt(1.0 - tanh_r**2)
 
 
-def fock_coherent(alpha: complex, cutoff: int) -> FockState:
-    """Coherent state |alpha> truncated at the cutoff."""
+def fock_coherent(alpha: complex, cutoff: int) -> np.ndarray:
+    """The one-mode density matrix of the coherent state |alpha> truncated
+    at the cutoff."""
     if not np.isfinite(alpha):
         raise ValueError("coherent amplitude must be finite")
     n = np.arange(cutoff)
@@ -305,7 +259,7 @@ def fock_coherent(alpha: complex, cutoff: int) -> FockState:
     amps = np.exp(-0.5 * abs(alpha) ** 2) * alpha**n / np.exp(0.5 * log_fact)
     leak = max(1.0 - float(np.vdot(amps, amps).real), 0.0)
     _gate_cutoff(leak, cutoff, "coherent")
-    return FockState(np.outer(amps, amps.conj()), cutoff, 1)
+    return np.outer(amps, amps.conj())
 
 
 # coefficients of the numerator p(x) of the [13/13] Pade approximant of
@@ -376,20 +330,20 @@ def _beam_splitter_sectors(eta: float, cutoff: int):
 
 
 def quadrature_moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
-    """Interleaved covariance and displacement extracted from number-basis moments.
+    """Interleaved covariance and displacement of a two-mode state, from
+    number-basis moments.
 
     Each moment is Tr(rho O) = sum rho[r, s] O[s, r], with O a product of
     one-mode operators: the identity, a quadrature, or the anticommutator of
     two. Each of them moves a photon number by at most 2, so the sum runs
-    over the nonzero entries of rho within that band on every mode, and each
+    over the nonzero entries of rho within that band on both modes, and each
     one-mode operator is gathered at their photon numbers. The entries are
-    read off the state's structure: the stored blocks (``stack``), or for a
-    product A x B the products A[i1, j1] B[i2, j2] inside the band. They are
-    summed in the order of the dense matrix, so a state gives the same
-    moments however it is kept. No cutoff^2 x cutoff^2 matrix is formed for
-    a product or for sectors; a dense state is one block.
+    read off the state's form: the stack at the sectors' basis indices
+    (``_sector_layout``), or for a product A x B the products
+    A[i1, j1] B[i2, j2] inside the band. They are summed in the order of the
+    dense matrix, which is never formed.
     """
-    d, n = state.dim, state.n_modes
+    d = state.dim
     if state.factors is not None:
         # rows (i1, i2), columns (j1, j2) = (i1 + e1, i2 + e2), for |e| <= 2
         t, e = np.arange(d)[:, None], np.arange(-2, 3)
@@ -399,14 +353,14 @@ def quadrature_moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
         rows = (t * d + t.T)[:, :, None, None]
         cols = near[:, None, :, None] * d + near[None, :, None, :]
     else:
-        values = state.stack
-        rows, cols = state.indices[:, :, None], state.indices[:, None, :]
-    places = d ** np.arange(n - 1, -1, -1)
+        indices = _sector_layout(d).indices
+        values, rows, cols = state.stack, indices[:, :, None], indices[:, None, :]
+    places = (d, 1)
     keep = values != 0
     for place in places:
         keep &= np.abs(rows // place % d - cols // place % d) <= 2
     rows, cols = (np.broadcast_to(i, keep.shape)[keep] for i in (rows, cols))
-    order = np.argsort(rows * d**n + cols)
+    order = np.argsort(rows * d**2 + cols)
     values, rows, cols = values[keep][order], rows[order], cols[order]
 
     a = annihilation(d)
@@ -420,10 +374,10 @@ def quadrature_moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
         factors = [g[terms.get(m, 0)] for m, g in enumerate(gathered)]
         return np.sum(values * np.prod(factors, axis=0)).real
 
-    disp = np.array([expect({m: 1 + u}) for m in range(n) for u in range(2)])
-    cov = np.empty((2 * n, 2 * n))
-    for i in range(2 * n):
-        for j in range(i, 2 * n):
+    disp = np.array([expect({m: 1 + u}) for m in range(2) for u in range(2)])
+    cov = np.empty((4, 4))
+    for i in range(4):
+        for j in range(i, 4):
             (m1, u), (m2, v) = divmod(i, 2), divmod(j, 2)
             if m1 == m2:
                 sym = expect({m1: 3 + u + v})
@@ -540,7 +494,7 @@ def bifrequency_fock_family(
             return FockState.sectors(*_tmsv_sectors(ch1, ch2, amps, rate))
 
     elif probe == "coherent":
-        single = fock_coherent(np.sqrt(n_s), cutoff).rho
+        single = fock_coherent(np.sqrt(n_s), cutoff)
         # the first channel does not move with lam: its output, shared by
         # every state of the family, is computed once and read-only
         first = _channel(eta1, n_th, cutoff).apply(single)
@@ -561,14 +515,12 @@ def bifrequency_fock_family(
 
 
 def _blockwise(state: FockState) -> list[tuple[np.ndarray, ...]]:
-    """(basis index set, block of the state, block of its tangent) per stored
-    block, or for a product one triple over the whole basis."""
-    if state.factors is not None:
-        return [(np.arange(state.dim**2), state.rho, np.kron(state.factors[0], state.tangent))]
-    return [
-        (idx, block, dstack[: len(idx), : len(idx)])
-        for (idx, block), dstack in zip(state.blocks, state.tangent)
-    ]
+    """(basis index set, block of the state, block of its tangent) per
+    sector of a state kept as sectors, each at the sector's own size."""
+    d = state.dim
+    sizes = (d - abs(delta) for delta in range(1 - d, d))
+    parts = zip(_sector_layout(d).indices, state.stack, state.tangent, sizes)
+    return [(idx[:m], block[:m, :m], dblock[:m, :m]) for idx, block, dblock, m in parts]
 
 
 def _pair_sum(sums: np.ndarray, mat: np.ndarray) -> float:
@@ -594,7 +546,7 @@ def qfi_eq1(family: Callable[[float], FockState]) -> float:
     The family is evaluated once, at LAMBDA0, and drho is the tangent that
     state carries (the tangent rule, module docstring), else ValueError. The
     sum runs in the factors' eigenbases (``_product_qfi``) or over the
-    stored blocks, each decomposed in its own dtype. Eigenvalue pairs whose
+    sectors (``_blockwise``), each decomposed in its own dtype. Eigenvalue pairs whose
     sum is at most DROP_THRESHOLD are skipped.
     """
     state = family(LAMBDA0)

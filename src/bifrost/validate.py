@@ -144,28 +144,27 @@ def sld_fock_report(
     of ell rho + (ell rho)^dag = 2 drho, the mean Tr(ell rho) and the second
     moment Tr(ell ell rho) are sums over blocks, read off the form and one
     family evaluation, the state and its tangent drho (the tangent rule of
-    the ``fock`` module docstring), never the probe. For products A x B
-    (tangent A x dB) and a form with no mode-1 term, ell = I x ell_2 is
-    ell_2 on the states |0, n2>: one block B with tangent dB, and the mean
-    and second moment scaled by Tr A. Otherwise the blocks are those of
-    ``fock._blockwise``, and ell is gathered between the sectors whose
-    n1 - n2 differ by a charge of the form. Neither route forms a
-    cutoff^2 x cutoff^2 matrix for products or sectors. A cutoff that passes
-    the tail gate may still be too small for the second moment (see
-    ``WIDE_CONFIGS``).
+    the ``fock`` module docstring), never the probe. A product A x B (tangent
+    A x dB) needs a form with no mode-1 term, else ValueError: then
+    ell = I x ell_2 is ell_2 on the states |0, n2>, one block B with tangent
+    dB, and the mean and second moment are scaled by Tr A. For sectors the
+    blocks are those of ``fock._blockwise``, and ell is gathered between the
+    sectors whose n1 - n2 differ by a charge of the form. Neither route
+    forms a cutoff^2 x cutoff^2 matrix. A cutoff that passes the tail gate
+    may still be too small for the second moment (see ``WIDE_CONFIGS``).
     """
     solution = _solve(bifrequency_received_state(BiFrequencyParams(eta1, 0.0, n_s, n_th), probe))
     h = solution.result().value
     ell = fock_sld_operator(solution.form(), cutoff)
     state = fock.bifrequency_fock_family(eta1, n_s, n_th, probe, cutoff)(fock.LAMBDA0)
     scale = 1.0
-    if state.factors is not None and np.array_equal(
-        ell.first, ell.first[:, :1, :1] * np.eye(cutoff)
-    ):
+    if state.factors is None:
+        blocks = fock._blockwise(state)
+    elif np.array_equal(ell.first, ell.first[:, :1, :1] * np.eye(cutoff)):
         scale = state.factors[0].trace()
         blocks = [(np.arange(cutoff), state.factors[1], state.tangent)]
     else:
-        blocks = fock._blockwise(state)
+        raise ValueError("the SLD form acts on mode 1 of a product state")
     count = len(blocks)
     # sectors ascend in n1 - n2, so charge c pairs block q with block q + c
     pairs = [(q + c, q) for q in range(count) for c in ell.charges if 0 <= q + c < count]

@@ -1,16 +1,18 @@
-"""Reference received states for tests: the dense two-mode probe pushed
-through both channels mode by mode.
+"""Reference states and quantities for tests, on dense matrices.
 
-The package builds each received state from its probe's structure; this is
-the general path it replaced, which applies each channel's sector blocks to
-the full probe density matrix, one mode after the other, and knows nothing
-of the probe. The partial trace of a dense state, by index contraction,
-is kept here too: the package reads every moment off a state's structure
-and no longer takes marginals. So is the central difference of a family,
-which the package replaced by the exact tangent each state carries, and so
-are the dense thermal and two-mode squeezed states, which the package never
-forms.
+The package keeps each two-mode state as its one-mode factors or its
+sectors and never forms its dense matrix. ``dense`` and ``dense_tangent``
+form it here, and the references below work on dense matrices: the Eq. 1
+QFI over the eigenpairs of the whole matrix, the moments as traces against
+full-space operators, the partial trace by index contraction, the central
+difference of a family that the exact tangent replaced, and the general
+path the structured received states replaced, which applies each channel's
+sector blocks to the full probe density matrix, one mode after the other,
+and knows nothing of the probe. The dense thermal and two-mode squeezed
+states, which the package never forms, are kept here too.
 """
+
+import functools
 
 import numpy as np
 
@@ -22,16 +24,76 @@ def fock_thermal(n_th, cutoff):
     """Thermal mode as a truncated geometric mixture of number states."""
     check_photon_numbers(n_th)
     fock._gate_cutoff(fock._thermal_tail(n_th, cutoff), cutoff, "thermal")
-    return fock.FockState(np.diag(fock._thermal_probs(n_th, cutoff)), cutoff, 1)
+    return np.diag(fock._thermal_probs(n_th, cutoff))
 
 
 def fock_tmsv(n_s, cutoff):
     """Two-mode squeezed vacuum sum_n a_n |n, n> with the protocol
-    photon-number label, as a dense two-mode state."""
+    photon-number label, as a dense two-mode matrix."""
     amps = fock._tmsv_amplitudes(n_s, cutoff)
     psi = np.zeros(cutoff * cutoff)
     psi[np.arange(cutoff) * cutoff + np.arange(cutoff)] = amps
-    return fock.FockState(np.outer(psi, psi), cutoff, 2)
+    return np.outer(psi, psi)
+
+
+def _scatter(stack, dim):
+    """The dense matrix of a padded sector stack: each sector at its basis
+    states, 0 elsewhere."""
+    layout = fock._sector_layout(dim)
+    inside = ~layout.padding
+    rows = np.broadcast_to(layout.indices[:, :, None], stack.shape)[inside]
+    cols = np.broadcast_to(layout.indices[:, None, :], stack.shape)[inside]
+    out = np.zeros((dim * dim, dim * dim), stack.dtype)
+    out[rows, cols] = stack[inside]
+    return out
+
+
+def dense(state):
+    """A state's dense matrix: A x B for a product A x B, else its sectors
+    placed at their basis states."""
+    if state.factors is not None:
+        return np.kron(*state.factors)
+    return _scatter(state.stack, state.dim)
+
+
+def dense_tangent(state):
+    """A state's tangent as one dense matrix: A x dB for a product A x B,
+    else its sectors placed at their basis states."""
+    if state.factors is not None:
+        return np.kron(state.factors[0], state.tangent)
+    return _scatter(state.tangent, state.dim)
+
+
+def dense_qfi(rho, drho):
+    """The Eq. 1 QFI over the eigenpairs of the whole dense ``rho``, with
+    the package's DROP_THRESHOLD."""
+    evals, evecs = np.linalg.eigh(rho)
+    return 2.0 * float(fock._pair_sum(evals[:, None] + evals, evecs.conj().T @ drho @ evecs))
+
+
+def dense_moments(rho, dim, n_modes):
+    """Interleaved covariance and displacement of the dense ``n_modes``-mode
+    ``rho``, each moment Tr(rho O) with O the full-space operator."""
+    a = fock.annihilation(dim)
+    quads = ((a + a.T) / np.sqrt(2.0), (a - a.T) / (1j * np.sqrt(2.0)))
+
+    def expect(ops):
+        """Tr(rho O) for O = ops[m] on each listed mode m, I elsewhere."""
+        full = functools.reduce(np.kron, [ops.get(m, np.eye(dim)) for m in range(n_modes)])
+        return np.sum(rho * full.T).real
+
+    disp = np.array([expect({m: q}) for m in range(n_modes) for q in quads])
+    cov = np.empty((2 * n_modes, 2 * n_modes))
+    for i in range(2 * n_modes):
+        for j in range(i, 2 * n_modes):
+            (m1, u), (m2, v) = divmod(i, 2), divmod(j, 2)
+            if m1 == m2:
+                sym = expect({m1: quads[u] @ quads[v] + quads[v] @ quads[u]})
+            else:
+                sym = 2.0 * expect({m1: quads[u], m2: quads[v]})
+            cov[i, j] = cov[j, i] = sym - 2.0 * disp[i] * disp[j]
+    return cov, disp
+
 
 # step of the test-side central difference
 FD_STEP = 1e-5
@@ -39,19 +101,7 @@ FD_STEP = 1e-5
 
 def central_difference(family):
     """The dense central difference of ``family`` at lam = 0, step FD_STEP."""
-    return (family(FD_STEP).rho - family(-FD_STEP).rho) / (2.0 * FD_STEP)
-
-
-def dense_tangent(state):
-    """A state's tangent as one dense matrix: A x dB for a product A x B,
-    else its blocks placed at their basis index sets."""
-    if state.factors is not None:
-        return np.kron(state.factors[0], state.tangent)
-    size = state.dim**state.n_modes
-    out = np.zeros((size, size), state.tangent.dtype)
-    for (idx, _), dstack in zip(state.blocks, state.tangent):
-        out[np.ix_(idx, idx)] = dstack[: len(idx), : len(idx)]
-    return out
+    return (dense(family(FD_STEP)) - dense(family(-FD_STEP))) / (2.0 * FD_STEP)
 
 
 def _apply_sectors(blocks, tensor):
@@ -85,8 +135,8 @@ def apply_channel_pair(ch1, ch2, rho):
 def probe_density(n_s, probe, cutoff):
     """The two-mode probe of the bi-frequency family as a dense matrix."""
     if probe == "tmsv":
-        return fock_tmsv(n_s, cutoff).rho
-    single = fock.fock_coherent(np.sqrt(n_s), cutoff).rho
+        return fock_tmsv(n_s, cutoff)
+    single = fock.fock_coherent(np.sqrt(n_s), cutoff)
     return np.kron(single, single)
 
 
@@ -119,21 +169,19 @@ def fock_beam_splitter(eta, cutoff):
     return u
 
 
-def fock_partial_trace(state, keep):
-    """Trace out all modes of a ``fock.FockState`` not listed in ``keep``,
-    by index contraction of its dense matrix."""
+def fock_partial_trace(rho, dim, n_modes, keep):
+    """Trace out all modes of the dense ``n_modes``-mode ``rho`` not listed
+    in ``keep``, by index contraction; the reduced dense matrix."""
     keep = list(keep)
-    if not keep or any(k < 0 or k >= state.n_modes for k in keep):
-        raise ValueError(f"invalid mode selection {keep} for {state.n_modes} modes")
+    if not keep or any(k < 0 or k >= n_modes for k in keep):
+        raise ValueError(f"invalid mode selection {keep} for {n_modes} modes")
     if any(b <= a for a, b in zip(keep, keep[1:])):
         raise ValueError("kept modes must be strictly increasing")
-    n, d = state.n_modes, state.dim
-    tensor = state.rho.reshape([d] * (2 * n))
-    traced = [m for m in range(n) if m not in keep]
-    for m in sorted(traced, reverse=True):
+    tensor = rho.reshape([dim] * (2 * n_modes))
+    for m in sorted(set(range(n_modes)) - set(keep), reverse=True):
         tensor = np.trace(tensor, axis1=m, axis2=m + tensor.ndim // 2)
-    size = d ** len(keep)
-    return fock.FockState(tensor.reshape(size, size), d, len(keep))
+    size = dim ** len(keep)
+    return tensor.reshape(size, size)
 
 
 def sparse_sld_operator(form, cutoff):
@@ -173,7 +221,7 @@ def dense_sld_report(eta1, n_s, n_th, probe, cutoff):
     h = solution.result().value
     ell = sparse_sld_operator(solution.form(), cutoff).tocoo()
     state = fock.bifrequency_fock_family(eta1, n_s, n_th, probe, cutoff)(fock.LAMBDA0)
-    rho, drho = state.rho, dense_tangent(state)
+    rho, drho = dense(state), dense_tangent(state)
     ell_rho = ell @ rho
     anticommutator = ell_rho + ell_rho.conj().T
     anticommutator -= 2.0 * drho
