@@ -2,32 +2,37 @@
 
 Everything here exists to validate the Gaussian pipeline by a route that
 shares none of its machinery: density matrices on a photon-number cutoff,
-beam-splitter unitaries by matrix exponential, moments as traces against
+channels from closed-form Kraus operators, moments as traces against
 number-basis operators, and the basis-dependent QFI
 
     H = 2 sum_{m,n} |<m| drho |n>|^2 / (p_m + p_n)
 
 over the eigenpairs of the received state.
 
-The oracle works sector by sector, and the sectors are exact, not an
-approximation. The beam splitter conserves the total photon number, so its
-unitary is one block per total n, the exponential of a tridiagonal
-generator. The exponentials come from a numpy Pade(13) scaling-and-squaring
-routine (``_expm``), two sectors of one size per stack, not from
-scipy.linalg.expm: scipy ships its own BLAS, whose thread pool contends with
-numpy's, and after a dense numpy product the small scipy exponentials run
-several times slower. So the oracle runs on one BLAS. The blocks are
-orthogonal to a few ulps; scipy's expm leaves defects up to 1.4e-12. The
-bath is diagonal in the number basis, so a thermal-loss channel is
-phase-covariant: it maps |k><l| only into coherences |k'><l'| with
-k' - l' = k - l, and its superoperator is one real block per offset k - l
-(``ThermalLossChannel.blocks``). A channel depends only on (eta, n_th,
-cutoff), so it is built once per process for each such key, through one
-bounded memo (``_channel``) that every family shares, and its blocks are
-read-only. A state whose modes pass through such channels keeps the zero
-pattern those offsets impose: the received two-mode squeezed state and its
-derivative vanish outside the sectors of fixed n1 - n2, exactly 0.0 and not
-merely small.
+The channel. A thermal-loss channel of reflectivity eta and bath n_th is a
+quantum-limited amplifier of gain G = 1 + (1 - eta) n_th after pure loss of
+transmissivity tau = eta / G (Caruso, Giovannetti and Holevo, NJP 8, 310
+(2006)). Both map |k><l| only into coherences |k'><l'| with k' - l' = k - l,
+so the channel is one real block per offset k (``ThermalLossChannel.blocks``),
+the triangular product A_k L_k of their Kraus sums, in closed form (Ivan,
+Sabapathy and Simon, PRA 84, 042311 (2011)):
+
+    L_k[j, n] = sqrt(C(n + k, n - j) C(n, n - j)) tau^(j + k/2) (1 - tau)^(n - j),  n >= j
+    A_k[m, j] = sqrt(C(m + k, m - j) C(m, m - j)) ((G - 1)/G)^(m - j) G^-(1 + j + k/2),  m >= j
+
+each entry formed in log space from cumulative log-factorials. Loss never
+raises a photon number, so the product is exact on the cutoff: there is no
+bath and no matrix exponential, and the one truncation, the output's, leaks
+trace that a family gates on its received state. An entry's eta-derivative
+is the entry times its exponents against the logarithmic derivatives of
+tau, 1 - tau, (G - 1)/G and G, all finite for eta in (0, 1); a block's is
+dA_k L_k + A_k dL_k (``ThermalLossChannel.dblocks``). A channel depends
+only on (eta, n_th, cutoff), so it is built once per process for each such
+key, through one bounded memo (``_channel``) that every family shares, and
+its blocks are read-only. A state whose modes pass through such channels
+keeps the zero pattern those offsets impose: the received two-mode squeezed
+state and its derivative vanish outside the sectors of fixed n1 - n2,
+exactly 0.0 and not merely small.
 
 The sector structure. Sector delta = n1 - n2, for delta = 1 - cutoff, ...,
 cutoff - 1, holds the cutoff - |delta| basis states n1 cutoff + n2 with
@@ -59,15 +64,11 @@ One fancy index (``_sector_layout``) gathers the sector stack from these
 products. Real probes give real states, which keep a real dtype throughout.
 
 The tangent rule: each state a family returns carries drho/dlam, exact, in
-its own structure (``FockState.tangent``). In each sector U = exp(theta G),
-so dU/dtheta = G U exactly, and theta = arccos sqrt(eta) gives
-dtheta/deta = -1 / (2 sqrt(eta (1 - eta))), finite only inside (0, 1)
-(``_theta_rate``). A channel block, a sum of amp p amp, has as its
-theta-derivative (``ThermalLossChannel.dblocks``) the same sum with G U for
-U on either side. Only the second channel moves with lam, so the two-mode
-squeezed tangent is B1_k diag(a_{i+k} a_i) dB2_k^T per offset, in the
-state's sector stack. The first factor of the coherent product does not
-move, so the product tangent is dB alone, read as A x dB.
+its own structure (``FockState.tangent``): the eta-derivative of the second
+channel, the only one that moves with lam. So the two-mode squeezed tangent
+is B1_k diag(a_{i+k} a_i) dB2_k^T per offset, in the state's sector stack.
+The first factor of the coherent product does not move, so the product
+tangent is dB alone, read as A x dB.
 
 The products stay one BLAS call per offset, at the offset's own size. A
 product padded to the full cutoff, batched over the offsets, gives the same
@@ -75,12 +76,6 @@ numbers only up to round-off: OpenBLAS orders its sums by the length of the
 reduction, and the zero padding changes that length. The padded batch moves
 the coherent QFI by about 5e-12 relative and the cutoff-45 and cutoff-80
 sectors in their last bits, so it is not used.
-
-Beam-splitter convention: the unitary of ``_beam_splitter_sectors(eta)``
-realises exactly the quadrature rotation of
-:func:`bifrost.gaussian.beam_splitter`, i.e. the second output slot is
-sqrt(eta) x (second input) - sqrt(1-eta) x (first input). Full reflection
-(eta = 1) is the identity.
 """
 
 from __future__ import annotations
@@ -216,20 +211,6 @@ def annihilation(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1)
 
 
-def _thermal_probs(n_th: float, dim: int) -> np.ndarray:
-    q = n_th / (1.0 + n_th)
-    return (1.0 - q) * q ** np.arange(dim)
-
-
-def _thermal_tail(n_th: float, dim: int) -> float:
-    return float((n_th / (1.0 + n_th)) ** dim)
-
-
-def _tmsv_tail(n_s: float, dim: int) -> float:
-    tanh2 = 2.0 * n_s / (2.0 * n_s + 1.0)  # tanh^2 r with sinh^2 r = 2 n_s
-    return float(tanh2**dim)
-
-
 def _gate_cutoff(tail_mass: float, cutoff: int, label: str):
     if not tail_mass < HARD_TAIL_TOL:  # a NaN tail fails too
         raise CutoffTooSmallError(
@@ -244,89 +225,48 @@ def _tmsv_amplitudes(n_s: float, cutoff: int) -> np.ndarray:
     relative phase that correlates the x quadratures positively, again
     matching the covariance convention."""
     check_photon_numbers(n_s)
-    _gate_cutoff(_tmsv_tail(n_s, cutoff), cutoff, "two-mode squeezed")
-    tanh_r = np.sqrt(2.0 * n_s / (2.0 * n_s + 1.0))
+    tanh2 = 2.0 * n_s / (2.0 * n_s + 1.0)  # tanh^2 r with sinh^2 r = 2 n_s
+    _gate_cutoff(float(tanh2**cutoff), cutoff, "two-mode squeezed")
+    tanh_r = np.sqrt(tanh2)
     return tanh_r ** np.arange(cutoff) * np.sqrt(1.0 - tanh_r**2)
+
+
+def _log_factorials(size: int) -> np.ndarray:
+    """log n! for n < size, as cumulative sums of logarithms."""
+    return np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, size)))])[:size]
+
+
+def _log_weights(x: float, powers: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
+    """log(x^l / l!) at each l of ``powers``, and -inf where l < 0. At x = 0
+    it is 0 at l = 0 and -inf elsewhere, with no log(0) taken."""
+    l = np.maximum(powers, 0)
+    if x > 0.0:
+        logs = l * np.log(x) - log_fact[l]
+    else:
+        logs = np.where(l == 0, 0.0, -np.inf)
+    return np.where(powers >= 0, logs, -np.inf)
 
 
 def fock_coherent(alpha: complex, cutoff: int) -> np.ndarray:
     """The one-mode density matrix of the coherent state |alpha> truncated
-    at the cutoff."""
+    at the cutoff. Each amplitude's modulus is exp of its logarithm, so no
+    power or factorial leaves the float range at a large cutoff."""
     if not np.isfinite(alpha):
         raise ValueError("coherent amplitude must be finite")
     n = np.arange(cutoff)
-    log_fact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, cutoff)))])
-    amps = np.exp(-0.5 * abs(alpha) ** 2) * alpha**n / np.exp(0.5 * log_fact)
+    modulus = abs(alpha)
+    amps = np.exp(0.5 * (_log_weights(modulus**2, n, _log_factorials(cutoff)) - modulus**2))
+    if modulus > 0.0:
+        amps = amps * (alpha / modulus) ** n
     leak = max(1.0 - float(np.vdot(amps, amps).real), 0.0)
     _gate_cutoff(leak, cutoff, "coherent")
     return np.outer(amps, amps.conj())
 
 
-# coefficients of the numerator p(x) of the [13/13] Pade approximant of
-# exp(x), whose denominator is p(-x), and the 1-norm up to which its backward
-# error stays below the unit roundoff (Higham, SIAM J. Matrix Anal. Appl. 26,
-# 1179 (2005))
-PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
-    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-THETA13 = 5.371920351148152
-
-
-def _expm(stack: np.ndarray) -> np.ndarray:
-    """Matrix exponentials of a stack of square matrices, by Pade(13) with
-    scaling and squaring; the scaling follows the largest 1-norm of the stack."""
-    norm = float(np.max(np.sum(np.abs(stack), axis=-2)))
-    s = int(np.ceil(np.log2(norm / THETA13))) if norm > THETA13 else 0
-    a = stack / 2.0**s
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    eye = np.eye(a.shape[-1])
-
-    def poly(c: Sequence[float]) -> np.ndarray:
-        """sum_j c[j] a^(2j), j = 0..6, from the powers above and one product."""
-        high = c[6] * a6 + c[5] * a4 + c[4] * a2
-        return a6 @ high + c[3] * a6 + c[2] * a4 + c[1] * a2 + c[0] * eye
-
-    odd, even = a @ poly(PADE13[1::2]), poly(PADE13[0::2])
-    r = np.linalg.solve(even - odd, even + odd)
-    for _ in range(s):
-        r = r @ r
-    return r
-
-
-def _theta_rate(eta: float) -> float:
-    """dtheta/deta for theta = arccos sqrt(eta); ValueError outside (0, 1), NaN included."""
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"reflectivity must lie in (0, 1) for a tangent, got {eta!r}")
-    return -0.5 / np.sqrt(eta * (1.0 - eta))
-
-
-def _beam_splitter_sectors(eta: float, cutoff: int):
-    """The beam-splitter unitary one total photon number n at a time.
-
-    Yields ``(n, m, block, generator)``: the first-mode counts m of the
-    states |m, n - m> inside the cutoff, ascending, the generator G =
-    a_0^dag a_1 - a_1^dag a_0 on them, tridiagonal with entries
-    +-sqrt((m + 1)(n - m)), and the unitary exp(theta G). Sectors n and
-    2 cutoff - 2 - n have the same size and are exponentiated as one stack,
-    so they come out in those pairs, not in order of n.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("reflectivity must lie in [0, 1]")
-    theta = float(np.arccos(np.sqrt(eta)))
-
-    def sector(n: int) -> tuple[np.ndarray, np.ndarray]:
-        m = np.arange(max(0, n - cutoff + 1), min(n, cutoff - 1) + 1)
-        hop = np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
-        return m, np.diag(hop, -1) - np.diag(hop, 1)
-
-    for n in range(cutoff):
-        pair = (n, 2 * cutoff - 2 - n) if n < cutoff - 1 else (n,)
-        counts, generators = zip(*map(sector, pair))
-        yield from zip(pair, counts, _expm(theta * np.stack(generators)), generators)
+def _check_reflectivity(eta: float):
+    """ValueError unless eta lies in (0, 1), where the channel's eta-derivative is finite."""
+    if not 0.0 < eta < 1.0:  # NaN fails too
+        raise ValueError(f"reflectivity must lie in (0, 1), got {eta!r}")
 
 
 def quadrature_moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
@@ -388,41 +328,51 @@ def quadrature_moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
 
 
 class ThermalLossChannel:
-    """Single-mode channel: mix with a thermal bath on a beam splitter.
+    """Single-mode thermal-loss channel, an amplifier after pure loss.
 
     The superoperator is kept as its sectors: ``blocks[k]`` maps the
     coherences rho[i + k, i] of offset k to those of the output, indexed by
     i in both. The channel preserves hermiticity and is real, so offset -k,
     the coherences rho[i, i + k], has the same block; ``dblocks`` are their
-    theta-derivatives (the tangent rule, module docstring). ``apply`` runs
-    the channel on one mode, with every offset's coherences gathered in one
-    index and scattered back in one (``_by_offset``, which also applies
-    ``dblocks``); ``bifrequency_fock_family`` combines the blocks of two
-    channels. Each block multiplies at its own size, and the blocks are
-    read-only, since ``_channel`` shares them (module docstring).
+    eta-derivatives (module docstring). ``apply`` runs the channel on one
+    mode, with every offset's coherences gathered in one index and scattered
+    back in one (``_by_offset``, which also applies ``dblocks``);
+    ``bifrequency_fock_family`` combines the blocks of two channels. Each
+    block multiplies at its own size, and the blocks are read-only, since
+    ``_channel`` shares them (module docstring).
     """
 
     def __init__(self, eta: float, n_th: float, cutoff: int):
         self.eta = eta
         self.n_th = n_th
         self.cutoff = cutoff
+        _check_reflectivity(eta)
         check_photon_numbers(n_th)
-        _gate_cutoff(_thermal_tail(n_th, cutoff), cutoff, "thermal bath")
-        probs = _thermal_probs(n_th, cutoff)
-        # amp[t, j, s] = <j + s - t, t| U |j, s>: j bath photons enter the
-        # first port, s signal photons the second, t leave the kept second
-        # port; damp holds the same entries of dU/dtheta = G U
-        amp, damp = np.zeros((2, cutoff, cutoff, cutoff))
-        for n, m, block, generator in _beam_splitter_sectors(eta, cutoff):
-            place = n - m[:, None], m[None, :], n - m[None, :]
-            amp[place], damp[place] = block, generator @ block
-        # output coherence |t><t'| from input |s><s'| with t - t' = s - s' = k,
-        # summed over the bath photons j and the traced output j + s - t
-        def offset(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
-            return np.einsum("tjs,j,tjs->ts", x[k:, :, k:], probs, y[: cutoff - k, :, : cutoff - k])
-
-        self.blocks = tuple(offset(amp, amp, k) for k in range(cutoff))
-        self.dblocks = tuple(offset(damp, amp, k) + offset(amp, damp, k) for k in range(cutoff))
+        gain = 1.0 + (1.0 - eta) * n_th
+        log_tau, log_gain = np.log(eta / gain), np.log(gain)
+        # d log/deta of tau, of 1 - tau and (G - 1)/G alike, and of G
+        dlog_tau, dlog_rest = (1.0 + n_th) / (gain * eta), -1.0 / (gain * (1.0 - eta))
+        dlog_gain = -n_th / gain
+        log_fact = _log_factorials(cutoff)
+        levels = np.arange(cutoff)
+        steps = levels[:, None] - levels  # m - j at row m, column j
+        # log(x^(n - j) / (n - j)!) at [j, n] for x = 1 - tau, and at [m, j] for x = (G - 1)/G
+        loss = _log_weights((1.0 - eta) * (1.0 + n_th) / gain, steps, log_fact).T
+        amplify = _log_weights((1.0 - eta) * n_th / gain, steps, log_fact)
+        blocks, dblocks = [], []
+        for k in range(cutoff):
+            size = cutoff - k
+            up = steps[:size, :size]
+            half = levels[:size] + 0.5 * k  # j + k/2
+            root = 0.5 * (log_fact[k:] + log_fact[:size])  # log sqrt((j + k)! j!)
+            ratio = root[:, None] - root
+            loss_k = np.exp(loss[:size, :size] - ratio + (half * log_tau)[:, None])
+            amp_k = np.exp(amplify[:size, :size] + ratio - (1.0 + half) * log_gain)
+            dloss_k = loss_k * ((half * dlog_tau)[:, None] + up.T * dlog_rest)
+            damp_k = amp_k * (up * dlog_rest - (1.0 + half) * dlog_gain)
+            blocks.append(amp_k @ loss_k)
+            dblocks.append(damp_k @ loss_k + amp_k @ dloss_k)
+        self.blocks, self.dblocks = tuple(blocks), tuple(dblocks)
         for block in self.blocks + self.dblocks:
             block.setflags(write=False)
 
@@ -457,22 +407,26 @@ def _by_offset(blocks: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
 _channel = functools.lru_cache(maxsize=16, typed=True)(ThermalLossChannel)
 
 
-def _tmsv_sectors(
-    ch1: ThermalLossChannel, ch2: ThermalLossChannel, amps: np.ndarray, rate: float
-) -> np.ndarray:
+def _tmsv_sectors(ch1: ThermalLossChannel, ch2: ThermalLossChannel, amps: np.ndarray) -> np.ndarray:
     """The two-mode squeezed probe sum_n amps[n] |n, n> through ``ch1`` on the
-    first mode and ``ch2`` on the second, and ``rate`` times its
-    theta-derivative in ``ch2``, as the padded stacks of their sectors of
-    fixed n1 - n2 (module docstring, ``FockState.sectors``); each sector is
-    real and symmetric."""
+    first mode and ``ch2`` on the second, and its eta-derivative in ``ch2``,
+    as the padded stacks of their sectors of fixed n1 - n2 (module
+    docstring, ``FockState.sectors``); each sector is real and symmetric."""
     d = len(amps)
     # coherences[:, k, i, j]: the entry at |i + k, j + k><i, j| of the state
     # and of its derivative, one product per k, and 0 outside i, j < d - k
     coherences = np.zeros((2, d, d, d))
     for k, (b1, b2, db2) in enumerate(zip(ch1.blocks, ch2.blocks, ch2.dblocks)):
         weighted = b1 * (amps[k:] * amps[: d - k])
-        coherences[:, k, : d - k, : d - k] = weighted @ b2.T, rate * (weighted @ db2.T)
+        coherences[:, k, : d - k, : d - k] = weighted @ b2.T, weighted @ db2.T
     return coherences.reshape(2, -1)[:, _sector_layout(d).gather]
+
+
+def _trace(state: FockState) -> float:
+    """Tr A Tr B of a product A x B, else the sum of the sector traces."""
+    if state.factors is not None:
+        return float(np.trace(state.factors[0]).real * np.trace(state.factors[1]).real)
+    return float(np.trace(state.stack, axis1=1, axis2=2).sum())
 
 
 def bifrequency_fock_family(
@@ -483,15 +437,16 @@ def bifrequency_fock_family(
     Each evaluation at lam builds the received state from the probe's
     structure (module docstring), with the channel at eta1 on the first
     mode and at eta1 + lam on the second, with its tangent (the tangent
-    rule), so both must lie in (0, 1), else ValueError.
+    rule), so both must lie in (0, 1), else ValueError. A state whose trace
+    leak 1 - Tr rho reaches HARD_TAIL_TOL raises CutoffTooSmallError.
     """
     check_photon_numbers(n_s, n_th)
-    _theta_rate(eta1)
+    _check_reflectivity(eta1)
     if probe == "tmsv":
         amps = _tmsv_amplitudes(n_s, cutoff)
 
-        def received(ch1: ThermalLossChannel, ch2: ThermalLossChannel, rate: float) -> FockState:
-            return FockState.sectors(*_tmsv_sectors(ch1, ch2, amps, rate))
+        def received(ch1: ThermalLossChannel, ch2: ThermalLossChannel) -> FockState:
+            return FockState.sectors(*_tmsv_sectors(ch1, ch2, amps))
 
     elif probe == "coherent":
         single = fock_coherent(np.sqrt(n_s), cutoff)
@@ -500,16 +455,16 @@ def bifrequency_fock_family(
         first = _channel(eta1, n_th, cutoff).apply(single)
         first.setflags(write=False)
 
-        def received(ch1: ThermalLossChannel, ch2: ThermalLossChannel, rate: float) -> FockState:
-            second, dsecond = ch2.apply(single), rate * _by_offset(ch2.dblocks, single)
-            return FockState.product(first, second, dsecond)
+        def received(ch1: ThermalLossChannel, ch2: ThermalLossChannel) -> FockState:
+            return FockState.product(first, ch2.apply(single), _by_offset(ch2.dblocks, single))
 
     else:
         raise ValueError(f"unknown probe {probe!r}")
 
     def family(lam: float) -> FockState:
-        eta = eta1 + lam
-        return received(_channel(eta1, n_th, cutoff), _channel(eta, n_th, cutoff), _theta_rate(eta))
+        state = received(_channel(eta1, n_th, cutoff), _channel(eta1 + lam, n_th, cutoff))
+        _gate_cutoff(1.0 - _trace(state), cutoff, "received")
+        return state
 
     return family
 

@@ -136,12 +136,16 @@ class _Solution(NamedTuple):
 
     def result(self) -> QfiResult:
         """H = Re Tr(Z Q) / 2 + 2 |R^dag dd_c|^2, term by term, with the
-        symplectic eigenvalues nu = 1 / |lambda|."""
+        symplectic eigenvalues nu = 1 / |lambda|. A value that leaves the
+        float range raises ArithmeticError."""
         term_cov = 0.5 * float(np.vdot(self.z, self.q).real)
         term_disp = 2.0 * float(np.vdot(self.proj, self.proj).real)
+        value = term_cov + term_disp
+        if not np.isfinite(value):
+            raise ArithmeticError(f"the QFI leaves the float range: {value}")
         abs_lam = np.abs(self.lam)
         return QfiResult(
-            value=term_cov + term_disp,
+            value=value,
             nu_plus=1.0 / float(abs_lam.min()),
             nu_minus=1.0 / float(abs_lam.max()),
             term_covariance=term_cov,
@@ -271,7 +275,7 @@ def optimal_observable(family: StateFamily) -> SldCoefficients:
     """Coefficients of the Cramer-Rao-saturating observable L/H at lambda0 = 0."""
     solution = _solve(family)
     h = solution.result().value
-    if h <= 0.0 or not np.isfinite(h):
+    if h <= 0.0:
         raise NoInformationError(f"QFI is {h}; cannot normalise the observable")
     raw = _coefficients_from_form(solution.form())
     return SldCoefficients(raw.l11 / h, raw.l22 / h, raw.l12 / h, raw.l0 / h)

@@ -34,10 +34,10 @@ ORACLE_CONFIGS = [
 ]
 ORACLE_CUTOFF = 30
 SLD_CUTOFF = 25
-# Where the paper's advantage is large; not run by --quick. The tail gate
-# (fock.HARD_TAIL_TOL) bounds only the trace leak: it admits the entangled
-# probe at n_s = 2 from cutoff 62, but the SLD variance, which weighs the
-# photon-number tail by ell^2, meets its 1e-3 tolerance only from cutoff 72.
+# Where the paper's advantage is large; not run by --quick. The gate bounds
+# only the received state's trace leak (fock.HARD_TAIL_TOL): it admits the
+# entangled probe at n_s = 2 from cutoff 63, but the SLD variance, which weighs
+# the photon-number tail by ell^2, meets its 1e-3 tolerance at n_th = 1 from 65.
 WIDE_CONFIGS = [(0.8, n_s, n_th) for n_s in (1.0, 2.0) for n_th in (1.0, 2.0)]
 WIDE_CUTOFFS = {("tmsv", 1.0): 45, ("tmsv", 2.0): 80, ("coherent", 1.0): 60, ("coherent", 2.0): 60}
 

@@ -9,11 +9,16 @@ difference of a family that the exact tangent replaced, and the general
 path the structured received states replaced, which applies each channel's
 sector blocks to the full probe density matrix, one mode after the other,
 and knows nothing of the probe. The dense thermal and two-mode squeezed
-states, which the package never forms, are kept here too.
+states, which the package never forms, are kept here too, and so are two
+references for the thermal-loss channel that share none of its code: the
+untruncated Kraus sums of the amplifier after loss at 40 digits, and the
+beam-splitter dilation with a thermal bath, on unitaries from
+scipy.linalg.expm.
 """
 
 import functools
 
+import mpmath
 import numpy as np
 
 from bifrost import fock
@@ -23,8 +28,9 @@ from bifrost.errors import check_photon_numbers
 def fock_thermal(n_th, cutoff):
     """Thermal mode as a truncated geometric mixture of number states."""
     check_photon_numbers(n_th)
-    fock._gate_cutoff(fock._thermal_tail(n_th, cutoff), cutoff, "thermal")
-    return np.diag(fock._thermal_probs(n_th, cutoff))
+    q = n_th / (1.0 + n_th)
+    fock._gate_cutoff(q**cutoff, cutoff, "thermal")
+    return np.diag((1.0 - q) * q ** np.arange(cutoff))
 
 
 def fock_tmsv(n_s, cutoff):
@@ -157,16 +163,112 @@ def fock_beam_splitter(eta, cutoff):
     """Two-mode beam-splitter unitary matching the Gaussian convention.
 
     Exponential of theta (a_0^dag a_1 - a_1^dag a_0) with theta = arccos(sqrt(eta)),
-    assembled from the total-photon-number sectors the generator preserves.
-    The second output slot is sqrt(eta) x (second input) - sqrt(1-eta) x
-    (first input), as in :func:`bifrost.gaussian.beam_splitter`; full
-    reflection (eta = 1) is the identity.
+    by scipy.linalg.expm on each set of states |m, n - m> of one total
+    photon number n that the generator preserves, where it is tridiagonal
+    with entries +-sqrt((m + 1)(n - m)). The second output slot is
+    sqrt(eta) x (second input) - sqrt(1-eta) x (first input), as in
+    :func:`bifrost.gaussian.beam_splitter`; full reflection (eta = 1) is the
+    identity.
     """
+    from scipy.linalg import expm
+
+    theta = float(np.arccos(np.sqrt(eta)))
     u = np.zeros((cutoff * cutoff, cutoff * cutoff))
-    for n, m, block, _ in fock._beam_splitter_sectors(eta, cutoff):
+    for n in range(2 * cutoff - 1):
+        m = np.arange(max(0, n - cutoff + 1), min(n, cutoff - 1) + 1)
+        hop = np.sqrt((m[:-1] + 1.0) * (n - m[:-1]))
         idx = m * cutoff + (n - m)
-        u[np.ix_(idx, idx)] = block
+        u[np.ix_(idx, idx)] = expm(theta * (np.diag(hop, -1) - np.diag(hop, 1)))
     return u
+
+
+def dilation_blocks(eta, n_th, cutoff, levels):
+    """The thermal-loss channel's blocks on the levels below ``levels``, for
+    the offsets k < ``levels``, from its dilation: a thermal bath enters the
+    first port of ``fock_beam_splitter(eta, cutoff)``, the signal the
+    second, and the first output port is traced out. The bath and the
+    sectors of total photon number at least ``cutoff`` are truncated, which
+    a large cutoff makes negligible on the low levels."""
+    d = cutoff
+    probs = fock_thermal(n_th, d).diagonal()
+    # u[e, t, j, s] = <e, t| U |j, s>
+    u = fock_beam_splitter(eta, d).reshape(d, d, d, d)
+    blocks = []
+    for k in range(levels):
+        size = levels - k
+        upper, lower = u[:, k : k + size, :, k : k + size], u[:, :size, :, :size]
+        blocks.append(np.einsum("etjs,j,etjs->ts", upper, probs, lower))
+    return blocks
+
+
+# working precision of the Kraus-sum reference, in decimal digits
+KRAUS_DPS = 40
+
+
+@functools.lru_cache(maxsize=None)
+def kraus_blocks(eta, n_th, cutoff):
+    """The thermal-loss channel's blocks on the cutoff, as float64, summed
+    over the Kraus operators A_l' B_l of a quantum-limited amplifier of gain
+    G = 1 + (1 - eta) n_th after pure loss of transmissivity tau = eta / G,
+    at KRAUS_DPS digits.
+
+    B_l maps |n> to sqrt(C(n, l) tau^(n - l) (1 - tau)^l) |n - l> and A_l
+    maps |n> to sqrt(C(n + l, l) G^-(n + 1) (1 - 1/G)^l) |n + l>. Loss never
+    raises a photon number, so on input and output levels below the cutoff
+    every Kraus operator that contributes is kept: the sums are not
+    truncated.
+    """
+    with mpmath.workdps(KRAUS_DPS):
+        return [np.array(b.tolist(), dtype=float) for b in _kraus_blocks(eta, n_th, cutoff)]
+
+
+def kraus_dblocks(eta, n_th, cutoff):
+    """The eta-derivatives of ``kraus_blocks``, as float64: a central
+    difference with step 1e-15 at KRAUS_DPS digits, whose truncation there
+    is far below float64 round-off."""
+    with mpmath.workdps(KRAUS_DPS):
+        step = mpmath.mpf("1e-15")
+        up, down = (_kraus_blocks(mpmath.mpf(eta) + h, n_th, cutoff) for h in (step, -step))
+        return [np.array(((u - d) / (2 * step)).tolist(), dtype=float) for u, d in zip(up, down)]
+
+
+def _kraus_blocks(eta, n_th, cutoff):
+    """The per-offset blocks of the Kraus sum of ``kraus_blocks``, as mpmath
+    matrices, at the working precision."""
+    eta, n_th = mpmath.mpf(eta), mpmath.mpf(n_th)
+    gain = 1 + (1 - eta) * n_th
+    tau = eta / gain
+    loss = [[mpmath.sqrt(mpmath.binomial(n, l) * tau ** (n - l) * (1 - tau) ** l) for n in range(cutoff)]
+            for l in range(cutoff)]
+    amp = [[mpmath.sqrt(mpmath.binomial(n + l, l) * gain ** -(n + 1) * (1 - 1 / gain) ** l)
+            for n in range(cutoff)] for l in range(cutoff)]
+    blocks = []
+    for k in range(cutoff):
+        size = cutoff - k
+        block = mpmath.zeros(size, size)
+        # K = A_l' B_l takes |s + k><s| to |s + k - l + l'><s - l + l'|
+        for s in range(size):
+            for l in range(s + 1):
+                lost = loss[l][s + k] * loss[l][s]
+                for t in range(size):
+                    if t - s + l >= 0:
+                        gained = amp[t - s + l][s + k - l] * amp[t - s + l][s - l]
+                        block[t, s] += lost * gained
+        blocks.append(block)
+    return blocks
+
+
+def superoperator(blocks):
+    """The dense cutoff^2 x cutoff^2 superoperator of a channel kept as its
+    per-offset blocks, acting on the row-major flattened density matrix."""
+    d = len(blocks)
+    dense = np.zeros((d * d, d * d))
+    for k, block in enumerate(blocks):
+        i = np.arange(d - k)
+        for rows, cols in ((i + k, i), (i, i + k)):
+            flat = rows * d + cols
+            dense[np.ix_(flat, flat)] = block
+    return dense
 
 
 def fock_partial_trace(rho, dim, n_modes, keep):

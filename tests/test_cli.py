@@ -180,6 +180,20 @@ def test_ratio_grid_arithmetic_failure_is_an_error_line(flags, named):
     assert named in result.stderr
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--eta1", "1e-320", "--ns", "1", "--nth", "1"], ["--eta1", "1e-300", "--ns", "1e300", "--nth", "0.5"]],
+    ids=["subnormal-reflectivity", "huge-probe"],
+)
+def test_non_finite_qfi_is_an_error_line(flags):
+    """A QFI that leaves the float range inside the domain is reported as
+    one error line with exit code 1, never printed as Infinity."""
+    result = run_cli("qfi", *flags, "--probe", "coherent")
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == "error: the QFI leaves the float range: inf\n"
+
+
 def test_config_file_with_flag_override(tmp_path):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({"eta1": 0.5, "ns": 2.0, "nth": 1.0}))
