@@ -177,8 +177,9 @@ def cmd_qfi(args) -> int:
 
 def cmd_sld(args) -> int:
     params = _point_params(args)
-    numeric = optimal_observable(bifrequency_received_state(params, "tmsv"))
+    # first: where it leaves the float range, the solve's tangent overflows with a warning
     closed = sld_coeffs_closed_form(params.eta1, params.n_s, params.n_th)
+    numeric = optimal_observable(bifrequency_received_state(params, "tmsv"))
     deviation = max(abs(a - b) for a, b in zip(numeric.as_tuple(), closed.as_tuple()))
     print(
         json.dumps(

@@ -287,9 +287,25 @@ def sld_coeffs_closed_form(eta1: float, n_s: float, n_th: float) -> SldCoefficie
     The quadratic coefficients are rational functions of the operating point;
     the constant is fixed by the zero-mean condition at the working point,
     <O> = 0, which any normalised logarithmic derivative satisfies exactly.
+    A point where a coefficient or a power in them leaves the float range
+    raises ArithmeticError, with no warning on the way.
     """
     _check_domain(eta1, n_s, n_th)
-    e, s, t = eta1, n_s, n_th
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = _sld_coeffs(eta1, n_s, n_th)
+    except OverflowError:  # Python's float power
+        coeffs = None
+    if coeffs is None or not np.all(np.isfinite(coeffs.as_tuple())):
+        raise ArithmeticError(
+            "the closed-form SLD coefficients leave the float range "
+            f"at eta1 = {eta1}, n_s = {n_s}, n_th = {n_th}"
+        )
+    return coeffs
+
+
+def _sld_coeffs(e: float, s: float, t: float) -> SldCoefficients:
+    """The formulas of ``sld_coeffs_closed_form`` at eta1 = e, n_s = s, n_th = t."""
     a = 8.0 * (e - 1.0) * e * s**3 * (2.0 * t + 1.0)
     b = 4.0 * s**2 * (
         -e + (e + 3.0 * e * t) ** 2 - e * t * (10.0 * t + 7.0) + 3.0 * t * (t + 1.0) + 1.0

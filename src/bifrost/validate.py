@@ -78,17 +78,41 @@ def oracle_equivalence_checks(
 
 class LadderOperator(NamedTuple):
     """A two-mode operator sum_t first[t] x second[t] on the truncated space,
-    with ``charges`` the changes of n1 - n2 its terms make."""
+    with ``charges`` the changes of n1 - n2 its terms make. ``fock_sld_operator``
+    makes ``first`` and ``second`` (terms, cutoff, cutoff) views of arrays
+    stored term last, so that ``block`` reads them as (cutoff^2, terms)
+    without a copy."""
 
     first: np.ndarray
     second: np.ndarray
     charges: frozenset
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The block between basis states ``rows`` and ``cols``."""
-        (r1, r2), (c1, c2) = (divmod(idx, self.first.shape[-1]) for idx in (rows, cols))
-        first, second = self.first[:, r1[:, None], c1], self.second[:, r2[:, None], c2]
-        return np.einsum("tij,tij->ij", first, second)
+        """The block between basis states ``rows`` and ``cols``. Each mode's
+        terms are taken whole at the flat index r d + c of their term-last
+        layout, by ``np.take``. That lays them out as (rows, cols, terms),
+        as the index ``first[:, r, c]`` does through numpy's subspace copy
+        (2.5 times slower at cutoff 80), so the einsum sums in the same
+        order and the block keeps its bits."""
+        d = self.first.shape[-1]
+        (r1, r2), (c1, c2) = (divmod(idx, d) for idx in (rows, cols))
+        first, second = (
+            np.take(words.transpose(1, 2, 0).reshape(d * d, -1), r[:, None] * d + c, axis=0)
+            for words, r, c in ((self.first, r1, c1), (self.second, r2, c2))
+        )
+        return np.einsum("ijt,ijt->ij", first, second)
+
+
+@functools.lru_cache(maxsize=64)
+def _ladder_word(word: str, cutoff: int) -> np.ndarray:
+    """The product of a ("a") and a^dag ("A") in the order of ``word`` on
+    the cutoff, the identity for ""; read-only, since it is shared. Like
+    ``fock._sector_layout`` it depends on the cutoff alone, never on an
+    operating point."""
+    a = fock.annihilation(cutoff)
+    matrix = functools.reduce(np.matmul, [a if x == "a" else a.T for x in word], np.eye(cutoff))
+    matrix.setflags(write=False)
+    return matrix
 
 
 def fock_sld_operator(form: SldForm, cutoff: int) -> LadderOperator:
@@ -117,22 +141,19 @@ def fock_sld_operator(form: SldForm, cutoff: int) -> LadderOperator:
                 for (c1, u1, v1), (c2, u2, v2) in itertools.product(dagger, delta[j])
             ]
     terms = [(scalar, "", "")] + [term for term in terms if term[0] != 0]
-    a = fock.annihilation(cutoff)
-
-    def matrix(word: str) -> np.ndarray:
-        return functools.reduce(np.matmul, [a if x == "a" else a.T for x in word], np.eye(cutoff))
 
     def shift(word: str) -> int:
         return word.count("A") - word.count("a")
 
     words = sorted({v for _, _, v in terms})
-    first = np.zeros((len(words), cutoff, cutoff), np.result_type(*(c for c, _, _ in terms), float))
+    dtype = np.result_type(*(c for c, _, _ in terms), float)
+    # term last, viewed term first (LadderOperator)
+    first = np.zeros((cutoff, cutoff, len(words)), dtype).transpose(2, 0, 1)
     for c, u, v in terms:
-        first[words.index(v)] += c * matrix(u)
+        first[words.index(v)] += c * _ladder_word(u, cutoff)
+    second = np.stack([_ladder_word(v, cutoff) for v in words], axis=-1).transpose(2, 0, 1)
     charges = {shift(u) - shift(v) for _, u, v in terms}
-    return LadderOperator(
-        first, np.stack([matrix(v) for v in words]), frozenset(charges | {-q for q in charges})
-    )
+    return LadderOperator(first, second, frozenset(charges | {-q for q in charges}))
 
 
 def sld_fock_report(

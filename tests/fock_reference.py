@@ -13,7 +13,10 @@ states, which the package never forms, are kept here too, and so are two
 references for the thermal-loss channel that share none of its code: the
 untruncated Kraus sums of the amplifier after loss at 40 digits, and the
 beam-splitter dilation with a thermal bath, on unitaries from
-scipy.linalg.expm.
+scipy.linalg.expm. The package gathers its sector stacks, moments and SLD
+blocks with ``np.take`` on one flat axis; the ``fancy_*`` references gather
+the same entries with a full slice and an array index, through numpy's
+subspace copy, and so pin the package's bits.
 """
 
 import functools
@@ -337,3 +340,72 @@ def dense_sld_report(eta1, n_s, n_th, probe, cutoff):
         "qfi": h,
         "variance_rel_error": abs(second_moment - h) / h,
     }
+
+
+def fancy_tmsv_sectors(ch1, ch2, amps):
+    """``fock._tmsv_sectors`` with the sector stack gathered by the index
+    ``coherences[:, gather]``."""
+    d = len(amps)
+    coherences = np.zeros((2, d, d, d))
+    for k, (b1, b2, db2) in enumerate(zip(ch1.blocks, ch2.blocks, ch2.dblocks)):
+        weighted = b1 * (amps[k:] * amps[: d - k])
+        coherences[:, k, : d - k, : d - k] = weighted @ b2.T, weighted @ db2.T
+    return coherences.reshape(2, -1)[:, fock._sector_layout(d).gather]
+
+
+def fancy_quadrature_moments(state):
+    """``fock.quadrature_moments`` with the one-mode operators gathered by
+    the index ``ops[:, flat]``."""
+    d = state.dim
+    if state.factors is not None:
+        t, e = np.arange(d)[:, None], np.arange(-2, 3)
+        near = np.clip(t + e, 0, d - 1)
+        first, second = (np.where(t + e == near, f[t, near], 0) for f in state.factors)
+        values = first[:, None, :, None] * second[None, :, None, :]
+        rows = (t * d + t.T)[:, :, None, None]
+        cols = near[:, None, :, None] * d + near[None, :, None, :]
+    else:
+        indices = fock._sector_layout(d).indices
+        values, rows, cols = state.stack, indices[:, :, None], indices[:, None, :]
+    places = (d, 1)
+    keep = values != 0
+    for place in places:
+        keep &= np.abs(rows // place % d - cols // place % d) <= 2
+    rows, cols = (np.broadcast_to(i, keep.shape)[keep] for i in (rows, cols))
+    order = np.argsort(rows * d**2 + cols)
+    values, rows, cols = values[keep][order], rows[order], cols[order]
+
+    a = fock.annihilation(d)
+    x, p = (a + a.T) / np.sqrt(2.0), (a - a.T) / (1j * np.sqrt(2.0))
+    ops = np.stack([np.eye(d), x, p, x @ x + x @ x, x @ p + p @ x, p @ p + p @ p])
+    gathered = [ops.reshape(len(ops), -1)[:, cols // p % d * d + rows // p % d] for p in places]
+
+    def expect(terms):
+        factors = [g[terms.get(m, 0)] for m, g in enumerate(gathered)]
+        return np.sum(values * np.prod(factors, axis=0)).real
+
+    disp = np.array([expect({m: 1 + u}) for m in range(2) for u in range(2)])
+    cov = np.empty((4, 4))
+    for i in range(4):
+        for j in range(i, 4):
+            (m1, u), (m2, v) = divmod(i, 2), divmod(j, 2)
+            if m1 == m2:
+                sym = expect({m1: 3 + u + v})
+            else:
+                sym = 2.0 * expect({m1: 1 + u, m2: 1 + v})
+            cov[i, j] = cov[j, i] = sym - 2.0 * disp[i] * disp[j]
+    return cov, disp
+
+
+def fancy_block(op, rows, cols):
+    """``validate.LadderOperator.block`` with each mode's terms gathered by
+    the index ``words[:, r, c]`` from a term-first contiguous copy."""
+    (r1, r2), (c1, c2) = (divmod(idx, op.first.shape[-1]) for idx in (rows, cols))
+    first, second = (np.ascontiguousarray(words) for words in (op.first, op.second))
+    return np.einsum("tij,tij->ij", first[:, r1[:, None], c1], second[:, r2[:, None], c2])
+
+
+def ladder_word(word, cutoff):
+    """The product of a ("a") and a^dag ("A") in the order of ``word``."""
+    a = fock.annihilation(cutoff)
+    return functools.reduce(np.matmul, [a if x == "a" else a.T for x in word], np.eye(cutoff))

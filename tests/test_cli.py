@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +295,23 @@ def test_sld_point_output():
     payload = json.loads(result.stdout)
     assert payload["max_abs_deviation"] < 1e-8
     assert np.isclose(payload["numeric"]["l11"], payload["closed_form"]["l11"])
+
+
+def test_sld_outside_the_float_range_is_one_named_error_line(capsys):
+    """Where the closed-form SLD coefficients leave the float range, ``sld``
+    fails before the numeric solve, whose tangent would overflow there:
+    one error line naming them, exit code 1 and no warning."""
+    from bifrost import cli
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["sld", "--eta1", "1e-300", "--ns", "0.5", "--nth", "1e300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the closed-form SLD coefficients leave the float range "
+        "at eta1 = 1e-300, n_s = 0.5, n_th = 1e+300\n"
+    )
 
 
 def test_qi_check_passes():

@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -679,6 +680,31 @@ def test_family_needs_reflectivity_inside_the_open_interval(eta1):
             fock.bifrequency_fock_family(0.75, 0.05, 0.1, probe, 10)(0.25)
 
 
+@pytest.mark.parametrize("eta", [1e-310, 5e-324])
+def test_channel_rejects_a_reflectivity_its_derivative_cannot_hold(eta):
+    """At a subnormal eta, d log tau/deta = (1 + n_th)/(G eta) is infinite:
+    the channel, and a family at that eta1, raise ValueError before any
+    arithmetic warns, at every cutoff."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cutoff in (1, 2, 30):
+            with pytest.raises(ValueError, match="too small for cutoff"):
+                fock.ThermalLossChannel(eta, 0.3, cutoff)
+        for probe in ("tmsv", "coherent"):
+            with pytest.raises(ValueError, match="too small for cutoff"):
+                fock.bifrequency_fock_family(eta, 1e-7, 0.0, probe, 2)(0.0)
+
+
+def test_channel_at_the_smallest_reflectivities_it_holds_is_finite():
+    """Just above the bound, and at 1e-300, every block and derivative is
+    finite and no warning is raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eta, cutoff in ((1e-300, 80), (1e-305, 80), (1e-307, 5), (3e-308, 1)):
+            channel = fock.ThermalLossChannel(eta, 0.3, cutoff)
+            assert all(np.all(np.isfinite(b)) for b in channel.blocks + channel.dblocks)
+
+
 def test_tangent_is_checked_as_its_state():
     """A tangent is checked for hermiticity and shape as its state is, and a
     sector tangent's padding must be 0."""
@@ -959,6 +985,66 @@ def test_sld_report_rejects_a_mode_1_form_on_a_product(monkeypatch):
     _fix_form(monkeypatch, _random_form(4))
     with pytest.raises(ValueError, match="mode 1 of a product"):
         validate.sld_fock_report(0.8, 0.2, 0.3, "coherent", 16)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: -0.0 and 0.0, or two NaNs, tell apart."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.dtype, a.shape) == (b.dtype, b.shape) and (
+        np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+    )
+
+
+# probe photon number per cutoff, inside the two-mode squeezed gate
+GATHER_CUTOFFS = {1: 1e-7, 2: 1e-4, 30: 0.5, 45: 1.0}
+
+
+@pytest.mark.parametrize("cutoff", GATHER_CUTOFFS)
+def test_take_gathers_match_the_fancy_index_bit_for_bit(cutoff):
+    """``_tmsv_sectors`` and ``quadrature_moments``, which gather with
+    ``np.take``, equal the full-slice fancy index they replaced
+    (``fock_reference``) bit for bit, on sector stacks and on complex
+    products."""
+    ch1, ch2 = fock.ThermalLossChannel(0.8, 0.3, cutoff), fock.ThermalLossChannel(0.5, 1.0, cutoff)
+    amps = fock._tmsv_amplitudes(GATHER_CUTOFFS[cutoff], cutoff)
+    stacks = fock._tmsv_sectors(ch1, ch2, amps)
+    assert _same_bits(stacks, fock_reference.fancy_tmsv_sectors(ch1, ch2, amps))
+    rng = np.random.default_rng(cutoff)
+    noise = rng.standard_normal((2, cutoff, cutoff)) + 1j * rng.standard_normal((2, cutoff, cutoff))
+    product = fock.FockState.product(*(m + m.conj().T for m in noise))
+    for state in (fock.FockState.sectors(*stacks), product):
+        for got, expected in zip(fock.quadrature_moments(state),
+                                 fock_reference.fancy_quadrature_moments(state)):
+            assert _same_bits(got, expected)
+
+
+@pytest.mark.parametrize("cutoff", GATHER_CUTOFFS)
+def test_ladder_blocks_match_the_fancy_index_bit_for_bit(cutoff):
+    """``LadderOperator.block`` equals the fancy-index gather of a term-first
+    copy bit for bit, between every pair of sectors whose n1 - n2 differ by
+    up to 2, for forms with charges 0, +-1 and +-2, real and complex."""
+    indices = fock._sector_layout(cutoff).indices
+    sectors = [idx[: cutoff - abs(delta)] for idx, delta in zip(indices, range(1 - cutoff, cutoff))]
+    for seed in (4, 5):
+        real = _random_form(seed)
+        complex_ = bf.SldForm(real.quad, real.linear * (1.0 + 0.5j), real.scalar, real.center)
+        for form in (real, complex_):
+            op = validate.fock_sld_operator(form, cutoff)
+            assert op.charges == {-2, -1, 0, 1, 2}
+            for p, rows in enumerate(sectors):
+                for cols in sectors[max(p - 2, 0): p + 3]:
+                    assert _same_bits(op.block(rows, cols), fock_reference.fancy_block(op, rows, cols))
+
+
+def test_ladder_words_are_memoised_read_only():
+    """Each ladder word is built once per (word, cutoff), read-only, and
+    equals the product of ladder matrices bit for bit."""
+    for cutoff in (1, 2, 30):
+        for word in ("", "a", "A", "aa", "aA", "Aa", "AA"):
+            matrix = validate._ladder_word(word, cutoff)
+            assert matrix is validate._ladder_word(word, cutoff)
+            assert not matrix.flags.writeable
+            assert _same_bits(matrix, fock_reference.ladder_word(word, cutoff))
 
 
 def log_uniform(lo, hi):

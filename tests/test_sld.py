@@ -103,6 +103,18 @@ def test_optimal_observable_matches_closed_form_point():
         assert abs(a - b) <= 1e-9 * max(abs(b), 1.0)
 
 
+@pytest.mark.parametrize(
+    "point", [(1e-300, 0.5, 1e300), (1e-6, 1e100, 1e100), (1e-6, 1.0, 1.3e154)],
+    ids=["power-overflows", "nan-coefficients", "scalar-overflow"],
+)
+def test_closed_form_outside_the_float_range_raises(point):
+    """Where a power overflows or a coefficient is not finite, the closed
+    form raises ArithmeticError naming it, with no warning, in place of an
+    OverflowError or NaN coefficients."""
+    with pytest.raises(ArithmeticError, match="closed-form SLD coefficients leave the float range"):
+        bf.sld_coeffs_closed_form(*point)
+
+
 def test_closed_form_matches_numeric_grid():
     for eta1 in (0.1, 0.3, 0.5, 0.7, 0.9):
         for n_s in (0.1, 1.0, 5.0):
