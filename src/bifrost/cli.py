@@ -7,10 +7,13 @@ file becomes its command's defaults, so a flag on the command line always
 wins over the file. Numeric output is byte-deterministic: floats are printed
 with 17 significant digits, rows in a fixed parameter-major order, LF line
 endings. ``ratio-grid`` evaluates the closed forms once, as numpy arrays
-over the broadcast axes (``protocols.advantage_map``), and formats each
-axis value once; its bytes equal those of one scalar
-``bifrequency_advantage`` call and one format call per value. The
-environment variable BIFROST_THREADS is accepted and ignored, since a
+over the broadcast axes (``protocols.advantage_map``), so a grid with a
+domain or float-range error writes nothing. It then formats and writes the
+rows CHUNK_ROWS at a time, each axis value formatted once, so its memory
+does not grow with the output text. An I/O error while writing, to the
+output file or to stdout, exits 2 and may leave a partial output. Its
+bytes equal those of one scalar ``bifrequency_advantage`` call and one
+format call per value. The environment variable BIFROST_THREADS is accepted and ignored, since a
 thread pool was measured slower than one thread. The regression checks,
 and the Fock oracle behind them, are imported only by the commands that run
 them, so the other commands never load that code.
@@ -22,6 +25,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import os
 import sys
 
 import numpy as np
@@ -40,6 +44,23 @@ EXIT_IO = 2
 EXIT_REGRESSION = 3
 
 CSV_HEADER = "eta1,n_s,n_th,h_q,h_c,ratio"
+# ratio-grid formats and writes this many rows at a time, so its memory
+# holds one chunk's text, not the whole output's: on the 30,000-row map,
+# 1,024 rows peak 0.7 MB above the map itself and 4,096 rows 3 MB, at the
+# same speed
+CHUNK_ROWS = 1024
+# per format: the three axis fields, the three value fields of a row, and
+# the text before the first row, between rows and after the last
+GRID_FORMATS = {
+    "csv": (("%.17g,",) * 3, "%.17g,%.17g,%.17g", CSV_HEADER + "\n", "\n", "\n"),
+    "json": (
+        ('  {\n    "eta1": %r,\n', '    "n_s": %r,\n', '    "n_th": %r,\n'),
+        '    "h_q": %r,\n    "h_c": %r,\n    "ratio": %r\n  }',
+        "[\n",
+        ",\n",
+        "\n]\n",
+    ),
+}
 
 
 def _parse_axis(text: str, log: bool = False) -> np.ndarray:
@@ -120,36 +141,44 @@ def _load_config(path: str, subparser: argparse.ArgumentParser) -> dict:
     return values
 
 
+def _write_grid(out, axes, columns, fmt: str) -> None:
+    """Write the rows of ``columns`` (h_q, h_c, ratio; flat, etas-major)
+    over ``axes`` to the text stream ``out``, CHUNK_ROWS rows per write.
+
+    Each axis value is formatted once, as its part of the rows' prefixes.
+    JSON rows are ``json.dumps(..., indent=2)``'s own layout with ``%r``
+    fields, the same bytes, since every value is a finite float and json
+    writes a finite float as ``float.__repr__``.
+    """
+    axis_fmts, value_fmt, head, sep, tail = GRID_FORMATS[fmt]
+    texts = [[f % v for v in axis.tolist()] for f, axis in zip(axis_fmts, axes)]
+    prefixes = (e + s + t for e, s, t in itertools.product(*texts))
+    out.write(head)
+    for start in range(0, columns[0].size, CHUNK_ROWS):
+        values = zip(*(column[start : start + CHUNK_ROWS].tolist() for column in columns))
+        # values first: zip stops on them without drawing a prefix of the next chunk
+        rows = [p + value_fmt % v for v, p in zip(values, prefixes)]
+        out.write((sep if start else "") + sep.join(rows))
+    out.write(tail)
+
+
 def cmd_ratio_grid(args) -> int:
-    etas = _parse_axis(args.eta1)
-    n_ss = _parse_axis(args.ns)
-    n_ths = _parse_axis(args.nth, log=args.log_nth)
-    values = zip(*(column.ravel().tolist() for column in advantage_map(etas, n_ss, n_ths)))
-
-    if args.format == "csv":
-        # each axis value is formatted once, as the prefix of its rows
-        e_txt, s_txt, t_txt = (
-            ["%.17g," % v for v in axis.tolist()] for axis in (etas, n_ss, n_ths)
-        )
-        prefixes = [e + s + t for e in e_txt for s in s_txt for t in t_txt]
-        lines = [CSV_HEADER] + [p + "%.17g,%.17g,%.17g" % v for p, v in zip(prefixes, values)]
-        payload = "\n".join(lines) + "\n"
-    else:
-        keys = ("eta1", "n_s", "n_th", "h_q", "h_c", "ratio")
-        points = itertools.product(etas.tolist(), n_ss.tolist(), n_ths.tolist())
-        payload = json.dumps(
-            [dict(zip(keys, p + v)) for p, v in zip(points, values)], indent=2
-        ) + "\n"
-
-    if args.out:
-        try:
+    axes = (_parse_axis(args.eta1), _parse_axis(args.ns), _parse_axis(args.nth, log=args.log_nth))
+    columns = [column.ravel() for column in advantage_map(*axes)]
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
-    else:
-        sys.stdout.write(payload)
+                _write_grid(fh, axes, columns, args.format)
+        else:
+            _write_grid(sys.stdout, axes, columns, args.format)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.out:
+            # what stdout still buffers cannot be written either; without
+            # this the interpreter's flush at exit fails once more
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write {args.out or 'standard output'}: {exc}", file=sys.stderr)
+        return EXIT_IO
     return EXIT_OK
 
 

@@ -194,9 +194,9 @@ def _sector_layout(dim: int) -> _SectorLayout:
     padding = ~(inside[:, :, None] & inside[:, None, :])
     offset, low = np.abs(t[:, None] - t[None, :]), np.minimum(t[:, None], t[None, :])
     gather = (offset * dim + low + up[:, :, None]) * dim + low + down[:, :, None]
-    # int32 halves the shared memo; it holds dim^3 up to cutoff 1290, whose
-    # coherences alone would take 17 GB
-    gather = np.where(padding, dim**3 - 1, gather).astype(np.int32)
+    # intp, the index type of np.take: a narrower index halves the memo
+    # (8.1 MB at cutoff 80) but is cast to a new intp copy on every call
+    gather = np.where(padding, dim**3 - 1, gather).astype(np.intp, copy=False)
     layout = _SectorLayout(indices, padding, gather)
     for array in layout:
         array.setflags(write=False)
@@ -356,7 +356,9 @@ class ThermalLossChannel:
     3e-307 at cutoff 30 and n_th = 0, else ValueError: below that,
     d log tau/deta = (1 + n_th) / (G eta) times the exponent cutoff - 1 of
     tau leaves the float range, and at a subnormal eta even exponent 0 meets
-    an infinite rate.
+    an infinite rate. tau = eta / G must not round to 0 either, as at
+    eta = 1e-300 with n_th = 1e300, else ValueError. Both are checked before
+    any array arithmetic.
     """
 
     def __init__(self, eta: float, n_th: float, cutoff: int):
@@ -371,7 +373,13 @@ class ThermalLossChannel:
                 f"reflectivity {eta} too small for cutoff {cutoff}: "
                 "the channel's eta-derivative leaves the float range"
             )
-        log_tau, log_gain = np.log(eta / gain), np.log(gain)
+        tau = eta / gain
+        if not tau > 0.0:
+            raise ValueError(
+                f"reflectivity {eta} too small for bath {n_th}: "
+                "the channel's transmissivity eta / G rounds to 0"
+            )
+        log_tau, log_gain = np.log(tau), np.log(gain)
         # d log/deta of tau, of 1 - tau and (G - 1)/G alike, and of G
         dlog_tau, dlog_rest = (1.0 + n_th) / (gain * eta), -1.0 / (gain * (1.0 - eta))
         dlog_gain = -n_th / gain

@@ -234,15 +234,18 @@ def propagate(
     ``state`` does not depend on l, ``s`` is S(l) and ``ds`` its derivative.
     Returns the state, bit for bit what that expression gives, and the
     derivatives dS Sigma S^T + S Sigma dS^T of the covariance and dS d of the
-    displacement, restricted to the kept modes like the state.
+    displacement, restricted to the kept modes like the state. Only the kept
+    entries of the products are formed, so an entry of a discarded mode
+    that would overflow (eta1 = 1e-300 with n_th = 1e300) raises no warning.
     """
     s_cov, cov = _conjugate(s, state)
     idx = _quadrature_indices(state.n_modes, tuple(keep))
-    x = s_cov @ ds.T
+    ds_kept = ds.take(idx, 0)
+    x = s_cov.take(idx, 0) @ ds_kept.T
     return (
         GaussianState(_restrict(cov, idx), (s.matrix @ state.disp)[idx]),
-        _restrict(x + x.T, idx),
-        (ds @ state.disp)[idx],
+        x + x.T,
+        ds_kept @ state.disp,
     )
 
 

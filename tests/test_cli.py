@@ -14,7 +14,8 @@ import pytest
 import bifrost as bf
 from bifrost.protocols import BiFrequencyParams, bifrequency_advantage, bifrequency_received_state
 
-CLI = [sys.executable, "-m", "bifrost.cli"]
+# a RuntimeWarning fails a CLI subprocess as pyproject's policy fails a test
+CLI = [sys.executable, "-W", "error::RuntimeWarning", "-m", "bifrost.cli"]
 
 
 def run_cli(*args, env_extra=None):
@@ -112,14 +113,21 @@ def _row_by_row(eta1, ns, nth, log_nth, fmt):
     return json.dumps([dict(zip(keys, map(float, r))) for r in text], indent=2) + "\n"
 
 
+# a grid of 2,163 rows: two whole chunks of cli.CHUNK_ROWS and part of a third
+SEVERAL_CHUNKS = ("0.5:0.9:3", "0.1:2:7", "0.01:10:103", True)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize(
     "eta1, ns, nth, log_nth",
     [
         ("0.75:0.95:3", "0.01:2:100", "0.01:100:100", True),
         ("0.05:0.95:7", "0.1:5:40", "0:50:60", False),
+        SEVERAL_CHUNKS,
+        ("0.9", "1.0", "1.0", False),
+        ("0.9", "1.0", "-0.0", False),
     ],
-    ids=["benchmark-grid", "linear-nth"],
+    ids=["benchmark-grid", "linear-nth", "several-chunks", "one-row", "negative-zero-bath"],
 )
 def test_ratio_grid_bytes_match_row_by_row_sweep(eta1, ns, nth, log_nth, fmt, tmp_path):
     from bifrost import cli
@@ -129,6 +137,77 @@ def test_ratio_grid_bytes_match_row_by_row_sweep(eta1, ns, nth, log_nth, fmt, tm
             "--out", str(out)] + (["--log-nth"] if log_nth else [])
     assert cli.main(argv) == 0
     assert out.read_bytes() == _row_by_row(eta1, ns, nth, log_nth, fmt).encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_ratio_grid_to_stdout_matches_row_by_row_sweep(fmt, capsys):
+    """Written to stdout over two whole chunks of CHUNK_ROWS rows and part
+    of a third, the rows are the bytes of the row-by-row sweep."""
+    from bifrost import cli
+
+    eta1, ns, nth, log_nth = SEVERAL_CHUNKS
+    rows = np.prod([len(_row_by_row_axis(axis)) for axis in (eta1, ns, nth)])
+    assert 2 * cli.CHUNK_ROWS < rows < 3 * cli.CHUNK_ROWS
+    argv = ["ratio-grid", "--eta1", eta1, "--ns", ns, "--nth", nth, "--log-nth", "--format", fmt]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == _row_by_row(eta1, ns, nth, log_nth, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_ratio_grid_memory_does_not_hold_the_output(fmt, tmp_path):
+    """On the benchmark's 30,000-row map, 3.3 MB of CSV and 5.5 MB of JSON,
+    cli.main's traced peak stays under 4 MB (1.4 and 1.7 MB measured): the
+    closed-form arrays and one chunk's text. Holding the whole output text
+    peaked at 18 and 51 MB."""
+    import tracemalloc
+
+    from bifrost import cli
+
+    argv = ["ratio-grid", "--eta1", "0.75:0.95:3", "--ns", "0.01:2:100", "--nth",
+            "0.01:100:100", "--log-nth", "--format", fmt, "--out", str(tmp_path / "grid")]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
+
+
+def test_ratio_grid_domain_error_leaves_the_output_file_untouched(tmp_path, capsys):
+    from bifrost import cli
+
+    out = tmp_path / "grid.csv"
+    out.write_bytes(b"an earlier grid\n")
+    assert cli.main(["ratio-grid", "--eta1", "0.5:1.5:3", "--out", str(out)]) == 1
+    assert out.read_bytes() == b"an earlier grid\n"
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_ratio_grid_full_device_is_one_io_error_line(fmt, capsys):
+    from bifrost import cli
+
+    argv = ["ratio-grid", "--eta1", "0.75:0.95:3", "--ns", "0.01:2:100", "--format", fmt,
+            "--out", "/dev/full"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write /dev/full: "), lines
+
+
+def test_ratio_grid_reader_closing_stdout_is_one_io_error_line():
+    """A reader that closes the pipe early (``| head -1``) ends the grid
+    with exit code 2 and one error line, not a traceback."""
+    argv = ["ratio-grid", "--eta1", "0.75:0.95:3", "--ns", "0.01:2:100", "--nth", "0.01:100:100"]
+    proc = subprocess.Popen(CLI + argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"eta1,n_s,n_th,h_q,h_c,ratio\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert stderr == "error: cannot write standard output: [Errno 32] Broken pipe\n"
 
 
 @pytest.mark.parametrize(
@@ -205,6 +284,22 @@ def test_config_file_with_flag_override(tmp_path):
     assert rows[0]["eta1"] == 0.5
     assert rows[0]["n_s"] == 2.0
     assert rows[0]["n_th"] == 3.0  # flag wins over the file
+
+
+@pytest.mark.parametrize("probe", ["tmsv", "coherent"])
+def test_qfi_where_discarded_derivatives_overflow_warns_nothing(probe, capsys):
+    """At eta1 = 1e-300 with n_th = 1e300 the derivative entries of the
+    traced-out bath modes leave the float range; the kept ones do not, and
+    ``qfi`` prints a finite value with no warning."""
+    from bifrost import cli
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["qfi", "--eta1", "1e-300", "--ns", "0.5", "--nth", "1e300", "--probe", probe]
+        assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert np.isfinite(json.loads(captured.out)["value"])
 
 
 def test_qfi_point_output():

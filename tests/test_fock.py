@@ -695,6 +695,20 @@ def test_channel_rejects_a_reflectivity_its_derivative_cannot_hold(eta):
                 fock.bifrequency_fock_family(eta, 1e-7, 0.0, probe, 2)(0.0)
 
 
+def test_channel_rejects_a_transmissivity_that_rounds_to_zero():
+    """At eta = 1e-300 with n_th = 1e300, tau = eta / G rounds to 0 while
+    eta G = 1 passes the derivative's bound: the channel, and a family there,
+    raise ValueError before np.log(0) warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cutoff in (1, 10):
+            with pytest.raises(ValueError, match="transmissivity eta / G rounds to 0"):
+                fock.ThermalLossChannel(1e-300, 1e300, cutoff)
+        for probe in ("tmsv", "coherent"):
+            with pytest.raises(ValueError, match="rounds to 0"):
+                fock.bifrequency_fock_family(1e-300, 1e-7, 1e300, probe, 2)(0.0)
+
+
 def test_channel_at_the_smallest_reflectivities_it_holds_is_finite():
     """Just above the bound, and at 1e-300, every block and derivative is
     finite and no warning is raised."""

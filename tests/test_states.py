@@ -1,5 +1,7 @@
 """Gaussian-core constructions, transformations and reductions."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -215,3 +217,18 @@ def test_state_validation():
             bf.coherent(value)
         with pytest.raises(ValueError, match="displacement must be finite"):
             bf.GaussianState(np.eye(4), np.array([0.0, 0.0, value, 0.0]))
+
+
+def test_propagate_forms_only_the_kept_entries():
+    """Only the kept entries of the derivatives are formed: where those of a
+    discarded mode would leave the float range, no warning is raised."""
+    from bifrost import gaussian as g
+
+    state = bf.GaussianState(np.diag([3.0, 3.0, 1e300, 1e300]), np.array([1.0, 0.0, 1e300, 0.0]))
+    ds = np.diag([0.5, 0.5, 1e10, 1e10])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kept, dcov, ddisp = g.propagate(state, identity_transform(2), ds, [0])
+    assert np.array_equal(kept.cov, 3.0 * np.eye(2))
+    assert np.array_equal(dcov, 3.0 * np.eye(2))
+    assert np.array_equal(ddisp, [0.5, 0.0])
