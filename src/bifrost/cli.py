@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage or domain error, 2 I/O error, 3 regression
 failure. ``main`` is the one place that turns a ValueError or an
-ArithmeticError of any command into an ``error:`` line and exit 1. A config
+ArithmeticError of any command into an ``error:`` line and exit 1, and a
+failed write to stdout into one and exit 2. A config
 file becomes its command's defaults, so a flag on the command line always
 wins over the file. Numeric output is byte-deterministic: floats are printed
 with 17 significant digits, rows in a fixed parameter-major order, LF line
@@ -165,19 +166,14 @@ def _write_grid(out, axes, columns, fmt: str) -> None:
 def cmd_ratio_grid(args) -> int:
     axes = (_parse_axis(args.eta1), _parse_axis(args.ns), _parse_axis(args.nth, log=args.log_nth))
     columns = [column.ravel() for column in advantage_map(*axes)]
+    if not args.out:
+        _write_grid(sys.stdout, axes, columns, args.format)
+        return EXIT_OK
     try:
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                _write_grid(fh, axes, columns, args.format)
-        else:
-            _write_grid(sys.stdout, axes, columns, args.format)
-            sys.stdout.flush()
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            _write_grid(fh, axes, columns, args.format)
     except OSError as exc:
-        if not args.out:
-            # what stdout still buffers cannot be written either; without
-            # this the interpreter's flush at exit fails once more
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write {args.out or 'standard output'}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
 
@@ -343,17 +339,25 @@ def main(argv=None) -> int:
     command's defaults and ``argv`` is parsed again, so a flag given on the
     command line always wins over the file. A domain error or a numerical
     failure of any command is reported here, as one ``error:`` line with
-    exit code EXIT_USAGE."""
+    exit code EXIT_USAGE, and so is a failed write to stdout, with EXIT_IO."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", ""):
         args.subparser.set_defaults(**_load_config(args.config, args.subparser))
         args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        # what stdout still buffers cannot be written either; without this
+        # the interpreter's flush at exit fails once more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -143,11 +143,15 @@ def two_mode_squeezed(r: float) -> GaussianState:
     """
     if r < 0:
         raise ValueError("squeezing parameter must be nonnegative")
+    return GaussianState(_two_mode_squeezed_cov(r), np.zeros(4))
+
+
+def _two_mode_squeezed_cov(r: float) -> np.ndarray:
     c, s = np.cosh(2.0 * r), np.sinh(2.0 * r)
     cov = c * np.eye(4)
     cov[0, 2] = cov[2, 0] = s
     cov[1, 3] = cov[3, 1] = -s
-    return GaussianState(cov, np.zeros(4))
+    return cov
 
 
 def tmsv(n_s: float) -> GaussianState:
@@ -157,8 +161,13 @@ def tmsv(n_s: float) -> GaussianState:
     i.e. sinh^2 r = 2 n_s. Note that under the vacuum-identity convention this
     makes the per-mode photon number equal to 2 n_s, twice the label.
     """
+    return GaussianState(tmsv_cov(n_s), np.zeros(4))
+
+
+def tmsv_cov(n_s: float) -> np.ndarray:
+    """The covariance of ``tmsv(n_s)`` as a new, unvalidated array."""
     check_photon_numbers(n_s)
-    return two_mode_squeezed(np.arcsinh(np.sqrt(2.0 * n_s)))
+    return _two_mode_squeezed_cov(np.arcsinh(np.sqrt(2.0 * n_s)))
 
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:

@@ -4,7 +4,10 @@ Three pipelines are assembled here:
 
 * bi-frequency illumination, where a two-frequency probe (entangled pair or two
   coherent states) reflects off a target whose reflectivity differs by a
-  small gap between the two frequencies; the gap is the estimated parameter,
+  small gap between the two frequencies; the gap is the estimated parameter.
+  Both probes cross the same lossy channel, BS(eta1) on the first frequency
+  and BS(eta1 + gap) on the second: it is built and checked symplectic once
+  per operating point and shared by both probes' families,
 * the quantum-illumination regression: single-frequency target detection with
   a retained idler, reproduced both as closed forms and as a numeric
   three-mode pipeline,
@@ -14,6 +17,7 @@ Three pipelines are assembled here:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -63,11 +67,11 @@ def _bifrequency_input(p: BiFrequencyParams, probe: str) -> g.GaussianState:
     modes of ``tmsv(n_s)`` or two coherent states of amplitude sqrt(n_s)."""
     cov = np.eye(8)
     disp = np.zeros(8)
-    bath = [0, 1, 4, 5]
-    cov[bath, bath] = 1.0 + 2.0 * p.n_th
+    cov[[0, 1, 4, 5], [0, 1, 4, 5]] = 1.0 + 2.0 * p.n_th
     if probe == PROBE_TMSV:
-        signals = [2, 3, 6, 7]
-        cov[np.ix_(signals, signals)] = g.tmsv(p.n_s).cov
+        # as (half, quadrature, half, quadrature): the signals are the last two
+        # quadratures of each half
+        cov.reshape(2, 4, 2, 4)[:, 2:, :, 2:] = g.tmsv_cov(p.n_s).reshape(2, 2, 2, 2)
     elif probe == PROBE_COHERENT:
         disp[[2, 6]] = np.sqrt(2.0) * np.sqrt(p.n_s)
     else:
@@ -77,23 +81,42 @@ def _bifrequency_input(p: BiFrequencyParams, probe: str) -> g.GaussianState:
 
 def _channel_family(
     state: g.GaussianState,
-    transform: Callable[[float], np.ndarray],
+    transform: Callable[[float], g.SymplecticTransform],
     dtransform: Callable[[float], np.ndarray],
     keep: list[int],
     lambda0: float,
 ) -> StateFamily:
     """The family l -> modes ``keep`` of S(l) = transform(l) acting on a fixed
-    input state, differentiated through ``dtransform`` = dS/dl. ``transform``
-    returns the whole matrix, which is checked symplectic once per call."""
+    input state, differentiated through ``dtransform`` = dS/dl."""
     return StateFamily(
-        eval=lambda lam: g.partial_trace(
-            g.apply(g.SymplecticTransform(transform(lam)), state), keep
-        ),
-        tangent=lambda lam: g.propagate(
-            state, g.SymplecticTransform(transform(lam)), dtransform(lam), keep
-        ),
+        eval=lambda lam: g.partial_trace(g.apply(transform(lam), state), keep),
+        tangent=lambda lam: g.propagate(state, transform(lam), dtransform(lam), keep),
         lambda0=lambda0,
     )
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def _bifrequency_channel(eta1: float, eta2: float) -> g.SymplecticTransform:
+    """BS(eta1) + BS(eta2) on (bath 1, signal 1, bath 2, signal 2), checked
+    symplectic once. Both probes' families share it, so it is read-only. Keys
+    are typed and callers add 0.0, which turns -0.0 into 0.0 and keeps every
+    other value, so that keys sharing an entry give the same bits."""
+    bs = g.beam_splitter_matrix
+    s = g.SymplecticTransform(g.block_diag(bs(eta1), bs(eta2)))
+    s.matrix.setflags(write=False)
+    return s
+
+
+@functools.lru_cache(maxsize=16, typed=True)
+def _bifrequency_channel_derivative(eta1: float, eta2: float) -> np.ndarray:
+    """d/d eta2 of ``_bifrequency_channel(eta1, eta2)``, read-only. It needs
+    both reflectivities strictly inside (0, 1), so no key is a signed zero."""
+    if not 0.0 < eta1 < 1.0:
+        raise ValueError(f"eta1 must lie strictly in (0, 1) to differentiate, got {eta1}")
+    d = np.zeros((8, 8))
+    d[4:, 4:] = g.beam_splitter_derivative(eta2)
+    d.setflags(write=False)
+    return d
 
 
 def bifrequency_received_state(p: BiFrequencyParams, probe: str) -> StateFamily:
@@ -103,22 +126,13 @@ def bifrequency_received_state(p: BiFrequencyParams, probe: str) -> StateFamily:
     tangent needs both strictly inside (0, 1), where the beam splitter is
     differentiable, and raises ValueError elsewhere.
     """
-    if probe not in (PROBE_TMSV, PROBE_COHERENT):
-        raise ValueError(f"unknown probe {probe!r}")
-
-    reference = g.beam_splitter_matrix(p.eta1)
-
-    def transform(lam: float) -> np.ndarray:
-        return g.block_diag(reference, g.beam_splitter_matrix(p.eta1 + lam))
-
-    def dtransform(lam: float) -> np.ndarray:
-        if not 0.0 < p.eta1 < 1.0:
-            raise ValueError(f"eta1 must lie strictly in (0, 1) to differentiate, got {p.eta1}")
-        d = np.zeros((8, 8))
-        d[4:, 4:] = g.beam_splitter_derivative(p.eta1 + lam)
-        return d
-
-    return _channel_family(_bifrequency_input(p, probe), transform, dtransform, [1, 3], p.lam)
+    return _channel_family(
+        _bifrequency_input(p, probe),
+        lambda lam: _bifrequency_channel(p.eta1 + 0.0, p.eta1 + lam + 0.0),
+        lambda lam: _bifrequency_channel_derivative(p.eta1, p.eta1 + lam),
+        [1, 3],
+        p.lam,
+    )
 
 
 def bifrequency_advantage(p: BiFrequencyParams) -> tuple[float, float, float]:
@@ -208,7 +222,9 @@ def _qi_quantum_received(eta: float, n_s: float, n_th: float) -> StateFamily:
 
     return _channel_family(
         g.tensor(g.thermal(n_th), probe),
-        lambda e: g.block_diag(g.beam_splitter_matrix(e**2), np.eye(2)),
+        lambda e: g.SymplecticTransform(
+            g.block_diag(g.beam_splitter_matrix(e**2), np.eye(2))
+        ),
         dtransform,
         [1, 2],
         eta,
@@ -224,7 +240,7 @@ def _qi_classical_received(eta: float, n_s: float, n_th: float) -> StateFamily:
     """Received single-mode states over the amplitude reflectivity eta."""
     return _channel_family(
         g.tensor(g.thermal(n_th), g.coherent(np.sqrt(n_s))),
-        lambda e: g.beam_splitter_matrix(e**2),
+        lambda e: g.beam_splitter(e**2),
         g.beam_splitter_amplitude_derivative,
         [1],
         eta,

@@ -47,6 +47,7 @@ other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -66,6 +67,9 @@ DISCRIMINANT_RTOL = 1e-12
 
 # the closed forms take floats or numpy arrays that broadcast together
 Floats = float | np.ndarray
+
+_EYE4 = np.eye(4)
+_EYE4.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,7 @@ class QfiResult:
 def _invariants(cov: np.ndarray) -> tuple[np.ndarray, float, float]:
     """M = Omega Sigma, s = nu_+^2 + nu_-^2 = -Tr(M^2) / 2 and p = det Sigma."""
     m = omega(cov.shape[0] // 2) @ cov
-    return m, -0.5 * float(np.trace(m @ m)), float(np.linalg.det(cov))
+    return m, -0.5 * float((m @ m).trace()), float(np.linalg.det(cov))
 
 
 def _nu_from_invariants(s: float, p: float, cov: np.ndarray) -> tuple[float, float]:
@@ -128,8 +132,8 @@ def _nu_from_invariants(s: float, p: float, cov: np.ndarray) -> tuple[float, flo
         raise NumericalInstabilityError(
             f"negative symplectic discriminant {disc:.3e} beyond tolerance"
         )
-    root = np.sqrt(max(disc, 0.0))
-    return float(np.sqrt(0.5 * (s + root))), float(np.sqrt(max(0.5 * (s - root), 0.0)))
+    root = math.sqrt(max(disc, 0.0))
+    return math.sqrt(0.5 * (s + root)), math.sqrt(max(0.5 * (s - root), 0.0))
 
 
 def _invariant_correction(s: float, p: float, ds: float, dp: float, nu_m: float) -> float:
@@ -191,11 +195,11 @@ def qfi_gaussian(family: StateFamily) -> QfiResult:
     else:
         dm = omega(2) @ dcov
         inv_dcov = np.linalg.solve(cov, dcov)
-        tr1 = float(np.trace(inv_dcov @ inv_dcov))
-        one_plus_a2 = np.eye(4) - m @ m
-        tr2 = -float(np.trace(np.linalg.matrix_power(np.linalg.solve(one_plus_a2, dm), 2)))
-        ds = -float(np.trace(m @ dm))
-        dp = p * float(np.trace(inv_dcov))
+        tr1 = float((inv_dcov @ inv_dcov).trace())
+        x = np.linalg.solve(_EYE4 - m @ m, dm)
+        tr2 = -float((x @ x).trace())
+        ds = -float((m @ dm).trace())
+        dp = p * float(inv_dcov.trace())
         denom = 2.0 * (p - 1.0)
         term_cov = (p * tr1 + (1.0 + s + p) * tr2) / denom
         term_cov -= _invariant_correction(s, p, ds, dp, nu_m) / denom

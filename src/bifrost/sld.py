@@ -55,6 +55,7 @@ mode in the noiseless high-reflectivity limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import NamedTuple
@@ -141,7 +142,7 @@ class _Solution(NamedTuple):
         term_cov = 0.5 * float(np.vdot(self.z, self.q).real)
         term_disp = 2.0 * float(np.vdot(self.proj, self.proj).real)
         value = term_cov + term_disp
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise ArithmeticError(f"the QFI leaves the float range: {value}")
         abs_lam = np.abs(self.lam)
         return QfiResult(
@@ -247,6 +248,10 @@ class SldCoefficients:
         return (self.l11, self.l22, self.l12, self.l0)
 
 
+# the entries a number/pair observable leaves empty: all but both diagonals
+_UNPAIRED = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
+
+
 def _coefficients_from_form(form: SldForm) -> SldCoefficients:
     """Extract number/pair coefficients from a two-mode displacement-free form."""
     q = form.quad
@@ -254,11 +259,9 @@ def _coefficients_from_form(form: SldForm) -> SldCoefficients:
         raise ValueError("coefficient extraction needs a two-mode form")
     if np.max(np.abs(form.center)) > _STRUCTURE_TOL or np.max(np.abs(form.linear)) > _STRUCTURE_TOL:
         raise ValueError("coefficient extraction needs a displacement-free family")
-    structure = np.zeros((4, 4), dtype=bool)
-    for i, j in [(0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (1, 2), (2, 1), (3, 0)]:
-        structure[i, j] = True
-    stray = np.max(np.abs(q[~structure]))
-    scale = max(np.max(np.abs(q)), 1.0)
+    abs_q = np.abs(q)
+    stray = abs_q[_UNPAIRED].max()
+    scale = max(abs_q.max(), 1.0)
     if stray > _STRUCTURE_TOL * scale:
         raise ValueError(
             f"quadratic form has beam-splitter/single-mode terms of size {stray:.3e}; "

@@ -210,6 +210,20 @@ def test_ratio_grid_reader_closing_stdout_is_one_io_error_line():
     assert stderr == "error: cannot write standard output: [Errno 32] Broken pipe\n"
 
 
+@pytest.mark.parametrize("argv", [["qfi", "--probe", "coherent"], ["circuit"]], ids=["qfi", "circuit"])
+def test_point_command_into_a_closed_pipe_is_one_io_error_line(argv):
+    """A command whose reader has closed the pipe before it writes exits 2
+    with one error line, not a traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(CLI + argv, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == "error: cannot write standard output: [Errno 32] Broken pipe\n"
+
+
 @pytest.mark.parametrize(
     "flags",
     [

@@ -1,0 +1,78 @@
+"""Golden bits of the numeric Gaussian pipeline at fixed operating points.
+
+``golden_bits.json`` holds, as ``float.hex``, every field of ``qfi_gaussian``
+and ``qfi_result`` and the ``optimal_observable`` coefficients of both probes
+at 64 seeded points of the benchmark's numeric-points box, (eta1, log10 n_s,
+log10 n_th) in [0.05, 0.95] x [-2, 1] x [-2, log10 5], and at the edge
+points of the documented domain. A call that raises is recorded by its
+error's class. The test compares exactly: a change meant to keep every
+number must keep these bits.
+
+Regenerate the file only for a change meant to move numbers:
+``PYTHONPATH=src python tests/test_golden_bits.py``.
+"""
+
+import dataclasses
+import json
+import os
+
+import numpy as np
+
+from bifrost.protocols import BiFrequencyParams, bifrequency_received_state
+from bifrost.qfi import qfi_gaussian
+from bifrost.sld import optimal_observable, qfi_result
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_bits.json")
+EDGE_POINTS = [
+    (0.8053, 2.86e-6, 1e-6),
+    (0.5, 1e-6, 1e-6),
+    (0.999999, 1.0, 1.0),
+    (0.999999, 1e6, 1e-6),
+    (0.999999, 1e-6, 1e-6),
+    (1e-6, 1e6, 1e6),
+]
+
+
+def _points() -> list[tuple[float, float, float]]:
+    rng = np.random.default_rng(20151024)
+    box = rng.uniform((0.05, -2.0, -2.0), (0.95, 1.0, np.log10(5.0)), size=(64, 3))
+    return [(float(e), 10.0 ** float(s), 10.0 ** float(t)) for e, s, t in box] + EDGE_POINTS
+
+
+def _record(call) -> list[str] | str:
+    """The float fields of ``call()`` as hex, or the class name of its error."""
+    try:
+        value = call()
+    except Exception as exc:  # every error is part of the record
+        return type(exc).__name__
+    fields = value.as_tuple() if hasattr(value, "as_tuple") else dataclasses.astuple(value)
+    return [float(v).hex() for v in fields]
+
+
+def _entry(point: tuple[float, float, float], probe: str) -> dict:
+    def family():
+        return bifrequency_received_state(BiFrequencyParams(point[0], 0.0, *point[1:]), probe)
+
+    return {
+        "point": [v.hex() for v in point],
+        "probe": probe,
+        "qfi_gaussian": _record(lambda: qfi_gaussian(family())),
+        "qfi_result": _record(lambda: qfi_result(family())),
+        "optimal_observable": _record(lambda: optimal_observable(family())),
+    }
+
+
+def test_numeric_pipeline_keeps_its_golden_bits():
+    with open(GOLDEN, "r", encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert len(golden) == 2 * (64 + len(EDGE_POINTS))
+    for expected in golden:
+        point = tuple(float.fromhex(v) for v in expected["point"])
+        assert _entry(point, expected["probe"]) == expected
+
+
+if __name__ == "__main__":
+    entries = [_entry(p, probe) for p in _points() for probe in ("tmsv", "coherent")]
+    with open(GOLDEN, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(entries, fh, indent=1)
+        fh.write("\n")

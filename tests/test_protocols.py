@@ -188,6 +188,86 @@ def test_channel_family_tangents_match_reference_composition():
         )
 
 
+def _outputs(p, probe):
+    """The family's arrays at its working point: its tangent where it has one,
+    else its state."""
+    family = bifrequency_received_state(p, probe)
+    try:
+        return _arrays(family.derivative())
+    except ValueError:
+        state = family.eval(p.lam)
+        return [state.cov, state.disp]
+
+
+MEMO_POINTS = [
+    BiFrequencyParams(0.37, 0.0, 0.8, 1.9),
+    BiFrequencyParams(np.float64(0.37), 0.0, 0.8, 1.9),
+    BiFrequencyParams(0.999999, 1e-6, 1e6, 1e-6),
+    BiFrequencyParams(0.0, 0.0, 1.0, 1.0),
+    BiFrequencyParams(-0.0, 0.0, 1.0, 1.0),
+    BiFrequencyParams(-0.0, -0.0, 1.0, 1.0),
+    BiFrequencyParams(0.4, -0.4, 1.0, 1.0),
+]
+
+
+def test_both_probes_share_one_read_only_channel():
+    from bifrost.protocols import _bifrequency_channel, _bifrequency_channel_derivative
+
+    for memo in (_bifrequency_channel, _bifrequency_channel_derivative):
+        memo.cache_clear()
+    p = BiFrequencyParams(0.61, 0.0, 0.3, 2.2)
+    for probe in ("tmsv", "coherent"):
+        family = bifrequency_received_state(p, probe)
+        family.derivative()
+        family.eval(p.lam)
+    for memo in (_bifrequency_channel, _bifrequency_channel_derivative):
+        info = memo.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and info.hits >= 1, info
+    channel = _bifrequency_channel(0.61, 0.61)
+    assert channel is _bifrequency_channel(0.61, 0.61)
+    assert not channel.matrix.flags.writeable
+    assert not _bifrequency_channel_derivative(0.61, 0.61).flags.writeable
+
+
+@pytest.mark.parametrize("order", [("tmsv", "coherent"), ("coherent", "tmsv")])
+def test_channel_memo_hit_gives_the_bits_of_a_miss(order):
+    """Fresh memos give the bits of a miss. Then every point, -0.0 after 0.0
+    and np.float64 after float among them, gives the same bits again with the
+    memos filled, in either probe order."""
+    from bifrost.protocols import _bifrequency_channel, _bifrequency_channel_derivative
+
+    misses = []
+    for p in MEMO_POINTS:
+        for probe in order:
+            for memo in (_bifrequency_channel, _bifrequency_channel_derivative):
+                memo.cache_clear()
+            misses.append(_outputs(p, probe))
+    hits = [_outputs(p, probe) for p in MEMO_POINTS for probe in order]
+    assert _bifrequency_channel.cache_info().hits > 0
+    for hit, miss in zip(hits, misses, strict=True):
+        _assert_same_bits(hit, miss)
+
+
+def test_channel_memo_keeps_no_error():
+    """Out-of-range and NaN reflectivities raise on every call and leave the
+    memo as it was; the derivative's domain error stays on the tangent."""
+    from bifrost.protocols import _bifrequency_channel
+
+    family = bifrequency_received_state(BiFrequencyParams(0.7, 0.0, 1.0, 1.0), "tmsv")
+    _bifrequency_channel.cache_clear()
+    for lam in (0.5, -0.8, np.nan, np.inf):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="reflectivity must lie in"):
+                family.eval(lam)
+            with pytest.raises(ValueError, match="reflectivity must lie in"):
+                family.tangent(lam)
+    assert _bifrequency_channel.cache_info().currsize == 0
+    for _ in range(2):
+        assert family.eval(0.3).cov.shape == (4, 4)
+        with pytest.raises(ValueError, match="strictly in"):
+            family.tangent(0.3)
+
+
 # --- thermal occupation approximation --------------------------------------
 
 def test_thermal_approx_zero_gap():
