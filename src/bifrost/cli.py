@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     qi.set_defaults(func=cmd_qi_check)
 
     val = sub.add_parser("validate", help="Fock-oracle equivalence suite")
-    val.add_argument("--quick", action="store_true", help="reduced configs and cutoff")
+    val.add_argument("--quick", action="store_true", help="reduced configs")
     val.set_defaults(func=cmd_validate)
 
     th = sub.add_parser("thermal-approx", help="equal-bath-occupation accuracy report")

@@ -43,10 +43,12 @@ delta at row delta + cutoff - 1, in the leading corner of its size, and 0
 elsewhere. So the state is gathered in one index and checked in one pass;
 ``_sector_layout`` holds the indices, the padding mask and the gather index
 of each cutoff. A product state is kept as its one-mode factors
-(``FockState.product``). ``qfi_eq1`` diagonalises the factors or the
-sectors, never a cutoff^2 x cutoff^2 matrix, and reads which off the
-states, never off the probe; ``quadrature_moments`` sums over the factors'
-or the stack's entries.
+(``FockState.product``). ``qfi_eq1`` and ``validate.sld_fock_report``
+read either form through one view (``_blockwise``): a weight and the blocks
+their sums run over. So they diagonalise one sector, or the moving factor,
+never a cutoff^2 x cutoff^2 matrix, and read the form off the state, never
+off the probe; ``quadrature_moments`` sums over the factors' or the stack's
+entries.
 
 The four-mode bi-frequency pipeline is never materialised: the interaction
 does not mix frequencies, so each frequency sees an independent thermal-loss
@@ -77,7 +79,11 @@ its own structure (``FockState.tangent``): the eta-derivative of the second
 channel, the only one that moves with lam. So the two-mode squeezed tangent
 is B1_k diag(a_{i+k} a_i) dB2_k^T per offset, in the state's sector stack.
 The first factor of the coherent product does not move, so the product
-tangent is dB alone, read as A x dB.
+tangent is dB alone, read as A x dB. In the factors' eigenbases, where
+p[i1, i2] = a[i1] b[i2], A x dB couples (i1, i2) only to (i1, j2), with
+pair sum a[i1] (b[i2] + b[j2]); each a[i1] factors out of Eq. 1, so the
+product's sum is Tr A times that of the one block (B, dB) on the states
+|0, n2>.
 
 The products stay one BLAS call per offset, at the offset's own size. A
 product padded to the full cutoff, batched over the offsets, gives the same
@@ -100,8 +106,6 @@ from .errors import CutoffTooSmallError, check_photon_numbers
 HARD_TAIL_TOL = 1e-6
 # working point of every Fock-family tangent
 LAMBDA0 = 0.0
-# eigenvalue pairs of the QFI sum whose sum is at most this are skipped
-DROP_THRESHOLD = 1e-12
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
@@ -499,30 +503,24 @@ def bifrequency_fock_family(
     return family
 
 
-def _blockwise(state: FockState) -> list[tuple[np.ndarray, ...]]:
-    """(basis index set, block of the state, block of its tangent) per
-    sector of a state kept as sectors, each at the sector's own size."""
+def _blockwise(state: FockState) -> tuple[float, list[tuple[np.ndarray, ...]]]:
+    """The weight and the blocks, each (basis index set, block of the state,
+    block of its tangent) at its own size, that Eq. 1 and the SLD sums run
+    over: a state's sectors with weight 1, or for a product Tr A and the one
+    block (B, dB) on the states |0, n2> (the tangent rule)."""
     d = state.dim
+    if state.factors is not None:
+        first, second = state.factors
+        return float(np.trace(first).real), [(np.arange(d), second, state.tangent)]
     sizes = (d - abs(delta) for delta in range(1 - d, d))
     parts = zip(_sector_layout(d).indices, state.stack, state.tangent, sizes)
-    return [(idx[:m], block[:m, :m], dblock[:m, :m]) for idx, block, dblock, m in parts]
+    return 1.0, [(idx[:m], block[:m, :m], dblock[:m, :m]) for idx, block, dblock, m in parts]
 
 
 def _pair_sum(sums: np.ndarray, mat: np.ndarray) -> float:
-    """sum |mat|^2 / sums over the pairs whose eigenvalue sum exceeds DROP_THRESHOLD."""
-    mask = sums > DROP_THRESHOLD
+    """sum |mat|^2 / sums over the pairs whose eigenvalue sum is positive."""
+    mask = sums > 0.0
     return np.sum(np.abs(mat[mask]) ** 2 / sums[mask])
-
-
-def _product_qfi(state: FockState) -> float:
-    """The Eq. 1 sum for a product A x B with tangent A x dB, in the product
-    of the factors' eigenbases, where p[i1, i2] = a[i1] b[i2]. There A x dB
-    couples (i1, i2) only to (i1, j2), by a[i1] dB'[i2, j2], so the sum runs
-    over [i1, i2, j2] with pair sums a[i1] (b[i2] + b[j2])."""
-    a = np.linalg.eigvalsh(state.factors[0])
-    b, v = np.linalg.eigh(state.factors[1])
-    db = v.conj().T @ state.tangent @ v
-    return _pair_sum(a[:, None, None] * (b[:, None] + b), a[:, None, None] * db)
 
 
 def qfi_eq1(family: Callable[[float], FockState]) -> float:
@@ -530,17 +528,15 @@ def qfi_eq1(family: Callable[[float], FockState]) -> float:
 
     The family is evaluated once, at LAMBDA0, and drho is the tangent that
     state carries (the tangent rule, module docstring), else ValueError. The
-    sum runs in the factors' eigenbases (``_product_qfi``) or over the
-    sectors (``_blockwise``), each decomposed in its own dtype. Eigenvalue pairs whose
-    sum is at most DROP_THRESHOLD are skipped.
+    sum runs over the blocks of ``_blockwise``, each decomposed in its own
+    dtype, times their weight.
     """
     state = family(LAMBDA0)
     if state.tangent is None:
         raise ValueError("the family's state carries no tangent")
-    if state.factors is not None:
-        return float(2.0 * _product_qfi(state))
+    weight, blocks = _blockwise(state)
     total = 0.0
-    for _, block, dblock in _blockwise(state):
+    for _, block, dblock in blocks:
         evals, evecs = np.linalg.eigh(block)
         total += _pair_sum(evals[:, None] + evals, evecs.conj().T @ dblock @ evecs)
-    return float(2.0 * total)
+    return float(2.0 * weight * total)

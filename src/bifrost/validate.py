@@ -32,14 +32,15 @@ ORACLE_CONFIGS = [
     for n_s in (0.2, 0.5)
     for n_th in (0.1, 0.3)
 ]
-ORACLE_CUTOFF = 30
-SLD_CUTOFF = 25
+# the cutoff of every check on ORACLE_CONFIGS, quick or full
+CUTOFF = 30
 # Where the paper's advantage is large; not run by --quick. The gate bounds
 # only the received state's trace leak (fock.HARD_TAIL_TOL): it admits the
 # entangled probe at n_s = 2 from cutoff 63, but the SLD variance, which weighs
-# the photon-number tail by ell^2, meets its 1e-3 tolerance at n_th = 1 from 65.
+# the photon-number tail by ell^2, meets its 1e-4 tolerance at n_th = 1 from 77.
+# Both probes of one n_s share its cutoff, and so its channels.
 WIDE_CONFIGS = [(0.8, n_s, n_th) for n_s in (1.0, 2.0) for n_th in (1.0, 2.0)]
-WIDE_CUTOFFS = {("tmsv", 1.0): 45, ("tmsv", 2.0): 80, ("coherent", 1.0): 60, ("coherent", 2.0): 60}
+WIDE_CUTOFFS = {1.0: 45, 2.0: 80}
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ class Check:
 
 
 def oracle_equivalence_checks(
-    configs=ORACLE_CONFIGS, cutoff: int = ORACLE_CUTOFF, probes=("tmsv", "coherent")
+    configs=ORACLE_CONFIGS, cutoff: int = CUTOFF, probes=("tmsv", "coherent")
 ) -> list[Check]:
     """Fock-oracle QFI against the Gaussian pipeline, both probes."""
     checks = []
@@ -71,7 +72,7 @@ def oracle_equivalence_checks(
             )
             rel = abs(h_fock - gauss) / abs(gauss)
             checks.append(
-                Check(f"oracle {probe} eta1={eta1} n_s={n_s} n_th={n_th}", rel, 1e-5)
+                Check(f"oracle {probe} eta1={eta1} n_s={n_s} n_th={n_th}", rel, 1e-6)
             )
     return checks
 
@@ -157,7 +158,7 @@ def fock_sld_operator(form: SldForm, cutoff: int) -> LadderOperator:
 
 
 def sld_fock_report(
-    eta1: float, n_s: float, n_th: float, probe: str, cutoff: int = SLD_CUTOFF
+    eta1: float, n_s: float, n_th: float, probe: str, cutoff: int = CUTOFF
 ) -> dict:
     """Anticommutator residual, mean and variance of the SLD on the oracle.
 
@@ -165,27 +166,24 @@ def sld_fock_report(
     of ell rho + (ell rho)^dag = 2 drho, the mean Tr(ell rho) and the second
     moment Tr(ell ell rho) are sums over blocks, read off the form and one
     family evaluation, the state and its tangent drho (the tangent rule of
-    the ``fock`` module docstring), never the probe. A product A x B (tangent
-    A x dB) needs a form with no mode-1 term, else ValueError: then
-    ell = I x ell_2 is ell_2 on the states |0, n2>, one block B with tangent
-    dB, and the mean and second moment are scaled by Tr A. For sectors the
-    blocks are those of ``fock._blockwise``, and ell is gathered between the
-    sectors whose n1 - n2 differ by a charge of the form. Neither route
-    forms a cutoff^2 x cutoff^2 matrix. A cutoff that passes the tail gate
-    may still be too small for the second moment (see ``WIDE_CONFIGS``).
+    the ``fock`` module docstring), never the probe. The blocks and the
+    weight that scales the mean and second moment are those of
+    ``fock._blockwise``, and ell is gathered between the blocks whose
+    n1 - n2 differ by a charge of the form, never on the whole
+    cutoff^2 x cutoff^2 basis. A product's one block lies on the states
+    |0, n2>, where ell reads as I x ell_2 only if the form has no mode-1
+    term, else ValueError. A cutoff that passes the tail gate may still be
+    too small for the second moment (see ``WIDE_CONFIGS``).
     """
     solution = _solve(bifrequency_received_state(BiFrequencyParams(eta1, 0.0, n_s, n_th), probe))
     h = solution.result().value
     ell = fock_sld_operator(solution.form(), cutoff)
     state = fock.bifrequency_fock_family(eta1, n_s, n_th, probe, cutoff)(fock.LAMBDA0)
-    scale = 1.0
-    if state.factors is None:
-        blocks = fock._blockwise(state)
-    elif np.array_equal(ell.first, ell.first[:, :1, :1] * np.eye(cutoff)):
-        scale = state.factors[0].trace()
-        blocks = [(np.arange(cutoff), state.factors[1], state.tangent)]
-    else:
+    if state.factors is not None and not np.array_equal(
+        ell.first, ell.first[:, :1, :1] * np.eye(cutoff)
+    ):
         raise ValueError("the SLD form acts on mode 1 of a product state")
+    weight, blocks = fock._blockwise(state)
     count = len(blocks)
     # sectors ascend in n1 - n2, so charge c pairs block q with block q + c
     pairs = [(q + c, q) for q in range(count) for c in ell.charges if 0 <= q + c < count]
@@ -200,10 +198,10 @@ def sld_fock_report(
         residual_sq += np.linalg.norm(anticommutator) ** 2
         second_moment += np.sum(ell_blocks[p, q] * products[q, p].T)
     residual = np.sqrt(residual_sq) / np.linalg.norm([np.linalg.norm(b[2]) for b in blocks])
-    second_moment = float(np.real(scale * second_moment))
+    second_moment = float(np.real(weight * second_moment))
     return {
         "residual": float(residual),
-        "mean": float(np.real(scale * mean)),
+        "mean": float(np.real(weight * mean)),
         "second_moment": second_moment,
         "qfi": h,
         "variance_rel_error": abs(second_moment - h) / h,
@@ -211,27 +209,28 @@ def sld_fock_report(
 
 
 def sld_checks(
-    configs=ORACLE_CONFIGS, cutoff: int = SLD_CUTOFF, probes=("tmsv", "coherent")
+    configs=ORACLE_CONFIGS, cutoff: int = CUTOFF, probes=("tmsv", "coherent")
 ) -> list[Check]:
     checks = []
     for probe in probes:
         for eta1, n_s, n_th in configs:
             rep = sld_fock_report(eta1, n_s, n_th, probe, cutoff)
             tag = f"{probe} eta1={eta1} n_s={n_s} n_th={n_th}"
-            checks.append(Check(f"sld anticommutator {tag}", rep["residual"], 1e-3))
-            checks.append(Check(f"sld variance {tag}", rep["variance_rel_error"], 1e-3))
-            checks.append(Check(f"sld zero mean {tag}", abs(rep["mean"]), 1e-4))
+            checks.append(Check(f"sld anticommutator {tag}", rep["residual"], 1e-4))
+            checks.append(Check(f"sld variance {tag}", rep["variance_rel_error"], 1e-4))
+            checks.append(Check(f"sld zero mean {tag}", abs(rep["mean"]), 1e-5))
     return checks
 
 
 def wide_box_checks() -> list[Check]:
-    """The oracle and SLD checks on WIDE_CONFIGS, each probe and n_s at its
-    cutoff in WIDE_CUTOFFS."""
+    """The oracle and SLD checks on WIDE_CONFIGS, each probe at the cutoff
+    of its n_s in WIDE_CUTOFFS."""
     checks = []
-    for (probe, n_s), cutoff in WIDE_CUTOFFS.items():
-        configs = [config for config in WIDE_CONFIGS if config[1] == n_s]
-        checks += oracle_equivalence_checks(configs, cutoff, (probe,))
-        checks += sld_checks(configs, cutoff, (probe,))
+    for probe in ("tmsv", "coherent"):
+        for n_s, cutoff in WIDE_CUTOFFS.items():
+            configs = [config for config in WIDE_CONFIGS if config[1] == n_s]
+            checks += oracle_equivalence_checks(configs, cutoff, (probe,))
+            checks += sld_checks(configs, cutoff, (probe,))
     return checks
 
 
@@ -303,9 +302,5 @@ def closed_form_checks() -> list[Check]:
 def full_validation(quick: bool = False) -> list[Check]:
     if quick:
         configs = [(0.5, 0.2, 0.1), (0.8, 0.5, 0.3)]
-        return (
-            closed_form_checks()
-            + oracle_equivalence_checks(configs, cutoff=24)
-            + sld_checks(configs, cutoff=24)
-        )
+        return closed_form_checks() + oracle_equivalence_checks(configs) + sld_checks(configs)
     return closed_form_checks() + oracle_equivalence_checks() + sld_checks() + wide_box_checks()

@@ -74,8 +74,8 @@ def dense_tangent(state):
 
 
 def dense_qfi(rho, drho):
-    """The Eq. 1 QFI over the eigenpairs of the whole dense ``rho``, with
-    the package's DROP_THRESHOLD."""
+    """The Eq. 1 QFI over the eigenpairs of the whole dense ``rho``, summed
+    by the package's ``_pair_sum``."""
     evals, evecs = np.linalg.eigh(rho)
     return 2.0 * float(fock._pair_sum(evals[:, None] + evals, evecs.conj().T @ drho @ evecs))
 

@@ -68,7 +68,7 @@ def test_criterion_2_fock_oracle_equivalence():
     worst = 0.0
     for probe, closed in (("tmsv", bf.hq_closed_form), ("coherent", bf.hc_closed_form)):
         for eta1, n_s, n_th in ORACLE_SET:
-            family = fock.bifrequency_fock_family(eta1, n_s, n_th, probe, 30)
+            family = fock.bifrequency_fock_family(eta1, n_s, n_th, probe, validate.CUTOFF)
             h_fock = fock.qfi_eq1(family)
             gauss_family = bifrequency_received_state(BiFrequencyParams(eta1, 0.0, n_s, n_th), probe)
             for kernel in QFI_ROUTES:
@@ -144,7 +144,7 @@ def test_criterion_6_sld_correctness():
     worst_variance = 0.0
     for probe in ("tmsv", "coherent"):
         for eta1, n_s, n_th in ORACLE_SET:
-            rep = validate.sld_fock_report(eta1, n_s, n_th, probe, cutoff=25)
+            rep = validate.sld_fock_report(eta1, n_s, n_th, probe, validate.CUTOFF)
             worst_residual = max(worst_residual, rep["residual"])
             worst_variance = max(worst_variance, rep["variance_rel_error"])
     closed = bf.sld_coeffs_closed_form(1.0 - 1e-9, 1.0, 0.0)

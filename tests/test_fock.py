@@ -114,7 +114,9 @@ def test_entangled_state_keeps_its_sectors():
     assert stack.shape == (2 * cutoff - 1, cutoff, cutoff)
     layout = fock._sector_layout(cutoff)
     shifts = []
-    for q, (idx, block, dblock) in enumerate(fock._blockwise(state)):
+    weight, blocks = fock._blockwise(state)
+    assert weight == 1.0
+    for q, (idx, block, dblock) in enumerate(blocks):
         n1, n2 = np.divmod(idx, cutoff)
         assert len(set(n1 - n2)) == 1 and np.all(np.diff(n1) == 1)
         assert block.shape == dblock.shape == (len(idx), len(idx)) and block.dtype == np.float64
@@ -544,6 +546,18 @@ def test_quick_validation_builds_each_channel_once(monkeypatch):
     assert len(built) == len(set(built)) == 2
 
 
+def test_full_validation_builds_each_channel_once(monkeypatch):
+    """The oracle checks build the channels that the SLD checks, and the
+    wide box's coherent checks, then read: 8 in all, none twice, at
+    (eta1, n_th) in {0.5, 0.8} x {0.1, 0.3} at the validation cutoff and at
+    (0.8, n_th) in {1, 2} at each cutoff of the wide box."""
+    built = _count_builds(monkeypatch)
+    assert all(check.passed for check in validate.full_validation())
+    expected = {(eta1, n_th, validate.CUTOFF) for eta1 in (0.5, 0.8) for n_th in (0.1, 0.3)}
+    expected |= {(0.8, n_th, cutoff) for n_th in (1.0, 2.0) for cutoff in (45, 80)}
+    assert sorted(built) == sorted(expected)
+
+
 @pytest.mark.parametrize("probe", ["tmsv", "coherent"])
 def test_qfi_and_sld_report_evaluate_the_family_once(probe, monkeypatch):
     """``qfi_eq1`` and ``sld_fock_report`` each evaluate their family once,
@@ -582,7 +596,7 @@ def test_memoised_channel_is_read_only():
     coherent = fock.bifrequency_fock_family(0.8, 0.05, 0.3, "coherent", 12)
     assert coherent(0.0).factors[0] is coherent(1e-4).factors[0]
     shared = [fock._offset_order(12), *fock._sector_layout(12), coherent(0.0).factors[0]]
-    shared += [idx for idx, _, _ in fock._blockwise(sectors)]
+    shared += [idx for idx, _, _ in fock._blockwise(sectors)[1]]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 1
@@ -756,11 +770,26 @@ def test_qfi_eq1_matches_tmsv_closed_form():
 def test_oracle_reaches_a_noisy_bath(probe, closed):
     """At n_th = 10, where a bath truncated at the signal's cutoff needed
     cutoff 145 and still read 5e-5, the oracle QFI at cutoff 100 is within
-    1e-7 of the closed form (measured 2.6e-8 for tmsv, 1.9e-8 for coherent;
-    DROP_THRESHOLD sets that floor)."""
+    1e-9 of the closed form (measured 3.6e-11 for tmsv, 8.7e-14 for
+    coherent): Eq. 1 skips only pairs whose eigenvalue sum is not positive,
+    so the cutoff alone sets the floor."""
     h = fock.qfi_eq1(fock.bifrequency_fock_family(0.8, 0.5, 10.0, probe, 100))
     ref = closed(0.8, 0.5, 10.0)
-    assert abs(h - ref) / ref < 1e-7
+    assert abs(h - ref) / ref < 1e-9
+
+
+def test_oracle_reads_the_closed_forms_to_round_off():
+    """At every ORACLE_CONFIGS point at the validation cutoff, the oracle
+    QFI of the coherent probe, and of the two-mode squeezed probe at
+    n_s = 0.2, is within 1e-12 of the closed form (measured 4.6e-14 at
+    most): no eigenvalue pair with a positive sum is dropped from Eq. 1."""
+    for probe, closed in (("tmsv", bf.hq_closed_form), ("coherent", bf.hc_closed_form)):
+        for eta1, n_s, n_th in validate.ORACLE_CONFIGS:
+            if probe == "tmsv" and n_s != 0.2:
+                continue
+            family = fock.bifrequency_fock_family(eta1, n_s, n_th, probe, validate.CUTOFF)
+            ref = closed(eta1, n_s, n_th)
+            assert abs(fock.qfi_eq1(family) - ref) / ref < 1e-12, (probe, eta1, n_s, n_th)
 
 
 @pytest.mark.parametrize("probe", ["tmsv", "coherent"])
@@ -820,15 +849,14 @@ def test_sector_qfi_matches_dense_route(cutoff):
 
     for eta1, n_s, n_th in ORACLE_CONFIGS:
         family = fock.bifrequency_fock_family(eta1, n_s, n_th, "tmsv", cutoff)
-        assert len(fock._blockwise(family(0.0))) == 2 * cutoff - 1
+        assert len(fock._blockwise(family(0.0))[1]) == 2 * cutoff - 1
         h_sectors, h_dense = fock.qfi_eq1(family), _dense_route(family)
         assert abs(h_sectors - h_dense) / h_dense < 1e-10, (eta1, n_s, n_th)
 
 
 def test_product_qfi_diagonalises_only_factors(monkeypatch):
-    """The coherent family never diagonalises a matrix larger than one
-    mode's cutoff x cutoff factor: the eigenvalues of the first factor and
-    the eigenpairs of the second."""
+    """The coherent family diagonalises only its second factor, the one
+    block of ``_blockwise``, once: the first factor enters as its trace."""
     shapes = []
 
     def recording(decompose):
@@ -843,7 +871,7 @@ def test_product_qfi_diagonalises_only_factors(monkeypatch):
     cutoff = 30
     family = fock.bifrequency_fock_family(0.8, 0.5, 0.3, "coherent", cutoff)
     fock.qfi_eq1(family)
-    assert shapes == [("eigvalsh", (cutoff, cutoff)), ("eigh", (cutoff, cutoff))]
+    assert shapes == [("eigh", (cutoff, cutoff))]
 
 
 def test_sector_qfi_diagonalises_only_sectors(monkeypatch):
@@ -861,17 +889,6 @@ def test_sector_qfi_diagonalises_only_sectors(monkeypatch):
     fock.qfi_eq1(fock.bifrequency_fock_family(0.8, 0.5, 0.3, "tmsv", cutoff))
     sizes = [cutoff - abs(delta) for delta in range(1 - cutoff, cutoff)]
     assert shapes == [(size, size) for size in sizes]
-
-
-def test_qfi_eq1_drop_threshold_stable(monkeypatch):
-    """The QFI moves by less than 1e-6 relative when DROP_THRESHOLD is
-    raised a hundredfold."""
-    family = fock.bifrequency_fock_family(0.5, 0.2, 0.1, "tmsv", 24)
-    assert fock.DROP_THRESHOLD == 1e-12
-    h1 = fock.qfi_eq1(family)
-    monkeypatch.setattr(fock, "DROP_THRESHOLD", 1e-10)
-    h2 = fock.qfi_eq1(family)
-    assert abs(h1 - h2) / h1 < 1e-6
 
 
 def test_eigenvalue_sum_rule():
@@ -1077,8 +1094,9 @@ def log_uniform(lo, hi):
 )
 def test_coherent_sld_form_acts_on_mode_1_as_identity(eta1, n_s, n_th):
     """Over the whole domain the coherent probe's SLD, gathered in Fock
-    space, acts on mode 1 only as a multiple of the identity: the one route
-    ``sld_fock_report`` takes for its product states."""
+    space, acts on mode 1 only as a multiple of the identity: the condition
+    under which ``sld_fock_report`` reads a product state through its one
+    block."""
     from bifrost.sld import _solve
 
     family = bf.bifrequency_received_state(bf.BiFrequencyParams(eta1, 0.0, n_s, n_th), "coherent")
