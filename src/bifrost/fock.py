@@ -40,15 +40,14 @@ that difference, ascending in n1. A state block-diagonal in n1 - n2 is kept
 as its 2 cutoff - 1 sectors (``FockState.sectors``), about 2 cutoff^3 / 3
 entries, in one zero-padded (2 cutoff - 1, cutoff, cutoff) stack: sector
 delta at row delta + cutoff - 1, in the leading corner of its size, and 0
-elsewhere. So the state is gathered in one index and checked in one pass;
-``_sector_layout`` holds the indices, the padding mask and the gather index
-of each cutoff. A product state is kept as its one-mode factors
+elsewhere. So the state is gathered in one index and checked in one pass
+(``_sector_layout``). A product state is kept as its one-mode factors
 (``FockState.product``). ``qfi_eq1`` and ``validate.sld_fock_report``
 read either form through one view (``_blockwise``): a weight and the blocks
 their sums run over. So they diagonalise one sector, or the moving factor,
 never a cutoff^2 x cutoff^2 matrix, and read the form off the state, never
 off the probe; ``quadrature_moments`` sums over the factors' or the stack's
-entries.
+entries within a band fixed per cutoff (``_moment_band``).
 
 The four-mode bi-frequency pipeline is never materialised: the interaction
 does not mix frequencies, so each frequency sees an independent thermal-loss
@@ -67,12 +66,19 @@ One ``np.take`` on the products' flat axis, at the gather index of
 which keep a real dtype throughout.
 
 The gathers. Every gather of the oracle takes whole entries along one flat
-axis with ``np.take``: the sector stack here, the one-mode operators of
-``quadrature_moments`` and the ladder words of ``validate.LadderOperator``.
-The same gather written as a full slice and an array index, such as
-``coherences[:, gather]``, gives the same bytes but runs through numpy's
-subspace copy: 0.54 against 0.13 ms for the stack at cutoff 30 and 15.7
-against 3.1 ms at cutoff 80 (2-core host).
+axis with ``np.take``: the sector stack here, the band and one-mode
+operators of ``quadrature_moments`` and the ladder words of
+``validate.LadderOperator``. The same gather written as a full slice and an
+array index, such as ``coherences[:, gather]``, gives the same bytes but
+runs through numpy's slower subspace copy.
+
+The shared state. ``qfi_eq1``, ``validate.sld_fock_report`` and
+``quadrature_moments`` read a family at LAMBDA0, so the state there is
+built once per configuration (eta1, n_s, n_th, probe, cutoff), shared by
+every family of it and read-only (``_received``). One configuration is
+held at a time, dropped before the next is built: callers that read one
+configuration's checks back to back build its state once, and no two
+states are held together.
 
 The tangent rule: each state a family returns carries drho/dlam, exact, in
 its own structure (``FockState.tangent``): the eta-derivative of the second
@@ -88,9 +94,7 @@ product's sum is Tr A times that of the one block (B, dB) on the states
 The products stay one BLAS call per offset, at the offset's own size. A
 product padded to the full cutoff, batched over the offsets, gives the same
 numbers only up to round-off: OpenBLAS orders its sums by the length of the
-reduction, and the zero padding changes that length. The padded batch moves
-the coherent QFI by about 5e-12 relative and the cutoff-45 and cutoff-80
-sectors in their last bits, so it is not used.
+reduction, and the zero padding changes that length, so it is not used.
 """
 
 from __future__ import annotations
@@ -284,6 +288,50 @@ def _check_reflectivity(eta: float):
         raise ValueError(f"reflectivity must lie in (0, 1), got {eta!r}")
 
 
+class _MomentBand(NamedTuple):
+    """The entries ``quadrature_moments`` sums at cutoff d: the pairs of
+    basis states (n1 d + n2, m1 d + m2) with |n1 - m1|, |n2 - m2| <= 2, in
+    the dense matrix's order. ``operator_at`` holds, per mode, the flat
+    index m d + n of each pair into the one-mode operators ``ops``;
+    ``position``, the flat index into the sector stack of each pair inside
+    one sector of n1 - n2, and ``sector_operator_at`` their
+    ``operator_at``."""
+
+    operator_at: np.ndarray
+    position: np.ndarray
+    sector_operator_at: np.ndarray
+    ops: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _moment_band(d: int) -> _MomentBand:
+    """The band of cutoff ``d``; read-only, since it is shared. ops[0] = I,
+    ops[1 + u] = q_u and ops[3 + u + v] = q_u q_v + q_v q_u, each flat."""
+    n = np.arange(d)
+    near = n[:, None] + np.arange(-2, 3)
+    inside = (near >= 0) & (near < d)
+    grid = (n[:, None, None, None], n[None, :, None, None], near[:, None, :, None],
+            near[None, :, None, :])
+    valid = inside[:, None, :, None] & inside[None, :, None, :]
+    # C order over (n1, n2, m1, m2) is the dense matrix's order
+    n1, n2, m1, m2 = (np.broadcast_to(i, valid.shape)[valid] for i in grid)
+    operator_at = np.stack([m1 * d + n1, m2 * d + n2])
+    sector = n1 - n2 == m1 - m2
+    position = ((n1 - n2 + d - 1) * d + np.minimum(n1, n2)) * d + np.minimum(m1, m2)
+    a = annihilation(d)
+    x, p = (a + a.T) / np.sqrt(2.0), (a - a.T) / (1j * np.sqrt(2.0))
+    ops = np.stack([np.eye(d), x, p, x @ x + x @ x, x @ p + p @ x, p @ p + p @ p])
+    band = _MomentBand(
+        operator_at,
+        position[sector],
+        operator_at[:, sector],
+        ops.reshape(len(ops), -1),
+    )
+    for array in band:
+        array.setflags(write=False)
+    return band
+
+
 def quadrature_moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
     """Interleaved covariance and displacement of a two-mode state, from
     number-basis moments.
@@ -291,39 +339,23 @@ def quadrature_moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
     Each moment is Tr(rho O) = sum rho[r, s] O[s, r], with O a product of
     one-mode operators: the identity, a quadrature, or the anticommutator of
     two. Each of them moves a photon number by at most 2, so the sum runs
-    over the nonzero entries of rho within that band on both modes, and each
-    one-mode operator is gathered at their photon numbers. The entries are
-    read off the state's form: the stack at the sectors' basis indices
-    (``_sector_layout``), or for a product A x B the products
-    A[i1, j1] B[i2, j2] inside the band. They are summed in the order of the
-    dense matrix, which is never formed.
+    over the nonzero entries of rho within that band on both modes, fixed
+    per cutoff (``_moment_band``), and each one-mode operator is gathered at
+    their photon numbers. The entries are read off the state's form: the
+    stack at the sectors' positions, or for a product A x B the products
+    A[n1, m1] B[n2, m2], read as A^T at m1 d + n1. They are summed in the
+    order of the dense matrix, which is never formed.
     """
-    d = state.dim
+    band = _moment_band(state.dim)
     if state.factors is not None:
-        # rows (i1, i2), columns (j1, j2) = (i1 + e1, i2 + e2), for |e| <= 2
-        t, e = np.arange(d)[:, None], np.arange(-2, 3)
-        near = np.clip(t + e, 0, d - 1)
-        first, second = (np.where(t + e == near, f[t, near], 0) for f in state.factors)
-        values = first[:, None, :, None] * second[None, :, None, :]
-        rows = (t * d + t.T)[:, :, None, None]
-        cols = near[:, None, :, None] * d + near[None, :, None, :]
+        first, second = state.factors
+        values = np.take(first.T, band.operator_at[0]) * np.take(second.T, band.operator_at[1])
+        operator_at = band.operator_at
     else:
-        indices = _sector_layout(d).indices
-        values, rows, cols = state.stack, indices[:, :, None], indices[:, None, :]
-    places = (d, 1)
+        values, operator_at = np.take(state.stack, band.position), band.sector_operator_at
     keep = values != 0
-    for place in places:
-        keep &= np.abs(rows // place % d - cols // place % d) <= 2
-    rows, cols = (np.broadcast_to(i, keep.shape)[keep] for i in (rows, cols))
-    order = np.argsort(rows * d**2 + cols)
-    values, rows, cols = values[keep][order], rows[order], cols[order]
-
-    a = annihilation(d)
-    x, p = (a + a.T) / np.sqrt(2.0), (a - a.T) / (1j * np.sqrt(2.0))
-    # ops[0] = I, ops[1 + u] = q_u and ops[3 + u + v] = q_u q_v + q_v q_u
-    ops = np.stack([np.eye(d), x, p, x @ x + x @ x, x @ p + p @ x, p @ p + p @ p])
-    flat = ops.reshape(len(ops), -1)
-    gathered = [np.take(flat, cols // p % d * d + rows // p % d, axis=1) for p in places]
+    values = values[keep]
+    gathered = [np.take(band.ops, at[keep], axis=1) for at in operator_at]
 
     def expect(terms: dict[int, int]) -> float:
         """Tr(rho O) for O = ops[terms[m]] on each listed mode m, I elsewhere."""
@@ -352,17 +384,14 @@ class ThermalLossChannel:
     the coherences rho[i, i + k], has the same block; ``dblocks`` are their
     eta-derivatives (module docstring). ``apply`` runs the channel on one
     mode, with every offset's coherences gathered in one index and scattered
-    back in one (``_by_offset``, which also applies ``dblocks``);
-    ``bifrequency_fock_family`` combines the blocks of two channels. Each
-    block multiplies at its own size, and the blocks are read-only, since
-    ``_channel`` shares them (module docstring). Besides eta in (0, 1), the
-    derivative needs eta G > 2 (cutoff - 1) (1 + n_th) / 1.8e308, about
-    3e-307 at cutoff 30 and n_th = 0, else ValueError: below that,
-    d log tau/deta = (1 + n_th) / (G eta) times the exponent cutoff - 1 of
-    tau leaves the float range, and at a subnormal eta even exponent 0 meets
-    an infinite rate. tau = eta / G must not round to 0 either, as at
-    eta = 1e-300 with n_th = 1e300, else ValueError. Both are checked before
-    any array arithmetic.
+    back in one (``_by_offset``, which also applies ``dblocks``). Besides
+    eta in (0, 1), the derivative needs eta G > 2 (cutoff - 1) (1 + n_th) /
+    1.8e308, about 3e-307 at cutoff 30 and n_th = 0, else ValueError: below
+    that, d log tau/deta = (1 + n_th) / (G eta) times the exponent
+    cutoff - 1 of tau leaves the float range, and at a subnormal eta even
+    exponent 0 meets an infinite rate. tau = eta / G must not round to 0
+    either, as at eta = 1e-300 with n_th = 1e300, else ValueError. Both are
+    checked before any array arithmetic.
     """
 
     def __init__(self, eta: float, n_th: float, cutoff: int):
@@ -471,36 +500,58 @@ def bifrequency_fock_family(
     Each evaluation at lam builds the received state from the probe's
     structure (module docstring), with the channel at eta1 on the first
     mode and at eta1 + lam on the second, with its tangent (the tangent
-    rule), so both must lie in (0, 1), else ValueError. A state whose trace
-    leak 1 - Tr rho reaches HARD_TAIL_TOL raises CutoffTooSmallError.
+    rule), so both must lie in (0, 1), else ValueError. A probe or state
+    whose trace leak 1 - Tr rho reaches HARD_TAIL_TOL raises
+    CutoffTooSmallError, the probe's when the family is made.
+
+    The state at LAMBDA0 is one read-only state per configuration, shared
+    and held one at a time (the shared state, module docstring).
     """
     check_photon_numbers(n_s, n_th)
     _check_reflectivity(eta1)
     if probe == "tmsv":
-        amps = _tmsv_amplitudes(n_s, cutoff)
-
-        def received(ch1: ThermalLossChannel, ch2: ThermalLossChannel) -> FockState:
-            return FockState.sectors(*_tmsv_sectors(ch1, ch2, amps))
-
+        _tmsv_amplitudes(n_s, cutoff)
     elif probe == "coherent":
-        single = fock_coherent(np.sqrt(n_s), cutoff)
-        # the first channel does not move with lam: its output, shared by
-        # every state of the family, is computed once and read-only
-        first = _channel(eta1, n_th, cutoff).apply(single)
-        first.setflags(write=False)
-
-        def received(ch1: ThermalLossChannel, ch2: ThermalLossChannel) -> FockState:
-            return FockState.product(first, ch2.apply(single), _by_offset(ch2.dblocks, single))
-
+        fock_coherent(np.sqrt(n_s), cutoff)
     else:
         raise ValueError(f"unknown probe {probe!r}")
 
     def family(lam: float) -> FockState:
-        state = received(_channel(eta1, n_th, cutoff), _channel(eta1 + lam, n_th, cutoff))
-        _gate_cutoff(1.0 - _trace(state), cutoff, "received")
-        return state
+        key = (eta1, n_s, n_th, probe, cutoff)
+        return _received(*key) if lam == LAMBDA0 else _evaluate(*key, lam)
 
     return family
+
+
+def _evaluate(
+    eta1: float, n_s: float, n_th: float, probe: str, cutoff: int, lam: float
+) -> FockState:
+    """The state of ``bifrequency_fock_family`` at lam, built anew."""
+    ch2 = _channel(eta1 + lam, n_th, cutoff)
+    if probe == "tmsv":
+        amps = _tmsv_amplitudes(n_s, cutoff)
+        state = FockState.sectors(*_tmsv_sectors(_channel(eta1, n_th, cutoff), ch2, amps))
+    else:
+        single = fock_coherent(np.sqrt(n_s), cutoff)
+        second = ch2.apply(single)
+        # the first channel does not move with lam, and at LAMBDA0 it is the
+        # second: every state of a configuration shares one first factor
+        first = second if lam == LAMBDA0 else _received(eta1, n_s, n_th, probe, cutoff).factors[0]
+        state = FockState.product(first, second, _by_offset(ch2.dblocks, single))
+    _gate_cutoff(1.0 - _trace(state), cutoff, "received")
+    return state
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _received(eta1: float, n_s: float, n_th: float, probe: str, cutoff: int) -> FockState:
+    """The state at LAMBDA0 of one configuration, read-only; one entry,
+    dropped before the next is built (the shared state, module docstring).
+    typed, as ``_channel``; a call that raises is not memoised."""
+    _received.cache_clear()
+    state = _evaluate(eta1, n_s, n_th, probe, cutoff, LAMBDA0)
+    for array in (*(state.factors or (state.stack,)), state.tangent):
+        array.setflags(write=False)
+    return state
 
 
 def _blockwise(state: FockState) -> tuple[float, list[tuple[np.ndarray, ...]]]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -124,12 +125,26 @@ def bifrequency_received_state(p: BiFrequencyParams, probe: str) -> StateFamily:
 
     The family evaluates wherever eta1 and eta1 + lambda lie in [0, 1]. Its
     tangent needs both strictly inside (0, 1), where the beam splitter is
-    differentiable, and raises ValueError elsewhere.
+    differentiable, and raises ValueError elsewhere; where the coherent
+    displacement derivative sqrt(2 n_s) / (2 sqrt(eta1 + lambda)) leaves the
+    float range it raises ArithmeticError, before any arithmetic warns.
     """
+    state = _bifrequency_input(p, probe)
+    amplitude = float(state.disp[6])  # the second signal's, 0 for the entangled probe
+
+    def dtransform(lam: float) -> np.ndarray:
+        d = _bifrequency_channel_derivative(p.eta1, p.eta1 + lam)
+        # the one product of the kept displacement derivative that is not 0 * x
+        if not math.isfinite(amplitude * float(d[6, 6])):
+            raise ArithmeticError(
+                f"the displacement derivative leaves the float range: n_s = {p.n_s}"
+            )
+        return d
+
     return _channel_family(
-        _bifrequency_input(p, probe),
+        state,
         lambda lam: _bifrequency_channel(p.eta1 + 0.0, p.eta1 + lam + 0.0),
-        lambda lam: _bifrequency_channel_derivative(p.eta1, p.eta1 + lam),
+        dtransform,
         [1, 3],
         p.lam,
     )

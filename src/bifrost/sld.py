@@ -122,11 +122,22 @@ class SldForm:
     center: np.ndarray
 
 
+# of (a_1, a_2, a_1^dag, a_2^dag), a_1 and a_2^dag lower n_1 - n_2: the
+# term A_i^dag A_j of a two-mode form changes it where their charges differ,
+# at these flat indices of a 4 x 4 matrix
+_CHARGES = np.array([-1, 1, 1, -1])
+_MIXING = np.flatnonzero(_CHARGES[:, None] != _CHARGES)
+_NONE = np.empty(0, np.intp)
+
+
 class _Solution(NamedTuple):
     """The Williamson-basis solve of a family at its working point: the
     eigenvalues lambda_i = +-1/nu_k, R, the quotient Q, the transported
     derivative Z, R^dag dd_c and the displacement in the complex basis
-    (module docstring)."""
+    (module docstring); and ``fixed``, the flat indices ``_MIXING`` of the
+    entries of G where a two-mode family's moments and their derivatives are
+    all 0.0, else none: such a family is invariant under
+    exp(i phi (n_1 - n_2)), as K is, so G is 0 there exactly."""
 
     lam: np.ndarray
     r: np.ndarray
@@ -134,6 +145,7 @@ class _Solution(NamedTuple):
     z: np.ndarray
     proj: np.ndarray
     center: np.ndarray
+    fixed: np.ndarray
 
     def result(self) -> QfiResult:
         """H = Re Tr(Z Q) / 2 + 2 |R^dag dd_c|^2, term by term, with the
@@ -158,6 +170,7 @@ class _Solution(NamedTuple):
         and scalar = -Tr(Sigma G) / 2 = -sum_i (1 - lambda_i) Q_ii / 2."""
         quad = self.r @ self.q @ self.r.conj().T
         quad = 0.5 * (quad + quad.conj().T)
+        np.put(quad, self.fixed, 0.0)
         return SldForm(
             quad=quad.astype(complex),
             linear=(2.0 * (self.r @ self.proj)).astype(complex),
@@ -190,7 +203,9 @@ def _solve(family: StateFamily) -> _Solution:
     lam, v = np.linalg.eigh(inv_half @ k_inv_half)
     r = inv_half @ v
     rh = r.conj().T
-    z = rh @ _in_complex_basis(dcov) @ r
+    dcov_c, dd_c = _in_complex_basis(dcov), _in_complex_basis(ddisp)
+    center = _in_complex_basis(state.disp)
+    z = rh @ dcov_c @ r
     den = 1.0 - lam[:, None] * lam
     pure = den <= _PURE_TOL
     if pure.any():
@@ -202,13 +217,18 @@ def _solve(family: StateFamily) -> _Solution:
                 "the logarithmic derivative does not exist"
             )
         den = np.where(pure, np.inf, den)
+    symmetric = n == 2 and not (
+        np.count_nonzero(center) or np.count_nonzero(dd_c)
+        or np.count_nonzero(cov_c.take(_MIXING)) or np.count_nonzero(dcov_c.take(_MIXING))
+    )
     solution = _Solution(
         lam=lam,
         r=r,
         q=z / den,
         z=z,
-        proj=rh @ _in_complex_basis(ddisp),
-        center=_in_complex_basis(state.disp).astype(complex),
+        proj=rh @ dd_c,
+        center=center.astype(complex),
+        fixed=_MIXING if symmetric else _NONE,
     )
     for array in solution:
         array.setflags(write=False)

@@ -58,23 +58,28 @@ class Check:
         return f"[{status}] {self.name}: deviation {self.deviation:.3e} (tol {self.tolerance:.1e})"
 
 
-def oracle_equivalence_checks(
+def oracle_checks(
     configs=ORACLE_CONFIGS, cutoff: int = CUTOFF, probes=("tmsv", "coherent")
 ) -> list[Check]:
-    """Fock-oracle QFI against the Gaussian pipeline, both probes."""
-    checks = []
+    """The Fock-oracle QFI against the Gaussian pipeline, then the SLD's
+    anticommutator, variance and zero mean on the oracle, for each probe and
+    configuration. Both checks of one (probe, configuration) run back to
+    back, so they read one shared received state (``fock``); the oracle
+    checks are listed first."""
+    oracle, sld = [], []
     for probe in probes:
         for eta1, n_s, n_th in configs:
-            family = fock.bifrequency_fock_family(eta1, n_s, n_th, probe, cutoff)
-            h_fock = fock.qfi_eq1(family)
+            tag = f"{probe} eta1={eta1} n_s={n_s} n_th={n_th}"
+            h_fock = fock.qfi_eq1(fock.bifrequency_fock_family(eta1, n_s, n_th, probe, cutoff))
             gauss = qfi_complex_form(
                 bifrequency_received_state(BiFrequencyParams(eta1, 0.0, n_s, n_th), probe)
             )
-            rel = abs(h_fock - gauss) / abs(gauss)
-            checks.append(
-                Check(f"oracle {probe} eta1={eta1} n_s={n_s} n_th={n_th}", rel, 1e-6)
-            )
-    return checks
+            oracle.append(Check(f"oracle {tag}", abs(h_fock - gauss) / abs(gauss), 1e-6))
+            rep = sld_fock_report(eta1, n_s, n_th, probe, cutoff)
+            sld.append(Check(f"sld anticommutator {tag}", rep["residual"], 1e-4))
+            sld.append(Check(f"sld variance {tag}", rep["variance_rel_error"], 1e-4))
+            sld.append(Check(f"sld zero mean {tag}", abs(rep["mean"]), 1e-5))
+    return oracle + sld
 
 
 class LadderOperator(NamedTuple):
@@ -92,9 +97,9 @@ class LadderOperator(NamedTuple):
         """The block between basis states ``rows`` and ``cols``. Each mode's
         terms are taken whole at the flat index r d + c of their term-last
         layout, by ``np.take``. That lays them out as (rows, cols, terms),
-        as the index ``first[:, r, c]`` does through numpy's subspace copy
-        (2.5 times slower at cutoff 80), so the einsum sums in the same
-        order and the block keeps its bits."""
+        as the slower index ``first[:, r, c]`` does through numpy's subspace
+        copy, so the einsum sums in the same order and the block keeps its
+        bits."""
         d = self.first.shape[-1]
         (r1, r2), (c1, c2) = (divmod(idx, d) for idx in (rows, cols))
         first, second = (
@@ -164,11 +169,11 @@ def sld_fock_report(
 
     The form and its QFI come from one Williamson-basis solve. The residual
     of ell rho + (ell rho)^dag = 2 drho, the mean Tr(ell rho) and the second
-    moment Tr(ell ell rho) are sums over blocks, read off the form and one
-    family evaluation, the state and its tangent drho (the tangent rule of
-    the ``fock`` module docstring), never the probe. The blocks and the
-    weight that scales the mean and second moment are those of
-    ``fock._blockwise``, and ell is gathered between the blocks whose
+    moment Tr(ell ell rho) are sums over blocks, read off the form and the
+    family's shared state at the working point and its tangent drho (the
+    tangent rule and the shared state of the ``fock`` module docstring),
+    never the probe. The blocks and the weight that scales the mean and
+    second moment are those of ``fock._blockwise``, and ell is gathered between the blocks whose
     n1 - n2 differ by a charge of the form, never on the whole
     cutoff^2 x cutoff^2 basis. A product's one block lies on the states
     |0, n2>, where ell reads as I x ell_2 only if the form has no mode-1
@@ -208,20 +213,6 @@ def sld_fock_report(
     }
 
 
-def sld_checks(
-    configs=ORACLE_CONFIGS, cutoff: int = CUTOFF, probes=("tmsv", "coherent")
-) -> list[Check]:
-    checks = []
-    for probe in probes:
-        for eta1, n_s, n_th in configs:
-            rep = sld_fock_report(eta1, n_s, n_th, probe, cutoff)
-            tag = f"{probe} eta1={eta1} n_s={n_s} n_th={n_th}"
-            checks.append(Check(f"sld anticommutator {tag}", rep["residual"], 1e-4))
-            checks.append(Check(f"sld variance {tag}", rep["variance_rel_error"], 1e-4))
-            checks.append(Check(f"sld zero mean {tag}", abs(rep["mean"]), 1e-5))
-    return checks
-
-
 def wide_box_checks() -> list[Check]:
     """The oracle and SLD checks on WIDE_CONFIGS, each probe at the cutoff
     of its n_s in WIDE_CUTOFFS."""
@@ -229,8 +220,7 @@ def wide_box_checks() -> list[Check]:
     for probe in ("tmsv", "coherent"):
         for n_s, cutoff in WIDE_CUTOFFS.items():
             configs = [config for config in WIDE_CONFIGS if config[1] == n_s]
-            checks += oracle_equivalence_checks(configs, cutoff, (probe,))
-            checks += sld_checks(configs, cutoff, (probe,))
+            checks += oracle_checks(configs, cutoff, (probe,))
     return checks
 
 
@@ -302,5 +292,5 @@ def closed_form_checks() -> list[Check]:
 def full_validation(quick: bool = False) -> list[Check]:
     if quick:
         configs = [(0.5, 0.2, 0.1), (0.8, 0.5, 0.3)]
-        return closed_form_checks() + oracle_equivalence_checks(configs) + sld_checks(configs)
-    return closed_form_checks() + oracle_equivalence_checks() + sld_checks() + wide_box_checks()
+        return closed_form_checks() + oracle_checks(configs)
+    return closed_form_checks() + oracle_checks() + wide_box_checks()

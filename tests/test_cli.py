@@ -288,6 +288,23 @@ def test_non_finite_qfi_is_an_error_line(flags):
     assert result.stderr == "error: the QFI leaves the float range: inf\n"
 
 
+@pytest.mark.parametrize("nth", ["0", "1e-300", "1e-6", "1", "1e6", "1e200", "1e300"])
+@pytest.mark.parametrize("eta1", ["5e-324", "1e-320"])
+def test_displacement_derivative_out_of_range_is_one_error_line(eta1, nth, capsys):
+    """At a subnormal eta1 with n_s = 1e300 the coherent probe's kept
+    displacement derivative, sqrt(2 n_s) / (2 sqrt(eta1)), leaves the float
+    range: ``qfi`` ends in one error line, exit code 1, with no warning on
+    the way (each would fail the test)."""
+    from bifrost import cli
+
+    argv = ["qfi", "--eta1", eta1, "--ns", "1e300", "--nth", nth, "--probe", "coherent"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the displacement derivative leaves the float range: n_s = 1e+300")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_config_file_with_flag_override(tmp_path):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({"eta1": 0.5, "ns": 2.0, "nth": 1.0}))

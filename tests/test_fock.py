@@ -505,9 +505,10 @@ def test_channel_trace_preserving():
 # --- channel memo -----------------------------------------------------------
 
 def _count_builds(monkeypatch) -> list:
-    """Empty the channel memo and record the arguments of every channel built
-    from here on."""
+    """Empty the channel and state memos and record the arguments of every
+    channel built from here on."""
     fock._channel.cache_clear()
+    fock._received.cache_clear()
     built = []
     init = fock.ThermalLossChannel.__init__
 
@@ -558,6 +559,54 @@ def test_full_validation_builds_each_channel_once(monkeypatch):
     assert sorted(built) == sorted(expected)
 
 
+def _record_states(monkeypatch) -> list:
+    """Empty the received-state memo and record every two-mode state made
+    from here on, by either constructor."""
+    fock._received.cache_clear()
+    made = []
+
+    def recording(build):
+        return classmethod(lambda cls, *args: made.append(build(*args)) or made[-1])
+
+    for name in ("product", "sectors"):
+        monkeypatch.setattr(fock.FockState, name, recording(getattr(fock.FockState, name)))
+    return made
+
+
+def test_full_validation_builds_each_state_once(monkeypatch):
+    """The oracle and SLD checks of one probe and configuration run back to
+    back and share its received state: 24 states for the 16 validation and
+    8 wide-box checks of both probes, none built twice."""
+    made = _record_states(monkeypatch)
+    assert all(check.passed for check in validate.full_validation())
+    validation, wide_box = [True] * 8 + [False] * 8, [True] * 4 + [False] * 4
+    assert [state.factors is None for state in made] == validation + wide_box
+
+
+def test_one_received_state_is_held(monkeypatch):
+    """Families of one configuration share its state at the working point;
+    another configuration evicts it before its own state is built, so the
+    memo never holds two states, and the first is built again, with the
+    same bits."""
+    first = fock.bifrequency_fock_family(0.8, 0.05, 0.3, "tmsv", 12)
+    state = first(fock.LAMBDA0)
+    assert fock.bifrequency_fock_family(0.8, 0.05, 0.3, "tmsv", 12)(0.0) is state
+    assert first(1e-4) is not first(1e-4)
+    held, evaluate = [], fock._evaluate
+
+    def recording(*args):
+        held.append(fock._received.cache_info().currsize)
+        return evaluate(*args)
+
+    monkeypatch.setattr(fock, "_evaluate", recording)
+    other = fock.bifrequency_fock_family(0.8, 0.05, 0.3, "coherent", 12)(fock.LAMBDA0)
+    assert held == [0] and fock._received.cache_info().currsize == 1
+    assert fock.bifrequency_fock_family(0.8, 0.05, 0.3, "coherent", 12)(0.0) is other
+    again = first(fock.LAMBDA0)
+    assert again is not state
+    assert np.array_equal(again.stack, state.stack) and np.array_equal(again.tangent, state.tangent)
+
+
 @pytest.mark.parametrize("probe", ["tmsv", "coherent"])
 def test_qfi_and_sld_report_evaluate_the_family_once(probe, monkeypatch):
     """``qfi_eq1`` and ``sld_fock_report`` each evaluate their family once,
@@ -579,9 +628,10 @@ def test_qfi_and_sld_report_evaluate_the_family_once(probe, monkeypatch):
 def test_memoised_channel_is_read_only():
     """A memoised channel is shared, so neither its tuples of blocks and of
     their derivatives nor any block can be written; nor can the memoised
-    per-cutoff layouts of the coherence offsets and of the sector stack, nor
-    the sector index sets that slice the layout, nor the first factor that
-    every state of a coherent family shares."""
+    per-cutoff layouts of the coherence offsets, the sector stack and the
+    moment band, nor the sector index sets that slice the layout, nor the
+    first factor that every state of a coherent family shares, nor any array
+    of a shared state at the working point."""
     channel = fock._channel(0.8, 0.3, 12)
     assert fock._channel(0.8, 0.3, 12) is channel
     assert isinstance(channel.blocks, tuple) and isinstance(channel.dblocks, tuple)
@@ -595,8 +645,9 @@ def test_memoised_channel_is_read_only():
     sectors = fock.bifrequency_fock_family(0.8, 0.05, 0.3, "tmsv", 12)(0.0)
     coherent = fock.bifrequency_fock_family(0.8, 0.05, 0.3, "coherent", 12)
     assert coherent(0.0).factors[0] is coherent(1e-4).factors[0]
-    shared = [fock._offset_order(12), *fock._sector_layout(12), coherent(0.0).factors[0]]
+    shared = [fock._offset_order(12), *fock._sector_layout(12), *fock._moment_band(12)]
     shared += [idx for idx, _, _ in fock._blockwise(sectors)[1]]
+    shared += [sectors.stack, sectors.tangent, *coherent(0.0).factors, coherent(0.0).tangent]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 1
@@ -636,6 +687,7 @@ def test_memoised_channels_give_the_states_of_fresh_ones(probe, monkeypatch):
     family(0.0)
     memoised = [family(lam) for lam in lams]
     monkeypatch.setattr(fock, "_channel", fock.ThermalLossChannel)
+    fock._received.cache_clear()
     fresh_family = fock.bifrequency_fock_family(0.8, 0.5, 0.3, probe, cutoff)
     for lam, state in zip(lams, memoised):
         fresh = fresh_family(lam)
@@ -951,23 +1003,17 @@ def test_sld_report_forms_no_dense_matrix(monkeypatch):
 
 def test_oracle_pass_forms_no_dense_matrix(monkeypatch):
     """A whole pass as the benchmark makes it, at cutoff 30 with both
-    probes, the QFI, the SLD report and the moments, makes six two-mode
-    states, three per probe; each is kept as factors or sectors, since a
-    Fock state has no other form (``test_package_keeps_no_dense_two_mode_state``)."""
-    made = []
-
-    def recording(build):
-        return classmethod(lambda cls, *args: made.append(build(*args)) or made[-1])
-
-    for name in ("product", "sectors"):
-        monkeypatch.setattr(fock.FockState, name, recording(getattr(fock.FockState, name)))
+    probes, the QFI, the SLD report and the moments, makes two two-mode
+    states, one per probe, which all three read; each is kept as factors or
+    sectors, since a Fock state has no other form
+    (``test_package_keeps_no_dense_two_mode_state``)."""
+    made = _record_states(monkeypatch)
     for probe in ("tmsv", "coherent"):
         family = fock.bifrequency_fock_family(0.8, 0.5, 0.3, probe, 30)
         fock.qfi_eq1(family)
         validate.sld_fock_report(0.8, 0.5, 0.3, probe, 30)
         fock.quadrature_moments(family(0.0))
-    assert len(made) == 6
-    assert [state.factors is None for state in made] == [True] * 3 + [False] * 3
+    assert [state.factors is None for state in made] == [True, False]
 
 
 def _fix_form(monkeypatch, form):
