@@ -182,22 +182,17 @@ def _point_params(args) -> BiFrequencyParams:
     return BiFrequencyParams(float(args.eta1), 0.0, float(args.ns), float(args.nth))
 
 
+def _print_point(params: BiFrequencyParams, **fields) -> int:
+    """Print the operating point and ``fields`` as one JSON object."""
+    point = {"eta1": params.eta1, "n_s": params.n_s, "n_th": params.n_th}
+    print(json.dumps({**point, **fields}, indent=2))
+    return EXIT_OK
+
+
 def cmd_qfi(args) -> int:
     params = _point_params(args)
     result = qfi_result(bifrequency_received_state(params, args.probe))
-    print(
-        json.dumps(
-            {
-                "eta1": params.eta1,
-                "n_s": params.n_s,
-                "n_th": params.n_th,
-                "probe": args.probe,
-                **dataclasses.asdict(result),
-            },
-            indent=2,
-        )
-    )
-    return EXIT_OK
+    return _print_point(params, probe=args.probe, **dataclasses.asdict(result))
 
 
 def cmd_sld(args) -> int:
@@ -206,20 +201,12 @@ def cmd_sld(args) -> int:
     closed = sld_coeffs_closed_form(params.eta1, params.n_s, params.n_th)
     numeric = optimal_observable(bifrequency_received_state(params, "tmsv"))
     deviation = max(abs(a - b) for a, b in zip(numeric.as_tuple(), closed.as_tuple()))
-    print(
-        json.dumps(
-            {
-                "eta1": params.eta1,
-                "n_s": params.n_s,
-                "n_th": params.n_th,
-                "numeric": dataclasses.asdict(numeric),
-                "closed_form": dataclasses.asdict(closed),
-                "max_abs_deviation": deviation,
-            },
-            indent=2,
-        )
+    return _print_point(
+        params,
+        numeric=dataclasses.asdict(numeric),
+        closed_form=dataclasses.asdict(closed),
+        max_abs_deviation=deviation,
     )
-    return EXIT_OK
 
 
 def _report(checks) -> int:

@@ -36,18 +36,22 @@ exactly 0.0 and not merely small.
 
 The sector structure. Sector delta = n1 - n2, for delta = 1 - cutoff, ...,
 cutoff - 1, holds the cutoff - |delta| basis states n1 cutoff + n2 with
-that difference, ascending in n1. A state block-diagonal in n1 - n2 is kept
-as its 2 cutoff - 1 sectors (``FockState.sectors``), about 2 cutoff^3 / 3
-entries, in one zero-padded (2 cutoff - 1, cutoff, cutoff) stack: sector
-delta at row delta + cutoff - 1, in the leading corner of its size, and 0
-elsewhere. So the state is gathered in one index and checked in one pass
-(``_sector_layout``). A product state is kept as its one-mode factors
-(``FockState.product``). ``qfi_eq1`` and ``validate.sld_fock_report``
-read either form through one view (``_blockwise``): a weight and the blocks
-their sums run over. So they diagonalise one sector, or the moving factor,
-never a cutoff^2 x cutoff^2 matrix, and read the form off the state, never
-off the probe; ``quadrature_moments`` sums over the factors' or the stack's
-entries within a band fixed per cutoff (``_moment_band``).
+that difference, ascending in n1. The two-mode squeezed state, block
+diagonal in n1 - n2, is kept as its coherences (``FockState.sectors``): the
+products P_k below, k = 0, ..., cutoff - 1, flat one after the other, about
+cutoff^3 / 3 entries. P_k[i, j] is the entry at |i + k, j + k><i, j| and at
+|i, j><i + k, j + k|, so the state is real and symmetric by construction.
+In sector delta the entries between states a >= b and between b and a are
+P_{a - b}[b + max(delta, 0), b + max(-delta, 0)]: a sector is one
+``np.take`` at a symmetric index fixed per cutoff (``_sector_layout``). A
+product state is kept as its one-mode factors (``FockState.product``).
+``qfi_eq1`` and ``validate.sld_fock_report`` read either form through one
+view (``_blockwise``): a weight and the blocks their sums run over, the
+product's one block or the sectors, taken one at a time. So they
+diagonalise one sector, or the moving factor, never a cutoff^2 x cutoff^2
+matrix, and read the form off the state, never off the probe;
+``quadrature_moments`` sums over the factors' or the coherences' entries
+within a band fixed per cutoff (``_moment_band``).
 
 The four-mode bi-frequency pipeline is never materialised: the interaction
 does not mix frequencies, so each frequency sees an independent thermal-loss
@@ -60,16 +64,15 @@ two-mode squeezed probe sum_n a_n |n, n> holds only the coherences
 channel keeps that offset; so its output is nonzero only where both modes
 share an offset, and for each k >= 0 it is the one product
 B1_k diag(a_{i+k} a_i) B2_k^T of the two channels' blocks, the entry at
-|i + k, j + k><i, j| for row i and column j, and its transpose at offset -k.
-One ``np.take`` on the products' flat axis, at the gather index of
-``_sector_layout``, fills the sector stack. Real probes give real states,
+|i + k, j + k><i, j| for row i and column j, and its transpose at offset -k,
+written into its slice of the coherences. Real probes give real states,
 which keep a real dtype throughout.
 
 The gathers. Every gather of the oracle takes whole entries along one flat
-axis with ``np.take``: the sector stack here, the band and one-mode
+axis with ``np.take``: the sectors here, the band and one-mode
 operators of ``quadrature_moments`` and the ladder words of
 ``validate.LadderOperator``. The same gather written as a full slice and an
-array index, such as ``coherences[:, gather]``, gives the same bytes but
+array index, such as ``operators[:, gather]``, gives the same bytes but
 runs through numpy's slower subspace copy.
 
 The shared state. ``qfi_eq1``, ``validate.sld_fock_report`` and
@@ -83,24 +86,19 @@ states are held together.
 The tangent rule: each state a family returns carries drho/dlam, exact, in
 its own structure (``FockState.tangent``): the eta-derivative of the second
 channel, the only one that moves with lam. So the two-mode squeezed tangent
-is B1_k diag(a_{i+k} a_i) dB2_k^T per offset, in the state's sector stack.
+is B1_k diag(a_{i+k} a_i) dB2_k^T per offset, in the coherences' format.
 The first factor of the coherent product does not move, so the product
 tangent is dB alone, read as A x dB. In the factors' eigenbases, where
 p[i1, i2] = a[i1] b[i2], A x dB couples (i1, i2) only to (i1, j2), with
 pair sum a[i1] (b[i2] + b[j2]); each a[i1] factors out of Eq. 1, so the
 product's sum is Tr A times that of the one block (B, dB) on the states
 |0, n2>.
-
-The products stay one BLAS call per offset, at the offset's own size. A
-product padded to the full cutoff, batched over the offsets, gives the same
-numbers only up to round-off: OpenBLAS orders its sums by the length of the
-reduction, and the zero padding changes that length, so it is not used.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -113,15 +111,14 @@ LAMBDA0 = 0.0
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
-def _hermitian(rho, shape: tuple[int, ...]) -> np.ndarray:
+def _hermitian(rho, shape: tuple[int, int]) -> np.ndarray:
     """``rho`` as float64, or complex128 if complex, after checking that its
-    shape is ``shape`` and that each matrix on its last two axes is hermitian
-    to 1e-12; NaN fails too."""
+    shape is ``shape`` and that it is hermitian to 1e-12; NaN fails too."""
     rho = np.asarray(rho)
     rho = rho.astype(complex if np.iscomplexobj(rho) else float, copy=False)
     if rho.shape != shape:
         raise ValueError(f"density matrix shape {rho.shape} != {shape}")
-    herm = np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)))
+    herm = np.max(np.abs(rho - rho.conj().T))
     if not herm <= 1e-12:  # NaN fails too
         raise ValueError(f"density matrix non-hermitian by {herm:.3e}")
     return rho
@@ -131,19 +128,19 @@ class FockState:
     """A two-mode density matrix on a photon-number-truncated space, kept in
     one of the two forms the probes give and never as one cutoff^2 x
     cutoff^2 matrix: a product A x B as its one-mode ``factors``
-    (``FockState.product``), or a state block-diagonal in n1 - n2 as the
-    padded ``stack`` of its sectors (``FockState.sectors``, the sector
-    structure of the module docstring). The other of the two is None.
-    ``tangent`` (the tangent rule) is a stack like ``stack`` or a product's
-    dB, checked alike; or None.
+    (``FockState.product``), or a state block-diagonal in n1 - n2 as its
+    ``coherences`` (``FockState.sectors``, the sector structure of the module
+    docstring). The other of the two is None. ``tangent`` (the tangent rule)
+    is in the state's form, coherences or a product's dB, checked alike; or
+    None.
 
     The trace may fall short of one by the truncation leak of the
-    construction; it is never renormalised away. A real matrix is kept real
-    (float64) and a complex one complex; hermiticity is checked in the
-    matrix's own dtype.
+    construction; it is never renormalised away. A product's factors keep
+    their dtype, real (float64) or complex, and are checked for hermiticity
+    in it; coherences are real.
     """
 
-    __slots__ = ("factors", "stack", "dim", "tangent")
+    __slots__ = ("factors", "coherences", "dim", "tangent")
 
     @classmethod
     def product(cls, first: np.ndarray, second: np.ndarray, tangent=None) -> "FockState":
@@ -154,61 +151,59 @@ class FockState:
         state.dim = len(first)
         shape = (state.dim, state.dim)
         state.factors = (_hermitian(first, shape), _hermitian(second, shape))
-        state.stack = None
+        state.coherences = None
         state.tangent = None if tangent is None else _hermitian(tangent, shape)
         return state
 
     @classmethod
-    def sectors(cls, stack: np.ndarray, tangent: np.ndarray | None = None) -> "FockState":
-        """The two-mode state whose only nonzero blocks are its sectors of
-        n1 - n2, given as their padded stack. Hermiticity is checked once
-        over the stack, and a nonzero padding entry is rejected, since no
-        sector would see it; the same holds for the tangent's stack."""
+    def sectors(cls, coherences: np.ndarray, tangent: np.ndarray | None = None) -> "FockState":
+        """The two-mode state block-diagonal in n1 - n2 of ``coherences``,
+        its tangent's being ``tangent``. The format makes both real and
+        symmetric, so each is only checked to be real, finite and of the
+        size of one cutoff's coherences."""
         state = cls.__new__(cls)
-        state.dim = dim = np.shape(stack)[-1]
         state.factors = None
-        state.stack = _hermitian(stack, (2 * dim - 1, dim, dim))
-        state.tangent = None if tangent is None else _hermitian(tangent, state.stack.shape)
-        padding = _sector_layout(dim).padding
-        for part in (state.stack, state.tangent):
-            if part is not None and np.any((part != 0) & padding):  # NaN fails too
-                raise ValueError("sector stack nonzero in its padding")
+        state.dim = dim = round((3 * np.size(coherences)) ** (1 / 3) - 0.5)
+        shape = (_start(dim, dim),)
+        state.coherences = _real_finite(coherences, shape)
+        state.tangent = None if tangent is None else _real_finite(tangent, shape)
         return state
 
 
-class _SectorLayout(NamedTuple):
-    """Where the sectors of a two-mode cutoff lie in their stack (the sector
-    structure of the module docstring): ``indices``, the basis indices of
-    each sector, padded with 0; ``padding``, the mask of the stack's
-    padding; ``gather``, the flat indices into the coherences of
-    ``_tmsv_sectors`` that fill the stack, taken by ``np.take`` along that
-    one flat axis (the gathers of the module docstring)."""
+def _real_finite(values, shape: tuple[int]) -> np.ndarray:
+    """``values`` as float64, after checking that they are real, finite and
+    of ``shape``."""
+    values = np.asarray(values)
+    if values.shape != shape or np.iscomplexobj(values) or not np.all(np.isfinite(values)):
+        raise ValueError(f"coherences must be real and finite, of shape {shape}, not {values.shape}")
+    return values.astype(float, copy=False)
 
-    indices: np.ndarray
-    padding: np.ndarray
-    gather: np.ndarray
+
+def _start(dim: int, k):
+    """Where P_k begins in the coherences of cutoff ``dim``, the sizes
+    (dim - l)^2 of the P_l before it summed; at k = dim, their total size."""
+    rest = dim - k
+    return (dim * (dim + 1) * (2 * dim + 1) - rest * (rest + 1) * (2 * rest + 1)) // 6
 
 
 @functools.lru_cache(maxsize=16)
-def _sector_layout(dim: int) -> _SectorLayout:
-    """The layout of the sectors at cutoff ``dim``; read-only, since it is
-    shared. Padding entries gather coherences[dim - 1, dim - 1, dim - 1],
-    which lies in their zero padding."""
-    t = np.arange(dim)
-    delta = np.arange(1 - dim, dim)[:, None]
-    up, down = np.maximum(delta, 0), np.maximum(-delta, 0)
-    inside = t < dim - np.abs(delta)
-    indices = np.where(inside, (t + up) * dim + t + down, 0)
-    padding = ~(inside[:, :, None] & inside[:, None, :])
-    offset, low = np.abs(t[:, None] - t[None, :]), np.minimum(t[:, None], t[None, :])
-    gather = (offset * dim + low + up[:, :, None]) * dim + low + down[:, :, None]
-    # intp, the index type of np.take: a narrower index halves the memo
-    # (8.1 MB at cutoff 80) but is cast to a new intp copy on every call
-    gather = np.where(padding, dim**3 - 1, gather).astype(np.intp, copy=False)
-    layout = _SectorLayout(indices, padding, gather)
-    for array in layout:
-        array.setflags(write=False)
-    return layout
+def _sector_layout(dim: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Where the sectors of cutoff ``dim`` lie in its coherences (the sector
+    structure of the module docstring): per sector, ascending in n1 - n2,
+    its basis indices and the symmetric (m, m) index of its block into the
+    coherences, for ``np.take`` (the gathers of the module docstring).
+    Read-only, since it is shared."""
+    layout = []
+    for delta in range(1 - dim, dim):
+        up, down = max(delta, 0), max(-delta, 0)
+        t = np.arange(dim - abs(delta))
+        low, k = np.minimum.outer(t, t), np.abs(np.subtract.outer(t, t))
+        gather = _start(dim, k) + (low + up) * (dim - k) + low + down
+        layout.append(((t + up) * dim + t + down, gather))
+    for pair in layout:
+        for array in pair:
+            array.setflags(write=False)
+    return tuple(layout)
 
 
 @functools.lru_cache(maxsize=16)
@@ -293,7 +288,7 @@ class _MomentBand(NamedTuple):
     basis states (n1 d + n2, m1 d + m2) with |n1 - m1|, |n2 - m2| <= 2, in
     the dense matrix's order. ``operator_at`` holds, per mode, the flat
     index m d + n of each pair into the one-mode operators ``ops``;
-    ``position``, the flat index into the sector stack of each pair inside
+    ``position``, the flat index into the coherences of each pair inside
     one sector of n1 - n2, and ``sector_operator_at`` their
     ``operator_at``."""
 
@@ -317,7 +312,9 @@ def _moment_band(d: int) -> _MomentBand:
     n1, n2, m1, m2 = (np.broadcast_to(i, valid.shape)[valid] for i in grid)
     operator_at = np.stack([m1 * d + n1, m2 * d + n2])
     sector = n1 - n2 == m1 - m2
-    position = ((n1 - n2 + d - 1) * d + np.minimum(n1, n2)) * d + np.minimum(m1, m2)
+    # in a sector <n1, n2|rho|m1, m2> is P_k[m1, m2], k = n1 - m1 >= 0, else P_-k[n1, n2]
+    k = np.abs(n1 - m1)
+    position = _start(d, k) + np.minimum(n1, m1) * (d - k) + np.minimum(n2, m2)
     a = annihilation(d)
     x, p = (a + a.T) / np.sqrt(2.0), (a - a.T) / (1j * np.sqrt(2.0))
     ops = np.stack([np.eye(d), x, p, x @ x + x @ x, x @ p + p @ x, p @ p + p @ p])
@@ -342,9 +339,9 @@ def quadrature_moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
     over the nonzero entries of rho within that band on both modes, fixed
     per cutoff (``_moment_band``), and each one-mode operator is gathered at
     their photon numbers. The entries are read off the state's form: the
-    stack at the sectors' positions, or for a product A x B the products
-    A[n1, m1] B[n2, m2], read as A^T at m1 d + n1. They are summed in the
-    order of the dense matrix, which is never formed.
+    coherences at the sectors' positions, or for a product A x B the
+    products A[n1, m1] B[n2, m2], read as A^T at m1 d + n1. They are summed
+    in the order of the dense matrix, which is never formed.
     """
     band = _moment_band(state.dim)
     if state.factors is not None:
@@ -352,7 +349,7 @@ def quadrature_moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
         values = np.take(first.T, band.operator_at[0]) * np.take(second.T, band.operator_at[1])
         operator_at = band.operator_at
     else:
-        values, operator_at = np.take(state.stack, band.position), band.sector_operator_at
+        values, operator_at = np.take(state.coherences, band.position), band.sector_operator_at
     keep = values != 0
     values = values[keep]
     gathered = [np.take(band.ops, at[keep], axis=1) for at in operator_at]
@@ -473,23 +470,23 @@ _channel = functools.lru_cache(maxsize=16, typed=True)(ThermalLossChannel)
 def _tmsv_sectors(ch1: ThermalLossChannel, ch2: ThermalLossChannel, amps: np.ndarray) -> np.ndarray:
     """The two-mode squeezed probe sum_n amps[n] |n, n> through ``ch1`` on the
     first mode and ``ch2`` on the second, and its eta-derivative in ``ch2``,
-    as the padded stacks of their sectors of fixed n1 - n2 (module
-    docstring, ``FockState.sectors``); each sector is real and symmetric."""
+    as their coherences (module docstring, ``FockState.sectors``)."""
     d = len(amps)
-    # coherences[:, k, i, j]: the entry at |i + k, j + k><i, j| of the state
-    # and of its derivative, one product per k, and 0 outside i, j < d - k
-    coherences = np.zeros((2, d, d, d))
+    coherences = np.empty((2, _start(d, d)))
+    # one product per offset at its own size: padded to the cutoff and batched,
+    # OpenBLAS would order the sums by the padded length and move the bits
     for k, (b1, b2, db2) in enumerate(zip(ch1.blocks, ch2.blocks, ch2.dblocks)):
         weighted = b1 * (amps[k:] * amps[: d - k])
-        coherences[:, k, : d - k, : d - k] = weighted @ b2.T, weighted @ db2.T
-    return np.take(coherences.reshape(2, -1), _sector_layout(d).gather, axis=1)
+        for out, block in zip(coherences[:, _start(d, k) : _start(d, k + 1)], (b2, db2)):
+            np.matmul(weighted, block.T, out=out.reshape(d - k, d - k))
+    return coherences
 
 
 def _trace(state: FockState) -> float:
-    """Tr A Tr B of a product A x B, else the sum of the sector traces."""
+    """Tr A Tr B of a product A x B, else the sum of P_0, the diagonal."""
     if state.factors is not None:
         return float(np.trace(state.factors[0]).real * np.trace(state.factors[1]).real)
-    return float(np.trace(state.stack, axis1=1, axis2=2).sum())
+    return float(np.sum(state.coherences[: state.dim**2]))
 
 
 def bifrequency_fock_family(
@@ -549,23 +546,24 @@ def _received(eta1: float, n_s: float, n_th: float, probe: str, cutoff: int) -> 
     typed, as ``_channel``; a call that raises is not memoised."""
     _received.cache_clear()
     state = _evaluate(eta1, n_s, n_th, probe, cutoff, LAMBDA0)
-    for array in (*(state.factors or (state.stack,)), state.tangent):
+    for array in (*(state.factors or (state.coherences,)), state.tangent):
         array.setflags(write=False)
     return state
 
 
-def _blockwise(state: FockState) -> tuple[float, list[tuple[np.ndarray, ...]]]:
+def _blockwise(state: FockState) -> tuple[float, Iterable[tuple[np.ndarray, ...]]]:
     """The weight and the blocks, each (basis index set, block of the state,
     block of its tangent) at its own size, that Eq. 1 and the SLD sums run
-    over: a state's sectors with weight 1, or for a product Tr A and the one
-    block (B, dB) on the states |0, n2> (the tangent rule)."""
-    d = state.dim
+    over: a state's sectors with weight 1, each taken from the coherences
+    as it is reached, or for a product Tr A and the one block (B, dB) on the
+    states |0, n2> (the tangent rule)."""
     if state.factors is not None:
         first, second = state.factors
-        return float(np.trace(first).real), [(np.arange(d), second, state.tangent)]
-    sizes = (d - abs(delta) for delta in range(1 - d, d))
-    parts = zip(_sector_layout(d).indices, state.stack, state.tangent, sizes)
-    return 1.0, [(idx[:m], block[:m, :m], dblock[:m, :m]) for idx, block, dblock, m in parts]
+        return float(np.trace(first).real), [(np.arange(state.dim), second, state.tangent)]
+    return 1.0, (
+        (idx, np.take(state.coherences, at), np.take(state.tangent, at))
+        for idx, at in _sector_layout(state.dim)
+    )
 
 
 def _pair_sum(sums: np.ndarray, mat: np.ndarray) -> float:

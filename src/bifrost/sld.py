@@ -186,7 +186,8 @@ def _solve(family: StateFamily) -> _Solution:
     The real moment derivatives map to the complex basis by the same unitary
     W as the moments: dSigma_c = W dSigma W^dag and dd_c = W dd. Memoised per
     family, so every kernel on one family shares one solve; its arrays are
-    read-only, and an error is raised again on every call.
+    read-only, and an error is raised again on every call. A quotient Q
+    that leaves the float range raises ArithmeticError, with no warning.
     """
     state, dcov, ddisp = family.derivative()
     n = state.n_modes
@@ -217,6 +218,11 @@ def _solve(family: StateFamily) -> _Solution:
                 "the logarithmic derivative does not exist"
             )
         den = np.where(pure, np.inf, den)
+    try:
+        with np.errstate(over="raise"):
+            q = z / den
+    except FloatingPointError:
+        raise ArithmeticError("the QFI leaves the float range: the quotient Q overflows") from None
     symmetric = n == 2 and not (
         np.count_nonzero(center) or np.count_nonzero(dd_c)
         or np.count_nonzero(cov_c.take(_MIXING)) or np.count_nonzero(dcov_c.take(_MIXING))
@@ -224,7 +230,7 @@ def _solve(family: StateFamily) -> _Solution:
     solution = _Solution(
         lam=lam,
         r=r,
-        q=z / den,
+        q=q,
         z=z,
         proj=rh @ dd_c,
         center=center.astype(complex),

@@ -24,7 +24,7 @@ from .protocols import (
     qi_ratio,
 )
 from .qfi import hc_closed_form, hq_closed_form, qfi_gaussian
-from .sld import SldForm, _solve, qfi_complex_form
+from .sld import _MIXING, SldForm, _solve, qfi_complex_form
 
 ORACLE_CONFIGS = [
     (eta1, n_s, n_th)
@@ -83,15 +83,13 @@ def oracle_checks(
 
 
 class LadderOperator(NamedTuple):
-    """A two-mode operator sum_t first[t] x second[t] on the truncated space,
-    with ``charges`` the changes of n1 - n2 its terms make. ``fock_sld_operator``
-    makes ``first`` and ``second`` (terms, cutoff, cutoff) views of arrays
-    stored term last, so that ``block`` reads them as (cutoff^2, terms)
-    without a copy."""
+    """A two-mode operator sum_t first[t] x second[t] on the truncated space.
+    ``fock_sld_operator`` makes ``first`` and ``second`` (terms, cutoff,
+    cutoff) views of arrays stored term last, so that ``block`` reads them
+    as (cutoff^2, terms) without a copy."""
 
     first: np.ndarray
     second: np.ndarray
-    charges: frozenset
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The block between basis states ``rows`` and ``cols``. Each mode's
@@ -147,10 +145,6 @@ def fock_sld_operator(form: SldForm, cutoff: int) -> LadderOperator:
                 for (c1, u1, v1), (c2, u2, v2) in itertools.product(dagger, delta[j])
             ]
     terms = [(scalar, "", "")] + [term for term in terms if term[0] != 0]
-
-    def shift(word: str) -> int:
-        return word.count("A") - word.count("a")
-
     words = sorted({v for _, _, v in terms})
     dtype = np.result_type(*(c for c, _, _ in terms), float)
     # term last, viewed term first (LadderOperator)
@@ -158,8 +152,19 @@ def fock_sld_operator(form: SldForm, cutoff: int) -> LadderOperator:
     for c, u, v in terms:
         first[words.index(v)] += c * _ladder_word(u, cutoff)
     second = np.stack([_ladder_word(v, cutoff) for v in words], axis=-1).transpose(2, 0, 1)
-    charges = {shift(u) - shift(v) for _, u, v in terms}
-    return LadderOperator(first, second, frozenset(charges | {-q for q in charges}))
+    return LadderOperator(first, second)
+
+
+def _changes_n1_minus_n2(form: SldForm) -> bool:
+    """Whether a term of the form's expansion in ``fock_sld_operator`` with a
+    nonzero coefficient changes n1 - n2: a linear term A_i^dag, an entry of
+    the quadratic part at the entries ``sld._MIXING``, or a quadratic entry
+    times the center, which leaves one ladder operator."""
+    quad, center = form.quad, form.center
+    return bool(
+        np.any(form.linear) or np.any(quad.take(_MIXING))
+        or np.any(quad * center) or np.any(center.conj()[:, None] * quad)
+    )
 
 
 def sld_fock_report(
@@ -169,40 +174,38 @@ def sld_fock_report(
 
     The form and its QFI come from one Williamson-basis solve. The residual
     of ell rho + (ell rho)^dag = 2 drho, the mean Tr(ell rho) and the second
-    moment Tr(ell ell rho) are sums over blocks, read off the form and the
-    family's shared state at the working point and its tangent drho (the
-    tangent rule and the shared state of the ``fock`` module docstring),
-    never the probe. The blocks and the weight that scales the mean and
-    second moment are those of ``fock._blockwise``, and ell is gathered between the blocks whose
-    n1 - n2 differ by a charge of the form, never on the whole
-    cutoff^2 x cutoff^2 basis. A product's one block lies on the states
-    |0, n2>, where ell reads as I x ell_2 only if the form has no mode-1
-    term, else ValueError. A cutoff that passes the tail gate may still be
-    too small for the second moment (see ``WIDE_CONFIGS``).
+    moment Tr(ell ell rho) are sums over the blocks of ``fock._blockwise``,
+    read one at a time off the family's shared state at the working point
+    and its tangent drho (the ``fock`` module docstring), never the probe,
+    with its weight on the mean and second moment; ell is gathered on each
+    block's basis states. So the form must keep what the state's form
+    keeps, else ValueError: on a product's one block, the states |0, n2>,
+    ell must read as I x ell_2, and on sectors it must keep n1 - n2. A
+    cutoff that passes the tail gate may still be too small for the second
+    moment (see ``WIDE_CONFIGS``).
     """
     solution = _solve(bifrequency_received_state(BiFrequencyParams(eta1, 0.0, n_s, n_th), probe))
     h = solution.result().value
-    ell = fock_sld_operator(solution.form(), cutoff)
+    form = solution.form()
+    ell = fock_sld_operator(form, cutoff)
     state = fock.bifrequency_fock_family(eta1, n_s, n_th, probe, cutoff)(fock.LAMBDA0)
-    if state.factors is not None and not np.array_equal(
-        ell.first, ell.first[:, :1, :1] * np.eye(cutoff)
-    ):
-        raise ValueError("the SLD form acts on mode 1 of a product state")
+    if state.factors is not None:
+        if not np.array_equal(ell.first, ell.first[:, :1, :1] * np.eye(cutoff)):
+            raise ValueError("the SLD form acts on mode 1 of a product state")
+    elif _changes_n1_minus_n2(form):
+        raise ValueError("the SLD form changes n1 - n2 on a state kept as sectors")
     weight, blocks = fock._blockwise(state)
-    count = len(blocks)
-    # sectors ascend in n1 - n2, so charge c pairs block q with block q + c
-    pairs = [(q + c, q) for q in range(count) for c in ell.charges if 0 <= q + c < count]
-    ell_blocks = {(p, q): ell.block(blocks[p][0], blocks[q][0]) for p, q in pairs}
-    products = {(p, q): ell_blocks[p, q] @ blocks[q][1] for p, q in pairs}
     residual_sq = mean = second_moment = 0.0
-    for (p, q), product in products.items():
-        anticommutator = product + products[q, p].conj().T
-        if p == q:
-            anticommutator -= 2.0 * blocks[p][2]
-            mean += product.trace()
+    tangent_norms = []
+    for idx, block, dblock in blocks:
+        ell_block = ell.block(idx, idx)
+        product = ell_block @ block
+        anticommutator = product + product.conj().T - 2.0 * dblock
+        mean += product.trace()
         residual_sq += np.linalg.norm(anticommutator) ** 2
-        second_moment += np.sum(ell_blocks[p, q] * products[q, p].T)
-    residual = np.sqrt(residual_sq) / np.linalg.norm([np.linalg.norm(b[2]) for b in blocks])
+        second_moment += np.sum(ell_block * product.T)
+        tangent_norms.append(np.linalg.norm(dblock))
+    residual = np.sqrt(residual_sq) / np.linalg.norm(tangent_norms)
     second_moment = float(np.real(weight * second_moment))
     return {
         "residual": float(residual),

@@ -13,10 +13,12 @@ states, which the package never forms, are kept here too, and so are two
 references for the thermal-loss channel that share none of its code: the
 untruncated Kraus sums of the amplifier after loss at 40 digits, and the
 beam-splitter dilation with a thermal bath, on unitaries from
-scipy.linalg.expm. The package gathers its sector stacks, moments and SLD
-blocks with ``np.take`` on one flat axis; the ``fancy_*`` references gather
-the same entries with a full slice and an array index, through numpy's
-subspace copy, and so pin the package's bits.
+scipy.linalg.expm. A state kept as its coherences is read here by their
+definition alone, entry by entry, never through the package's sector
+layout. The package gathers its moments and SLD blocks with ``np.take`` on
+one flat axis; the ``fancy_*`` references gather the same entries with a
+full slice and an array index, through numpy's subspace copy, and so pin
+the package's bits.
 """
 
 import functools
@@ -45,15 +47,33 @@ def fock_tmsv(n_s, cutoff):
     return np.outer(psi, psi)
 
 
-def _scatter(stack, dim):
-    """The dense matrix of a padded sector stack: each sector at its basis
-    states, 0 elsewhere."""
-    layout = fock._sector_layout(dim)
-    inside = ~layout.padding
-    rows = np.broadcast_to(layout.indices[:, :, None], stack.shape)[inside]
-    cols = np.broadcast_to(layout.indices[:, None, :], stack.shape)[inside]
-    out = np.zeros((dim * dim, dim * dim), stack.dtype)
-    out[rows, cols] = stack[inside]
+def _entries(coherences, dim):
+    """Every entry of a state kept as ``coherences``, as (values, rows,
+    cols) in the dense matrix: P_k, the next (dim - k)^2 coherences for
+    k = 0, ..., dim - 1, holds at [i, j] the entry at |i + k, j + k><i, j|
+    and, for k > 0, the one at |i, j><i + k, j + k|."""
+    values, rows, cols = [], [], []
+    start = 0
+    for k in range(dim):
+        size = dim - k
+        i, j = np.divmod(np.arange(size * size), size)
+        block = coherences[start : start + size * size]
+        start += size * size
+        sides = ((i + k) * dim + j + k, i * dim + j)
+        for ket, bra in (sides, sides[::-1]) if k else (sides,):
+            values.append(block)
+            rows.append(ket)
+            cols.append(bra)
+    assert start == len(coherences)
+    return np.concatenate(values), np.concatenate(rows), np.concatenate(cols)
+
+
+def _scatter(coherences, dim):
+    """The dense matrix of a state kept as ``coherences``: each entry at its
+    place, 0 elsewhere."""
+    values, rows, cols = _entries(coherences, dim)
+    out = np.zeros((dim * dim, dim * dim), values.dtype)
+    out[rows, cols] = values
     return out
 
 
@@ -62,7 +82,7 @@ def dense(state):
     placed at their basis states."""
     if state.factors is not None:
         return np.kron(*state.factors)
-    return _scatter(state.stack, state.dim)
+    return _scatter(state.coherences, state.dim)
 
 
 def dense_tangent(state):
@@ -342,15 +362,14 @@ def dense_sld_report(eta1, n_s, n_th, probe, cutoff):
     }
 
 
-def fancy_tmsv_sectors(ch1, ch2, amps):
-    """``fock._tmsv_sectors`` with the sector stack gathered by the index
-    ``coherences[:, gather]``."""
+def concatenated_tmsv_sectors(ch1, ch2, amps):
+    """``fock._tmsv_sectors`` as the concatenation of its products."""
     d = len(amps)
-    coherences = np.zeros((2, d, d, d))
+    parts = []
     for k, (b1, b2, db2) in enumerate(zip(ch1.blocks, ch2.blocks, ch2.dblocks)):
         weighted = b1 * (amps[k:] * amps[: d - k])
-        coherences[:, k, : d - k, : d - k] = weighted @ b2.T, weighted @ db2.T
-    return coherences.reshape(2, -1)[:, fock._sector_layout(d).gather]
+        parts.append([(weighted @ b2.T).ravel(), (weighted @ db2.T).ravel()])
+    return np.concatenate(parts, axis=1)
 
 
 def fancy_quadrature_moments(state):
@@ -365,8 +384,7 @@ def fancy_quadrature_moments(state):
         rows = (t * d + t.T)[:, :, None, None]
         cols = near[:, None, :, None] * d + near[None, :, None, :]
     else:
-        indices = fock._sector_layout(d).indices
-        values, rows, cols = state.stack, indices[:, :, None], indices[:, None, :]
+        values, rows, cols = _entries(state.coherences, d)
     places = (d, 1)
     keep = values != 0
     for place in places:

@@ -165,7 +165,7 @@ def test_criterion_6_sld_correctness():
 def test_wide_oracle_box():
     """Criteria 2 and 6 where the paper's advantage is large: the oracle and
     SLD checks at eta1 = 0.8, n_s and n_th in {1, 2}, both probes, at their
-    tolerances, in a process of its own whose peak RSS stays under 176 MB.
+    tolerances, in a process of its own whose peak RSS stays under 64 MB.
     The peak is the process's VmHWM: ru_maxrss would carry over the high
     mark of the test process that starts it."""
     code = (
@@ -183,7 +183,7 @@ def test_wide_oracle_box():
     failed = [line for line in lines if not line.startswith("[PASS]")]
     print("\n".join(failed))
     print(f"wide box: {len(lines)} checks, peak RSS {float(peak_mb):.1f} MB, runtime {elapsed:.1f}s")
-    verdict("2, 6", "wide oracle box", len(lines) == 32 and not failed and float(peak_mb) < 176.0)
+    verdict("2, 6", "wide oracle box", len(lines) == 32 and not failed and float(peak_mb) < 64.0)
 
 
 def test_criterion_7_advantage_map_reproduction(tmp_path):

@@ -305,6 +305,42 @@ def test_displacement_derivative_out_of_range_is_one_error_line(eta1, nth, capsy
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("nth", ["0", "1e-300"])
+def test_sld_quotient_out_of_range_is_one_error_line(nth, capsys):
+    """At eta1 = 1e-310 with n_s = 1e300 the entangled probe's transported
+    derivative Z over 1 - lambda_i lambda_j leaves the float range: ``qfi``
+    ends in one error line, exit code 1, with no RuntimeWarning on the way."""
+    from bifrost import cli
+
+    for probe in ([], ["--probe", "tmsv"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["qfi", "--eta1", "1e-310", "--ns", "1e300", "--nth", nth, *probe]) == 1
+        assert [str(w.message) for w in caught] == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the QFI leaves the float range: the quotient Q overflows\n"
+
+
+def test_qfi_near_the_float_range_warns_nothing(capsys):
+    """At tiny reflectivities with n_s = 1e300, for every bath and both
+    probes, ``qfi`` prints its result or one error line, never a warning."""
+    from bifrost import cli
+
+    for eta1 in ("5e-324", "1e-320", "1e-310", "1e-300"):
+        for nth in ("0", "1e-300", "1e-6", "1", "1e6", "1e200", "1e300"):
+            for probe in ("tmsv", "coherent"):
+                argv = ["qfi", "--eta1", eta1, "--ns", "1e300", "--nth", nth, "--probe", probe]
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code = cli.main(argv)
+                err = capsys.readouterr().err
+                assert [str(w.message) for w in caught] == [], argv
+                assert (code, err) == (0, "") or (
+                    code == 1 and err.startswith("error: ") and err.count("\n") == 1
+                ), argv
+
+
 def test_config_file_with_flag_override(tmp_path):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({"eta1": 0.5, "ns": 2.0, "nth": 1.0}))
@@ -473,6 +509,21 @@ def test_circuit_output():
     assert payload["converged"]
     assert payload["mu"] == pytest.approx(np.sqrt(1.5))
     assert max(payload["residuals"].values()) < 1e-9
+
+
+def test_circuit_unconverged_residual_is_a_regression_exit(capsys):
+    """At n_s = 1e300 the circuit's residual norm exceeds its tolerance:
+    ``circuit`` still prints its JSON, with ``"converged": false``, and
+    exits 3, the code of a failed check."""
+    from bifrost import cli
+
+    assert cli.main(["circuit", "--ns", "1e300"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["converged"] is False
+    assert payload["n_s"] == 1e300
+    assert payload["residuals"]["norm"] > 1e-12
 
 
 def test_validate_quick_passes():

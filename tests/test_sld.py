@@ -343,12 +343,13 @@ def test_fock_sld_operator_matches_sparse_reference():
     """Gathered from one-mode ladder words, the operator equals the one made
     of sparse two-mode ladder operators: on the whole basis, and on each
     pair of n1 - n2 sectors, for the forms of both probes, a complex one
-    with a displaced center, and the zero form. Its charges are 0 and the
-    sector shifts where it has nonzero entries."""
+    with a displaced center, and the zero form. It has nonzero entries
+    between two sectors of different n1 - n2 exactly where
+    ``validate._changes_n1_minus_n2`` says the form changes n1 - n2."""
     import fock_reference
     from bifrost import fock
     from bifrost.sld import SldForm
-    from bifrost.validate import fock_sld_operator
+    from bifrost.validate import _changes_n1_minus_n2, fock_sld_operator
 
     cutoff = 10
     rng = np.random.default_rng(9)
@@ -361,8 +362,7 @@ def test_fock_sld_operator_matches_sparse_reference():
         SldForm(quad=np.zeros((4, 4)), linear=np.zeros(4), scalar=0.0, center=np.zeros(4)),
     ]
     whole = np.arange(cutoff * cutoff)
-    layout = fock._sector_layout(cutoff).indices
-    sectors = [idx[: cutoff - abs(delta)] for idx, delta in zip(layout, range(1 - cutoff, cutoff))]
+    sectors = [idx for idx, _ in fock._sector_layout(cutoff)]
     for form in forms:
         op = fock_sld_operator(form, cutoff)
         reference = fock_reference.sparse_sld_operator(form, cutoff).toarray()
@@ -375,4 +375,4 @@ def test_fock_sld_operator_matches_sparse_reference():
                 assert np.max(np.abs(op.block(rows, cols) - expected)) <= 1e-13 * scale
                 if np.any(expected):
                     coupled.add(p - q)
-        assert coupled | {0} == op.charges
+        assert bool(coupled - {0}) == _changes_n1_minus_n2(form)
