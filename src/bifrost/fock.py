@@ -50,8 +50,8 @@ view (``_blockwise``): a weight and the blocks their sums run over, the
 product's one block or the sectors, taken one at a time. So they
 diagonalise one sector, or the moving factor, never a cutoff^2 x cutoff^2
 matrix, and read the form off the state, never off the probe;
-``quadrature_moments`` sums over the factors' or the coherences' entries
-within a band fixed per cutoff (``_moment_band``).
+``quadrature_moments`` reads the factors' diagonals, or the products P_k,
+for |k| <= 2.
 
 The four-mode bi-frequency pipeline is never materialised: the interaction
 does not mix frequencies, so each frequency sees an independent thermal-loss
@@ -68,12 +68,11 @@ B1_k diag(a_{i+k} a_i) B2_k^T of the two channels' blocks, the entry at
 written into its slice of the coherences. Real probes give real states,
 which keep a real dtype throughout.
 
-The gathers. Every gather of the oracle takes whole entries along one flat
-axis with ``np.take``: the sectors here, the band and one-mode
-operators of ``quadrature_moments`` and the ladder words of
-``validate.LadderOperator``. The same gather written as a full slice and an
-array index, such as ``operators[:, gather]``, gives the same bytes but
-runs through numpy's slower subspace copy.
+The gathers. A sector, like a ladder word of ``validate.LadderOperator``,
+is one ``np.take`` along one flat axis: a full slice and an array index,
+such as ``words[:, gather]``, give the same bytes through numpy's slower
+subspace copy. A channel reads a one-mode matrix's offsets as strided
+views of its diagonals, with no index (``_by_offset``).
 
 The shared state. ``qfi_eq1``, ``validate.sld_fock_report`` and
 ``quadrature_moments`` read a family at LAMBDA0, so the state there is
@@ -98,7 +97,7 @@ product's sum is Tr A times that of the one block (B, dB) on the states
 from __future__ import annotations
 
 import functools
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -206,21 +205,6 @@ def _sector_layout(dim: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     return tuple(layout)
 
 
-@functools.lru_cache(maxsize=16)
-def _offset_order(dim: int) -> np.ndarray:
-    """The flat indices of a dim x dim matrix grouped by coherence offset:
-    rho[i, i] for i < dim, then for each k = 1, ..., dim - 1 the entries
-    rho[i + k, i] and then rho[i, i + k], each ascending in i. A permutation,
-    read-only since it is shared."""
-    groups = [np.arange(dim) * (dim + 1)]
-    for k in range(1, dim):
-        i = np.arange(dim - k)
-        groups += [(i + k) * dim + i, i * dim + i + k]
-    order = np.concatenate(groups)
-    order.setflags(write=False)
-    return order
-
-
 def annihilation(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1)
 
@@ -283,81 +267,38 @@ def _check_reflectivity(eta: float):
         raise ValueError(f"reflectivity must lie in (0, 1), got {eta!r}")
 
 
-class _MomentBand(NamedTuple):
-    """The entries ``quadrature_moments`` sums at cutoff d: the pairs of
-    basis states (n1 d + n2, m1 d + m2) with |n1 - m1|, |n2 - m2| <= 2, in
-    the dense matrix's order. ``operator_at`` holds, per mode, the flat
-    index m d + n of each pair into the one-mode operators ``ops``;
-    ``position``, the flat index into the coherences of each pair inside
-    one sector of n1 - n2, and ``sector_operator_at`` their
-    ``operator_at``."""
-
-    operator_at: np.ndarray
-    position: np.ndarray
-    sector_operator_at: np.ndarray
-    ops: np.ndarray
-
-
-@functools.lru_cache(maxsize=16)
-def _moment_band(d: int) -> _MomentBand:
-    """The band of cutoff ``d``; read-only, since it is shared. ops[0] = I,
-    ops[1 + u] = q_u and ops[3 + u + v] = q_u q_v + q_v q_u, each flat."""
-    n = np.arange(d)
-    near = n[:, None] + np.arange(-2, 3)
-    inside = (near >= 0) & (near < d)
-    grid = (n[:, None, None, None], n[None, :, None, None], near[:, None, :, None],
-            near[None, :, None, :])
-    valid = inside[:, None, :, None] & inside[None, :, None, :]
-    # C order over (n1, n2, m1, m2) is the dense matrix's order
-    n1, n2, m1, m2 = (np.broadcast_to(i, valid.shape)[valid] for i in grid)
-    operator_at = np.stack([m1 * d + n1, m2 * d + n2])
-    sector = n1 - n2 == m1 - m2
-    # in a sector <n1, n2|rho|m1, m2> is P_k[m1, m2], k = n1 - m1 >= 0, else P_-k[n1, n2]
-    k = np.abs(n1 - m1)
-    position = _start(d, k) + np.minimum(n1, m1) * (d - k) + np.minimum(n2, m2)
-    a = annihilation(d)
-    x, p = (a + a.T) / np.sqrt(2.0), (a - a.T) / (1j * np.sqrt(2.0))
-    ops = np.stack([np.eye(d), x, p, x @ x + x @ x, x @ p + p @ x, p @ p + p @ p])
-    band = _MomentBand(
-        operator_at,
-        position[sector],
-        operator_at[:, sector],
-        ops.reshape(len(ops), -1),
-    )
-    for array in band:
-        array.setflags(write=False)
-    return band
-
-
 def quadrature_moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
     """Interleaved covariance and displacement of a two-mode state, from
     number-basis moments.
 
-    Each moment is Tr(rho O) = sum rho[r, s] O[s, r], with O a product of
-    one-mode operators: the identity, a quadrature, or the anticommutator of
-    two. Each of them moves a photon number by at most 2, so the sum runs
-    over the nonzero entries of rho within that band on both modes, fixed
-    per cutoff (``_moment_band``), and each one-mode operator is gathered at
-    their photon numbers. The entries are read off the state's form: the
-    coherences at the sectors' positions, or for a product A x B the
-    products A[n1, m1] B[n2, m2], read as A^T at m1 d + n1. They are summed
-    in the order of the dense matrix, which is never formed.
+    Each moment is read off one table E[o1, o2] = Tr(rho O_o1 x O_o2) over
+    the one-mode operators I, x, p, {x, x}, {x, p}, {p, p}. None moves a
+    photon number by more than 2, so only their diagonals u_k[o, i] =
+    O_o[i, i + k], |k| <= 2, enter. For a product A x B, E is the outer
+    product of the one-mode traces Tr(A O), each the sum over k of u_k times
+    A's -k-th diagonal. For coherences, P_k[i, j] at |i + k, j + k><i, j|
+    meets O1[i, i + k] O2[j, j + k], and its transpose at offset -k meets
+    O1[i + k, i] O2[j + k, j], so E is u_k P_|k| u_k^T summed over k.
     """
-    band = _moment_band(state.dim)
+    d = state.dim
+    a = annihilation(d)
+    x, p = (a + a.T) / np.sqrt(2.0), (a - a.T) / (1j * np.sqrt(2.0))
+    ops = np.stack([np.eye(d), x, p, x @ x + x @ x, x @ p + p @ x, p @ p + p @ p])
+    diagonals = {k: np.diagonal(ops, k, axis1=1, axis2=2) for k in range(max(-2, 1 - d), min(3, d))}
     if state.factors is not None:
-        first, second = state.factors
-        values = np.take(first.T, band.operator_at[0]) * np.take(second.T, band.operator_at[1])
-        operator_at = band.operator_at
+        traces = [sum(u @ np.diagonal(f, -k) for k, u in diagonals.items()) for f in state.factors]
+        table = np.outer(*traces)
     else:
-        values, operator_at = np.take(state.coherences, band.position), band.sector_operator_at
-    keep = values != 0
-    values = values[keep]
-    gathered = [np.take(band.ops, at[keep], axis=1) for at in operator_at]
+        table = 0.0
+        for k, u in diagonals.items():
+            size = d - abs(k)
+            block = state.coherences[_start(d, abs(k)) :][: size * size].reshape(size, size)
+            table = table + u @ block @ u.T
+    table = table.real
 
     def expect(terms: dict[int, int]) -> float:
         """Tr(rho O) for O = ops[terms[m]] on each listed mode m, I elsewhere."""
-        factors = [g[terms.get(m, 0)] for m, g in enumerate(gathered)]
-        return np.sum(values * np.prod(factors, axis=0)).real
+        return table[terms.get(0, 0), terms.get(1, 0)]
 
     disp = np.array([expect({m: 1 + u}) for m in range(2) for u in range(2)])
     cov = np.empty((4, 4))
@@ -380,8 +321,8 @@ class ThermalLossChannel:
     i in both. The channel preserves hermiticity and is real, so offset -k,
     the coherences rho[i, i + k], has the same block; ``dblocks`` are their
     eta-derivatives (module docstring). ``apply`` runs the channel on one
-    mode, with every offset's coherences gathered in one index and scattered
-    back in one (``_by_offset``, which also applies ``dblocks``). Besides
+    mode, one product per offset and side on the strided views of the
+    matrix's diagonals (``_by_offset``, which also applies ``dblocks``). Besides
     eta in (0, 1), the derivative needs eta G > 2 (cutoff - 1) (1 + n_th) /
     1.8e308, about 3e-307 at cutoff 30 and n_th = 0, else ValueError: below
     that, d log tau/deta = (1 + n_th) / (G eta) times the exponent
@@ -442,20 +383,16 @@ class ThermalLossChannel:
 
 
 def _by_offset(blocks: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
-    """A channel's ``blocks`` or ``dblocks`` applied to ``rho``: its entries
-    gathered by offset in one index (``_offset_order``), one product per
-    offset and side, and one scatter back."""
-    order = _offset_order(len(blocks))
-    coherences = np.take(rho, order)
-    out = np.empty_like(coherences)
-    start = 0
+    """A channel's ``blocks`` or ``dblocks`` applied to ``rho``: one product
+    per offset k and side, on the strided view of the k-th diagonal below
+    (start k d) and above (start k) the main one, written into the same
+    view of the output."""
+    d = len(blocks)
+    result = np.empty(rho.shape, rho.dtype)
+    source, target = rho.reshape(-1), result.reshape(-1)
     for k, block in enumerate(blocks):
-        for _ in range(1 if k == 0 else 2):  # the diagonal, else both sides
-            stop = start + len(blocks) - k
-            out[start:stop] = block @ coherences[start:stop]
-            start = stop
-    result = np.empty(rho.shape, out.dtype)
-    result.reshape(-1)[order] = out
+        for start in {k * d, k}:  # below and above, once on the diagonal
+            target[start :: d + 1][: d - k] = block @ source[start :: d + 1][: d - k]
     return result
 
 
@@ -532,8 +469,8 @@ def _evaluate(
         single = fock_coherent(np.sqrt(n_s), cutoff)
         second = ch2.apply(single)
         # the first channel does not move with lam, and at LAMBDA0 it is the
-        # second: every state of a configuration shares one first factor
-        first = second if lam == LAMBDA0 else _received(eta1, n_s, n_th, probe, cutoff).factors[0]
+        # second, so there one output serves both factors
+        first = second if lam == LAMBDA0 else _channel(eta1, n_th, cutoff).apply(single)
         state = FockState.product(first, second, _by_offset(ch2.dblocks, single))
     _gate_cutoff(1.0 - _trace(state), cutoff, "received")
     return state

@@ -15,10 +15,9 @@ untruncated Kraus sums of the amplifier after loss at 40 digits, and the
 beam-splitter dilation with a thermal bath, on unitaries from
 scipy.linalg.expm. A state kept as its coherences is read here by their
 definition alone, entry by entry, never through the package's sector
-layout. The package gathers its moments and SLD blocks with ``np.take`` on
-one flat axis; the ``fancy_*`` references gather the same entries with a
-full slice and an array index, through numpy's subspace copy, and so pin
-the package's bits.
+layout. The package gathers its SLD blocks with ``np.take`` on one flat
+axis; ``fancy_block`` gathers the same entries with a full slice and an
+array index, through numpy's subspace copy, and so pins the package's bits.
 """
 
 import functools
@@ -370,49 +369,6 @@ def concatenated_tmsv_sectors(ch1, ch2, amps):
         weighted = b1 * (amps[k:] * amps[: d - k])
         parts.append([(weighted @ b2.T).ravel(), (weighted @ db2.T).ravel()])
     return np.concatenate(parts, axis=1)
-
-
-def fancy_quadrature_moments(state):
-    """``fock.quadrature_moments`` with the one-mode operators gathered by
-    the index ``ops[:, flat]``."""
-    d = state.dim
-    if state.factors is not None:
-        t, e = np.arange(d)[:, None], np.arange(-2, 3)
-        near = np.clip(t + e, 0, d - 1)
-        first, second = (np.where(t + e == near, f[t, near], 0) for f in state.factors)
-        values = first[:, None, :, None] * second[None, :, None, :]
-        rows = (t * d + t.T)[:, :, None, None]
-        cols = near[:, None, :, None] * d + near[None, :, None, :]
-    else:
-        values, rows, cols = _entries(state.coherences, d)
-    places = (d, 1)
-    keep = values != 0
-    for place in places:
-        keep &= np.abs(rows // place % d - cols // place % d) <= 2
-    rows, cols = (np.broadcast_to(i, keep.shape)[keep] for i in (rows, cols))
-    order = np.argsort(rows * d**2 + cols)
-    values, rows, cols = values[keep][order], rows[order], cols[order]
-
-    a = fock.annihilation(d)
-    x, p = (a + a.T) / np.sqrt(2.0), (a - a.T) / (1j * np.sqrt(2.0))
-    ops = np.stack([np.eye(d), x, p, x @ x + x @ x, x @ p + p @ x, p @ p + p @ p])
-    gathered = [ops.reshape(len(ops), -1)[:, cols // p % d * d + rows // p % d] for p in places]
-
-    def expect(terms):
-        factors = [g[terms.get(m, 0)] for m, g in enumerate(gathered)]
-        return np.sum(values * np.prod(factors, axis=0)).real
-
-    disp = np.array([expect({m: 1 + u}) for m in range(2) for u in range(2)])
-    cov = np.empty((4, 4))
-    for i in range(4):
-        for j in range(i, 4):
-            (m1, u), (m2, v) = divmod(i, 2), divmod(j, 2)
-            if m1 == m2:
-                sym = expect({m1: 3 + u + v})
-            else:
-                sym = 2.0 * expect({m1: 1 + u, m2: 1 + v})
-            cov[i, j] = cov[j, i] = sym - 2.0 * disp[i] * disp[j]
-    return cov, disp
 
 
 def fancy_block(op, rows, cols):

@@ -201,6 +201,28 @@ def test_package_keeps_no_dense_two_mode_state():
     assert constructors == {"product", "sectors"} and "__init__" not in vars(fock.FockState)
 
 
+def _memoised(module) -> set[str]:
+    """The names a module binds to a memo: each top-level statement that
+    mentions ``cache`` or ``lru_cache``, by the name it defines."""
+    prefix = module.__name__.rsplit(".", 1)[1]
+    names = set()
+    for statement in ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8")).body:
+        if any(getattr(node, "attr", getattr(node, "id", None)) in ("cache", "lru_cache")
+               for node in ast.walk(statement)):
+            for target in getattr(statement, "targets", [statement]):
+                names.add(f"{prefix}.{getattr(target, 'id', None) or target.name}")
+    return names
+
+
+def test_oracle_keeps_only_its_four_memos():
+    """The oracle memoises the channels, the shared state, the sectors'
+    layout and the ladder words, and nothing else: a new per-cutoff table
+    fails here."""
+    assert _memoised(fock) | _memoised(validate) == {
+        "fock._channel", "fock._received", "fock._sector_layout", "validate._ladder_word",
+    }
+
+
 def test_fock_constructors_reject_non_finite_inputs():
     """NaN photon numbers, amplitudes and tail masses raise domain errors
     instead of building NaN blocks or failing later as non-hermitian."""
@@ -522,6 +544,25 @@ def test_channel_apply_matches_kraus_superoperator():
         assert np.array_equal(out, per_offset)
 
 
+@pytest.mark.parametrize("cutoff", [1, 2, 30, 80])
+def test_offsets_apply_bit_for_bit_per_offset_and_side(cutoff):
+    """``_by_offset`` with a channel's blocks or derivatives equals, bit for
+    bit, one product per offset and side of each block with that offset's
+    coherences gathered by a fancy index, on real and complex input, and
+    keeps the input's dtype."""
+    channel = fock.ThermalLossChannel(0.63, 0.25, cutoff)
+    rng = np.random.default_rng(cutoff)
+    noise = rng.standard_normal((2, cutoff, cutoff))
+    for rho in (noise[0], noise[0] + 1j * noise[1]):
+        for blocks in (channel.blocks, channel.dblocks):
+            expected = np.zeros_like(rho)
+            for k, block in enumerate(blocks):
+                i = np.arange(cutoff - k)
+                expected[i + k, i] = block @ rho[i + k, i]
+                expected[i, i + k] = block @ rho[i, i + k]
+            assert _same_bits(fock._by_offset(blocks, rho), expected)
+
+
 def test_channel_trace_preserving():
     family = fock.bifrequency_fock_family(0.5, 0.3, 0.2, "tmsv", 22)
     assert abs(np.trace(fock_reference.dense(family(0.0))) - 1.0) < 1e-6
@@ -654,9 +695,10 @@ def test_qfi_and_sld_report_evaluate_the_family_once(probe, monkeypatch):
 def test_memoised_channel_is_read_only():
     """A memoised channel is shared, so neither its tuples of blocks and of
     their derivatives nor any block can be written; nor can the memoised
-    per-cutoff layouts of the coherence offsets, the sectors and the
-    moment band, nor the first factor that every state of a coherent family shares, nor any array
-    of a shared state at the working point."""
+    per-cutoff layout of the sectors, nor any array of a shared state at the
+    working point. A coherent state off the working point takes its first
+    factor from the memoised channel, not from the shared state, so it has
+    that state's bits and leaves the shared-state memo alone."""
     channel = fock._channel(0.8, 0.3, 12)
     assert fock._channel(0.8, 0.3, 12) is channel
     assert isinstance(channel.blocks, tuple) and isinstance(channel.dblocks, tuple)
@@ -665,13 +707,14 @@ def test_memoised_channel_is_read_only():
             block[0, 0] = 1.0
     with pytest.raises(TypeError):
         channel.blocks[0] = np.zeros((12, 12))
-    assert fock._offset_order(12) is fock._offset_order(12)
     assert fock._sector_layout(12) is fock._sector_layout(12)
     sectors = fock.bifrequency_fock_family(0.8, 0.05, 0.3, "tmsv", 12)(0.0)
     coherent = fock.bifrequency_fock_family(0.8, 0.05, 0.3, "coherent", 12)
-    assert coherent(0.0).factors[0] is coherent(1e-4).factors[0]
-    shared = [fock._offset_order(12), *fock._moment_band(12)]
-    shared += [array for pair in fock._sector_layout(12) for array in pair]
+    first = coherent(0.0).factors[0]
+    info = fock._received.cache_info()
+    assert _same_bits(coherent(1e-4).factors[0], first)
+    assert fock._received.cache_info() == info
+    shared = [array for pair in fock._sector_layout(12) for array in pair]
     shared += [sectors.coherences, sectors.tangent, *coherent(0.0).factors, coherent(0.0).tangent]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
@@ -1118,21 +1161,37 @@ GATHER_CUTOFFS = {1: 1e-7, 2: 1e-4, 30: 0.5, 45: 1.0}
 @pytest.mark.parametrize("cutoff", GATHER_CUTOFFS)
 def test_take_gathers_match_the_fancy_index_bit_for_bit(cutoff):
     """``_tmsv_sectors``, which writes each product into its slice of the
-    coherences, equals the concatenation of the products bit for bit; and
-    ``quadrature_moments``, which gathers with ``np.take``, equals the
-    full-slice fancy index it replaced (``fock_reference``) bit for bit, on
-    coherences and on complex products."""
+    coherences, equals the concatenation of the products bit for bit."""
     ch1, ch2 = fock.ThermalLossChannel(0.8, 0.3, cutoff), fock.ThermalLossChannel(0.5, 1.0, cutoff)
     amps = fock._tmsv_amplitudes(GATHER_CUTOFFS[cutoff], cutoff)
     coherences = fock._tmsv_sectors(ch1, ch2, amps)
     assert _same_bits(coherences, fock_reference.concatenated_tmsv_sectors(ch1, ch2, amps))
+
+
+# largest deviation measured over these states, relative to their largest
+# moment, was 1.1e-15 (a complex product at cutoff 30): a few ulps of
+# summation order
+RANDOM_MOMENTS_ROUNDOFF = 2e-15
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 30])
+def test_moments_of_random_states_match_the_dense_reference(cutoff):
+    """On random complex products and random coherences, neither of them
+    physical, the moments read off the form equal the traces of the dense
+    matrix against full-space operators, to RANDOM_MOMENTS_ROUNDOFF times
+    the largest moment."""
     rng = np.random.default_rng(cutoff)
-    noise = rng.standard_normal((2, cutoff, cutoff)) + 1j * rng.standard_normal((2, cutoff, cutoff))
-    product = fock.FockState.product(*(m + m.conj().T for m in noise))
-    for state in (fock.FockState.sectors(*coherences), product):
-        for got, expected in zip(fock.quadrature_moments(state),
-                                 fock_reference.fancy_quadrature_moments(state)):
-            assert _same_bits(got, expected)
+    states = []
+    for _ in range(3):
+        noise = rng.standard_normal((2, cutoff, cutoff)) + 1j * rng.standard_normal((2, cutoff, cutoff))
+        states.append(fock.FockState.product(*(m + m.conj().T for m in noise)))
+        states.append(fock.FockState.sectors(rng.standard_normal(fock._start(cutoff, cutoff))))
+    for state in states:
+        got = np.concatenate([m.ravel() for m in fock.quadrature_moments(state)])
+        cov, disp = fock_reference.dense_moments(fock_reference.dense(state), cutoff, 2)
+        expected = np.concatenate([cov.ravel(), disp])
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(got - expected)) <= RANDOM_MOMENTS_ROUNDOFF * scale
 
 
 @pytest.mark.parametrize("cutoff", GATHER_CUTOFFS)
