@@ -34,24 +34,27 @@ keeps the zero pattern those offsets impose: the received two-mode squeezed
 state and its derivative vanish outside the sectors of fixed n1 - n2,
 exactly 0.0 and not merely small.
 
-The sector structure. Sector delta = n1 - n2, for delta = 1 - cutoff, ...,
-cutoff - 1, holds the cutoff - |delta| basis states n1 cutoff + n2 with
-that difference, ascending in n1. The two-mode squeezed state, block
-diagonal in n1 - n2, is kept as its coherences (``FockState.sectors``): the
-products P_k below, k = 0, ..., cutoff - 1, flat one after the other, about
+The sector structure. Sector delta = n1 - n2, for |delta| < cutoff,
+holds the cutoff - |delta| basis states n1 cutoff + n2 with that
+difference, ascending in n1. The two-mode squeezed state, block diagonal in
+n1 - n2, is kept as its coherences (``FockState.sectors``): the products
+P_k below, k = 0, ..., cutoff - 1, flat one after the other, about
 cutoff^3 / 3 entries. P_k[i, j] is the entry at |i + k, j + k><i, j| and at
 |i, j><i + k, j + k|, so the state is real and symmetric by construction.
 In sector delta the entries between states a >= b and between b and a are
 P_{a - b}[b + max(delta, 0), b + max(-delta, 0)]: a sector is one
-``np.take`` at a symmetric index fixed per cutoff (``_sector_layout``). A
-product state is kept as its one-mode factors (``FockState.product``).
-``qfi_eq1`` and ``validate.sld_fock_report`` read either form through one
-view (``_blockwise``): a weight and the blocks their sums run over, the
+``np.take`` at a symmetric index fixed per cutoff (``_sector_layout``),
+in the order delta = 0, 1, -1, 2, -2, .... Where every P_k is symmetric,
+as at LAMBDA0 (the tangent rule), sector -delta equals sector delta, just
+before it, and ``qfi_eq1`` decomposes the pair once. A product state is
+kept as its one-mode factors (``FockState.product``). ``qfi_eq1`` and
+``validate.sld_fock_report`` read either form through one view
+(``_blockwise``): a weight and the blocks their sums run over, the
 product's one block or the sectors, taken one at a time. So they
 diagonalise one sector, or the moving factor, never a cutoff^2 x cutoff^2
 matrix, and read the form off the state, never off the probe;
 ``quadrature_moments`` reads the factors' diagonals, or the products P_k,
-for |k| <= 2.
+for |k| <= 2, against operator diagonals in closed form.
 
 The four-mode bi-frequency pipeline is never materialised: the interaction
 does not mix frequencies, so each frequency sees an independent thermal-loss
@@ -63,15 +66,14 @@ two-mode squeezed probe sum_n a_n |n, n> holds only the coherences
 |n><m| x |n><m|, with the same offset k = n - m in both modes, and each
 channel keeps that offset; so its output is nonzero only where both modes
 share an offset, and for each k >= 0 it is the one product
-B1_k diag(a_{i+k} a_i) B2_k^T of the two channels' blocks, the entry at
-|i + k, j + k><i, j| for row i and column j, and its transpose at offset -k,
-written into its slice of the coherences. Real probes give real states,
-which keep a real dtype throughout.
+X1 X2^T, Xm = Bm_k diag(sqrt(a_{i+k} a_i)), of the two channels' blocks,
+the entry at |i + k, j + k><i, j| for row i and column j, and its transpose
+at offset -k, written into its slice of the coherences. Real probes give
+real states, which keep a real dtype throughout.
 
-The gathers. A sector, like a ladder word of ``validate.LadderOperator``,
-is one ``np.take`` along one flat axis: a full slice and an array index,
-such as ``words[:, gather]``, give the same bytes through numpy's slower
-subspace copy. A channel reads a one-mode matrix's offsets as strided
+The gathers. A sector of the state, of its tangent, or of an observable
+laid out like them (``validate.sld_fock_report``) is one ``np.take`` at
+the sector's index. A channel reads a one-mode matrix's offsets as strided
 views of its diagonals, with no index (``_by_offset``).
 
 The shared state. ``qfi_eq1``, ``validate.sld_fock_report`` and
@@ -85,7 +87,11 @@ states are held together.
 The tangent rule: each state a family returns carries drho/dlam, exact, in
 its own structure (``FockState.tangent``): the eta-derivative of the second
 channel, the only one that moves with lam. So the two-mode squeezed tangent
-is B1_k diag(a_{i+k} a_i) dB2_k^T per offset, in the coherences' format.
+is X1 (dB2_k diag(sqrt(a_{i+k} a_i)))^T per offset, in the coherences'
+format, at every lam. At LAMBDA0 both channels are one, so X1 = X2 and
+OpenBLAS forms X1 X2^T symmetric bit for bit up to size 80; with two BLAS
+threads, sizes above 80 that are not multiples of 8 are not (81 to 299
+tried), and such an offset's mirror sectors are decomposed apart.
 The first factor of the coherent product does not move, so the product
 tangent is dB alone, read as A x dB. In the factors' eigenbases, where
 p[i1, i2] = a[i1] b[i2], A x dB couples (i1, i2) only to (i1, j2), with
@@ -186,27 +192,18 @@ def _start(dim: int, k):
 
 
 @functools.lru_cache(maxsize=16)
-def _sector_layout(dim: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _sector_layout(dim: int) -> tuple[np.ndarray, ...]:
     """Where the sectors of cutoff ``dim`` lie in its coherences (the sector
-    structure of the module docstring): per sector, ascending in n1 - n2,
-    its basis indices and the symmetric (m, m) index of its block into the
-    coherences, for ``np.take`` (the gathers of the module docstring).
-    Read-only, since it is shared."""
+    structure of the module docstring): per sector, in the order
+    n1 - n2 = 0, 1, -1, 2, -2, ..., the symmetric (m, m) index of its block
+    into the coherences, for ``np.take``. Read-only, since it is shared."""
     layout = []
-    for delta in range(1 - dim, dim):
-        up, down = max(delta, 0), max(-delta, 0)
+    for delta in (0, *(sign * step for step in range(1, dim) for sign in (1, -1))):
         t = np.arange(dim - abs(delta))
         low, k = np.minimum.outer(t, t), np.abs(np.subtract.outer(t, t))
-        gather = _start(dim, k) + (low + up) * (dim - k) + low + down
-        layout.append(((t + up) * dim + t + down, gather))
-    for pair in layout:
-        for array in pair:
-            array.setflags(write=False)
+        layout.append(_start(dim, k) + (low + max(delta, 0)) * (dim - k) + low + max(-delta, 0))
+        layout[-1].setflags(write=False)
     return tuple(layout)
-
-
-def annihilation(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1)
 
 
 def _gate_cutoff(tail_mass: float, cutoff: int, label: str):
@@ -274,17 +271,24 @@ def quadrature_moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
     Each moment is read off one table E[o1, o2] = Tr(rho O_o1 x O_o2) over
     the one-mode operators I, x, p, {x, x}, {x, p}, {p, p}. None moves a
     photon number by more than 2, so only their diagonals u_k[o, i] =
-    O_o[i, i + k], |k| <= 2, enter. For a product A x B, E is the outer
+    O_o[i, i + k], |k| <= 2, enter, each in closed form on the truncation,
+    whose top level has no n + 1 term. For a product A x B, E is the outer
     product of the one-mode traces Tr(A O), each the sum over k of u_k times
     A's -k-th diagonal. For coherences, P_k[i, j] at |i + k, j + k><i, j|
     meets O1[i, i + k] O2[j, j + k], and its transpose at offset -k meets
     O1[i + k, i] O2[j + k, j], so E is u_k P_|k| u_k^T summed over k.
     """
     d = state.dim
-    a = annihilation(d)
-    x, p = (a + a.T) / np.sqrt(2.0), (a - a.T) / (1j * np.sqrt(2.0))
-    ops = np.stack([np.eye(d), x, p, x @ x + x @ x, x @ p + p @ x, p @ p + p @ p])
-    diagonals = {k: np.diagonal(ops, k, axis1=1, axis2=2) for k in range(max(-2, 1 - d), min(3, d))}
+    level = np.arange(d)
+    step = np.sqrt(level[1:]) / np.sqrt(2.0)  # x[n, n + 1], p[n, n + 1] = -i x[n, n + 1]
+    square = np.where(level < d - 1, 2.0 * level + 1.0, level)  # {x, x}[n, n], {p, p}[n, n]
+    hop = np.sqrt(level[1:-1] * level[2:])  # {x, x}[n, n + 2] = -{p, p}[n, n + 2]
+    zero = np.zeros(d)
+    diagonals = {0: np.array([np.ones(d), zero, zero, square, zero, square])}
+    for k, line, coeffs in ((1, step, (0, 1, -1j, 0, 0, 0)), (2, hop, (0, 0, 0, 1, -1j, -1))):
+        if k < d:
+            diagonals[k] = np.multiply.outer(coeffs, line)
+            diagonals[-k] = diagonals[k].conj()
     if state.factors is not None:
         traces = [sum(u @ np.diagonal(f, -k) for k, u in diagonals.items()) for f in state.factors]
         table = np.outer(*traces)
@@ -413,9 +417,9 @@ def _tmsv_sectors(ch1: ThermalLossChannel, ch2: ThermalLossChannel, amps: np.nda
     # one product per offset at its own size: padded to the cutoff and batched,
     # OpenBLAS would order the sums by the padded length and move the bits
     for k, (b1, b2, db2) in enumerate(zip(ch1.blocks, ch2.blocks, ch2.dblocks)):
-        weighted = b1 * (amps[k:] * amps[: d - k])
+        root = np.sqrt(amps[k:] * amps[: d - k])
         for out, block in zip(coherences[:, _start(d, k) : _start(d, k + 1)], (b2, db2)):
-            np.matmul(weighted, block.T, out=out.reshape(d - k, d - k))
+            np.matmul(b1 * root, (block * root).T, out=out.reshape(d - k, d - k))
     return coherences
 
 
@@ -488,18 +492,18 @@ def _received(eta1: float, n_s: float, n_th: float, probe: str, cutoff: int) -> 
     return state
 
 
-def _blockwise(state: FockState) -> tuple[float, Iterable[tuple[np.ndarray, ...]]]:
-    """The weight and the blocks, each (basis index set, block of the state,
-    block of its tangent) at its own size, that Eq. 1 and the SLD sums run
-    over: a state's sectors with weight 1, each taken from the coherences
-    as it is reached, or for a product Tr A and the one block (B, dB) on the
-    states |0, n2> (the tangent rule)."""
+def _blockwise(state: FockState) -> tuple[float, Iterable[tuple[np.ndarray, np.ndarray]]]:
+    """The weight and the blocks, each (block of the state, block of its
+    tangent) at its own size, that Eq. 1 and the SLD sums run over: a
+    state's sectors with weight 1, each taken from the coherences as it is
+    reached, or for a product Tr A and the one block (B, dB) on the states
+    |0, n2> (the tangent rule)."""
     if state.factors is not None:
         first, second = state.factors
-        return float(np.trace(first).real), [(np.arange(state.dim), second, state.tangent)]
+        return float(np.trace(first).real), [(second, state.tangent)]
     return 1.0, (
-        (idx, np.take(state.coherences, at), np.take(state.tangent, at))
-        for idx, at in _sector_layout(state.dim)
+        (np.take(state.coherences, at), np.take(state.tangent, at))
+        for at in _sector_layout(state.dim)
     )
 
 
@@ -515,14 +519,17 @@ def qfi_eq1(family: Callable[[float], FockState]) -> float:
     The family is evaluated once, at LAMBDA0, and drho is the tangent that
     state carries (the tangent rule, module docstring), else ValueError. The
     sum runs over the blocks of ``_blockwise``, each decomposed in its own
-    dtype, times their weight.
+    dtype, times their weight; a block equal bit for bit to the last one
+    decomposed reuses its eigenpairs, so at LAMBDA0 each mirror pair of
+    sectors is decomposed once (the sector structure): cutoff ``eigh`` calls.
     """
     state = family(LAMBDA0)
     if state.tangent is None:
         raise ValueError("the family's state carries no tangent")
     weight, blocks = _blockwise(state)
-    total = 0.0
-    for _, block, dblock in blocks:
-        evals, evecs = np.linalg.eigh(block)
+    total, decomposed = 0.0, None
+    for block, dblock in blocks:
+        if decomposed is None or not np.array_equal(block, decomposed):
+            decomposed, (evals, evecs) = block, np.linalg.eigh(block)
         total += _pair_sum(evals[:, None] + evals, evecs.conj().T @ dblock @ evecs)
     return float(2.0 * weight * total)

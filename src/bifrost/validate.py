@@ -83,28 +83,10 @@ def oracle_checks(
 
 
 class LadderOperator(NamedTuple):
-    """A two-mode operator sum_t first[t] x second[t] on the truncated space.
-    ``fock_sld_operator`` makes ``first`` and ``second`` (terms, cutoff,
-    cutoff) views of arrays stored term last, so that ``block`` reads them
-    as (cutoff^2, terms) without a copy."""
+    """A two-mode operator sum_t first[t] x second[t], each (terms, cutoff, cutoff)."""
 
     first: np.ndarray
     second: np.ndarray
-
-    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The block between basis states ``rows`` and ``cols``. Each mode's
-        terms are taken whole at the flat index r d + c of their term-last
-        layout, by ``np.take``. That lays them out as (rows, cols, terms),
-        as the slower index ``first[:, r, c]`` does through numpy's subspace
-        copy, so the einsum sums in the same order and the block keeps its
-        bits."""
-        d = self.first.shape[-1]
-        (r1, r2), (c1, c2) = (divmod(idx, d) for idx in (rows, cols))
-        first, second = (
-            np.take(words.transpose(1, 2, 0).reshape(d * d, -1), r[:, None] * d + c, axis=0)
-            for words, r, c in ((self.first, r1, c1), (self.second, r2, c2))
-        )
-        return np.einsum("ijt,ijt->ij", first, second)
 
 
 @functools.lru_cache(maxsize=64)
@@ -113,7 +95,7 @@ def _ladder_word(word: str, cutoff: int) -> np.ndarray:
     the cutoff, the identity for ""; read-only, since it is shared. Like
     ``fock._sector_layout`` it depends on the cutoff alone, never on an
     operating point."""
-    a = fock.annihilation(cutoff)
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
     matrix = functools.reduce(np.matmul, [a if x == "a" else a.T for x in word], np.eye(cutoff))
     matrix.setflags(write=False)
     return matrix
@@ -125,8 +107,9 @@ def fock_sld_operator(form: SldForm, cutoff: int) -> LadderOperator:
     Each A_i - center_i is expanded into pairs of ladder words, one per mode
     ("a" for a, "A" for a^dag, "" the identity); terms whose coefficient is
     exactly 0 are dropped, except the identity, and the rest are grouped by
-    their mode-2 word. Products are taken one mode at a time, so each
-    gathered block equals that of the two-mode product. Real coefficients,
+    their mode-2 word: term t is first[t] x second[t], second[t] that word
+    and first[t] the sum of its mode-1 words times their coefficients, each
+    a one-mode matrix, so no two-mode matrix is formed. Real coefficients,
     as every probe gives, yield a real operator.
     """
     coeffs = [form.quad, form.linear, form.center, form.scalar]
@@ -147,12 +130,10 @@ def fock_sld_operator(form: SldForm, cutoff: int) -> LadderOperator:
     terms = [(scalar, "", "")] + [term for term in terms if term[0] != 0]
     words = sorted({v for _, _, v in terms})
     dtype = np.result_type(*(c for c, _, _ in terms), float)
-    # term last, viewed term first (LadderOperator)
-    first = np.zeros((cutoff, cutoff, len(words)), dtype).transpose(2, 0, 1)
+    first = np.zeros((len(words), cutoff, cutoff), dtype)
     for c, u, v in terms:
         first[words.index(v)] += c * _ladder_word(u, cutoff)
-    second = np.stack([_ladder_word(v, cutoff) for v in words], axis=-1).transpose(2, 0, 1)
-    return LadderOperator(first, second)
+    return LadderOperator(first, np.stack([_ladder_word(v, cutoff) for v in words]))
 
 
 def _changes_n1_minus_n2(form: SldForm) -> bool:
@@ -167,48 +148,65 @@ def _changes_n1_minus_n2(form: SldForm) -> bool:
     )
 
 
+def _laid_out(form: SldForm, state: fock.FockState):
+    """ell of ``form`` laid out like ``state``: Tr(ell rho) before the
+    weight, ||drho||^2 and ell's blocks on those of ``fock._blockwise``. On
+    a product A x B ell must read as I x ell_2, else ValueError, and is
+    ell_2 = sum_t first_t[0, 0] second_t. On sectors it must keep n1 - n2
+    and be real, else ValueError, so at |i + k, j + k><i, j| and the mirror
+    it is E_k[i, j] = sum_t first_t[i + k, i] second_t[j + k, j], 0 past
+    k = 2: E_0, E_1, E_2 and one zero lie as the coherences do, and a block
+    is ``np.take`` at the state's index, clipped onto the zero."""
+    d, ell = state.dim, fock_sld_operator(form, state.dim)
+    if state.factors is not None:
+        if not np.array_equal(ell.first, ell.first[:, :1, :1] * np.eye(d)):
+            raise ValueError("the SLD form acts on mode 1 of a product state")
+        ell_2 = np.tensordot(ell.first[:, 0, 0], ell.second, 1)
+        return np.vdot(ell_2, state.factors[1]), np.vdot(state.tangent, state.tangent).real, [ell_2]
+    if _changes_n1_minus_n2(form):
+        raise ValueError("the SLD form changes n1 - n2 on a state kept as sectors")
+    if np.iscomplexobj(ell.first):
+        raise ValueError("the SLD form is complex on a state kept as sectors")
+    compact = np.concatenate(
+        [(np.diagonal(ell.first, -k, 1, 2).T @ np.diagonal(ell.second, -k, 1, 2)).ravel()
+         for k in range(min(d, 3))] + [[0.0]]
+    )
+    # sums over the whole state: offset 0 once, each offset k > 0 twice
+    n, rho, drho = d * d, state.coherences[: len(compact) - 1], state.tangent
+    mean = compact[:n] @ rho[:n] + 2.0 * (compact[n:-1] @ rho[n:])
+    blocks = (np.take(compact, at, mode="clip") for at in fock._sector_layout(d))
+    return mean, drho[:n] @ drho[:n] + 2.0 * (drho[n:] @ drho[n:]), blocks
+
+
 def sld_fock_report(
     eta1: float, n_s: float, n_th: float, probe: str, cutoff: int = CUTOFF
 ) -> dict:
     """Anticommutator residual, mean and variance of the SLD on the oracle.
 
-    The form and its QFI come from one Williamson-basis solve. The residual
-    of ell rho + (ell rho)^dag = 2 drho, the mean Tr(ell rho) and the second
-    moment Tr(ell ell rho) are sums over the blocks of ``fock._blockwise``,
-    read one at a time off the family's shared state at the working point
-    and its tangent drho (the ``fock`` module docstring), never the probe,
-    with its weight on the mean and second moment; ell is gathered on each
-    block's basis states. So the form must keep what the state's form
-    keeps, else ValueError: on a product's one block, the states |0, n2>,
-    ell must read as I x ell_2, and on sectors it must keep n1 - n2. A
-    cutoff that passes the tail gate may still be too small for the second
-    moment (see ``WIDE_CONFIGS``).
+    The form and its QFI come from one Williamson-basis solve; ell is laid
+    out like the family's shared state at the working point (``_laid_out``),
+    whose form it must keep, else ValueError. The residual of
+    ell rho + (ell rho)^dag = 2 drho and the second moment Tr(ell ell rho)
+    are sums over the blocks of ``fock._blockwise``, one product and its
+    anticommutator per block; the mean Tr(ell rho) and ||drho|| are read
+    once off the state's form. The weight scales the mean and the second
+    moment. A cutoff that passes the tail gate may still be too small for
+    the second moment (see ``WIDE_CONFIGS``).
     """
     solution = _solve(bifrequency_received_state(BiFrequencyParams(eta1, 0.0, n_s, n_th), probe))
     h = solution.result().value
-    form = solution.form()
-    ell = fock_sld_operator(form, cutoff)
     state = fock.bifrequency_fock_family(eta1, n_s, n_th, probe, cutoff)(fock.LAMBDA0)
-    if state.factors is not None:
-        if not np.array_equal(ell.first, ell.first[:, :1, :1] * np.eye(cutoff)):
-            raise ValueError("the SLD form acts on mode 1 of a product state")
-    elif _changes_n1_minus_n2(form):
-        raise ValueError("the SLD form changes n1 - n2 on a state kept as sectors")
+    mean, tangent_sq, ell_blocks = _laid_out(solution.form(), state)
     weight, blocks = fock._blockwise(state)
-    residual_sq = mean = second_moment = 0.0
-    tangent_norms = []
-    for idx, block, dblock in blocks:
-        ell_block = ell.block(idx, idx)
+    residual_sq = second_moment = 0.0
+    for ell_block, (block, dblock) in zip(ell_blocks, blocks):
         product = ell_block @ block
         anticommutator = product + product.conj().T - 2.0 * dblock
-        mean += product.trace()
-        residual_sq += np.linalg.norm(anticommutator) ** 2
-        second_moment += np.sum(ell_block * product.T)
-        tangent_norms.append(np.linalg.norm(dblock))
-    residual = np.sqrt(residual_sq) / np.linalg.norm(tangent_norms)
+        residual_sq += np.vdot(anticommutator, anticommutator).real
+        second_moment += np.vdot(ell_block, product)
     second_moment = float(np.real(weight * second_moment))
     return {
-        "residual": float(residual),
+        "residual": float(np.sqrt(residual_sq / tangent_sq)),
         "mean": float(np.real(weight * mean)),
         "second_moment": second_moment,
         "qfi": h,

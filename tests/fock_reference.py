@@ -15,9 +15,9 @@ untruncated Kraus sums of the amplifier after loss at 40 digits, and the
 beam-splitter dilation with a thermal bath, on unitaries from
 scipy.linalg.expm. A state kept as its coherences is read here by their
 definition alone, entry by entry, never through the package's sector
-layout. The package gathers its SLD blocks with ``np.take`` on one flat
-axis; ``fancy_block`` gathers the same entries with a full slice and an
-array index, through numpy's subspace copy, and so pins the package's bits.
+layout. ``ladder_block`` reads a two-mode ladder operator's block between
+any basis states, by a fancy index on each mode's terms, where the package
+reads only the offsets 0 to 2 of a real operator that keeps n1 - n2.
 """
 
 import functools
@@ -27,6 +27,11 @@ import numpy as np
 
 from bifrost import fock
 from bifrost.errors import check_photon_numbers
+
+
+def annihilation(dim):
+    """The annihilation operator truncated at ``dim`` levels."""
+    return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1)
 
 
 def fock_thermal(n_th, cutoff):
@@ -102,7 +107,7 @@ def dense_qfi(rho, drho):
 def dense_moments(rho, dim, n_modes):
     """Interleaved covariance and displacement of the dense ``n_modes``-mode
     ``rho``, each moment Tr(rho O) with O the full-space operator."""
-    a = fock.annihilation(dim)
+    a = annihilation(dim)
     quads = ((a + a.T) / np.sqrt(2.0), (a - a.T) / (1j * np.sqrt(2.0)))
 
     def expect(ops):
@@ -319,7 +324,7 @@ def sparse_sld_operator(form, cutoff):
         coeffs = [np.real(c) for c in coeffs]
     quad, linear, center, scalar = coeffs
     dtype = np.result_type(*coeffs, float)
-    a = sparse.csr_matrix(fock.annihilation(cutoff))
+    a = sparse.csr_matrix(annihilation(cutoff))
     eye = sparse.identity(cutoff)
     one = sparse.identity(cutoff * cutoff, dtype=dtype, format="csr")
     basis = [sparse.kron(a, eye), sparse.kron(eye, a)]
@@ -361,25 +366,36 @@ def dense_sld_report(eta1, n_s, n_th, probe, cutoff):
     }
 
 
+def sector_indices(cutoff):
+    """The basis indices n1 cutoff + n2 of each sector of fixed n1 - n2,
+    ascending in n1, in the order of ``fock._sector_layout``:
+    n1 - n2 = 0, 1, -1, 2, -2, ...."""
+    indices = []
+    for delta in [0] + [sign * step for step in range(1, cutoff) for sign in (1, -1)]:
+        t = np.arange(cutoff - abs(delta))
+        indices.append((t + max(delta, 0)) * cutoff + t + max(-delta, 0))
+    return indices
+
+
 def concatenated_tmsv_sectors(ch1, ch2, amps):
     """``fock._tmsv_sectors`` as the concatenation of its products."""
     d = len(amps)
     parts = []
     for k, (b1, b2, db2) in enumerate(zip(ch1.blocks, ch2.blocks, ch2.dblocks)):
-        weighted = b1 * (amps[k:] * amps[: d - k])
-        parts.append([(weighted @ b2.T).ravel(), (weighted @ db2.T).ravel()])
+        root = np.sqrt(amps[k:] * amps[: d - k])
+        parts.append([(b1 * root @ (b2 * root).T).ravel(), (b1 * root @ (db2 * root).T).ravel()])
     return np.concatenate(parts, axis=1)
 
 
-def fancy_block(op, rows, cols):
-    """``validate.LadderOperator.block`` with each mode's terms gathered by
-    the index ``words[:, r, c]`` from a term-first contiguous copy."""
+def ladder_block(op, rows, cols):
+    """The block of ``validate.LadderOperator`` ``op``, sum_t first[t] x
+    second[t], between basis states ``rows`` and ``cols``, each mode's terms
+    gathered by the index ``words[:, r, c]``."""
     (r1, r2), (c1, c2) = (divmod(idx, op.first.shape[-1]) for idx in (rows, cols))
-    first, second = (np.ascontiguousarray(words) for words in (op.first, op.second))
-    return np.einsum("tij,tij->ij", first[:, r1[:, None], c1], second[:, r2[:, None], c2])
+    return np.einsum("tij,tij->ij", op.first[:, r1[:, None], c1], op.second[:, r2[:, None], c2])
 
 
 def ladder_word(word, cutoff):
     """The product of a ("a") and a^dag ("A") in the order of ``word``."""
-    a = fock.annihilation(cutoff)
+    a = annihilation(cutoff)
     return functools.reduce(np.matmul, [a if x == "a" else a.T for x in word], np.eye(cutoff))

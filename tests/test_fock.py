@@ -107,11 +107,13 @@ def test_product_state_keeps_its_factors():
 
 def test_entangled_state_keeps_its_sectors():
     """The received two-mode squeezed state is kept as its coherences and
-    read as its 2 cutoff - 1 blocks of fixed n1 - n2, one at a time: the
-    block at position q holds the states of n1 - n2 = q + 1 - cutoff,
-    ascending in n1, and equals the dense matrix's block there, as does
-    its tangent's. Each block of the state and of its tangent is exactly
-    symmetric, and nothing of the dense matrix lies outside the blocks."""
+    read as its 2 cutoff - 1 blocks of fixed n1 - n2, one at a time, in the
+    order n1 - n2 = 0, 1, -1, 2, -2, ..., each mirror right after its
+    partner: each block equals the dense matrix's block on the states of
+    its n1 - n2, ascending in n1 (``fock_reference.sector_indices``), as
+    does its tangent's. Each block of the state and of its tangent is
+    exactly symmetric, and nothing of the dense matrix lies outside the
+    blocks."""
     cutoff = 12
     state = fock.bifrequency_fock_family(0.6, 0.1, 0.2, "tmsv", cutoff)(0.01)
     assert state.factors is None
@@ -120,7 +122,7 @@ def test_entangled_state_keeps_its_sectors():
     weight, blocks = fock._blockwise(state)
     assert weight == 1.0 and not isinstance(blocks, (list, tuple))
     shifts, covered = [], np.zeros(rho.shape, bool)
-    for idx, block, dblock in blocks:
+    for idx, (block, dblock) in zip(fock_reference.sector_indices(cutoff), blocks, strict=True):
         n1, n2 = np.divmod(idx, cutoff)
         assert len(set(n1 - n2)) == 1 and np.all(np.diff(n1) == 1)
         assert block.shape == dblock.shape == (len(idx), len(idx)) and block.dtype == np.float64
@@ -129,7 +131,7 @@ def test_entangled_state_keeps_its_sectors():
         assert np.array_equal(dblock, tangent[np.ix_(idx, idx)])
         covered[np.ix_(idx, idx)] = True
         shifts.append(int(n1[0] - n2[0]))
-    assert shifts == list(range(1 - cutoff, cutoff))
+    assert shifts == [0] + [sign * step for step in range(1, cutoff) for sign in (1, -1)]
     assert not rho[~covered].any() and not tangent[~covered].any()
 
 
@@ -140,7 +142,7 @@ def test_every_sector_block_is_exactly_symmetric():
     for config in validate.ORACLE_CONFIGS:
         family = fock.bifrequency_fock_family(*config, "tmsv", validate.CUTOFF)
         for lam in (0.0, 1e-4):
-            for _, block, dblock in fock._blockwise(family(lam))[1]:
+            for block, dblock in fock._blockwise(family(lam))[1]:
                 assert np.array_equal(block, block.T) and np.array_equal(dblock, dblock.T), config
 
 
@@ -507,8 +509,10 @@ def test_received_states_match_dense_kraus_channels(probe):
 @pytest.mark.parametrize("probe", ["tmsv", "coherent"])
 def test_received_states_match_dense_channel_pair(probe):
     """Against the dense probe pushed through both channels mode by mode
-    (``fock_reference``): the two-mode squeezed states are equal bit for bit
-    at cutoff 30, the coherent ones, products in another order, to 1e-15."""
+    (``fock_reference``), at cutoff 30: the two-mode squeezed states, each
+    offset's product split as X1 X2^T with the square roots of the
+    amplitudes on both sides, to 2e-16 (1.1e-16 measured), the coherent
+    ones, products in another order, to 1e-15."""
     cutoff, n_s, n_th = 30, 0.5, 0.3
     for eta1 in (0.5, 0.8):
         family = fock.bifrequency_fock_family(eta1, n_s, n_th, probe, cutoff)
@@ -516,10 +520,8 @@ def test_received_states_match_dense_channel_pair(probe):
         for lam in (0.0, 1e-4, -1e-4):
             rho, expected = fock_reference.dense(family(lam)), reference(lam)
             assert not expected.imag.any()
-            if probe == "tmsv":
-                assert np.array_equal(rho, expected.real), (eta1, lam)
-            else:
-                assert np.max(np.abs(rho - expected.real)) < 1e-15, (eta1, lam)
+            bound = 2e-16 if probe == "tmsv" else 1e-15
+            assert np.max(np.abs(rho - expected.real)) < bound, (eta1, lam)
 
 
 def test_channel_apply_matches_kraus_superoperator():
@@ -714,7 +716,7 @@ def test_memoised_channel_is_read_only():
     info = fock._received.cache_info()
     assert _same_bits(coherent(1e-4).factors[0], first)
     assert fock._received.cache_info() == info
-    shared = [array for pair in fock._sector_layout(12) for array in pair]
+    shared = list(fock._sector_layout(12))
     shared += [sectors.coherences, sectors.tangent, *coherent(0.0).factors, coherent(0.0).tangent]
     for array in shared:
         with pytest.raises(ValueError, match="read-only"):
@@ -955,16 +957,32 @@ def test_product_qfi_matches_dense_route(cutoff):
 @pytest.mark.parametrize("cutoff", [21, 25, 30])
 def test_sector_qfi_matches_dense_route(cutoff):
     """On every oracle configuration the two-mode squeezed family's QFI from
-    its sectors equals the dense Eq. 1 QFI of the same states made dense.
+    its sectors equals the dense Eq. 1 QFI of the same states made dense,
+    at the working point, where mirror sectors share one decomposition, and
+    at lam = 1e-4, where none are equal and every sector is decomposed.
     Below cutoff 21 the gate rejects the received state at
     (0.8, 0.5, 0.3), whose trace leak is 1.07e-6 at cutoff 20."""
     from bifrost.validate import ORACLE_CONFIGS
 
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(mat, *args, **kwargs):
+        shapes.append(mat.shape)
+        return eigh(mat, *args, **kwargs)
+
     for eta1, n_s, n_th in ORACLE_CONFIGS:
         family = fock.bifrequency_fock_family(eta1, n_s, n_th, "tmsv", cutoff)
-        assert len(list(fock._blockwise(family(0.0))[1])) == 2 * cutoff - 1
-        h_sectors, h_dense = fock.qfi_eq1(family), _dense_route(family)
-        assert abs(h_sectors - h_dense) / h_dense < 1e-10, (eta1, n_s, n_th)
+        off = fock._evaluate(eta1, n_s, n_th, "tmsv", cutoff, 1e-4)
+        for at, calls in ((family, cutoff), (lambda lam: off, 2 * cutoff - 1)):
+            assert len(list(fock._blockwise(at(0.0))[1])) == 2 * cutoff - 1
+            shapes.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(np.linalg, "eigh", recording_eigh)
+                h_sectors = fock.qfi_eq1(at)
+            h_dense = _dense_route(at)
+            assert len(shapes) == calls, (eta1, n_s, n_th, calls)
+            assert abs(h_sectors - h_dense) / h_dense < 1e-10, (eta1, n_s, n_th, calls)
 
 
 def test_product_qfi_diagonalises_only_factors(monkeypatch):
@@ -988,8 +1006,10 @@ def test_product_qfi_diagonalises_only_factors(monkeypatch):
 
 
 def test_sector_qfi_diagonalises_only_sectors(monkeypatch):
-    """The two-mode squeezed family diagonalises each sector once, so no
-    matrix larger than cutoff x cutoff."""
+    """At the working point the two-mode squeezed family diagonalises each
+    mirror pair of sectors once, as the blocks come, n1 - n2 = 0, 1, -1,
+    2, -2, ...: cutoff decompositions, the first of size cutoff and then one
+    of each smaller size, so no matrix larger than cutoff x cutoff."""
     shapes = []
     eigh = np.linalg.eigh
 
@@ -1000,8 +1020,7 @@ def test_sector_qfi_diagonalises_only_sectors(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     cutoff = 30
     fock.qfi_eq1(fock.bifrequency_fock_family(0.8, 0.5, 0.3, "tmsv", cutoff))
-    sizes = [cutoff - abs(delta) for delta in range(1 - cutoff, cutoff)]
-    assert shapes == [(size, size) for size in sizes]
+    assert shapes == [(size, size) for size in range(cutoff, 0, -1)]
 
 
 def test_eigenvalue_sum_rule():
@@ -1033,33 +1052,38 @@ REPORT_KEYS = ("residual", "mean", "second_moment", "qfi", "variance_rel_error")
 
 @pytest.mark.parametrize("probe", ["tmsv", "coherent"])
 def test_sld_report_matches_dense_computation(probe):
-    """On every oracle configuration the report from factors or sectors
-    equals the one made of the sparse operator and the dense states, within
-    1e-10 per key, and its QFI is the same number."""
-    for config in validate.ORACLE_CONFIGS:
-        report = validate.sld_fock_report(*config, probe, 25)
-        expected = fock_reference.dense_sld_report(*config, probe, 25)
-        assert report["qfi"] == expected["qfi"]
-        for key in REPORT_KEYS:
-            assert abs(report[key] - expected[key]) < 1e-10, (config, key)
+    """On every oracle configuration, at cutoff 25 and at the validation
+    cutoff, the report from factors or sectors equals the one made of the
+    sparse operator and the dense states, within 1e-10 per key, and its QFI
+    is the same number."""
+    for cutoff in (25, validate.CUTOFF):
+        for config in validate.ORACLE_CONFIGS:
+            report = validate.sld_fock_report(*config, probe, cutoff)
+            expected = fock_reference.dense_sld_report(*config, probe, cutoff)
+            assert report["qfi"] == expected["qfi"]
+            for key in REPORT_KEYS:
+                assert abs(report[key] - expected[key]) < 1e-10, (cutoff, config, key)
 
 
 def test_sld_report_forms_no_dense_matrix(monkeypatch):
-    """Neither route gathers the operator on the whole basis; that no
-    two-mode density matrix is formed holds by the package's structure
+    """The report takes ell one block at a time, laid out as the state's
+    blocks: a product's one cutoff x cutoff factor, or the 2 cutoff - 1
+    sectors, none larger than cutoff x cutoff. That no two-mode density
+    matrix is formed holds by the package's structure
     (``test_package_keeps_no_dense_two_mode_state``)."""
     cutoff = 22
-    gathered = []
-    block = validate.LadderOperator.block
+    taken = []
+    laid_out = validate._laid_out
 
-    def recording_block(self, rows, cols):
-        gathered.append((len(rows), len(cols)))
-        return block(self, rows, cols)
+    def recording(form, state):
+        mean, tangent_sq, blocks = laid_out(form, state)
+        return mean, tangent_sq, (taken.append(block.shape) or block for block in blocks)
 
-    monkeypatch.setattr(validate.LadderOperator, "block", recording_block)
-    for probe in ("tmsv", "coherent"):
-        validate.sld_fock_report(0.8, 0.5, 0.3, probe, cutoff)
-    assert gathered and max(max(shape) for shape in gathered) <= cutoff
+    monkeypatch.setattr(validate, "_laid_out", recording)
+    validate.sld_fock_report(0.8, 0.5, 0.3, "coherent", cutoff)
+    assert taken == [(cutoff, cutoff)]
+    validate.sld_fock_report(0.8, 0.5, 0.3, "tmsv", cutoff)
+    assert len(taken) == 2 * cutoff and max(max(shape) for shape in taken) == cutoff
 
 
 def test_oracle_pass_forms_no_dense_matrix(monkeypatch):
@@ -1138,6 +1162,17 @@ def test_tmsv_sld_form_keeps_n1_minus_n2(eta1, n_s, n_th):
     assert not np.any(form.quad[charges[:, None] != charges])
 
 
+def test_sld_report_rejects_a_complex_form_on_sectors(monkeypatch):
+    """ell on a state kept as sectors is read from one offset for both
+    triangles, which holds for a real symmetric ell only: a complex form
+    that keeps n1 - n2 raises ValueError."""
+    quad = np.zeros((4, 4), complex)
+    quad[0, 3], quad[3, 0] = 0.5j, -0.5j  # i (a1^dag a2^dag - a2 a1)/2, hermitian
+    _fix_form(monkeypatch, bf.SldForm(quad=quad, linear=np.zeros(4), scalar=0.1, center=np.zeros(4)))
+    with pytest.raises(ValueError, match="complex on a state kept as sectors"):
+        validate.sld_fock_report(0.8, 0.2, 0.3, "tmsv", 16)
+
+
 def test_sld_report_rejects_a_mode_1_form_on_a_product(monkeypatch):
     """On a product state the report takes only the I x ell_2 route, so a
     form with a mode-1 term raises ValueError there."""
@@ -1168,6 +1203,33 @@ def test_take_gathers_match_the_fancy_index_bit_for_bit(cutoff):
     assert _same_bits(coherences, fock_reference.concatenated_tmsv_sectors(ch1, ch2, amps))
 
 
+# a configuration inside the gate at each cutoff of the mirror test
+MIRROR_CONFIGS = {30: (0.8, 0.5, 0.3), 45: (0.8, 1.0, 1.0), 80: (0.8, 2.0, 1.0)}
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, *MIRROR_CONFIGS])
+def test_mirror_sectors_are_equal_bit_for_bit(cutoff):
+    """Through one channel on both modes, as at the working point, each
+    offset's product X X^T is symmetric bit for bit, so sector -delta equals
+    sector delta, which follows it in the layout: below the tail gate from
+    ``_tmsv_sectors`` itself, else in the working-point state of a family,
+    whose two channels are one memoised object."""
+    if cutoff in MIRROR_CONFIGS:
+        state = fock.bifrequency_fock_family(*MIRROR_CONFIGS[cutoff], "tmsv", cutoff)(fock.LAMBDA0)
+    else:
+        channel = fock.ThermalLossChannel(0.8, 0.3, cutoff)
+        amps = fock._tmsv_amplitudes(GATHER_CUTOFFS[cutoff], cutoff)
+        state = fock.FockState.sectors(*fock._tmsv_sectors(channel, channel, amps))
+    for k in range(cutoff):
+        size = cutoff - k
+        product = state.coherences[fock._start(cutoff, k) : fock._start(cutoff, k + 1)].reshape(size, size)
+        assert _same_bits(product, product.T), k
+    blocks = [block for block, _ in fock._blockwise(state)[1]]
+    assert len(blocks) == 2 * cutoff - 1
+    for delta in range(1, cutoff):
+        assert _same_bits(blocks[2 * delta - 1], blocks[2 * delta]), delta
+
+
 # largest deviation measured over these states, relative to their largest
 # moment, was 1.1e-15 (a complex product at cutoff 30): a few ulps of
 # summation order
@@ -1195,20 +1257,34 @@ def test_moments_of_random_states_match_the_dense_reference(cutoff):
 
 
 @pytest.mark.parametrize("cutoff", GATHER_CUTOFFS)
-def test_ladder_blocks_match_the_fancy_index_bit_for_bit(cutoff):
-    """``LadderOperator.block`` equals the fancy-index gather of a term-first
-    copy bit for bit, between every pair of sectors whose n1 - n2 differ by
-    up to 2, for forms whose terms change n1 - n2 by up to 2, real and
-    complex."""
-    sectors = [idx for idx, _ in fock._sector_layout(cutoff)]
-    for seed in (4, 5):
-        real = _random_form(seed)
-        complex_ = bf.SldForm(real.quad, real.linear * (1.0 + 0.5j), real.scalar, real.center)
-        for form in (real, complex_):
-            op = validate.fock_sld_operator(form, cutoff)
-            for p, rows in enumerate(sectors):
-                for cols in sectors[max(p - 2, 0): p + 3]:
-                    assert _same_bits(op.block(rows, cols), fock_reference.fancy_block(op, rows, cols))
+def test_sector_sld_blocks_match_the_reference_gather(cutoff):
+    """On a random state kept as sectors, ell laid out as its coherences
+    gives, on each sector, the block of the reference gather, and the mean
+    and ||drho||^2 of the blockwise sums, to 1e-13 relative, for real forms
+    that keep n1 - n2: the two-mode squeezed probe's SLD and random ones."""
+    from bifrost.sld import _solve
+
+    rng = np.random.default_rng(cutoff)
+    size = fock._start(cutoff, cutoff)
+    state = fock.FockState.sectors(rng.standard_normal(size), rng.standard_normal(size))
+    probe = bf.bifrequency_received_state(bf.BiFrequencyParams(0.8, 0.0, 0.5, 0.3), "tmsv")
+    forms = [_solve(probe).form()]
+    keeps = np.equal.outer(*2 * [np.array([-1, 1, 1, -1])])  # charges of a1, a2, a1^dag, a2^dag
+    for _ in range(2):
+        quad = rng.standard_normal((4, 4)) * keeps
+        forms.append(bf.SldForm(quad=quad + quad.T, linear=np.zeros(4), scalar=0.3, center=np.zeros(4)))
+    for form in forms:
+        op = validate.fock_sld_operator(form, cutoff)
+        mean, tangent_sq, ell_blocks = validate._laid_out(form, state)
+        expected_mean = expected_sq = 0.0
+        sectors = zip(fock_reference.sector_indices(cutoff), fock._blockwise(state)[1])
+        for ell_block, (idx, (block, dblock)) in zip(ell_blocks, sectors, strict=True):
+            expected = fock_reference.ladder_block(op, idx, idx)
+            assert np.max(np.abs(ell_block - expected)) <= 1e-13 * max(np.max(np.abs(expected)), 1.0)
+            expected_mean += np.trace(expected @ block)
+            expected_sq += np.sum(dblock**2)
+        assert abs(mean - expected_mean) <= 1e-13 * max(abs(expected_mean), 1.0)
+        assert abs(tangent_sq - expected_sq) <= 1e-13 * expected_sq
 
 
 def test_ladder_words_are_memoised_read_only():

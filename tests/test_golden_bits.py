@@ -4,9 +4,10 @@
 and ``qfi_result`` and the ``optimal_observable`` coefficients of both probes
 at 64 seeded points of the benchmark's numeric-points box, (eta1, log10 n_s,
 log10 n_th) in [0.05, 0.95] x [-2, 1] x [-2, log10 5], and at the edge
-points of the documented domain. A call that raises is recorded by its
-error's class. The test compares exactly: a change meant to keep every
-number must keep these bits.
+points of the documented domain, with the platform it was recorded on
+(``golden_platform``). A call that raises is recorded by its error's
+class. The test compares exactly: a change meant to keep every number must
+keep these bits.
 
 Regenerate the file only for a change meant to move numbers:
 ``PYTHONPATH=src python tests/test_golden_bits.py``.
@@ -21,6 +22,7 @@ import numpy as np
 from bifrost.protocols import BiFrequencyParams, bifrequency_received_state
 from bifrost.qfi import qfi_gaussian
 from bifrost.sld import optimal_observable, qfi_result
+from golden_platform import build, check_build
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_bits.json")
 EDGE_POINTS = [
@@ -65,8 +67,10 @@ def _entry(point: tuple[float, float, float], probe: str) -> dict:
 def test_numeric_pipeline_keeps_its_golden_bits():
     with open(GOLDEN, "r", encoding="utf-8") as fh:
         golden = json.load(fh)
-    assert len(golden) == 2 * (64 + len(EDGE_POINTS))
-    for expected in golden:
+    check_build(golden, "golden_bits.json")
+    entries = golden["entries"]
+    assert len(entries) == 2 * (64 + len(EDGE_POINTS))
+    for expected in entries:
         point = tuple(float.fromhex(v) for v in expected["point"])
         assert _entry(point, expected["probe"]) == expected
 
@@ -74,5 +78,5 @@ def test_numeric_pipeline_keeps_its_golden_bits():
 if __name__ == "__main__":
     entries = [_entry(p, probe) for p in _points() for probe in ("tmsv", "coherent")]
     with open(GOLDEN, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(entries, fh, indent=1)
+        json.dump({"build": build(), "entries": entries}, fh, indent=1)
         fh.write("\n")

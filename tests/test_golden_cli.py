@@ -8,10 +8,8 @@ benchmark's full grid, in CSV and JSON, it holds the exit code, the sha256 of
 stdout and its row count. The test compares exactly: a change meant to keep
 every printed number must keep these bytes.
 
-The bytes depend on the numpy build and its BLAS, so the file records both.
-A run under another numpy or BLAS fails and names the mismatch: the record
-is then not evidence either way, and should be regenerated at the parent
-commit on this machine before it is compared.
+The bytes depend on the numpy build and its BLAS, so the file records both
+(``golden_platform``).
 
 Regenerate the file only for a change meant to move output:
 ``PYTHONPATH=src python tests/test_golden_cli.py``.
@@ -24,9 +22,8 @@ import json
 import os
 import warnings
 
-import numpy as np
-
 from bifrost import cli
+from golden_platform import build, check_build
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
 # the edge points of test_cli.py: QFI_EDGE_POINTS and QFI_STORED_MOMENT_CORNERS
@@ -51,12 +48,6 @@ ARGV = [
 ]
 # the benchmark's full ratio-grid, 30,000 rows
 GRID = ["ratio-grid", "--eta1", "0.75:0.95:3", "--ns", "0.01:2:100", "--nth", "0.01:100:100", "--log-nth"]
-
-
-def _build() -> dict:
-    """The numpy version and the name and version of its BLAS."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
 
 
 def _run(argv: list[str]) -> dict:
@@ -88,7 +79,7 @@ def _grid(fmt: str) -> dict:
 
 def _record() -> dict:
     return {
-        "build": _build(),
+        "build": build(),
         "commands": [_run(argv) for argv in ARGV],
         "ratio_grid": {fmt: _grid(fmt) for fmt in ("csv", "json")},
     }
@@ -97,10 +88,7 @@ def _record() -> dict:
 def test_cli_keeps_its_golden_output():
     with open(GOLDEN, "r", encoding="utf-8") as fh:
         golden = json.load(fh)
-    build = _build()
-    assert golden["build"] == build, (
-        f"golden_cli.json was recorded under {golden['build']}, this run has {build}"
-    )
+    check_build(golden, "golden_cli.json")
     assert [entry["argv"] for entry in golden["commands"]] == ARGV
     for expected in golden["commands"]:
         assert _run(expected["argv"]) == expected

@@ -3,7 +3,8 @@
 ``golden_oracle.json`` holds, as ``float.hex``, ``fock.qfi_eq1``, every field
 of ``validate.sld_fock_report`` and the ``fock.quadrature_moments`` of the
 received state, for both probes at every ``validate.ORACLE_CONFIGS`` point,
-at ``validate.CUTOFF``. The test compares exactly: a change meant to keep
+at ``validate.CUTOFF``, with the platform it was recorded on
+(``golden_platform``). The test compares exactly: a change meant to keep
 every oracle number must keep these bits.
 
 Regenerate the file only for a change meant to move numbers:
@@ -14,6 +15,7 @@ import json
 import os
 
 from bifrost import fock, validate
+from golden_platform import build, check_build
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_oracle.json")
 PROBES = ("tmsv", "coherent")
@@ -39,8 +41,10 @@ def _entry(config: tuple[float, float, float], probe: str) -> dict:
 def test_oracle_keeps_its_golden_bits():
     with open(GOLDEN, "r", encoding="utf-8") as fh:
         golden = json.load(fh)
-    assert len(golden) == len(PROBES) * len(validate.ORACLE_CONFIGS)
-    for expected in golden:
+    check_build(golden, "golden_oracle.json")
+    entries = golden["entries"]
+    assert len(entries) == len(PROBES) * len(validate.ORACLE_CONFIGS)
+    for expected in entries:
         config = tuple(float.fromhex(v) for v in expected["config"])
         assert _entry(config, expected["probe"]) == expected
 
@@ -48,5 +52,5 @@ def test_oracle_keeps_its_golden_bits():
 if __name__ == "__main__":
     entries = [_entry(c, probe) for c in validate.ORACLE_CONFIGS for probe in PROBES]
     with open(GOLDEN, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(entries, fh, indent=1)
+        json.dump({"build": build(), "entries": entries}, fh, indent=1)
         fh.write("\n")

@@ -306,14 +306,16 @@ def test_fock_sld_operator_real_and_complex_paths_agree():
     """A form with real coefficients gives a real operator; a complex one
     takes the complex path, and by linearity in quad and linear its
     operator is the real operator of the real parts plus i times that of
-    the imaginary parts, both built on the real path."""
+    the imaginary parts, both built on the real path; each is read whole
+    through the reference gather."""
+    import fock_reference
     from bifrost.sld import SldForm
     from bifrost.validate import fock_sld_operator
 
     cutoff = 12
     whole = np.arange(cutoff * cutoff)
     form = sld(tmsv_family(0.8, 0.5, 0.3))
-    real_op = fock_sld_operator(form, cutoff).block(whole, whole)
+    real_op = fock_reference.ladder_block(fock_sld_operator(form, cutoff), whole, whole)
     assert real_op.dtype == np.float64
 
     rng = np.random.default_rng(5)
@@ -330,9 +332,9 @@ def test_fock_sld_operator_real_and_complex_paths_agree():
         quad=quad_im.astype(complex), linear=linear_im.astype(complex), scalar=0.0,
         center=form.center,
     )
-    complex_op = fock_sld_operator(shifted, cutoff).block(whole, whole)
+    complex_op = fock_reference.ladder_block(fock_sld_operator(shifted, cutoff), whole, whole)
     assert complex_op.dtype == np.complex128
-    imag_op = fock_sld_operator(imag_part, cutoff).block(whole, whole)
+    imag_op = fock_reference.ladder_block(fock_sld_operator(imag_part, cutoff), whole, whole)
     assert imag_op.dtype == np.float64
     expected = real_op + 1j * imag_op
     deviation = np.max(np.abs(complex_op - expected))
@@ -347,7 +349,6 @@ def test_fock_sld_operator_matches_sparse_reference():
     between two sectors of different n1 - n2 exactly where
     ``validate._changes_n1_minus_n2`` says the form changes n1 - n2."""
     import fock_reference
-    from bifrost import fock
     from bifrost.sld import SldForm
     from bifrost.validate import _changes_n1_minus_n2, fock_sld_operator
 
@@ -362,17 +363,17 @@ def test_fock_sld_operator_matches_sparse_reference():
         SldForm(quad=np.zeros((4, 4)), linear=np.zeros(4), scalar=0.0, center=np.zeros(4)),
     ]
     whole = np.arange(cutoff * cutoff)
-    sectors = [idx for idx, _ in fock._sector_layout(cutoff)]
+    sectors = fock_reference.sector_indices(cutoff)
     for form in forms:
         op = fock_sld_operator(form, cutoff)
         reference = fock_reference.sparse_sld_operator(form, cutoff).toarray()
         scale = np.max(np.abs(reference))
-        assert np.max(np.abs(op.block(whole, whole) - reference)) <= 1e-13 * scale
+        assert np.max(np.abs(fock_reference.ladder_block(op, whole, whole) - reference)) <= 1e-13 * scale
         coupled = set()
         for p, rows in enumerate(sectors):
             for q, cols in enumerate(sectors):
                 expected = reference[np.ix_(rows, cols)]
-                assert np.max(np.abs(op.block(rows, cols) - expected)) <= 1e-13 * scale
+                assert np.max(np.abs(fock_reference.ladder_block(op, rows, cols) - expected)) <= 1e-13 * scale
                 if np.any(expected):
                     coupled.add(p - q)
         assert bool(coupled - {0}) == _changes_n1_minus_n2(form)
