@@ -42,19 +42,20 @@ P_k below, k = 0, ..., cutoff - 1, flat one after the other, about
 cutoff^3 / 3 entries. P_k[i, j] is the entry at |i + k, j + k><i, j| and at
 |i, j><i + k, j + k|, so the state is real and symmetric by construction.
 In sector delta the entries between states a >= b and between b and a are
-P_{a - b}[b + max(delta, 0), b + max(-delta, 0)]: a sector is one
-``np.take`` at a symmetric index fixed per cutoff (``_sector_layout``),
-in the order delta = 0, 1, -1, 2, -2, .... Where every P_k is symmetric,
-as at LAMBDA0 (the tangent rule), sector -delta equals sector delta, just
-before it, and ``qfi_eq1`` decomposes the pair once. A product state is
-kept as its one-mode factors (``FockState.product``). ``qfi_eq1`` and
-``validate.sld_fock_report`` read either form through one view
-(``_blockwise``): a weight and the blocks their sums run over, the
-product's one block or the sectors, taken one at a time. So they
-diagonalise one sector, or the moving factor, never a cutoff^2 x cutoff^2
-matrix, and read the form off the state, never off the probe;
-``quadrature_moments`` reads the factors' diagonals, or the products P_k,
-for |k| <= 2, against operator diagonals in closed form.
+P_{a - b}[b + max(delta, 0), b + max(-delta, 0)], so sector -delta reads
+each P_k transposed where sector delta reads it: the two are a mirror
+pair, equal wherever every P_k is symmetric, as at LAMBDA0 (the tangent
+rule). The mirror pair is the unit of work: per |delta| one index fixed
+per cutoff (``_sector_layout``), sector delta and then -delta, or the
+lone sector 0. A product state is kept as its one-mode factors
+(``FockState.product``). ``qfi_eq1`` and ``validate.sld_fock_report``
+read either form through one view (``_blockwise``): a weight and the
+stacks of blocks their sums run over, the product's one block or the
+mirror pairs, taken one pair at a time. So they diagonalise two sectors
+at most, or the moving factor, never a cutoff^2 x cutoff^2 matrix, and
+read the form off the state, never off the probe; ``quadrature_moments``
+reads the factors' diagonals, or the products P_k, for |k| <= 2, against
+operator diagonals in closed form.
 
 The four-mode bi-frequency pipeline is never materialised: the interaction
 does not mix frequencies, so each frequency sees an independent thermal-loss
@@ -71,10 +72,11 @@ the entry at |i + k, j + k><i, j| for row i and column j, and its transpose
 at offset -k, written into its slice of the coherences. Real probes give
 real states, which keep a real dtype throughout.
 
-The gathers. A sector of the state, of its tangent, or of an observable
-laid out like them (``validate.sld_fock_report``) is one ``np.take`` at
-the sector's index. A channel reads a one-mode matrix's offsets as strided
-views of its diagonals, with no index (``_by_offset``).
+The gathers. A state's coherences and its tangent's are the rows of one
+buffer, so a mirror pair of both, or of an observable laid out like them
+(``validate.sld_fock_report``), is one ``np.take`` at the pair's index. A
+channel reads a one-mode matrix's offsets as strided views of its
+diagonals, with no index (``_by_offset``).
 
 The shared state. ``qfi_eq1``, ``validate.sld_fock_report`` and
 ``quadrature_moments`` read a family at LAMBDA0, so the state there is
@@ -88,10 +90,10 @@ The tangent rule: each state a family returns carries drho/dlam, exact, in
 its own structure (``FockState.tangent``): the eta-derivative of the second
 channel, the only one that moves with lam. So the two-mode squeezed tangent
 is X1 (dB2_k diag(sqrt(a_{i+k} a_i)))^T per offset, in the coherences'
-format, at every lam. At LAMBDA0 both channels are one, so X1 = X2 and
-OpenBLAS forms X1 X2^T symmetric bit for bit up to size 80; with two BLAS
-threads, sizes above 80 that are not multiples of 8 are not (81 to 299
-tried), and such an offset's mirror sectors are decomposed apart.
+format, at every lam. At LAMBDA0 the two channels have one (eta, n_th,
+cutoff), so X2 is X1 itself and P_k = X1 X1^T, a product of one buffer
+that numpy hands to BLAS syrk: symmetric bit for bit at every size, so
+every mirror pair of sectors is equal and decomposed once.
 The first factor of the coherent product does not move, so the product
 tangent is dB alone, read as A x dB. In the factors' eigenbases, where
 p[i1, i2] = a[i1] b[i2], A x dB couples (i1, i2) only to (i1, j2), with
@@ -165,13 +167,15 @@ class FockState:
         """The two-mode state block-diagonal in n1 - n2 of ``coherences``,
         its tangent's being ``tangent``. The format makes both real and
         symmetric, so each is only checked to be real, finite and of the
-        size of one cutoff's coherences."""
+        size of one cutoff's coherences, and stacked once as the rows of
+        one buffer that the state owns, ``coherences.base`` (the gathers)."""
         state = cls.__new__(cls)
         state.factors = None
         state.dim = dim = round((3 * np.size(coherences)) ** (1 / 3) - 0.5)
         shape = (_start(dim, dim),)
-        state.coherences = _real_finite(coherences, shape)
-        state.tangent = None if tangent is None else _real_finite(tangent, shape)
+        given = [coherences] + ([] if tangent is None else [tangent])
+        rows = np.stack([_real_finite(values, shape) for values in given])
+        state.coherences, state.tangent = rows[0], None if tangent is None else rows[1]
         return state
 
 
@@ -194,14 +198,16 @@ def _start(dim: int, k):
 @functools.lru_cache(maxsize=16)
 def _sector_layout(dim: int) -> tuple[np.ndarray, ...]:
     """Where the sectors of cutoff ``dim`` lie in its coherences (the sector
-    structure of the module docstring): per sector, in the order
-    n1 - n2 = 0, 1, -1, 2, -2, ..., the symmetric (m, m) index of its block
-    into the coherences, for ``np.take``. Read-only, since it is shared."""
+    structure of the module docstring): per |n1 - n2| = 0, 1, ..., dim - 1,
+    the (n, m, m) index of its mirror pair of blocks into the coherences,
+    for ``np.take``: n = 1 at 0, else 2, n1 - n2 = delta and then -delta,
+    each block's index symmetric. Read-only, since it is shared."""
     layout = []
-    for delta in (0, *(sign * step for step in range(1, dim) for sign in (1, -1))):
-        t = np.arange(dim - abs(delta))
+    for step in range(dim):
+        t = np.arange(dim - step)
         low, k = np.minimum.outer(t, t), np.abs(np.subtract.outer(t, t))
-        layout.append(_start(dim, k) + (low + max(delta, 0)) * (dim - k) + low + max(-delta, 0))
+        at = _start(dim, k) + low * (dim - k + 1)
+        layout.append(np.stack((at + step * (dim - k), at + step)[: 1 + (step > 0)]))
         layout[-1].setflags(write=False)
     return tuple(layout)
 
@@ -411,15 +417,18 @@ _channel = functools.lru_cache(maxsize=16, typed=True)(ThermalLossChannel)
 def _tmsv_sectors(ch1: ThermalLossChannel, ch2: ThermalLossChannel, amps: np.ndarray) -> np.ndarray:
     """The two-mode squeezed probe sum_n amps[n] |n, n> through ``ch1`` on the
     first mode and ``ch2`` on the second, and its eta-derivative in ``ch2``,
-    as their coherences (module docstring, ``FockState.sectors``)."""
+    as the two rows of their coherences (module docstring, the tangent rule)."""
     d = len(amps)
     coherences = np.empty((2, _start(d, d)))
+    same = (ch1.eta, ch1.n_th, ch1.cutoff) == (ch2.eta, ch2.n_th, ch2.cutoff)
     # one product per offset at its own size: padded to the cutoff and batched,
     # OpenBLAS would order the sums by the padded length and move the bits
     for k, (b1, b2, db2) in enumerate(zip(ch1.blocks, ch2.blocks, ch2.dblocks)):
         root = np.sqrt(amps[k:] * amps[: d - k])
-        for out, block in zip(coherences[:, _start(d, k) : _start(d, k + 1)], (b2, db2)):
-            np.matmul(b1 * root, (block * root).T, out=out.reshape(d - k, d - k))
+        x1 = b1 * root
+        product, tangent = coherences[:, _start(d, k) : _start(d, k + 1)].reshape(2, d - k, d - k)
+        np.matmul(x1, (x1 if same else b2 * root).T, out=product)
+        np.matmul(x1, (db2 * root).T, out=tangent)
     return coherences
 
 
@@ -487,30 +496,25 @@ def _received(eta1: float, n_s: float, n_th: float, probe: str, cutoff: int) -> 
     typed, as ``_channel``; a call that raises is not memoised."""
     _received.cache_clear()
     state = _evaluate(eta1, n_s, n_th, probe, cutoff, LAMBDA0)
-    for array in (*(state.factors or (state.coherences,)), state.tangent):
+    for array in (*(state.factors or (state.coherences.base, state.coherences)), state.tangent):
         array.setflags(write=False)
     return state
 
 
-def _blockwise(state: FockState) -> tuple[float, Iterable[tuple[np.ndarray, np.ndarray]]]:
-    """The weight and the blocks, each (block of the state, block of its
-    tangent) at its own size, that Eq. 1 and the SLD sums run over: a
-    state's sectors with weight 1, each taken from the coherences as it is
-    reached, or for a product Tr A and the one block (B, dB) on the states
-    |0, n2> (the tangent rule)."""
+def _blockwise(state: FockState) -> tuple[float, Iterable[Sequence[np.ndarray]]]:
+    """The weight and the stacks, each (blocks of the state, blocks of its
+    tangent) of one shape (n, m, m), that Eq. 1 and the SLD sums run over:
+    for a state kept as sectors, with its tangent, weight 1 and per
+    |n1 - n2| its mirror pair of sectors (``_sector_layout``), state and
+    tangent taken from the state's buffer in one gather as they are
+    reached; for a product, Tr A
+    and the one (1, cutoff, cutoff) stack of (B, dB) on the states |0, n2>
+    (the tangent rule)."""
     if state.factors is not None:
         first, second = state.factors
-        return float(np.trace(first).real), [(second, state.tangent)]
-    return 1.0, (
-        (np.take(state.coherences, at), np.take(state.tangent, at))
-        for at in _sector_layout(state.dim)
-    )
-
-
-def _pair_sum(sums: np.ndarray, mat: np.ndarray) -> float:
-    """sum |mat|^2 / sums over the pairs whose eigenvalue sum is positive."""
-    mask = sums > 0.0
-    return np.sum(np.abs(mat[mask]) ** 2 / sums[mask])
+        return float(np.trace(first).real), [(second[None], state.tangent[None])]
+    rows = state.coherences.base
+    return 1.0, (np.take(rows, at, axis=1) for at in _sector_layout(state.dim))
 
 
 def qfi_eq1(family: Callable[[float], FockState]) -> float:
@@ -518,18 +522,20 @@ def qfi_eq1(family: Callable[[float], FockState]) -> float:
 
     The family is evaluated once, at LAMBDA0, and drho is the tangent that
     state carries (the tangent rule, module docstring), else ValueError. The
-    sum runs over the blocks of ``_blockwise``, each decomposed in its own
-    dtype, times their weight; a block equal bit for bit to the last one
-    decomposed reuses its eigenpairs, so at LAMBDA0 each mirror pair of
-    sectors is decomposed once (the sector structure): cutoff ``eigh`` calls.
+    sum runs over the stacks of ``_blockwise``, times their weight: a stack
+    whose state blocks are equal bit for bit, as every mirror pair is at
+    LAMBDA0 (cutoff ``eigh`` calls), is decomposed once, in its own dtype,
+    any other as a stack; then one batched product and one masked sum over
+    the eigenvalue pairs of positive sum.
     """
     state = family(LAMBDA0)
     if state.tangent is None:
         raise ValueError("the family's state carries no tangent")
-    weight, blocks = _blockwise(state)
-    total, decomposed = 0.0, None
-    for block, dblock in blocks:
-        if decomposed is None or not np.array_equal(block, decomposed):
-            decomposed, (evals, evecs) = block, np.linalg.eigh(block)
-        total += _pair_sum(evals[:, None] + evals, evecs.conj().T @ dblock @ evecs)
+    weight, stacks = _blockwise(state)
+    total = 0.0
+    for blocks, dblocks in stacks:
+        evals, evecs = np.linalg.eigh(blocks[0] if (blocks[0] == blocks[-1]).all() else blocks)
+        weights = np.abs(evecs.conj().mT @ dblocks @ evecs) ** 2
+        sums = evals[..., None] + evals[..., None, :]
+        total += np.divide(weights, sums, out=np.zeros(weights.shape), where=sums > 0.0).sum()
     return float(2.0 * weight * total)

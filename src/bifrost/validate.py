@@ -150,13 +150,14 @@ def _changes_n1_minus_n2(form: SldForm) -> bool:
 
 def _laid_out(form: SldForm, state: fock.FockState):
     """ell of ``form`` laid out like ``state``: Tr(ell rho) before the
-    weight, ||drho||^2 and ell's blocks on those of ``fock._blockwise``. On
-    a product A x B ell must read as I x ell_2, else ValueError, and is
-    ell_2 = sum_t first_t[0, 0] second_t. On sectors it must keep n1 - n2
-    and be real, else ValueError, so at |i + k, j + k><i, j| and the mirror
-    it is E_k[i, j] = sum_t first_t[i + k, i] second_t[j + k, j], 0 past
-    k = 2: E_0, E_1, E_2 and one zero lie as the coherences do, and a block
-    is ``np.take`` at the state's index, clipped onto the zero."""
+    weight, ||drho||^2 and ell's blocks on the stacks of ``fock._blockwise``.
+    On a product A x B ell must read as I x ell_2, else ValueError, and is
+    ell_2 = sum_t first_t[0, 0] second_t, one block for the one stack. On
+    sectors it must keep n1 - n2 and be real, else ValueError, so at
+    |i + k, j + k><i, j| and the mirror it is E_k[i, j] =
+    sum_t first_t[i + k, i] second_t[j + k, j], 0 past k = 2: E_0, E_1, E_2
+    and one zero lie as the coherences do, and a mirror pair's blocks are
+    one ``np.take`` at the pair's index, clipped onto the zero."""
     d, ell = state.dim, fock_sld_operator(form, state.dim)
     if state.factors is not None:
         if not np.array_equal(ell.first, ell.first[:, :1, :1] * np.eye(d)):
@@ -187,11 +188,12 @@ def sld_fock_report(
     out like the family's shared state at the working point (``_laid_out``),
     whose form it must keep, else ValueError. The residual of
     ell rho + (ell rho)^dag = 2 drho and the second moment Tr(ell ell rho)
-    are sums over the blocks of ``fock._blockwise``, one product and its
-    anticommutator per block; the mean Tr(ell rho) and ||drho|| are read
-    once off the state's form. The weight scales the mean and the second
-    moment. A cutoff that passes the tail gate may still be too small for
-    the second moment (see ``WIDE_CONFIGS``).
+    are sums over the stacks of ``fock._blockwise``, a mirror pair of
+    sectors or a product's one block: one batched product and
+    anticommutator per stack, each sum one ``np.vdot``; the mean Tr(ell rho)
+    and ||drho|| are read once off the state's form. The weight scales the
+    mean and the second moment. A cutoff that passes the tail gate may
+    still be too small for the second moment (see ``WIDE_CONFIGS``).
     """
     solution = _solve(bifrequency_received_state(BiFrequencyParams(eta1, 0.0, n_s, n_th), probe))
     h = solution.result().value
@@ -201,7 +203,7 @@ def sld_fock_report(
     residual_sq = second_moment = 0.0
     for ell_block, (block, dblock) in zip(ell_blocks, blocks):
         product = ell_block @ block
-        anticommutator = product + product.conj().T - 2.0 * dblock
+        anticommutator = product + product.conj().mT - 2.0 * dblock
         residual_sq += np.vdot(anticommutator, anticommutator).real
         second_moment += np.vdot(ell_block, product)
     second_moment = float(np.real(weight * second_moment))

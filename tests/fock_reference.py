@@ -98,10 +98,12 @@ def dense_tangent(state):
 
 
 def dense_qfi(rho, drho):
-    """The Eq. 1 QFI over the eigenpairs of the whole dense ``rho``, summed
-    by the package's ``_pair_sum``."""
+    """The Eq. 1 QFI over the eigenpairs of the whole dense ``rho``, over
+    the pairs of positive eigenvalue sum, as ``fock.qfi_eq1`` sums them."""
     evals, evecs = np.linalg.eigh(rho)
-    return 2.0 * float(fock._pair_sum(evals[:, None] + evals, evecs.conj().T @ drho @ evecs))
+    sums, mat = evals[:, None] + evals, evecs.conj().T @ drho @ evecs
+    mask = sums > 0.0
+    return 2.0 * float(np.sum(np.abs(mat[mask]) ** 2 / sums[mask]))
 
 
 def dense_moments(rho, dim, n_modes):
@@ -368,8 +370,8 @@ def dense_sld_report(eta1, n_s, n_th, probe, cutoff):
 
 def sector_indices(cutoff):
     """The basis indices n1 cutoff + n2 of each sector of fixed n1 - n2,
-    ascending in n1, in the order of ``fock._sector_layout``:
-    n1 - n2 = 0, 1, -1, 2, -2, ...."""
+    ascending in n1, in the order of the blocks of ``fock._sector_layout``'s
+    mirror pairs: n1 - n2 = 0, 1, -1, 2, -2, ...."""
     indices = []
     for delta in [0] + [sign * step for step in range(1, cutoff) for sign in (1, -1)]:
         t = np.arange(cutoff - abs(delta))
@@ -378,12 +380,16 @@ def sector_indices(cutoff):
 
 
 def concatenated_tmsv_sectors(ch1, ch2, amps):
-    """``fock._tmsv_sectors`` as the concatenation of its products."""
+    """``fock._tmsv_sectors`` as the concatenation of its products, X1 X1^T
+    of one buffer where the channels are equal."""
     d = len(amps)
+    same = (ch1.eta, ch1.n_th, ch1.cutoff) == (ch2.eta, ch2.n_th, ch2.cutoff)
     parts = []
     for k, (b1, b2, db2) in enumerate(zip(ch1.blocks, ch2.blocks, ch2.dblocks)):
         root = np.sqrt(amps[k:] * amps[: d - k])
-        parts.append([(b1 * root @ (b2 * root).T).ravel(), (b1 * root @ (db2 * root).T).ravel()])
+        x1 = b1 * root
+        x2 = x1 if same else b2 * root
+        parts.append([(x1 @ x2.T).ravel(), (x1 @ (db2 * root).T).ravel()])
     return np.concatenate(parts, axis=1)
 
 

@@ -106,21 +106,29 @@ def test_product_state_keeps_its_factors():
 
 
 def test_entangled_state_keeps_its_sectors():
-    """The received two-mode squeezed state is kept as its coherences and
-    read as its 2 cutoff - 1 blocks of fixed n1 - n2, one at a time, in the
-    order n1 - n2 = 0, 1, -1, 2, -2, ..., each mirror right after its
-    partner: each block equals the dense matrix's block on the states of
-    its n1 - n2, ascending in n1 (``fock_reference.sector_indices``), as
-    does its tangent's. Each block of the state and of its tangent is
-    exactly symmetric, and nothing of the dense matrix lies outside the
-    blocks."""
+    """The received two-mode squeezed state is kept as its coherences, the
+    first row of one buffer whose second is its tangent's, and read as its
+    cutoff mirror pairs of blocks of fixed n1 - n2, one pair at a time, per
+    |n1 - n2|: a (1, cutoff, cutoff) stack at 0, then (2, m, m) stacks of
+    delta and -delta, so the blocks run n1 - n2 = 0, 1, -1, 2, -2, ...:
+    each block equals the dense matrix's block on the states of its
+    n1 - n2, ascending in n1 (``fock_reference.sector_indices``), as does
+    its tangent's. Each block of the state and of its tangent is exactly
+    symmetric, and nothing of the dense matrix lies outside the blocks."""
     cutoff = 12
+    size = cutoff * (cutoff + 1) * (2 * cutoff + 1) // 6
     state = fock.bifrequency_fock_family(0.6, 0.1, 0.2, "tmsv", cutoff)(0.01)
     assert state.factors is None
-    assert state.coherences.shape == state.tangent.shape == (cutoff * (cutoff + 1) * (2 * cutoff + 1) // 6,)
+    assert state.coherences.shape == state.tangent.shape == (size,)
+    assert state.coherences.base is state.tangent.base and state.coherences.base.shape == (2, size)
     rho, tangent = fock_reference.dense(state), fock_reference.dense_tangent(state)
-    weight, blocks = fock._blockwise(state)
-    assert weight == 1.0 and not isinstance(blocks, (list, tuple))
+    weight, pairs = fock._blockwise(state)
+    assert weight == 1.0 and not isinstance(pairs, (list, tuple))
+    blocks = []
+    for step, (stack, dstack) in enumerate(pairs):
+        assert stack.shape == dstack.shape == (1 + (step > 0), cutoff - step, cutoff - step)
+        blocks += zip(stack, dstack)
+    assert step == cutoff - 1
     shifts, covered = [], np.zeros(rho.shape, bool)
     for idx, (block, dblock) in zip(fock_reference.sector_indices(cutoff), blocks, strict=True):
         n1, n2 = np.divmod(idx, cutoff)
@@ -137,13 +145,13 @@ def test_entangled_state_keeps_its_sectors():
 
 def test_every_sector_block_is_exactly_symmetric():
     """At every oracle configuration, at the validation cutoff and at
-    lam = 0 and 1e-4, each sector block of the state and of its tangent
-    equals its transpose bit for bit."""
+    lam = 0 and 1e-4, each sector block of each mirror pair, of the state
+    and of its tangent, equals its transpose bit for bit."""
     for config in validate.ORACLE_CONFIGS:
         family = fock.bifrequency_fock_family(*config, "tmsv", validate.CUTOFF)
         for lam in (0.0, 1e-4):
-            for block, dblock in fock._blockwise(family(lam))[1]:
-                assert np.array_equal(block, block.T) and np.array_equal(dblock, dblock.T), config
+            for blocks, dblocks in fock._blockwise(family(lam))[1]:
+                assert np.array_equal(blocks, blocks.mT) and np.array_equal(dblocks, dblocks.mT), config
 
 
 def test_sector_state_checks_size_and_finiteness():
@@ -957,11 +965,12 @@ def test_product_qfi_matches_dense_route(cutoff):
 @pytest.mark.parametrize("cutoff", [21, 25, 30])
 def test_sector_qfi_matches_dense_route(cutoff):
     """On every oracle configuration the two-mode squeezed family's QFI from
-    its sectors equals the dense Eq. 1 QFI of the same states made dense,
-    at the working point, where mirror sectors share one decomposition, and
-    at lam = 1e-4, where none are equal and every sector is decomposed.
-    Below cutoff 21 the gate rejects the received state at
-    (0.8, 0.5, 0.3), whose trace leak is 1.07e-6 at cutoff 20."""
+    its sectors equals the dense Eq. 1 QFI of the same states made dense.
+    Each walks cutoff mirror pairs and makes one ``eigh`` call per pair: at
+    the working point, where mirror sectors are equal, each on one matrix,
+    and at lam = 1e-4, where none are, each on the pair's stack of two but
+    the lone sector n1 = n2. Below cutoff 21 the gate rejects the received
+    state at (0.8, 0.5, 0.3), whose trace leak is 1.07e-6 at cutoff 20."""
     from bifrost.validate import ORACLE_CONFIGS
 
     shapes = []
@@ -974,20 +983,22 @@ def test_sector_qfi_matches_dense_route(cutoff):
     for eta1, n_s, n_th in ORACLE_CONFIGS:
         family = fock.bifrequency_fock_family(eta1, n_s, n_th, "tmsv", cutoff)
         off = fock._evaluate(eta1, n_s, n_th, "tmsv", cutoff, 1e-4)
-        for at, calls in ((family, cutoff), (lambda lam: off, 2 * cutoff - 1)):
-            assert len(list(fock._blockwise(at(0.0))[1])) == 2 * cutoff - 1
+        for at, stacked in ((family, 0), (lambda lam: off, cutoff - 1)):
+            assert len(list(fock._blockwise(at(0.0))[1])) == cutoff
             shapes.clear()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(np.linalg, "eigh", recording_eigh)
                 h_sectors = fock.qfi_eq1(at)
             h_dense = _dense_route(at)
-            assert len(shapes) == calls, (eta1, n_s, n_th, calls)
-            assert abs(h_sectors - h_dense) / h_dense < 1e-10, (eta1, n_s, n_th, calls)
+            assert len(shapes) == cutoff, (eta1, n_s, n_th, stacked)
+            assert sum(len(shape) == 3 and shape[0] == 2 for shape in shapes) == stacked
+            assert abs(h_sectors - h_dense) / h_dense < 1e-10, (eta1, n_s, n_th, stacked)
 
 
 def test_product_qfi_diagonalises_only_factors(monkeypatch):
     """The coherent family diagonalises only its second factor, the one
-    block of ``_blockwise``, once: the first factor enters as its trace."""
+    (1, cutoff, cutoff) stack of ``_blockwise``, once: the first factor
+    enters as its trace."""
     shapes = []
 
     def recording(decompose):
@@ -1001,15 +1012,19 @@ def test_product_qfi_diagonalises_only_factors(monkeypatch):
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
     cutoff = 30
     family = fock.bifrequency_fock_family(0.8, 0.5, 0.3, "coherent", cutoff)
+    stacks = [(stack.shape, dstack.shape) for stack, dstack in fock._blockwise(family(0.0))[1]]
+    assert stacks == [((1, cutoff, cutoff),) * 2]
     fock.qfi_eq1(family)
     assert shapes == [("eigh", (cutoff, cutoff))]
 
 
 def test_sector_qfi_diagonalises_only_sectors(monkeypatch):
     """At the working point the two-mode squeezed family diagonalises each
-    mirror pair of sectors once, as the blocks come, n1 - n2 = 0, 1, -1,
-    2, -2, ...: cutoff decompositions, the first of size cutoff and then one
-    of each smaller size, so no matrix larger than cutoff x cutoff."""
+    mirror pair of sectors once, as the pairs come, |n1 - n2| = 0, 1, 2,
+    ...: cutoff decompositions, the first of size cutoff and then one of
+    each smaller size, so no matrix larger than cutoff x cutoff. Above
+    cutoff 80 too, where OpenBLAS forms a product X Y^T of two buffers
+    asymmetric in its last bits with two threads."""
     shapes = []
     eigh = np.linalg.eigh
 
@@ -1018,9 +1033,33 @@ def test_sector_qfi_diagonalises_only_sectors(monkeypatch):
         return eigh(mat, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    cutoff = 30
-    fock.qfi_eq1(fock.bifrequency_fock_family(0.8, 0.5, 0.3, "tmsv", cutoff))
-    assert shapes == [(size, size) for size in range(cutoff, 0, -1)]
+    for cutoff, config in ((30, (0.8, 0.5, 0.3)), (83, (0.8, 1.0, 1.0))):
+        shapes.clear()
+        fock.qfi_eq1(fock.bifrequency_fock_family(*config, "tmsv", cutoff))
+        assert shapes == [(size, size) for size in range(cutoff, 0, -1)], cutoff
+
+
+def test_each_walk_takes_the_state_once_per_mirror_pair(monkeypatch):
+    """``qfi_eq1`` and ``validate.sld_fock_report`` each gather the
+    state's buffer, both rows at once, by one ``np.take`` per |n1 - n2|:
+    cutoff gathers per walk, at the indices of the mirror pairs."""
+    cutoff = 22
+    family = fock.bifrequency_fock_family(0.8, 0.5, 0.3, "tmsv", cutoff)
+    rows = family(0.0).coherences.base
+    taken = []
+    take = np.take
+
+    def recording_take(values, indices, *args, **kwargs):
+        if values is rows:
+            taken.append(np.shape(indices))
+        return take(values, indices, *args, **kwargs)
+
+    monkeypatch.setattr(np, "take", recording_take)
+    pairs = [(1, cutoff, cutoff)] + [(2, size, size) for size in range(cutoff - 1, 0, -1)]
+    for walk in (lambda: fock.qfi_eq1(family), lambda: validate.sld_fock_report(0.8, 0.5, 0.3, "tmsv", cutoff)):
+        taken.clear()
+        walk()
+        assert taken == pairs
 
 
 def test_eigenvalue_sum_rule():
@@ -1047,6 +1086,22 @@ def test_partial_trace_validation():
 
 # --- SLD on the oracle --------------------------------------------------------
 
+# the tolerance each oracle check of ``validate`` documents, by the check's name
+CHECK_TOLERANCES = {
+    "oracle": 1e-6, "sld anticommutator": 1e-4, "sld variance": 1e-4, "sld zero mean": 1e-5,
+}
+
+
+def test_oracle_checks_carry_their_documented_tolerances():
+    """Every record of ``oracle_checks`` and ``wide_box_checks`` carries
+    exactly the tolerance of its kind, compared as a float: a nudge that
+    prints as the same "1.0e-06" fails here."""
+    checks = validate.oracle_checks() + validate.wide_box_checks()
+    assert len(checks) == 4 * 2 * (len(validate.ORACLE_CONFIGS) + len(validate.WIDE_CONFIGS))
+    for check in checks:
+        kind = next(kind for kind in CHECK_TOLERANCES if check.name.startswith(kind + " "))
+        assert check.tolerance == CHECK_TOLERANCES[kind], check.name
+
 REPORT_KEYS = ("residual", "mean", "second_moment", "qfi", "variance_rel_error")
 
 
@@ -1067,9 +1122,9 @@ def test_sld_report_matches_dense_computation(probe):
 
 def test_sld_report_forms_no_dense_matrix(monkeypatch):
     """The report takes ell one block at a time, laid out as the state's
-    blocks: a product's one cutoff x cutoff factor, or the 2 cutoff - 1
-    sectors, none larger than cutoff x cutoff. That no two-mode density
-    matrix is formed holds by the package's structure
+    stacks: a product's one cutoff x cutoff factor, or the cutoff mirror
+    pairs of sectors, none larger than (2, cutoff, cutoff). That no two-mode
+    density matrix is formed holds by the package's structure
     (``test_package_keeps_no_dense_two_mode_state``)."""
     cutoff = 22
     taken = []
@@ -1083,7 +1138,7 @@ def test_sld_report_forms_no_dense_matrix(monkeypatch):
     validate.sld_fock_report(0.8, 0.5, 0.3, "coherent", cutoff)
     assert taken == [(cutoff, cutoff)]
     validate.sld_fock_report(0.8, 0.5, 0.3, "tmsv", cutoff)
-    assert len(taken) == 2 * cutoff and max(max(shape) for shape in taken) == cutoff
+    assert taken[1:] == [(1 + (step > 0), cutoff - step, cutoff - step) for step in range(cutoff)]
 
 
 def test_oracle_pass_forms_no_dense_matrix(monkeypatch):
@@ -1204,16 +1259,21 @@ def test_take_gathers_match_the_fancy_index_bit_for_bit(cutoff):
 
 
 # a configuration inside the gate at each cutoff of the mirror test
-MIRROR_CONFIGS = {30: (0.8, 0.5, 0.3), 45: (0.8, 1.0, 1.0), 80: (0.8, 2.0, 1.0)}
+MIRROR_CONFIGS = {
+    30: (0.8, 0.5, 0.3), 45: (0.8, 1.0, 1.0), 80: (0.8, 2.0, 1.0),
+    81: (0.8, 2.0, 1.0), 83: (0.8, 2.0, 1.0), 121: (0.8, 2.0, 1.0),
+}
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, *MIRROR_CONFIGS])
 def test_mirror_sectors_are_equal_bit_for_bit(cutoff):
     """Through one channel on both modes, as at the working point, each
     offset's product X X^T is symmetric bit for bit, so sector -delta equals
-    sector delta, which follows it in the layout: below the tail gate from
+    sector delta, its partner in the mirror pair: below the tail gate from
     ``_tmsv_sectors`` itself, else in the working-point state of a family,
-    whose two channels are one memoised object."""
+    whose two channels are one memoised object. Above cutoff 80 too, where
+    a product of two buffers, X @ X.copy().T, is not symmetric at most sizes
+    with two BLAS threads."""
     if cutoff in MIRROR_CONFIGS:
         state = fock.bifrequency_fock_family(*MIRROR_CONFIGS[cutoff], "tmsv", cutoff)(fock.LAMBDA0)
     else:
@@ -1224,10 +1284,10 @@ def test_mirror_sectors_are_equal_bit_for_bit(cutoff):
         size = cutoff - k
         product = state.coherences[fock._start(cutoff, k) : fock._start(cutoff, k + 1)].reshape(size, size)
         assert _same_bits(product, product.T), k
-    blocks = [block for block, _ in fock._blockwise(state)[1]]
-    assert len(blocks) == 2 * cutoff - 1
-    for delta in range(1, cutoff):
-        assert _same_bits(blocks[2 * delta - 1], blocks[2 * delta]), delta
+    pairs = [blocks for blocks, _ in fock._blockwise(state)[1]]
+    assert [len(blocks) for blocks in pairs] == [1] + [2] * (cutoff - 1)
+    for delta, blocks in enumerate(pairs[1:], 1):
+        assert _same_bits(blocks[0], blocks[1]), delta
 
 
 # largest deviation measured over these states, relative to their largest
@@ -1259,7 +1319,8 @@ def test_moments_of_random_states_match_the_dense_reference(cutoff):
 @pytest.mark.parametrize("cutoff", GATHER_CUTOFFS)
 def test_sector_sld_blocks_match_the_reference_gather(cutoff):
     """On a random state kept as sectors, ell laid out as its coherences
-    gives, on each sector, the block of the reference gather, and the mean
+    gives, per mirror pair, a stack of the state's shape whose blocks are,
+    on each sector, the block of the reference gather, and the mean
     and ||drho||^2 of the blockwise sums, to 1e-13 relative, for real forms
     that keep n1 - n2: the two-mode squeezed probe's SLD and random ones."""
     from bifrost.sld import _solve
@@ -1275,9 +1336,14 @@ def test_sector_sld_blocks_match_the_reference_gather(cutoff):
         forms.append(bf.SldForm(quad=quad + quad.T, linear=np.zeros(4), scalar=0.3, center=np.zeros(4)))
     for form in forms:
         op = validate.fock_sld_operator(form, cutoff)
-        mean, tangent_sq, ell_blocks = validate._laid_out(form, state)
+        mean, tangent_sq, ell_stacks = validate._laid_out(form, state)
+        ell_blocks, blocks = [], []
+        for ell_stack, (stack, dstack) in zip(ell_stacks, fock._blockwise(state)[1], strict=True):
+            assert ell_stack.shape == stack.shape
+            ell_blocks += list(ell_stack)
+            blocks += zip(stack, dstack)
         expected_mean = expected_sq = 0.0
-        sectors = zip(fock_reference.sector_indices(cutoff), fock._blockwise(state)[1])
+        sectors = zip(fock_reference.sector_indices(cutoff), blocks, strict=True)
         for ell_block, (idx, (block, dblock)) in zip(ell_blocks, sectors, strict=True):
             expected = fock_reference.ladder_block(op, idx, idx)
             assert np.max(np.abs(ell_block - expected)) <= 1e-13 * max(np.max(np.abs(expected)), 1.0)

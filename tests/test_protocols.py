@@ -1,5 +1,6 @@
 """Protocol assembly: received states, advantage ratios, regressions."""
 
+import re
 import warnings
 
 import numpy as np
@@ -76,6 +77,13 @@ def test_params_validation():
             BiFrequencyParams(0.5, 0.0, 1.0, bad)
     with pytest.raises(ValueError):
         bifrequency_received_state(BiFrequencyParams(0.5, 0.0, 1.0, 1.0), "squeezed")
+
+
+def test_params_error_names_the_second_reflectivity():
+    """A second reflectivity outside [0, 1] is named by its value,
+    eta1 + lambda as the sum rounds."""
+    with pytest.raises(ValueError, match=re.escape(f"eta1 + lambda = {0.9 + 0.2!r} outside [0, 1]")):
+        BiFrequencyParams(0.9, 0.2)
 
 
 def test_advantage_inside_enhancement_region():
