@@ -329,6 +329,10 @@ def main(argv=None) -> int:
     exit code EXIT_USAGE, and so is a failed write to stdout, with EXIT_IO."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse drops the value of --flag=-- and leaves an empty list
+    for dest, value in vars(args).items():
+        if value == []:
+            parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
     if getattr(args, "config", ""):
         args.subparser.set_defaults(**_load_config(args.config, args.subparser))
         args = parser.parse_args(argv)

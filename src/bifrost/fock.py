@@ -73,10 +73,12 @@ at offset -k, written into its slice of the coherences. Real probes give
 real states, which keep a real dtype throughout.
 
 The gathers. A state's coherences and its tangent's are the rows of one
-buffer, so a mirror pair of both, or of an observable laid out like them
-(``validate.sld_fock_report``), is one ``np.take`` at the pair's index. A
-channel reads a one-mode matrix's offsets as strided views of its
-diagonals, with no index (``_by_offset``).
+buffer, the array ``_tmsv_sectors`` writes, held as given
+(``FockState.rows``), so a mirror pair of both is one ``np.take`` at the
+pair's index. So is a pair of an observable's blocks, laid out like the
+coherences from the closed-form diagonals of its ladder words
+(``validate._laid_out``). A channel reads a one-mode matrix's offsets as
+strided views of its diagonals, with no index (``_by_offset``).
 
 The shared state. ``qfi_eq1``, ``validate.sld_fock_report`` and
 ``quadrature_moments`` read a family at LAMBDA0, so the state there is
@@ -135,10 +137,11 @@ class FockState:
     """A two-mode density matrix on a photon-number-truncated space, kept in
     one of the two forms the probes give and never as one cutoff^2 x
     cutoff^2 matrix: a product A x B as its one-mode ``factors``
-    (``FockState.product``), or a state block-diagonal in n1 - n2 as its
-    ``coherences`` (``FockState.sectors``, the sector structure of the module
-    docstring). The other of the two is None. ``tangent`` (the tangent rule)
-    is in the state's form, coherences or a product's dB, checked alike; or
+    (``FockState.product``), or a state block-diagonal in n1 - n2 as the
+    ``rows`` of one buffer, its ``coherences`` and its tangent's
+    (``FockState.sectors``, the sector structure of the module docstring).
+    The slots of the other form are None. ``tangent`` (the tangent rule) is
+    in the state's form, the second row or a product's dB, checked alike; or
     None.
 
     The trace may fall short of one by the truncation leak of the
@@ -147,7 +150,7 @@ class FockState:
     in it; coherences are real.
     """
 
-    __slots__ = ("factors", "coherences", "dim", "tangent")
+    __slots__ = ("factors", "coherences", "dim", "tangent", "rows")
 
     @classmethod
     def product(cls, first: np.ndarray, second: np.ndarray, tangent=None) -> "FockState":
@@ -158,34 +161,29 @@ class FockState:
         state.dim = len(first)
         shape = (state.dim, state.dim)
         state.factors = (_hermitian(first, shape), _hermitian(second, shape))
-        state.coherences = None
+        state.coherences = state.rows = None
         state.tangent = None if tangent is None else _hermitian(tangent, shape)
         return state
 
     @classmethod
-    def sectors(cls, coherences: np.ndarray, tangent: np.ndarray | None = None) -> "FockState":
-        """The two-mode state block-diagonal in n1 - n2 of ``coherences``,
-        its tangent's being ``tangent``. The format makes both real and
-        symmetric, so each is only checked to be real, finite and of the
-        size of one cutoff's coherences, and stacked once as the rows of
-        one buffer that the state owns, ``coherences.base`` (the gathers)."""
+    def sectors(cls, rows: np.ndarray) -> "FockState":
+        """The two-mode state block-diagonal in n1 - n2 whose coherences are
+        the first of ``rows`` and its tangent's the second, if there is one.
+        The format makes both real and symmetric, so the (1, N) or (2, N)
+        array is only checked, where it lies, to be real, finite and of the
+        size N of one cutoff's coherences, and kept as the state's buffer,
+        ``rows`` (the gathers)."""
         state = cls.__new__(cls)
-        state.factors = None
-        state.dim = dim = round((3 * np.size(coherences)) ** (1 / 3) - 0.5)
-        shape = (_start(dim, dim),)
-        given = [coherences] + ([] if tangent is None else [tangent])
-        rows = np.stack([_real_finite(values, shape) for values in given])
-        state.coherences, state.tangent = rows[0], None if tangent is None else rows[1]
+        rows = np.asarray(rows)
+        state.dim = dim = round((3 * rows.shape[-1]) ** (1 / 3) - 0.5) if rows.ndim == 2 else 0
+        shapes = [(n, _start(dim, dim)) for n in (1, 2)]
+        # row by row, so that no mask of the whole buffer is made
+        finite = rows.shape in shapes and all(np.isfinite(row).all() for row in rows)
+        if not finite or np.iscomplexobj(rows):
+            raise ValueError(f"coherences must be real and finite, of shape {shapes}, not {rows.shape}")
+        state.factors, state.rows = None, rows.astype(float, copy=False)
+        state.coherences, state.tangent = state.rows[0], state.rows[1] if len(rows) == 2 else None
         return state
-
-
-def _real_finite(values, shape: tuple[int]) -> np.ndarray:
-    """``values`` as float64, after checking that they are real, finite and
-    of ``shape``."""
-    values = np.asarray(values)
-    if values.shape != shape or np.iscomplexobj(values) or not np.all(np.isfinite(values)):
-        raise ValueError(f"coherences must be real and finite, of shape {shape}, not {values.shape}")
-    return values.astype(float, copy=False)
 
 
 def _start(dim: int, k):
@@ -477,7 +475,7 @@ def _evaluate(
     ch2 = _channel(eta1 + lam, n_th, cutoff)
     if probe == "tmsv":
         amps = _tmsv_amplitudes(n_s, cutoff)
-        state = FockState.sectors(*_tmsv_sectors(_channel(eta1, n_th, cutoff), ch2, amps))
+        state = FockState.sectors(_tmsv_sectors(_channel(eta1, n_th, cutoff), ch2, amps))
     else:
         single = fock_coherent(np.sqrt(n_s), cutoff)
         second = ch2.apply(single)
@@ -496,7 +494,7 @@ def _received(eta1: float, n_s: float, n_th: float, probe: str, cutoff: int) -> 
     typed, as ``_channel``; a call that raises is not memoised."""
     _received.cache_clear()
     state = _evaluate(eta1, n_s, n_th, probe, cutoff, LAMBDA0)
-    for array in (*(state.factors or (state.coherences.base, state.coherences)), state.tangent):
+    for array in (*(state.factors or (state.rows, state.coherences)), state.tangent):
         array.setflags(write=False)
     return state
 
@@ -513,8 +511,7 @@ def _blockwise(state: FockState) -> tuple[float, Iterable[Sequence[np.ndarray]]]
     if state.factors is not None:
         first, second = state.factors
         return float(np.trace(first).real), [(second[None], state.tangent[None])]
-    rows = state.coherences.base
-    return 1.0, (np.take(rows, at, axis=1) for at in _sector_layout(state.dim))
+    return 1.0, (np.take(state.rows, at, axis=1) for at in _sector_layout(state.dim))
 
 
 def qfi_eq1(family: Callable[[float], FockState]) -> float:

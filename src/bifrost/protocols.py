@@ -65,10 +65,14 @@ class BiFrequencyParams:
 def _bifrequency_input(p: BiFrequencyParams, probe: str) -> g.GaussianState:
     """Four-mode input ordered (bath 1, signal 1, bath 2, signal 2), built as
     one array: thermal baths, (1 + 2 n_th) I, and as signals either the two
-    modes of ``tmsv(n_s)`` or two coherent states of amplitude sqrt(n_s)."""
+    modes of ``tmsv(n_s)`` or two coherent states of amplitude sqrt(n_s).
+    A bath whose 1 + 2 n_th leaves the float range raises ArithmeticError."""
+    bath = 1.0 + 2.0 * float(p.n_th)
+    if bath == math.inf:
+        raise ArithmeticError(f"the bath covariance leaves the float range: n_th = {p.n_th}")
     cov = np.eye(8)
     disp = np.zeros(8)
-    cov[[0, 1, 4, 5], [0, 1, 4, 5]] = 1.0 + 2.0 * p.n_th
+    cov[[0, 1, 4, 5], [0, 1, 4, 5]] = bath
     if probe == PROBE_TMSV:
         # as (half, quadrature, half, quadrature): the signals are the last two
         # quadratures of each half

@@ -6,11 +6,8 @@ pass flag) so callers can print per-check reports and aggregate exit codes.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from . import fock
@@ -24,7 +21,7 @@ from .protocols import (
     qi_ratio,
 )
 from .qfi import hc_closed_form, hq_closed_form, qfi_gaussian
-from .sld import _MIXING, SldForm, _solve, qfi_complex_form
+from .sld import SldForm, _solve, qfi_complex_form
 
 ORACLE_CONFIGS = [
     (eta1, n_s, n_th)
@@ -82,36 +79,25 @@ def oracle_checks(
     return oracle + sld
 
 
-class LadderOperator(NamedTuple):
-    """A two-mode operator sum_t first[t] x second[t], each (terms, cutoff, cutoff)."""
-
-    first: np.ndarray
-    second: np.ndarray
-
-
-@functools.lru_cache(maxsize=64)
-def _ladder_word(word: str, cutoff: int) -> np.ndarray:
-    """The product of a ("a") and a^dag ("A") in the order of ``word`` on
-    the cutoff, the identity for ""; read-only, since it is shared. Like
-    ``fock._sector_layout`` it depends on the cutoff alone, never on an
-    operating point."""
-    a = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)
-    matrix = functools.reduce(np.matmul, [a if x == "a" else a.T for x in word], np.eye(cutoff))
-    matrix.setflags(write=False)
-    return matrix
+def _ladder_diagonals(dim: int) -> dict[str, tuple[int, np.ndarray]]:
+    """Each product of at most two ladder operators, a ("a") and a^dag ("A"),
+    "" the identity, on the cutoff as its one nonzero diagonal: the offset k
+    of ``np.diagonal`` (+1 for a) and the entries, each the product of square
+    roots sqrt(n) that the matrix product forms, so equal to it bit for bit."""
+    root = np.sqrt(np.arange(1.0, dim))
+    hop, number, zero = root[:-1] * root[1:], root * root, np.zeros(min(dim, 1))
+    return {
+        "": (0, np.ones(dim)), "a": (1, root), "A": (-1, root), "aa": (2, hop),
+        "AA": (-2, hop), "aA": (0, np.append(number, zero)), "Aa": (0, np.append(zero, number)),
+    }
 
 
-def fock_sld_operator(form: SldForm, cutoff: int) -> LadderOperator:
-    """A two-mode quadratic-form observable on the truncated space.
-
-    Each A_i - center_i is expanded into pairs of ladder words, one per mode
-    ("a" for a, "A" for a^dag, "" the identity); terms whose coefficient is
-    exactly 0 are dropped, except the identity, and the rest are grouped by
-    their mode-2 word: term t is first[t] x second[t], second[t] that word
-    and first[t] the sum of its mode-1 words times their coefficients, each
-    a one-mode matrix, so no two-mode matrix is formed. Real coefficients,
-    as every probe gives, yield a real operator.
-    """
+def _terms(form: SldForm) -> list[tuple[complex, str, str]]:
+    """The form's terms (c, mode-1 word, mode-2 word): each A_i - center_i
+    expanded into ladder words, one per mode ("a" for a, "A" for a^dag, ""
+    the identity, ``_ladder_diagonals``), and the terms whose coefficient is
+    exactly 0 dropped, except the scalar's. Real coefficients, as every
+    probe gives, stay real."""
     coeffs = [form.quad, form.linear, form.center, form.scalar]
     if not any(np.any(np.imag(c)) for c in coeffs):
         coeffs = [np.real(c) for c in coeffs]
@@ -127,53 +113,44 @@ def fock_sld_operator(form: SldForm, cutoff: int) -> LadderOperator:
                 (quad[i, j] * c1 * c2, u1 + u2, v1 + v2)
                 for (c1, u1, v1), (c2, u2, v2) in itertools.product(dagger, delta[j])
             ]
-    terms = [(scalar, "", "")] + [term for term in terms if term[0] != 0]
-    words = sorted({v for _, _, v in terms})
-    dtype = np.result_type(*(c for c, _, _ in terms), float)
-    first = np.zeros((len(words), cutoff, cutoff), dtype)
-    for c, u, v in terms:
-        first[words.index(v)] += c * _ladder_word(u, cutoff)
-    return LadderOperator(first, np.stack([_ladder_word(v, cutoff) for v in words]))
-
-
-def _changes_n1_minus_n2(form: SldForm) -> bool:
-    """Whether a term of the form's expansion in ``fock_sld_operator`` with a
-    nonzero coefficient changes n1 - n2: a linear term A_i^dag, an entry of
-    the quadratic part at the entries ``sld._MIXING``, or a quadratic entry
-    times the center, which leaves one ladder operator."""
-    quad, center = form.quad, form.center
-    return bool(
-        np.any(form.linear) or np.any(quad.take(_MIXING))
-        or np.any(quad * center) or np.any(center.conj()[:, None] * quad)
-    )
+    return [(scalar, "", "")] + [term for term in terms if term[0] != 0]
 
 
 def _laid_out(form: SldForm, state: fock.FockState):
-    """ell of ``form`` laid out like ``state``: Tr(ell rho) before the
+    """ell of ``form`` laid out like ``state`` from its terms (``_terms``),
+    each word one diagonal (``_ladder_diagonals``): Tr(ell rho) before the
     weight, ||drho||^2 and ell's blocks on the stacks of ``fock._blockwise``.
-    On a product A x B ell must read as I x ell_2, else ValueError, and is
-    ell_2 = sum_t first_t[0, 0] second_t, one block for the one stack. On
-    sectors it must keep n1 - n2 and be real, else ValueError, so at
-    |i + k, j + k><i, j| and the mirror it is E_k[i, j] =
-    sum_t first_t[i + k, i] second_t[j + k, j], 0 past k = 2: E_0, E_1, E_2
-    and one zero lie as the coherences do, and a mirror pair's blocks are
-    one ``np.take`` at the pair's index, clipped onto the zero."""
-    d, ell = state.dim, fock_sld_operator(form, state.dim)
+    On a product every term must act on mode 1 as the identity, and the one
+    block ell_2 is the sum of c times each term's mode-2 diagonal. On
+    sectors every term must keep n1 - n2, its words on one diagonal, and be
+    real; ell at |i + k, j + k><i, j| and the mirror is E_k[i, j], E_k the
+    sum of c u v^T over the terms on diagonal -k, 0 past k = 2: E_0, E_1,
+    E_2 and one zero lie as the coherences do, and a mirror pair's blocks
+    are one ``np.take`` at its index, clipped onto the zero. Else
+    ValueError."""
+    d, terms, lines = state.dim, _terms(form), _ladder_diagonals(state.dim)
+    dtype = np.result_type(*(c for c, _, _ in terms), float)
     if state.factors is not None:
-        if not np.array_equal(ell.first, ell.first[:, :1, :1] * np.eye(d)):
+        if any(u for _, u, _ in terms):
             raise ValueError("the SLD form acts on mode 1 of a product state")
-        ell_2 = np.tensordot(ell.first[:, 0, 0], ell.second, 1)
+        ell_2 = np.zeros((d, d), dtype)
+        for c, _, v in terms:
+            k, line = lines[v]  # a strided view of the k-th diagonal, as in ``fock._by_offset``
+            ell_2.reshape(-1)[max(k, -k * d) :: d + 1][: len(line)] += c * line
         return np.vdot(ell_2, state.factors[1]), np.vdot(state.tangent, state.tangent).real, [ell_2]
-    if _changes_n1_minus_n2(form):
+    if any(lines[u][0] != lines[v][0] for _, u, v in terms):
         raise ValueError("the SLD form changes n1 - n2 on a state kept as sectors")
-    if np.iscomplexobj(ell.first):
+    if dtype != float:
         raise ValueError("the SLD form is complex on a state kept as sectors")
-    compact = np.concatenate(
-        [(np.diagonal(ell.first, -k, 1, 2).T @ np.diagonal(ell.second, -k, 1, 2)).ravel()
-         for k in range(min(d, 3))] + [[0.0]]
-    )
+    size = fock._start(d, min(d, 3))
+    compact = np.zeros(size + 1)
+    for c, u, v in terms:
+        k = -lines[u][0]
+        if 0 <= k < d:
+            block = compact[fock._start(d, k) : fock._start(d, k + 1)].reshape(d - k, d - k)
+            block += c * np.outer(lines[u][1], lines[v][1])
     # sums over the whole state: offset 0 once, each offset k > 0 twice
-    n, rho, drho = d * d, state.coherences[: len(compact) - 1], state.tangent
+    n, rho, drho = d * d, state.coherences[:size], state.tangent
     mean = compact[:n] @ rho[:n] + 2.0 * (compact[n:-1] @ rho[n:])
     blocks = (np.take(compact, at, mode="clip") for at in fock._sector_layout(d))
     return mean, drho[:n] @ drho[:n] + 2.0 * (drho[n:] @ drho[n:]), blocks
@@ -185,8 +162,10 @@ def sld_fock_report(
     """Anticommutator residual, mean and variance of the SLD on the oracle.
 
     The form and its QFI come from one Williamson-basis solve; ell is laid
-    out like the family's shared state at the working point (``_laid_out``),
-    whose form it must keep, else ValueError. The residual of
+    out like the family's shared state at the working point, read off the
+    form's terms and the closed-form diagonals of their ladder words
+    (``_laid_out``); a form that does not suit the state's form raises
+    ValueError. The residual of
     ell rho + (ell rho)^dag = 2 drho and the second moment Tr(ell ell rho)
     are sums over the stacks of ``fock._blockwise``, a mirror pair of
     sectors or a product's one block: one batched product and

@@ -15,9 +15,10 @@ untruncated Kraus sums of the amplifier after loss at 40 digits, and the
 beam-splitter dilation with a thermal bath, on unitaries from
 scipy.linalg.expm. A state kept as its coherences is read here by their
 definition alone, entry by entry, never through the package's sector
-layout. ``ladder_block`` reads a two-mode ladder operator's block between
-any basis states, by a fancy index on each mode's terms, where the package
-reads only the offsets 0 to 2 of a real operator that keeps n1 - n2.
+layout. ``sparse_sld_operator`` forms a quadratic-form observable from
+sparse two-mode ladder operators, and ``ladder_word`` a product of dense
+one-mode ones, where the package reads each word of at most two factors
+as one diagonal in closed form.
 """
 
 import functools
@@ -391,14 +392,6 @@ def concatenated_tmsv_sectors(ch1, ch2, amps):
         x2 = x1 if same else b2 * root
         parts.append([(x1 @ x2.T).ravel(), (x1 @ (db2 * root).T).ravel()])
     return np.concatenate(parts, axis=1)
-
-
-def ladder_block(op, rows, cols):
-    """The block of ``validate.LadderOperator`` ``op``, sum_t first[t] x
-    second[t], between basis states ``rows`` and ``cols``, each mode's terms
-    gathered by the index ``words[:, r, c]``."""
-    (r1, r2), (c1, c2) = (divmod(idx, op.first.shape[-1]) for idx in (rows, cols))
-    return np.einsum("tij,tij->ij", op.first[:, r1[:, None], c1], op.second[:, r2[:, None], c2])
 
 
 def ladder_word(word, cutoff):

@@ -341,6 +341,40 @@ def test_qfi_near_the_float_range_warns_nothing(capsys):
                 ), argv
 
 
+@pytest.mark.parametrize(
+    "flags, expected",
+    [(["--nth", "5e307"], 0), (["--nth", "8e307"], 0),
+     (["--nth", "9e307"], "error: the bath covariance leaves the float range: n_th = 9e+307\n"),
+     (["--nth", "1.7976931348623157e308"], "error: the bath covariance leaves the float range"),
+     (["--ns", "3e307", "--probe", "tmsv"], "error: "),
+     (["--ns", "5e307", "--probe", "tmsv"],
+      "error: the two-mode squeezed covariance leaves the float range: n_s = 5e+307\n"),
+     (["--ns", "1.7976931348623157e308", "--probe", "tmsv"],
+      "error: the two-mode squeezed covariance leaves the float range")],
+    ids=["bath-mean-finite", "bath-sum-overflows", "bath-overflows", "bath-max", "probe-sum-overflows",
+         "probe-cosh-overflows", "probe-max"],
+)
+def test_huge_photon_numbers_warn_nothing(flags, expected, capsys):
+    """Where an input covariance entry, 1 + 2 n_th or about 4 n_s, nears the
+    float range, ``qfi`` prints a finite result or one error line, with no
+    warning: the symmetrised S Sigma S^T of two entries above half the
+    range overflowed in their sum, and the inputs themselves left it."""
+    from bifrost import cli
+
+    for probe in ([], ["--probe", "coherent"]) if "--nth" in flags else ([],):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["qfi", *flags, *probe])
+        captured = capsys.readouterr()
+        assert [str(w.message) for w in caught] == []
+        if expected == 0:
+            assert code == 0 and captured.err == ""
+            assert np.isfinite(json.loads(captured.out)["value"])
+        else:
+            assert code == 1 and captured.out == "" and len(captured.err.splitlines()) == 1
+            assert captured.err.startswith(expected)
+
+
 def test_config_file_with_flag_override(tmp_path):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps({"eta1": 0.5, "ns": 2.0, "nth": 1.0}))
@@ -611,6 +645,27 @@ def test_config_and_flag_errors_exit_with_documented_codes(
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
     assert len(errors) == 1 and message in errors[0]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("ratio-grid", "--eta1"), ("ratio-grid", "--out"), ("ratio-grid", "--config"),
+     ("qfi", "--eta1"), ("qfi", "--ns"), ("sld", "--nth"), ("thermal-approx", "--ghz"),
+     ("thermal-approx", "--delta-frac"), ("circuit", "--ns")],
+)
+def test_a_flag_given_as_its_own_separator_is_a_usage_error(command, flag, capsys):
+    """``--flag=--`` reaches the commands as an empty list, not a value
+    (argparse drops the "--"), and ended in a TypeError traceback; it is
+    the usage error of a flag given no value."""
+    from bifrost import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, f"{flag}=--"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error: ")]
+    assert errors == [f"error: argument {flag}: expected one argument"]
 
 
 def test_given_flag_wins_over_config_at_its_default(tmp_path, capsys):

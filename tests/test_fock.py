@@ -107,7 +107,7 @@ def test_product_state_keeps_its_factors():
 
 def test_entangled_state_keeps_its_sectors():
     """The received two-mode squeezed state is kept as its coherences, the
-    first row of one buffer whose second is its tangent's, and read as its
+    first of the state's ``rows`` whose second is its tangent's, and read as its
     cutoff mirror pairs of blocks of fixed n1 - n2, one pair at a time, per
     |n1 - n2|: a (1, cutoff, cutoff) stack at 0, then (2, m, m) stacks of
     delta and -delta, so the blocks run n1 - n2 = 0, 1, -1, 2, -2, ...:
@@ -120,7 +120,8 @@ def test_entangled_state_keeps_its_sectors():
     state = fock.bifrequency_fock_family(0.6, 0.1, 0.2, "tmsv", cutoff)(0.01)
     assert state.factors is None
     assert state.coherences.shape == state.tangent.shape == (size,)
-    assert state.coherences.base is state.tangent.base and state.coherences.base.shape == (2, size)
+    assert state.rows.shape == (2, size)
+    assert state.coherences.base is state.tangent.base is state.rows
     rho, tangent = fock_reference.dense(state), fock_reference.dense_tangent(state)
     weight, pairs = fock._blockwise(state)
     assert weight == 1.0 and not isinstance(pairs, (list, tuple))
@@ -155,31 +156,55 @@ def test_every_sector_block_is_exactly_symmetric():
 
 
 def test_sector_state_checks_size_and_finiteness():
-    """``FockState.sectors`` takes the coherences of one cutoff: a vector of
-    another size, one of another shape, a complex vector or a NaN or
-    infinite entry, in the state or its tangent, is rejected; the cutoff is
-    read off the size."""
+    """``FockState.sectors`` takes the coherences of one cutoff, and its
+    tangent's, as the one or two rows of one array: a bare vector, rows of
+    another size or another shape, a complex vector or a NaN or infinite
+    entry, in the state or its tangent, is rejected; the cutoff is read off
+    the size."""
     coherences = fock.bifrequency_fock_family(0.6, 0.1, 0.2, "tmsv", 10)(0.0).coherences
     for dim in (1, 2, 3, 10, 80):
         size = dim * (dim + 1) * (2 * dim + 1) // 6
-        assert fock.FockState.sectors(np.zeros(size)).dim == dim
-    rebuilt = fock.FockState.sectors(coherences.copy())
+        assert fock.FockState.sectors(np.zeros((1, size))).dim == dim
+    rebuilt = fock.FockState.sectors(coherences.copy()[None])
     assert rebuilt.dim == 10 and rebuilt.tangent is None
     assert np.array_equal(rebuilt.coherences, coherences)
+    for rows in (coherences, np.stack([coherences] * 3)):
+        with pytest.raises(ValueError, match="shape"):
+            fock.FockState.sectors(rows)
     for bad in (coherences[:-1], np.append(coherences, 0.0), coherences.reshape(5, -1)):
-        with pytest.raises(ValueError, match="shape"):
-            fock.FockState.sectors(bad)
-        with pytest.raises(ValueError, match="shape"):
-            fock.FockState.sectors(coherences, bad)
+        for rows in (bad[None], np.stack([bad, bad])):
+            with pytest.raises(ValueError, match="shape"):
+                fock.FockState.sectors(rows)
     for value in (np.nan, np.inf, -np.inf):
         broken = coherences.copy()
         broken[7] = value
         with pytest.raises(ValueError, match="real and finite"):
-            fock.FockState.sectors(broken)
+            fock.FockState.sectors(broken[None])
         with pytest.raises(ValueError, match="real and finite"):
-            fock.FockState.sectors(coherences, broken)
+            fock.FockState.sectors(np.stack([coherences, broken]))
     with pytest.raises(ValueError, match="real and finite"):
-        fock.FockState.sectors(coherences.astype(complex))
+        fock.FockState.sectors(coherences.astype(complex)[None])
+
+
+def test_sector_state_keeps_the_buffer_it_is_given(monkeypatch):
+    """The received two-mode squeezed state holds the very array that
+    ``_tmsv_sectors`` wrote, its coherences and tangent views of it: no
+    second copy of the state is made, at the working point or off it."""
+    made = []
+    tmsv_sectors = fock._tmsv_sectors
+
+    def recording(*args):
+        made.append(tmsv_sectors(*args))
+        return made[-1]
+
+    monkeypatch.setattr(fock, "_tmsv_sectors", recording)
+    fock._received.cache_clear()
+    family = fock.bifrequency_fock_family(0.6, 0.1, 0.2, "tmsv", 10)
+    for lam in (fock.LAMBDA0, 0.01):
+        state = family(lam)
+        assert state.rows is made[-1]
+        assert state.coherences.base is state.tangent.base is made[-1]
+    fock._received.cache_clear()
 
 
 @pytest.mark.parametrize("probe", ["tmsv", "coherent"])
@@ -204,7 +229,7 @@ def test_package_keeps_no_dense_two_mode_state():
             if getattr(node, "attr", getattr(node, "id", None)) == "kron":
                 callers.add(path.name)
     assert callers == set()
-    assert fock.FockState.__slots__ == ("factors", "coherences", "dim", "tangent")
+    assert fock.FockState.__slots__ == ("factors", "coherences", "dim", "tangent", "rows")
     constructors = {
         name for name, value in vars(fock.FockState).items() if isinstance(value, classmethod)
     }
@@ -224,12 +249,11 @@ def _memoised(module) -> set[str]:
     return names
 
 
-def test_oracle_keeps_only_its_four_memos():
-    """The oracle memoises the channels, the shared state, the sectors'
-    layout and the ladder words, and nothing else: a new per-cutoff table
-    fails here."""
+def test_oracle_keeps_only_its_three_memos():
+    """The oracle memoises the channels, the shared state and the sectors'
+    layout, and nothing else: a new per-cutoff table fails here."""
     assert _memoised(fock) | _memoised(validate) == {
-        "fock._channel", "fock._received", "fock._sector_layout", "validate._ladder_word",
+        "fock._channel", "fock._received", "fock._sector_layout",
     }
 
 
@@ -783,7 +807,7 @@ def test_qfi_eq1_constant_family():
     product route."""
     thermal = fock_reference.fock_thermal(0.4, 15)
     coherences = fock.bifrequency_fock_family(0.5, 0.2, 0.4, "tmsv", 15)(0.0).coherences
-    for pair in (fock.FockState.sectors(coherences, np.zeros_like(coherences)),
+    for pair in (fock.FockState.sectors(np.stack([coherences, np.zeros_like(coherences)])),
                  fock.FockState.product(thermal, thermal, np.zeros((15, 15)))):
         assert fock.qfi_eq1(lambda lam: pair) < 1e-10
 
@@ -793,7 +817,7 @@ def test_qfi_eq1_rejects_a_state_without_tangent():
     the sector route and the product route."""
     thermal = fock_reference.fock_thermal(0.4, 15)
     coherences = fock.bifrequency_fock_family(0.5, 0.2, 0.4, "tmsv", 15)(0.0).coherences
-    for pair in (fock.FockState.sectors(coherences), fock.FockState.product(thermal, thermal)):
+    for pair in (fock.FockState.sectors(coherences[None]), fock.FockState.product(thermal, thermal)):
         with pytest.raises(ValueError, match="tangent"):
             fock.qfi_eq1(lambda lam: pair)
 
@@ -865,11 +889,12 @@ def test_channel_at_the_smallest_reflectivities_it_holds_is_finite():
 
 def test_tangent_is_checked_as_its_state():
     """A tangent is checked as its state is: a product's dB for
-    hermiticity and shape, coherences for size and finiteness
+    hermiticity and shape, coherences, the second row of the state's array
+    and so of its size, for finiteness
     (``test_sector_state_checks_size_and_finiteness``)."""
     state = fock.bifrequency_fock_family(0.6, 0.1, 0.2, "tmsv", 10)(0.0)
-    with pytest.raises(ValueError, match="shape"):
-        fock.FockState.sectors(state.coherences, np.zeros((10, 10)))
+    with pytest.raises(ValueError, match="real and finite"):
+        fock.FockState.sectors(np.stack([state.coherences, np.full_like(state.coherences, np.nan)]))
     single = fock_reference.fock_thermal(0.2, 10)
     with pytest.raises(ValueError, match="shape"):
         fock.FockState.product(single, single, state.tangent)
@@ -1045,7 +1070,7 @@ def test_each_walk_takes_the_state_once_per_mirror_pair(monkeypatch):
     cutoff gathers per walk, at the indices of the mirror pairs."""
     cutoff = 22
     family = fock.bifrequency_fock_family(0.8, 0.5, 0.3, "tmsv", cutoff)
-    rows = family(0.0).coherences.base
+    rows = family(0.0).rows
     taken = []
     take = np.take
 
@@ -1279,7 +1304,7 @@ def test_mirror_sectors_are_equal_bit_for_bit(cutoff):
     else:
         channel = fock.ThermalLossChannel(0.8, 0.3, cutoff)
         amps = fock._tmsv_amplitudes(GATHER_CUTOFFS[cutoff], cutoff)
-        state = fock.FockState.sectors(*fock._tmsv_sectors(channel, channel, amps))
+        state = fock.FockState.sectors(fock._tmsv_sectors(channel, channel, amps))
     for k in range(cutoff):
         size = cutoff - k
         product = state.coherences[fock._start(cutoff, k) : fock._start(cutoff, k + 1)].reshape(size, size)
@@ -1307,7 +1332,7 @@ def test_moments_of_random_states_match_the_dense_reference(cutoff):
     for _ in range(3):
         noise = rng.standard_normal((2, cutoff, cutoff)) + 1j * rng.standard_normal((2, cutoff, cutoff))
         states.append(fock.FockState.product(*(m + m.conj().T for m in noise)))
-        states.append(fock.FockState.sectors(rng.standard_normal(fock._start(cutoff, cutoff))))
+        states.append(fock.FockState.sectors(rng.standard_normal((1, fock._start(cutoff, cutoff)))))
     for state in states:
         got = np.concatenate([m.ravel() for m in fock.quadrature_moments(state)])
         cov, disp = fock_reference.dense_moments(fock_reference.dense(state), cutoff, 2)
@@ -1320,14 +1345,15 @@ def test_moments_of_random_states_match_the_dense_reference(cutoff):
 def test_sector_sld_blocks_match_the_reference_gather(cutoff):
     """On a random state kept as sectors, ell laid out as its coherences
     gives, per mirror pair, a stack of the state's shape whose blocks are,
-    on each sector, the block of the reference gather, and the mean
+    on each sector, the block of the sparse two-mode reference operator
+    (``fock_reference.sparse_sld_operator``), and the mean
     and ||drho||^2 of the blockwise sums, to 1e-13 relative, for real forms
     that keep n1 - n2: the two-mode squeezed probe's SLD and random ones."""
     from bifrost.sld import _solve
 
     rng = np.random.default_rng(cutoff)
     size = fock._start(cutoff, cutoff)
-    state = fock.FockState.sectors(rng.standard_normal(size), rng.standard_normal(size))
+    state = fock.FockState.sectors(rng.standard_normal((2, size)))
     probe = bf.bifrequency_received_state(bf.BiFrequencyParams(0.8, 0.0, 0.5, 0.3), "tmsv")
     forms = [_solve(probe).form()]
     keeps = np.equal.outer(*2 * [np.array([-1, 1, 1, -1])])  # charges of a1, a2, a1^dag, a2^dag
@@ -1335,7 +1361,7 @@ def test_sector_sld_blocks_match_the_reference_gather(cutoff):
         quad = rng.standard_normal((4, 4)) * keeps
         forms.append(bf.SldForm(quad=quad + quad.T, linear=np.zeros(4), scalar=0.3, center=np.zeros(4)))
     for form in forms:
-        op = validate.fock_sld_operator(form, cutoff)
+        reference = fock_reference.sparse_sld_operator(form, cutoff).tocsr()
         mean, tangent_sq, ell_stacks = validate._laid_out(form, state)
         ell_blocks, blocks = [], []
         for ell_stack, (stack, dstack) in zip(ell_stacks, fock._blockwise(state)[1], strict=True):
@@ -1345,7 +1371,7 @@ def test_sector_sld_blocks_match_the_reference_gather(cutoff):
         expected_mean = expected_sq = 0.0
         sectors = zip(fock_reference.sector_indices(cutoff), blocks, strict=True)
         for ell_block, (idx, (block, dblock)) in zip(ell_blocks, sectors, strict=True):
-            expected = fock_reference.ladder_block(op, idx, idx)
+            expected = reference[idx][:, idx].toarray()
             assert np.max(np.abs(ell_block - expected)) <= 1e-13 * max(np.max(np.abs(expected)), 1.0)
             expected_mean += np.trace(expected @ block)
             expected_sq += np.sum(dblock**2)
@@ -1353,15 +1379,17 @@ def test_sector_sld_blocks_match_the_reference_gather(cutoff):
         assert abs(tangent_sq - expected_sq) <= 1e-13 * expected_sq
 
 
-def test_ladder_words_are_memoised_read_only():
-    """Each ladder word is built once per (word, cutoff), read-only, and
-    equals the product of ladder matrices bit for bit."""
-    for cutoff in (1, 2, 30):
-        for word in ("", "a", "A", "aa", "aA", "Aa", "AA"):
-            matrix = validate._ladder_word(word, cutoff)
-            assert matrix is validate._ladder_word(word, cutoff)
-            assert not matrix.flags.writeable
-            assert _same_bits(matrix, fock_reference.ladder_word(word, cutoff))
+def test_ladder_diagonals_match_the_ladder_products():
+    """Each ladder word of at most two factors is its one nonzero diagonal,
+    the product of ladder matrices bit for bit on that diagonal and 0
+    elsewhere, also at cutoffs 1 and 2, where some diagonals are empty."""
+    for cutoff in (1, 2, 3, 30):
+        lines = validate._ladder_diagonals(cutoff)
+        assert sorted(lines) == sorted(("", "a", "A", "aa", "aA", "Aa", "AA"))
+        for word, (k, line) in lines.items():
+            matrix = fock_reference.ladder_word(word, cutoff)
+            assert _same_bits(line, np.diagonal(matrix, k)), (cutoff, word)
+            assert not np.any(matrix - np.diagflat(line, k)[:cutoff, :cutoff]), (cutoff, word)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -1375,15 +1403,13 @@ def test_ladder_words_are_memoised_read_only():
     n_th=log_uniform(1e-6, 1e6),
 )
 def test_coherent_sld_form_acts_on_mode_1_as_identity(eta1, n_s, n_th):
-    """Over the whole domain the coherent probe's SLD, gathered in Fock
-    space, acts on mode 1 only as a multiple of the identity: the condition
-    under which ``sld_fock_report`` reads a product state through its one
-    block."""
+    """Over the whole domain every term of the coherent probe's SLD form
+    acts on mode 1 as the identity: the condition under which
+    ``sld_fock_report`` reads a product state through its one block."""
     from bifrost.sld import _solve
 
     family = bf.bifrequency_received_state(bf.BiFrequencyParams(eta1, 0.0, n_s, n_th), "coherent")
-    first = validate.fock_sld_operator(_solve(family).form(), 6).first
-    assert np.array_equal(first, first[:, :1, :1] * np.eye(6))
+    assert all(u == "" for _, u, _ in validate._terms(_solve(family).form()))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)

@@ -12,14 +12,19 @@ The bytes depend on the numpy build and its BLAS, so the file records both
 (``golden_platform``).
 
 Regenerate the file only for a change meant to move output:
-``PYTHONPATH=src python tests/test_golden_cli.py``.
+``PYTHONPATH=src python tests/test_golden_cli.py``. Before it writes, it
+prints each changed line against the committed record, with the largest
+absolute and relative move of its numbers, and each changed exit code,
+warning list and ``ratio-grid`` hash.
 """
 
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
+import re
 import warnings
 
 from bifrost import cli
@@ -96,8 +101,47 @@ def test_cli_keeps_its_golden_output():
         assert _grid(fmt) == expected
 
 
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?Infinity|NaN")
+
+
+def _line_move(was: str, now: str) -> str:
+    """The largest absolute and relative move of the numbers of a changed
+    line, or its two texts where more than its numbers changed."""
+    if NUMBER.sub("#", was or "") != NUMBER.sub("#", now or ""):
+        return f"{was!r} -> {now!r}"
+    pairs = [(float(a), float(b)) for a, b in zip(NUMBER.findall(was), NUMBER.findall(now)) if a != b]
+    top_abs = max(abs(b - a) for a, b in pairs)
+    top_rel = max(abs(b - a) / abs(a) if a else float("inf") for a, b in pairs)
+    return f"largest absolute {top_abs:.3e}, relative {top_rel:.3e}: {now}"
+
+
+def print_moves(old: dict, new: dict):
+    """Each line of stdout and stderr that changed from ``old`` to ``new``,
+    with its move, and each changed exit code, warning list or grid hash."""
+    before = {tuple(entry["argv"]): entry for entry in old["commands"]}
+    for entry in new["commands"]:
+        argv, was = " ".join(entry["argv"]), before.get(tuple(entry["argv"]))
+        if was is None:
+            print(f"{argv}: new command")
+            continue
+        for key in ("exit", "warnings"):
+            if was[key] != entry[key]:
+                print(f"{argv}: {key} {was[key]!r} -> {entry[key]!r}")
+        for stream in ("stdout", "stderr"):
+            lines = itertools.zip_longest(was[stream].splitlines(), entry[stream].splitlines())
+            for number, (a, b) in enumerate(lines, 1):
+                if a != b:
+                    print(f"{argv}: {stream} line {number}: {_line_move(a, b)}")
+    for fmt, entry in new["ratio_grid"].items():
+        if old["ratio_grid"].get(fmt) != entry:
+            print(f"ratio-grid {fmt}: {old['ratio_grid'].get(fmt)!r} -> {entry!r}")
+
+
 if __name__ == "__main__":
     record = _record()
+    if os.path.exists(GOLDEN):
+        with open(GOLDEN, "r", encoding="utf-8") as fh:
+            print_moves(json.load(fh), record)
     with open(GOLDEN, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")

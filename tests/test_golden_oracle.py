@@ -8,7 +8,10 @@ at ``validate.CUTOFF``, with the platform it was recorded on
 every oracle number must keep these bits.
 
 Regenerate the file only for a change meant to move numbers:
-``PYTHONPATH=src python tests/test_golden_oracle.py``.
+``PYTHONPATH=src python tests/test_golden_oracle.py``. Before it writes, it
+prints, per field, how many entries moved and the largest absolute and
+relative move against the committed record: the bound a change that moves
+the oracle states.
 """
 
 import json
@@ -49,8 +52,41 @@ def test_oracle_keeps_its_golden_bits():
         assert _entry(config, expected["probe"]) == expected
 
 
+def _fields(entry: dict) -> dict[str, list[float]]:
+    """The numbers of an entry, by field."""
+    fields = {"qfi_eq1": [entry["qfi_eq1"]]}
+    fields |= {f"sld_fock_report.{key}": [v] for key, v in entry["sld_fock_report"].items()}
+    fields |= {f"quadrature_moments.{key}": v for key, v in entry["quadrature_moments"].items()}
+    return {field: [float.fromhex(v) for v in values] for field, values in fields.items()}
+
+
+def print_moves(old_entries: list[dict], new_entries: list[dict]):
+    """Per field, the entries whose bits moved and the largest absolute and
+    relative move, over the (config, probe) entries of both records."""
+    old = {(tuple(e["config"]), e["probe"]): _fields(e) for e in old_entries}
+    stats = {}
+    for entry in new_entries:
+        key = (tuple(entry["config"]), entry["probe"])
+        if key not in old:
+            print(f"new entry {key}")
+            continue
+        for field, values in _fields(entry).items():
+            moved, top_abs, top_rel = stats.get(field, (0, 0.0, 0.0))
+            for was, now in zip(old[key][field], values, strict=True):
+                if was.hex() != now.hex():
+                    move = abs(now - was)
+                    moved, top_abs = moved + 1, max(top_abs, move)
+                    top_rel = max(top_rel, move / abs(was) if was else float("inf"))
+            stats[field] = moved, top_abs, top_rel
+    for field, (moved, top_abs, top_rel) in stats.items():
+        print(f"{field}: {moved} moved, largest absolute {top_abs:.3e}, relative {top_rel:.3e}")
+
+
 if __name__ == "__main__":
     entries = [_entry(c, probe) for c in validate.ORACLE_CONFIGS for probe in PROBES]
+    if os.path.exists(GOLDEN):
+        with open(GOLDEN, "r", encoding="utf-8") as fh:
+            print_moves(json.load(fh)["entries"], entries)
     with open(GOLDEN, "w", encoding="utf-8", newline="\n") as fh:
         json.dump({"build": build(), "entries": entries}, fh, indent=1)
         fh.write("\n")

@@ -303,25 +303,28 @@ def test_circuit_rejects_zero_signal():
 
 
 def test_fock_sld_operator_real_and_complex_paths_agree():
-    """A form with real coefficients gives a real operator; a complex one
-    takes the complex path, and by linearity in quad and linear its
-    operator is the real operator of the real parts plus i times that of
-    the imaginary parts, both built on the real path; each is read whole
-    through the reference gather."""
+    """On a product state, a form with real coefficients gives a real
+    ell_2; a complex one that acts on mode 2 takes the complex path, and by
+    linearity in quad and linear its ell_2 is the ell_2 of the real parts
+    plus i times that of the imaginary parts, both built on the real path.
+    Each equals the sparse reference's block on the states |0, n2>."""
     import fock_reference
+    from bifrost import fock
     from bifrost.sld import SldForm
-    from bifrost.validate import fock_sld_operator
+    from bifrost.validate import _laid_out
 
     cutoff = 12
-    whole = np.arange(cutoff * cutoff)
-    form = sld(tmsv_family(0.8, 0.5, 0.3))
-    real_op = fock_reference.ladder_block(fock_sld_operator(form, cutoff), whole, whole)
+    state = fock.bifrequency_fock_family(0.8, 0.5, 0.3, "coherent", cutoff)(fock.LAMBDA0)
+    mode_2 = np.ix_(range(cutoff), range(cutoff))
+    form = sld(coherent_family(0.8, 0.5, 0.3))
+    real_op = _laid_out(form, state)[2][0]
     assert real_op.dtype == np.float64
 
     rng = np.random.default_rng(5)
-    quad_im = rng.standard_normal((4, 4))
+    on_mode_2 = np.isin(np.arange(4), (1, 3))  # a2, a2^dag
+    quad_im = rng.standard_normal((4, 4)) * np.outer(on_mode_2, on_mode_2)
     quad_im = quad_im + quad_im.T
-    linear_im = rng.standard_normal(4)
+    linear_im = rng.standard_normal(4) * on_mode_2
     shifted = SldForm(
         quad=form.quad + 1j * quad_im,
         linear=form.linear + 1j * linear_im,
@@ -332,28 +335,34 @@ def test_fock_sld_operator_real_and_complex_paths_agree():
         quad=quad_im.astype(complex), linear=linear_im.astype(complex), scalar=0.0,
         center=form.center,
     )
-    complex_op = fock_reference.ladder_block(fock_sld_operator(shifted, cutoff), whole, whole)
+    complex_op = _laid_out(shifted, state)[2][0]
     assert complex_op.dtype == np.complex128
-    imag_op = fock_reference.ladder_block(fock_sld_operator(imag_part, cutoff), whole, whole)
+    imag_op = _laid_out(imag_part, state)[2][0]
     assert imag_op.dtype == np.float64
     expected = real_op + 1j * imag_op
     deviation = np.max(np.abs(complex_op - expected))
     assert deviation <= 1e-12 * np.max(np.abs(expected))
+    for op, ell_2 in ((form, real_op), (shifted, complex_op)):
+        reference = fock_reference.sparse_sld_operator(op, cutoff).toarray()[mode_2]
+        assert np.max(np.abs(ell_2 - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 def test_fock_sld_operator_matches_sparse_reference():
-    """Gathered from one-mode ladder words, the operator equals the one made
-    of sparse two-mode ladder operators: on the whole basis, and on each
-    pair of n1 - n2 sectors, for the forms of both probes, a complex one
-    with a displaced center, and the zero form. It has nonzero entries
-    between two sectors of different n1 - n2 exactly where
-    ``validate._changes_n1_minus_n2`` says the form changes n1 - n2."""
+    """Laid out on a state kept as sectors, ell's blocks on every mirror
+    pair equal the operator made of sparse two-mode ladder operators on
+    those sectors, for the forms that keep n1 - n2: the entangled probe's,
+    the zero form and random real ones. Of these and the coherent probe's
+    form and a complex one with a displaced center, ``_laid_out`` refuses
+    exactly those whose reference couples two sectors of different
+    n1 - n2."""
     import fock_reference
+    from bifrost import fock
     from bifrost.sld import SldForm
-    from bifrost.validate import _changes_n1_minus_n2, fock_sld_operator
+    from bifrost.validate import _laid_out
 
     cutoff = 10
     rng = np.random.default_rng(9)
+    state = fock.FockState.sectors(rng.standard_normal((2, fock._start(cutoff, cutoff))))
     quad = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     forms = [
         sld(tmsv_family(0.8, 0.5, 0.3)),
@@ -362,18 +371,23 @@ def test_fock_sld_operator_matches_sparse_reference():
                 scalar=0.3, center=rng.standard_normal(4) + 0.2j),
         SldForm(quad=np.zeros((4, 4)), linear=np.zeros(4), scalar=0.0, center=np.zeros(4)),
     ]
-    whole = np.arange(cutoff * cutoff)
+    keeps = np.equal.outer(*2 * [np.array([-1, 1, 1, -1])])  # charges of a1, a2, a1^dag, a2^dag
+    for _ in range(2):
+        quad = rng.standard_normal((4, 4)) * keeps
+        forms.append(SldForm(quad=quad + quad.T, linear=np.zeros(4), scalar=0.3, center=np.zeros(4)))
     sectors = fock_reference.sector_indices(cutoff)
-    for form in forms:
-        op = fock_sld_operator(form, cutoff)
+    refused = []
+    for number, form in enumerate(forms):
         reference = fock_reference.sparse_sld_operator(form, cutoff).toarray()
-        scale = np.max(np.abs(reference))
-        assert np.max(np.abs(fock_reference.ladder_block(op, whole, whole) - reference)) <= 1e-13 * scale
-        coupled = set()
-        for p, rows in enumerate(sectors):
-            for q, cols in enumerate(sectors):
-                expected = reference[np.ix_(rows, cols)]
-                assert np.max(np.abs(fock_reference.ladder_block(op, rows, cols) - expected)) <= 1e-13 * scale
-                if np.any(expected):
-                    coupled.add(p - q)
-        assert bool(coupled - {0}) == _changes_n1_minus_n2(form)
+        coupled = {p - q for p, rows in enumerate(sectors) for q, cols in enumerate(sectors)
+                   if np.any(reference[np.ix_(rows, cols)])}
+        if coupled - {0}:
+            refused.append(number)
+            with pytest.raises(ValueError, match="changes n1 - n2"):
+                _laid_out(form, state)
+            continue
+        scale = max(np.max(np.abs(reference)), 1.0)
+        ell_blocks = [block for stack in _laid_out(form, state)[2] for block in stack]
+        for ell_block, idx in zip(ell_blocks, sectors, strict=True):
+            assert np.max(np.abs(ell_block - reference[np.ix_(idx, idx)])) <= 1e-13 * scale
+    assert refused == [1, 2]  # the coherent probe's form and the complex one
