@@ -65,7 +65,9 @@ GRID_FORMATS = {
 
 
 def _parse_axis(text: str, log: bool = False) -> np.ndarray:
-    """A single value, or an inclusive grid written min:max:steps."""
+    """A single value, or an inclusive grid written min:max:steps, whose
+    values must all be finite: a bound or a span outside the float range is
+    a ValueError."""
     if ":" not in text:
         return np.array([float(text)])
     parts = text.split(":")
@@ -76,11 +78,13 @@ def _parse_axis(text: str, log: bool = False) -> np.ndarray:
         raise ValueError("range needs at least one step")
     if steps == 1:
         return np.array([lo])
-    if log:
-        if lo <= 0 or hi <= 0:
-            raise ValueError("log-spaced ranges need positive bounds")
-        return np.geomspace(lo, hi, steps)
-    return np.linspace(lo, hi, steps)
+    if log and (lo <= 0 or hi <= 0):
+        raise ValueError("log-spaced ranges need positive bounds")
+    with np.errstate(over="ignore", invalid="ignore"):
+        axis = np.geomspace(lo, hi, steps) if log else np.linspace(lo, hi, steps)
+    if not np.isfinite(axis).all():
+        raise ValueError(f"range {text!r} has values outside the float range")
+    return axis
 
 
 class _Parser(argparse.ArgumentParser):

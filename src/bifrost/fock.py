@@ -26,9 +26,8 @@ bath and no matrix exponential, and the one truncation, the output's, leaks
 trace that a family gates on its received state. An entry's eta-derivative
 is the entry times its exponents against the logarithmic derivatives of
 tau, 1 - tau, (G - 1)/G and G, all finite for eta in (0, 1); a block's is
-dA_k L_k + A_k dL_k (``ThermalLossChannel.dblocks``). A channel depends
-only on (eta, n_th, cutoff), so it is built once per process for each such
-key, through one bounded memo (``_channel``) that every family shares, and
+dA_k L_k + A_k dL_k (``ThermalLossChannel.dblocks``). A channel is built
+once per (eta, n_th, cutoff), through one bounded memo (``_channel``), and
 its blocks are read-only. A state whose modes pass through such channels
 keeps the zero pattern those offsets impose: the received two-mode squeezed
 state and its derivative vanish outside the sectors of fixed n1 - n2,
@@ -38,47 +37,41 @@ The sector structure. Sector delta = n1 - n2, for |delta| < cutoff,
 holds the cutoff - |delta| basis states n1 cutoff + n2 with that
 difference, ascending in n1. The two-mode squeezed state, block diagonal in
 n1 - n2, is kept as its coherences (``FockState.sectors``): the products
-P_k below, k = 0, ..., cutoff - 1, flat one after the other, about
-cutoff^3 / 3 entries. P_k[i, j] is the entry at |i + k, j + k><i, j| and at
+P_k, k = 0, ..., cutoff - 1, flat one after the other, about cutoff^3 / 3
+entries. P_k[i, j] is the entry at |i + k, j + k><i, j| and at
 |i, j><i + k, j + k|, so the state is real and symmetric by construction.
 In sector delta the entries between states a >= b and between b and a are
 P_{a - b}[b + max(delta, 0), b + max(-delta, 0)], so sector -delta reads
 each P_k transposed where sector delta reads it: the two are a mirror
 pair, equal wherever every P_k is symmetric, as at LAMBDA0 (the tangent
-rule). The mirror pair is the unit of work: per |delta| one index fixed
-per cutoff (``_sector_layout``), sector delta and then -delta, or the
-lone sector 0. A product state is kept as its one-mode factors
-(``FockState.product``). ``qfi_eq1`` and ``validate.sld_fock_report``
-read either form through one view (``_blockwise``): a weight and the
-stacks of blocks their sums run over, the product's one block or the
-mirror pairs, taken one pair at a time. So they diagonalise two sectors
-at most, or the moving factor, never a cutoff^2 x cutoff^2 matrix, and
-read the form off the state, never off the probe; ``quadrature_moments``
-reads the factors' diagonals, or the products P_k, for |k| <= 2, against
-operator diagonals in closed form.
+rule). A product state is kept as its one-mode factors
+(``FockState.product``).
 
-The four-mode bi-frequency pipeline is never materialised: the interaction
-does not mix frequencies, so each frequency sees an independent thermal-loss
-channel acting on its signal mode. The received two-mode state is built from
-the structure of the probe, never by passing a dense two-mode probe through
-the channels. The coherent probe is a product state, so its output is the
-product of the two one-mode outputs, kept as those two factors. The
+The probes. The four-mode pipeline is never materialised: the interaction
+does not mix frequencies, so each signal mode sees its own thermal-loss
+channel, and the received state is built from the probe's structure. The
+coherent probe's output is the product of the two one-mode outputs. The
 two-mode squeezed probe sum_n a_n |n, n> holds only the coherences
-|n><m| x |n><m|, with the same offset k = n - m in both modes, and each
-channel keeps that offset; so its output is nonzero only where both modes
-share an offset, and for each k >= 0 it is the one product
-X1 X2^T, Xm = Bm_k diag(sqrt(a_{i+k} a_i)), of the two channels' blocks,
-the entry at |i + k, j + k><i, j| for row i and column j, and its transpose
-at offset -k, written into its slice of the coherences. Real probes give
-real states, which keep a real dtype throughout.
+|n><m| x |n><m|, with one offset k = n - m in both modes, which each
+channel keeps; so for each k >= 0 its output is the one product
+X1 X2^T, Xm = Bm_k diag(sqrt(a_{i+k} a_i)), of the two channels' blocks:
+P_k, written into its slice of the coherences. Real probes give real
+states, which keep a real dtype throughout.
 
-The gathers. A state's coherences and its tangent's are the rows of one
-buffer, the array ``_tmsv_sectors`` writes, held as given
-(``FockState.rows``), so a mirror pair of both is one ``np.take`` at the
-pair's index. So is a pair of an observable's blocks, laid out like the
-coherences from the closed-form diagonals of its ladder words
-(``validate._laid_out``). A channel reads a one-mode matrix's offsets as
-strided views of its diagonals, with no index (``_by_offset``).
+The views. This module alone reads a state's form and layout; the SLD
+check of ``validate`` reads a state through two views. ``_blockwise``
+gives a weight and the stacks of blocks that a sum over the state runs
+over: per |delta| its mirror pair of sectors, delta and then -delta, or
+the lone sector 0, one ``np.take`` of the state's buffer (``rows``) at
+the pair's index (``_sector_layout``), reached one pair at a time; or a
+product's one block. ``_laid_out`` gives an observable's stacks in step
+with them, from its terms, each a coefficient and one ladder word per
+mode. Every word of at most two ladder operators is one diagonal in
+closed form (``_ladder_diagonals``), which ``quadrature_moments`` reads
+too. So no sum diagonalises more than two sectors or the moving factor,
+never a cutoff^2 x cutoff^2 matrix. A channel reads a one-mode matrix's
+offsets as strided views of its diagonals, with no index
+(``_by_offset``).
 
 The shared state. ``qfi_eq1``, ``validate.sld_fock_report`` and
 ``quadrature_moments`` read a family at LAMBDA0, so the state there is
@@ -172,7 +165,7 @@ class FockState:
         The format makes both real and symmetric, so the (1, N) or (2, N)
         array is only checked, where it lies, to be real, finite and of the
         size N of one cutoff's coherences, and kept as the state's buffer,
-        ``rows`` (the gathers)."""
+        ``rows`` (the views)."""
         state = cls.__new__(cls)
         rows = np.asarray(rows)
         state.dim = dim = round((3 * rows.shape[-1]) ** (1 / 3) - 0.5) if rows.ndim == 2 else 0
@@ -268,31 +261,47 @@ def _check_reflectivity(eta: float):
         raise ValueError(f"reflectivity must lie in (0, 1), got {eta!r}")
 
 
+def _ladder_diagonals(dim: int) -> dict[str, tuple[int, np.ndarray]]:
+    """Each product of at most two ladder operators, a ("a") and a^dag ("A"),
+    "" the identity, on the cutoff as its one nonzero diagonal: the offset k
+    of ``np.diagonal`` (+1 for a) and the entries, each the product of square
+    roots sqrt(n) that the matrix product forms, so equal to it bit for bit."""
+    root = np.sqrt(np.arange(1.0, dim))
+    hop, number, zero = root[:-1] * root[1:], root * root, np.zeros(min(dim, 1))
+    return {
+        "": (0, np.ones(dim)), "a": (1, root), "A": (-1, root), "aa": (2, hop),
+        "AA": (-2, hop), "aA": (0, np.append(number, zero)), "Aa": (0, np.append(zero, number)),
+    }
+
+
 def quadrature_moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
     """Interleaved covariance and displacement of a two-mode state, from
     number-basis moments.
 
     Each moment is read off one table E[o1, o2] = Tr(rho O_o1 x O_o2) over
-    the one-mode operators I, x, p, {x, x}, {x, p}, {p, p}. None moves a
-    photon number by more than 2, so only their diagonals u_k[o, i] =
-    O_o[i, i + k], |k| <= 2, enter, each in closed form on the truncation,
-    whose top level has no n + 1 term. For a product A x B, E is the outer
-    product of the one-mode traces Tr(A O), each the sum over k of u_k times
-    A's -k-th diagonal. For coherences, P_k[i, j] at |i + k, j + k><i, j|
-    meets O1[i, i + k] O2[j, j + k], and its transpose at offset -k meets
-    O1[i + k, i] O2[j + k, j], so E is u_k P_|k| u_k^T summed over k.
+    the one-mode operators I, x, p, {x, x}, {x, p}, {p, p}, each a sum of
+    ladder words with x = (a + a^dag) / sqrt(2) and p = -i (a - a^dag) /
+    sqrt(2). None moves a photon number by more than 2, so only their
+    diagonals u_k[o, i] = O_o[i, i + k], |k| <= 2, enter, each the sum of
+    its words' diagonals (``_ladder_diagonals``) on the truncation. For a
+    product A x B, E is the outer product of the one-mode traces Tr(A O),
+    each the sum over k of u_k times A's -k-th diagonal. For coherences,
+    P_k[i, j] at |i + k, j + k><i, j| meets O1[i, i + k] O2[j, j + k], and
+    its transpose at offset -k meets O1[i + k, i] O2[j + k, j], so E is
+    u_k P_|k| u_k^T summed over k.
     """
     d = state.dim
-    level = np.arange(d)
-    step = np.sqrt(level[1:]) / np.sqrt(2.0)  # x[n, n + 1], p[n, n + 1] = -i x[n, n + 1]
-    square = np.where(level < d - 1, 2.0 * level + 1.0, level)  # {x, x}[n, n], {p, p}[n, n]
-    hop = np.sqrt(level[1:-1] * level[2:])  # {x, x}[n, n + 2] = -{p, p}[n, n + 2]
-    zero = np.zeros(d)
-    diagonals = {0: np.array([np.ones(d), zero, zero, square, zero, square])}
-    for k, line, coeffs in ((1, step, (0, 1, -1j, 0, 0, 0)), (2, hop, (0, 0, 0, 1, -1j, -1))):
-        if k < d:
-            diagonals[k] = np.multiply.outer(coeffs, line)
-            diagonals[-k] = diagonals[k].conj()
+    r = np.sqrt(0.5)
+    # each word's coefficient in I, x, p, {x, x}, {x, p}, {p, p}
+    words = {
+        "": (1, 0, 0, 0, 0, 0), "a": (0, r, -1j * r, 0, 0, 0), "A": (0, r, 1j * r, 0, 0, 0),
+        "aa": (0, 0, 0, 1, -1j, -1), "AA": (0, 0, 0, 1, 1j, -1),
+        "aA": (0, 0, 0, 1, 0, 1), "Aa": (0, 0, 0, 1, 0, 1),
+    }
+    diagonals = {}
+    for word, (k, line) in _ladder_diagonals(d).items():
+        if abs(k) < d:  # a word past the cutoff has no diagonal
+            diagonals[k] = diagonals.get(k, 0.0) + np.multiply.outer(words[word], line)
     if state.factors is not None:
         traces = [sum(u @ np.diagonal(f, -k) for k, u in diagonals.items()) for f in state.factors]
         table = np.outer(*traces)
@@ -303,22 +312,13 @@ def quadrature_moments(state: FockState) -> tuple[np.ndarray, np.ndarray]:
             block = state.coherences[_start(d, abs(k)) :][: size * size].reshape(size, size)
             table = table + u @ block @ u.T
     table = table.real
-
-    def expect(terms: dict[int, int]) -> float:
-        """Tr(rho O) for O = ops[terms[m]] on each listed mode m, I elsewhere."""
-        return table[terms.get(0, 0), terms.get(1, 0)]
-
-    disp = np.array([expect({m: 1 + u}) for m in range(2) for u in range(2)])
-    cov = np.empty((4, 4))
-    for i in range(4):
-        for j in range(i, 4):
-            (m1, u), (m2, v) = divmod(i, 2), divmod(j, 2)
-            if m1 == m2:
-                sym = expect({m1: 3 + u + v})
-            else:
-                sym = 2.0 * expect({m1: 1 + u, m2: 1 + v})
-            cov[i, j] = cov[j, i] = sym - 2.0 * disp[i] * disp[j]
-    return cov, disp
+    # per mode, its row of table: (x, p) and ({x, x}, {x, p}; {x, p}, {p, p})
+    disp = np.concatenate([table[1:3, 0], table[0, 1:3]])
+    cov, pairs = np.empty((4, 4)), [[3, 4], [4, 5]]
+    cov[:2, :2], cov[2:, 2:] = table[pairs, 0], table[0, pairs]
+    cov[:2, 2:] = 2.0 * table[1:3, 1:3]
+    cov[2:, :2] = cov[:2, 2:].T
+    return cov - 2.0 * np.outer(disp, disp), disp
 
 
 class ThermalLossChannel:
@@ -502,16 +502,50 @@ def _received(eta1: float, n_s: float, n_th: float, probe: str, cutoff: int) -> 
 def _blockwise(state: FockState) -> tuple[float, Iterable[Sequence[np.ndarray]]]:
     """The weight and the stacks, each (blocks of the state, blocks of its
     tangent) of one shape (n, m, m), that Eq. 1 and the SLD sums run over:
-    for a state kept as sectors, with its tangent, weight 1 and per
-    |n1 - n2| its mirror pair of sectors (``_sector_layout``), state and
-    tangent taken from the state's buffer in one gather as they are
-    reached; for a product, Tr A
-    and the one (1, cutoff, cutoff) stack of (B, dB) on the states |0, n2>
-    (the tangent rule)."""
+    for a state kept as sectors, weight 1 and per |n1 - n2| its mirror pair
+    of sectors, state and tangent one gather of the state's buffer as they
+    are reached (``_sector_layout``); for a product, Tr A and the one
+    (1, cutoff, cutoff) stack of (B, dB) on the states |0, n2> (the tangent
+    rule)."""
     if state.factors is not None:
         first, second = state.factors
         return float(np.trace(first).real), [(second[None], state.tangent[None])]
     return 1.0, (np.take(state.rows, at, axis=1) for at in _sector_layout(state.dim))
+
+
+def _laid_out(terms: Sequence[tuple[complex, str, str]], state: FockState) -> Iterable[np.ndarray]:
+    """The observable sum c u x v over ``terms`` (c, mode-1 word u, mode-2
+    word v), each word one of ``_ladder_diagonals``, laid out like ``state``:
+    its stacks of blocks, each of the shape of, and in step with, the
+    state's stacks of ``_blockwise``. On a product every term must act on
+    mode 1 as the identity, and the one stack is ell_2, the sum of c times
+    each term's mode-2 diagonal. On sectors every term must keep n1 - n2,
+    its words on one diagonal, and be real; ell at |i + k, j + k><i, j| and
+    the mirror is E_k[i, j], E_k the sum of c u v^T over the terms on
+    diagonal -k, 0 past k = 2: E_0, E_1, E_2 and one zero lie as the
+    coherences do, and a mirror pair's blocks are one ``np.take`` at its
+    index, clipped onto the zero. Else ValueError."""
+    d, lines = state.dim, _ladder_diagonals(state.dim)
+    dtype = np.result_type(*(c for c, _, _ in terms), float)
+    if state.factors is not None:
+        if any(u for _, u, _ in terms):
+            raise ValueError("the SLD form acts on mode 1 of a product state")
+        ell_2 = np.zeros((d, d), dtype)
+        for c, _, v in terms:
+            k, line = lines[v]  # a strided view of the k-th diagonal, as in ``_by_offset``
+            ell_2.reshape(-1)[max(k, -k * d) :: d + 1][: len(line)] += c * line
+        return [ell_2[None]]
+    if any(lines[u][0] != lines[v][0] for _, u, v in terms):
+        raise ValueError("the SLD form changes n1 - n2 on a state kept as sectors")
+    if dtype != float:
+        raise ValueError("the SLD form is complex on a state kept as sectors")
+    compact = np.zeros(_start(d, min(d, 3)) + 1)
+    for c, u, v in terms:
+        k = -lines[u][0]
+        if 0 <= k < d:
+            block = compact[_start(d, k) : _start(d, k + 1)].reshape(d - k, d - k)
+            block += c * np.outer(lines[u][1], lines[v][1])
+    return (np.take(compact, at, mode="clip") for at in _sector_layout(d))
 
 
 def qfi_eq1(family: Callable[[float], FockState]) -> float:

@@ -130,6 +130,31 @@ _MIXING = np.flatnonzero(_CHARGES[:, None] != _CHARGES)
 _NONE = np.empty(0, np.intp)
 
 
+def _terms(form: SldForm) -> list[tuple[complex, str, str]]:
+    """A two-mode form's terms (c, mode-1 word, mode-2 word): each A_i -
+    center_i expanded into ladder words, one per mode ("a" for a, "A" for
+    a^dag, "" the identity, the words of ``fock._ladder_diagonals``), and
+    the terms whose coefficient is exactly 0 dropped, except the scalar's.
+    Real coefficients, as every probe gives, stay real."""
+    coeffs = [form.quad, form.linear, form.center, form.scalar]
+    if not any(np.any(np.imag(c)) for c in coeffs):
+        coeffs = [np.real(c) for c in coeffs]
+    quad, linear, center, scalar = coeffs
+    basis = (("a", ""), ("", "a"), ("A", ""), ("", "A"))  # a1, a2, a1^dag, a2^dag
+    delta = [((1.0, *words), (-c, "", "")) for words, c in zip(basis, center)]
+    terms = []
+    for i in range(4):
+        dagger = [(np.conj(c), u[::-1].swapcase(), v[::-1].swapcase()) for c, u, v in delta[i]]
+        terms += [(linear[i] * c, u, v) for c, u, v in dagger]
+        for j in range(4):
+            terms += [
+                (quad[i, j] * c1 * c2, u1 + u2, v1 + v2)
+                for c1, u1, v1 in dagger
+                for c2, u2, v2 in delta[j]
+            ]
+    return [(scalar, "", "")] + [term for term in terms if term[0] != 0]
+
+
 class _Solution(NamedTuple):
     """The Williamson-basis solve of a family at its working point: the
     eigenvalues lambda_i = +-1/nu_k, R, the quotient Q, the transported
@@ -187,16 +212,19 @@ def _solve(family: StateFamily) -> _Solution:
     W as the moments: dSigma_c = W dSigma W^dag and dd_c = W dd. Memoised per
     family, so every kernel on one family shares one solve; its arrays are
     read-only, and an error is raised again on every call. A quotient Q
-    that leaves the float range raises ArithmeticError, with no warning.
+    that leaves the float range raises ArithmeticError, with no warning; a
+    covariance whose smallest eigenvalue is within n eps of its largest,
+    as at photon numbers of 1e14 and above, NumericalInstabilityError.
     """
     state, dcov, ddisp = family.derivative()
     n = state.n_modes
     cov_c = _in_complex_basis(state.cov)
 
     ev, u = np.linalg.eigh(cov_c)
-    if not ev[0] > 0.0:
+    if not ev[0] > len(ev) * np.finfo(float).eps * ev[-1]:
         raise NumericalInstabilityError(
-            f"covariance has eigenvalue {ev[0]:.3e}; the state is unphysical"
+            f"covariance eigenvalue {ev[0]:.3e} is within float64 round-off of the largest, "
+            f"{ev[-1]:.3e}: the photon numbers are too large to resolve the state"
         )
     inv_half = (u / np.sqrt(ev)) @ u.conj().T
     k_inv_half = inv_half.copy()
@@ -441,12 +469,16 @@ def jpa_circuit_solve(n_s: float) -> JpaCircuitSolution:
     symmetric two-squeezer ansatz solves both identifications exactly; the
     residuals, in target-mode units, report its floating-point error, and the
     solution counts as converged when their norm is at most ``_CIRCUIT_TOL``.
+    Where mu or the scale leaves the float range, below n_s = 2.8e-309 or
+    above 9e307, it raises ArithmeticError.
     """
     check_photon_numbers(n_s)
     if n_s == 0.0:
         raise ValueError("signal photon number must be positive")
     mu = np.sqrt(1.0 + 0.5 / n_s)
     scale = np.sqrt(2.0 * n_s)
+    if not (np.isfinite(mu) and np.isfinite(scale)):
+        raise ArithmeticError(f"the circuit's target mode leaves the float range at n_s = {n_s}")
     target = np.array([1j * mu * scale, 0.0, 0.0, -1j * scale], dtype=complex)
 
     r = np.arcsinh(np.sqrt(2.0 * n_s))

@@ -6,7 +6,6 @@ pass flag) so callers can print per-check reports and aggregate exit codes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 import numpy as np
 
@@ -21,7 +20,7 @@ from .protocols import (
     qi_ratio,
 )
 from .qfi import hc_closed_form, hq_closed_form, qfi_gaussian
-from .sld import SldForm, _solve, qfi_complex_form
+from .sld import _solve, _terms, qfi_complex_form
 
 ORACLE_CONFIGS = [
     (eta1, n_s, n_th)
@@ -58,102 +57,24 @@ class Check:
 def oracle_checks(
     configs=ORACLE_CONFIGS, cutoff: int = CUTOFF, probes=("tmsv", "coherent")
 ) -> list[Check]:
-    """The Fock-oracle QFI against the Gaussian pipeline, then the SLD's
+    """The Fock-oracle QFI against the Gaussian pipeline's, the Williamson
+    solve's value that ``sld_fock_report`` returns, then the SLD's
     anticommutator, variance and zero mean on the oracle, for each probe and
     configuration. Both checks of one (probe, configuration) run back to
-    back, so they read one shared received state (``fock``); the oracle
-    checks are listed first."""
+    back, so they read one shared received state (``fock``) and one solve;
+    the oracle checks are listed first."""
     oracle, sld = [], []
     for probe in probes:
         for eta1, n_s, n_th in configs:
             tag = f"{probe} eta1={eta1} n_s={n_s} n_th={n_th}"
             h_fock = fock.qfi_eq1(fock.bifrequency_fock_family(eta1, n_s, n_th, probe, cutoff))
-            gauss = qfi_complex_form(
-                bifrequency_received_state(BiFrequencyParams(eta1, 0.0, n_s, n_th), probe)
-            )
-            oracle.append(Check(f"oracle {tag}", abs(h_fock - gauss) / abs(gauss), 1e-6))
             rep = sld_fock_report(eta1, n_s, n_th, probe, cutoff)
+            gauss = rep["qfi"]
+            oracle.append(Check(f"oracle {tag}", abs(h_fock - gauss) / abs(gauss), 1e-6))
             sld.append(Check(f"sld anticommutator {tag}", rep["residual"], 1e-4))
             sld.append(Check(f"sld variance {tag}", rep["variance_rel_error"], 1e-4))
             sld.append(Check(f"sld zero mean {tag}", abs(rep["mean"]), 1e-5))
     return oracle + sld
-
-
-def _ladder_diagonals(dim: int) -> dict[str, tuple[int, np.ndarray]]:
-    """Each product of at most two ladder operators, a ("a") and a^dag ("A"),
-    "" the identity, on the cutoff as its one nonzero diagonal: the offset k
-    of ``np.diagonal`` (+1 for a) and the entries, each the product of square
-    roots sqrt(n) that the matrix product forms, so equal to it bit for bit."""
-    root = np.sqrt(np.arange(1.0, dim))
-    hop, number, zero = root[:-1] * root[1:], root * root, np.zeros(min(dim, 1))
-    return {
-        "": (0, np.ones(dim)), "a": (1, root), "A": (-1, root), "aa": (2, hop),
-        "AA": (-2, hop), "aA": (0, np.append(number, zero)), "Aa": (0, np.append(zero, number)),
-    }
-
-
-def _terms(form: SldForm) -> list[tuple[complex, str, str]]:
-    """The form's terms (c, mode-1 word, mode-2 word): each A_i - center_i
-    expanded into ladder words, one per mode ("a" for a, "A" for a^dag, ""
-    the identity, ``_ladder_diagonals``), and the terms whose coefficient is
-    exactly 0 dropped, except the scalar's. Real coefficients, as every
-    probe gives, stay real."""
-    coeffs = [form.quad, form.linear, form.center, form.scalar]
-    if not any(np.any(np.imag(c)) for c in coeffs):
-        coeffs = [np.real(c) for c in coeffs]
-    quad, linear, center, scalar = coeffs
-    basis = (("a", ""), ("", "a"), ("A", ""), ("", "A"))  # a1, a2, a1^dag, a2^dag
-    delta = [((1.0, *words), (-c, "", "")) for words, c in zip(basis, center)]
-    terms = []
-    for i in range(4):
-        dagger = [(np.conj(c), u[::-1].swapcase(), v[::-1].swapcase()) for c, u, v in delta[i]]
-        terms += [(linear[i] * c, u, v) for c, u, v in dagger]
-        for j in range(4):
-            terms += [
-                (quad[i, j] * c1 * c2, u1 + u2, v1 + v2)
-                for (c1, u1, v1), (c2, u2, v2) in itertools.product(dagger, delta[j])
-            ]
-    return [(scalar, "", "")] + [term for term in terms if term[0] != 0]
-
-
-def _laid_out(form: SldForm, state: fock.FockState):
-    """ell of ``form`` laid out like ``state`` from its terms (``_terms``),
-    each word one diagonal (``_ladder_diagonals``): Tr(ell rho) before the
-    weight, ||drho||^2 and ell's blocks on the stacks of ``fock._blockwise``.
-    On a product every term must act on mode 1 as the identity, and the one
-    block ell_2 is the sum of c times each term's mode-2 diagonal. On
-    sectors every term must keep n1 - n2, its words on one diagonal, and be
-    real; ell at |i + k, j + k><i, j| and the mirror is E_k[i, j], E_k the
-    sum of c u v^T over the terms on diagonal -k, 0 past k = 2: E_0, E_1,
-    E_2 and one zero lie as the coherences do, and a mirror pair's blocks
-    are one ``np.take`` at its index, clipped onto the zero. Else
-    ValueError."""
-    d, terms, lines = state.dim, _terms(form), _ladder_diagonals(state.dim)
-    dtype = np.result_type(*(c for c, _, _ in terms), float)
-    if state.factors is not None:
-        if any(u for _, u, _ in terms):
-            raise ValueError("the SLD form acts on mode 1 of a product state")
-        ell_2 = np.zeros((d, d), dtype)
-        for c, _, v in terms:
-            k, line = lines[v]  # a strided view of the k-th diagonal, as in ``fock._by_offset``
-            ell_2.reshape(-1)[max(k, -k * d) :: d + 1][: len(line)] += c * line
-        return np.vdot(ell_2, state.factors[1]), np.vdot(state.tangent, state.tangent).real, [ell_2]
-    if any(lines[u][0] != lines[v][0] for _, u, v in terms):
-        raise ValueError("the SLD form changes n1 - n2 on a state kept as sectors")
-    if dtype != float:
-        raise ValueError("the SLD form is complex on a state kept as sectors")
-    size = fock._start(d, min(d, 3))
-    compact = np.zeros(size + 1)
-    for c, u, v in terms:
-        k = -lines[u][0]
-        if 0 <= k < d:
-            block = compact[fock._start(d, k) : fock._start(d, k + 1)].reshape(d - k, d - k)
-            block += c * np.outer(lines[u][1], lines[v][1])
-    # sums over the whole state: offset 0 once, each offset k > 0 twice
-    n, rho, drho = d * d, state.coherences[:size], state.tangent
-    mean = compact[:n] @ rho[:n] + 2.0 * (compact[n:-1] @ rho[n:])
-    blocks = (np.take(compact, at, mode="clip") for at in fock._sector_layout(d))
-    return mean, drho[:n] @ drho[:n] + 2.0 * (drho[n:] @ drho[n:]), blocks
 
 
 def sld_fock_report(
@@ -161,28 +82,29 @@ def sld_fock_report(
 ) -> dict:
     """Anticommutator residual, mean and variance of the SLD on the oracle.
 
-    The form and its QFI come from one Williamson-basis solve; ell is laid
-    out like the family's shared state at the working point, read off the
-    form's terms and the closed-form diagonals of their ladder words
-    (``_laid_out``); a form that does not suit the state's form raises
-    ValueError. The residual of
-    ell rho + (ell rho)^dag = 2 drho and the second moment Tr(ell ell rho)
-    are sums over the stacks of ``fock._blockwise``, a mirror pair of
-    sectors or a product's one block: one batched product and
-    anticommutator per stack, each sum one ``np.vdot``; the mean Tr(ell rho)
-    and ||drho|| are read once off the state's form. The weight scales the
-    mean and the second moment. A cutoff that passes the tail gate may
-    still be too small for the second moment (see ``WIDE_CONFIGS``).
+    The form and its QFI come from one Williamson-basis solve. ell is the
+    form's terms (``sld._terms``) laid out like the family's shared state
+    at the working point (``fock._laid_out``); a form that does not suit the
+    state's form raises ValueError. One walk over the stacks of
+    ``fock._blockwise``, a mirror pair of sectors or a product's one block,
+    sums the mean Tr(ell rho), ||drho||^2, the residual of
+    ell rho + (ell rho)^dag = 2 drho and the second moment Tr(ell ell rho):
+    one batched product and anticommutator per stack, each sum one
+    ``np.vdot``. The weight scales the mean and the second moment. A cutoff
+    that passes the tail gate may still be too small for the second moment
+    (see ``WIDE_CONFIGS``).
     """
     solution = _solve(bifrequency_received_state(BiFrequencyParams(eta1, 0.0, n_s, n_th), probe))
     h = solution.result().value
     state = fock.bifrequency_fock_family(eta1, n_s, n_th, probe, cutoff)(fock.LAMBDA0)
-    mean, tangent_sq, ell_blocks = _laid_out(solution.form(), state)
+    ell_blocks = fock._laid_out(_terms(solution.form()), state)
     weight, blocks = fock._blockwise(state)
-    residual_sq = second_moment = 0.0
+    mean = tangent_sq = residual_sq = second_moment = 0.0
     for ell_block, (block, dblock) in zip(ell_blocks, blocks):
         product = ell_block @ block
         anticommutator = product + product.conj().mT - 2.0 * dblock
+        mean += np.vdot(ell_block, block)
+        tangent_sq += np.vdot(dblock, dblock).real
         residual_sq += np.vdot(anticommutator, anticommutator).real
         second_moment += np.vdot(ell_block, product)
     second_moment = float(np.real(weight * second_moment))

@@ -560,6 +560,31 @@ def test_circuit_unconverged_residual_is_a_regression_exit(capsys):
     assert payload["residuals"]["norm"] > 1e-12
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["circuit", "--ns", "1e-310"], ["circuit", "--ns", "5e-324"], ["circuit", "--ns", "1e308"],
+     ["ratio-grid", "--eta1", "0:inf:2"], ["ratio-grid", "--ns=-1e308:1e308:3"],
+     ["ratio-grid", "--nth", "1:inf:2", "--log-nth"], ["ratio-grid", "--nth", "nan:1:3"]],
+    ids=["circuit-mu", "circuit-subnormal", "circuit-scale", "grid-inf-bound", "grid-span",
+         "grid-log-inf", "grid-nan"],
+)
+def test_values_outside_the_float_range_are_one_error_line(argv, capsys):
+    """Where the circuit's mu = sqrt(1 + 1/(2 n_s)) or scale sqrt(2 n_s)
+    leaves the float range, or a ratio-grid range spans values outside it,
+    the command prints one error line and nothing else, with no warning:
+    the circuit printed Infinity and NaN and exited 3, or warned, and
+    linspace and geomspace warned on an infinite bound or span."""
+    from bifrost import cli
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    assert code == 1 and captured.out == "" and len(captured.err.splitlines()) == 1
+    assert "float range" in captured.err
+
+
 def test_validate_quick_passes():
     result = run_cli("validate", "--quick")
     assert result.returncode == 0, result.stdout + result.stderr
@@ -593,6 +618,42 @@ def test_numerical_instability_is_an_error_line(command, kernel, monkeypatch, ca
     err = capsys.readouterr().err
     assert err.startswith("error: synthetic instability")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("ns", ["1e14", "1e15", "1e16", "1e100"])
+@pytest.mark.parametrize("command", [["qfi", "--probe", "tmsv"], ["sld"]], ids=["qfi", "sld"])
+def test_photon_numbers_past_float64_resolution_are_a_round_off_error_line(command, ns, capsys):
+    """At eta1 0.9 and n_th 1, from n_s = 1e14 the received covariance's
+    smallest eigenvalue lies within 4 eps of its largest: the solve names
+    round-off and the photon numbers in one error line, where it printed a
+    value 6.7 % off at 1e14, 60 % off at 1e15 and called the state
+    unphysical from 1e16."""
+    from bifrost import cli
+
+    assert cli.main([*command, "--eta1", "0.9", "--nth", "1", "--ns", ns]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert "round-off" in captured.err and "photon numbers" in captured.err
+
+
+def test_round_off_bound_leaves_the_domain_with_margin():
+    """The solve's bound, smallest covariance eigenvalue above n eps times
+    the largest, holds by a factor of more than 17 at the domain's worst
+    corner, (1 - 1e-15, 1e6, 0) with the entangled probe, and fails below
+    1 at n_s = 1e14, where the solve raises."""
+    from bifrost.errors import NumericalInstabilityError
+    from bifrost.sld import _in_complex_basis, qfi_result
+
+    def margin(eta1, n_s, n_th):
+        family = bf.bifrequency_received_state(bf.BiFrequencyParams(eta1, 0.0, n_s, n_th), "tmsv")
+        ev = np.linalg.eigvalsh(_in_complex_basis(family.derivative()[0].cov))
+        return ev[0] / (len(ev) * np.finfo(float).eps * ev[-1]), family
+
+    assert margin(1.0 - 1e-15, 1e6, 0.0)[0] > 17.0
+    ratio, family = margin(0.9, 1e14, 1.0)
+    assert ratio < 1.0
+    with pytest.raises(NumericalInstabilityError, match="round-off"):
+        qfi_result(family)
 
 
 def test_import_leaves_scipy_stats_and_sparse_out():

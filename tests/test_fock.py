@@ -257,6 +257,41 @@ def test_oracle_keeps_only_its_three_memos():
     }
 
 
+def _tree(module) -> ast.Module:
+    return ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+
+
+def _imports(module) -> set[str]:
+    """The package modules a module imports, by their last name: ``sld``
+    for ``from .sld import x``, ``from . import sld`` or ``import bifrost.sld``."""
+    names = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module.rsplit(".", 1)[-1])
+            if node.level or node.module == "bifrost":
+                names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_each_oracle_decision_has_one_owner():
+    """``fock`` owns the ladder words and the layout of its states, and
+    ``sld`` the form: ``validate`` reads of ``fock``'s private names only
+    its two views, ``_blockwise`` and ``_laid_out``, ``fock`` imports none
+    of the Gaussian pipeline and ``sld`` does not import ``fock``."""
+    private = set()
+    for node in ast.walk(_tree(validate)):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "fock":
+            private.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("fock"):
+            private |= {alias.name for alias in node.names}
+    assert {name for name in private if name.startswith("_")} <= {"_blockwise", "_laid_out"}
+    assert not _imports(fock) & {"gaussian", "qfi", "sld", "protocols"}
+    assert "fock" not in _imports(importlib.import_module("bifrost.sld"))
+
+
 def test_fock_constructors_reject_non_finite_inputs():
     """NaN photon numbers, amplitudes and tail masses raise domain errors
     instead of building NaN blocks or failing later as non-hermitian."""
@@ -1146,22 +1181,21 @@ def test_sld_report_matches_dense_computation(probe):
 
 
 def test_sld_report_forms_no_dense_matrix(monkeypatch):
-    """The report takes ell one block at a time, laid out as the state's
-    stacks: a product's one cutoff x cutoff factor, or the cutoff mirror
+    """The report takes ell one stack at a time, laid out as the state's
+    stacks: a product's one (1, cutoff, cutoff) stack, or the cutoff mirror
     pairs of sectors, none larger than (2, cutoff, cutoff). That no two-mode
     density matrix is formed holds by the package's structure
     (``test_package_keeps_no_dense_two_mode_state``)."""
     cutoff = 22
     taken = []
-    laid_out = validate._laid_out
+    laid_out = fock._laid_out
 
-    def recording(form, state):
-        mean, tangent_sq, blocks = laid_out(form, state)
-        return mean, tangent_sq, (taken.append(block.shape) or block for block in blocks)
+    def recording(terms, state):
+        return (taken.append(stack.shape) or stack for stack in laid_out(terms, state))
 
-    monkeypatch.setattr(validate, "_laid_out", recording)
+    monkeypatch.setattr(fock, "_laid_out", recording)
     validate.sld_fock_report(0.8, 0.5, 0.3, "coherent", cutoff)
-    assert taken == [(cutoff, cutoff)]
+    assert taken == [(1, cutoff, cutoff)]
     validate.sld_fock_report(0.8, 0.5, 0.3, "tmsv", cutoff)
     assert taken[1:] == [(1 + (step > 0), cutoff - step, cutoff - step) for step in range(cutoff)]
 
@@ -1346,14 +1380,16 @@ def test_sector_sld_blocks_match_the_reference_gather(cutoff):
     """On a random state kept as sectors, ell laid out as its coherences
     gives, per mirror pair, a stack of the state's shape whose blocks are,
     on each sector, the block of the sparse two-mode reference operator
-    (``fock_reference.sparse_sld_operator``), and the mean
-    and ||drho||^2 of the blockwise sums, to 1e-13 relative, for real forms
-    that keep n1 - n2: the two-mode squeezed probe's SLD and random ones."""
-    from bifrost.sld import _solve
+    (``fock_reference.sparse_sld_operator``), to 1e-13 relative, for real
+    forms that keep n1 - n2: the two-mode squeezed probe's SLD and random
+    ones. Summed over the zipped stacks, Tr(ell rho) and ||drho||^2 are
+    those of the whole dense state and tangent."""
+    from bifrost.sld import _solve, _terms
 
     rng = np.random.default_rng(cutoff)
     size = fock._start(cutoff, cutoff)
     state = fock.FockState.sectors(rng.standard_normal((2, size)))
+    rho, drho = fock_reference.dense(state), fock_reference.dense_tangent(state)
     probe = bf.bifrequency_received_state(bf.BiFrequencyParams(0.8, 0.0, 0.5, 0.3), "tmsv")
     forms = [_solve(probe).form()]
     keeps = np.equal.outer(*2 * [np.array([-1, 1, 1, -1])])  # charges of a1, a2, a1^dag, a2^dag
@@ -1362,21 +1398,19 @@ def test_sector_sld_blocks_match_the_reference_gather(cutoff):
         forms.append(bf.SldForm(quad=quad + quad.T, linear=np.zeros(4), scalar=0.3, center=np.zeros(4)))
     for form in forms:
         reference = fock_reference.sparse_sld_operator(form, cutoff).tocsr()
-        mean, tangent_sq, ell_stacks = validate._laid_out(form, state)
-        ell_blocks, blocks = [], []
-        for ell_stack, (stack, dstack) in zip(ell_stacks, fock._blockwise(state)[1], strict=True):
+        ell_blocks, mean, tangent_sq = [], 0.0, 0.0
+        stacks = zip(fock._laid_out(_terms(form), state), fock._blockwise(state)[1], strict=True)
+        for ell_stack, (stack, dstack) in stacks:
             assert ell_stack.shape == stack.shape
             ell_blocks += list(ell_stack)
-            blocks += zip(stack, dstack)
-        expected_mean = expected_sq = 0.0
-        sectors = zip(fock_reference.sector_indices(cutoff), blocks, strict=True)
-        for ell_block, (idx, (block, dblock)) in zip(ell_blocks, sectors, strict=True):
+            mean += np.vdot(ell_stack, stack)
+            tangent_sq += np.vdot(dstack, dstack)
+        for ell_block, idx in zip(ell_blocks, fock_reference.sector_indices(cutoff), strict=True):
             expected = reference[idx][:, idx].toarray()
             assert np.max(np.abs(ell_block - expected)) <= 1e-13 * max(np.max(np.abs(expected)), 1.0)
-            expected_mean += np.trace(expected @ block)
-            expected_sq += np.sum(dblock**2)
+        expected_mean = reference.multiply(rho.T).sum()
         assert abs(mean - expected_mean) <= 1e-13 * max(abs(expected_mean), 1.0)
-        assert abs(tangent_sq - expected_sq) <= 1e-13 * expected_sq
+        assert abs(tangent_sq - np.vdot(drho, drho)) <= 1e-13 * np.vdot(drho, drho)
 
 
 def test_ladder_diagonals_match_the_ladder_products():
@@ -1384,7 +1418,7 @@ def test_ladder_diagonals_match_the_ladder_products():
     the product of ladder matrices bit for bit on that diagonal and 0
     elsewhere, also at cutoffs 1 and 2, where some diagonals are empty."""
     for cutoff in (1, 2, 3, 30):
-        lines = validate._ladder_diagonals(cutoff)
+        lines = fock._ladder_diagonals(cutoff)
         assert sorted(lines) == sorted(("", "a", "A", "aa", "aA", "Aa", "AA"))
         for word, (k, line) in lines.items():
             matrix = fock_reference.ladder_word(word, cutoff)
@@ -1406,10 +1440,10 @@ def test_coherent_sld_form_acts_on_mode_1_as_identity(eta1, n_s, n_th):
     """Over the whole domain every term of the coherent probe's SLD form
     acts on mode 1 as the identity: the condition under which
     ``sld_fock_report`` reads a product state through its one block."""
-    from bifrost.sld import _solve
+    from bifrost.sld import _solve, _terms
 
     family = bf.bifrequency_received_state(bf.BiFrequencyParams(eta1, 0.0, n_s, n_th), "coherent")
-    assert all(u == "" for _, u, _ in validate._terms(_solve(family).form()))
+    assert all(u == "" for _, u, _ in _terms(_solve(family).form()))
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)

@@ -310,14 +310,13 @@ def test_fock_sld_operator_real_and_complex_paths_agree():
     Each equals the sparse reference's block on the states |0, n2>."""
     import fock_reference
     from bifrost import fock
-    from bifrost.sld import SldForm
-    from bifrost.validate import _laid_out
+    from bifrost.sld import SldForm, _terms
 
     cutoff = 12
     state = fock.bifrequency_fock_family(0.8, 0.5, 0.3, "coherent", cutoff)(fock.LAMBDA0)
     mode_2 = np.ix_(range(cutoff), range(cutoff))
     form = sld(coherent_family(0.8, 0.5, 0.3))
-    real_op = _laid_out(form, state)[2][0]
+    real_op = fock._laid_out(_terms(form), state)[0][0]
     assert real_op.dtype == np.float64
 
     rng = np.random.default_rng(5)
@@ -335,9 +334,9 @@ def test_fock_sld_operator_real_and_complex_paths_agree():
         quad=quad_im.astype(complex), linear=linear_im.astype(complex), scalar=0.0,
         center=form.center,
     )
-    complex_op = _laid_out(shifted, state)[2][0]
+    complex_op = fock._laid_out(_terms(shifted), state)[0][0]
     assert complex_op.dtype == np.complex128
-    imag_op = _laid_out(imag_part, state)[2][0]
+    imag_op = fock._laid_out(_terms(imag_part), state)[0][0]
     assert imag_op.dtype == np.float64
     expected = real_op + 1j * imag_op
     deviation = np.max(np.abs(complex_op - expected))
@@ -352,13 +351,12 @@ def test_fock_sld_operator_matches_sparse_reference():
     pair equal the operator made of sparse two-mode ladder operators on
     those sectors, for the forms that keep n1 - n2: the entangled probe's,
     the zero form and random real ones. Of these and the coherent probe's
-    form and a complex one with a displaced center, ``_laid_out`` refuses
+    form and a complex one with a displaced center, ``fock._laid_out`` refuses
     exactly those whose reference couples two sectors of different
     n1 - n2."""
     import fock_reference
     from bifrost import fock
-    from bifrost.sld import SldForm
-    from bifrost.validate import _laid_out
+    from bifrost.sld import SldForm, _terms
 
     cutoff = 10
     rng = np.random.default_rng(9)
@@ -384,10 +382,10 @@ def test_fock_sld_operator_matches_sparse_reference():
         if coupled - {0}:
             refused.append(number)
             with pytest.raises(ValueError, match="changes n1 - n2"):
-                _laid_out(form, state)
+                fock._laid_out(_terms(form), state)
             continue
         scale = max(np.max(np.abs(reference)), 1.0)
-        ell_blocks = [block for stack in _laid_out(form, state)[2] for block in stack]
+        ell_blocks = [block for stack in fock._laid_out(_terms(form), state) for block in stack]
         for ell_block, idx in zip(ell_blocks, sectors, strict=True):
             assert np.max(np.abs(ell_block - reference[np.ix_(idx, idx)])) <= 1e-13 * scale
     assert refused == [1, 2]  # the coherent probe's form and the complex one
