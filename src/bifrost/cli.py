@@ -201,7 +201,7 @@ def cmd_qfi(args) -> int:
 
 def cmd_sld(args) -> int:
     params = _point_params(args)
-    # first: where it leaves the float range, the solve's tangent overflows with a warning
+    # first: at the vacuum it names the missing photons
     closed = sld_coeffs_closed_form(params.eta1, params.n_s, params.n_th)
     numeric = optimal_observable(bifrequency_received_state(params, "tmsv"))
     deviation = max(abs(a - b) for a, b in zip(numeric.as_tuple(), closed.as_tuple()))

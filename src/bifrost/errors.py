@@ -34,10 +34,15 @@ def holds(condition) -> bool:
     return bool(condition.all() if isinstance(condition, np.ndarray) else condition)
 
 
+# the photon-number domain: 0, where a vacuum is meant, or [N_MIN, N_MAX]
+N_MIN = 1e-6
+N_MAX = 1e6
+
+
 def check_photon_numbers(*values) -> None:
-    """Raise ValueError unless every photon number is finite and nonnegative,
-    for floats and numpy arrays alike; NaN fails, as every comparison with it
-    does."""
+    """Raise ValueError unless every photon number is 0 or lies in
+    [N_MIN, N_MAX], for floats and numpy arrays alike; NaN fails, as every
+    comparison with it does. The one owner of the photon-number domain."""
     for n in values:
-        if not holds((0.0 <= n) & (n < np.inf)):
-            raise ValueError("photon numbers must be finite and nonnegative")
+        if not holds(((N_MIN <= n) & (n <= N_MAX)) | (n == 0.0)):
+            raise ValueError(f"photon numbers must be 0 or lie in [{N_MIN:g}, {N_MAX:g}]")

@@ -335,9 +335,8 @@ class ThermalLossChannel:
     1.8e308, about 3e-307 at cutoff 30 and n_th = 0, else ValueError: below
     that, d log tau/deta = (1 + n_th) / (G eta) times the exponent
     cutoff - 1 of tau leaves the float range, and at a subnormal eta even
-    exponent 0 meets an infinite rate. tau = eta / G must not round to 0
-    either, as at eta = 1e-300 with n_th = 1e300, else ValueError. Both are
-    checked before any array arithmetic.
+    exponent 0 meets an infinite rate. This is checked before any array
+    arithmetic.
     """
 
     def __init__(self, eta: float, n_th: float, cutoff: int):
@@ -353,11 +352,6 @@ class ThermalLossChannel:
                 "the channel's eta-derivative leaves the float range"
             )
         tau = eta / gain
-        if not tau > 0.0:
-            raise ValueError(
-                f"reflectivity {eta} too small for bath {n_th}: "
-                "the channel's transmissivity eta / G rounds to 0"
-            )
         log_tau, log_gain = np.log(tau), np.log(gain)
         # d log/deta of tau, of 1 - tau and (G - 1)/G alike, and of G
         dlog_tau, dlog_rest = (1.0 + n_th) / (gain * eta), -1.0 / (gain * (1.0 - eta))

@@ -165,12 +165,8 @@ def tmsv(n_s: float) -> GaussianState:
 
 
 def tmsv_cov(n_s: float) -> np.ndarray:
-    """The covariance of ``tmsv(n_s)`` as a new, unvalidated array; where its
-    entries, about 4 n_s, come within a factor 2 of the float range,
-    ArithmeticError before any arithmetic warns."""
+    """The covariance of ``tmsv(n_s)`` as a new, unvalidated array."""
     check_photon_numbers(n_s)
-    if not 8.0 * float(n_s) < np.inf:
-        raise ArithmeticError(f"the two-mode squeezed covariance leaves the float range: n_s = {n_s}")
     return _two_mode_squeezed_cov(np.arcsinh(np.sqrt(2.0 * n_s)))
 
 
@@ -251,7 +247,7 @@ def propagate(
     derivatives dS Sigma S^T + S Sigma dS^T of the covariance and dS d of the
     displacement, restricted to the kept modes like the state. Only the kept
     entries of the products are formed, so an entry of a discarded mode
-    that would overflow (eta1 = 1e-300 with n_th = 1e300) raises no warning.
+    that would overflow raises no warning.
     """
     s_cov, cov = _conjugate(s, state)
     idx = _quadrature_indices(state.n_modes, tuple(keep))

@@ -148,6 +148,11 @@ def _invariant_correction(s: float, p: float, ds: float, dp: float, nu_m: float)
         )
     q = s * ds - 2.0 * dp
     d = p * ((p + 1.0) ** 2 - s * s)
+    if d == 0.0:
+        raise PureStateError(
+            f"symplectic eigenvalue {nu_m:.12f}: p ((p + 1)^2 - s^2) rounds to 0, "
+            "so a normal mode is pure within round-off"
+        )
     g0 = s * (s * s - 3.0 * p - 1.0) / d
     g1 = -(s * s - p - 1.0) / d
     return 0.25 * (g1 * ((s * s - 4.0 * p) * ds * ds + q * q) + 2.0 * g0 * ds * q)
@@ -172,7 +177,10 @@ def qfi_gaussian(family: StateFamily) -> QfiResult:
     form. As eta1 -> 1 with small n_th the nu_- read off the invariants
     reaches 1 within round-off, and the varying covariance raises
     PureStateError, as at (0.999999, 1e6, 1e-6) for the coherent probe and
-    at (0.999999, 1e-6, 1e-6) for both. Where both normal modes stay
+    at (0.999999, 1e-6, 1e-6) for both; so does a point where D rounds to
+    0, as at (1e-6, 1e-3, 0) for the entangled probe. A QFI that leaves the
+    float range, as at eta1 = 5e-324 for the coherent probe, raises
+    ArithmeticError. Where both normal modes stay
     clearly mixed, eta1 in [0.02, 0.99] and photon numbers from 1e-3 to 1e6,
     it agrees with the solve to 1e-8 (9.1e-9 at worst over 1,000 seeded
     points of that box).
@@ -181,7 +189,8 @@ def qfi_gaussian(family: StateFamily) -> QfiResult:
     if state.n_modes != 2:
         raise ValueError(f"expected a two-mode family, got {state.n_modes} modes")
     cov = state.cov
-    term_disp = 2.0 * float(ddisp @ np.linalg.solve(cov, ddisp))
+    # vdot, unlike @, warns of no overflow; a non-finite value raises below
+    term_disp = 2.0 * float(np.vdot(ddisp, np.linalg.solve(cov, ddisp)))
     m, s, p = _invariants(cov)
     nu_p, nu_m = _nu_from_invariants(s, p, cov)
 
@@ -203,9 +212,12 @@ def qfi_gaussian(family: StateFamily) -> QfiResult:
         denom = 2.0 * (p - 1.0)
         term_cov = (p * tr1 + (1.0 + s + p) * tr2) / denom
         term_cov -= _invariant_correction(s, p, ds, dp, nu_m) / denom
+    value = term_cov + term_disp
+    if not math.isfinite(value):
+        raise ArithmeticError(f"the QFI leaves the float range: {value}")
 
     return QfiResult(
-        value=term_cov + term_disp,
+        value=value,
         nu_plus=nu_p,
         nu_minus=nu_m,
         term_covariance=term_cov,
@@ -215,10 +227,17 @@ def qfi_gaussian(family: StateFamily) -> QfiResult:
 
 def _check_domain(eta1: Floats, n_s: Floats, n_th: Floats):
     """Raise ValueError unless every eta1 lies strictly in (0, 1) and every
-    photon number is finite and nonnegative; scalars and arrays alike."""
+    photon number in its domain; scalars and arrays alike."""
     if not holds((0.0 < eta1) & (eta1 < 1.0)):
         raise ValueError(f"reference reflectivity must lie strictly in (0, 1), got {eta1}")
     check_photon_numbers(n_s, n_th)
+
+
+def _check_some_photons(n_s: Floats, n_th: Floats):
+    """Raise ValueError where n_s = n_th = 0: the received state of the
+    entangled probe then carries no information at all."""
+    if not holds((n_s != 0.0) | (n_th != 0.0)):
+        raise ValueError("no photons anywhere: the QFI expression degenerates")
 
 
 def _pow(x: Floats, k: int) -> Floats:
@@ -237,15 +256,15 @@ def _pow(x: Floats, k: int) -> Floats:
 def hq_closed_form(eta1: Floats, n_s: Floats, n_th: Floats) -> Floats:
     """QFI of the entangled (two-mode squeezed) probe at zero reflectivity gap.
 
-    Finite for all n_s >= 0 and n_th >= 0 except n_s = n_th = 0, where the
-    received state carries no information at all. The arguments may be floats
-    or numpy arrays that broadcast together; a grid is best passed as axes of
+    Finite over the whole domain except n_s = n_th = 0, where the received
+    state carries no information at all. The arguments may be floats or
+    numpy arrays that broadcast together; a grid is best passed as axes of
     shapes (E, 1, 1), (1, S, 1) and (1, 1, T), so that each power is taken
-    once per axis value. Any point outside the domain raises ValueError.
+    once per axis value. Any point outside the domain, and the vacuum,
+    raises ValueError.
     """
     _check_domain(eta1, n_s, n_th)
-    if not holds((n_s != 0.0) | (n_th != 0.0)):
-        raise ValueError("no photons anywhere: the QFI expression degenerates")
+    _check_some_photons(n_s, n_th)
     tau = 1.0 - eta1
     num = (
         8.0 * tau * eta1 * _pow(n_s, 3) * (2.0 * n_th + 1.0)

@@ -68,7 +68,7 @@ from .errors import (
     NumericalInstabilityError,
     check_photon_numbers,
 )
-from .qfi import STATIC_COV_TOL, QfiResult, StateFamily, _check_domain
+from .qfi import STATIC_COV_TOL, QfiResult, StateFamily, _check_domain, _check_some_photons
 
 _STRUCTURE_TOL = 1e-7
 # a pair of normal modes counts as pure when 1 - lambda_i lambda_j is below
@@ -211,10 +211,10 @@ def _solve(family: StateFamily) -> _Solution:
     The real moment derivatives map to the complex basis by the same unitary
     W as the moments: dSigma_c = W dSigma W^dag and dd_c = W dd. Memoised per
     family, so every kernel on one family shares one solve; its arrays are
-    read-only, and an error is raised again on every call. A quotient Q
-    that leaves the float range raises ArithmeticError, with no warning; a
-    covariance whose smallest eigenvalue is within n eps of its largest,
-    as at photon numbers of 1e14 and above, NumericalInstabilityError.
+    read-only, and an error is raised again on every call. A covariance
+    whose smallest eigenvalue is within n eps of its largest raises
+    NumericalInstabilityError; no family of the package reaches that inside
+    the photon-number domain.
     """
     state, dcov, ddisp = family.derivative()
     n = state.n_modes
@@ -224,7 +224,7 @@ def _solve(family: StateFamily) -> _Solution:
     if not ev[0] > len(ev) * np.finfo(float).eps * ev[-1]:
         raise NumericalInstabilityError(
             f"covariance eigenvalue {ev[0]:.3e} is within float64 round-off of the largest, "
-            f"{ev[-1]:.3e}: the photon numbers are too large to resolve the state"
+            f"{ev[-1]:.3e}: float64 cannot resolve the state"
         )
     inv_half = (u / np.sqrt(ev)) @ u.conj().T
     k_inv_half = inv_half.copy()
@@ -246,11 +246,7 @@ def _solve(family: StateFamily) -> _Solution:
                 "the logarithmic derivative does not exist"
             )
         den = np.where(pure, np.inf, den)
-    try:
-        with np.errstate(over="raise"):
-            q = z / den
-    except FloatingPointError:
-        raise ArithmeticError("the QFI leaves the float range: the quotient Q overflows") from None
+    q = z / den
     symmetric = n == 2 and not (
         np.count_nonzero(center) or np.count_nonzero(dd_c)
         or np.count_nonzero(cov_c.take(_MIXING)) or np.count_nonzero(dcov_c.take(_MIXING))
@@ -344,25 +340,12 @@ def sld_coeffs_closed_form(eta1: float, n_s: float, n_th: float) -> SldCoefficie
     The quadratic coefficients are rational functions of the operating point;
     the constant is fixed by the zero-mean condition at the working point,
     <O> = 0, which any normalised logarithmic derivative satisfies exactly.
-    A point where a coefficient or a power in them leaves the float range
-    raises ArithmeticError, with no warning on the way.
+    Where n_s = n_th = 0 there is no information to normalise by, and it
+    raises ValueError, as :func:`bifrost.qfi.hq_closed_form` does.
     """
     _check_domain(eta1, n_s, n_th)
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = _sld_coeffs(eta1, n_s, n_th)
-    except OverflowError:  # Python's float power
-        coeffs = None
-    if coeffs is None or not np.all(np.isfinite(coeffs.as_tuple())):
-        raise ArithmeticError(
-            "the closed-form SLD coefficients leave the float range "
-            f"at eta1 = {eta1}, n_s = {n_s}, n_th = {n_th}"
-        )
-    return coeffs
-
-
-def _sld_coeffs(e: float, s: float, t: float) -> SldCoefficients:
-    """The formulas of ``sld_coeffs_closed_form`` at eta1 = e, n_s = s, n_th = t."""
+    _check_some_photons(n_s, n_th)
+    e, s, t = eta1, n_s, n_th
     a = 8.0 * (e - 1.0) * e * s**3 * (2.0 * t + 1.0)
     b = 4.0 * s**2 * (
         -e + (e + 3.0 * e * t) ** 2 - e * t * (10.0 * t + 7.0) + 3.0 * t * (t + 1.0) + 1.0
@@ -469,16 +452,12 @@ def jpa_circuit_solve(n_s: float) -> JpaCircuitSolution:
     symmetric two-squeezer ansatz solves both identifications exactly; the
     residuals, in target-mode units, report its floating-point error, and the
     solution counts as converged when their norm is at most ``_CIRCUIT_TOL``.
-    Where mu or the scale leaves the float range, below n_s = 2.8e-309 or
-    above 9e307, it raises ArithmeticError.
     """
     check_photon_numbers(n_s)
     if n_s == 0.0:
         raise ValueError("signal photon number must be positive")
     mu = np.sqrt(1.0 + 0.5 / n_s)
     scale = np.sqrt(2.0 * n_s)
-    if not (np.isfinite(mu) and np.isfinite(scale)):
-        raise ArithmeticError(f"the circuit's target mode leaves the float range at n_s = {n_s}")
     target = np.array([1j * mu * scale, 0.0, 0.0, -1j * scale], dtype=complex)
 
     r = np.arcsinh(np.sqrt(2.0 * n_s))

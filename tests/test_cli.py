@@ -1,6 +1,7 @@
 """Command-line surface: formats, determinism, exit codes."""
 
 import ast
+import itertools
 import json
 import os
 import pathlib
@@ -16,6 +17,8 @@ from bifrost.protocols import BiFrequencyParams, bifrequency_advantage, bifreque
 
 # a RuntimeWarning fails a CLI subprocess as pyproject's policy fails a test
 CLI = [sys.executable, "-W", "error::RuntimeWarning", "-m", "bifrost.cli"]
+# the error line of a photon number outside the domain, 0 or [1e-6, 1e6]
+DOMAIN_ERROR = "error: photon numbers must be 0 or lie in [1e-06, 1e+06]\n"
 
 
 def run_cli(*args, env_extra=None):
@@ -257,16 +260,26 @@ def test_non_finite_photon_numbers_exit_with_one_error_line(command, flag, value
     result = run_cli(command, flag, value)
     assert result.returncode == 1
     assert result.stdout == ""
-    assert result.stderr == "error: photon numbers must be finite and nonnegative\n"
+    assert result.stderr == DOMAIN_ERROR
 
 
 @pytest.mark.parametrize(
     "flags, named",
-    [(["--ns", "1e200"], "n_s = 1e+200"), (["--nth", "1e-300"], "occupation 1e-300"),
-     (["--nth", "1e-300:1:2"], "occupation 1e-300"), (["--nth", "1e200"], "n_th = 1e+200")],
-    ids=["power-overflows", "thermal-part-0-over-0", "array-0-over-0", "thermal-overflows"],
+    [(["--ns", "1e200"], DOMAIN_ERROR),
+     (["--eta1", "0.99999999999", "--nth", "1e-6"], "occupation 1e-06"),
+     (["--eta1", "0.99999999999", "--nth", "1e-6:1:2"], "occupation 1e-06"),
+     (["--nth", "1e200"], DOMAIN_ERROR),
+     (["--eta1", "5e-324", "--ns", "1e-6", "--nth", "0"],
+      "the closed forms leave the float range at eta1 = 5e-324, n_s = 1e-06, n_th = 0.0")],
+    ids=["power-overflows", "thermal-part-0-over-0", "array-0-over-0", "thermal-overflows",
+         "subnormal-reflectivity"],
 )
 def test_ratio_grid_arithmetic_failure_is_an_error_line(flags, named):
+    """Inside the domain, where 1 + 2 n_th (1 - eta1) rounds to 1 (eta1
+    within about 5.5e-11 of 1) and where a subnormal eta1 sends a closed
+    form's denominator to 0, the grid fails with one error line naming the
+    point. The photon numbers of 1e200 at which the powers overflowed lie
+    outside the domain and end in its error line."""
     result = run_cli("ratio-grid", *flags)
     assert result.returncode == 1
     assert result.stdout == ""
@@ -276,7 +289,7 @@ def test_ratio_grid_arithmetic_failure_is_an_error_line(flags, named):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--eta1", "1e-320", "--ns", "1", "--nth", "1"], ["--eta1", "1e-300", "--ns", "1e300", "--nth", "0.5"]],
+    [["--eta1", "1e-320", "--ns", "1", "--nth", "1"], ["--eta1", "1e-310", "--ns", "1e6", "--nth", "0.5"]],
     ids=["subnormal-reflectivity", "huge-probe"],
 )
 def test_non_finite_qfi_is_an_error_line(flags):
@@ -291,46 +304,65 @@ def test_non_finite_qfi_is_an_error_line(flags):
 @pytest.mark.parametrize("nth", ["0", "1e-300", "1e-6", "1", "1e6", "1e200", "1e300"])
 @pytest.mark.parametrize("eta1", ["5e-324", "1e-320"])
 def test_displacement_derivative_out_of_range_is_one_error_line(eta1, nth, capsys):
-    """At a subnormal eta1 with n_s = 1e300 the coherent probe's kept
-    displacement derivative, sqrt(2 n_s) / (2 sqrt(eta1)), leaves the float
-    range: ``qfi`` ends in one error line, exit code 1, with no warning on
-    the way (each would fail the test)."""
+    """At a subnormal eta1 the coherent probe's kept displacement
+    derivative, sqrt(2 n_s) / (2 sqrt(eta1)), is at most 3.2e164 inside the
+    domain, but at its top, n_s = 1e6, the QFI's displacement term, its
+    square, leaves the float range: ``qfi`` ends in one error line, exit
+    code 1, with no warning on the way (each would fail the test). A bath
+    outside the domain, or the n_s = 1e300 at which the derivative itself
+    left the float range, ends in the domain's error line."""
     from bifrost import cli
 
-    argv = ["qfi", "--eta1", eta1, "--ns", "1e300", "--nth", nth, "--probe", "coherent"]
-    assert cli.main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: the displacement derivative leaves the float range: n_s = 1e+300")
-    assert len(captured.err.splitlines()) == 1
+    in_domain = nth not in ("1e-300", "1e200", "1e300")
+    for ns in ("1e6", "1e300"):
+        argv = ["qfi", "--eta1", eta1, "--ns", ns, "--nth", nth, "--probe", "coherent"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if in_domain and ns != "1e300":
+            assert captured.err == "error: the QFI leaves the float range: inf\n"
+        else:
+            assert captured.err == DOMAIN_ERROR
 
 
 @pytest.mark.parametrize("nth", ["0", "1e-300"])
 def test_sld_quotient_out_of_range_is_one_error_line(nth, capsys):
-    """At eta1 = 1e-310 with n_s = 1e300 the entangled probe's transported
-    derivative Z over 1 - lambda_i lambda_j leaves the float range: ``qfi``
-    ends in one error line, exit code 1, with no RuntimeWarning on the way."""
+    """The entangled probe's quotient Q = Z / (1 - lambda_i lambda_j) left
+    the float range only at photon numbers outside the domain (eta1 = 1e-310
+    with n_s = 1e300), where ``qfi`` now ends in the domain's error line.
+    Inside it a pair that is not pure has 1 - lambda_i lambda_j above 1e-13
+    and Q stays far inside the float range (4.5e15 at most over a sweep of
+    the domain), so at eta1 = 1e-310 and n_s = 1e6 the vacuum bath ends in
+    the pure-mode error: one line, exit code 1, with no RuntimeWarning on
+    the way."""
     from bifrost import cli
 
-    for probe in ([], ["--probe", "tmsv"]):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert cli.main(["qfi", "--eta1", "1e-310", "--ns", "1e300", "--nth", nth, *probe]) == 1
-        assert [str(w.message) for w in caught] == []
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: the QFI leaves the float range: the quotient Q overflows\n"
+    for ns in ("1e300", "1e6"):
+        for probe in ([], ["--probe", "tmsv"]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert cli.main(["qfi", "--eta1", "1e-310", "--ns", ns, "--nth", nth, *probe]) == 1
+            assert [str(w.message) for w in caught] == []
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            if ns == "1e300" or nth != "0":
+                assert captured.err == DOMAIN_ERROR
+            else:
+                assert captured.err.startswith("error: a pure normal mode changes its purity")
+                assert len(captured.err.splitlines()) == 1
 
 
 def test_qfi_near_the_float_range_warns_nothing(capsys):
-    """At tiny reflectivities with n_s = 1e300, for every bath and both
-    probes, ``qfi`` prints its result or one error line, never a warning."""
+    """At tiny reflectivities with n_s at the domain's top and far above it,
+    for every bath and both probes, ``qfi`` prints its result or one error
+    line, never a warning."""
     from bifrost import cli
 
     for eta1 in ("5e-324", "1e-320", "1e-310", "1e-300"):
-        for nth in ("0", "1e-300", "1e-6", "1", "1e6", "1e200", "1e300"):
+        baths = ("0", "1e-300", "1e-6", "1", "1e6", "1e200", "1e300")
+        for nth, ns in itertools.product(baths, ("1e6", "1e300")):
             for probe in ("tmsv", "coherent"):
-                argv = ["qfi", "--eta1", eta1, "--ns", "1e300", "--nth", nth, "--probe", probe]
+                argv = ["qfi", "--eta1", eta1, "--ns", ns, "--nth", nth, "--probe", probe]
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
                     code = cli.main(argv)
@@ -343,22 +375,20 @@ def test_qfi_near_the_float_range_warns_nothing(capsys):
 
 @pytest.mark.parametrize(
     "flags, expected",
-    [(["--nth", "5e307"], 0), (["--nth", "8e307"], 0),
-     (["--nth", "9e307"], "error: the bath covariance leaves the float range: n_th = 9e+307\n"),
-     (["--nth", "1.7976931348623157e308"], "error: the bath covariance leaves the float range"),
-     (["--ns", "3e307", "--probe", "tmsv"], "error: "),
-     (["--ns", "5e307", "--probe", "tmsv"],
-      "error: the two-mode squeezed covariance leaves the float range: n_s = 5e+307\n"),
-     (["--ns", "1.7976931348623157e308", "--probe", "tmsv"],
-      "error: the two-mode squeezed covariance leaves the float range")],
+    [(["--nth", "5e307"], DOMAIN_ERROR), (["--nth", "8e307"], DOMAIN_ERROR),
+     (["--nth", "9e307"], DOMAIN_ERROR), (["--nth", "1.7976931348623157e308"], DOMAIN_ERROR),
+     (["--ns", "3e307", "--probe", "tmsv"], DOMAIN_ERROR),
+     (["--ns", "5e307", "--probe", "tmsv"], DOMAIN_ERROR),
+     (["--ns", "1.7976931348623157e308", "--probe", "tmsv"], DOMAIN_ERROR),
+     (["--nth", "1e6"], 0), (["--ns", "1e6", "--probe", "tmsv"], 0)],
     ids=["bath-mean-finite", "bath-sum-overflows", "bath-overflows", "bath-max", "probe-sum-overflows",
-         "probe-cosh-overflows", "probe-max"],
+         "probe-cosh-overflows", "probe-max", "bath-domain-max", "probe-domain-max"],
 )
 def test_huge_photon_numbers_warn_nothing(flags, expected, capsys):
-    """Where an input covariance entry, 1 + 2 n_th or about 4 n_s, nears the
-    float range, ``qfi`` prints a finite result or one error line, with no
-    warning: the symmetrised S Sigma S^T of two entries above half the
-    range overflowed in their sum, and the inputs themselves left it."""
+    """An input covariance entry, 1 + 2 n_th or about 4 n_s, near the float
+    range belongs to a photon number outside the domain: ``qfi`` prints the
+    domain's one error line, with no warning. At the domain's top it prints
+    a finite result."""
     from bifrost import cli
 
     for probe in ([], ["--probe", "coherent"]) if "--nth" in flags else ([],):
@@ -389,18 +419,21 @@ def test_config_file_with_flag_override(tmp_path):
 
 @pytest.mark.parametrize("probe", ["tmsv", "coherent"])
 def test_qfi_where_discarded_derivatives_overflow_warns_nothing(probe, capsys):
-    """At eta1 = 1e-300 with n_th = 1e300 the derivative entries of the
-    traced-out bath modes leave the float range; the kept ones do not, and
-    ``qfi`` prints a finite value with no warning."""
+    """At eta1 = 1e-300 with the domain's largest bath, n_th = 1e6, ``qfi``
+    prints a finite value with no warning. The n_th = 1e300 at which the
+    derivative entries of the traced-out bath modes left the float range
+    lies outside the domain and ends in its error line, with no warning."""
     from bifrost import cli
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        argv = ["qfi", "--eta1", "1e-300", "--ns", "0.5", "--nth", "1e300", "--probe", probe]
+        argv = ["qfi", "--eta1", "1e-300", "--ns", "0.5", "--nth", "1e6", "--probe", probe]
         assert cli.main(argv) == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert np.isfinite(json.loads(captured.out)["value"])
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert np.isfinite(json.loads(captured.out)["value"])
+        assert cli.main(argv[:-3] + ["1e300", "--probe", probe]) == 1
+        assert capsys.readouterr() == ("", DOMAIN_ERROR)
 
 
 def test_qfi_point_output():
@@ -494,20 +527,24 @@ def test_sld_point_output():
 
 
 def test_sld_outside_the_float_range_is_one_named_error_line(capsys):
-    """Where the closed-form SLD coefficients leave the float range, ``sld``
-    fails before the numeric solve, whose tangent would overflow there:
-    one error line naming them, exit code 1 and no warning."""
+    """The closed-form SLD coefficients left the float range only at photon
+    numbers outside the domain: there ``sld`` fails before either solve, with
+    the domain's one error line, exit code 1 and no warning."""
     from bifrost import cli
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["sld", "--eta1", "1e-300", "--ns", "0.5", "--nth", "1e300"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: the closed-form SLD coefficients leave the float range "
-        "at eta1 = 1e-300, n_s = 0.5, n_th = 1e+300\n"
-    )
+    assert capsys.readouterr() == ("", DOMAIN_ERROR)
+
+
+def test_sld_at_the_vacuum_is_the_no_photons_error_line(capsys):
+    """At n_s = n_th = 0 ``sld`` names the missing photons, as the closed
+    forms of the QFI do, in place of a bare division by zero."""
+    from bifrost import cli
+
+    assert cli.main(["sld", "--eta1", "0.5", "--ns", "0", "--nth", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: no photons anywhere: the QFI expression degenerates\n")
 
 
 def test_qi_check_passes():
@@ -545,35 +582,43 @@ def test_circuit_output():
     assert max(payload["residuals"].values()) < 1e-9
 
 
-def test_circuit_unconverged_residual_is_a_regression_exit(capsys):
-    """At n_s = 1e300 the circuit's residual norm exceeds its tolerance:
-    ``circuit`` still prints its JSON, with ``"converged": false``, and
-    exits 3, the code of a failed check."""
+def test_circuit_unconverged_residual_is_a_regression_exit(monkeypatch, capsys):
+    """Where the circuit's residual norm exceeds its tolerance, ``circuit``
+    still prints its JSON, with ``"converged": false``, and exits 3, the
+    code of a failed check. Inside the domain the solve converges (its norm
+    is 3.9e-13 at n_s = 1e6), so the tolerance is set to 0 here; the
+    n_s = 1e300 that left it unconverged lies outside the domain."""
     from bifrost import cli
 
-    assert cli.main(["circuit", "--ns", "1e300"]) == 3
+    monkeypatch.setattr(sys.modules["bifrost.sld"], "_CIRCUIT_TOL", 0.0)
+    assert cli.main(["circuit", "--ns", "1e6"]) == 3
     captured = capsys.readouterr()
     assert captured.err == ""
     payload = json.loads(captured.out)
     assert payload["converged"] is False
-    assert payload["n_s"] == 1e300
-    assert payload["residuals"]["norm"] > 1e-12
+    assert payload["n_s"] == 1e6
+    assert payload["residuals"]["norm"] > 0.0
+    assert cli.main(["circuit", "--ns", "1e300"]) == 1
+    assert capsys.readouterr() == ("", DOMAIN_ERROR)
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["circuit", "--ns", "1e-310"], ["circuit", "--ns", "5e-324"], ["circuit", "--ns", "1e308"],
-     ["ratio-grid", "--eta1", "0:inf:2"], ["ratio-grid", "--ns=-1e308:1e308:3"],
-     ["ratio-grid", "--nth", "1:inf:2", "--log-nth"], ["ratio-grid", "--nth", "nan:1:3"]],
+    "argv, named",
+    [(["circuit", "--ns", "1e-310"], "photon numbers"), (["circuit", "--ns", "5e-324"], "photon numbers"),
+     (["circuit", "--ns", "1e308"], "photon numbers"), (["ratio-grid", "--eta1", "0:inf:2"], "float range"),
+     (["ratio-grid", "--ns=-1e308:1e308:3"], "float range"),
+     (["ratio-grid", "--nth", "1:inf:2", "--log-nth"], "float range"),
+     (["ratio-grid", "--nth", "nan:1:3"], "float range")],
     ids=["circuit-mu", "circuit-subnormal", "circuit-scale", "grid-inf-bound", "grid-span",
          "grid-log-inf", "grid-nan"],
 )
-def test_values_outside_the_float_range_are_one_error_line(argv, capsys):
-    """Where the circuit's mu = sqrt(1 + 1/(2 n_s)) or scale sqrt(2 n_s)
-    leaves the float range, or a ratio-grid range spans values outside it,
-    the command prints one error line and nothing else, with no warning:
-    the circuit printed Infinity and NaN and exited 3, or warned, and
-    linspace and geomspace warned on an infinite bound or span."""
+def test_values_outside_the_float_range_are_one_error_line(argv, named, capsys):
+    """Where a ratio-grid range spans values outside the float range, the
+    command prints one error line naming it and nothing else, with no
+    warning: linspace and geomspace warned on an infinite bound or span.
+    The photon numbers at which the circuit's mu = sqrt(1 + 1/(2 n_s)) or
+    scale sqrt(2 n_s) left the float range, where it printed Infinity and
+    NaN, lie outside the domain and end in its error line."""
     from bifrost import cli
 
     with warnings.catch_warnings(record=True) as caught:
@@ -582,7 +627,7 @@ def test_values_outside_the_float_range_are_one_error_line(argv, capsys):
     captured = capsys.readouterr()
     assert [str(w.message) for w in caught] == []
     assert code == 1 and captured.out == "" and len(captured.err.splitlines()) == 1
-    assert "float range" in captured.err
+    assert named in captured.err
 
 
 def test_validate_quick_passes():
@@ -620,27 +665,50 @@ def test_numerical_instability_is_an_error_line(command, kernel, monkeypatch, ca
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("ns", ["1e14", "1e15", "1e16", "1e100"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("ratio-grid", "--ns"), ("ratio-grid", "--nth"), ("qfi", "--ns"), ("qfi", "--nth"),
+     ("sld", "--ns"), ("sld", "--nth"), ("circuit", "--ns")],
+)
+def test_photon_numbers_at_the_domain_bounds(command, flag, capsys):
+    """Every command that takes a photon number accepts both bounds of the
+    domain, 1e-6 and 1e6, and refuses their float neighbours outside it
+    with one error line that names the domain, exit code 1."""
+    from bifrost import cli
+
+    for value in ("1e-6", "1e6"):
+        assert cli.main([command, flag, value]) == 0, value
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out
+    for value in (repr(float(np.nextafter(1e-6, 0.0))), repr(float(np.nextafter(1e6, np.inf)))):
+        assert cli.main([command, flag, value]) == 1, value
+        assert capsys.readouterr() == ("", DOMAIN_ERROR)
+
+
+@pytest.mark.parametrize("ns", ["1e10", "1e13", "1e14", "1e15", "1e16", "1e100"])
 @pytest.mark.parametrize("command", [["qfi", "--probe", "tmsv"], ["sld"]], ids=["qfi", "sld"])
 def test_photon_numbers_past_float64_resolution_are_a_round_off_error_line(command, ns, capsys):
-    """At eta1 0.9 and n_th 1, from n_s = 1e14 the received covariance's
-    smallest eigenvalue lies within 4 eps of its largest: the solve names
-    round-off and the photon numbers in one error line, where it printed a
+    """At eta1 0.9 and n_th 1 the received covariance's small eigen-direction
+    loses digits from n_s = 1e10, where ``qfi`` printed values 1e-5 to
+    1.5e-2 off up to 1e13 with exit code 0, and from 1e14 its smallest
+    eigenvalue lies within 4 eps of its largest, where ``qfi`` printed a
     value 6.7 % off at 1e14, 60 % off at 1e15 and called the state
-    unphysical from 1e16."""
+    unphysical from 1e16. Those photon numbers lie outside the domain: the
+    command refuses them with the domain's one error line before any solve
+    (the round-off bound itself: the next test)."""
     from bifrost import cli
 
     assert cli.main([*command, "--eta1", "0.9", "--nth", "1", "--ns", ns]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and len(captured.err.splitlines()) == 1
-    assert "round-off" in captured.err and "photon numbers" in captured.err
+    assert capsys.readouterr() == ("", DOMAIN_ERROR)
 
 
-def test_round_off_bound_leaves_the_domain_with_margin():
+def test_round_off_bound_leaves_the_domain_with_margin(monkeypatch):
     """The solve's bound, smallest covariance eigenvalue above n eps times
     the largest, holds by a factor of more than 17 at the domain's worst
     corner, (1 - 1e-15, 1e6, 0) with the entangled probe, and fails below
-    1 at n_s = 1e14, where the solve raises."""
+    1 at n_s = 1e14, where the solve raises. That family lies outside the
+    domain, so it is built here with the domain check switched off."""
+    from bifrost import gaussian, protocols
     from bifrost.errors import NumericalInstabilityError
     from bifrost.sld import _in_complex_basis, qfi_result
 
@@ -650,6 +718,10 @@ def test_round_off_bound_leaves_the_domain_with_margin():
         return ev[0] / (len(ev) * np.finfo(float).eps * ev[-1]), family
 
     assert margin(1.0 - 1e-15, 1e6, 0.0)[0] > 17.0
+    with pytest.raises(ValueError, match="photon numbers"):
+        bf.BiFrequencyParams(0.9, 0.0, 1e14, 1.0)
+    monkeypatch.setattr(protocols, "check_photon_numbers", lambda *values: None)
+    monkeypatch.setattr(gaussian, "check_photon_numbers", lambda *values: None)
     ratio, family = margin(0.9, 1e14, 1.0)
     assert ratio < 1.0
     with pytest.raises(NumericalInstabilityError, match="round-off"):

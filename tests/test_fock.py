@@ -16,7 +16,10 @@ from hypothesis import strategies as st
 
 import bifrost as bf
 from bifrost import fock, validate
-from bifrost.errors import CutoffTooSmallError
+from bifrost.errors import CutoffTooSmallError, N_MAX
+
+# the one message of the photon-number domain check
+DOMAIN_ERROR = re.escape("photon numbers must be 0 or lie in [1e-06, 1e+06]")
 
 import fock_reference
 
@@ -296,7 +299,7 @@ def test_fock_constructors_reject_non_finite_inputs():
     """NaN photon numbers, amplitudes and tail masses raise domain errors
     instead of building NaN blocks or failing later as non-hermitian."""
     for n_th in (np.nan, np.inf, -0.1):
-        with pytest.raises(ValueError, match="^photon numbers must be finite and nonnegative$"):
+        with pytest.raises(ValueError, match=f"^{DOMAIN_ERROR}$"):
             fock.ThermalLossChannel(0.5, n_th, 10)
     for alpha in (np.nan, np.inf, complex(0.3, np.nan), complex(np.inf, 0.0)):
         with pytest.raises(ValueError, match="^coherent amplitude must be finite$"):
@@ -886,30 +889,45 @@ def test_family_needs_reflectivity_inside_the_open_interval(eta1):
 @pytest.mark.parametrize("eta", [1e-310, 5e-324])
 def test_channel_rejects_a_reflectivity_its_derivative_cannot_hold(eta):
     """At a subnormal eta, d log tau/deta = (1 + n_th)/(G eta) is infinite:
-    the channel, and a family at that eta1, raise ValueError before any
-    arithmetic warns, at every cutoff."""
+    the channel, at every bath of the domain, and a family at that eta1,
+    raise ValueError before any arithmetic warns, at every cutoff."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for cutoff in (1, 2, 30):
-            with pytest.raises(ValueError, match="too small for cutoff"):
-                fock.ThermalLossChannel(eta, 0.3, cutoff)
+        for n_th in (0.0, 1e-6, 0.3, 1.0, 1e3, 1e6):
+            for cutoff in (1, 2, 30):
+                with pytest.raises(ValueError, match="too small for cutoff"):
+                    fock.ThermalLossChannel(eta, n_th, cutoff)
         for probe in ("tmsv", "coherent"):
             with pytest.raises(ValueError, match="too small for cutoff"):
-                fock.bifrequency_fock_family(eta, 1e-7, 0.0, probe, 2)(0.0)
+                fock.bifrequency_fock_family(eta, 1e-6, 0.0, probe, 2)(0.0)
 
 
 def test_channel_rejects_a_transmissivity_that_rounds_to_zero():
-    """At eta = 1e-300 with n_th = 1e300, tau = eta / G rounds to 0 while
-    eta G = 1 passes the derivative's bound: the channel, and a family there,
-    raise ValueError before np.log(0) warns."""
+    """tau = eta / G rounds to 0 only outside the photon-number domain, as
+    at eta = 1e-300 with n_th = 1e300, where the channel and a family raise
+    the domain error. Inside it, the smallest eta of the form 2^-k that
+    passes the derivative's bound, at each bath and cutoff, builds a channel
+    with tau > 0 and finite blocks, with no warning: tau = eta G / G^2
+    exceeds 2 / (1.8e308 (1 + n_th)) there."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for cutoff in (1, 10):
-            with pytest.raises(ValueError, match="transmissivity eta / G rounds to 0"):
+            with pytest.raises(ValueError, match=DOMAIN_ERROR):
                 fock.ThermalLossChannel(1e-300, 1e300, cutoff)
         for probe in ("tmsv", "coherent"):
-            with pytest.raises(ValueError, match="rounds to 0"):
-                fock.bifrequency_fock_family(1e-300, 1e-7, 1e300, probe, 2)(0.0)
+            with pytest.raises(ValueError, match=DOMAIN_ERROR):
+                fock.bifrequency_fock_family(1e-300, 1e-6, 1e300, probe, 2)(0.0)
+        for n_th in (0.0, 1e-6, 1.0, 1e3, N_MAX):
+            for cutoff in (1, 2, 30):
+                for k in range(1074, 0, -1):
+                    try:
+                        channel = fock.ThermalLossChannel(2.0**-k, n_th, cutoff)
+                    except ValueError as exc:
+                        assert "too small for cutoff" in str(exc)
+                        continue
+                    assert 2.0**-k / (1.0 + (1.0 - 2.0**-k) * n_th) > 0.0
+                    assert all(np.all(np.isfinite(b)) for b in channel.blocks + channel.dblocks)
+                    break
 
 
 def test_channel_at_the_smallest_reflectivities_it_holds_is_finite():
@@ -1303,8 +1321,9 @@ def _same_bits(a, b) -> bool:
     )
 
 
-# probe photon number per cutoff, inside the two-mode squeezed gate
-GATHER_CUTOFFS = {1: 1e-7, 2: 1e-4, 30: 0.5, 45: 1.0}
+# probe photon number per cutoff, inside the two-mode squeezed gate: at
+# cutoff 1 that of the domain's vacuum alone
+GATHER_CUTOFFS = {1: 0.0, 2: 1e-4, 30: 0.5, 45: 1.0}
 
 
 @pytest.mark.parametrize("cutoff", GATHER_CUTOFFS)

@@ -2,8 +2,10 @@
 
 ``golden_cli.json`` holds, for each argv of ``ARGV``, the exit code, stdout,
 stderr and the warnings raised, of ``bifrost.cli.main`` run in process: every
-subcommand at its defaults, ``validate --quick``, and ``qfi`` for both probes
-and ``sld`` at the edge points of ``test_cli.py``. For ``ratio-grid`` on the
+subcommand at its defaults, ``validate --quick``, ``qfi`` for both probes
+and ``sld`` at the edge points of ``test_cli.py``, every command that takes
+a photon number at the domain's bounds and at their neighbours outside it,
+``qfi`` above the domain and ``sld`` at the vacuum. For ``ratio-grid`` on the
 benchmark's full grid, in CSV and JSON, it holds the exit code, the sha256 of
 stdout and its row count. The test compares exactly: a change meant to keep
 every printed number must keep these bytes.
@@ -39,6 +41,8 @@ EDGE_POINTS = [
     ("0.999999", "1000000.0", "1e-06"),
     ("0.999999", "1e-06", "1e-06"),
 ]
+# the bounds of the photon-number domain, and their float neighbours outside it
+BOUNDS = ["1e-06", "1000000.0", "9.999999999999997e-07", "1000000.0000000001"]
 ARGV = [
     ["ratio-grid"], ["qfi"], ["sld"], ["qi-check"], ["validate"], ["validate", "--quick"],
     ["thermal-approx"], ["circuit"],
@@ -50,7 +54,12 @@ ARGV = [
         ["qfi", "--eta1", eta1, "--ns", n_s, "--nth", n_th, "--probe", "coherent"],
         ["sld", "--eta1", eta1, "--ns", n_s, "--nth", n_th],
     )
-]
+] + [
+    [command, flag, value]
+    for command, flag in (("ratio-grid", "--ns"), ("ratio-grid", "--nth"), ("qfi", "--ns"),
+                          ("qfi", "--nth"), ("sld", "--ns"), ("sld", "--nth"), ("circuit", "--ns"))
+    for value in BOUNDS
+] + [["qfi", "--eta1", "0.9", "--ns", "1e13", "--nth", "1"], ["sld", "--eta1", "0.5", "--ns", "0", "--nth", "0"]]
 # the benchmark's full ratio-grid, 30,000 rows
 GRID = ["ratio-grid", "--eta1", "0.75:0.95:3", "--ns", "0.01:2:100", "--nth", "0.01:100:100", "--log-nth"]
 

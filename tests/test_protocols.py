@@ -24,6 +24,9 @@ from bifrost.protocols import (
 )
 from bifrost.qfi import qfi_gaussian
 
+# the one message of the photon-number domain check
+DOMAIN_ERROR = re.escape("photon numbers must be 0 or lie in [1e-06, 1e+06]")
+
 SZ = np.diag([1.0, -1.0])
 
 
@@ -70,10 +73,10 @@ def test_params_validation():
         BiFrequencyParams(0.9, 0.2, 1.0, 1.0)
     with pytest.raises(ValueError):
         BiFrequencyParams(0.5, 0.0, -1.0, 1.0)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
+    for bad in (np.nan, np.inf, 1e300, np.nextafter(1e-6, 0.0), np.nextafter(1e6, np.inf)):
+        with pytest.raises(ValueError, match=DOMAIN_ERROR):
             BiFrequencyParams(0.5, 0.0, bad, 1.0)
-        with pytest.raises(ValueError, match="finite and nonnegative"):
+        with pytest.raises(ValueError, match=DOMAIN_ERROR):
             BiFrequencyParams(0.5, 0.0, 1.0, bad)
     with pytest.raises(ValueError):
         bifrequency_received_state(BiFrequencyParams(0.5, 0.0, 1.0, 1.0), "squeezed")
@@ -116,7 +119,10 @@ def test_noise_factor_ratio_behaviour():
     low = noise_factor_ratio(0.076, 0.5, 0.76)
     high = noise_factor_ratio(0.076, 0.95, 0.76)
     assert high > low
-    assert noise_factor_ratio(1e9, 0.5, 0.76) > 0.0
+    assert noise_factor_ratio(1e5, 0.5, 0.76) > 0.0
+    # n_th = 7.6e-10 lies below the photon-number domain
+    with pytest.raises(ValueError, match="photon numbers must be 0 or lie in"):
+        noise_factor_ratio(1e9, 0.5, 0.76)
 
 
 # --- quantum illumination -------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bifrost as bf
-from bifrost.errors import PureStateError
+from bifrost.errors import PureStateError, check_photon_numbers
 from bifrost.protocols import (
     BiFrequencyParams,
     _qi_classical_received,
@@ -22,6 +22,9 @@ from bifrost.protocols import (
 )
 from bifrost.qfi import qfi_gaussian
 from bifrost.sld import sld
+
+# the one message of the photon-number domain check
+DOMAIN_ERROR = re.escape("photon numbers must be 0 or lie in [1e-06, 1e+06]")
 from closed_form_reference import mp_closed_form, rounding_bound
 from family_difference import central_difference, difference_family
 
@@ -182,6 +185,31 @@ def test_qfi_pure_varying_family_raises():
     family = difference_family(lambda lam: bf.two_mode_squeezed(0.3 + lam))
     with pytest.raises(PureStateError):
         qfi_gaussian(family)
+
+
+@pytest.mark.parametrize(
+    "point, probe", [((1e-6, 1e-3, 0.0), "tmsv"), ((0.999999, 0.0, 1e-3), "coherent")]
+)
+def test_qfi_where_d_rounds_to_zero_raises_pure_state_error(point, probe):
+    """Inside the domain D = p ((p + 1)^2 - s^2) can round to 0 while nu_-
+    still reads above 1: the check raises PureStateError, not a bare
+    ZeroDivisionError, and the solve still gives its value."""
+    family = bifrequency_received_state(BiFrequencyParams(point[0], 0.0, *point[1:]), probe)
+    with pytest.raises(PureStateError, match="rounds to 0"):
+        qfi_gaussian(family)
+    assert np.isfinite(bf.qfi_result(family).value)
+
+
+def test_qfi_beyond_the_float_range_is_an_arithmetic_error():
+    """At eta1 = 5e-324 the coherent probe's displacement term leaves the
+    float range: the check raises the ArithmeticError the solve raises,
+    with no overflow warning on the way."""
+    family = coherent_family(5e-324, 1e-6, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel in (qfi_gaussian, bf.qfi_result):
+            with pytest.raises(ArithmeticError, match="^the QFI leaves the float range: inf$"):
+                kernel(family)
 
 
 def built_families(rng, n):
@@ -487,7 +515,7 @@ def test_hq_zero_signal_limit():
     )
     assert np.isclose(bf.hq_closed_form(eta1, 0.0, n_th), expected, rtol=1e-12)
     # numeric cross-check slightly away from zero signal
-    numeric = qfi_gaussian(tmsv_family(eta1, 1e-7, n_th)).value
+    numeric = qfi_gaussian(tmsv_family(eta1, 1e-6, n_th)).value
     assert np.isclose(numeric, expected, rtol=1e-4)
 
 
@@ -508,12 +536,12 @@ def test_closed_form_domain_errors():
     with pytest.raises(ValueError):
         bf.hq_closed_form(0.5, 0.0, 0.0)
     for closed_form in (bf.hq_closed_form, bf.hc_closed_form):
-        for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="finite and nonnegative"):
+        for bad in (np.nan, np.inf, 1e300):
+            with pytest.raises(ValueError, match=DOMAIN_ERROR):
                 closed_form(0.5, bad, 1.0)
-            with pytest.raises(ValueError, match="finite and nonnegative"):
+            with pytest.raises(ValueError, match=DOMAIN_ERROR):
                 closed_form(0.5, 1.0, bad)
-            with pytest.raises(ValueError, match="finite and nonnegative"):
+            with pytest.raises(ValueError, match=DOMAIN_ERROR):
                 closed_form(0.5, 1.0, np.array([1.0, bad]))
         with pytest.raises(ValueError):
             closed_form(np.array([0.5, 1.0]), 1.0, 1.0)
@@ -523,26 +551,29 @@ def test_closed_form_domain_errors():
 
 def test_hc_rejects_thermal_occupation_below_resolution():
     """Where 1 + 2 n_th (1 - eta1) rounds to 1 for n_th > 0 the thermal part
-    would be 0 / 0; the domain error names the occupation instead."""
-    for eta1, n_th in ((0.5, 1e-300), (0.5, 1e-16), (0.999, 5e-14)):
+    would be 0 / 0; the domain error names the occupation instead. Inside
+    the photon-number domain this takes eta1 within about 5.5e-11 of 1."""
+    for eta1, n_th in ((1.0 - 1e-11, 1e-6), (1.0 - 1e-12, 5e-5), (1.0 - 2.0**-53, 0.25)):
         with pytest.raises(ValueError, match=f"thermal occupation {n_th!r} too small"):
             bf.hc_closed_form(eta1, 1.0, n_th)
-    with pytest.raises(ValueError, match="thermal occupation 1e-300 too small"):
-        bf.hc_closed_form(np.array([[0.5], [0.9]]), 1.0, np.array([0.0, 1e-300, 1.0]))
-    # the smallest occupations that do resolve, and zero, still evaluate
+    with pytest.raises(ValueError, match="thermal occupation 1e-06 too small"):
+        bf.hc_closed_form(np.array([[0.5], [1.0 - 1e-11]]), 1.0, np.array([0.0, 1e-6, 1.0]))
+    # occupations that do resolve there, and zero, still evaluate
     assert bf.hc_closed_form(0.5, 1.0, 0.0) == 2.0
-    assert np.isfinite(bf.hc_closed_form(0.5, 1.0, 2.3e-16))
-    assert np.isfinite(bf.hc_closed_form(0.999, 1.0, 2.3e-13))
+    assert np.isfinite(bf.hc_closed_form(1.0 - 1e-11, 1.0, 1e-5))
+    assert np.isfinite(bf.hc_closed_form(1.0 - 2.0**-53, 1.0, 1e6))
+    # the occupations that could not resolve at smaller eta1 leave the domain
+    for n_th in (1e-300, 1e-16, 5e-14):
+        with pytest.raises(ValueError, match=DOMAIN_ERROR):
+            bf.hc_closed_form(0.5, 1.0, n_th)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
-def test_photon_number_checks_reject_non_finite_values(bad):
-    """Every function that takes a photon number rejects NaN, inf and
-    negative values with the one domain message."""
+def _photon_number_calls():
+    """Each public function that takes a photon number, as a function of it."""
     from bifrost import fock
     from bifrost.sld import coherent_observable, sld_coeffs_closed_form
 
-    calls = [
+    return [
         bf.thermal,
         bf.tmsv,
         bf.jpa_circuit_solve,
@@ -563,10 +594,34 @@ def test_photon_number_checks_reject_non_finite_values(bad):
         lambda n: fock.bifrequency_fock_family(0.5, n, 0.1, "tmsv", 10),
         lambda n: fock.bifrequency_fock_family(0.5, n, 0.1, "coherent", 10),
         lambda n: fock.bifrequency_fock_family(0.5, 0.1, n, "coherent", 10),
+        lambda n: bf.qi_quantum_qfi_numeric(0.1, n, 1.0),
+        lambda n: bf.qi_quantum_qfi_numeric(0.1, 1.0, n),
+        lambda n: bf.qi_classical_qfi_numeric(0.1, n, 1.0),
+        lambda n: bf.qi_classical_qfi_numeric(0.1, 1.0, n),
+        lambda n: BiFrequencyParams(0.5, 0.0, n, 1.0),
+        lambda n: BiFrequencyParams(0.5, 0.0, 1.0, n),
     ]
-    for call in calls:
-        with pytest.raises(ValueError, match="^photon numbers must be finite and nonnegative$"):
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_photon_number_checks_reject_non_finite_values(bad):
+    """Every function that takes a photon number rejects NaN, inf and
+    negative values with the one domain message."""
+    for call in _photon_number_calls():
+        with pytest.raises(ValueError, match=f"^{DOMAIN_ERROR}$"):
             call(bad)
+
+
+@pytest.mark.parametrize("bad", [5e-324, np.nextafter(1e-6, 0.0), np.nextafter(1e6, np.inf), 1e300])
+def test_photon_number_checks_reject_values_outside_the_domain(bad):
+    """The domain is 0 or [1e-6, 1e6]: every function that takes a photon
+    number rejects a finite value just outside it, or far outside it, with
+    the one domain message, and accepts both bounds."""
+    for call in _photon_number_calls():
+        with pytest.raises(ValueError, match=f"^{DOMAIN_ERROR}$"):
+            call(bad)
+    for bound in (1e-6, 1e6):
+        check_photon_numbers(bound, np.array([0.0, bound]))
 
 
 EDGE_ETA = [1e-6, 0.5, 0.999999]
@@ -600,7 +655,7 @@ def test_array_closed_forms_match_scalar_calls_bit_for_bit(etas, n_ss, n_ths):
 
 def test_ratio_high_reflectivity_values():
     assert np.isclose(bf.ratio_high_reflectivity(0.0, 2.0), 1.0, rtol=1e-12)
-    assert np.isclose(bf.ratio_high_reflectivity(1.0, 1e9), 2.6, rtol=1e-6)
+    assert np.isclose(bf.ratio_high_reflectivity(1.0, 1e6), 2.6, rtol=1e-6)
     with pytest.raises(ValueError):
         bf.ratio_high_reflectivity(1.0, 0.0)
 

@@ -1,5 +1,8 @@
 """Logarithmic derivatives, optimal observables and the circuit solver."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,9 @@ from bifrost.qfi import StateFamily, qfi_gaussian
 from bifrost.sld import _in_complex_basis, complex_basis_matrix, sld
 from bifrost.validate import ORACLE_CONFIGS
 from family_difference import difference_family
+
+# the one message of the photon-number domain check
+DOMAIN_ERROR = re.escape("photon numbers must be 0 or lie in [1e-06, 1e+06]")
 
 
 def tmsv_family(eta1, n_s, n_th, lam0=0.0):
@@ -108,11 +114,25 @@ def test_optimal_observable_matches_closed_form_point():
     ids=["power-overflows", "nan-coefficients", "scalar-overflow"],
 )
 def test_closed_form_outside_the_float_range_raises(point):
-    """Where a power overflows or a coefficient is not finite, the closed
-    form raises ArithmeticError naming it, with no warning, in place of an
-    OverflowError or NaN coefficients."""
-    with pytest.raises(ArithmeticError, match="closed-form SLD coefficients leave the float range"):
+    """The points where a power overflowed or a coefficient was not finite
+    lie outside the photon-number domain: each raises its ValueError, with
+    no warning. Inside it s^3 <= 1e18, and at the domain's corners every
+    coefficient is finite."""
+    with pytest.raises(ValueError, match=DOMAIN_ERROR):
         bf.sld_coeffs_closed_form(*point)
+    for eta1 in (5e-324, 1e-6, 0.5, 1.0 - 1e-16):
+        for n_s, n_th in itertools.product((0.0, 1e-6, 1e6), repeat=2):
+            if n_s or n_th:
+                coeffs = bf.sld_coeffs_closed_form(eta1, n_s, n_th).as_tuple()
+                assert np.all(np.isfinite(coeffs)), (eta1, n_s, n_th)
+
+
+def test_closed_form_at_the_vacuum_is_the_no_photons_error():
+    """At n_s = n_th = 0 the closed form raises the ValueError of
+    ``hq_closed_form``, not a bare ZeroDivisionError."""
+    for eta1 in (0.5, np.float64(0.5)):
+        with pytest.raises(ValueError, match="^no photons anywhere: the QFI expression degenerates$"):
+            bf.sld_coeffs_closed_form(eta1, 0.0, 0.0)
 
 
 def test_closed_form_matches_numeric_grid():
@@ -268,7 +288,7 @@ def test_coherent_observable_domain():
             bf.coherent_observable(eta1, 1.0, 1.0)
     for bad in (np.nan, np.inf, -1.0):
         for args in ((0.5, bad, 1.0), (0.5, 1.0, bad)):
-            with pytest.raises(ValueError, match="^photon numbers must be finite and nonnegative$"):
+            with pytest.raises(ValueError, match=DOMAIN_ERROR):
                 bf.coherent_observable(*args)
 
 
