@@ -233,7 +233,7 @@ def cmd_qi_check(args) -> int:
 def cmd_validate(args) -> int:
     from .validate import full_validation
 
-    return _report(full_validation(quick=args.quick))
+    return _report(full_validation())
 
 
 def cmd_thermal_approx(args) -> int:
@@ -309,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     qi.set_defaults(func=cmd_qi_check)
 
     val = sub.add_parser("validate", help="Fock-oracle equivalence suite")
-    val.add_argument("--quick", action="store_true", help="reduced configs")
     val.set_defaults(func=cmd_validate)
 
     th = sub.add_parser("thermal-approx", help="equal-bath-occupation accuracy report")

@@ -46,3 +46,11 @@ def check_photon_numbers(*values) -> None:
     for n in values:
         if not holds(((N_MIN <= n) & (n <= N_MAX)) | (n == 0.0)):
             raise ValueError(f"photon numbers must be 0 or lie in [{N_MIN:g}, {N_MAX:g}]")
+
+
+def check_scalars(**values) -> None:
+    """Raise ValueError naming the first of ``values`` that is not a real
+    scalar: an array or a complex number. The one owner of that check."""
+    for name, value in values.items():
+        if not isinstance(value, float) and (np.ndim(value) or np.iscomplexobj(value)):
+            raise ValueError(f"{name} must be a real scalar, not {value!r}")

@@ -55,8 +55,7 @@ two-mode squeezed probe sum_n a_n |n, n> holds only the coherences
 |n><m| x |n><m|, with one offset k = n - m in both modes, which each
 channel keeps; so for each k >= 0 its output is the one product
 X1 X2^T, Xm = Bm_k diag(sqrt(a_{i+k} a_i)), of the two channels' blocks:
-P_k, written into its slice of the coherences. Real probes give real
-states, which keep a real dtype throughout.
+P_k, written into its slice of the coherences.
 
 The views. This module alone reads a state's form and layout; the SLD
 check of ``validate`` reads a state through two views. ``_blockwise``
@@ -104,7 +103,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import CutoffTooSmallError, check_photon_numbers
+from .errors import CutoffTooSmallError, check_photon_numbers, check_scalars
 
 # gate on the tail mass a cutoff leaves
 HARD_TAIL_TOL = 1e-6
@@ -114,13 +113,14 @@ _FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _hermitian(rho, shape: tuple[int, int]) -> np.ndarray:
-    """``rho`` as float64, or complex128 if complex, after checking that its
-    shape is ``shape`` and that it is hermitian to 1e-12; NaN fails too."""
-    rho = np.asarray(rho)
-    rho = rho.astype(complex if np.iscomplexobj(rho) else float, copy=False)
+    """``rho`` as float64, after checking that it is real, that its shape is
+    ``shape`` and that it is symmetric to 1e-12; NaN fails too."""
+    if np.iscomplexobj(rho):
+        raise ValueError(f"density matrix must be real, not {np.asarray(rho).dtype}")
+    rho = np.asarray(rho, dtype=float)
     if rho.shape != shape:
         raise ValueError(f"density matrix shape {rho.shape} != {shape}")
-    herm = np.max(np.abs(rho - rho.conj().T))
+    herm = np.max(np.abs(rho - rho.T))
     if not herm <= 1e-12:  # NaN fails too
         raise ValueError(f"density matrix non-hermitian by {herm:.3e}")
     return rho
@@ -133,20 +133,19 @@ class FockState:
     (``FockState.product``), or a state block-diagonal in n1 - n2 as the
     ``rows`` of one buffer, its ``coherences`` and its tangent's
     (``FockState.sectors``, the sector structure of the module docstring).
-    The slots of the other form are None. ``tangent`` (the tangent rule) is
-    in the state's form, the second row or a product's dB, checked alike; or
-    None.
+    The slots of the other form are None. Every state carries its
+    ``tangent`` (the tangent rule), in the state's form, the second row or
+    a product's dB, checked alike.
 
     The trace may fall short of one by the truncation leak of the
-    construction; it is never renormalised away. A product's factors keep
-    their dtype, real (float64) or complex, and are checked for hermiticity
-    in it; coherences are real.
+    construction; it is never renormalised away. Every array is real,
+    float64: a complex one is refused.
     """
 
     __slots__ = ("factors", "coherences", "dim", "tangent", "rows")
 
     @classmethod
-    def product(cls, first: np.ndarray, second: np.ndarray, tangent=None) -> "FockState":
+    def product(cls, first: np.ndarray, second: np.ndarray, tangent: np.ndarray) -> "FockState":
         """The two-mode product of one-mode density matrices of one cutoff,
         each checked on its own; ``tangent`` is the second factor's
         derivative dB, the first factor being fixed (the tangent rule)."""
@@ -155,27 +154,28 @@ class FockState:
         shape = (state.dim, state.dim)
         state.factors = (_hermitian(first, shape), _hermitian(second, shape))
         state.coherences = state.rows = None
-        state.tangent = None if tangent is None else _hermitian(tangent, shape)
+        state.tangent = _hermitian(tangent, shape)
         return state
 
     @classmethod
     def sectors(cls, rows: np.ndarray) -> "FockState":
         """The two-mode state block-diagonal in n1 - n2 whose coherences are
-        the first of ``rows`` and its tangent's the second, if there is one.
-        The format makes both real and symmetric, so the (1, N) or (2, N)
-        array is only checked, where it lies, to be real, finite and of the
-        size N of one cutoff's coherences, and kept as the state's buffer,
-        ``rows`` (the views)."""
+        the first of the two ``rows`` and its tangent's the second. The
+        format makes both real and symmetric, so the (2, N) array is only
+        checked, where it lies, to be real, of the size N of one cutoff's
+        coherences and finite, and kept as the state's buffer, ``rows`` (the
+        views)."""
         state = cls.__new__(cls)
         rows = np.asarray(rows)
         state.dim = dim = round((3 * rows.shape[-1]) ** (1 / 3) - 0.5) if rows.ndim == 2 else 0
-        shapes = [(n, _start(dim, dim)) for n in (1, 2)]
+        shape = (2, _start(dim, dim))
+        if np.iscomplexobj(rows):
+            raise ValueError(f"coherences must be real, not {rows.dtype}")
         # row by row, so that no mask of the whole buffer is made
-        finite = rows.shape in shapes and all(np.isfinite(row).all() for row in rows)
-        if not finite or np.iscomplexobj(rows):
-            raise ValueError(f"coherences must be real and finite, of shape {shapes}, not {rows.shape}")
+        if rows.shape != shape or not all(np.isfinite(row).all() for row in rows):
+            raise ValueError(f"coherences must be finite, of shape {shape}, not {rows.shape}")
         state.factors, state.rows = None, rows.astype(float, copy=False)
-        state.coherences, state.tangent = state.rows[0], state.rows[1] if len(rows) == 2 else None
+        state.coherences, state.tangent = state.rows
         return state
 
 
@@ -239,20 +239,15 @@ def _log_weights(x: float, powers: np.ndarray, log_fact: np.ndarray) -> np.ndarr
     return np.where(powers >= 0, logs, -np.inf)
 
 
-def fock_coherent(alpha: complex, cutoff: int) -> np.ndarray:
-    """The one-mode density matrix of the coherent state |alpha> truncated
-    at the cutoff. Each amplitude's modulus is exp of its logarithm, so no
-    power or factorial leaves the float range at a large cutoff."""
-    if not np.isfinite(alpha):
-        raise ValueError("coherent amplitude must be finite")
-    n = np.arange(cutoff)
-    modulus = abs(alpha)
-    amps = np.exp(0.5 * (_log_weights(modulus**2, n, _log_factorials(cutoff)) - modulus**2))
-    if modulus > 0.0:
-        amps = amps * (alpha / modulus) ** n
-    leak = max(1.0 - float(np.vdot(amps, amps).real), 0.0)
-    _gate_cutoff(leak, cutoff, "coherent")
-    return np.outer(amps, amps.conj())
+def fock_coherent(alpha: float, cutoff: int) -> np.ndarray:
+    """The one-mode density matrix of the coherent state |alpha>, alpha real
+    and nonnegative, truncated at the cutoff. Each amplitude is exp of its
+    logarithm: no power or factorial leaves the float range at any cutoff."""
+    if np.iscomplexobj(alpha) or not 0.0 <= alpha < np.inf:  # NaN fails too
+        raise ValueError(f"coherent amplitude must be real, finite and nonnegative, not {alpha!r}")
+    amps = np.exp(0.5 * (_log_weights(alpha**2, np.arange(cutoff), _log_factorials(cutoff)) - alpha**2))
+    _gate_cutoff(1.0 - float(np.vdot(amps, amps)), cutoff, "coherent")
+    return np.outer(amps, amps)
 
 
 def _check_reflectivity(eta: float):
@@ -328,9 +323,9 @@ class ThermalLossChannel:
     coherences rho[i + k, i] of offset k to those of the output, indexed by
     i in both. The channel preserves hermiticity and is real, so offset -k,
     the coherences rho[i, i + k], has the same block; ``dblocks`` are their
-    eta-derivatives (module docstring). ``apply`` runs the channel on one
+    eta-derivatives (module docstring). ``_by_offset`` runs either on one
     mode, one product per offset and side on the strided views of the
-    matrix's diagonals (``_by_offset``, which also applies ``dblocks``). Besides
+    matrix's diagonals. Besides
     eta in (0, 1), the derivative needs eta G > 2 (cutoff - 1) (1 + n_th) /
     1.8e308, about 3e-307 at cutoff 30 and n_th = 0, else ValueError: below
     that, d log tau/deta = (1 + n_th) / (G eta) times the exponent
@@ -379,10 +374,6 @@ class ThermalLossChannel:
         for block in self.blocks + self.dblocks:
             block.setflags(write=False)
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """The channel's output for a one-mode matrix ``rho``, in its dtype (``_by_offset``)."""
-        return _by_offset(self.blocks, rho)
-
 
 def _by_offset(blocks: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
     """A channel's ``blocks`` or ``dblocks`` applied to ``rho``: one product
@@ -427,7 +418,7 @@ def _tmsv_sectors(ch1: ThermalLossChannel, ch2: ThermalLossChannel, amps: np.nda
 def _trace(state: FockState) -> float:
     """Tr A Tr B of a product A x B, else the sum of P_0, the diagonal."""
     if state.factors is not None:
-        return float(np.trace(state.factors[0]).real * np.trace(state.factors[1]).real)
+        return float(np.trace(state.factors[0]) * np.trace(state.factors[1]))
     return float(np.sum(state.coherences[: state.dim**2]))
 
 
@@ -441,11 +432,13 @@ def bifrequency_fock_family(
     mode and at eta1 + lam on the second, with its tangent (the tangent
     rule), so both must lie in (0, 1), else ValueError. A probe or state
     whose trace leak 1 - Tr rho reaches HARD_TAIL_TOL raises
-    CutoffTooSmallError, the probe's when the family is made.
+    CutoffTooSmallError, the probe's when the family is made. Each number
+    must be a real scalar, else ValueError.
 
     The state at LAMBDA0 is one read-only state per configuration, shared
     and held one at a time (the shared state, module docstring).
     """
+    check_scalars(eta1=eta1, n_s=n_s, n_th=n_th, cutoff=cutoff)
     check_photon_numbers(n_s, n_th)
     _check_reflectivity(eta1)
     if probe == "tmsv":
@@ -472,10 +465,10 @@ def _evaluate(
         state = FockState.sectors(_tmsv_sectors(_channel(eta1, n_th, cutoff), ch2, amps))
     else:
         single = fock_coherent(np.sqrt(n_s), cutoff)
-        second = ch2.apply(single)
+        second = _by_offset(ch2.blocks, single)
         # the first channel does not move with lam, and at LAMBDA0 it is the
         # second, so there one output serves both factors
-        first = second if lam == LAMBDA0 else _channel(eta1, n_th, cutoff).apply(single)
+        first = second if lam == LAMBDA0 else _by_offset(_channel(eta1, n_th, cutoff).blocks, single)
         state = FockState.product(first, second, _by_offset(ch2.dblocks, single))
     _gate_cutoff(1.0 - _trace(state), cutoff, "received")
     return state
@@ -503,36 +496,35 @@ def _blockwise(state: FockState) -> tuple[float, Iterable[Sequence[np.ndarray]]]
     rule)."""
     if state.factors is not None:
         first, second = state.factors
-        return float(np.trace(first).real), [(second[None], state.tangent[None])]
+        return float(np.trace(first)), [(second[None], state.tangent[None])]
     return 1.0, (np.take(state.rows, at, axis=1) for at in _sector_layout(state.dim))
 
 
-def _laid_out(terms: Sequence[tuple[complex, str, str]], state: FockState) -> Iterable[np.ndarray]:
+def _laid_out(terms: Sequence[tuple[float, str, str]], state: FockState) -> Iterable[np.ndarray]:
     """The observable sum c u x v over ``terms`` (c, mode-1 word u, mode-2
     word v), each word one of ``_ladder_diagonals``, laid out like ``state``:
     its stacks of blocks, each of the shape of, and in step with, the
-    state's stacks of ``_blockwise``. On a product every term must act on
-    mode 1 as the identity, and the one stack is ell_2, the sum of c times
-    each term's mode-2 diagonal. On sectors every term must keep n1 - n2,
-    its words on one diagonal, and be real; ell at |i + k, j + k><i, j| and
-    the mirror is E_k[i, j], E_k the sum of c u v^T over the terms on
-    diagonal -k, 0 past k = 2: E_0, E_1, E_2 and one zero lie as the
-    coherences do, and a mirror pair's blocks are one ``np.take`` at its
-    index, clipped onto the zero. Else ValueError."""
+    state's stacks of ``_blockwise``. Every c must be real, as the states
+    are. On a product every term must act on mode 1 as the identity, and
+    the one stack is ell_2, the sum of c times each term's mode-2 diagonal.
+    On sectors every term must keep n1 - n2, its words on one diagonal; ell
+    at |i + k, j + k><i, j| and the mirror is E_k[i, j], E_k the sum of
+    c u v^T over the terms on diagonal -k, 0 past k = 2: E_0, E_1, E_2 and
+    one zero lie as the coherences do, and a mirror pair's blocks are one
+    ``np.take`` at its index, clipped onto the zero. Else ValueError."""
     d, lines = state.dim, _ladder_diagonals(state.dim)
-    dtype = np.result_type(*(c for c, _, _ in terms), float)
+    if np.result_type(*(c for c, _, _ in terms), float) != float:
+        raise ValueError("the SLD form is complex, and the oracle's states are real")
     if state.factors is not None:
         if any(u for _, u, _ in terms):
             raise ValueError("the SLD form acts on mode 1 of a product state")
-        ell_2 = np.zeros((d, d), dtype)
+        ell_2 = np.zeros((d, d))
         for c, _, v in terms:
             k, line = lines[v]  # a strided view of the k-th diagonal, as in ``_by_offset``
             ell_2.reshape(-1)[max(k, -k * d) :: d + 1][: len(line)] += c * line
         return [ell_2[None]]
     if any(lines[u][0] != lines[v][0] for _, u, v in terms):
         raise ValueError("the SLD form changes n1 - n2 on a state kept as sectors")
-    if dtype != float:
-        raise ValueError("the SLD form is complex on a state kept as sectors")
     compact = np.zeros(_start(d, min(d, 3)) + 1)
     for c, u, v in terms:
         k = -lines[u][0]
@@ -546,21 +538,18 @@ def qfi_eq1(family: Callable[[float], FockState]) -> float:
     """Basis-dependent QFI from the eigendecomposition of the received state.
 
     The family is evaluated once, at LAMBDA0, and drho is the tangent that
-    state carries (the tangent rule, module docstring), else ValueError. The
-    sum runs over the stacks of ``_blockwise``, times their weight: a stack
-    whose state blocks are equal bit for bit, as every mirror pair is at
-    LAMBDA0 (cutoff ``eigh`` calls), is decomposed once, in its own dtype,
-    any other as a stack; then one batched product and one masked sum over
-    the eigenvalue pairs of positive sum.
+    state carries (the tangent rule, module docstring). The sum runs over
+    the stacks of ``_blockwise``, times their weight: a stack whose state
+    blocks are equal bit for bit, as every mirror pair is at LAMBDA0
+    (cutoff ``eigh`` calls), is decomposed once, any other as a stack; then
+    one batched product and one masked sum over the eigenvalue pairs of
+    positive sum.
     """
-    state = family(LAMBDA0)
-    if state.tangent is None:
-        raise ValueError("the family's state carries no tangent")
-    weight, stacks = _blockwise(state)
+    weight, stacks = _blockwise(family(LAMBDA0))
     total = 0.0
     for blocks, dblocks in stacks:
         evals, evecs = np.linalg.eigh(blocks[0] if (blocks[0] == blocks[-1]).all() else blocks)
-        weights = np.abs(evecs.conj().mT @ dblocks @ evecs) ** 2
+        weights = (evecs.mT @ dblocks @ evecs) ** 2
         sums = evals[..., None] + evals[..., None, :]
         total += np.divide(weights, sums, out=np.zeros(weights.shape), where=sums > 0.0).sum()
     return float(2.0 * weight * total)

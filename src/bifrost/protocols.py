@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import gaussian as g
-from .errors import check_photon_numbers
+from .errors import check_photon_numbers, check_scalars
 from .qfi import StateFamily, hc_closed_form, hq_closed_form
 from .sld import qfi_complex_form
 
@@ -54,6 +54,7 @@ class BiFrequencyParams:
     n_th: float = 0.0
 
     def __post_init__(self):
+        check_scalars(eta1=self.eta1, lam=self.lam, n_s=self.n_s, n_th=self.n_th)
         if not 0.0 <= self.eta1 <= 1.0:
             raise ValueError(f"eta1 must lie in [0, 1], got {self.eta1}")
         if not 0.0 <= self.eta1 + self.lam <= 1.0:
@@ -205,7 +206,8 @@ def qi_classical_qfi(eta: float, n_s: float, n_th: float) -> float:
 
 def _check_qi_point(eta: float, n_s: float, n_th: float):
     """Raise ValueError unless the amplitude reflectivity lies in [0, 1) and
-    both photon numbers in their domain."""
+    both photon numbers in their domain, each a real scalar."""
+    check_scalars(eta=eta, n_s=n_s, n_th=n_th)
     if not 0.0 <= eta < 1.0:
         raise ValueError("amplitude reflectivity must lie in [0, 1)")
     check_photon_numbers(n_s, n_th)
@@ -288,6 +290,7 @@ def thermal_equal_occupation(
     rounding to 0, or a ratio too small to divide by) it raises
     ArithmeticError.
     """
+    check_scalars(omega1=omega1, delta_omega=delta_omega, temperature=temperature)
     if not (0.0 < omega1 < np.inf and 0.0 < temperature < np.inf):  # NaN fails too
         raise ValueError("frequency and temperature must be positive and finite")
     if not 0.0 <= delta_omega < np.inf:

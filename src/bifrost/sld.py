@@ -67,6 +67,7 @@ from .errors import (
     NoInformationError,
     NumericalInstabilityError,
     check_photon_numbers,
+    check_scalars,
 )
 from .qfi import STATIC_COV_TOL, QfiResult, StateFamily, _check_domain, _check_some_photons
 
@@ -394,8 +395,9 @@ class CoherentObservable:
 
 def coherent_observable(eta1: float, n_th: float, alpha: float) -> CoherentObservable:
     """Optimal observable for the coherent probe: local displacement plus
-    counting. ``n_th`` and ``alpha``, which enters as sqrt(alpha), take the
-    photon-number check."""
+    counting. Every argument is a real scalar; ``n_th`` and ``alpha``, which
+    enters as sqrt(alpha), take the photon-number check."""
+    check_scalars(eta1=eta1, n_th=n_th, alpha=alpha)
     _check_domain(eta1, n_th, alpha)
     prefactor = 0.5 * (eta1 - 1.0) * (1.0 - n_th * (eta1 - 1.0))
     return CoherentObservable(prefactor=prefactor, center=eta1 * np.sqrt(alpha))
@@ -453,6 +455,7 @@ def jpa_circuit_solve(n_s: float) -> JpaCircuitSolution:
     residuals, in target-mode units, report its floating-point error, and the
     solution counts as converged when their norm is at most ``_CIRCUIT_TOL``.
     """
+    check_scalars(n_s=n_s)
     check_photon_numbers(n_s)
     if n_s == 0.0:
         raise ValueError("signal photon number must be positive")

@@ -28,9 +28,9 @@ ORACLE_CONFIGS = [
     for n_s in (0.2, 0.5)
     for n_th in (0.1, 0.3)
 ]
-# the cutoff of every check on ORACLE_CONFIGS, quick or full
+# the cutoff of every check on ORACLE_CONFIGS
 CUTOFF = 30
-# Where the paper's advantage is large; not run by --quick. The gate bounds
+# Where the paper's advantage is large. The gate bounds
 # only the received state's trace leak (fock.HARD_TAIL_TOL): it admits the
 # entangled probe at n_s = 2 from cutoff 63, but the SLD variance, which weighs
 # the photon-number tail by ell^2, meets its 1e-4 tolerance at n_th = 1 from 77.
@@ -102,15 +102,15 @@ def sld_fock_report(
     mean = tangent_sq = residual_sq = second_moment = 0.0
     for ell_block, (block, dblock) in zip(ell_blocks, blocks):
         product = ell_block @ block
-        anticommutator = product + product.conj().mT - 2.0 * dblock
+        anticommutator = product + product.mT - 2.0 * dblock
         mean += np.vdot(ell_block, block)
-        tangent_sq += np.vdot(dblock, dblock).real
-        residual_sq += np.vdot(anticommutator, anticommutator).real
+        tangent_sq += np.vdot(dblock, dblock)
+        residual_sq += np.vdot(anticommutator, anticommutator)
         second_moment += np.vdot(ell_block, product)
-    second_moment = float(np.real(weight * second_moment))
+    second_moment = float(weight * second_moment)
     return {
         "residual": float(np.sqrt(residual_sq / tangent_sq)),
-        "mean": float(np.real(weight * mean)),
+        "mean": float(weight * mean),
         "second_moment": second_moment,
         "qfi": h,
         "variance_rel_error": abs(second_moment - h) / h,
@@ -193,8 +193,5 @@ def closed_form_checks() -> list[Check]:
     return checks
 
 
-def full_validation(quick: bool = False) -> list[Check]:
-    if quick:
-        configs = [(0.5, 0.2, 0.1), (0.8, 0.5, 0.3)]
-        return closed_form_checks() + oracle_checks(configs)
+def full_validation() -> list[Check]:
     return closed_form_checks() + oracle_checks() + wide_box_checks()

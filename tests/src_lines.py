@@ -5,7 +5,8 @@ Usage, from the repository root::
     python tests/src_lines.py [REV]
 
 prints the counts of the working tree, and with a git revision ``REV`` also
-those of ``REV`` and the difference. A line is docstring if it lies within a
+those of ``REV`` and the difference; then one row per module, with ``REV``
+also its change in total lines. A line is docstring if it lies within a
 module, class or function docstring, blank lines inside one included; else
 blank if it holds only whitespace, comment if its first character other than
 whitespace is ``#``, and code otherwise.
@@ -18,6 +19,8 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 KINDS = ("code", "docstring", "comment", "blank")
+# width of the label column
+LABEL = 20
 
 
 def count(text: str) -> dict[str, int]:
@@ -68,17 +71,28 @@ def revision(rev: str) -> dict[str, str]:
 def _row(label: str, counts: dict[str, int], sign: bool = False) -> str:
     fmt = "{:+,}" if sign else "{:,}"
     cells = [fmt.format(sum(counts.values()))] + [fmt.format(counts[k]) for k in KINDS]
-    return f"{label:<14}" + "".join(f"{c:>11}" for c in cells)
+    return f"{label:<{LABEL}}" + "".join(f"{c:>11}" for c in cells)
+
+
+def _header(label: str, *extra: str) -> str:
+    return f"{label:<{LABEL}}" + "".join(f"{h:>11}" for h in ("total", *KINDS, *extra))
 
 
 def main(argv: list[str]) -> int:
-    print(f"{'src/':<14}" + "".join(f"{h:>11}" for h in ("total", *KINDS)))
-    now = totals(working_tree())
-    print(_row("working tree", now))
+    now = working_tree()
+    then = revision(argv[0]) if argv else {}
+    print(_header("src/"))
+    print(_row("working tree", totals(now)))
     if argv:
-        then = totals(revision(argv[0]))
-        print(_row(argv[0][:14], then))
-        print(_row("difference", {k: now[k] - then[k] for k in KINDS}, sign=True))
+        before, after = totals(then), totals(now)
+        print(_row(argv[0][:LABEL], before))
+        print(_row("difference", {k: after[k] - before[k] for k in KINDS}, sign=True))
+    print()
+    print(_header("module", *(["change"] if argv else [])))
+    for path in sorted(now.keys() | then.keys()):
+        counts = count(now[path]) if path in now else dict.fromkeys(KINDS, 0)
+        change = sum(counts.values()) - (sum(count(then[path]).values()) if path in then else 0)
+        print(_row(path.removeprefix("src/"), counts) + (f"{change:>+11,}" if argv else ""))
     return 0
 
 

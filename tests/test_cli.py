@@ -630,10 +630,12 @@ def test_values_outside_the_float_range_are_one_error_line(argv, named, capsys):
     assert named in captured.err
 
 
-def test_validate_quick_passes():
+def test_validate_quick_is_an_unknown_argument():
+    """``validate`` runs one suite, and the flag of the reduced one is gone:
+    it is a usage error, with nothing on standard output."""
     result = run_cli("validate", "--quick")
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "checks passed" in result.stdout
+    assert result.returncode == 1 and result.stdout == ""
+    assert result.stderr.endswith("error: unrecognized arguments: --quick\n")
 
 
 def test_regression_failure_exit_code():
@@ -729,13 +731,13 @@ def test_round_off_bound_leaves_the_domain_with_margin(monkeypatch):
 
 
 def test_import_leaves_scipy_stats_and_sparse_out():
-    """No scipy module at all, on import or after running ``validate
-    --quick``, ``qi-check``, ``qfi`` for both probes and ``sld``: numpy is
-    the one runtime dependency."""
+    """No scipy module at all, on import or after running ``validate``,
+    ``qi-check``, ``qfi`` for both probes and ``sld``: numpy is the one
+    runtime dependency."""
     code = (
         "import contextlib, io, sys\n"
         "from bifrost import cli\n"
-        "commands = [['validate', '--quick'], ['qi-check'], ['qfi'],\n"
+        "commands = [['validate'], ['qi-check'], ['qfi'],\n"
         "            ['qfi', '--probe', 'coherent'], ['sld']]\n"
         "for argv in commands:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -820,7 +822,7 @@ def test_given_flag_wins_over_config_at_its_default(tmp_path, capsys):
 @pytest.mark.parametrize("error", [ValueError, ArithmeticError])
 @pytest.mark.parametrize(
     "argv, module, name",
-    [(["validate", "--quick"], "bifrost.validate", "full_validation"),
+    [(["validate"], "bifrost.validate", "full_validation"),
      (["qi-check"], "bifrost.validate", "qi_regression_checks"),
      (["thermal-approx"], "bifrost.cli", "thermal_equal_occupation"),
      (["circuit"], "bifrost.cli", "jpa_circuit_solve")],

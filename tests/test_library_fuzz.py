@@ -12,13 +12,23 @@ warnings turned into errors, every call ends in a finite value or in a
 documented exception: ValueError, ArithmeticError or a class of
 ``bifrost.errors``, by its exact type, so that a bare ZeroDivisionError or
 OverflowError fails.
+
+A second fuzz puts a value that is not a real scalar, an array of one or two
+floats, a string, a complex number or None, at each scalar argument of these
+entry points in turn, the others at a point inside the domain. An array or a
+complex number ends in the one ValueError that names the argument, except at
+the closed forms that take arrays elementwise; there, and for a string or
+None, the call ends as above or, for what is not a real number, in a
+TypeError.
 """
 
 import dataclasses
+import inspect
 import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -94,3 +104,64 @@ def test_entry_points_end_in_finite_values_or_documented_errors(eta1, lam, n_s, 
         family = _ends_well(fock.bifrequency_fock_family, eta1, n_s, n_th, probe, cutoff)
         if family is not None:
             _ends_well(fock.qfi_eq1, family)
+
+
+# the entry points that take scalars, each at a point inside the domain
+SCALAR_CALLS = [
+    (bf.BiFrequencyParams, (0.8, 0.0, 1.0, 1.0)),
+    (bf.qi_quantum_qfi, (1.0, 1.0)),
+    (bf.qi_ratio, (1.0, 1.0)),
+    (bf.qi_classical_qfi, (0.5, 1.0, 1.0)),
+    (bf.qi_quantum_qfi_numeric, (0.5, 1.0, 1.0)),
+    (bf.qi_classical_qfi_numeric, (0.5, 1.0, 1.0)),
+    (bf.coherent_observable, (0.8, 1.0, 1.0)),
+    (bf.jpa_circuit_solve, (1.0,)),
+    (bf.thermal_equal_occupation, (3e10, 6e9, 300.0)),
+    (fock.bifrequency_fock_family, (0.8, 0.01, 0.01, "tmsv", 6)),
+]
+# the closed forms that take arrays elementwise
+ELEMENTWISE = (bf.qi_quantum_qfi, bf.qi_ratio)
+# each numeric argument of SCALAR_CALLS: the call, its point, the position and the name
+ARGUMENTS = [
+    (call, point, i, name)
+    for call, point in SCALAR_CALLS
+    for i, name in enumerate(inspect.signature(call).parameters)
+    if not isinstance(point[i], str)
+]
+NOT_REAL_SCALARS = st.one_of(
+    st.lists(FLOATS, min_size=1, max_size=2).map(np.array), st.text(max_size=3), st.complex_numbers(), st.none(),
+)
+
+
+def _ends_as_a_wrong_value_should(call, args, name, value):
+    """An array or a complex number at a scalar argument ends in the
+    ValueError that names it, except at an elementwise closed form; else the
+    call ends in a finite value, a documented exception or, for what is not
+    a real number, a TypeError. The value, or None where it raised."""
+    array = isinstance(value, np.ndarray)
+    if (array or isinstance(value, complex)) and call not in ELEMENTWISE:
+        with pytest.raises(ValueError, match=f"^{name} must be a real scalar, not "):
+            call(*args)
+        return None
+    try:
+        result = call(*args)
+    except TypeError:
+        assert not array, (call, args)
+        return None
+    except Exception as exc:  # the exact type is checked
+        assert type(exc) in DOCUMENTED, (call, args, repr(exc))
+        return None
+    assert _finite(result), (call, args, result)
+    return result
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(value=NOT_REAL_SCALARS)
+def test_entry_points_refuse_values_that_are_not_real_scalars(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, point, i, name in ARGUMENTS:
+            args = point[:i] + (value,) + point[i + 1 :]
+            result = _ends_as_a_wrong_value_should(call, args, name, value)
+            if result is not None and call is fock.bifrequency_fock_family:
+                _ends_well(fock.qfi_eq1, result)

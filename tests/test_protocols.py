@@ -8,6 +8,8 @@ import pytest
 
 import bifrost as bf
 import tangent_reference
+from bifrost import fock
+from bifrost.errors import check_photon_numbers
 from bifrost.protocols import (
     HBAR,
     K_B,
@@ -80,6 +82,43 @@ def test_params_validation():
             BiFrequencyParams(0.5, 0.0, 1.0, bad)
     with pytest.raises(ValueError):
         bifrequency_received_state(BiFrequencyParams(0.5, 0.0, 1.0, 1.0), "squeezed")
+
+
+# each entry point that evaluates one operating point, with an array, a list
+# or a complex number at one argument, and that argument's name
+POINT_CALLS_WITH_A_WRONG_NUMBER = [
+    (BiFrequencyParams, (0.5, 0.0, np.array([1.0, 2.0]), 1.0), "n_s"),
+    (BiFrequencyParams, (np.array([0.5]), 0.0, 1.0, 1.0), "eta1"),
+    (BiFrequencyParams, (0.5, [0.0], 1.0, 1.0), "lam"),
+    (bf.jpa_circuit_solve, (np.array([1.0, 2.0]),), "n_s"),
+    (bf.coherent_observable, (np.array([0.5]), 1.0, 1.0), "eta1"),
+    (bf.coherent_observable, (0.5, 1.0, np.array([[1.0]])), "alpha"),
+    (qi_classical_qfi, (0.5, np.array([1.0, 2.0]), 1.0), "n_s"),
+    (qi_quantum_qfi_numeric, (np.array([0.5]), 1.0, 1.0), "eta"),
+    (qi_classical_qfi_numeric, (0.5, 1.0, np.array([1.0])), "n_th"),
+    (thermal_equal_occupation, (3e10, np.array([6e9]), 300.0), "delta_omega"),
+    (fock.bifrequency_fock_family, (0.5, np.array([0.1]), 0.1, "coherent", 10), "n_s"),
+    (fock.bifrequency_fock_family, (0.5, 0.1, 0.1, "tmsv", np.array([10])), "cutoff"),
+    (BiFrequencyParams, (0.5j, 0.0, 1.0, 1.0), "eta1"),
+    (bf.jpa_circuit_solve, (1.0 + 0j,), "n_s"),
+    (fock.bifrequency_fock_family, (0.5, 0.1, 0.1, "tmsv", 10j), "cutoff"),
+]
+
+
+@pytest.mark.parametrize("call, args, name", POINT_CALLS_WITH_A_WRONG_NUMBER)
+def test_a_point_entry_point_refuses_what_is_not_a_real_scalar(call, args, name):
+    """An entry point that evaluates one operating point takes real
+    scalars: an array or a list, even of one element, or a complex number
+    raises one ValueError that names the argument (``errors.check_scalars``),
+    where it returned array fields, a value for the second mode's n_s alone,
+    numpy's ambiguous truth value, a TypeError or, for a complex cutoff, an
+    OverflowError. The photon-number check and the closed forms keep taking
+    arrays."""
+    with pytest.raises(ValueError, match=f"^{name} must be a real scalar, not "):
+        call(*args)
+    check_photon_numbers(np.array([0.0, 1.0]))
+    assert bf.hq_closed_form(0.5, np.array([1.0, 2.0]), 1.0).shape == (2,)
+    assert qi_ratio(np.array([1.0, 2.0]), 1.0).shape == (2,)
 
 
 def test_params_error_names_the_second_reflectivity():

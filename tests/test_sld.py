@@ -322,48 +322,34 @@ def test_circuit_rejects_zero_signal():
         bf.jpa_circuit_solve(0.0)
 
 
-def test_fock_sld_operator_real_and_complex_paths_agree():
+def test_fock_sld_operator_on_a_product_is_real():
     """On a product state, a form with real coefficients gives a real
-    ell_2; a complex one that acts on mode 2 takes the complex path, and by
-    linearity in quad and linear its ell_2 is the ell_2 of the real parts
-    plus i times that of the imaginary parts, both built on the real path.
-    Each equals the sparse reference's block on the states |0, n2>."""
+    ell_2, the sparse reference's block on the states |0, n2>; a form that
+    acts on mode 2 with complex coefficients raises one ValueError, since
+    the oracle's states are real."""
     import fock_reference
     from bifrost import fock
     from bifrost.sld import SldForm, _terms
 
     cutoff = 12
     state = fock.bifrequency_fock_family(0.8, 0.5, 0.3, "coherent", cutoff)(fock.LAMBDA0)
-    mode_2 = np.ix_(range(cutoff), range(cutoff))
     form = sld(coherent_family(0.8, 0.5, 0.3))
-    real_op = fock._laid_out(_terms(form), state)[0][0]
-    assert real_op.dtype == np.float64
+    ell_2 = fock._laid_out(_terms(form), state)[0][0]
+    assert ell_2.dtype == np.float64
+    reference = fock_reference.sparse_sld_operator(form, cutoff).toarray()[:cutoff, :cutoff]
+    assert np.max(np.abs(ell_2 - reference)) <= 1e-13 * np.max(np.abs(reference))
 
     rng = np.random.default_rng(5)
     on_mode_2 = np.isin(np.arange(4), (1, 3))  # a2, a2^dag
     quad_im = rng.standard_normal((4, 4)) * np.outer(on_mode_2, on_mode_2)
-    quad_im = quad_im + quad_im.T
-    linear_im = rng.standard_normal(4) * on_mode_2
     shifted = SldForm(
-        quad=form.quad + 1j * quad_im,
-        linear=form.linear + 1j * linear_im,
+        quad=form.quad + 1j * (quad_im + quad_im.T),
+        linear=form.linear + 1j * rng.standard_normal(4) * on_mode_2,
         scalar=form.scalar,
         center=form.center,
     )
-    imag_part = SldForm(
-        quad=quad_im.astype(complex), linear=linear_im.astype(complex), scalar=0.0,
-        center=form.center,
-    )
-    complex_op = fock._laid_out(_terms(shifted), state)[0][0]
-    assert complex_op.dtype == np.complex128
-    imag_op = fock._laid_out(_terms(imag_part), state)[0][0]
-    assert imag_op.dtype == np.float64
-    expected = real_op + 1j * imag_op
-    deviation = np.max(np.abs(complex_op - expected))
-    assert deviation <= 1e-12 * np.max(np.abs(expected))
-    for op, ell_2 in ((form, real_op), (shifted, complex_op)):
-        reference = fock_reference.sparse_sld_operator(op, cutoff).toarray()[mode_2]
-        assert np.max(np.abs(ell_2 - reference)) <= 1e-13 * np.max(np.abs(reference))
+    with pytest.raises(ValueError, match="^the SLD form is complex, and the oracle's states are real$"):
+        fock._laid_out(_terms(shifted), state)
 
 
 def test_fock_sld_operator_matches_sparse_reference():
@@ -371,8 +357,8 @@ def test_fock_sld_operator_matches_sparse_reference():
     pair equal the operator made of sparse two-mode ladder operators on
     those sectors, for the forms that keep n1 - n2: the entangled probe's,
     the zero form and random real ones. Of these and the coherent probe's
-    form and a complex one with a displaced center, ``fock._laid_out`` refuses
-    exactly those whose reference couples two sectors of different
+    form and a random one with a displaced center, ``fock._laid_out``
+    refuses exactly those whose reference couples two sectors of different
     n1 - n2."""
     import fock_reference
     from bifrost import fock
@@ -381,12 +367,11 @@ def test_fock_sld_operator_matches_sparse_reference():
     cutoff = 10
     rng = np.random.default_rng(9)
     state = fock.FockState.sectors(rng.standard_normal((2, fock._start(cutoff, cutoff))))
-    quad = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    quad = rng.standard_normal((4, 4))
     forms = [
         sld(tmsv_family(0.8, 0.5, 0.3)),
         sld(coherent_family(0.8, 0.5, 0.3)),
-        SldForm(quad=quad + quad.conj().T, linear=rng.standard_normal(4) + 0.5j,
-                scalar=0.3, center=rng.standard_normal(4) + 0.2j),
+        SldForm(quad=quad + quad.T, linear=rng.standard_normal(4), scalar=0.3, center=rng.standard_normal(4)),
         SldForm(quad=np.zeros((4, 4)), linear=np.zeros(4), scalar=0.0, center=np.zeros(4)),
     ]
     keeps = np.equal.outer(*2 * [np.array([-1, 1, 1, -1])])  # charges of a1, a2, a1^dag, a2^dag
@@ -408,4 +393,4 @@ def test_fock_sld_operator_matches_sparse_reference():
         ell_blocks = [block for stack in fock._laid_out(_terms(form), state) for block in stack]
         for ell_block, idx in zip(ell_blocks, sectors, strict=True):
             assert np.max(np.abs(ell_block - reference[np.ix_(idx, idx)])) <= 1e-13 * scale
-    assert refused == [1, 2]  # the coherent probe's form and the complex one
+    assert refused == [1, 2]  # the coherent probe's form and the displaced one
