@@ -186,13 +186,14 @@ def _start(dim: int, k):
     return (dim * (dim + 1) * (2 * dim + 1) - rest * (rest + 1) * (2 * rest + 1)) // 6
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=1)
 def _sector_layout(dim: int) -> tuple[np.ndarray, ...]:
     """Where the sectors of cutoff ``dim`` lie in its coherences (the sector
     structure of the module docstring): per |n1 - n2| = 0, 1, ..., dim - 1,
     the (n, m, m) index of its mirror pair of blocks into the coherences,
     for ``np.take``: n = 1 at 0, else 2, n1 - n2 = delta and then -delta,
-    each block's index symmetric. Read-only, since it is shared."""
+    each block's index symmetric. Read-only, since it is shared, and held
+    for one cutoff at a time, as the shared state is."""
     layout = []
     for step in range(dim):
         t = np.arange(dim - step)
@@ -393,8 +394,9 @@ def _by_offset(blocks: Sequence[np.ndarray], rho: np.ndarray) -> np.ndarray:
 # shared by every family. typed, so that cutoff 30.0 meets the constructor's
 # TypeError instead of the channel of cutoff 30; a call that raises is not
 # memoised, so a rejected argument is rejected on every call. A family is
-# read only at LAMBDA0, so a cutoff of ``full_validation`` needs 4 of 16 keys.
-_channel = functools.lru_cache(maxsize=16, typed=True)(ThermalLossChannel)
+# read only at LAMBDA0, so a cutoff of ``full_validation`` needs 4 keys, and
+# an oracle pass 1.
+_channel = functools.lru_cache(maxsize=4, typed=True)(ThermalLossChannel)
 
 
 def _tmsv_sectors(ch1: ThermalLossChannel, ch2: ThermalLossChannel, amps: np.ndarray) -> np.ndarray:

@@ -175,9 +175,12 @@ def advantage_map(etas, n_ss, n_ths) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def noise_factor_ratio(beta: float, eta1: float, n_s: float) -> float:
-    """Advantage ratio at fixed noise factor beta = n_s / n_th."""
-    if beta <= 0:
-        raise ValueError("noise factor must be positive")
+    """Advantage ratio at fixed noise factor beta = n_s / n_th; beta is a
+    real scalar with 0 < beta, else ValueError, and beta = inf means
+    n_th = 0."""
+    check_scalars(beta=beta)
+    if not beta > 0.0:  # NaN fails too
+        raise ValueError(f"noise factor beta must be positive, not {beta!r}")
     return bifrequency_advantage(BiFrequencyParams(eta1, 0.0, n_s, n_s / beta))[2]
 
 

@@ -44,7 +44,7 @@ Moments enter in the interleaved real order of :mod:`bifrost.gaussian`; the
 complex basis exists only inside this module. A state without x-p
 correlations, as every probe of the repository gives, has a real
 covariance in the complex basis; the solve then runs in real arithmetic and
-its coefficients are exactly real.
+its form's arrays are real.
 
 For the entangled bi-frequency probe the observable reduces to
 l11 n_1 + l22 n_2 + l12 (a_1^dag a_2^dag + a_1 a_2) + l0; the coefficients are
@@ -71,7 +71,6 @@ from .errors import (
 )
 from .qfi import STATIC_COV_TOL, QfiResult, StateFamily, _check_domain, _check_some_photons
 
-_STRUCTURE_TOL = 1e-7
 # a pair of normal modes counts as pure when 1 - lambda_i lambda_j is below
 # this; round-off leaves a few 1e-16 on a pure state, and the least mixed
 # received state of the domain (eta1 = 1 - 1e-6, n_th = 1e-6) has about 4e-12
@@ -128,41 +127,35 @@ class SldForm:
 # at these flat indices of a 4 x 4 matrix
 _CHARGES = np.array([-1, 1, 1, -1])
 _MIXING = np.flatnonzero(_CHARGES[:, None] != _CHARGES)
-_NONE = np.empty(0, np.intp)
 
 
 def _terms(form: SldForm) -> list[tuple[complex, str, str]]:
     """A two-mode form's terms (c, mode-1 word, mode-2 word): each A_i -
     center_i expanded into ladder words, one per mode ("a" for a, "A" for
     a^dag, "" the identity, the words of ``fock._ladder_diagonals``), and
-    the terms whose coefficient is exactly 0 dropped, except the scalar's.
-    Real coefficients, as every probe gives, stay real."""
-    coeffs = [form.quad, form.linear, form.center, form.scalar]
-    if not any(np.any(np.imag(c)) for c in coeffs):
-        coeffs = [np.real(c) for c in coeffs]
-    quad, linear, center, scalar = coeffs
+    the terms whose coefficient is exactly 0 dropped, except the scalar's."""
     basis = (("a", ""), ("", "a"), ("A", ""), ("", "A"))  # a1, a2, a1^dag, a2^dag
-    delta = [((1.0, *words), (-c, "", "")) for words, c in zip(basis, center)]
+    delta = [((1.0, *words), (-c, "", "")) for words, c in zip(basis, form.center)]
     terms = []
     for i in range(4):
         dagger = [(np.conj(c), u[::-1].swapcase(), v[::-1].swapcase()) for c, u, v in delta[i]]
-        terms += [(linear[i] * c, u, v) for c, u, v in dagger]
+        terms += [(form.linear[i] * c, u, v) for c, u, v in dagger]
         for j in range(4):
             terms += [
-                (quad[i, j] * c1 * c2, u1 + u2, v1 + v2)
+                (form.quad[i, j] * c1 * c2, u1 + u2, v1 + v2)
                 for c1, u1, v1 in dagger
                 for c2, u2, v2 in delta[j]
             ]
-    return [(scalar, "", "")] + [term for term in terms if term[0] != 0]
+    return [(form.scalar, "", "")] + [term for term in terms if term[0] != 0]
 
 
 class _Solution(NamedTuple):
     """The Williamson-basis solve of a family at its working point: the
     eigenvalues lambda_i = +-1/nu_k, R, the quotient Q, the transported
     derivative Z, R^dag dd_c and the displacement in the complex basis
-    (module docstring); and ``fixed``, the flat indices ``_MIXING`` of the
-    entries of G where a two-mode family's moments and their derivatives are
-    all 0.0, else none: such a family is invariant under
+    (module docstring); and ``paired``, whether a two-mode family has no
+    displacement, no displacement derivative, and moments and their
+    derivatives all 0.0 at ``_MIXING``: such a family is invariant under
     exp(i phi (n_1 - n_2)), as K is, so G is 0 there exactly."""
 
     lam: np.ndarray
@@ -171,7 +164,7 @@ class _Solution(NamedTuple):
     z: np.ndarray
     proj: np.ndarray
     center: np.ndarray
-    fixed: np.ndarray
+    paired: bool
 
     def result(self) -> QfiResult:
         """H = Re Tr(Z Q) / 2 + 2 |R^dag dd_c|^2, term by term, with the
@@ -196,10 +189,11 @@ class _Solution(NamedTuple):
         and scalar = -Tr(Sigma G) / 2 = -sum_i (1 - lambda_i) Q_ii / 2."""
         quad = self.r @ self.q @ self.r.conj().T
         quad = 0.5 * (quad + quad.conj().T)
-        np.put(quad, self.fixed, 0.0)
+        if self.paired:
+            np.put(quad, _MIXING, 0.0)
         return SldForm(
-            quad=quad.astype(complex),
-            linear=(2.0 * (self.r @ self.proj)).astype(complex),
+            quad=quad,
+            linear=2.0 * (self.r @ self.proj),
             scalar=-0.5 * float(np.sum((1.0 - self.lam) * np.diagonal(self.q)).real),
             center=self.center.copy(),
         )
@@ -248,7 +242,7 @@ def _solve(family: StateFamily) -> _Solution:
             )
         den = np.where(pure, np.inf, den)
     q = z / den
-    symmetric = n == 2 and not (
+    paired = n == 2 and not (
         np.count_nonzero(center) or np.count_nonzero(dd_c)
         or np.count_nonzero(cov_c.take(_MIXING)) or np.count_nonzero(dcov_c.take(_MIXING))
     )
@@ -258,10 +252,10 @@ def _solve(family: StateFamily) -> _Solution:
         q=q,
         z=z,
         proj=rh @ dd_c,
-        center=center.astype(complex),
-        fixed=_MIXING if symmetric else _NONE,
+        center=center,
+        paired=paired,
     )
-    for array in solution:
+    for array in solution[:-1]:  # every field but the flag
         array.setflags(write=False)
     return solution
 
@@ -299,40 +293,26 @@ class SldCoefficients:
         return (self.l11, self.l22, self.l12, self.l0)
 
 
-# the entries a number/pair observable leaves empty: all but both diagonals
-_UNPAIRED = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
-
-
-def _coefficients_from_form(form: SldForm) -> SldCoefficients:
-    """Extract number/pair coefficients from a two-mode displacement-free form."""
-    q = form.quad
-    if q.shape != (4, 4):
-        raise ValueError("coefficient extraction needs a two-mode form")
-    if np.max(np.abs(form.center)) > _STRUCTURE_TOL or np.max(np.abs(form.linear)) > _STRUCTURE_TOL:
-        raise ValueError("coefficient extraction needs a displacement-free family")
-    abs_q = np.abs(q)
-    stray = abs_q[_UNPAIRED].max()
-    scale = max(abs_q.max(), 1.0)
-    if stray > _STRUCTURE_TOL * scale:
-        raise ValueError(
-            f"quadratic form has beam-splitter/single-mode terms of size {stray:.3e}; "
-            "not a pair-correlated observable"
-        )
-    l11 = float((q[0, 0] + q[2, 2]).real)
-    l22 = float((q[1, 1] + q[3, 3]).real)
-    l12 = float((q[0, 3] + q[1, 2]).real)
-    l0 = float((q[2, 2] + q[3, 3]).real) + form.scalar
-    return SldCoefficients(l11=l11, l22=l22, l12=l12, l0=l0)
-
-
 def optimal_observable(family: StateFamily) -> SldCoefficients:
-    """Coefficients of the Cramer-Rao-saturating observable L/H at lambda0 = 0."""
+    """Coefficients of the Cramer-Rao-saturating observable L/H at lambda0 = 0,
+    for a family that the solve finds number/pair-structured (``paired``),
+    else ValueError."""
     solution = _solve(family)
     h = solution.result().value
     if h <= 0.0:
         raise NoInformationError(f"QFI is {h}; cannot normalise the observable")
-    raw = _coefficients_from_form(solution.form())
-    return SldCoefficients(raw.l11 / h, raw.l22 / h, raw.l12 / h, raw.l0 / h)
+    if not solution.paired:
+        raise ValueError(
+            "the optimal observable needs a number/pair-structured family: two modes, "
+            "no displacement, and moments that keep n1 - n2"
+        )
+    form = solution.form()
+    q = form.quad
+    l11 = float((q[0, 0] + q[2, 2]).real)
+    l22 = float((q[1, 1] + q[3, 3]).real)
+    l12 = float((q[0, 3] + q[1, 2]).real)
+    l0 = float((q[2, 2] + q[3, 3]).real) + form.scalar
+    return SldCoefficients(l11 / h, l22 / h, l12 / h, l0 / h)
 
 
 def sld_coeffs_closed_form(eta1: float, n_s: float, n_th: float) -> SldCoefficients:
@@ -342,8 +322,10 @@ def sld_coeffs_closed_form(eta1: float, n_s: float, n_th: float) -> SldCoefficie
     the constant is fixed by the zero-mean condition at the working point,
     <O> = 0, which any normalised logarithmic derivative satisfies exactly.
     Where n_s = n_th = 0 there is no information to normalise by, and it
-    raises ValueError, as :func:`bifrost.qfi.hq_closed_form` does.
+    raises ValueError, as :func:`bifrost.qfi.hq_closed_form` does. Every
+    argument is a real scalar, else ValueError.
     """
+    check_scalars(eta1=eta1, n_s=n_s, n_th=n_th)
     _check_domain(eta1, n_s, n_th)
     _check_some_photons(n_s, n_th)
     e, s, t = eta1, n_s, n_th

@@ -699,6 +699,14 @@ def test_full_validation_builds_each_channel_once(monkeypatch):
     assert sorted(built) == sorted(expected)
 
 
+def test_full_validation_leaves_small_memos():
+    """The memos hold what the next configuration may read, not the sweep:
+    at most 4 channels, those of one cutoff, and the layout of one cutoff."""
+    validate.full_validation()
+    assert fock._channel.cache_info().currsize <= 4
+    assert fock._sector_layout.cache_info().currsize <= 1
+
+
 def _record_states(monkeypatch) -> list:
     """Empty the received-state memo and record every two-mode state made
     from here on, by either constructor."""
@@ -1262,8 +1270,7 @@ def _random_form(seed: int) -> bf.SldForm:
     """A form with terms on both modes, which change n1 - n2 by up to 2."""
     rng = np.random.default_rng(seed)
     quad = rng.standard_normal((4, 4))
-    return bf.SldForm(quad=(quad + quad.T).astype(complex), linear=rng.standard_normal(4) + 0j,
-                      scalar=0.2, center=np.zeros(4))
+    return bf.SldForm(quad=quad + quad.T, linear=rng.standard_normal(4), scalar=0.2, center=np.zeros(4))
 
 
 def test_sld_report_rejects_a_charged_form_on_sectors(monkeypatch):

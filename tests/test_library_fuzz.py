@@ -15,11 +15,11 @@ OverflowError fails.
 
 A second fuzz puts a value that is not a real scalar, an array of one or two
 floats, a string, a complex number or None, at each scalar argument of these
-entry points in turn, the others at a point inside the domain. An array or a
-complex number ends in the one ValueError that names the argument, except at
-the closed forms that take arrays elementwise; there, and for a string or
-None, the call ends as above or, for what is not a real number, in a
-TypeError.
+entry points and of ``sld_coeffs_closed_form`` in turn, the others at a point
+inside the domain. An array or a complex number ends in the one ValueError
+that names the argument, except at the closed forms that take arrays
+elementwise; there, and for a string or None, the call ends as above or, for
+what is not a real number, in a TypeError.
 """
 
 import dataclasses
@@ -115,6 +115,7 @@ SCALAR_CALLS = [
     (bf.qi_quantum_qfi_numeric, (0.5, 1.0, 1.0)),
     (bf.qi_classical_qfi_numeric, (0.5, 1.0, 1.0)),
     (bf.coherent_observable, (0.8, 1.0, 1.0)),
+    (bf.sld_coeffs_closed_form, (0.5, 1.0, 1.0)),
     (bf.jpa_circuit_solve, (1.0,)),
     (bf.thermal_equal_occupation, (3e10, 6e9, 300.0)),
     (fock.bifrequency_fock_family, (0.8, 0.01, 0.01, "tmsv", 6)),

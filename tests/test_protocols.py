@@ -164,6 +164,18 @@ def test_noise_factor_ratio_behaviour():
         noise_factor_ratio(1e9, 0.5, 0.76)
 
 
+def test_noise_factor_ratio_checks_its_beta():
+    """beta is a real scalar with 0 < beta, and the error names it; NaN
+    fails, and beta = inf is the noiseless point n_th = 0."""
+    for bad in (np.array([1.0]), 1j):
+        with pytest.raises(ValueError, match="^beta must be a real scalar, not "):
+            noise_factor_ratio(bad, 0.5, 1.0)
+    for bad in (np.nan, 0.0, -1.0, -np.inf):
+        with pytest.raises(ValueError, match="^noise factor beta must be positive, not "):
+            noise_factor_ratio(bad, 0.5, 1.0)
+    assert noise_factor_ratio(np.inf, 0.5, 1.0) == 2.5
+
+
 # --- quantum illumination -------------------------------------------------
 
 def test_qi_noiseless():

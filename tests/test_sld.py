@@ -1,5 +1,6 @@
 """Logarithmic derivatives, optimal observables and the circuit solver."""
 
+import dataclasses
 import itertools
 import re
 
@@ -8,7 +9,12 @@ import pytest
 
 import bifrost as bf
 from bifrost.errors import DegenerateStateError, NoInformationError
-from bifrost.protocols import BiFrequencyParams, bifrequency_received_state
+from bifrost.protocols import (
+    BiFrequencyParams,
+    _qi_classical_received,
+    _qi_quantum_received,
+    bifrequency_received_state,
+)
 from bifrost.qfi import StateFamily, qfi_gaussian
 from bifrost.sld import _in_complex_basis, complex_basis_matrix, sld
 from bifrost.validate import ORACLE_CONFIGS
@@ -256,12 +262,37 @@ def test_pure_state_changing_its_purity_raises():
 
 @pytest.mark.parametrize("eta1, n_s, n_th", ORACLE_CONFIGS)
 def test_sld_coefficients_are_exactly_real(eta1, n_s, n_th):
-    """Every probe's form has coefficients with imaginary parts exactly 0, so
-    the Fock oracle builds its operator in real arithmetic."""
-    for family in (tmsv_family(eta1, n_s, n_th), coherent_family(eta1, n_s, n_th)):
+    """A family without x-p correlations, as every probe of the package and
+    both quantum-illumination pipelines give, has a form of float64 arrays,
+    not complex ones with a zero imaginary part, so the Fock oracle builds
+    its operator in real arithmetic."""
+    families = (
+        tmsv_family(eta1, n_s, n_th), coherent_family(eta1, n_s, n_th),
+        _qi_quantum_received(eta1, n_s, n_th), _qi_classical_received(eta1, n_s, n_th),
+    )
+    for family in families:
         form = sld(family)
-        for coefficient in (form.quad, form.linear, form.center, form.scalar):
-            assert not np.any(np.imag(coefficient))
+        assert [a.dtype for a in (form.quad, form.linear, form.center)] == [np.float64] * 3
+        assert isinstance(form.scalar, float)
+
+
+def _displaced(family, shift):
+    """``family`` with every displacement moved by ``shift``, its derivatives kept."""
+    def tangent(lam):
+        state, dcov, ddisp = family.tangent(lam)
+        return dataclasses.replace(state, disp=state.disp + shift), dcov, ddisp
+
+    return StateFamily(eval=lambda lam: tangent(lam)[0], tangent=tangent, lambda0=family.lambda0)
+
+
+@pytest.mark.parametrize("family", [coherent_family(0.7, 0.5, 0.3), _displaced(tmsv_family(0.75, 1.0, 1.0), 1e-9)],
+                         ids=["coherent", "displaced-tmsv"])
+def test_optimal_observable_needs_an_exactly_paired_family(family):
+    """The solve alone decides the number/pair structure, exactly: the
+    coherent probe, and a two-mode squeezed family displaced by 1e-9, whose
+    linear terms a tolerance would drop, raise the one ValueError."""
+    with pytest.raises(ValueError, match="^the optimal observable needs a number/pair-structured family"):
+        bf.optimal_observable(family)
 
 
 # --- coherent-probe observable ----------------------------------------------
