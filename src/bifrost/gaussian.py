@@ -18,8 +18,7 @@ State families differentiate by propagation, not by differences: for a fixed
 input (Sigma, d) and a path of symplectic maps S(l), the output moments
 S Sigma S^T and S d have derivatives dS Sigma S^T + S Sigma dS^T and dS d
 (:func:`propagate`), and a partial trace, being a selection of rows and
-columns, commutes with the derivative. The beam splitter's dS/d eta is
-analytic (:func:`beam_splitter_derivative`).
+columns, commutes with the derivative.
 """
 
 from __future__ import annotations
@@ -161,13 +160,8 @@ def tmsv(n_s: float) -> GaussianState:
     i.e. sinh^2 r = 2 n_s. Note that under the vacuum-identity convention this
     makes the per-mode photon number equal to 2 n_s, twice the label.
     """
-    return GaussianState(tmsv_cov(n_s), np.zeros(4))
-
-
-def tmsv_cov(n_s: float) -> np.ndarray:
-    """The covariance of ``tmsv(n_s)`` as a new, unvalidated array."""
     check_photon_numbers(n_s)
-    return _two_mode_squeezed_cov(np.arcsinh(np.sqrt(2.0 * n_s)))
+    return GaussianState(_two_mode_squeezed_cov(np.arcsinh(np.sqrt(2.0 * n_s))), np.zeros(4))
 
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
@@ -195,27 +189,33 @@ def beam_splitter(eta: float) -> SymplecticTransform:
     return SymplecticTransform(beam_splitter_matrix(eta))
 
 
-def beam_splitter_derivative(eta: float) -> np.ndarray:
-    """d/d eta of the matrix of ``beam_splitter(eta)``.
-
-    The entries carry 1/sqrt(eta) and 1/sqrt(1 - eta), so the derivative
-    exists only for 0 < eta < 1; anywhere else this raises ValueError.
-    """
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"reflectivity must lie strictly in (0, 1) to differentiate, got {eta}")
-    return _mode_pair(0.5 / np.sqrt(eta), -0.5 / np.sqrt(1.0 - eta))
-
-
 def beam_splitter_amplitude_derivative(amp: float) -> np.ndarray:
     """d/d amp of the matrix of ``beam_splitter(amp**2)``, for 0 <= amp < 1.
 
-    In the amplitude the entries are amp and sqrt(1 - amp^2), so unlike
-    :func:`beam_splitter_derivative` this stays regular at amp = 0; outside
-    [0, 1) it raises ValueError.
+    In the amplitude the entries are amp and sqrt(1 - amp^2), so it stays
+    regular at amp = 0; outside [0, 1) it raises ValueError.
     """
     if not 0.0 <= amp < 1.0:
         raise ValueError(f"amplitude reflectivity must lie in [0, 1) to differentiate, got {amp}")
     return _mode_pair(1.0, -amp / np.sqrt(1.0 - amp * amp))
+
+
+# (x1 + x2, p1 + p2, x1 - x2, p1 - p2): sqrt(2) times the normal modes
+_BEAM = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, -1, 0], [0, 1, 0, -1]], dtype=float)
+_BEAM.setflags(write=False)
+
+
+def normal_modes(m: np.ndarray) -> np.ndarray:
+    """A two-mode symmetric matrix or vector taken between the modes
+    (x1, p1, x2, p2) and the normal modes (x1 +- x2)/sqrt(2), (p1 +- p2)/sqrt(2),
+    either way: a 50:50 beam splitter, its own inverse. Each entry of each
+    product with the 0, +-1 matrix is one rounded sum of two entries, and the
+    result is symmetrised, so entries equal or opposite in one frame stay
+    exactly so, and the result is exactly symmetric."""
+    if m.ndim == 1:
+        return (_BEAM @ m) * np.sqrt(0.5)
+    x = _BEAM @ m @ _BEAM
+    return 0.25 * (x + x.T)
 
 
 def _conjugate(s: SymplecticTransform, state: GaussianState) -> tuple[np.ndarray, np.ndarray]:

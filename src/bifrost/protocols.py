@@ -5,9 +5,8 @@ Three pipelines are assembled here:
 * bi-frequency illumination, where a two-frequency probe (entangled pair or two
   coherent states) reflects off a target whose reflectivity differs by a
   small gap between the two frequencies; the gap is the estimated parameter.
-  Both probes cross the same lossy channel, BS(eta1) on the first frequency
-  and BS(eta1 + gap) on the second: it is built and checked symplectic once
-  per operating point and shared by both probes' families,
+  The received moments and their derivatives are closed forms: no channel
+  is built per point,
 * the quantum-illumination regression: single-frequency target detection with
   a retained idler, reproduced both as closed forms and as a numeric
   three-mode pipeline,
@@ -17,8 +16,8 @@ Three pipelines are assembled here:
 
 from __future__ import annotations
 
-import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -62,25 +61,6 @@ class BiFrequencyParams:
         check_photon_numbers(self.n_s, self.n_th)
 
 
-def _bifrequency_input(p: BiFrequencyParams, probe: str) -> g.GaussianState:
-    """Four-mode input ordered (bath 1, signal 1, bath 2, signal 2), built as
-    one array: thermal baths, (1 + 2 n_th) I, and as signals either the two
-    modes of ``tmsv(n_s)`` or two coherent states of amplitude sqrt(n_s)."""
-    bath = 1.0 + 2.0 * float(p.n_th)
-    cov = np.eye(8)
-    disp = np.zeros(8)
-    cov[[0, 1, 4, 5], [0, 1, 4, 5]] = bath
-    if probe == PROBE_TMSV:
-        # as (half, quadrature, half, quadrature): the signals are the last two
-        # quadratures of each half
-        cov.reshape(2, 4, 2, 4)[:, 2:, :, 2:] = g.tmsv_cov(p.n_s).reshape(2, 2, 2, 2)
-    elif probe == PROBE_COHERENT:
-        disp[[2, 6]] = np.sqrt(2.0) * np.sqrt(p.n_s)
-    else:
-        raise ValueError(f"unknown probe {probe!r}")
-    return g.GaussianState(cov, disp)
-
-
 def _channel_family(
     state: g.GaussianState,
     transform: Callable[[float], g.SymplecticTransform],
@@ -97,44 +77,85 @@ def _channel_family(
     )
 
 
-@functools.lru_cache(maxsize=16, typed=True)
-def _bifrequency_channel(eta1: float, eta2: float) -> g.SymplecticTransform:
-    """BS(eta1) + BS(eta2) on (bath 1, signal 1, bath 2, signal 2), checked
-    symplectic once. Both probes' families share it, so it is read-only. Keys
-    are typed and callers add 0.0, which turns -0.0 into 0.0 and keeps every
-    other value, so that keys sharing an entry give the same bits."""
-    bs = g.beam_splitter_matrix
-    s = g.SymplecticTransform(g.block_diag(bs(eta1), bs(eta2)))
-    s.matrix.setflags(write=False)
-    return s
+def _reflectivities(p: BiFrequencyParams, lam: float, tangent: bool) -> tuple[float, float]:
+    """(eta1, eta1 + lam), in [0, 1], and for a tangent in (0, 1); else ValueError."""
+    eta1, eta2 = p.eta1, p.eta1 + lam
+    if not 0.0 <= eta2 <= 1.0:  # NaN fails too
+        raise ValueError("reflectivity must lie in [0, 1]")
+    if tangent and not (0.0 < eta1 < 1.0 and 0.0 < eta2 < 1.0):
+        raise ValueError(f"reflectivities {eta1}, {eta2} must lie strictly in (0, 1) to differentiate")
+    return eta1, eta2
 
 
-@functools.lru_cache(maxsize=16, typed=True)
-def _bifrequency_channel_derivative(eta1: float, eta2: float) -> np.ndarray:
-    """d/d eta2 of ``_bifrequency_channel(eta1, eta2)``, read-only. It needs
-    both reflectivities strictly inside (0, 1), so no key is a signed zero."""
-    if not 0.0 < eta1 < 1.0:
-        raise ValueError(f"eta1 must lie strictly in (0, 1) to differentiate, got {eta1}")
-    d = np.zeros((8, 8))
-    d[4:, 4:] = g.beam_splitter_derivative(eta2)
-    d.setflags(write=False)
-    return d
+def _tmsv_received(p: BiFrequencyParams) -> StateFamily:
+    """The entangled probe's received pair, its tangent in the normal modes:
+    ``_pattern(u, v, w)`` with B = 1 + 2 n_th, g = sqrt(eta1 eta2) and
+    h = (sqrt(eta1) - sqrt(eta2))^2 / 2, sums of positive terms but w,
+
+        u, v = (1 - (eta1 + eta2) / 2) B + g e^{+-2r} + h cosh 2r,    w = (eta1 - eta2) (2 n_s - n_th).
+
+    In eta2, with k = sqrt(eta1 / eta2), du = (4 n_s + k sinh 2r - 2 n_th) / 2,
+    dv = (e^{-2r} - B + (1 - k) sinh 2r) / 2 and dw = n_th - 2 n_s."""
+    n_s, n_th = p.n_s, p.n_th
+    sinh = 2.0 * math.sqrt(2.0 * n_s * (2.0 * n_s + 1.0))
+    grow = 4.0 * n_s + sinh  # e^{2r} - 1, and e^{-2r} - 1 = -grow / (1 + grow)
+
+    def cov(eta1: float, eta2: float) -> np.ndarray:
+        root1, root2 = math.sqrt(eta1), math.sqrt(eta2)
+        h = 0.5 * ((eta1 - eta2) / (root1 + root2)) ** 2 if eta1 != eta2 else 0.0
+        rest = 0.5 * ((1.0 - eta1) + (1.0 - eta2)) * (1.0 + 2.0 * n_th) + h * (1.0 + 4.0 * n_s)
+        u, v = rest + root1 * root2 * (1.0 + grow), rest + root1 * root2 / (1.0 + grow)
+        return _pattern(u, v, 0.5 * (eta1 - eta2) * (4.0 * n_s - 2.0 * n_th))
+
+    def tangent(lam: float):
+        eta1, eta2 = _reflectivities(p, lam, True)
+        root1, root2 = math.sqrt(eta1), math.sqrt(eta2)
+        shift = (eta2 - eta1) / (root2 * (root1 + root2)) * sinh  # (1 - k) sinh 2r
+        du = 0.5 * (4.0 * n_s + root1 / root2 * sinh - 2.0 * n_th)
+        dv = -0.5 * (grow / (1.0 + grow) + 2.0 * n_th - shift)
+        dcov = _pattern(du, dv, n_th - 2.0 * n_s)
+        return g.GaussianState(cov(eta1, eta2), np.zeros(4)), dcov, np.zeros(4)
+
+    return StateFamily(
+        lambda lam: g.GaussianState(g.normal_modes(cov(*_reflectivities(p, lam, False))), np.zeros(4)),
+        tangent, p.lam, in_normal_modes=True,
+    )
+
+
+def _pattern(u: float, v: float, w: float) -> np.ndarray:
+    """[[u, 0, w, 0], [0, v, 0, w], [w, 0, v, 0], [0, w, 0, u]]."""
+    return np.array([[u, 0.0, w, 0.0], [0.0, v, 0.0, w], [w, 0.0, v, 0.0], [0.0, w, 0.0, u]])
+
+
+def _coherent_received(p: BiFrequencyParams) -> StateFamily:
+    """The coherent probe's received pair: mode i is thermal with covariance
+    (1 + 2 n_th (1 - eta_i)) I, displaced by sqrt(2 n_s eta_i) in x."""
+    n_th, amp = p.n_th, math.sqrt(2.0 * p.n_s)
+
+    def state(eta1: float, eta2: float) -> g.GaussianState:
+        b1, b2 = 1.0 + 2.0 * n_th * (1.0 - eta1), 1.0 + 2.0 * n_th * (1.0 - eta2)
+        return g.GaussianState(np.diag([b1, b1, b2, b2]), amp * np.sqrt([eta1, 0.0, eta2, 0.0]))
+
+    def tangent(lam: float):
+        eta1, eta2 = _reflectivities(p, lam, True)
+        ddisp = np.array([0.0, 0.0, 0.5 * amp / math.sqrt(eta2), 0.0])
+        return state(eta1, eta2), np.diag([0.0, 0.0, -2.0 * n_th, -2.0 * n_th]), ddisp
+
+    return StateFamily(lambda lam: state(*_reflectivities(p, lam, False)), tangent, p.lam)
 
 
 def bifrequency_received_state(p: BiFrequencyParams, probe: str) -> StateFamily:
     """Family of received two-mode states parametrised by the reflectivity gap.
 
     The family evaluates wherever eta1 and eta1 + lambda lie in [0, 1]. Its
-    tangent needs both strictly inside (0, 1), where the beam splitter is
+    tangent needs both strictly inside (0, 1), where the channel is
     differentiable, and raises ValueError elsewhere.
     """
-    return _channel_family(
-        _bifrequency_input(p, probe),
-        lambda lam: _bifrequency_channel(p.eta1 + 0.0, p.eta1 + lam + 0.0),
-        lambda lam: _bifrequency_channel_derivative(p.eta1, p.eta1 + lam),
-        [1, 3],
-        p.lam,
-    )
+    if probe == PROBE_TMSV:
+        return _tmsv_received(p)
+    if probe == PROBE_COHERENT:
+        return _coherent_received(p)
+    raise ValueError(f"unknown probe {probe!r}")
 
 
 def bifrequency_advantage(p: BiFrequencyParams) -> tuple[float, float, float]:

@@ -16,11 +16,12 @@ nothing of the family but the moments and their first derivatives (Monras,
 arXiv:1303.3682; Safranek, arXiv:1801.00299), so every family carries its
 own tangent (``StateFamily.tangent``). Its tangent at lambda0 is computed
 once per family and kept (``StateFamily.derivative``), and no kernel
-evaluates the family. The families of :mod:`bifrost.protocols` propagate
-exact derivatives through their symplectic maps
-(:func:`bifrost.gaussian.propagate`). Everything is computed in real
-arithmetic through M = Omega Sigma (A = i M, A^2 = -M^2) and the two
-symplectic invariants
+evaluates the family. The families of :mod:`bifrost.protocols` give their
+moments and exact derivatives in closed form, in the physical modes or the
+normal modes (``StateFamily.in_normal_modes``), or propagate them through
+their symplectic maps (:func:`bifrost.gaussian.propagate`). Everything is
+computed in real arithmetic through M = Omega Sigma (A = i M, A^2 = -M^2)
+and the two symplectic invariants
 
     s = nu_+^2 + nu_-^2 = -Tr(M^2) / 2,    p = nu_+^2 nu_-^2 = det Sigma,
 
@@ -81,18 +82,23 @@ class StateFamily:
     and the Williamson solve of :mod:`bifrost.sld` is memoised by family.
 
     Attributes:
-        eval: callable returning the state at a given parameter value.
+        eval: callable returning the state, in the physical modes, at a
+            given parameter value.
         tangent: callable returning ``(state, dcov, ddisp)`` at a given
-            parameter value: the state, equal bit for bit to what ``eval``
-            returns there, and the derivatives of its covariance and
-            displacement. It raises ValueError where the family is not
-            differentiable.
+            parameter value in the family's frame: the state, which taken
+            to the physical modes is bit for bit what ``eval`` returns
+            there, and the derivatives of its moments. It raises ValueError
+            where the family is not differentiable.
         lambda0: evaluation point.
+        in_normal_modes: whether that frame is the normal modes of a
+            two-mode family (:func:`bifrost.gaussian.normal_modes`), which
+            leaves the QFI as it is, or the physical modes.
     """
 
     eval: Callable[[float], GaussianState]
     tangent: Callable[[float], tuple[GaussianState, np.ndarray, np.ndarray]]
     lambda0: float = 0.0
+    in_normal_modes: bool = False
 
     def derivative(self) -> tuple[GaussianState, np.ndarray, np.ndarray]:
         """The tangent at lambda0, asked of the family once and kept with its
@@ -170,20 +176,18 @@ def qfi_gaussian(family: StateFamily) -> QfiResult:
     survives. The covariance term includes the eigenvalue correction f.
 
     Accuracy domain: the expression divides by det A - 1 and by
-    D = p (nu_+^4 - 1)(nu_-^4 - 1), which both vanish as a normal mode
-    approaches purity. Near the vacuum corner (n_s and n_th near 1e-6) f is a
-    cancellation of terms of order 1/D: the coherent probe at
-    (eta1, n_s, n_th) = (0.8053, 2.86e-6, 1e-6) reads 1.1e-4 off its closed
-    form. As eta1 -> 1 with small n_th the nu_- read off the invariants
-    reaches 1 within round-off, and the varying covariance raises
-    PureStateError, as at (0.999999, 1e6, 1e-6) for the coherent probe and
-    at (0.999999, 1e-6, 1e-6) for both; so does a point where D rounds to
-    0, as at (1e-6, 1e-3, 0) for the entangled probe. A QFI that leaves the
-    float range, as at eta1 = 5e-324 for the coherent probe, raises
-    ArithmeticError. Where both normal modes stay
-    clearly mixed, eta1 in [0.02, 0.99] and photon numbers from 1e-3 to 1e6,
-    it agrees with the solve to 1e-8 (9.1e-9 at worst over 1,000 seeded
-    points of that box).
+    D = p (nu_+^4 - 1)(nu_-^4 - 1), which vanish as a normal mode nears
+    purity, and f is then a cancellation of terms of order 1/D. So it reads
+    1.1e-4 off the closed form for the coherent probe at (eta1, n_s, n_th) =
+    (0.8053, 2.86e-6, 1e-6), 2.3e-6 for the entangled one at (0.5, 1e-6,
+    1e-6), and 8.3e-7 and 6.9e-6 at (0.999999, 1, 1); it raises
+    PureStateError where nu_- reaches 1 within round-off with a varying
+    covariance, as at (0.999999, 1e-6, 1e-6) for both probes and at
+    (0.999999, 1e6, 1e-6) for the coherent one (the entangled one reads
+    2.9e-16 there), or where D rounds to 0, as at (1e-6, 1e-3, 0). A QFI that
+    leaves the float range raises ArithmeticError. For eta1 in [0.02, 0.99]
+    and photon numbers from 1e-3 to 1e6 it agrees with the solve to 1e-10
+    (6.8e-11 at worst over 1,000 seeded points).
     """
     state, dcov, ddisp = family.derivative()
     if state.n_modes != 2:

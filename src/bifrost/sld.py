@@ -1,50 +1,42 @@
-"""Symmetric logarithmic derivatives and optimal observables in the complex basis.
+"""Symmetric logarithmic derivatives and optimal observables.
 
-For a Gaussian family (Sigma(l), d(l)) written in the complex operator basis
-A = (a_1, .., a_n, a_1^dag, .., a_n^dag), the symmetric logarithmic derivative
-solving {L, rho} = 2 drho is the quadratic form
+For a Gaussian family (Sigma(l), d(l)) in real quadratures R, the symmetric
+logarithmic derivative solving {L, rho} = 2 drho is the quadratic form
 
-    L = dA^dag G dA - Tr[Sigma G] / 2 + 2 dA^dag Sigma^-1 d'   (dA = A - d),
+    L = dR^T Phi dR - Tr[Sigma Phi] / 2 + 2 dR^T Sigma^-1 d'   (dR = R - d),
 
-where G solves Sigma G Sigma - K G K = Sigma' with K = diag(I_n, -I_n), the
-commutator form i Omega in this basis. The equation is solved in the
+where Phi solves Sigma Phi Sigma + Omega Phi Omega = Sigma', in the
 Williamson basis of Sigma (Monras, arXiv:1303.3682; Safranek, J. Phys. A 52,
-035304, 2019, arXiv:1801.00299). The eigenvalues lambda_i of the Hermitian
-matrix Sigma^-1/2 K Sigma^-1/2 are +-1/nu_k, nu_k the symplectic eigenvalues,
-and with its eigenvectors V the columns of R = Sigma^-1/2 V give R^dag Sigma R = I
-and R^dag K R = diag(lambda). In that basis the equation is diagonal: with the
-transported derivative Z = R^dag Sigma' R,
+035304, 2019, arXiv:1801.00299) reached in real arithmetic through the
+Cholesky factor Sigma = C C^T: i C^-1 Omega C^-T has eigenvalues
+lambda_i = +-1/nu_k and eigenvectors U, and with Dt = U^dag C^-1 Sigma' C^-T U
 
-    G = R Q R^dag,    Q_ij = Z_ij / (1 - lambda_i lambda_j),
+    Phi = R Y R^dag,    R = C^-T U,    Y_ij = Dt_ij / (1 - lambda_i lambda_j),
+    H = Tr(Dt Y) / 2 + 2 |C^-1 d'|^2,
+    Tr[Sigma Phi] = Tr[(Sigma - i Omega) Phi] = sum_i (1 - lambda_i) Y_ii.
 
-an elementwise quotient by 1 - lambda_i lambda_j = (nu_i nu_j -+ 1) / (nu_i nu_j).
-The QFI and the constant of L are read off the same quotient,
-
-    H = Re Tr(Z Q) / 2 + 2 |R^dag d'|^2,
-    Tr[Sigma G] = Tr[(Sigma - K) G] = sum_i (1 - lambda_i) Q_ii,
-
-where the middle form holds because L has zero mean, Tr[K G] = 0. Taken in
-that form, the constant cancels the round-off of Tr[K G] carried by the
-entries of G, which near a pure state are large beside the observable's
-constant l0.
-
-So one decomposition gives both L and H, with nu_k = 1 / |lambda_i|. It is
-the QFI route every caller reads (:func:`qfi_result`); the
-symplectic-invariant expression of :mod:`bifrost.qfi` is kept as its
-independent check. The observable saturating the Cramer-Rao bound at
-working point l0 is O = l0 + L / H.
+The last form, with Tr[Omega Phi] = 0, cancels the round-off that the
+entries of Phi carry, which near a pure state are large beside the
+observable's constant l0. Cholesky keeps each entry of a graded positive
+definite matrix to its own relative precision (Demmel and Veselic, SIAM J.
+Matrix Anal. Appl. 13, 1204, 1992), so the small eigen-directions of the
+entangled probe's normal-mode moments survive; a covariance that float64
+cannot factor raises NumericalInstabilityError. It is the QFI route every
+caller reads (:func:`qfi_result`); the symplectic-invariant expression of
+:mod:`bifrost.qfi` is its check. The observable saturating the Cramer-Rao
+bound at working point l0 is O = l0 + L / H.
 
 The quotient is singular only where two normal modes are both pure
-(lambda_i lambda_j = 1). Where the family keeps them pure, Z_ij vanishes
-there and the regularised value Q_ij = 0, the limit of the quotient, is
-taken; where Z_ij does not vanish the family changes the purity of a pure
-state, the QFI diverges, and the solve raises DegenerateStateError.
+(lambda_i lambda_j = 1). Where the family keeps them pure, Dt_ij vanishes
+there and the regularised value Y_ij = 0 is taken; elsewhere the QFI
+diverges, and the solve raises DegenerateStateError.
 
-Moments enter in the interleaved real order of :mod:`bifrost.gaussian`; the
-complex basis exists only inside this module. A state without x-p
-correlations, as every probe of the repository gives, has a real
-covariance in the complex basis; the solve then runs in real arithmetic and
-its form's arrays are real.
+The solve runs in the family's frame (``StateFamily.in_normal_modes``); the
+form is mapped to the physical modes and written in the complex basis
+A = (a_1, .., a_n, a_1^dag, .., a_n^dag) = W R, G = W Phi W^dag. Decided on
+the physical moments, it keeps two exact symmetries: without x-p
+correlations its arrays are real, and a paired family's form is 0 exactly
+where it would change n_1 - n_2.
 
 For the entangled bi-frequency probe the observable reduces to
 l11 n_1 + l22 n_2 + l12 (a_1^dag a_2^dag + a_1 a_2) + l0; the coefficients are
@@ -69,11 +61,13 @@ from .errors import (
     check_photon_numbers,
     check_scalars,
 )
+from .gaussian import normal_modes, omega
 from .qfi import STATIC_COV_TOL, QfiResult, StateFamily, _check_domain, _check_some_photons
 
 # a pair of normal modes counts as pure when 1 - lambda_i lambda_j is below
 # this; round-off leaves a few 1e-16 on a pure state, and the least mixed
-# received state of the domain (eta1 = 1 - 1e-6, n_th = 1e-6) has about 4e-12
+# received state of the domain (eta1 = 1 - 1e-6, n_th = 1e-6) has 4.0e-12,
+# the coherent probe's (8.5e-11 the smallest over a 300-point domain sweep)
 _PURE_TOL = 1e-13
 # the circuit solve counts as converged when its residual norm is at most this
 _CIRCUIT_TOL = 1e-12
@@ -122,12 +116,6 @@ class SldForm:
     center: np.ndarray
 
 
-# of (a_1, a_2, a_1^dag, a_2^dag), a_1 and a_2^dag lower n_1 - n_2: the
-# term A_i^dag A_j of a two-mode form changes it where their charges differ,
-# at these flat indices of a 4 x 4 matrix
-_CHARGES = np.array([-1, 1, 1, -1])
-_MIXING = np.flatnonzero(_CHARGES[:, None] != _CHARGES)
-
 
 def _terms(form: SldForm) -> list[tuple[complex, str, str]]:
     """A two-mode form's terms (c, mode-1 word, mode-2 word): each A_i -
@@ -149,29 +137,31 @@ def _terms(form: SldForm) -> list[tuple[complex, str, str]]:
     return [(form.scalar, "", "")] + [term for term in terms if term[0] != 0]
 
 
+# J, the generator of exp(i phi (n_1 - n_2)) on (x1, p1, x2, p2), omega + (-omega):
+# a signed permutation, so its products with a matrix are exact
+_PAIR = np.array([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]], dtype=float)
+_PAIR.setflags(write=False)
+
+
 class _Solution(NamedTuple):
-    """The Williamson-basis solve of a family at its working point: the
-    eigenvalues lambda_i = +-1/nu_k, R, the quotient Q, the transported
-    derivative Z, R^dag dd_c and the displacement in the complex basis
-    (module docstring); and ``paired``, whether a two-mode family has no
-    displacement, no displacement derivative, and moments and their
-    derivatives all 0.0 at ``_MIXING``: such a family is invariant under
-    exp(i phi (n_1 - n_2)), as K is, so G is 0 there exactly."""
+    """The Williamson-basis solve of a family at its working point, in its
+    frame: lambda_i = +-1/nu_k, U, Y, Dt, C^-1 d' and C^-1 (module
+    docstring), and the family, whose moments decide the form's symmetries."""
 
     lam: np.ndarray
-    r: np.ndarray
+    u: np.ndarray
     q: np.ndarray
     z: np.ndarray
     proj: np.ndarray
-    center: np.ndarray
-    paired: bool
+    inv_chol: np.ndarray
+    family: StateFamily
 
     def result(self) -> QfiResult:
-        """H = Re Tr(Z Q) / 2 + 2 |R^dag dd_c|^2, term by term, with the
+        """H = Tr(Dt Y) / 2 + 2 |C^-1 d'|^2, term by term, with the
         symplectic eigenvalues nu = 1 / |lambda|. A value that leaves the
         float range raises ArithmeticError."""
         term_cov = 0.5 * float(np.vdot(self.z, self.q).real)
-        term_disp = 2.0 * float(np.vdot(self.proj, self.proj).real)
+        term_disp = 2.0 * float(np.vdot(self.proj, self.proj))
         value = term_cov + term_disp
         if not math.isfinite(value):
             raise ArithmeticError(f"the QFI leaves the float range: {value}")
@@ -184,52 +174,77 @@ class _Solution(NamedTuple):
             term_displacement=term_disp,
         )
 
+    def _physical(self, *arrays: np.ndarray) -> list[np.ndarray]:
+        """Moments of the family's frame in the physical modes."""
+        return [normal_modes(a) for a in arrays] if self.family.in_normal_modes else list(arrays)
+
+    def phi(self) -> np.ndarray:
+        """Phi = R Y R^dag, R = C^-T U, in the physical modes: a new array."""
+        r = self.inv_chol.T @ self.u
+        phi = (r @ self.q @ r.conj().T).real
+        return normal_modes(phi) if self.family.in_normal_modes else 0.5 * (phi + phi.T)
+
+    def scalar(self) -> float:
+        """-Tr(Sigma Phi) / 2 = -sum_i (1 - lambda_i) Y_ii / 2."""
+        return -0.5 * float(np.dot(1.0 - self.lam, np.diagonal(self.q)).real)
+
+    def paired(self) -> bool:
+        """Whether the family has two modes, no displacement or displacement
+        derivative, and physical moments that commute with J exactly: then it
+        and its logarithmic derivative are invariant under exp(i phi (n_1 - n_2))."""
+        state, dcov, ddisp = self.family.derivative()
+        if len(ddisp) != 4 or state.disp.any() or ddisp.any():
+            return False
+        return all(np.array_equal(_PAIR @ m, m @ _PAIR) for m in self._physical(state.cov, dcov))
+
     def form(self) -> SldForm:
-        """The logarithmic derivative: G = R Q R^dag, linear = 2 R R^dag dd_c
-        and scalar = -Tr(Sigma G) / 2 = -sum_i (1 - lambda_i) Q_ii / 2."""
-        quad = self.r @ self.q @ self.r.conj().T
-        quad = 0.5 * (quad + quad.conj().T)
-        if self.paired:
-            np.put(quad, _MIXING, 0.0)
+        """The logarithmic derivative in the physical modes and the complex
+        basis: G = W Phi W^dag, linear = 2 W Sigma^-1 d', the scalar and
+        center = W d. Phi is 0 exactly at the x-p entries where the moments
+        are, and a paired family's is averaged with J Phi J^T, which makes G
+        0 exactly where it would change n_1 - n_2."""
+        state, dcov, _ = self.family.derivative()
+        phi = self.phi()
+        if not any(m[::2, 1::2].any() or m[1::2, ::2].any() for m in (state.cov, dcov)):
+            phi[::2, 1::2] = phi[1::2, ::2] = 0.0
+        if self.paired():
+            phi = 0.5 * (phi + _PAIR @ phi @ _PAIR.T)
+        linear, center = self._physical(2.0 * (self.inv_chol.T @ self.proj), state.disp)
         return SldForm(
-            quad=quad,
-            linear=2.0 * (self.r @ self.proj),
-            scalar=-0.5 * float(np.sum((1.0 - self.lam) * np.diagonal(self.q)).real),
-            center=self.center.copy(),
+            quad=_in_complex_basis(phi),
+            linear=_in_complex_basis(linear),
+            scalar=self.scalar(),
+            center=_in_complex_basis(center),
         )
+
+
+def _cholesky(cov: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor C of cov = C C^T; NumericalInstabilityError
+    where float64 cannot factor it."""
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise NumericalInstabilityError(
+            "the covariance is not positive definite within float64 round-off: "
+            "its Cholesky factorisation fails, so float64 cannot resolve the state"
+        ) from None
 
 
 @lru_cache(maxsize=16)
 def _solve(family: StateFamily) -> _Solution:
-    """Solve Sigma G Sigma - K G K = dSigma in the Williamson basis of Sigma.
+    """Solve Sigma Phi Sigma + Omega Phi Omega = dSigma in the Williamson
+    basis of Sigma, reached through its Cholesky factor.
 
-    The real moment derivatives map to the complex basis by the same unitary
-    W as the moments: dSigma_c = W dSigma W^dag and dd_c = W dd. Memoised per
-    family, so every kernel on one family shares one solve; its arrays are
-    read-only, and an error is raised again on every call. A covariance
-    whose smallest eigenvalue is within n eps of its largest raises
+    Memoised per family, so every kernel on one family shares one solve; its
+    arrays are read-only, and an error is raised again on every call. A
+    covariance whose Cholesky factorisation fails in float64 raises
     NumericalInstabilityError; no family of the package reaches that inside
     the photon-number domain.
     """
     state, dcov, ddisp = family.derivative()
-    n = state.n_modes
-    cov_c = _in_complex_basis(state.cov)
-
-    ev, u = np.linalg.eigh(cov_c)
-    if not ev[0] > len(ev) * np.finfo(float).eps * ev[-1]:
-        raise NumericalInstabilityError(
-            f"covariance eigenvalue {ev[0]:.3e} is within float64 round-off of the largest, "
-            f"{ev[-1]:.3e}: float64 cannot resolve the state"
-        )
-    inv_half = (u / np.sqrt(ev)) @ u.conj().T
-    k_inv_half = inv_half.copy()
-    k_inv_half[n:] *= -1.0
-    lam, v = np.linalg.eigh(inv_half @ k_inv_half)
-    r = inv_half @ v
-    rh = r.conj().T
-    dcov_c, dd_c = _in_complex_basis(dcov), _in_complex_basis(ddisp)
-    center = _in_complex_basis(state.disp)
-    z = rh @ dcov_c @ r
+    inv_chol = np.linalg.inv(_cholesky(state.cov))
+    lam, u = np.linalg.eigh(1j * (inv_chol @ omega(state.n_modes) @ inv_chol.T))
+    z = u.conj().T @ (inv_chol @ dcov @ inv_chol.T) @ u
     den = 1.0 - lam[:, None] * lam
     pure = den <= _PURE_TOL
     if pure.any():
@@ -241,21 +256,16 @@ def _solve(family: StateFamily) -> _Solution:
                 "the logarithmic derivative does not exist"
             )
         den = np.where(pure, np.inf, den)
-    q = z / den
-    paired = n == 2 and not (
-        np.count_nonzero(center) or np.count_nonzero(dd_c)
-        or np.count_nonzero(cov_c.take(_MIXING)) or np.count_nonzero(dcov_c.take(_MIXING))
-    )
     solution = _Solution(
         lam=lam,
-        r=r,
-        q=q,
+        u=u,
+        q=z / den,
         z=z,
-        proj=rh @ dd_c,
-        center=center,
-        paired=paired,
+        proj=inv_chol @ ddisp,
+        inv_chol=inv_chol,
+        family=family,
     )
-    for array in solution[:-1]:  # every field but the flag
+    for array in solution[:-1]:  # every field but the family
         array.setflags(write=False)
     return solution
 
@@ -301,17 +311,18 @@ def optimal_observable(family: StateFamily) -> SldCoefficients:
     h = solution.result().value
     if h <= 0.0:
         raise NoInformationError(f"QFI is {h}; cannot normalise the observable")
-    if not solution.paired:
+    if not solution.paired():
         raise ValueError(
             "the optimal observable needs a number/pair-structured family: two modes, "
             "no displacement, and moments that keep n1 - n2"
         )
-    form = solution.form()
-    q = form.quad
-    l11 = float((q[0, 0] + q[2, 2]).real)
-    l22 = float((q[1, 1] + q[3, 3]).real)
-    l12 = float((q[0, 3] + q[1, 2]).real)
-    l0 = float((q[2, 2] + q[3, 3]).real) + form.scalar
+    # with G = W Phi W^dag: the real parts of G_00 + G_22 (n_1), G_11 + G_33
+    # (n_2), G_03 + G_12 (the pairs) and G_22 + G_33 (the constant's share)
+    phi = solution.phi()
+    l11 = float(phi[0, 0] + phi[1, 1])
+    l22 = float(phi[2, 2] + phi[3, 3])
+    l12 = float(phi[0, 2] - phi[1, 3])
+    l0 = 0.5 * (l11 + l22) + solution.scalar()
     return SldCoefficients(l11 / h, l22 / h, l12 / h, l0 / h)
 
 

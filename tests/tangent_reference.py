@@ -1,8 +1,9 @@
 """Reference tangents for tests: each channel family composed from checked parts.
 
-The package builds each family's input state as one array and each
-transform as one matrix, checked once. This is the composition it replaced:
-the input from the one-mode and two-mode states by ``tensor`` (and
+The package builds the quantum-illumination families' input state as one
+array and each transform as one matrix, checked once, and the bi-frequency
+families' moments in closed form. This is the composition both are checked
+against: the input from the one-mode and two-mode states by ``tensor`` (and
 ``permute_modes``), the transform as a ``direct_sum`` of checked
 ``SymplecticTransform`` blocks, ``apply`` and ``partial_trace`` for the
 state, and dS Sigma S^T + S Sigma dS^T and dS d for the derivatives.
@@ -45,6 +46,13 @@ def reference_tangent(state, s, ds, keep):
     return out, (x + x.T)[np.ix_(idx, idx)], (ds @ state.disp)[idx]
 
 
+def beam_splitter_derivative(eta):
+    """d/d eta of the matrix of ``beam_splitter(eta)``, for 0 < eta < 1."""
+    if not 0.0 < eta < 1.0:
+        raise ValueError(f"reflectivity must lie strictly in (0, 1) to differentiate, got {eta}")
+    return g._mode_pair(0.5 / np.sqrt(eta), -0.5 / np.sqrt(1.0 - eta))
+
+
 def _embedded(block, size, start):
     d = np.zeros((size, size))
     d[start:start + 4, start:start + 4] = block
@@ -60,7 +68,7 @@ def bifrequency_tangent(eta1, lam, n_s, n_th, probe):
         arm = g.tensor(g.thermal(n_th), g.coherent(np.sqrt(n_s)))
         state = g.tensor(arm, arm)
     s = direct_sum(g.beam_splitter(eta1), g.beam_splitter(eta1 + lam))
-    ds = _embedded(g.beam_splitter_derivative(eta1 + lam), 8, 4)
+    ds = _embedded(beam_splitter_derivative(eta1 + lam), 8, 4)
     return reference_tangent(state, s, ds, [1, 3])
 
 

@@ -458,9 +458,9 @@ QFI_EDGE_POINTS = [
     ((0.999999, 1.0, 1.0), "tmsv"),
     ((0.999999, 1.0, 1.0), "coherent"),
     ((0.999999, 1e6, 1e-6), "coherent"),
+    ((0.999999, 1e6, 1e-6), "tmsv"),
 ]
 QFI_STORED_MOMENT_CORNERS = [
-    ((0.999999, 1e6, 1e-6), "tmsv"),
     ((0.999999, 1e-6, 1e-6), "tmsv"),
     ((0.999999, 1e-6, 1e-6), "coherent"),
 ]
@@ -705,29 +705,58 @@ def test_photon_numbers_past_float64_resolution_are_a_round_off_error_line(comma
 
 
 def test_round_off_bound_leaves_the_domain_with_margin(monkeypatch):
-    """The solve's bound, smallest covariance eigenvalue above n eps times
-    the largest, holds by a factor of more than 17 at the domain's worst
-    corner, (1 - 1e-15, 1e6, 0) with the entangled probe, and fails below
-    1 at n_s = 1e14, where the solve raises. That family lies outside the
-    domain, so it is built here with the domain check switched off."""
-    from bifrost import gaussian, protocols
+    """The solve's round-off bound is a Cholesky factor in float64. The
+    entangled probe's normal-mode covariance, diagonal at zero gap with
+    entries that are sums of positive terms, factors at the domain's worst
+    corner, (1 - 1e-15, 1e6, 0), where the QFI reads within 1e-7 of the
+    50-digit closed form (4.8e-8: its least mixed normal mode has
+    1 - lambda^2 of about 1e-8), and far past the domain, at n_s = 1e10,
+    1e14 and 1e100 (eta1 0.9, n_th 1), where it reads within 1e-15. Those
+    families lie outside the domain, so they are built with the domain check
+    switched off. A covariance that float64 cannot factor raises the
+    round-off error."""
+    from bifrost import gaussian, protocols, qfi
     from bifrost.errors import NumericalInstabilityError
-    from bifrost.sld import _in_complex_basis, qfi_result
+    from bifrost.sld import qfi_result
+    from closed_form_reference import mp_closed_form
 
-    def margin(eta1, n_s, n_th):
+    def deviation(eta1, n_s, n_th):
         family = bf.bifrequency_received_state(bf.BiFrequencyParams(eta1, 0.0, n_s, n_th), "tmsv")
-        ev = np.linalg.eigvalsh(_in_complex_basis(family.derivative()[0].cov))
-        return ev[0] / (len(ev) * np.finfo(float).eps * ev[-1]), family
+        ref = mp_closed_form(bf.hq_closed_form, eta1, n_s, n_th)
+        return float(abs(qfi_result(family).value - ref) / ref)
 
-    assert margin(1.0 - 1e-15, 1e6, 0.0)[0] > 17.0
+    assert deviation(1.0 - 1e-15, 1e6, 0.0) < 1e-7
     with pytest.raises(ValueError, match="photon numbers"):
         bf.BiFrequencyParams(0.9, 0.0, 1e14, 1.0)
-    monkeypatch.setattr(protocols, "check_photon_numbers", lambda *values: None)
-    monkeypatch.setattr(gaussian, "check_photon_numbers", lambda *values: None)
-    ratio, family = margin(0.9, 1e14, 1.0)
-    assert ratio < 1.0
+    for module in (protocols, gaussian, qfi):
+        monkeypatch.setattr(module, "check_photon_numbers", lambda *values: None)
+    for n_s in (1e10, 1e14, 1e100):
+        assert deviation(0.9, n_s, 1.0) < 1e-15, n_s
+    state = bf.GaussianState(np.diag([1.0, 1.0, 1.0, -1e-3]), np.zeros(4))
+    unphysical = bf.StateFamily(eval=lambda lam: state, tangent=lambda lam: (state, np.eye(4), np.zeros(4)))
     with pytest.raises(NumericalInstabilityError, match="round-off"):
-        qfi_result(family)
+        qfi_result(unphysical)
+
+
+EDGE_CORNER = ["--eta1", "0.999999", "--ns", "1e6", "--nth", "1e-6"]
+
+
+def test_qfi_and_sld_at_the_large_signal_corner(capsys):
+    """At (0.999999, 1e6, 1e-6) ``qfi`` for the entangled probe and ``sld``
+    read within 1e-12 of the 50-digit closed forms: the normal-mode moments
+    keep the small eigen-direction that the solve reads."""
+    from bifrost import cli
+    from closed_form_reference import mp_closed_form, mp_sld_coefficients
+
+    assert cli.main(["qfi", *EDGE_CORNER, "--probe", "tmsv"]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    ref = mp_closed_form(bf.hq_closed_form, 0.999999, 1e6, 1e-6)
+    assert float(abs(value - ref) / ref) < 1e-12, (value, ref)
+    assert cli.main(["sld", *EDGE_CORNER]) == 0
+    numeric = json.loads(capsys.readouterr().out)["numeric"]
+    exact = mp_sld_coefficients(0.999999, 1e6, 1e-6)
+    for name in ("l11", "l22", "l12", "l0"):
+        assert float(abs(numeric[name] - getattr(exact, name))) < 1e-12, (name, numeric[name])
 
 
 def test_import_leaves_scipy_stats_and_sparse_out():

@@ -3,6 +3,7 @@
 import re
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ import bifrost as bf
 import tangent_reference
 from bifrost import fock
 from bifrost.errors import check_photon_numbers
+from bifrost.gaussian import normal_modes
 from bifrost.protocols import (
     HBAR,
     K_B,
@@ -225,10 +227,17 @@ def _assert_same_bits(arrays, reference):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _physical(family, arrays):
+    """A family's arrays in the physical modes."""
+    return [normal_modes(a) for a in arrays] if family.in_normal_modes else arrays
+
+
 def test_channel_family_tangents_match_reference_composition():
-    """Every channel family's tangent, and the bi-frequency family's eval,
-    equal bit for bit the composition of checked parts in
-    ``tangent_reference``, over the domain and off the working point."""
+    """The quantum-illumination families' tangents equal bit for bit the
+    composition of checked parts in ``tangent_reference``. The bi-frequency
+    families' closed forms, taken to the physical modes, and their eval
+    match that composition to 1e-14 of its largest moment (1.1e-15 at
+    worst), over the domain and off the working point."""
     from bifrost.protocols import _qi_classical_received, _qi_quantum_received
 
     rng = np.random.default_rng(2015)
@@ -238,10 +247,13 @@ def test_channel_family_tangents_match_reference_composition():
         lam = float(rng.choice([0.0, rng.uniform(-eta1, 1.0 - eta1)]))
         for probe in ("tmsv", "coherent"):
             family = bifrequency_received_state(BiFrequencyParams(eta1, lam, n_s, n_th), probe)
-            reference = tangent_reference.bifrequency_tangent(eta1, lam, n_s, n_th, probe)
-            _assert_same_bits(_arrays(family.derivative()), _arrays(reference))
+            reference = _arrays(tangent_reference.bifrequency_tangent(eta1, lam, n_s, n_th, probe))
             state = family.eval(lam)
-            _assert_same_bits([state.cov, state.disp], _arrays(reference)[:2])
+            scale = max(np.max(np.abs(a)) for a in reference)
+            pairs = zip(_physical(family, _arrays(family.derivative())) + [state.cov, state.disp],
+                        reference + reference[:2], strict=True)
+            for a, b in pairs:
+                assert np.max(np.abs(a - b)) <= 1e-14 * scale, (eta1, lam, n_s, n_th, probe)
         amp = float(rng.uniform(0.0, 1.0))
         _assert_same_bits(
             _arrays(_qi_quantum_received(amp, n_s, n_th).derivative()),
@@ -253,84 +265,88 @@ def test_channel_family_tangents_match_reference_composition():
         )
 
 
-def _outputs(p, probe):
-    """The family's arrays at its working point: its tangent where it has one,
-    else its state."""
-    family = bifrequency_received_state(p, probe)
-    try:
-        return _arrays(family.derivative())
-    except ValueError:
-        state = family.eval(p.lam)
-        return [state.cov, state.disp]
+def _mp_tmsv_normal_modes(eta1, eta2, n_s, n_th):
+    """(u, v, w, du, dv, dw) of ``protocols._tmsv_received``'s docstring in
+    50-digit arithmetic at the same float inputs, each with the sum of the
+    magnitudes of its terms."""
+    with mpmath.workdps(50):
+        eta1, eta2, n_s, n_th = (mpmath.mpf(x) for x in (eta1, eta2, n_s, n_th))
+        bath = 1 + 2 * n_th
+        sinh = 2 * mpmath.sqrt(2 * n_s * (2 * n_s + 1))
+        grow, cosh = 4 * n_s + sinh, 1 + 4 * n_s
+        root1, root2 = mpmath.sqrt(eta1), mpmath.sqrt(eta2)
+        rest = (1 - (eta1 + eta2) / 2) * bath + (root1 - root2) ** 2 / 2 * cosh
+        shift = (1 - root1 / root2) * sinh
+        u = rest + root1 * root2 * (1 + grow)
+        v = rest + root1 * root2 / (1 + grow)
+        return (
+            (u, u),
+            (v, v),
+            ((eta1 - eta2) * (4 * n_s - 2 * n_th) / 2, abs(eta1 - eta2) * (4 * n_s + 2 * n_th) / 2),
+            ((4 * n_s + root1 / root2 * sinh - 2 * n_th) / 2,
+             (4 * n_s + root1 / root2 * sinh + 2 * n_th) / 2),
+            ((-grow / (1 + grow) - 2 * n_th + shift) / 2,
+             (grow / (1 + grow) + 2 * n_th + abs(shift)) / 2),
+            (n_th - 2 * n_s, n_th + 2 * n_s),
+        )
 
 
-MEMO_POINTS = [
-    BiFrequencyParams(0.37, 0.0, 0.8, 1.9),
-    BiFrequencyParams(np.float64(0.37), 0.0, 0.8, 1.9),
-    BiFrequencyParams(0.999999, 1e-6, 1e6, 1e-6),
-    BiFrequencyParams(0.0, 0.0, 1.0, 1.0),
-    BiFrequencyParams(-0.0, 0.0, 1.0, 1.0),
-    BiFrequencyParams(-0.0, -0.0, 1.0, 1.0),
-    BiFrequencyParams(0.4, -0.4, 1.0, 1.0),
-]
+def test_normal_mode_moments_match_their_50_digit_expressions():
+    """The entangled probe's normal-mode moments and derivatives are within
+    8 eps of the sum of their terms' magnitudes from their own expressions
+    evaluated in 50 digits, over the domain and off the working point: no
+    entry loses digits but to a difference of its terms that the exact value
+    shares. So u and v, sums of positive terms, are within 8 eps relative,
+    and at zero gap dv is within 8 ulps. The other entries are exact zeros."""
+    rng = np.random.default_rng(40)
+    for _ in range(200):
+        eta1 = float(np.exp(rng.uniform(np.log(1e-6), np.log(1.0 - 1e-6))))
+        n_s, n_th = (float(v) for v in np.exp(rng.uniform(np.log(1e-6), np.log(1e6), 2)))
+        lam = float(rng.choice([0.0, rng.uniform(-eta1, 1.0 - eta1)]))
+        family = bifrequency_received_state(BiFrequencyParams(eta1, lam, n_s, n_th), "tmsv")
+        state, dcov, _ = family.derivative()
+        got = (state.cov[0, 0], state.cov[1, 1], state.cov[0, 2], dcov[0, 0], dcov[1, 1], dcov[0, 2])
+        expected = _mp_tmsv_normal_modes(eta1, eta1 + lam, n_s, n_th)
+        for value, (exact, scale) in zip(got, expected, strict=True):
+            assert abs(value - exact) <= 8 * np.finfo(float).eps * scale, (eta1, lam, n_s, n_th)
+        if lam == 0.0:
+            exact_dv = float(expected[4][0])
+            assert abs(dcov[1, 1] - exact_dv) <= 8 * np.spacing(abs(exact_dv))
+        for m in (state.cov, dcov):
+            assert m[0, 0] == m[3, 3] and m[1, 1] == m[2, 2] and m[0, 2] == m[1, 3] == m[2, 0] == m[3, 1]
+            assert np.count_nonzero(m) <= 8
 
 
-def test_both_probes_share_one_read_only_channel():
-    from bifrost.protocols import _bifrequency_channel, _bifrequency_channel_derivative
+def test_eval_is_the_physical_map_of_the_tangent():
+    """Each family's eval, in the physical modes, is the frame map of its
+    tangent's state bit for bit, at the working point and off it."""
+    for p in (BiFrequencyParams(0.37, 0.0, 0.8, 1.9), BiFrequencyParams(0.999999, -1e-6, 1e6, 1e-6),
+              BiFrequencyParams(0.4, 0.2, 1e-6, 1e6)):
+        for probe in ("tmsv", "coherent"):
+            family = bifrequency_received_state(p, probe)
+            for lam in (p.lam, p.lam / 2.0):
+                state = family.eval(lam)
+                tangent_state = _physical(family, _arrays(family.tangent(lam))[:2])
+                _assert_same_bits([state.cov, state.disp], tangent_state)
+            assert family.in_normal_modes == (probe == "tmsv")
 
-    for memo in (_bifrequency_channel, _bifrequency_channel_derivative):
-        memo.cache_clear()
-    p = BiFrequencyParams(0.61, 0.0, 0.3, 2.2)
+
+def test_received_family_raises_on_every_call():
+    """Out-of-range and NaN reflectivities raise on every call of eval and
+    tangent; where eta1 + lambda lies on the edge of [0, 1] the family
+    evaluates, and only the tangent raises its domain error."""
     for probe in ("tmsv", "coherent"):
-        family = bifrequency_received_state(p, probe)
-        family.derivative()
-        family.eval(p.lam)
-    for memo in (_bifrequency_channel, _bifrequency_channel_derivative):
-        info = memo.cache_info()
-        assert (info.misses, info.currsize) == (1, 1) and info.hits >= 1, info
-    channel = _bifrequency_channel(0.61, 0.61)
-    assert channel is _bifrequency_channel(0.61, 0.61)
-    assert not channel.matrix.flags.writeable
-    assert not _bifrequency_channel_derivative(0.61, 0.61).flags.writeable
-
-
-@pytest.mark.parametrize("order", [("tmsv", "coherent"), ("coherent", "tmsv")])
-def test_channel_memo_hit_gives_the_bits_of_a_miss(order):
-    """Fresh memos give the bits of a miss. Then every point, -0.0 after 0.0
-    and np.float64 after float among them, gives the same bits again with the
-    memos filled, in either probe order."""
-    from bifrost.protocols import _bifrequency_channel, _bifrequency_channel_derivative
-
-    misses = []
-    for p in MEMO_POINTS:
-        for probe in order:
-            for memo in (_bifrequency_channel, _bifrequency_channel_derivative):
-                memo.cache_clear()
-            misses.append(_outputs(p, probe))
-    hits = [_outputs(p, probe) for p in MEMO_POINTS for probe in order]
-    assert _bifrequency_channel.cache_info().hits > 0
-    for hit, miss in zip(hits, misses, strict=True):
-        _assert_same_bits(hit, miss)
-
-
-def test_channel_memo_keeps_no_error():
-    """Out-of-range and NaN reflectivities raise on every call and leave the
-    memo as it was; the derivative's domain error stays on the tangent."""
-    from bifrost.protocols import _bifrequency_channel
-
-    family = bifrequency_received_state(BiFrequencyParams(0.7, 0.0, 1.0, 1.0), "tmsv")
-    _bifrequency_channel.cache_clear()
-    for lam in (0.5, -0.8, np.nan, np.inf):
+        family = bifrequency_received_state(BiFrequencyParams(0.7, 0.0, 1.0, 1.0), probe)
+        for lam in (0.5, -0.8, np.nan, np.inf):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="reflectivity must lie in"):
+                    family.eval(lam)
+                with pytest.raises(ValueError, match="reflectivity must lie in"):
+                    family.tangent(lam)
         for _ in range(2):
-            with pytest.raises(ValueError, match="reflectivity must lie in"):
-                family.eval(lam)
-            with pytest.raises(ValueError, match="reflectivity must lie in"):
-                family.tangent(lam)
-    assert _bifrequency_channel.cache_info().currsize == 0
-    for _ in range(2):
-        assert family.eval(0.3).cov.shape == (4, 4)
-        with pytest.raises(ValueError, match="strictly in"):
-            family.tangent(0.3)
+            assert family.eval(0.3).cov.shape == (4, 4)
+            with pytest.raises(ValueError, match="strictly in"):
+                family.tangent(0.3)
 
 
 # --- thermal occupation approximation --------------------------------------

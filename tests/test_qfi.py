@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import bifrost as bf
 from bifrost.errors import PureStateError, check_photon_numbers
+from bifrost.gaussian import normal_modes
 from bifrost.protocols import (
     BiFrequencyParams,
     _qi_classical_received,
@@ -229,10 +230,14 @@ def built_families(rng, n):
 
 def test_tangents_match_central_differences():
     """The analytic tangent returns the evaluated state bit for bit and the
-    moment derivatives of the central difference to 1e-7 relative."""
+    moment derivatives of the central difference to 1e-7 relative, each
+    taken to the physical modes where the tangent is in the normal modes."""
     for family in built_families(np.random.default_rng(1801), 50):
         lam = family.lambda0
         state, dcov, ddisp = family.tangent(lam)
+        if family.in_normal_modes:
+            state = bf.GaussianState(normal_modes(state.cov), normal_modes(state.disp))
+            dcov, ddisp = normal_modes(dcov), normal_modes(ddisp)
         ref = family.eval(lam)
         assert np.array_equal(state.cov, ref.cov) and np.array_equal(state.disp, ref.disp)
         _, fd_cov, fd_disp = central_difference(family.eval)(lam)
@@ -261,12 +266,43 @@ def test_tangent_outside_open_reflectivity_interval_raises(eta1, lam0):
 )
 def test_complex_form_at_domain_edges(eta1, n_s, n_th):
     """Near the edges of the domain, where a difference step would leave
-    [0, 1] or drown in round-off, the complex-form QFI keeps 1e-6."""
+    [0, 1] or drown in round-off, the complex-form QFI keeps 2e-9; the
+    worst of these points reads 8.5e-10, the coherent probe at
+    (0.99, 1e-3, 1e-6)."""
     for probe, closed in (("tmsv", bf.hq_closed_form), ("coherent", bf.hc_closed_form)):
         family = bifrequency_received_state(BiFrequencyParams(eta1, 0.0, n_s, n_th), probe)
         ref = mp_closed_form(closed, eta1, n_s, n_th)
         value = bf.qfi_complex_form(family)
-        assert float(abs(value - ref) / ref) < 1e-6, (probe, value, ref)
+        assert float(abs(value - ref) / ref) < 2e-9, (probe, value, ref)
+
+
+# the worst deviations of the seeded domain sweep, and the corner where the
+# points above 1e-9 lie: 1 - eta1 and n_th small, where the stored covariance
+# is 1 plus a small number whose digits it cannot keep
+SWEEP_WORST = {"tmsv": 3.3e-7, "coherent": 4.2e-6}
+SWEEP_CORNER = {"tmsv": (4e-4, 1e-2, 1e-3), "coherent": (4e-4, 200.0, 1e-2)}
+
+
+def test_domain_sweep_matches_the_50_digit_closed_forms():
+    """300 seeded points (seed 16), 1 - eta1 log-uniform in [1e-6, 0.98] and
+    n_s, n_th log-uniform in [1e-6, 1e6]: both probes' QFI is within 1e-9 of
+    the 50-digit closed forms except near the pure corner, where each point
+    above 1e-9 has 1 - eta1, n_s and n_th below the probe's ``SWEEP_CORNER``
+    and none exceeds 1.5 times the measured worst, ``SWEEP_WORST``: 3.2e-7
+    for the entangled probe at (0.999993, 1.7e-5, 5.1e-6) and 4.2e-6 for the
+    coherent probe at (0.999999, 1.8, 2.2e-5)."""
+    rng = np.random.default_rng(16)
+    tau = np.exp(rng.uniform(np.log(1e-6), np.log(0.98), 300))
+    n_ss, n_ths = (np.exp(rng.uniform(np.log(1e-6), np.log(1e6), 300)) for _ in range(2))
+    for t, n_s, n_th in zip(tau.tolist(), n_ss.tolist(), n_ths.tolist()):
+        p = BiFrequencyParams(1.0 - t, 0.0, n_s, n_th)
+        for probe, closed in (("tmsv", bf.hq_closed_form), ("coherent", bf.hc_closed_form)):
+            ref = mp_closed_form(closed, p.eta1, n_s, n_th)
+            deviation = float(abs(bf.qfi_complex_form(bifrequency_received_state(p, probe)) - ref) / ref)
+            if deviation > 1e-9:
+                corner = SWEEP_CORNER[probe]
+                assert t < corner[0] and n_s < corner[1] and n_th < corner[2], (probe, p, deviation)
+                assert deviation < 1.5 * SWEEP_WORST[probe], (probe, p, deviation)
 
 
 def log_uniform(lo, hi):
@@ -310,9 +346,11 @@ def test_complex_form_matches_closed_forms_over_the_domain(eta1, n_s, n_th):
     everywhere, and so is the single-mode coherent quantum-illumination
     family at amplitude reflectivity eta1.
 
-    The two explicit examples are such corners: there the exact QFI of the
-    stored moments is 5.7e-4 (tmsv) and 1.1e-4 (coherent) from the closed
-    forms, and the rounding bound 2e-3 and 1.1e-4."""
+    The two explicit examples are such corners for the coherent probe: at
+    both its QFI is 1.1e-4 from the closed form (n_s = 1e-6) or 1.1e-10
+    (n_s = 1e6), as is its rounding bound. The entangled probe reads 8.8e-17
+    at n_s = 1e6 and 3.3e-5 at n_s = 1e-6, against a rounding bound of
+    3.7e-5 there."""
     p = BiFrequencyParams(eta1, 0.0, n_s, n_th)
     for probe, closed in (("tmsv", bf.hq_closed_form), ("coherent", bf.hc_closed_form)):
         family = bifrequency_received_state(p, probe)
