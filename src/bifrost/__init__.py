@@ -7,20 +7,7 @@ from .errors import (
     NumericalInstabilityError,
     PureStateError,
 )
-from .gaussian import (
-    GaussianState,
-    SymplecticTransform,
-    apply,
-    beam_splitter,
-    coherent,
-    omega,
-    partial_trace,
-    tensor,
-    thermal,
-    tmsv,
-    two_mode_squeezed,
-    vacuum,
-)
+from .gaussian import GaussianState, omega
 from .qfi import (
     QfiResult,
     StateFamily,

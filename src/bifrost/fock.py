@@ -214,9 +214,10 @@ def _gate_cutoff(tail_mass: float, cutoff: int, label: str):
 def _tmsv_amplitudes(n_s: float, cutoff: int) -> np.ndarray:
     """The amplitudes a_n of the two-mode squeezed vacuum sum_n a_n |n, n>,
     one per level of the cutoff, after the domain check and the tail gate.
-    sinh^2 r = 2 n_s, matching :func:`bifrost.gaussian.tmsv`, with the
-    relative phase that correlates the x quadratures positively, again
-    matching the covariance convention."""
+    sinh^2 r = 2 n_s, as in the entangled probe's covariance blocks
+    (1 + 4 n_s) I and 2 sqrt(2 n_s (2 n_s + 1)) sigma_z, with the relative
+    phase that correlates the x quadratures positively, again matching the
+    covariance convention."""
     check_photon_numbers(n_s)
     tanh2 = 2.0 * n_s / (2.0 * n_s + 1.0)  # tanh^2 r with sinh^2 r = 2 n_s
     _gate_cutoff(float(tanh2**cutoff), cutoff, "two-mode squeezed")

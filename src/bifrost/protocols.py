@@ -8,8 +8,8 @@ Three pipelines are assembled here:
   The received moments and their derivatives are closed forms: no channel
   is built per point,
 * the quantum-illumination regression: single-frequency target detection with
-  a retained idler, reproduced both as closed forms and as a numeric
-  three-mode pipeline,
+  a retained idler, reproduced both as closed-form QFIs and as the
+  Williamson solve of the received moments, which are closed forms too,
 * the equal-bath-occupation bound quantifying when two thermal baths at
   nearby frequencies may be treated as equally populated.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -59,22 +58,6 @@ class BiFrequencyParams:
         if not 0.0 <= self.eta1 + self.lam <= 1.0:
             raise ValueError(f"eta1 + lambda = {self.eta1 + self.lam} outside [0, 1]")
         check_photon_numbers(self.n_s, self.n_th)
-
-
-def _channel_family(
-    state: g.GaussianState,
-    transform: Callable[[float], g.SymplecticTransform],
-    dtransform: Callable[[float], np.ndarray],
-    keep: list[int],
-    lambda0: float,
-) -> StateFamily:
-    """The family l -> modes ``keep`` of S(l) = transform(l) acting on a fixed
-    input state, differentiated through ``dtransform`` = dS/dl."""
-    return StateFamily(
-        eval=lambda lam: g.partial_trace(g.apply(transform(lam), state), keep),
-        tangent=lambda lam: g.propagate(state, transform(lam), dtransform(lam), keep),
-        lambda0=lambda0,
-    )
 
 
 def _reflectivities(p: BiFrequencyParams, lam: float, tangent: bool) -> tuple[float, float]:
@@ -244,45 +227,67 @@ def qi_ratio(n_s: float, n_th: float) -> float:
 
 
 def _qi_quantum_received(eta: float, n_s: float, n_th: float) -> StateFamily:
-    """Received (reflection, idler) states over the amplitude reflectivity
-    eta; the target reflects eta^2 in power."""
-    probe = g.two_mode_squeezed(np.arcsinh(np.sqrt(n_s)))
+    """The entangled probe's received (reflection, idler) pair over the
+    amplitude reflectivity eta, in closed form (Weedbrook et al., Rev. Mod.
+    Phys. 84, 621, 2012): with sinh^2 r = n_s and c = sinh 2r =
+    2 sqrt(n_s (n_s + 1)), the reflection has variance
+    a = eta^2 (1 + 2 n_s) + (1 - eta)(1 + eta)(1 + 2 n_th), the idler
+    1 + 2 n_s, and their correlation is eta c sigma_z. In eta,
+    da = 4 eta (n_s - n_th), the correlation moves by c sigma_z and the idler
+    stays."""
+    idler, c = 1.0 + 2.0 * n_s, 2.0 * math.sqrt(n_s * (n_s + 1.0))
 
-    def dtransform(e: float) -> np.ndarray:
-        d = np.zeros((6, 6))
-        d[:4, :4] = g.beam_splitter_amplitude_derivative(e)
-        return d
+    def state(e: float) -> g.GaussianState:
+        a = e * e * idler + (1.0 - e) * (1.0 + e) * (1.0 + 2.0 * n_th)
+        return g.GaussianState(_correlated(a, idler, e * c), np.zeros(4))
 
-    return _channel_family(
-        g.tensor(g.thermal(n_th), probe),
-        lambda e: g.SymplecticTransform(
-            g.block_diag(g.beam_splitter_matrix(e**2), np.eye(2))
-        ),
-        dtransform,
-        [1, 2],
-        eta,
-    )
+    def tangent(e: float):
+        return state(_amplitude(e, True)), _correlated(4.0 * e * (n_s - n_th), 0.0, c), np.zeros(4)
+
+    return StateFamily(lambda e: state(_amplitude(e, False)), tangent, eta)
+
+
+def _correlated(a: float, b: float, x: float) -> np.ndarray:
+    """[[a I, x sigma_z], [x sigma_z, b I]]."""
+    return np.array([[a, 0.0, x, 0.0], [0.0, a, 0.0, -x], [x, 0.0, b, 0.0], [0.0, -x, 0.0, b]])
+
+
+def _amplitude(e: float, tangent: bool) -> float:
+    """``e`` if it lies in [0, 1], and for a tangent in [0, 1); else ValueError."""
+    if not 0.0 <= e <= 1.0:  # NaN fails too
+        raise ValueError(f"amplitude reflectivity must lie in [0, 1], got {e}")
+    if tangent and e == 1.0:
+        raise ValueError("amplitude reflectivity must lie in [0, 1) to differentiate, got 1.0")
+    return e
 
 
 def qi_quantum_qfi_numeric(eta: float, n_s: float, n_th: float) -> float:
-    """Entangled-probe QFI from the three-mode pipeline at finite reflectivity."""
+    """Entangled-probe QFI at finite reflectivity, from the Williamson solve
+    of the closed-form received pair."""
     _check_qi_point(eta, n_s, n_th)
     return qfi_complex_form(_qi_quantum_received(eta, n_s, n_th))
 
 
 def _qi_classical_received(eta: float, n_s: float, n_th: float) -> StateFamily:
-    """Received single-mode states over the amplitude reflectivity eta."""
-    return _channel_family(
-        g.tensor(g.thermal(n_th), g.coherent(np.sqrt(n_s))),
-        lambda e: g.beam_splitter(e**2),
-        g.beam_splitter_amplitude_derivative,
-        [1],
-        eta,
-    )
+    """The coherent probe's received mode over the amplitude reflectivity
+    eta: thermal with covariance (1 + 2 n_th (1 - eta)(1 + eta)) I, displaced
+    by eta sqrt(2 n_s) in x. In eta, the covariance moves by -4 eta n_th I and
+    the displacement by sqrt(2 n_s)."""
+    amp = math.sqrt(2.0 * n_s)
+
+    def state(e: float) -> g.GaussianState:
+        cov = (1.0 + 2.0 * n_th * (1.0 - e) * (1.0 + e)) * np.eye(2)
+        return g.GaussianState(cov, np.array([e * amp, 0.0]))
+
+    def tangent(e: float):
+        return state(_amplitude(e, True)), -4.0 * e * n_th * np.eye(2), np.array([amp, 0.0])
+
+    return StateFamily(lambda e: state(_amplitude(e, False)), tangent, eta)
 
 
 def qi_classical_qfi_numeric(eta: float, n_s: float, n_th: float) -> float:
-    """Coherent-probe QFI from the two-mode pipeline (single received mode)."""
+    """Coherent-probe QFI at finite reflectivity, from the Williamson solve
+    of the closed-form received mode."""
     _check_qi_point(eta, n_s, n_th)
     return qfi_complex_form(_qi_classical_received(eta, n_s, n_th))
 

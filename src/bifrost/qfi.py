@@ -18,8 +18,7 @@ own tangent (``StateFamily.tangent``). Its tangent at lambda0 is computed
 once per family and kept (``StateFamily.derivative``), and no kernel
 evaluates the family. The families of :mod:`bifrost.protocols` give their
 moments and exact derivatives in closed form, in the physical modes or the
-normal modes (``StateFamily.in_normal_modes``), or propagate them through
-their symplectic maps (:func:`bifrost.gaussian.propagate`). Everything is
+normal modes (``StateFamily.in_normal_modes``). Everything is
 computed in real arithmetic through M = Omega Sigma (A = i M, A^2 = -M^2)
 and the two symplectic invariants
 

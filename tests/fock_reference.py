@@ -197,7 +197,7 @@ def fock_beam_splitter(eta, cutoff):
     photon number n that the generator preserves, where it is tridiagonal
     with entries +-sqrt((m + 1)(n - m)). The second output slot is
     sqrt(eta) x (second input) - sqrt(1-eta) x (first input), as in
-    :func:`bifrost.gaussian.beam_splitter`; full reflection (eta = 1) is the
+    :func:`tangent_reference.beam_splitter`; full reflection (eta = 1) is the
     identity.
     """
     from scipy.linalg import expm

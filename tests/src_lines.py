@@ -1,12 +1,15 @@
-"""Count the lines of ``src/`` by kind: code, docstring, comment and blank.
+"""Count the Python lines of ``src/`` and ``tests/`` by kind: code, docstring,
+comment and blank.
 
 Usage, from the repository root::
 
     python tests/src_lines.py [REV]
 
-prints the counts of the working tree, and with a git revision ``REV`` also
-those of ``REV`` and the difference; then one row per module, with ``REV``
-also its change in total lines. A line is docstring if it lies within a
+prints, for ``src/``, for ``tests/`` and for the two together, the counts of
+the working tree, and with a git revision ``REV`` also those of ``REV`` and
+the difference, so that code moved between them shows as no saving; then one
+row per module of ``src/``, with ``REV`` also its change in total lines. A
+line is docstring if it lies within a
 module, class or function docstring, blank lines inside one included; else
 blank if it holds only whitespace, comment if its first character other than
 whitespace is ``#``, and code otherwise.
@@ -19,6 +22,7 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 KINDS = ("code", "docstring", "comment", "blank")
+TREES = ["src", "tests"]
 # width of the label column
 LABEL = 20
 
@@ -58,13 +62,13 @@ def totals(sources: dict[str, str]) -> dict[str, int]:
     return result
 
 
-def working_tree() -> dict[str, str]:
+def working_tree(tree: str) -> dict[str, str]:
     return {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
-            for p in sorted((ROOT / "src").rglob("*.py"))}
+            for p in sorted((ROOT / tree).rglob("*.py"))}
 
 
-def revision(rev: str) -> dict[str, str]:
-    paths = [p for p in _git("ls-tree", "-r", "--name-only", rev, "src").split() if p.endswith(".py")]
+def revision(rev: str, tree: str) -> dict[str, str]:
+    paths = [p for p in _git("ls-tree", "-r", "--name-only", rev, tree).split() if p.endswith(".py")]
     return {p: _git("show", f"{rev}:{p}") for p in paths}
 
 
@@ -79,16 +83,19 @@ def _header(label: str, *extra: str) -> str:
 
 
 def main(argv: list[str]) -> int:
-    now = working_tree()
-    then = revision(argv[0]) if argv else {}
-    print(_header("src/"))
-    print(_row("working tree", totals(now)))
-    if argv:
-        before, after = totals(then), totals(now)
-        print(_row(argv[0][:LABEL], before))
-        print(_row("difference", {k: after[k] - before[k] for k in KINDS}, sign=True))
-    print()
+    now = {tree: working_tree(tree) for tree in TREES}
+    then = {tree: revision(argv[0], tree) if argv else {} for tree in TREES}
+    for label, trees in (("src/", ["src"]), ("tests/", ["tests"]), ("src/ + tests/", TREES)):
+        after = totals({p: t for tree in trees for p, t in now[tree].items()})
+        print(_header(label))
+        print(_row("working tree", after))
+        if argv:
+            before = totals({p: t for tree in trees for p, t in then[tree].items()})
+            print(_row(argv[0][:LABEL], before))
+            print(_row("difference", {k: after[k] - before[k] for k in KINDS}, sign=True))
+        print()
     print(_header("module", *(["change"] if argv else [])))
+    now, then = now["src"], then["src"]
     for path in sorted(now.keys() | then.keys()):
         counts = count(now[path]) if path in now else dict.fromkeys(KINDS, 0)
         change = sum(counts.values()) - (sum(count(then[path]).values()) if path in then else 0)

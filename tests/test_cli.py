@@ -715,7 +715,7 @@ def test_round_off_bound_leaves_the_domain_with_margin(monkeypatch):
     families lie outside the domain, so they are built with the domain check
     switched off. A covariance that float64 cannot factor raises the
     round-off error."""
-    from bifrost import gaussian, protocols, qfi
+    from bifrost import protocols, qfi
     from bifrost.errors import NumericalInstabilityError
     from bifrost.sld import qfi_result
     from closed_form_reference import mp_closed_form
@@ -728,7 +728,7 @@ def test_round_off_bound_leaves_the_domain_with_margin(monkeypatch):
     assert deviation(1.0 - 1e-15, 1e6, 0.0) < 1e-7
     with pytest.raises(ValueError, match="photon numbers"):
         bf.BiFrequencyParams(0.9, 0.0, 1e14, 1.0)
-    for module in (protocols, gaussian, qfi):
+    for module in (protocols, qfi):
         monkeypatch.setattr(module, "check_photon_numbers", lambda *values: None)
     for n_s in (1e10, 1e14, 1e100):
         assert deviation(0.9, n_s, 1.0) < 1e-15, n_s

