@@ -78,17 +78,22 @@ def _tmsv_received(p: BiFrequencyParams) -> StateFamily:
         u, v = (1 - (eta1 + eta2) / 2) B + g e^{+-2r} + h cosh 2r,    w = (eta1 - eta2) (2 n_s - n_th).
 
     In eta2, with k = sqrt(eta1 / eta2), du = (4 n_s + k sinh 2r - 2 n_th) / 2,
-    dv = (e^{-2r} - B + (1 - k) sinh 2r) / 2 and dw = n_th - 2 n_s."""
+    dv = (e^{-2r} - B + (1 - k) sinh 2r) / 2 and dw = n_th - 2 n_s. At zero
+    gap w = 0, both normal modes have nu^2 = u v, with tau = 1 - eta1,
+
+        nu^2 - 1 = tau (4 tau n_th (1 + n_th) + 2 eta1 (2 n_th cosh 2r + 4 n_s)),
+
+    and S^-1 = diag(sqrt(nu / u), sqrt(nu / v), sqrt(nu / v), sqrt(nu / u))."""
     n_s, n_th = p.n_s, p.n_th
     sinh = 2.0 * math.sqrt(2.0 * n_s * (2.0 * n_s + 1.0))
     grow = 4.0 * n_s + sinh  # e^{2r} - 1, and e^{-2r} - 1 = -grow / (1 + grow)
 
-    def cov(eta1: float, eta2: float) -> np.ndarray:
+    def moments(eta1: float, eta2: float) -> tuple[float, float, float]:
         root1, root2 = math.sqrt(eta1), math.sqrt(eta2)
         h = 0.5 * ((eta1 - eta2) / (root1 + root2)) ** 2 if eta1 != eta2 else 0.0
         rest = 0.5 * ((1.0 - eta1) + (1.0 - eta2)) * (1.0 + 2.0 * n_th) + h * (1.0 + 4.0 * n_s)
         u, v = rest + root1 * root2 * (1.0 + grow), rest + root1 * root2 / (1.0 + grow)
-        return _pattern(u, v, 0.5 * (eta1 - eta2) * (4.0 * n_s - 2.0 * n_th))
+        return u, v, 0.5 * (eta1 - eta2) * (4.0 * n_s - 2.0 * n_th)
 
     def tangent(lam: float):
         eta1, eta2 = _reflectivities(p, lam, True)
@@ -97,12 +102,23 @@ def _tmsv_received(p: BiFrequencyParams) -> StateFamily:
         du = 0.5 * (4.0 * n_s + root1 / root2 * sinh - 2.0 * n_th)
         dv = -0.5 * (grow / (1.0 + grow) + 2.0 * n_th - shift)
         dcov = _pattern(du, dv, n_th - 2.0 * n_s)
-        return g.GaussianState(cov(eta1, eta2), np.zeros(4)), dcov, np.zeros(4)
+        return g.GaussianState(_pattern(*moments(eta1, eta2)), np.zeros(4)), dcov, np.zeros(4)
 
-    return StateFamily(
-        lambda lam: g.GaussianState(g.normal_modes(cov(*_reflectivities(p, lam, False))), np.zeros(4)),
-        tangent, p.lam, in_normal_modes=True,
-    )
+    def williamson(lam: float):
+        if lam != 0.0:
+            return None
+        eta1, tau = p.eta1, 1.0 - p.eta1
+        u, v, _ = moments(eta1, eta1)
+        square = 4.0 * tau * (tau * n_th * (1.0 + n_th) + eta1 * (n_th * (1.0 + 4.0 * n_s) + 2.0 * n_s))
+        nu = math.sqrt(1.0 + square)
+        a, b, e = math.sqrt(nu / u), math.sqrt(nu / v), square / (nu + 1.0)
+        return np.diag([a, b, b, a]), np.array([nu, nu]), np.array([e, e])
+
+    def evaluate(lam: float) -> g.GaussianState:
+        cov = _pattern(*moments(*_reflectivities(p, lam, False)))
+        return g.GaussianState(g.normal_modes(cov), np.zeros(4))
+
+    return StateFamily(evaluate, tangent, p.lam, in_normal_modes=True, williamson=williamson)
 
 
 def _pattern(u: float, v: float, w: float) -> np.ndarray:
@@ -112,7 +128,8 @@ def _pattern(u: float, v: float, w: float) -> np.ndarray:
 
 def _coherent_received(p: BiFrequencyParams) -> StateFamily:
     """The coherent probe's received pair: mode i is thermal with covariance
-    (1 + 2 n_th (1 - eta_i)) I, displaced by sqrt(2 n_s eta_i) in x."""
+    (1 + 2 n_th (1 - eta_i)) I, displaced by sqrt(2 n_s eta_i) in x; each
+    mode is its own normal mode, with S = I and nu_i - 1 = 2 n_th (1 - eta_i)."""
     n_th, amp = p.n_th, math.sqrt(2.0 * p.n_s)
 
     def state(eta1: float, eta2: float) -> g.GaussianState:
@@ -124,7 +141,13 @@ def _coherent_received(p: BiFrequencyParams) -> StateFamily:
         ddisp = np.array([0.0, 0.0, 0.5 * amp / math.sqrt(eta2), 0.0])
         return state(eta1, eta2), np.diag([0.0, 0.0, -2.0 * n_th, -2.0 * n_th]), ddisp
 
-    return StateFamily(lambda lam: state(*_reflectivities(p, lam, False)), tangent, p.lam)
+    def williamson(lam: float):
+        e = np.array([2.0 * n_th * (1.0 - eta) for eta in _reflectivities(p, lam, True)])
+        return np.eye(4), 1.0 + e, e
+
+    return StateFamily(
+        lambda lam: state(*_reflectivities(p, lam, False)), tangent, p.lam, williamson=williamson
+    )
 
 
 def bifrequency_received_state(p: BiFrequencyParams, probe: str) -> StateFamily:
@@ -282,7 +305,11 @@ def _qi_classical_received(eta: float, n_s: float, n_th: float) -> StateFamily:
     def tangent(e: float):
         return state(_amplitude(e, True)), -4.0 * e * n_th * np.eye(2), np.array([amp, 0.0])
 
-    return StateFamily(lambda e: state(_amplitude(e, False)), tangent, eta)
+    def williamson(e: float):
+        occupation = 2.0 * n_th * (1.0 - e) * (1.0 + e)  # nu - 1, with S = I
+        return np.eye(2), np.array([1.0 + occupation]), np.array([occupation])
+
+    return StateFamily(lambda e: state(_amplitude(e, False)), tangent, eta, williamson=williamson)
 
 
 def qi_classical_qfi_numeric(eta: float, n_s: float, n_th: float) -> float:

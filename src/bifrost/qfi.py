@@ -92,12 +92,19 @@ class StateFamily:
         in_normal_modes: whether that frame is the normal modes of a
             two-mode family (:func:`bifrost.gaussian.normal_modes`), which
             leaves the QFI as it is, or the physical modes.
+        williamson: ``None``, or a callable returning the Williamson data
+            of the tangent's state at a given parameter value, in its frame,
+            or ``None`` where it has none: ``(S^-1, nu, e)``, S symplectic
+            with S^-1 Sigma S^-T = diag(nu_1, nu_1, .., nu_n, nu_n), nu and
+            e = nu - 1 per mode, e to its own relative precision. Without
+            them :mod:`bifrost.sld` derives them from the covariance.
     """
 
     eval: Callable[[float], GaussianState]
     tangent: Callable[[float], tuple[GaussianState, np.ndarray, np.ndarray]]
     lambda0: float = 0.0
     in_normal_modes: bool = False
+    williamson: Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray] | None] | None = None
 
     def derivative(self) -> tuple[GaussianState, np.ndarray, np.ndarray]:
         """The tangent at lambda0, asked of the family once and kept with its

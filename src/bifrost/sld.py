@@ -5,31 +5,33 @@ logarithmic derivative solving {L, rho} = 2 drho is the quadratic form
 
     L = dR^T Phi dR - Tr[Sigma Phi] / 2 + 2 dR^T Sigma^-1 d'   (dR = R - d),
 
-where Phi solves Sigma Phi Sigma + Omega Phi Omega = Sigma', in the
-Williamson basis of Sigma (Monras, arXiv:1303.3682; Safranek, J. Phys. A 52,
-035304, 2019, arXiv:1801.00299) reached in real arithmetic through the
-Cholesky factor Sigma = C C^T: i C^-1 Omega C^-T has eigenvalues
-lambda_i = +-1/nu_k and eigenvectors U, and with Dt = U^dag C^-1 Sigma' C^-T U
+where Phi solves Sigma Phi Sigma + Omega Phi Omega = Sigma', in real
+arithmetic in the Williamson basis Sigma = S D S^T, D = diag(nu_1, nu_1, ..)
+(Monras, arXiv:1303.3682; Safranek, J. Phys. A 52, 035304, 2019,
+arXiv:1801.00299). With X = S^-1 Sigma' S^-T, X+- = X +- Omega X Omega and
+N_ij = nu_k nu_l for the modes k, l of quadratures i, j,
 
-    Phi = R Y R^dag,    R = C^-T U,    Y_ij = Dt_ij / (1 - lambda_i lambda_j),
-    H = Tr(Dt Y) / 2 + 2 |C^-1 d'|^2,
-    Tr[Sigma Phi] = Tr[(Sigma - i Omega) Phi] = sum_i (1 - lambda_i) Y_ii.
+    Phi = S^-T Phi' S^-1,    Phi' = [X- / (N - 1) + X+ / (N + 1)] / 2,
+    H = sum [X-^2 / (N - 1) + X+^2 / (N + 1)] / 8 + 2 |D^-1/2 S^-1 d'|^2,
+    Tr[Sigma Phi] = Tr(D Phi') = sum_i nu_i Phi'_ii.
 
-The last form, with Tr[Omega Phi] = 0, cancels the round-off that the
-entries of Phi carry, which near a pure state are large beside the
-observable's constant l0. Cholesky keeps each entry of a graded positive
-definite matrix to its own relative precision (Demmel and Veselic, SIAM J.
-Matrix Anal. Appl. 13, 1204, 1992), so the small eigen-directions of the
-entangled probe's normal-mode moments survive; a covariance that float64
-cannot factor raises NumericalInstabilityError. It is the QFI route every
-caller reads (:func:`qfi_result`); the symplectic-invariant expression of
+The first denominator is exact, N - 1 = e_k + e_l + e_k e_l with e = nu - 1,
+where the family supplies (S^-1, nu, e) with e to its own relative precision
+(``StateFamily.williamson``), as the bi-frequency probes at zero gap and the
+coherent quantum-illumination family do: the QFI keeps its digits up to the
+pure corner, where the stored covariance 1 + e has lost those of e. Other
+families get the data from the Cholesky factor Sigma = C C^T (Demmel and
+Veselic, SIAM J. Matrix Anal. Appl. 13, 1204, 1992) and the eigenvectors u_k
+of +1/nu_k of i C^-1 Omega C^-T: S^-1 = D^1/2 O^T C^-1, O of columns
+(sqrt 2 Im u_k, sqrt 2 Re u_k). It is the QFI route every caller reads
+(:func:`qfi_result`); the symplectic-invariant expression of
 :mod:`bifrost.qfi` is its check. The observable saturating the Cramer-Rao
 bound at working point l0 is O = l0 + L / H.
 
-The quotient is singular only where two normal modes are both pure
-(lambda_i lambda_j = 1). Where the family keeps them pure, Dt_ij vanishes
-there and the regularised value Y_ij = 0 is taken; elsewhere the QFI
-diverges, and the solve raises DegenerateStateError.
+The first quotient is singular only where two normal modes are both pure
+(N = 1). Where the family keeps them pure, X- vanishes there and the term is
+taken as 0; elsewhere the QFI diverges, and the solve raises
+DegenerateStateError.
 
 The solve runs in the family's frame (``StateFamily.in_normal_modes``); the
 form is mapped to the physical modes and written in the complex basis
@@ -64,10 +66,9 @@ from .errors import (
 from .gaussian import normal_modes, omega
 from .qfi import STATIC_COV_TOL, QfiResult, StateFamily, _check_domain, _check_some_photons
 
-# a pair of normal modes counts as pure when 1 - lambda_i lambda_j is below
-# this; round-off leaves a few 1e-16 on a pure state, and the least mixed
-# received state of the domain (eta1 = 1 - 1e-6, n_th = 1e-6) has 4.0e-12,
-# the coherent probe's (8.5e-11 the smallest over a 300-point domain sweep)
+# a pair of normal modes counts as pure when nu_k nu_l - 1 is at most this:
+# derived data leave a few 1e-16 on a pure state, and the families supply
+# 4.0e-12 (coherent) and 1.2e-11 (tmsv) at the least mixed point of the domain
 _PURE_TOL = 1e-13
 # the circuit solve counts as converged when its residual norm is at most this
 _CIRCUIT_TOL = 1e-12
@@ -116,7 +117,6 @@ class SldForm:
     center: np.ndarray
 
 
-
 def _terms(form: SldForm) -> list[tuple[complex, str, str]]:
     """A two-mode form's terms (c, mode-1 word, mode-2 word): each A_i -
     center_i expanded into ladder words, one per mode ("a" for a, "A" for
@@ -145,48 +145,37 @@ _PAIR.setflags(write=False)
 
 class _Solution(NamedTuple):
     """The Williamson-basis solve of a family at its working point, in its
-    frame: lambda_i = +-1/nu_k, U, Y, Dt, C^-1 d' and C^-1 (module
-    docstring), and the family, whose moments decide the form's symmetries."""
+    frame: S^-1, nu per quadrature, Phi', D^-1 S^-1 d', H's two terms, and
+    the family, whose moments decide the form's symmetries."""
 
-    lam: np.ndarray
-    u: np.ndarray
-    q: np.ndarray
-    z: np.ndarray
-    proj: np.ndarray
-    inv_chol: np.ndarray
+    s_inv: np.ndarray
+    nu: np.ndarray
+    phi_w: np.ndarray
+    disp_w: np.ndarray
+    term_cov: float
+    term_disp: float
     family: StateFamily
 
     def result(self) -> QfiResult:
-        """H = Tr(Dt Y) / 2 + 2 |C^-1 d'|^2, term by term, with the
-        symplectic eigenvalues nu = 1 / |lambda|. A value that leaves the
-        float range raises ArithmeticError."""
-        term_cov = 0.5 * float(np.vdot(self.z, self.q).real)
-        term_disp = 2.0 * float(np.vdot(self.proj, self.proj))
-        value = term_cov + term_disp
+        """H, its terms and nu; ArithmeticError where H leaves the float range."""
+        value = self.term_cov + self.term_disp
         if not math.isfinite(value):
             raise ArithmeticError(f"the QFI leaves the float range: {value}")
-        abs_lam = np.abs(self.lam)
-        return QfiResult(
-            value=value,
-            nu_plus=1.0 / float(abs_lam.min()),
-            nu_minus=1.0 / float(abs_lam.max()),
-            term_covariance=term_cov,
-            term_displacement=term_disp,
-        )
+        nu = self.nu.tolist()
+        return QfiResult(value, max(nu), min(nu), self.term_cov, self.term_disp)
 
     def _physical(self, *arrays: np.ndarray) -> list[np.ndarray]:
         """Moments of the family's frame in the physical modes."""
         return [normal_modes(a) for a in arrays] if self.family.in_normal_modes else list(arrays)
 
     def phi(self) -> np.ndarray:
-        """Phi = R Y R^dag, R = C^-T U, in the physical modes: a new array."""
-        r = self.inv_chol.T @ self.u
-        phi = (r @ self.q @ r.conj().T).real
+        """Phi = S^-T Phi' S^-1 in the physical modes: a new array."""
+        phi = self.s_inv.T @ self.phi_w @ self.s_inv
         return normal_modes(phi) if self.family.in_normal_modes else 0.5 * (phi + phi.T)
 
     def scalar(self) -> float:
-        """-Tr(Sigma Phi) / 2 = -sum_i (1 - lambda_i) Y_ii / 2."""
-        return -0.5 * float(np.dot(1.0 - self.lam, np.diagonal(self.q)).real)
+        """-Tr(Sigma Phi) / 2 = -sum_i nu_i Phi'_ii / 2."""
+        return -0.5 * float(np.dot(self.nu, np.diagonal(self.phi_w)))
 
     def paired(self) -> bool:
         """Whether the family has two modes, no displacement or displacement
@@ -209,7 +198,7 @@ class _Solution(NamedTuple):
             phi[::2, 1::2] = phi[1::2, ::2] = 0.0
         if self.paired():
             phi = 0.5 * (phi + _PAIR @ phi @ _PAIR.T)
-        linear, center = self._physical(2.0 * (self.inv_chol.T @ self.proj), state.disp)
+        linear, center = self._physical(2.0 * (self.s_inv.T @ self.disp_w), state.disp)
         return SldForm(
             quad=_in_complex_basis(phi),
             linear=_in_complex_basis(linear),
@@ -218,22 +207,28 @@ class _Solution(NamedTuple):
         )
 
 
-def _cholesky(cov: np.ndarray) -> np.ndarray:
-    """The lower Cholesky factor C of cov = C C^T; NumericalInstabilityError
-    where float64 cannot factor it."""
+def _derived_williamson(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S^-1, nu, nu - 1) of cov from its Cholesky factor C and the
+    eigenvectors of i C^-1 Omega C^-T (module docstring)."""
     try:
-        return np.linalg.cholesky(cov)
+        inv_chol = np.linalg.inv(np.linalg.cholesky(cov))
     except np.linalg.LinAlgError:
         raise NumericalInstabilityError(
             "the covariance is not positive definite within float64 round-off: "
             "its Cholesky factorisation fails, so float64 cannot resolve the state"
         ) from None
+    n = cov.shape[0] // 2
+    lam, u = np.linalg.eigh(1j * (inv_chol @ omega(n) @ inv_chol.T))
+    o = np.sqrt(2.0) * np.stack([u[:, n:].imag, u[:, n:].real], axis=2).reshape(2 * n, 2 * n)
+    nu = 1.0 / lam[n:]
+    return np.sqrt(np.repeat(nu, 2))[:, None] * (o.T @ inv_chol), nu, nu - 1.0
 
 
 @lru_cache(maxsize=16)
 def _solve(family: StateFamily) -> _Solution:
     """Solve Sigma Phi Sigma + Omega Phi Omega = dSigma in the Williamson
-    basis of Sigma, reached through its Cholesky factor.
+    basis of Sigma, from the family's Williamson data or, where it gives
+    none, from data derived from its covariance.
 
     Memoised per family, so every kernel on one family shares one solve; its
     arrays are read-only, and an error is raised again on every call. A
@@ -242,30 +237,31 @@ def _solve(family: StateFamily) -> _Solution:
     the photon-number domain.
     """
     state, dcov, ddisp = family.derivative()
-    inv_chol = np.linalg.inv(_cholesky(state.cov))
-    lam, u = np.linalg.eigh(1j * (inv_chol @ omega(state.n_modes) @ inv_chol.T))
-    z = u.conj().T @ (inv_chol @ dcov @ inv_chol.T) @ u
-    den = 1.0 - lam[:, None] * lam
-    pure = den <= _PURE_TOL
-    if pure.any():
-        stray = float(np.max(np.abs(z[pure])))
+    data = family.williamson(family.lambda0) if family.williamson else None
+    s_inv, nu, e = data if data is not None else _derived_williamson(state.cov)
+    nu, e = nu.repeat(2), e.repeat(2)
+    x = s_inv @ dcov @ s_inv.T
+    turned = omega(state.n_modes) @ x @ omega(state.n_modes)
+    x_minus, x_plus = x - turned, x + turned
+    gap = nu[:, None] * e + e[:, None]  # nu_k nu_l - 1 = e_k + nu_k e_l
+    plus = x_plus / (gap + 2.0)
+    if gap.min() <= _PURE_TOL:
+        pure = gap <= _PURE_TOL
+        stray = float(np.max(np.abs(x_minus[pure])))
         if stray > STATIC_COV_TOL:
             raise DegenerateStateError(
                 f"a pure normal mode changes its purity: transported covariance "
-                f"derivative {stray:.3e} where 1 - lambda_i lambda_j <= {_PURE_TOL:.0e}; "
+                f"derivative {stray:.3e} where nu_k nu_l - 1 <= {_PURE_TOL:.0e}; "
                 "the logarithmic derivative does not exist"
             )
-        den = np.where(pure, np.inf, den)
-    solution = _Solution(
-        lam=lam,
-        u=u,
-        q=z / den,
-        z=z,
-        proj=inv_chol @ ddisp,
-        inv_chol=inv_chol,
-        family=family,
-    )
-    for array in solution[:-1]:  # every field but the family
+        gap = np.where(pure, np.inf, gap)
+    minus = x_minus / gap
+    proj = s_inv @ ddisp
+    disp_w = proj / nu
+    term_cov = 0.125 * float(np.vdot(x_minus, minus) + np.vdot(x_plus, plus))
+    term_disp = 2.0 * float(np.vdot(proj, disp_w))
+    solution = _Solution(s_inv, nu, 0.5 * (minus + plus), disp_w, term_cov, term_disp, family)
+    for array in solution[:4]:
         array.setflags(write=False)
     return solution
 

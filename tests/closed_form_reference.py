@@ -14,8 +14,12 @@ from bifrost.sld import complex_basis_matrix, sld
 
 
 def mp_closed_form(closed_form, eta1, n_s, n_th):
-    """A closed form evaluated in 50-digit arithmetic at the same float inputs."""
-    with mpmath.workdps(50):
+    """A closed form evaluated in 50-digit arithmetic at the same float
+    inputs, its powers too: ``qfi._pow`` takes float powers, which would
+    round 1 + 2 n_th (1 - eta1) to float before forming its fourth power
+    minus 1."""
+    qfi_module = importlib.import_module("bifrost.qfi")
+    with mpmath.workdps(50), mock.patch.object(qfi_module, "_pow", lambda x, k: x**k):
         return closed_form(mpmath.mpf(eta1), mpmath.mpf(n_s), mpmath.mpf(n_th))
 
 
@@ -36,9 +40,12 @@ def rounding_bound(family):
     It uses dH = -Tr(Phi Sigma Phi dSigma) + Tr(Phi dSigma') + (the
     displacement term), with Phi the real-basis form of the logarithmic
     derivative, all in the frame the family stores its moments in. It is what
-    no kernel reading these floats can resolve: near eta1 = 1 the coherent
-    probe's covariance stores 1 + 2 n_th (1 - eta1) and loses most digits of
-    the second term, on which the QFI then depends.
+    no kernel reading only these floats can resolve: near eta1 = 1 the
+    coherent probe's covariance stores 1 + 2 n_th (1 - eta1) and loses most
+    digits of the second term, on which the QFI then depends. A family that
+    also supplies its Williamson data (``StateFamily.williamson``) gives the
+    solve nu - 1 to its own relative precision, so the solve reads the QFI
+    far inside this bound there; it stays the bound of the derived route.
     """
     state, dcov, ddisp = family.derivative()
     w = complex_basis_matrix(state.n_modes)

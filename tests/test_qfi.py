@@ -277,21 +277,13 @@ def test_complex_form_at_domain_edges(eta1, n_s, n_th):
         assert float(abs(value - ref) / ref) < 2e-9, (probe, value, ref)
 
 
-# the worst deviations of the seeded domain sweep, and the corner where the
-# points above 1e-9 lie: 1 - eta1 and n_th small, where the stored covariance
-# is 1 plus a small number whose digits it cannot keep
-SWEEP_WORST = {"tmsv": 3.3e-7, "coherent": 4.2e-6}
-SWEEP_CORNER = {"tmsv": (4e-4, 1e-2, 1e-3), "coherent": (4e-4, 200.0, 1e-2)}
-
-
 def test_domain_sweep_matches_the_50_digit_closed_forms():
     """300 seeded points (seed 16), 1 - eta1 log-uniform in [1e-6, 0.98] and
-    n_s, n_th log-uniform in [1e-6, 1e6]: both probes' QFI is within 1e-9 of
-    the 50-digit closed forms except near the pure corner, where each point
-    above 1e-9 has 1 - eta1, n_s and n_th below the probe's ``SWEEP_CORNER``
-    and none exceeds 1.5 times the measured worst, ``SWEEP_WORST``: 3.2e-7
-    for the entangled probe at (0.999993, 1.7e-5, 5.1e-6) and 4.2e-6 for the
-    coherent probe at (0.999999, 1.8, 2.2e-5)."""
+    n_s, n_th log-uniform in [1e-6, 1e6]: both probes' QFI is within 1e-12
+    of the 50-digit closed forms at every point, up to the pure corner,
+    since both families supply nu - 1 in closed form. The worst readings
+    are 4.1e-14 for the entangled probe, at (0.99987, 1.8e-6, 6.7e-6), and
+    3.7e-16 for the coherent one."""
     rng = np.random.default_rng(16)
     tau = np.exp(rng.uniform(np.log(1e-6), np.log(0.98), 300))
     n_ss, n_ths = (np.exp(rng.uniform(np.log(1e-6), np.log(1e6), 300)) for _ in range(2))
@@ -300,10 +292,24 @@ def test_domain_sweep_matches_the_50_digit_closed_forms():
         for probe, closed in (("tmsv", bf.hq_closed_form), ("coherent", bf.hc_closed_form)):
             ref = mp_closed_form(closed, p.eta1, n_s, n_th)
             deviation = float(abs(bf.qfi_complex_form(bifrequency_received_state(p, probe)) - ref) / ref)
-            if deviation > 1e-9:
-                corner = SWEEP_CORNER[probe]
-                assert t < corner[0] and n_s < corner[1] and n_th < corner[2], (probe, p, deviation)
-                assert deviation < 1.5 * SWEEP_WORST[probe], (probe, p, deviation)
+            assert deviation < 1e-12, (probe, p, deviation)
+
+
+def test_the_50_digit_reference_takes_its_powers_in_50_digits():
+    """``mp_closed_form`` raises to powers in mpmath. Through the float
+    powers of ``qfi._pow`` the coherent closed form rounds
+    g = 1 + 2 n_th (1 - eta1) to float before forming g^4 - 1, which at this
+    sweep point moves it by 1.9e-6; the reference matches the closed form
+    written out in mpmath to 1e-45."""
+    eta1, n_s, n_th = 0.9999989067564771, 1.8183694823536067, 2.2440342630270342e-05
+    ref = mp_closed_form(bf.hc_closed_form, eta1, n_s, n_th)
+    with mpmath.workdps(50):
+        e, s, t = mpmath.mpf(eta1), mpmath.mpf(n_s), mpmath.mpf(n_th)
+        g = 1 + 2 * t * (1 - e)
+        written_out = 4 * t**2 * (g**2 + 1) / (g**4 - 1) + s / (e + 2 * t * (1 - e) * e)
+        float_powers = bf.hc_closed_form(e, s, t)
+        assert abs(ref - written_out) / written_out < 1e-45
+        assert 1.8e-6 < abs(float_powers - ref) / ref < 1.9e-6
 
 
 def log_uniform(lo, hi):
@@ -337,14 +343,14 @@ def test_qi_classical_closed_form_at_finite_reflectivity(eta):
 @given(eta=st.floats(0.0, 0.99), n_s=log_uniform(1e-6, 1e6), n_th=log_uniform(1e-6, 1e6))
 def test_qi_classical_numeric_matches_its_closed_form_at_finite_reflectivity(eta, n_s, n_th):
     """The coherent quantum-illumination family's Williamson solve matches
-    ``qi_classical_qfi`` to 1e-10 over the finite-reflectivity domain (3.1e-11
-    at worst over the drawn examples), or, where the stored covariance
-    1 + 2 n_th (1 - eta^2) of a nearly pure mode cannot resolve that, to 8
-    times its rounding bound. The explicit example is such a point: it reads
-    2.1e-10, against a rounding bound of 1.8e-10."""
+    ``qi_classical_qfi`` to 4e-15 over the finite-reflectivity domain: the
+    family supplies nu - 1 = 2 n_th (1 - eta)(1 + eta), so a nearly pure
+    mode loses nothing. The drawn examples read 1.4e-15 at worst, most of it
+    the float closed form's own round-off; the explicit example, whose
+    stored covariance 1 + 7e-7 keeps only about 9 digits of nu - 1, read
+    2.1e-10 when the solve read nu - 1 off that covariance."""
     closed = bf.qi_classical_qfi(eta, n_s, n_th)
-    tol = 1e-10 + 8.0 * rounding_bound(_qi_classical_received(eta, n_s, n_th))
-    assert abs(qi_classical_qfi_numeric(eta, n_s, n_th) - closed) / closed < tol
+    assert abs(qi_classical_qfi_numeric(eta, n_s, n_th) - closed) / closed < 4e-15
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -357,28 +363,81 @@ def test_qi_classical_numeric_matches_its_closed_form_at_finite_reflectivity(eta
 )
 def test_complex_form_matches_closed_forms_over_the_domain(eta1, n_s, n_th):
     """Over the whole domain both probes' complex-form QFI match the 50-digit
-    closed forms to 1e-6, or, where the stored moments cannot resolve that,
-    to a few times their rounding bound; the tmsv observable is solved
-    everywhere, and so is the single-mode coherent quantum-illumination
-    family at amplitude reflectivity eta1.
-
-    The two explicit examples are such corners for the coherent probe: at
-    both its QFI is 1.1e-4 from the closed form (n_s = 1e-6) or 1.1e-10
-    (n_s = 1e6), as is its rounding bound. The entangled probe reads 8.8e-17
-    at n_s = 1e6 and 3.3e-5 at n_s = 1e-6, against a rounding bound of
-    3.7e-5 there."""
+    closed forms to 1e-12; the tmsv observable is solved everywhere, and the
+    single-mode coherent quantum-illumination family at amplitude
+    reflectivity eta1 matches its 50-digit QFI to 1e-12 too. The drawn
+    examples read 2.0e-13 (``tmsv``, at the explicit corner
+    (1 - 1e-6, 1e-6, 1e-6)), 5.4e-16 (``coherent``) and 3.8e-16 (quantum
+    illumination); at that corner the coherent probe read 1.3e-4 when the
+    solve read nu - 1 off the stored covariance."""
     p = BiFrequencyParams(eta1, 0.0, n_s, n_th)
     for probe, closed in (("tmsv", bf.hq_closed_form), ("coherent", bf.hc_closed_form)):
         family = bifrequency_received_state(p, probe)
         ref = mp_closed_form(closed, eta1, n_s, n_th)
         value = bf.qfi_complex_form(family)
-        tol = 1e-6 + 8.0 * rounding_bound(family)
-        assert float(abs(value - ref) / ref) < tol, (probe, value, ref, tol)
+        assert float(abs(value - ref) / ref) < 1e-12, (probe, value, ref)
     bf.optimal_observable(bifrequency_received_state(p, "tmsv"))
     ref = mp_closed_form(displaced_thermal_qfi, eta1, n_s, n_th)
     value = qi_classical_qfi_numeric(eta1, n_s, n_th)
-    tol = 1e-6 + 8.0 * rounding_bound(_qi_classical_received(eta1, n_s, n_th))
-    assert float(abs(value - ref) / ref) < tol, ("qi classical", value, ref, tol)
+    assert float(abs(value - ref) / ref) < 1e-12, ("qi classical", value, ref)
+
+
+def _count_factorisations(patch, calls):
+    """Patch np.linalg's cholesky, inv and eigh to append their names to calls."""
+    for name in ("cholesky", "inv", "eigh"):
+        def counted(*args, _name=name, _function=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _function(*args, **kwargs)
+
+        patch.setattr(np.linalg, name, counted)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@example(eta1=1.0 - 1e-6, n_s=1e-6, n_th=1e-6)
+@example(eta1=1e-6, n_s=1e6, n_th=1e6)
+@example(eta1=0.5, n_s=1e-6, n_th=1e-6)
+@given(
+    eta1=st.floats(1e-6, 1.0 - 1e-6),
+    n_s=log_uniform(1e-6, 1e6),
+    n_th=log_uniform(1e-6, 1e6),
+)
+def test_supplied_williamson_data_match_the_derived_route(eta1, n_s, n_th):
+    """Over the whole domain, at zero gap, each bi-frequency family's closed
+    form S^-1 and the one the solve derives from the stored covariance are
+    symplectic and bring it to diag(nu), the closed-form nu and e = nu - 1
+    match the derived ones within 8 ulps of nu, the rounding of the stored
+    moments, and the two routes' QFI agree within 8 times the stored
+    moments' rounding bound (plus 1e-13 for the routes' own round-off). The
+    supplied route calls no cholesky, inv or eigh, for the QFI, the form or
+    the observable; the derived one calls all three."""
+    from bifrost.sld import _derived_williamson
+
+    p = BiFrequencyParams(eta1, 0.0, n_s, n_th)
+    for probe in ("tmsv", "coherent"):
+        family = bifrequency_received_state(p, probe)
+        derived_family = dataclasses.replace(family, williamson=None)
+        cov = family.derivative()[0].cov
+        data = family.williamson(0.0), _derived_williamson(cov)
+        for s_inv, nu_k, _ in data:  # S symplectic, S^-1 Sigma S^-T = diag(nu)
+            assert np.allclose(s_inv @ bf.omega(2) @ s_inv.T, bf.omega(2), rtol=0.0, atol=1e-12)
+            scale = 1e-12 * np.max(nu_k)
+            assert np.allclose(s_inv @ cov @ s_inv.T, np.diag(nu_k.repeat(2)), rtol=0.0, atol=scale)
+        (_, nu, e), (_, derived_nu, derived_e) = data
+        ulps = 8.0 * np.finfo(float).eps * nu
+        assert np.all(np.abs(np.sort(nu) - np.sort(derived_nu)) <= ulps), (probe, nu, derived_nu)
+        assert np.all(np.abs(np.sort(e) - np.sort(derived_e)) <= ulps), (probe, e, derived_e)
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            _count_factorisations(patch, calls)
+            value = bf.qfi_complex_form(family)
+            sld(family)
+            if probe == "tmsv":
+                bf.optimal_observable(family)
+            assert calls == []
+            derived = bf.qfi_complex_form(derived_family)
+            assert sorted(set(calls)) == ["cholesky", "eigh", "inv"]
+        tol = 1e-13 + 8.0 * rounding_bound(derived_family)
+        assert abs(value - derived) / value <= tol, (probe, value, derived, tol)
 
 
 def test_two_sided_limit_consistency():

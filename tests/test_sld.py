@@ -202,6 +202,41 @@ def test_qfi_complex_form_agrees_with_symplectic_route():
         )
 
 
+# the edge points of the ``qfi`` and ``sld`` command tests
+SLD_EDGE_POINTS = [
+    (0.8053, 2.86e-6, 1e-6), (0.5, 1e-6, 1e-6), (0.999999, 1.0, 1.0),
+    (0.999999, 1e6, 1e-6), (0.999999, 1e-6, 1e-6),
+]
+
+
+@pytest.mark.parametrize("point", SLD_EDGE_POINTS, ids=repr)
+def test_observable_at_the_edge_points_matches_the_50_digit_coefficients(point):
+    """At every edge point each coefficient of the optimal observable is
+    within 1e-12 of ``sld_coeffs_closed_form`` in 50 digits, relative to
+    the largest coefficient: 1.2e-13 at worst, l11 at (0.999999, 1e-6,
+    1e-6)."""
+    from closed_form_reference import mp_sld_coefficients
+
+    numeric = bf.optimal_observable(tmsv_family(*point)).as_tuple()
+    exact = [float(c) for c in mp_sld_coefficients(*point).as_tuple()]
+    scale = max(abs(c) for c in exact)
+    assert max(abs(a - b) for a, b in zip(numeric, exact)) < 1e-12 * scale, (numeric, exact)
+
+
+def test_l22_near_the_vacuum_corner():
+    """At (0.5, 1e-6, 1e-6) l22 (about -0.67) reads 1.6e-8 relative from its
+    50-digit closed form, where l11 is -3.3e5: l22 is a difference of
+    entries of Phi of the order of l11, and the stored covariance and
+    tangent leave du / u + dv / v, the numerator of the largest quotient,
+    1.3e-13 off, a sum that cancels by 1.4e3. It read 3.3e-8 when the solve
+    read nu - 1 off the stored covariance."""
+    from closed_form_reference import mp_sld_coefficients
+
+    numeric = bf.optimal_observable(tmsv_family(0.5, 1e-6, 1e-6))
+    exact = mp_sld_coefficients(0.5, 1e-6, 1e-6)
+    assert float(abs(numeric.l22 - exact.l22) / abs(exact.l22)) < 2.5e-8
+
+
 def test_large_signal_mixed_state_matches_closed_forms():
     """A strongly mixed received state at large signal and small noise, where
     a dense solve of the superoperator conj(Sigma) (x) Sigma - K (x) K is

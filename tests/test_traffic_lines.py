@@ -18,8 +18,8 @@ def _lines(function) -> range:
 def test_traffic_lines_lists_library_only_code(capsys):
     """``ratio_high_reflectivity`` is reached by the library only, so its
     body is listed whole. The Williamson solve serves every Gaussian QFI:
-    of its lines only the pure-mode regularisation is listed, which needs
-    a state with a pure normal mode, such as the coherent probe at
+    of its lines only the body of the pure-pair branch is listed, which
+    needs a state with a pure normal mode, such as the coherent probe at
     n_th = 0, and no command reaches at its defaults. ``gaussian`` holds only
     what the commands reach: no line of it is listed."""
     traffic_lines.main()
@@ -33,6 +33,6 @@ def test_traffic_lines_lists_library_only_code(capsys):
     expected = set(_lines(bf.ratio_high_reflectivity)) & traffic_lines._body_lines(qfi_text)
     assert expected and expected <= listed["src/bifrost/qfi.py"]
     source, start = inspect.getsourcelines(sld_module._solve)
-    first = start + next(i for i, text in enumerate(source) if "if pure.any():" in text)
-    last = start + next(i for i, text in enumerate(source) if "den = np.where(pure" in text)
+    first = start + next(i for i, text in enumerate(source) if "pure = gap <= _PURE_TOL" in text)
+    last = start + next(i for i, text in enumerate(source) if "gap = np.where(pure" in text)
     assert listed["src/bifrost/sld.py"] & set(_lines(sld_module._solve)) <= set(range(first, last + 1))
